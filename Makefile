@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-pipeline bench benchgate bench-smoke chaos-smoke chaos-store dedup-smoke fuzz-range docs profile ci
+.PHONY: build test vet race race-pipeline race-digest bench bench-cycle benchgate bench-smoke chaos-smoke chaos-store dedup-smoke fuzz-range docs profile ci
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,15 @@ race:
 race-pipeline:
 	$(GO) test -race -run 'Golden|Pipeline|IterativeRoundSum|DestWorkerError' ./internal/core/
 
+# race-digest is the focused gate for the resident page-digest table
+# (vm.VM): the concurrent writer/installer/reader test repeated under the
+# race detector, then the seeded migration audit and the exact-count test
+# through sched.Host. `race` runs them once with everything else; this
+# target is the one to repeat when touching internal/vm/digest.go.
+race-digest:
+	$(GO) test -race -count=10 -run 'TestDigestTableConcurrent' ./internal/vm/
+	$(GO) test -race -run 'TestDigestTable' ./internal/vm/ ./internal/core/ ./internal/sched/
+
 # bench records the migration-engine benchmarks (first-round throughput at
 # pipeline widths {1,2,4,8}, tracked-migration overhead, destination
 # merge-loop and install-primitive throughput, per-page checksum rates,
@@ -29,6 +38,12 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFirstRound|BenchmarkTrackIncoming|BenchmarkMergeLoop|BenchmarkDestInstall' -benchmem -json ./internal/core/ > BENCH_migration.json
 	$(GO) test -run '^$$' -bench 'BenchmarkChecksumPage|BenchmarkAnnounceSize' -benchmem -json ./internal/checksum/ >> BENCH_migration.json
 	$(GO) test -run '^$$' -bench 'BenchmarkOpen|BenchmarkSaveWarm' -benchmem -json ./internal/checkpoint/ >> BENCH_migration.json
+
+# bench-cycle runs the recycle-cycle benchmark's headline workload (the
+# 256 MiB guest returning over the LAN shape with 5 % rewritten), end-to-end
+# pass; see bench/README.md for the other workloads and the traced pass.
+bench-cycle:
+	$(GO) run ./bench -workload return-churn5-lan
 
 # benchgate fails when the committed BENCH_migration.json shows any
 # pipeline width running below the scaling floor of workers=1, when
@@ -100,8 +115,8 @@ docs:
 
 # ci is the gate for every change: static analysis, the docs gate, the
 # full suite under the race detector (which includes the pipeline tests),
-# the chaos/resumability gate, the storage-fault gate, the dedup-store
-# gate, a single-iteration pass over every benchmark, short range-frame
-# fuzzing, and the worker-scaling gate on the committed benchmark
-# recording.
-ci: vet docs race race-pipeline chaos-smoke chaos-store dedup-smoke bench-smoke fuzz-range benchgate
+# the digest-table gate, the chaos/resumability gate, the storage-fault
+# gate, the dedup-store gate, a single-iteration pass over every benchmark,
+# short range-frame fuzzing, and the worker-scaling gate on the committed
+# benchmark recording.
+ci: vet docs race race-pipeline race-digest chaos-smoke chaos-store dedup-smoke bench-smoke fuzz-range benchgate

@@ -222,10 +222,11 @@ func (s *Store) Save(source *vm.VM) error {
 }
 
 // SaveWithSums is Save with a caller-supplied per-page digest table —
-// typically the sum table a migration recorded (core.SumTable) — so the
-// digest pass matching alg is skipped: the sidecar build when alg is
-// SidecarAlgorithm, the content-keying scan when it is ObjectAlgorithm. The
-// other pass still recomputes its own algorithm from the image.
+// typically the sums a migration recorded (core.DestResult.PageSums on
+// arrival, core.SumTable on departure) — so the digest pass matching alg is
+// skipped: the sidecar build when alg is SidecarAlgorithm, the
+// content-keying scan when it is ObjectAlgorithm. The other pass still
+// recomputes its own algorithm from the image.
 //
 // The caller asserts sums[i] is alg's digest of the VM's current page i. A
 // wrong table poisons what that pass would have produced (a sidecar is
@@ -582,7 +583,8 @@ func closeAll(files []faultfs.File) {
 // openEntry builds a Checkpoint for one entry from resolved page refs,
 // loading announce sums from the fingerprint sidecar when possible and
 // rescanning (reading and hashing every page, then rewriting the sidecar)
-// otherwise. dst, when non-nil, receives every page.
+// otherwise. dst, when non-nil, receives every page and — its digest table —
+// the page's sum under alg.
 func (s *Store) openEntry(vmName string, alg checksum.Algorithm, dst *vm.VM, info EntryInfo, refs []pageRef, files []faultfs.File, noSidecar bool) (*Checkpoint, error) {
 	pages := len(refs)
 	if dst != nil && dst.NumPages() != pages {
@@ -606,15 +608,8 @@ func (s *Store) openEntry(vmName string, alg checksum.Algorithm, dst *vm.VM, inf
 	if sums == nil {
 		// Rescan: read every page out of the pool and hash it under alg.
 		sums = make([]checksum.Sum, pages)
-		buf := make([]byte, vm.PageSize)
-		for i, ref := range refs {
-			if _, err := ref.f.ReadAt(buf, ref.off); err != nil {
-				return nil, fmt.Errorf("checkpoint: read page %d: %w", i, err)
-			}
-			sums[i] = alg.Page(buf)
-			if dst != nil {
-				dst.InstallPage(i, buf)
-			}
+		if err := loadPages(refs, alg, sums, true, dst); err != nil {
+			return nil, err
 		}
 		if !noSidecar {
 			// Self-heal: persist the rebuilt sums so the next Restore under
@@ -625,15 +620,83 @@ func (s *Store) openEntry(vmName string, alg checksum.Algorithm, dst *vm.VM, inf
 		}
 	} else if dst != nil {
 		// Warm hit with an install: a plain read of every page, no hashing.
-		buf := make([]byte, vm.PageSize)
-		for i, ref := range refs {
-			if _, err := ref.f.ReadAt(buf, ref.off); err != nil {
-				return nil, fmt.Errorf("checkpoint: read page %d: %w", i, err)
-			}
-			dst.InstallPage(i, buf)
+		if err := loadPages(refs, alg, sums, false, dst); err != nil {
+			return nil, err
 		}
 	}
 	return newCheckpoint(alg, sums, refs, files, status), nil
+}
+
+// restoreFanout caps the goroutines one Restore reads its pages with. A
+// checkpoint's frames scatter over more segments with every churned hop (a
+// 256 MiB guest decays from 256 one-MiB runs to tens of thousands of short
+// ones within a dozen legs), so coalescing reads alone stops helping; the
+// fan-out is what keeps the reads and installs off one goroutine.
+const restoreFanout = 4
+
+// restoreSpanPages is the unit a restore goroutine works in: 256 frames, a
+// 1 MiB buffer, one install (one acquisition of the guest's lock).
+const restoreSpanPages = 256
+
+// restoreBufPool recycles the span buffers across restores; unpooled they
+// dominated a recycled migration's allocations.
+var restoreBufPool = sync.Pool{New: func() interface{} {
+	return make([]byte, restoreSpanPages*vm.PageSize)
+}}
+
+// loadPages reads every page refs locates, over up to restoreFanout
+// goroutines owning disjoint frame ranges. Each fills a span of frames —
+// payloads that sit back to back in one segment with a single ReadAt — and
+// installs it whole. With hash set (the rescan) each page is digested under
+// alg into sums[i]; otherwise sums already describes the pages. dst, when
+// non-nil, receives every span together with its digests, so the guest's
+// digest table is seeded with exactly the sums this restore serves the merge
+// from.
+func loadPages(refs []pageRef, alg checksum.Algorithm, sums []checksum.Sum, hash bool, dst *vm.VM) error {
+	pages := len(refs)
+	workers := max(1, min(restoreFanout, pages/restoreSpanPages))
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for k := 0; k < workers; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			buf := restoreBufPool.Get().([]byte)
+			defer restoreBufPool.Put(buf) //nolint:staticcheck // SA6002: 1 MiB slice, header alloc is fine
+			end := (k + 1) * pages / workers
+			for i := k * pages / workers; i < end; i += restoreSpanPages {
+				j := min(i+restoreSpanPages, end)
+				span := buf[:(j-i)*vm.PageSize]
+				for p := i; p < j; {
+					q := p + 1
+					for q < j && refs[q].f == refs[p].f && refs[q].off == refs[q-1].off+vm.PageSize {
+						q++
+					}
+					n, err := refs[p].f.ReadAt(span[(p-i)*vm.PageSize:(q-i)*vm.PageSize], refs[p].off)
+					if err != nil {
+						errs[k] = fmt.Errorf("checkpoint: read page %d: %w", p+n/vm.PageSize, err)
+						return
+					}
+					p = q
+				}
+				if hash {
+					for p := i; p < j; p++ {
+						sums[p] = alg.Page(span[(p-i)*vm.PageSize : (p-i+1)*vm.PageSize])
+					}
+				}
+				if dst != nil {
+					dst.InstallRangeSums(i, span, alg, sums[i:j])
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // OpenUnion builds a Checkpoint over the union of every servable entry in

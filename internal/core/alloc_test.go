@@ -152,6 +152,11 @@ func TestMigrationAllocFlatness(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation skews allocation accounting")
 	}
+	// sync.Pool caches are per P: on a multi-core runner a goroutine that
+	// lands on another P misses the warm 1 MiB buffers and allocates fresh
+	// ones, which made this measurement a coin toss there. One P keeps it the
+	// deterministic count of what the engine itself allocates.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const pages = 512 // 2 MiB guest, half random: both encoder branches hot
 	newGuest := func(name string, seed int64) *vm.VM {
 		v, err := vm.New(vm.Config{Name: name, MemBytes: pages * vm.PageSize, Seed: seed})

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"vecycle/internal/checksum"
+	"vecycle/internal/vm"
 )
 
 // TestAnnounceVersionInterop runs a recycled migration across the four
@@ -75,5 +77,43 @@ func TestAnnounceVersionInterop(t *testing.T) {
 				t.Errorf("AnnounceBytes = %d, want exact v1 wire size %d", dres.Metrics.AnnounceBytes, v1Wire)
 			}
 		})
+	}
+}
+
+// TestAnnounceBytesAgree pins the source's announcement accounting to the
+// destination's: both count the frame from its tag byte to its last body
+// byte. The source used to read its transport counter after the 64 KiB
+// control reader had already pulled in whatever arrived with the hello-ack,
+// so a 16 MiB guest's announcement (64 KiB in v1) counted as almost nothing.
+func TestAnnounceBytesAgree(t *testing.T) {
+	for _, mib := range []int{16, 256} {
+		for _, v1 := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%dMiB/v1=%v", mib, v1), func(t *testing.T) {
+				if mib > 16 && (raceEnabled || testing.Short()) {
+					t.Skip("the 256 MiB guest is too slow under -race / -short")
+				}
+				pages := mib << 20 / vm.PageSize
+				src := newVM(t, "vm0", pages, 1)
+				if err := src.FillRandom(1.0); err != nil {
+					t.Fatal(err)
+				}
+				store := newStore(t)
+				if err := store.Save(src); err != nil {
+					t.Fatal(err)
+				}
+				dst := newVM(t, "vm0", pages, 2)
+				sm, dres := migrate(t, src, dst,
+					SourceOptions{Recycle: true, NoCompactAnnounce: v1},
+					DestOptions{Store: store})
+				if sm.AnnounceBytes != dres.Metrics.AnnounceBytes {
+					t.Errorf("source counted a %d-byte announcement, destination %d",
+						sm.AnnounceBytes, dres.Metrics.AnnounceBytes)
+				}
+				// An all-distinct guest announces one sum per page.
+				if floor := int64(pages) * checksum.Size / 2; sm.AnnounceBytes < floor {
+					t.Errorf("announcement of %d sums counted as %d bytes", pages, sm.AnnounceBytes)
+				}
+			})
+		}
 	}
 }

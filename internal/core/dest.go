@@ -86,12 +86,15 @@ type DestResult struct {
 	// UsedCheckpoint. The union serves blocks by content but installs
 	// nothing into RAM, so ResumedFromPartial stays false.
 	UnionBootstrap bool
-	// PageSums is the per-page digest table the merge recorded (only when
-	// DestOptions.TrackIncoming was set). After a successful migration it
-	// covers every page of the arrived state, so the post-migration
-	// checkpoint can be ingested via Store.SaveWithSums without a sidecar
-	// rehash; after a failure it is partial and Sums reports false.
-	PageSums *SumTable
+	// PageSums is the page-ordered digest of the arrived state under the
+	// migration's checksum algorithm (Alg) — a snapshot of the guest's digest
+	// table taken at the final acknowledgement, before the guest can run
+	// (only when DestOptions.TrackIncoming was set). The post-migration
+	// checkpoint ingests it via Store.SaveWithSums without a sidecar rehash.
+	// Nil after a failed migration, which makes SaveWithSums rehash.
+	PageSums []checksum.Sum
+	// Alg is the checksum algorithm the source chose for this migration.
+	Alg checksum.Algorithm
 }
 
 // IncomingSession is a half-open incoming migration: the hello has been
@@ -284,12 +287,9 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 		}
 	}
 
-	var tbl *SumTable
+	res.Alg = h.Alg
 	if opts.TrackIncoming {
 		res.SeenSums = checksum.NewSet(v.NumPages())
-		tbl = NewSumTable()
-		tbl.reset(h.Alg, v.NumPages())
-		res.PageSums = tbl
 	}
 
 	start := time.Now()
@@ -326,9 +326,9 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 	}
 
 	if workers := opts.workers(); workers >= 1 {
-		err = s.mergePipelined(ctx, v, opts, cp, tbl, &res, start, workers)
+		err = s.mergePipelined(ctx, v, opts, cp, &res, start, workers)
 	} else {
-		err = s.mergeSequential(ctx, v, opts, cp, tbl, &res, start)
+		err = s.mergeSequential(ctx, v, opts, cp, &res, start)
 	}
 	if err != nil {
 		// A recycled-page read failure means this entry's bytes lie: the
@@ -378,7 +378,7 @@ func (s *IncomingSession) salvage(v *vm.VM, opts DestOptions, res *DestResult) {
 // mergeSequential is the single-goroutine merge loop — Listing 1, extended
 // with full-page installs and round bookkeeping. It is the reference the
 // pipelined variant is tested against.
-func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts DestOptions, cp *checkpoint.Checkpoint, tbl *SumTable, res *DestResult, start time.Time) error {
+func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts DestOptions, cp *checkpoint.Checkpoint, res *DestResult, start time.Time) error {
 	h := s.h
 	w, r := s.w, s.r
 	pageBuf := make([]byte, vm.PageSize)
@@ -413,7 +413,7 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 				return err
 			}
 			rangeFloor = rng.start + uint64(rng.count)
-			if err := applyRange(v, cp, h.Alg, opts.VerifyPayloads, &rng, st, tbl, &res.Metrics); err != nil {
+			if err := applyRange(v, cp, h.Alg, opts.VerifyPayloads, &rng, st, &res.Metrics); err != nil {
 				return err
 			}
 			res.Metrics.PageFrames++
@@ -444,11 +444,10 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 					return fmt.Errorf("%w: page %d payload checksum mismatch", ErrProtocol, page)
 				}
 			}
-			v.InstallPage(int(page), pageBuf)
 			// The header sum describes the installed bytes — verified above
 			// when VerifyPayloads is set, trusted at the protocol's own level
 			// otherwise (the same trust a recycled page-sum frame gets).
-			tbl.record(int(page), sum)
+			v.InstallPageSum(int(page), pageBuf, h.Alg, sum)
 			res.Metrics.PagesFull++
 
 		case msgPageSum:
@@ -463,27 +462,10 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 				return fmt.Errorf("%w: page-sum received without a checkpoint", ErrProtocol)
 			}
 			res.Metrics.PageFrames++
-			res.Metrics.PagesSum++
-			// Either way the page ends up holding content with this digest.
-			tbl.record(int(page), sum)
-			// Fast path: the frame content inherited from the checkpoint
-			// bootstrap already matches.
-			if v.PageSum(int(page), h.Alg) == sum {
-				res.Metrics.PagesReusedInPlace++
-				continue
+			want := [1]checksum.Sum{sum}
+			if err := resolveSums(v, cp, h.Alg, int(page), want[:], st, &res.Metrics); err != nil {
+				return err
 			}
-			// Slow path: look the checksum up in the checkpoint index and
-			// re-read the block from disk (lseek+read of Listing 1).
-			data, ok, err := cp.ReadBlock(sum)
-			if err != nil {
-				return recycleReadErr(err)
-			}
-			if !ok {
-				return fmt.Errorf("%w: source referenced checksum %v absent from checkpoint", ErrProtocol, sum)
-			}
-			v.InstallPage(int(page), data)
-			cp.Release(data)
-			res.Metrics.PagesReusedFromDisk++
 
 		case msgPageDelta:
 			page, sum, err := readPageHeader(r)
@@ -523,8 +505,7 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 			if got := h.Alg.Page(pageBuf); got != sum {
 				return fmt.Errorf("%w: page %d delta produced checksum mismatch (stale delta base?)", ErrProtocol, page)
 			}
-			v.InstallPage(int(page), pageBuf)
-			tbl.record(int(page), sum)
+			v.InstallPageSum(int(page), pageBuf, h.Alg, sum)
 			res.Metrics.PagesDelta++
 
 		case msgRoundEnd:
@@ -549,16 +530,8 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 			}
 			res.Metrics.Duration = time.Since(start)
 			opts.OnEvent.emit(Event{Kind: EventDone, Bytes: s.cr.n})
-			// Record the checksum set of the *final* arrived state. This is
-			// exactly "the set of pages existing at the source" (§3.2): the
-			// source checkpoints its paused final state, which is what this
-			// VM now holds — the sound basis for a later ping-pong return
-			// leg. The sum table already carries each page's last installed
-			// digest (stale intermediate contents were overwritten in the
-			// table just as in RAM), so finishTrack folds it into the set
-			// and hashes only pages no frame ever covered.
 			if opts.TrackIncoming {
-				res.Metrics.HashBytes, res.Metrics.HashAvoidedBytes = tbl.finishTrack(v, res.SeenSums)
+				finishTrack(v, res)
 			}
 			return nil
 
@@ -566,6 +539,24 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 			return fmt.Errorf("%w: unexpected %v during merge", ErrProtocol, t)
 		}
 	}
+}
+
+// finishTrack is the round-end TrackIncoming pass: record the checksum set of
+// the *final* arrived state. This is exactly "the set of pages existing at
+// the source" (§3.2): the source checkpoints its paused final state, which is
+// what v now holds — the sound basis for a later ping-pong return leg. Every
+// install recorded its digest in v's digest table (stale intermediate
+// contents were overwritten there just as in RAM), so completing the table
+// hashes only pages no install covered — none on the normal path, where round
+// one walks every page — and the completed table is both the set and the
+// PageSums snapshot. The caller has drained every install.
+func finishTrack(v *vm.VM, res *DestResult) {
+	n := v.NumPages()
+	hashed := v.CompleteDigests(res.Alg)
+	res.PageSums, _ = v.Digests(0, n, res.Alg, make([]checksum.Sum, 0, n))
+	res.SeenSums.AddAll(res.PageSums)
+	res.Metrics.HashBytes += int64(hashed) * vm.PageSize
+	res.Metrics.HashAvoidedBytes += int64(n-hashed) * vm.PageSize
 }
 
 // validateHello returns a rejection reason, or "" to accept.

@@ -55,11 +55,7 @@ type destWorker struct {
 	verify bool
 	cp     *checkpoint.Checkpoint
 	st     *destScratch // pooled; acquired at pool start, released after drain
-	// tbl is the migration's shared page-sum table (nil unless
-	// TrackIncoming). Workers write disjoint page slots within a round, so
-	// no locking; see SumTable.
-	tbl *SumTable
-	m   Metrics
+	m      Metrics
 }
 
 // process applies one page message to the VM. The decoder has already
@@ -69,7 +65,7 @@ func (ws *destWorker) process(j *destJob) error {
 	page := int(j.page)
 	switch j.t {
 	case msgRangeSum, msgRangeFull, msgRangeFullZ, msgRangeDelta:
-		return applyRange(ws.v, ws.cp, ws.alg, ws.verify, &j.rng, ws.st, ws.tbl, &ws.m)
+		return applyRange(ws.v, ws.cp, ws.alg, ws.verify, &j.rng, ws.st, &ws.m)
 
 	case msgPageFull:
 		if ws.verify {
@@ -77,8 +73,7 @@ func (ws *destWorker) process(j *destJob) error {
 				return fmt.Errorf("%w: page %d payload checksum mismatch", ErrProtocol, page)
 			}
 		}
-		ws.v.InstallPage(page, j.payload)
-		ws.tbl.record(page, j.sum)
+		ws.v.InstallPageSum(page, j.payload, ws.alg, j.sum)
 		ws.m.PagesFull++
 
 	case msgPageFullZ:
@@ -94,33 +89,13 @@ func (ws *destWorker) process(j *destJob) error {
 				return fmt.Errorf("%w: page %d payload checksum mismatch", ErrProtocol, page)
 			}
 		}
-		ws.v.InstallPage(page, buf)
-		ws.tbl.record(page, j.sum)
+		ws.v.InstallPageSum(page, buf, ws.alg, j.sum)
 		ws.m.PagesFull++
 		ws.m.PagesCompressed++
 
 	case msgPageSum:
-		ws.m.PagesSum++
-		// Either way the page ends up holding content with this digest.
-		ws.tbl.record(page, j.sum)
-		// Fast path: the frame content inherited from the checkpoint
-		// bootstrap already matches.
-		if ws.v.PageSum(page, ws.alg) == j.sum {
-			ws.m.PagesReusedInPlace++
-			return nil
-		}
-		// Slow path: resolve the checksum in the checkpoint index and
-		// re-read the block from disk (lseek+read of Listing 1).
-		data, ok, err := ws.cp.ReadBlock(j.sum)
-		if err != nil {
-			return recycleReadErr(err)
-		}
-		if !ok {
-			return fmt.Errorf("%w: source referenced checksum %v absent from checkpoint", ErrProtocol, j.sum)
-		}
-		ws.v.InstallPage(page, data)
-		ws.cp.Release(data)
-		ws.m.PagesReusedFromDisk++
+		want := [1]checksum.Sum{j.sum}
+		return resolveSums(ws.v, ws.cp, ws.alg, page, want[:], ws.st, &ws.m)
 
 	case msgPageDelta:
 		// The frame still holds bootstrap (checkpoint) content: deltas are
@@ -135,8 +110,7 @@ func (ws *destWorker) process(j *destJob) error {
 		if got := ws.alg.Page(buf); got != j.sum {
 			return fmt.Errorf("%w: page %d delta produced checksum mismatch (stale delta base?)", ErrProtocol, page)
 		}
-		ws.v.InstallPage(page, buf)
-		ws.tbl.record(page, j.sum)
+		ws.v.InstallPageSum(page, buf, ws.alg, j.sum)
 		ws.m.PagesDelta++
 	}
 	return nil
@@ -148,7 +122,7 @@ func (ws *destWorker) process(j *destJob) error {
 // watcher aborts the connection so a decoder blocked mid-read observes the
 // failure; the decoder then drains the pool before returning, so no
 // goroutine outlives the call.
-func (s *IncomingSession) mergePipelined(ctx context.Context, v *vm.VM, opts DestOptions, cp *checkpoint.Checkpoint, tbl *SumTable, res *DestResult, start time.Time, workers int) (err error) {
+func (s *IncomingSession) mergePipelined(ctx context.Context, v *vm.VM, opts DestOptions, cp *checkpoint.Checkpoint, res *DestResult, start time.Time, workers int) (err error) {
 	h := s.h
 	w, r := s.w, s.r
 
@@ -184,7 +158,7 @@ func (s *IncomingSession) mergePipelined(ctx context.Context, v *vm.VM, opts Des
 	wks := make([]*destWorker, workers)
 	for k := range wks {
 		wks[k] = &destWorker{v: v, alg: h.Alg, verify: opts.VerifyPayloads, cp: cp,
-			st: getDestScratch(), tbl: tbl}
+			st: getDestScratch()}
 		wg.Add(1)
 		go func(ws *destWorker) {
 			defer wg.Done()
@@ -345,11 +319,10 @@ func (s *IncomingSession) mergePipelined(ctx context.Context, v *vm.VM, opts Des
 			}
 			res.Metrics.Duration = time.Since(start)
 			opts.OnEvent.emit(Event{Kind: EventDone, Bytes: s.cr.n})
-			// All installs have landed (inflight barrier above), so the sum
-			// table is the final arrived state; hash only what no frame
-			// covered. See mergeSequential's msgDone for the soundness note.
+			// All installs have landed (inflight barrier above), so the
+			// guest's digest table describes the final arrived state.
 			if opts.TrackIncoming {
-				res.Metrics.HashBytes, res.Metrics.HashAvoidedBytes = tbl.finishTrack(v, res.SeenSums)
+				finishTrack(v, res)
 			}
 			return nil
 

@@ -66,16 +66,22 @@ type Metrics struct {
 	// Rounds is the number of pre-copy rounds, including the final
 	// stop-and-copy round.
 	Rounds int
-	// HashBytes counts payload bytes the destination's round-end
-	// TrackIncoming pass had to digest itself — pages no install-time sum
-	// covered. Zero on the source, for untracked destinations, and on the
-	// normal tracked path (round one walks every page, so every digest
-	// arrives on some frame).
+	// HashBytes counts bytes of resident guest memory this side had to
+	// digest itself because the guest's digest table (vm.VM) held nothing for
+	// the page. On the source it is the encode pass: pages written since
+	// their digest was last recorded — every page of a guest that never
+	// migrated. On the destination it is the round-end TrackIncoming pass:
+	// pages no install covered, zero on the normal tracked path (round one
+	// walks every page, so every digest arrives on some frame).
 	HashBytes int64
-	// HashAvoidedBytes counts payload bytes whose round-end digest was
-	// recycled from a sum the merge already knew (frame headers, verified
-	// installs, range probes) instead of being recomputed by a full-image
-	// scan.
+	// ProbeHashBytes counts bytes the destination digested to compare a
+	// resident page with a checksum from the wire (page-sum and range-sum
+	// frames, the post-copy manifest). Zero after a checkpoint bootstrap,
+	// which seeds the table from the sums it restored with; a union
+	// bootstrap installs nothing, so there every probed page is hashed.
+	ProbeHashBytes int64
+	// HashAvoidedBytes counts bytes whose digest came from the guest's
+	// digest table instead of being recomputed, over the same passes.
 	HashAvoidedBytes int64
 	// Stages breaks the pipelined engine down by stage, so a throughput
 	// regression can be attributed (reader-bound, worker-bound, or
@@ -147,6 +153,9 @@ func (m *Metrics) addPageCounters(d Metrics) {
 	m.DeltaSavedBytes += d.DeltaSavedBytes
 	m.PagesReusedInPlace += d.PagesReusedInPlace
 	m.PagesReusedFromDisk += d.PagesReusedFromDisk
+	m.HashBytes += d.HashBytes
+	m.ProbeHashBytes += d.ProbeHashBytes
+	m.HashAvoidedBytes += d.HashAvoidedBytes
 }
 
 // String summarizes the metrics in one line. Both byte directions render

@@ -26,9 +26,10 @@ const (
 	// EventRound: one pre-copy round completed. Round is the 1-based
 	// round number, Pages the pages streamed (source) or observed dirty
 	// (per the round-end frame), Bytes the wire volume of the round as
-	// seen from the emitting side. On a compressing source, Detail carries
-	// the entropy gate's per-round hit rate as
-	// "gate_attempted=N gate_skipped=M".
+	// seen from the emitting side. On the source, Detail carries the
+	// round's hash work in pages as "hashed=N cached=M" (digested here vs.
+	// taken from the guest's digest table) and, when compressing, the
+	// entropy gate's hit rate as " gate_attempted=N gate_skipped=M".
 	EventRound = "round"
 	// EventPause: the source paused the guest for stop-and-copy.
 	EventPause = "pause"

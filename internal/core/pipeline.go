@@ -19,9 +19,11 @@ import (
 // batch N+1 is being hashed and compressed while batch N is on the wire.
 // The checksum rate — not the network — bounds fast-link migrations (MD5
 // at ~350 MiB/s vs 10/40 GbE), which is why the encode stage is the one
-// that fans out. Page reads happen inside the encode workers too (batched
-// vm.ReadRange over contiguous spans), so memory-copy bandwidth scales
-// with the worker count instead of serializing on the sequencer.
+// that fans out. Page reads happen inside the encode workers too (fillBatch:
+// batched span reads that bring each page's recorded digest along), so
+// memory-copy bandwidth scales with the worker count instead of serializing
+// on the sequencer, and only pages written since their digest was recorded
+// are hashed at all.
 //
 // Ordering guarantee: the emitter writes batches strictly in read order, so
 // the wire stream is byte-for-byte identical to the sequential engine's for
@@ -57,17 +59,18 @@ func (s pageSeq) at(i int) int {
 type pageBatch struct {
 	pages []int          // page numbers
 	data  []byte         // page payloads, len(pages)*PageSize
-	sums  []checksum.Sum // per-page digests precomputed by the hash offload; empty otherwise
+	sums  []checksum.Sum // per-page digests, meaningful where known
+	known []bool         // sums[i] describes data's page i: read from the guest's digest table, or hashed by the offload
 	buf   bytes.Buffer   // encoded wire frames, in page order
 	m     Metrics        // per-batch page counters
 	err   error          // set instead of buf when encoding failed
 	done  chan struct{}
 }
 
-// pageSum returns page i's digest: the precomputed one when the sequential
-// engine's hash offload ran over this batch, computed in place otherwise.
+// pageSum returns page i's digest: the one fillBatch read with the bytes or
+// the hash offload precomputed, computed in place otherwise.
 func (b *pageBatch) pageSum(alg checksum.Algorithm, i int, data []byte) checksum.Sum {
-	if i < len(b.sums) {
+	if b.known[i] {
 		return b.sums[i]
 	}
 	return alg.Page(data)
@@ -85,7 +88,8 @@ var batchPool = sync.Pool{New: func() interface{} {
 	return &pageBatch{
 		pages: make([]int, 0, batchPages),
 		data:  make([]byte, 0, batchPages*vm.PageSize),
-		sums:  make([]checksum.Sum, 0, batchPages),
+		sums:  make([]checksum.Sum, batchPages),
+		known: make([]bool, batchPages),
 	}
 }}
 
@@ -100,7 +104,6 @@ const maxPooledBatchBytes = 2 * batchPages * vm.PageSize
 func putBatch(b *pageBatch) {
 	b.pages = b.pages[:0]
 	b.data = b.data[:0]
-	b.sums = b.sums[:0]
 	b.buf.Reset()
 	if b.buf.Cap() > maxPooledBatchBytes {
 		b.buf = bytes.Buffer{}
@@ -306,7 +309,7 @@ func runSourcePipeline(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq
 					continue
 				}
 				t0 := time.Now()
-				fillBatch(v, b)
+				fillBatch(v, enc.alg, b)
 				err := encodeBatch(enc, base, b)
 				stats.workerBusy.Add(int64(time.Since(t0)))
 				if err != nil {
@@ -348,10 +351,15 @@ func runSourcePipeline(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq
 	return firstErr
 }
 
-// fillBatch copies the batch's pages out of the guest, coalescing
-// contiguous page numbers into single ReadRange calls (one lock
-// acquisition and one copy per contiguous span instead of per page).
-func fillBatch(v *vm.VM, b *pageBatch) {
+// fillBatch copies the batch's pages out of the guest together with every
+// digest the guest's digest table holds for them (atomically with the copy,
+// so a digest always describes the bytes beside it), coalescing contiguous
+// page numbers into single reads — one lock acquisition and one copy per
+// contiguous span instead of per page. It is the one fill path of both
+// engines and accounts the batch's hash work: pages that came with a digest
+// are avoided bytes, the rest — their count is returned — are hashed by the
+// offload or the encoder.
+func fillBatch(v *vm.VM, alg checksum.Algorithm, b *pageBatch) (unknown int) {
 	cnt := len(b.pages)
 	b.data = b.data[:cnt*vm.PageSize]
 	for i := 0; i < cnt; {
@@ -359,9 +367,18 @@ func fillBatch(v *vm.VM, b *pageBatch) {
 		for j < cnt && b.pages[j] == b.pages[j-1]+1 {
 			j++
 		}
-		v.ReadRange(b.pages[i], j-i, b.data[i*vm.PageSize:j*vm.PageSize])
+		v.ReadRangeDigests(b.pages[i], j-i, b.data[i*vm.PageSize:j*vm.PageSize], alg, b.sums[i:j], b.known[i:j])
 		i = j
 	}
+	cached := 0
+	for _, ok := range b.known[:cnt] {
+		if ok {
+			cached++
+		}
+	}
+	b.m.HashAvoidedBytes += int64(cached) * vm.PageSize
+	b.m.HashBytes += int64(cnt-cached) * vm.PageSize
+	return cnt - cached
 }
 
 // batchSumWorkers caps the sequential engine's hash-offload pool. The
@@ -370,30 +387,37 @@ func fillBatch(v *vm.VM, b *pageBatch) {
 // split further.
 const batchSumWorkers = 4
 
-// offloadBatchSums precomputes the batch's page digests on a small goroutine
-// pool, so the sequential (Workers <= 0) engine's encode loop reads them
-// from b.sums instead of hashing inline — the hash stage was its single-core
-// wall. The digests are exactly the ones encodeBatch would compute, so the
-// wire stream is unchanged. Skipped on a single-CPU process or a small tail
-// batch, where the spawn overhead would exceed the win; b.sums stays empty
-// and pageSum falls back to hashing inline.
-func offloadBatchSums(alg checksum.Algorithm, b *pageBatch) {
+// minOffloadPages is the fewest digest-less pages worth fanning out: below
+// it (a tail batch, or a returning guest whose table covers nearly all of
+// the batch) the spawn overhead exceeds the win.
+const minOffloadPages = 32
+
+// offloadBatchSums digests the batch pages that came without a digest on a
+// small goroutine pool, so the sequential (Workers <= 0) engine's encode loop
+// reads them from b.sums instead of hashing inline — the hash stage was its
+// single-core wall. The digests are exactly the ones encodeBatch would
+// compute, so the wire stream is unchanged. Skipped on a single-CPU process
+// or when fewer than minOffloadPages pages came without a digest (unknown,
+// as fillBatch counted them); pageSum then hashes those inline.
+func offloadBatchSums(alg checksum.Algorithm, b *pageBatch, unknown int) {
 	cnt := len(b.pages)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > batchSumWorkers {
 		workers = batchSumWorkers
 	}
-	if workers < 2 || cnt < minPagesPerSumWorker {
+	if workers < 2 || unknown < minOffloadPages {
 		return
 	}
-	b.sums = b.sums[:cnt]
 	var wg sync.WaitGroup
 	for k := 0; k < workers; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
 			for i := k; i < cnt; i += workers {
-				b.sums[i] = alg.Page(b.data[i*vm.PageSize : (i+1)*vm.PageSize])
+				if !b.known[i] {
+					b.sums[i] = alg.Page(b.data[i*vm.PageSize : (i+1)*vm.PageSize])
+					b.known[i] = true
+				}
 			}
 		}(k)
 	}
@@ -423,9 +447,10 @@ const minPagesPerSumWorker = 256
 
 // collectSums adds the checksum of every page of v to set, fanning the hash
 // work across cores for large guests. Formerly the destination's
-// TrackIncoming final pass (§3.2); the live path now recycles install-time
-// digests via SumTable.finishTrack, and this full-image scan remains as the
-// independent reference the equivalence tests pin the table against.
+// TrackIncoming final pass (§3.2); the live path now completes and reads the
+// guest's digest table (finishTrack), and this full-image scan — PageSum
+// never consults the table — remains as the independent reference the
+// equivalence tests pin it against.
 func collectSums(v *vm.VM, alg checksum.Algorithm, set *checksum.Set) {
 	n := v.NumPages()
 	workers := runtime.GOMAXPROCS(0)

@@ -148,17 +148,22 @@ func PostCopySource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Post
 	if _, err := w.Write(countBuf[:]); err != nil {
 		return m, fmt.Errorf("core: write manifest count: %w", err)
 	}
-	buf := make([]byte, vm.PageSize)
-	for i := 0; i < v.NumPages(); i++ {
-		if i%8192 == 0 {
-			if err := ctx.Err(); err != nil {
-				return m, err
-			}
+	// The guest is paused, so its digest table answers for every page not
+	// written since it last migrated; only the rest are hashed.
+	var sums []checksum.Sum
+	for start := 0; start < v.NumPages(); start += batchPages {
+		if err := ctx.Err(); err != nil {
+			return m, err
 		}
-		v.ReadPage(i, buf)
-		sum := opts.Alg.Page(buf)
-		if _, err := w.Write(sum[:]); err != nil {
-			return m, fmt.Errorf("core: write manifest sum %d: %w", i, err)
+		count := min(batchPages, v.NumPages()-start)
+		var hashed int
+		sums, hashed = v.Digests(start, count, opts.Alg, sums)
+		m.HashBytes += int64(hashed) * vm.PageSize
+		m.HashAvoidedBytes += int64(count-hashed) * vm.PageSize
+		for i := range sums {
+			if _, err := w.Write(sums[i][:]); err != nil {
+				return m, fmt.Errorf("core: write manifest sum %d: %w", start+i, err)
+			}
 		}
 	}
 	if err := flush(w); err != nil {
@@ -171,6 +176,7 @@ func PostCopySource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Post
 	// Serve page requests until the destination is done. Responses are only
 	// flushed once no further request is already buffered, so a pipelined
 	// window of requests is answered with one batched write.
+	buf := make([]byte, vm.PageSize)
 	for {
 		if err := ctx.Err(); err != nil {
 			return m, err
@@ -321,6 +327,7 @@ func (s *IncomingSession) RunPostCopy(ctx context.Context, v *vm.VM, opts PostCo
 	// Resolve each page locally where possible.
 	var missing []uint64
 	var sum checksum.Sum
+	var resident []checksum.Sum
 	for i := uint64(0); i < count; i++ {
 		if i%8192 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -334,14 +341,20 @@ func (s *IncomingSession) RunPostCopy(ctx context.Context, v *vm.VM, opts PostCo
 			missing = append(missing, i)
 			continue
 		}
-		if v.PageSum(int(i), h.Alg) == sum {
+		// The restore seeded v's digest table, so this compares two digests;
+		// a page is hashed only when the table knows nothing about it.
+		var hashed int
+		resident, hashed = v.Digests(int(i), 1, h.Alg, resident)
+		res.Metrics.ProbeHashBytes += int64(hashed) * vm.PageSize
+		res.Metrics.HashAvoidedBytes += int64(1-hashed) * vm.PageSize
+		if resident[0] == sum {
 			res.Metrics.PagesReusedInPlace++
 			continue
 		}
 		if data, ok, err := cp.ReadBlock(sum); err != nil {
 			return res, recycleReadErr(err)
 		} else if ok {
-			v.InstallPage(int(i), data)
+			v.InstallPageSum(int(i), data, h.Alg, sum)
 			cp.Release(data)
 			res.Metrics.PagesReusedFromDisk++
 			continue
@@ -403,7 +416,7 @@ func (s *IncomingSession) RunPostCopy(ctx context.Context, v *vm.VM, opts PostCo
 			if h.Alg.Page(pageBuf) != gotSum {
 				return res, fmt.Errorf("%w: page %d payload checksum mismatch", ErrProtocol, page)
 			}
-			v.InstallPage(int(page), pageBuf)
+			v.InstallPageSum(int(page), pageBuf, h.Alg, gotSum)
 			res.Metrics.PagesRequested++
 			res.Metrics.PagesFull++
 		}

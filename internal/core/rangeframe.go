@@ -433,40 +433,50 @@ func putDestScratch(st *destScratch) {
 	destScratchPool.Put(st)
 }
 
+// resolveSums makes pages [start, start+len(want)) of v hold the content the
+// source named by checksum alone — the merge of Listing 1, shared by the
+// page-sum and range-sum frames of both engines. The resident digests come
+// from v's digest table (seeded by the checkpoint bootstrap, kept by every
+// install), so a page is hashed only when the table knows nothing about it.
+// A resident match is reuse in place; a mismatch falls back to the checkpoint
+// index (lseek+read), installed with its digest — the exception.
+func resolveSums(v *vm.VM, cp *checkpoint.Checkpoint, alg checksum.Algorithm, start int, want []checksum.Sum, st *destScratch, m *Metrics) error {
+	m.PagesSum += len(want)
+	var hashed int
+	st.sums, hashed = v.Digests(start, len(want), alg, st.sums)
+	m.ProbeHashBytes += int64(hashed) * vm.PageSize
+	m.HashAvoidedBytes += int64(len(want)-hashed) * vm.PageSize
+	for i, sum := range want {
+		if st.sums[i] == sum {
+			m.PagesReusedInPlace++
+			continue
+		}
+		data, ok, err := cp.ReadBlock(sum)
+		if err != nil {
+			return recycleReadErr(err)
+		}
+		if !ok {
+			return fmt.Errorf("%w: source referenced checksum %v absent from checkpoint", ErrProtocol, sum)
+		}
+		v.InstallPageSum(start+i, data, alg, sum)
+		cp.Release(data)
+		m.PagesReusedFromDisk++
+	}
+	return nil
+}
+
 // applyRange installs one decoded range frame into v: per-page verification
 // and payload decoding happen into a span buffer, then the whole run lands
-// with a single vectorized install (vm.InstallRange) and the metrics update
-// once per range. The caller has already validated the frame bounds and the
-// checkpoint requirement. On success the frame's per-page sums — which
-// describe the installed content in every treatment — are recorded into tbl
-// (nil when the migration is not tracking incoming sums).
-func applyRange(v *vm.VM, cp *checkpoint.Checkpoint, alg checksum.Algorithm, verify bool, f *rangeFrame, st *destScratch, tbl *SumTable, m *Metrics) error {
+// with a single vectorized install and the metrics update once per range. The
+// caller has already validated the frame bounds and the checkpoint
+// requirement. The frame's per-page sums describe the installed content in
+// every treatment, so they land in v's digest table with the bytes.
+func applyRange(v *vm.VM, cp *checkpoint.Checkpoint, alg checksum.Algorithm, verify bool, f *rangeFrame, st *destScratch, m *Metrics) error {
 	start := int(f.start)
+	sums := f.sums[:f.count]
 	switch f.t {
 	case msgRangeSum:
-		m.PagesSum += f.count
-		// Fast path: probe every resident frame under one lock; only
-		// mismatches fall back to the checkpoint index (lseek+read of
-		// Listing 1), installed individually — they are the exception.
-		st.sums = v.RangeSums(start, f.count, alg, st.sums)
-		inPlace := 0
-		for i := 0; i < f.count; i++ {
-			if st.sums[i] == f.sums[i] {
-				inPlace++
-				continue
-			}
-			data, ok, err := cp.ReadBlock(f.sums[i])
-			if err != nil {
-				return recycleReadErr(err)
-			}
-			if !ok {
-				return fmt.Errorf("%w: source referenced checksum %v absent from checkpoint", ErrProtocol, f.sums[i])
-			}
-			v.InstallPage(start+i, data)
-			cp.Release(data)
-			m.PagesReusedFromDisk++
-		}
-		m.PagesReusedInPlace += inPlace
+		return resolveSums(v, cp, alg, start, sums, st, m)
 
 	case msgRangeFull:
 		if verify {
@@ -476,7 +486,7 @@ func applyRange(v *vm.VM, cp *checkpoint.Checkpoint, alg checksum.Algorithm, ver
 				}
 			}
 		}
-		v.InstallRange(start, f.payload)
+		v.InstallRangeSums(start, f.payload, alg, sums)
 		m.PagesFull += f.count
 
 	case msgRangeFullZ:
@@ -498,7 +508,7 @@ func applyRange(v *vm.VM, cp *checkpoint.Checkpoint, alg checksum.Algorithm, ver
 				}
 			}
 		}
-		v.InstallRange(start, buf)
+		v.InstallRangeSums(start, buf, alg, sums)
 		m.PagesFull += f.count
 		m.PagesCompressed += f.count
 
@@ -522,9 +532,8 @@ func applyRange(v *vm.VM, cp *checkpoint.Checkpoint, alg checksum.Algorithm, ver
 				return fmt.Errorf("%w: page %d delta produced checksum mismatch (stale delta base?)", ErrProtocol, start+i)
 			}
 		}
-		v.InstallRange(start, buf)
+		v.InstallRangeSums(start, buf, alg, sums)
 		m.PagesDelta += f.count
 	}
-	tbl.recordRange(start, f.sums[:f.count])
 	return nil
 }

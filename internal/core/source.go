@@ -234,11 +234,16 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	case h.SkipAnnounce:
 		destSums = opts.KnownDestSums
 	default:
+		// Bytes the decode consumed, tag included as on the destination: the
+		// transport count minus what the control reader holds undecoded. (cr.n
+		// alone misses whatever arrived in the same read as the hello-ack —
+		// all of a small guest's announcement.)
+		consumed := func() int64 { return cr.n - int64(r.Buffered()) }
+		before := consumed()
 		t, err := readMsgType(r)
 		if err != nil {
 			return m, err
 		}
-		before := cr.n
 		switch t {
 		case msgHashAnnounce:
 			destSums, err = readHashAnnounce(r)
@@ -253,7 +258,7 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		if err != nil {
 			return m, err
 		}
-		m.AnnounceBytes = cr.n - before
+		m.AnnounceBytes = consumed() - before
 		m.AnnounceRawBytes = int64(checksum.EncodedSize(destSums.Len()))
 		opts.OnEvent.emit(Event{Kind: EventAnnounce, Bytes: m.AnnounceBytes,
 			Pages: int64(destSums.Len())})
@@ -313,14 +318,18 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	// re-sent in a later round.
 	v.HarvestDirty()
 
-	// gateDetail renders the entropy gate's per-round hit rate for round
-	// traces (attempted/skipped deltas since the given snapshot).
-	gateDetail := func(att, skip int) string {
-		if !opts.Compress {
-			return ""
+	// roundDetail renders a round's hash work — pages digested here versus
+	// pages whose digest came from the guest's table — and, when compressing,
+	// the entropy gate's hit rate, all as deltas since the given snapshot.
+	roundDetail := func(since Metrics) string {
+		d := fmt.Sprintf("hashed=%d cached=%d",
+			(m.HashBytes-since.HashBytes)/vm.PageSize,
+			(m.HashAvoidedBytes-since.HashAvoidedBytes)/vm.PageSize)
+		if opts.Compress {
+			d += fmt.Sprintf(" gate_attempted=%d gate_skipped=%d",
+				m.CompressAttempted-since.CompressAttempted, m.CompressSkipped-since.CompressSkipped)
 		}
-		return fmt.Sprintf("gate_attempted=%d gate_skipped=%d",
-			m.CompressAttempted-att, m.CompressSkipped-skip)
+		return d
 	}
 
 	// Round 1: walk every page. With a destination checksum set, redundant
@@ -328,8 +337,7 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	// pool; messages are still emitted in page order.
 	m.Rounds = 1
 	roundStart := cw.n
-	frameStart := m.PageFrames
-	attStart, skipStart := m.CompressAttempted, m.CompressSkipped
+	since := m
 	if err := stream(seqAll(v.NumPages()), opts.DeltaBase); err != nil {
 		return m, err
 	}
@@ -341,8 +349,8 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	}
 	opts.OnEvent.emit(Event{Kind: EventRound, Round: 1,
 		Pages: int64(v.NumPages()), Bytes: cw.n - roundStart,
-		Frames: int64(m.PageFrames - frameStart),
-		Detail: gateDetail(attStart, skipStart)})
+		Frames: int64(m.PageFrames - since.PageFrames),
+		Detail: roundDetail(since)})
 
 	// Iterative rounds: resend pages dirtied while the previous round
 	// streamed. A dirty page whose new content is already in the
@@ -376,8 +384,7 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 			dirtyList = append(dirtyList, page)
 		})
 		roundStart = cw.n
-		frameStart = m.PageFrames
-		attStart, skipStart = m.CompressAttempted, m.CompressSkipped
+		since = m
 		if err := stream(seqList(dirtyList), nil); err != nil {
 			return m, err
 		}
@@ -389,8 +396,8 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		}
 		opts.OnEvent.emit(Event{Kind: EventRound, Round: round,
 			Pages: int64(len(dirtyList)), Bytes: cw.n - roundStart,
-			Frames: int64(m.PageFrames - frameStart),
-			Detail: gateDetail(attStart, skipStart)})
+			Frames: int64(m.PageFrames - since.PageFrames),
+			Detail: roundDetail(since)})
 		if final {
 			break
 		}
@@ -460,13 +467,10 @@ func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, e
 		for i := 0; i < cnt; i++ {
 			b.pages[i] = pages.at(off + i)
 		}
-		fillBatch(v, b)
-		// Hash offload: digest the batch on a small pool while this
-		// goroutine still owns the encode loop (the pipelined engine hashes
-		// inside its workers already). The tail batch may skip the offload,
-		// so stale sums from the previous batch must not linger.
-		b.sums = b.sums[:0]
-		offloadBatchSums(enc.alg, b)
+		// Hash offload: digest what the guest's table did not cover on a
+		// small pool while this goroutine still owns the encode loop (the
+		// pipelined engine hashes inside its workers already).
+		offloadBatchSums(enc.alg, b, fillBatch(v, enc.alg, b))
 		if err := encodeBatch(enc, base, b); err != nil {
 			return err
 		}

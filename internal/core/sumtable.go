@@ -1,22 +1,19 @@
 package core
 
-import (
-	"vecycle/internal/checksum"
-	"vecycle/internal/vm"
-)
+import "vecycle/internal/checksum"
 
-// SumTable accumulates the per-page digest of a migrating VM as a byproduct
-// of moving it: every frame the engine installs (or encodes, on the source)
-// already carries or computes the page's sum, so recording it here lets the
-// round-end TrackIncoming pass and the post-migration checkpoint Save reuse
-// those digests instead of re-scanning the whole image.
+// SumTable records, on the migration source, the digest of each page's most
+// recently sent content as a byproduct of encoding it — read from the guest's
+// digest table or computed by the encoder, either kind — so the departure
+// checkpoint's Save reuses those digests instead of re-scanning the image.
+// (The destination needs no such table: its installs record straight into the
+// arriving guest's own digest table, vm.VM.)
 //
-// Concurrency: within a round, install workers touch disjoint pages, so the
+// Concurrency: within a round, encode workers touch disjoint pages, so the
 // per-page slots need no locking; `have` is a []bool rather than a bitmask
-// precisely so two workers never share a byte. Round barriers (the pipeline's
-// inflight.Wait, the source's per-round loop) provide the cross-round
-// happens-before, and the single goroutine that reaches msgDone is the only
-// reader.
+// precisely so two workers never share a byte. The source's per-round loop
+// provides the cross-round happens-before, and the caller reads the table
+// only after MigrateSource returned.
 //
 // The zero table (or a nil pointer) is inert: every method is nil-safe and
 // the engine sizes it per attempt via reset, so a host can allocate one with
@@ -29,7 +26,6 @@ type SumTable struct {
 }
 
 // NewSumTable returns an empty table for the engine to fill. Pass it as
-// DestOptions' result (see DestResult.PageSums) consumer or as
 // SourceOptions.SentSums; the engine sizes and resets it per attempt.
 func NewSumTable() *SumTable {
 	return &SumTable{}
@@ -56,27 +52,13 @@ func (t *SumTable) reset(alg checksum.Algorithm, pages int) {
 	}
 }
 
-// record notes that page now holds content with the given digest. Callers
-// record only digests that are true of the installed (or just-sent) bytes:
-// verified installs, wire header sums, and range-probe matches.
+// record notes that page was just sent with content of the given digest.
 func (t *SumTable) record(page int, sum checksum.Sum) {
 	if t == nil {
 		return
 	}
 	t.sums[page] = sum
 	t.have[page] = true
-}
-
-// recordRange notes the digests of count pages starting at start —
-// the range-frame install path, where the frame header carries every sum.
-func (t *SumTable) recordRange(start int, sums []checksum.Sum) {
-	if t == nil {
-		return
-	}
-	copy(t.sums[start:start+len(sums)], sums)
-	for i := range sums {
-		t.have[start+i] = true
-	}
 }
 
 // Alg reports the algorithm the recorded digests use (the migration's
@@ -102,24 +84,4 @@ func (t *SumTable) Sums() ([]checksum.Sum, bool) {
 		}
 	}
 	return t.sums, true
-}
-
-// finishTrack folds the table into set — the destination's round-end
-// TrackIncoming pass. Pages with a recorded digest are added as-is; pages
-// nothing covered are hashed now and back-filled, so the table is complete
-// afterwards. On the normal path nothing is hashed: round one walks the full
-// address space, so every page's digest arrived on some frame. Returns the
-// payload bytes hashed here and the bytes whose digest was recycled.
-func (t *SumTable) finishTrack(v *vm.VM, set *checksum.Set) (hashed, avoided int64) {
-	for i := range t.sums {
-		if !t.have[i] {
-			t.sums[i] = v.PageSum(i, t.alg)
-			t.have[i] = true
-			hashed += vm.PageSize
-		} else {
-			avoided += vm.PageSize
-		}
-		set.Add(t.sums[i])
-	}
-	return hashed, avoided
 }

@@ -11,25 +11,41 @@ import (
 	"vecycle/internal/vm"
 )
 
+// checkDigestTable asserts the digest-table invariant on v: every entry the
+// table answers from equals an independent digest of the page's bytes.
+// (Digests hashes the pages the table does not cover, so the comparison with
+// RangeSums — which never reads the table — tests exactly the valid entries.)
+func checkDigestTable(t *testing.T, v *vm.VM, alg checksum.Algorithm) {
+	t.Helper()
+	got, _ := v.Digests(0, v.NumPages(), alg, nil)
+	want := v.RangeSums(0, v.NumPages(), alg, nil)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("page %d: digest table says %x, the bytes digest to %x", i, got[i], want[i])
+		}
+	}
+}
+
 // checkTrackedResult asserts the hash-once contract after a successful
-// tracked migration: the page-sum table is complete, every recorded sum
+// tracked migration: the page-sum snapshot is complete, every recorded sum
 // matches an independent digest of the installed memory, the SeenSums set
 // is exactly what the old full-image collectSums pass would have produced,
+// the guest's digest table is complete (a later pass over it hashes nothing),
 // and the round-end pass digested nothing (every byte's sum was recycled).
 func checkTrackedResult(t *testing.T, dst *vm.VM, res DestResult) {
 	t.Helper()
-	if res.PageSums == nil {
-		t.Fatal("tracked migration returned no page-sum table")
+	sums, alg := res.PageSums, res.Alg
+	if len(sums) != dst.NumPages() {
+		t.Fatalf("tracked migration returned %d page sums for %d pages", len(sums), dst.NumPages())
 	}
-	sums, ok := res.PageSums.Sums()
-	if !ok {
-		t.Fatal("page-sum table incomplete after a successful tracked run")
-	}
-	alg := res.PageSums.Alg()
 	for i := 0; i < dst.NumPages(); i++ {
 		if want := dst.PageSum(i, alg); sums[i] != want {
 			t.Fatalf("page %d: table sum %x, independent digest %x", i, sums[i], want)
 		}
+	}
+	checkDigestTable(t, dst, alg)
+	if _, hashed := dst.Digests(0, dst.NumPages(), alg, nil); hashed != 0 {
+		t.Errorf("digest table leaves %d pages to hash after a tracked arrival, want 0", hashed)
 	}
 	// The table-backed SeenSums must equal the legacy full-scan reference.
 	ref := checksum.NewSet(dst.NumPages())
@@ -45,8 +61,13 @@ func checkTrackedResult(t *testing.T, dst *vm.VM, res DestResult) {
 	if res.Metrics.HashBytes != 0 {
 		t.Errorf("round-end pass digested %d bytes, want 0 (all sums recorded at install)", res.Metrics.HashBytes)
 	}
-	if got, want := res.Metrics.HashAvoidedBytes, dst.MemBytes(); got != want {
-		t.Errorf("HashAvoidedBytes = %d, want %d (whole image)", got, want)
+	// Avoided: the whole image at round end, plus every probe the table answered.
+	probes := int64(res.Metrics.PagesSum) * vm.PageSize
+	if got, want := res.Metrics.HashAvoidedBytes, dst.MemBytes()+probes-res.Metrics.ProbeHashBytes; got != want {
+		t.Errorf("HashAvoidedBytes = %d, want %d (whole image + answered probes)", got, want)
+	}
+	if res.UsedCheckpoint && !res.UnionBootstrap && res.Metrics.ProbeHashBytes != 0 {
+		t.Errorf("probes hashed %d bytes after a checkpoint bootstrap, want 0 (the restore seeds the table)", res.Metrics.ProbeHashBytes)
 	}
 }
 
@@ -170,13 +191,17 @@ func TestSumTableUntracked(t *testing.T) {
 	dst := newVM(t, "vm0", 64, 2)
 	_, res := migrate(t, src, dst, SourceOptions{}, DestOptions{VerifyPayloads: true})
 	if res.PageSums != nil {
-		t.Error("untracked migration built a page-sum table")
+		t.Error("untracked migration snapshotted page sums")
 	}
+	// Installs record into the guest's own table whether or not anything
+	// tracks the arrival.
+	checkDigestTable(t, dst, res.Alg)
 }
 
 // TestSumTableCorruptionTeardown: a verify failure aborts the migration
-// mid-stream; the partial table must refuse to pose as complete, so no
-// caller can feed a half-built digest set into SaveWithSums.
+// mid-stream; no page-sum snapshot may come out of it, so no caller can feed
+// a half-built digest set into SaveWithSums — and what the guest's table
+// recorded before the abort is still true of the installed bytes.
 func TestSumTableCorruptionTeardown(t *testing.T) {
 	src := newVM(t, "vm0", 64, 1)
 	if err := src.FillRandom(0.9); err != nil {
@@ -207,16 +232,14 @@ func TestSumTableCorruptionTeardown(t *testing.T) {
 	if derr == nil {
 		t.Fatal("corrupted stream accepted")
 	}
-	if dres.PageSums == nil {
-		t.Fatal("tracked teardown dropped the table entirely (nil)")
+	if dres.PageSums != nil {
+		t.Error("aborted migration returned a page-sum snapshot")
 	}
-	if _, ok := dres.PageSums.Sums(); ok {
-		t.Error("aborted migration's table claims completeness")
-	}
+	checkDigestTable(t, dst, dres.Alg)
 }
 
-// TestSumTableSalvage: an interrupted tracked attempt leaves an incomplete
-// table; the resumed attempt — bootstrapping from the salvage image —
+// TestSumTableSalvage: an interrupted tracked attempt leaves no snapshot;
+// the resumed attempt — bootstrapping from the salvage image —
 // still ends with a complete, correct one, because round one walks every
 // page regardless of how the destination resolves it.
 func TestSumTableSalvage(t *testing.T) {
@@ -239,9 +262,7 @@ func TestSumTableSalvage(t *testing.T) {
 				t.Fatal("no salvage progress")
 			}
 			if dres.PageSums != nil {
-				if _, ok := dres.PageSums.Sums(); ok {
-					t.Error("interrupted attempt's table claims completeness")
-				}
+				t.Error("interrupted attempt returned a page-sum snapshot")
 			}
 			dst2 := newVM(t, "vm0", pages, 3)
 			_, dres2 := migrate(t, src, dst2,

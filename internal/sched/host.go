@@ -420,12 +420,13 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 		}
 	}
 	if h.SaveArrivals {
-		// The merge recorded every installed page's digest (TrackIncoming is
-		// always on here), so the save skips its matching rehash pass. The
-		// persist is best-effort: the VM has fully arrived, so a failed save
-		// degrades (the next migration runs cold) instead of failing it.
+		// The merge left every page's digest in the guest's digest table and
+		// snapshotted it (TrackIncoming is always on here), so the save skips
+		// its matching rehash pass. The persist is best-effort: the VM has
+		// fully arrived, so a failed save degrades (the next migration runs
+		// cold) instead of failing it.
 		if h.saveOrDegrade(core.StageSaveArrivals, rec, func() error {
-			return saveWithTable(h.store, dst, res.PageSums)
+			return h.store.SaveWithSums(dst, res.Alg, res.PageSums)
 		}) {
 			rec.Event(obs.Event{Kind: "checkpoint-saved", Detail: "arrival image"})
 		}
@@ -935,10 +936,12 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 	// The VM now runs at the destination. Write the local checkpoint —
 	// after the migration, off the critical path, as in the paper. The
 	// paused final state is exactly what the successful attempt's sum table
-	// describes, so the save skips its matching rehash pass.
+	// describes, so the save skips its matching rehash pass (an incomplete
+	// table reads as nil, which SaveWithSums answers by rehashing).
 	if opts.KeepCheckpoint {
+		sums, _ := sent.Sums()
 		if h.saveOrDegrade(core.StageKeepCheckpoint, rec, func() error {
-			return saveWithTable(h.store, v, sent)
+			return h.store.SaveWithSums(v, sent.Alg(), sums)
 		}) {
 			rec.Event(obs.Event{Kind: "checkpoint-saved", Detail: "departure image"})
 		}
@@ -949,17 +952,6 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 	delete(h.seen, vmName)
 	h.mu.Unlock()
 	return m, nil
-}
-
-// saveWithTable checkpoints v, handing the store the migration's page-sum
-// table when it is complete so Save skips the digest pass matching the
-// table's algorithm. Any incomplete, nil, or failed-attempt table falls
-// back to a plain (rehashing) Save.
-func saveWithTable(st *checkpoint.Store, v *vm.VM, t *core.SumTable) error {
-	if sums, ok := t.Sums(); ok {
-		return st.SaveWithSums(v, t.Alg(), sums)
-	}
-	return st.Save(v)
 }
 
 // migrateDisk streams the block device to the peer on its own connection.

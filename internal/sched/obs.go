@@ -165,10 +165,10 @@ func newHostObs(h *Host, reg *obs.Registry, traces *obs.TraceLog) *hostObs {
 			"Pages demand-fetched over the network after a post-copy resume.",
 			"host"),
 		hashBytes: reg.CounterVec("vecycle_hash_bytes_total",
-			"Payload bytes actually digested, by stage: track (destination round-end TrackIncoming pass), save_keys (store content-keying scan), save_sidecar (fingerprint sidecar build).",
+			"Payload bytes actually digested, by stage: encode (source pages the guest's digest table did not cover), probe (destination pages hashed to compare with a wire checksum), track (destination round-end TrackIncoming pass), save_keys (store content-keying scan), save_sidecar (fingerprint sidecar build).",
 			"host", "stage"),
 		hashAvoided: reg.CounterVec("vecycle_hash_avoided_bytes_total",
-			"Payload bytes whose digest was recycled from an earlier computation (install-time sums, migration sum tables handed to SaveWithSums) instead of recomputed.",
+			"Payload bytes whose digest was recycled from an earlier computation (the guest's resident digest table on encode, probe and track; migration sum tables handed to SaveWithSums) instead of recomputed.",
 			"host"),
 		degraded: reg.CounterVec("vecycle_degraded_total",
 			"Graceful-degradation ladder rungs taken: a best-effort activity (checkpoint persist, salvage, recycled read, union fold) failed and the migration carried on without it, by stage and storage-fault label.",
@@ -360,7 +360,16 @@ func (o *hostObs) finish(rec *obs.Recorder, role, vmName string, m core.Metrics,
 	o.compressAtt.With(o.host).Add(float64(m.CompressAttempted))
 	o.compressSkip.With(o.host).Add(float64(m.CompressSkipped))
 	if m.HashBytes > 0 {
-		o.hashBytes.With(o.host, "track").Add(float64(m.HashBytes))
+		// One field, two passes: the source's encode, the destination's
+		// round-end tracking (core.Metrics.HashBytes).
+		stage := "track"
+		if role == "source" {
+			stage = "encode"
+		}
+		o.hashBytes.With(o.host, stage).Add(float64(m.HashBytes))
+	}
+	if m.ProbeHashBytes > 0 {
+		o.hashBytes.With(o.host, "probe").Add(float64(m.ProbeHashBytes))
 	}
 	if m.HashAvoidedBytes > 0 {
 		o.hashAvoided.With(o.host).Add(float64(m.HashAvoidedBytes))

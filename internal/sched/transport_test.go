@@ -161,8 +161,15 @@ func TestConcurrentDuplicateArrival(t *testing.T) {
 	if ok != 1 || rejected != 1 {
 		t.Fatalf("got %d successes and %d rejections, want exactly 1 and 1 (errs: %v)", ok, rejected, errs)
 	}
-	if _, found := dst.VM("dup-vm"); !found {
-		t.Error("winning migration did not register the VM")
+	// The source returns at the final ack; the destination registers the VM
+	// only after its post-ack tracking pass, so give it a moment.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, found := dst.VM("dup-vm"); found {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("winning migration did not register the VM")
+		}
 	}
 }
 

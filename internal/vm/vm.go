@@ -40,11 +40,12 @@ type VM struct {
 	name string
 	seed int64
 
-	mu    sync.RWMutex
-	mem   []byte
-	dirty *dirtytrack.Bitmap
-	gens  *dirtytrack.Tracker
-	rng   *rand.Rand
+	mu      sync.RWMutex
+	mem     []byte
+	dirty   *dirtytrack.Bitmap
+	gens    *dirtytrack.Tracker
+	digests digestTable
+	rng     *rand.Rand
 }
 
 // New creates a guest with all-zero memory.
@@ -65,12 +66,13 @@ func New(cfg Config) (*VM, error) {
 		return nil, err
 	}
 	return &VM{
-		name:  cfg.Name,
-		seed:  cfg.Seed,
-		mem:   make([]byte, cfg.MemBytes),
-		dirty: dirty,
-		gens:  gens,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		name:    cfg.Name,
+		seed:    cfg.Seed,
+		mem:     make([]byte, cfg.MemBytes),
+		dirty:   dirty,
+		gens:    gens,
+		digests: newDigestTable(pages),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}, nil
 }
 
@@ -90,7 +92,8 @@ func (v *VM) ReadPage(i int, dst []byte) {
 	copy(dst[:PageSize], v.pageLocked(i))
 }
 
-// PageSum computes the checksum of page i under alg without copying.
+// PageSum computes the checksum of page i under alg without copying. It
+// always hashes the bytes — the digest table is never consulted.
 func (v *VM) PageSum(i int, alg checksum.Algorithm) checksum.Sum {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -98,7 +101,7 @@ func (v *VM) PageSum(i int, alg checksum.Algorithm) checksum.Sum {
 }
 
 // WritePage replaces page i with data (PageSize bytes), marking the page
-// dirty and advancing its generation.
+// dirty, advancing its generation and forgetting its recorded digest.
 func (v *VM) WritePage(i int, data []byte) {
 	if len(data) != PageSize {
 		panic(fmt.Sprintf("vm: WritePage with %d bytes, want %d", len(data), PageSize))
@@ -108,11 +111,13 @@ func (v *VM) WritePage(i int, data []byte) {
 	copy(v.pageLocked(i), data)
 	v.dirty.Set(i)
 	v.gens.Touch(i)
+	v.digests.valid[i] = false
 }
 
 // InstallPage is WritePage for the migration destination: it updates memory
 // without marking the page dirty, since an installed page is by definition
-// in sync with the source.
+// in sync with the source. The page's recorded digest is forgotten; an
+// installer that holds the content's digest uses InstallPageSum.
 func (v *VM) InstallPage(i int, data []byte) {
 	if len(data) != PageSize {
 		panic(fmt.Sprintf("vm: InstallPage with %d bytes, want %d", len(data), PageSize))
@@ -120,13 +125,15 @@ func (v *VM) InstallPage(i int, data []byte) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	copy(v.pageLocked(i), data)
+	v.digests.valid[i] = false
 }
 
 // InstallRange installs len(data)/PageSize contiguous pages starting at
 // frame start with one lock acquisition and one copy — the vectorized
 // install the destination pipeline uses for coalesced page-range frames.
 // len(data) must be a positive multiple of PageSize and the span must fit
-// the guest.
+// the guest. Like InstallPage it forgets the pages' recorded digests
+// (InstallRangeSums keeps them).
 func (v *VM) InstallRange(start int, data []byte) {
 	if len(data) == 0 || len(data)%PageSize != 0 {
 		panic(fmt.Sprintf("vm: InstallRange with %d bytes, want a positive multiple of %d", len(data), PageSize))
@@ -135,6 +142,7 @@ func (v *VM) InstallRange(start int, data []byte) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	copy(v.mem[start*PageSize:(start+count)*PageSize], data)
+	clear(v.digests.valid[start : start+count])
 }
 
 // ReadRange copies count contiguous pages starting at frame start into dst
@@ -149,7 +157,8 @@ func (v *VM) ReadRange(start, count int, dst []byte) {
 // RangeSums computes the checksum of count contiguous pages starting at
 // frame start under one lock acquisition, appending to out (reusing its
 // capacity). The destination uses it to probe a whole range-sum frame
-// against resident content without per-page lock traffic.
+// against resident content without per-page lock traffic. Like PageSum it
+// always hashes the bytes.
 func (v *VM) RangeSums(start, count int, alg checksum.Algorithm, out []checksum.Sum) []checksum.Sum {
 	out = out[:0]
 	v.mu.RLock()
