@@ -21,17 +21,18 @@ race-pipeline:
 
 # race-digest is the focused gate for the resident page-digest table
 # (vm.VM): the concurrent writer/installer/reader test repeated under the
-# race detector, then the seeded migration audit and the exact-count test
-# through sched.Host. `race` runs them once with everything else; this
+# race detector, then the seeded migration audit and the exact-count tests
+# through sched.Host (digest table, save and restore hash stages, default
+# and explicit-MD5 legs). `race` runs them once with everything else; this
 # target is the one to repeat when touching internal/vm/digest.go.
 race-digest:
 	$(GO) test -race -count=10 -run 'TestDigestTableConcurrent' ./internal/vm/
-	$(GO) test -race -run 'TestDigestTable' ./internal/vm/ ./internal/core/ ./internal/sched/
+	$(GO) test -race -run 'TestDigestTable|TestExplicitMD5Converges' ./internal/vm/ ./internal/core/ ./internal/sched/
 
 # bench records the migration-engine benchmarks (first-round throughput at
 # pipeline widths {1,2,4,8}, tracked-migration overhead, destination
 # merge-loop and install-primitive throughput, per-page checksum rates,
-# warm vs cold checkpoint open, rehash vs precomputed-sum warm save,
+# key-list vs rescanning checkpoint open, rehash vs precomputed-sum warm save,
 # announce-frame sizes) as machine-readable output for regression tracking.
 # BENCH_migration.json is committed: tools/benchgate gates CI on it.
 bench:
@@ -102,10 +103,12 @@ dedup-smoke:
 
 # fuzz-range runs the range-frame decoder fuzzers briefly beyond their
 # committed seed corpus: the frame parser directly, then the whole
-# destination engine against mutated negotiated streams.
+# destination engine against mutated negotiated streams — and the page
+# manifest parser, whose output a restore announces to the peer as it stands.
 fuzz-range:
 	$(GO) test -run '^$$' -fuzz FuzzRangeDecode -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzRangeMergeStream -fuzztime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzParsePMF -fuzztime 5s ./internal/checkpoint/
 
 # docs is the documentation gate: every exported identifier in the
 # operator-facing packages must carry a doc comment, and every relative
@@ -117,6 +120,6 @@ docs:
 # full suite under the race detector (which includes the pipeline tests),
 # the digest-table gate, the chaos/resumability gate, the storage-fault
 # gate, the dedup-store gate, a single-iteration pass over every benchmark,
-# short range-frame fuzzing, and the worker-scaling gate on the committed
+# short range-frame and page-manifest fuzzing, and the worker-scaling gate on the committed
 # benchmark recording.
 ci: vet docs race race-pipeline race-digest chaos-smoke chaos-store dedup-smoke bench-smoke fuzz-range benchgate

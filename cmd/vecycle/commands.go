@@ -22,7 +22,6 @@ func runDest(args []string) error {
 		count     = fs.Int("count", 1, "number of migrations to accept before exiting (0 = forever)")
 		name      = fs.String("name", "dest-host", "host name")
 		workers   = fs.Int("workers", 0, "pipelined merge workers for incoming migrations (<1 = sequential)")
-		noSidecar = fs.Bool("no-sidecar", false, "disable checkpoint fingerprint sidecars (always rehash images on restore)")
 		noCompact = fs.Bool("no-compact-announce", false, "keep the v1 announcement encoding even when the peer supports compaction")
 		noSalvage = fs.Bool("no-salvage", false, "discard partially-installed pages on failed incoming migrations instead of persisting a salvage checkpoint")
 		noRanges  = fs.Bool("no-range-frames", false, "keep the per-page v1 page encoding even when the peer supports coalesced page-range frames")
@@ -43,7 +42,6 @@ func runDest(args []string) error {
 		return err
 	}
 	host.Workers = *workers
-	host.SetNoSidecar(*noSidecar)
 	host.NoCompactAnnounce = *noCompact
 	host.NoSalvage = *noSalvage
 	host.NoRangeFrames = *noRanges
@@ -84,7 +82,7 @@ func runSource(args []string) error {
 		recycle   = fs.Bool("recycle", true, "enable checkpoint-assisted migration")
 		postcopy  = fs.Bool("postcopy", false, "use the post-copy protocol (manifest + demand fetch)")
 		compress  = fs.Bool("compress", false, "deflate-compress full-page payloads (entropy-gated per page)")
-		csum      = fs.String("checksum", "", "page checksum algorithm: md5, sha256, fnv, fast64 (empty = engine default md5; weak algorithms only for baseline, non-recycled migrations)")
+		csum      = fs.String("checksum", "", "page checksum algorithm: md5, sha256, fnv, fast64 (empty = sha256, which is also what checkpoint stores key pages by; md5 for paper-fidelity runs, pays a rehash at every checkpoint save and restore; weak algorithms only for baseline, non-recycled migrations)")
 		tcpDelay  = fs.Bool("tcp-delay", false, "re-enable Nagle's algorithm on migration sockets (default: TCP_NODELAY)")
 		tcpRead   = fs.Int("tcp-read-buffer", 0, "SO_RCVBUF for migration sockets in bytes (0 = OS default)")
 		tcpWrite  = fs.Int("tcp-write-buffer", 0, "SO_SNDBUF for migration sockets in bytes (0 = OS default)")
@@ -94,7 +92,6 @@ func runSource(args []string) error {
 		stopAt    = fs.Int("stop-threshold", 0, "dirty-page count triggering the final round (0 = engine default)")
 		idle      = fs.Duration("idle-timeout", 0, "per-I/O idle timeout (0 = default, negative disables)")
 		retries   = fs.Int("retries", 1, "total migration attempts on transient transport failures")
-		noSidecar = fs.Bool("no-sidecar", false, "disable checkpoint fingerprint sidecars (always rehash images on restore)")
 		noCompact = fs.Bool("no-compact-announce", false, "withhold the compact-announce capability (pin the v1 announcement encoding)")
 		noRanges  = fs.Bool("no-range-frames", false, "withhold the page-range-frame capability (pin the per-page v1 page encoding)")
 		opsAddr   = fs.String("ops-addr", "", "serve /metrics, /debug/migrations and /debug/pprof on this address (e.g. :9090)")
@@ -121,14 +118,11 @@ func runSource(args []string) error {
 	if err := guest.FillRandom(*fill); err != nil {
 		return err
 	}
-	var alg checksum.Algorithm
-	if *csum != "" {
-		if alg, err = checksum.ParseAlgorithm(*csum); err != nil {
-			return err
-		}
+	alg, err := checksumFlag(*csum)
+	if err != nil {
+		return err
 	}
 	host.AddVM(guest)
-	host.SetNoSidecar(*noSidecar)
 	host.TCPDelay = *tcpDelay
 	host.TCPReadBuffer = *tcpRead
 	host.TCPWriteBuffer = *tcpWrite
@@ -166,6 +160,15 @@ func runSource(args []string) error {
 	}
 	printMetrics("migration complete", m)
 	return writeTraces(host.Traces(), *traceOut)
+}
+
+// checksumFlag resolves the -checksum flag: an algorithm name, or empty for
+// checksum.Default.
+func checksumFlag(name string) (checksum.Algorithm, error) {
+	if name == "" {
+		return checksum.Default, nil
+	}
+	return checksum.ParseAlgorithm(name)
 }
 
 func runDemo(args []string) error {

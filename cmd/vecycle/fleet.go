@@ -29,7 +29,6 @@ func runFleet(args []string) error {
 		touches   = fs.Int("touch", 32, "pages dirtied by each guest between rounds")
 		compress  = fs.Bool("compress", false, "deflate-compress full-page payloads")
 		workers   = fs.Int("workers", 0, "pipeline encode/merge workers (<1 = sequential engines)")
-		noSidecar = fs.Bool("no-sidecar", false, "disable checkpoint fingerprint sidecars on every host")
 		noCompact = fs.Bool("no-compact-announce", false, "keep the v1 announcement encoding fleet-wide")
 		noRanges  = fs.Bool("no-range-frames", false, "keep the per-page v1 page encoding fleet-wide")
 		noSalvage = fs.Bool("no-salvage", false, "discard partially-installed pages on failed incoming migrations fleet-wide")
@@ -80,7 +79,6 @@ func runFleet(args []string) error {
 		h.UseObservability(reg, traces)
 		h.SaveArrivals = true
 		h.Workers = *workers
-		h.SetNoSidecar(*noSidecar)
 		h.NoCompactAnnounce = *noCompact
 		h.NoSalvage = *noSalvage
 		h.NoRangeFrames = *noRanges

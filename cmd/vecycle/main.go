@@ -21,8 +21,8 @@
 //	vecycle store gc -store /var/lib/vecycle
 //	vecycle store stat -store /var/lib/vecycle
 //	    Inspect a checkpoint store (entry state — complete, partial salvage,
-//	    quarantined — plus per-entry logical vs unique bytes and sidecar
-//	    status), run the crash-recovery scan on demand (scrub exits non-zero
+//	    quarantined — plus per-entry logical vs unique bytes), run the
+//	    crash-recovery scan on demand (scrub exits non-zero
 //	    while quarantined entries remain), collect unreferenced page content
 //	    (gc), or print the host-wide dedup accounting (stat); see
 //	    docs/STORE.md.

@@ -12,7 +12,7 @@ import (
 
 // runStore inspects and repairs a checkpoint store directory:
 //
-//	vecycle store ls    -store DIR   list entries with state and sidecar status
+//	vecycle store ls    -store DIR   list entries with state, size and digest
 //	vecycle store scrub -store DIR   run the recovery scan and report findings
 //	vecycle store gc    -store DIR   collect unreferenced page content
 //	vecycle store stat  -store DIR   pool-wide dedup accounting
@@ -66,18 +66,14 @@ func storeLs(st *checkpoint.Store) error {
 		return nil
 	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
-	fmt.Fprintln(w, "NAME\tSTATE\tSIZE\tUNIQUE\tSIDECAR\tDIGEST\tREASON")
+	fmt.Fprintln(w, "NAME\tSTATE\tSIZE\tUNIQUE\tDIGEST\tREASON")
 	for _, e := range entries {
-		sidecar := "no"
-		if e.HasSidecar {
-			sidecar = "yes"
-		}
 		digest := e.Digest
 		if len(digest) > 12 {
 			digest = digest[:12]
 		}
-		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%s\t%s\t%s\n",
-			e.Name, e.State, e.Size, e.UniqueBytes, sidecar, digest, e.Reason)
+		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%s\t%s\n",
+			e.Name, e.State, e.Size, e.UniqueBytes, digest, e.Reason)
 	}
 	return w.Flush()
 }
@@ -123,7 +119,6 @@ func storeScrub(st *checkpoint.Store) error {
 			fmt.Printf("  %s: %s\n", label, strings.Join(names, ", "))
 		}
 	}
-	report("adopted", rep.Adopted)
 	report("quarantined", rep.Quarantined)
 	report("dropped (image vanished)", rep.Dropped)
 	report("temp files removed", rep.TempFiles)

@@ -10,7 +10,7 @@ import (
 )
 
 // Crash-consistent file plumbing. Every durable artifact the store owns —
-// image, fingerprint sidecar, generation vector, manifest — reaches its
+// segment, page manifest, generation vector, manifest — reaches its
 // final name through the same discipline: write a temp file in the store
 // directory, fsync it, rename it over the target, fsync the directory. A
 // crash at any instant therefore leaves either the old file or the new

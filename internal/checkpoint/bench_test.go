@@ -9,10 +9,9 @@ import (
 )
 
 // BenchmarkOpen measures the §3.3 index build on a 64 MiB checkpoint, cold
-// (full pool read + rehash, the pre-sidecar behavior) versus warm
-// (fingerprint sidecar load). The warm path reads ~0.4 % of the bytes and
-// hashes nothing; the acceptance bar for the warm-start layer is ≥ 5× over
-// cold.
+// (full pool read + rehash: an open under an algorithm the store does not key
+// by, here MD5) versus warm (under the key algorithm: the index is the
+// entry's in-memory key list, no file read and no hash).
 func BenchmarkOpen(b *testing.B) {
 	const pages = 16384 // 64 MiB at 4 KiB pages
 	store, err := NewStore(filepath.Join(b.TempDir(), "ckpts"))
@@ -30,44 +29,30 @@ func BenchmarkOpen(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	b.Run("cold", func(b *testing.B) {
-		store.SetNoSidecar(true)
-		defer store.SetNoSidecar(false)
-		b.SetBytes(pages * vm.PageSize)
-		for i := 0; i < b.N; i++ {
-			cp, err := store.Restore("bench", checksum.MD5, nil)
-			if err != nil {
-				b.Fatal(err)
+	for _, arm := range []struct {
+		name string
+		alg  checksum.Algorithm
+	}{{"cold", checksum.MD5}, {"warm", ObjectAlgorithm}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.SetBytes(pages * vm.PageSize)
+			for i := 0; i < b.N; i++ {
+				cp, err := store.Restore("bench", arm.alg, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cp.Close()
 			}
-			if cp.Sidecar() != SidecarDisabled {
-				b.Fatalf("cold restore got %v, want disabled", cp.Sidecar())
-			}
-			cp.Close()
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		b.SetBytes(pages * vm.PageSize)
-		for i := 0; i < b.N; i++ {
-			cp, err := store.Restore("bench", checksum.MD5, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if cp.Sidecar() != SidecarHit {
-				b.Fatalf("warm open got %v, want hit", cp.Sidecar())
-			}
-			cp.Close()
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkSaveWarm measures re-checkpointing a VM whose content is already
 // fully resident in the pool — the steady state after every successful
-// migration, where the save writes no segment and the digest passes are
-// the whole cost. `rehash` is the plain Save path (SHA-256 content keying
-// plus the MD5 sidecar rebuild); `withsums` hands Save the MD5 table a
-// tracked migration records for free, leaving only the keying scan. The
-// hash-once acceptance bar is withsums ≥ 1.5× rehash; tools/benchgate
-// enforces it on the committed recording.
+// migration, where the save writes no segment and the digest pass is the
+// whole cost. `rehash` is the plain Save path (the content-keying scan);
+// `withsums` hands Save the table a tracked migration records for free, so
+// it hashes nothing. The hash-once acceptance bar is withsums ≥ 1.5× rehash;
+// tools/benchgate enforces it on the committed recording.
 func BenchmarkSaveWarm(b *testing.B) {
 	const pages = 16384 // 64 MiB at 4 KiB pages
 	store, err := NewStore(filepath.Join(b.TempDir(), "ckpts"))
@@ -87,7 +72,7 @@ func BenchmarkSaveWarm(b *testing.B) {
 	// The table a migration's TrackIncoming/SentSums recording supplies.
 	sums := make([]checksum.Sum, pages)
 	for i := range sums {
-		sums[i] = src.PageSum(i, SidecarAlgorithm)
+		sums[i] = src.PageSum(i, ObjectAlgorithm)
 	}
 
 	b.Run("rehash", func(b *testing.B) {
@@ -101,7 +86,7 @@ func BenchmarkSaveWarm(b *testing.B) {
 	b.Run("withsums", func(b *testing.B) {
 		b.SetBytes(pages * vm.PageSize)
 		for i := 0; i < b.N; i++ {
-			if err := store.SaveWithSums(src, SidecarAlgorithm, sums); err != nil {
+			if err := store.SaveWithSums(src, ObjectAlgorithm, sums); err != nil {
 				b.Fatal(err)
 			}
 		}

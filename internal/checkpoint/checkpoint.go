@@ -22,27 +22,21 @@
 //     entries and rolling back uncommitted files;
 //   - refcounts + GC (store.go, gc.go): dead objects become reclaimed bytes
 //     by deleting and compacting segments, never by rewriting manifests;
-//   - fingerprint sidecars (sidecar.go): persisted per-entry page sums that
-//     let a warm Restore skip the O(RAM) rescan of §3.3;
 //   - union bootstrap (Store.OpenUnion): a destination with no checkpoint
 //     for the incoming VM announces the union of everything resident, so
 //     even a first visit reuses any page some other guest already brought.
 //
-// The flat Write/Open pair still operates on single raw image files; the
-// Store is the content-addressed layer above, and adopts such legacy images
-// into the pool on first open.
+// A page has one digest: the object key is the page's checksum under
+// checksum.Default, the algorithm migrations speak unless told otherwise. So
+// the page manifest is the fingerprint index of §3.3 — Restore serves its
+// announcement straight from the manifest's key list, and a save handed the
+// migration's digest table hashes nothing. Only a migration under another
+// algorithm (an explicit -checksum md5 run) pays the paper's O(RAM) rescan.
 package checkpoint
 
 import (
-	"bufio"
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -51,10 +45,10 @@ import (
 	"vecycle/internal/vm"
 )
 
-// pageRef locates one page's payload: a byte offset in an open backing file
-// (a flat image or a pool segment). The file is held behind the faultfs
-// seam; outside chaos tests it is a bare *os.File, so the indirection costs
-// one interface dispatch per ReadAt — a syscall-dominated call either way.
+// pageRef locates one page's payload: a byte offset in an open pool segment.
+// The file is held behind the faultfs seam; outside chaos tests it is a bare
+// *os.File, so the indirection costs one interface dispatch per ReadAt — a
+// syscall-dominated call either way.
 type pageRef struct {
 	f   faultfs.File
 	off int64
@@ -67,12 +61,16 @@ type indexEntry struct {
 }
 
 // Index maps block checksums to payload locations. It is the sorted list of
-// §3.3, queried by binary search during the destination's merge loop.
+// §3.3, queried by binary search during the destination's merge loop. The
+// sort is deferred to the first Lookup: a merge consults the index only for
+// pages whose content moved to another frame, and a returning guest usually
+// has none, so most restores never pay for it.
 type Index struct {
 	entries []indexEntry
+	sorted  sync.Once
 }
 
-// add records a block. Called in page order during the sequential scan.
+// add records a block. Called in page order, before any Lookup.
 func (ix *Index) add(sum checksum.Sum, ref pageRef) {
 	ix.entries = append(ix.entries, indexEntry{sum: sum, ref: ref})
 }
@@ -90,7 +88,9 @@ func (ix *Index) sort() {
 }
 
 // Lookup reports the payload location of a block with the given checksum.
+// Safe for concurrent use (the pipelined merge calls it from every worker).
 func (ix *Index) Lookup(sum checksum.Sum) (ref pageRef, ok bool) {
+	ix.sorted.Do(ix.sort)
 	i := sort.Search(len(ix.entries), func(i int) bool {
 		return bytes.Compare(ix.entries[i].sum[:], sum[:]) >= 0
 	})
@@ -103,327 +103,54 @@ func (ix *Index) Lookup(sum checksum.Sum) (ref pageRef, ok bool) {
 // Len reports the number of indexed blocks.
 func (ix *Index) Len() int { return len(ix.entries) }
 
-// Write dumps the VM's memory to path as a raw page-ordered image,
-// streaming pages sequentially — the paper's checkpoint format, used
-// directly by tooling and tests; the Store's save path pools pages instead.
-func Write(path string, source *vm.VM) error {
-	_, err := writeImage(path, source)
-	return err
-}
-
-// writeImage streams the VM's memory to path and returns the hex SHA-256 of
-// the written bytes, computed in the same pass. The image lands via
-// tmp+fsync+rename+dir-fsync, so a crash mid-write leaves the previous
-// image intact, never a torn one under the final name.
-func writeImage(path string, source *vm.VM) (digest string, err error) {
-	fsys := faultfs.OS
-	tmp := path + tmpSuffix
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return "", fmt.Errorf("checkpoint: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			if !killed(err) {
-				fsys.Remove(tmp)
-			}
-		}
-	}()
-	h := sha256.New()
-	bw := bufio.NewWriterSize(io.MultiWriter(f, h), 1<<20)
-	buf := make([]byte, vm.PageSize)
-	for i := 0; i < source.NumPages(); i++ {
-		source.ReadPage(i, buf)
-		if _, err = bw.Write(buf); err != nil {
-			return "", fmt.Errorf("checkpoint: write page %d: %w", i, err)
-		}
-	}
-	if err = bw.Flush(); err != nil {
-		return "", fmt.Errorf("checkpoint: flush: %w", err)
-	}
-	if err = kill("image-written"); err != nil {
-		return "", err
-	}
-	if err = f.Sync(); err != nil {
-		return "", fmt.Errorf("checkpoint: sync %s: %w", tmp, err)
-	}
-	if err = f.Close(); err != nil {
-		return "", fmt.Errorf("checkpoint: close %s: %w", tmp, err)
-	}
-	if err = kill("image-synced"); err != nil {
-		return "", err
-	}
-	if err = fsys.Rename(tmp, path); err != nil {
-		return "", fmt.Errorf("checkpoint: rename %s: %w", tmp, err)
-	}
-	if err = kill("image-renamed"); err != nil {
-		return "", err
-	}
-	if err = syncDir(fsys, filepath.Dir(path)); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
 // Checkpoint is an opened checkpoint: the checksum→location index for the
 // merge loop, the announcement sum set, and the page-frame geometry (for
 // entries that have one — the union of a whole store does not). The backing
-// files may be a single flat image or several shared pool segments; Close
-// releases them all.
+// files are shared pool segments; Close releases them all.
 type Checkpoint struct {
-	files   []faultfs.File
-	alg     checksum.Algorithm
-	index   Index
-	sums    *checksum.Set
-	frames  []pageRef // per-page-frame payloads; nil when the checkpoint has no frame geometry
-	pages   int
-	sidecar SidecarStatus
+	files  []faultfs.File
+	alg    checksum.Algorithm
+	index  Index
+	sums   *checksum.Set
+	frames []pageRef // per-page-frame payloads; nil when the checkpoint has no frame geometry
+	pages  int
 }
 
 // newCheckpoint assembles a Checkpoint whose page i lives at refs[i] and
 // hashes to sums[i]. The files are adopted (closed by Close).
-func newCheckpoint(alg checksum.Algorithm, sums []checksum.Sum, refs []pageRef, files []faultfs.File, status SidecarStatus) *Checkpoint {
+func newCheckpoint(alg checksum.Algorithm, sums []checksum.Sum, refs []pageRef, files []faultfs.File) *Checkpoint {
 	cp := &Checkpoint{
-		files:   files,
-		alg:     alg,
-		sums:    checksum.NewSet(len(sums)),
-		frames:  refs,
-		pages:   len(refs),
-		sidecar: status,
+		files:  files,
+		alg:    alg,
+		sums:   checksum.NewSet(len(sums)),
+		frames: refs,
+		pages:  len(refs),
 	}
 	cp.index.entries = make([]indexEntry, len(sums))
 	for i, s := range sums {
 		cp.index.entries[i] = indexEntry{sum: s, ref: refs[i]}
 		cp.sums.Add(s)
 	}
-	cp.index.sort()
 	return cp
-}
-
-// OpenConfig tunes how Open builds the checksum index.
-type OpenConfig struct {
-	// NoSidecar bypasses the fingerprint sidecar entirely: the index is
-	// rebuilt by the full rescan and no sidecar is read or written.
-	NoSidecar bool
-	// ExpectedDigest, when non-empty, is the hex digest the sidecar must
-	// record to be trusted (for flat images, the image's SHA-256). A sidecar
-	// recording a different digest is stale and ignored, and the digest is
-	// embedded in any sidecar rewrite.
-	ExpectedDigest string
-}
-
-// Open scans the flat image at path sequentially, building the checksum
-// index and the announcement set. If dst is non-nil each block is also
-// installed into the corresponding page of dst — the destination's RAM
-// bootstrap — in which case the image size must match the VM's memory
-// exactly.
-//
-// When a valid fingerprint sidecar sits next to the image the scan is
-// skipped: the index loads from the sidecar and the image is only read (a
-// plain sequential copy, no hashing) when dst needs its pages installed.
-func Open(path string, alg checksum.Algorithm, dst *vm.VM) (*Checkpoint, error) {
-	return OpenWith(path, alg, dst, OpenConfig{})
-}
-
-// OpenWith is Open with explicit sidecar configuration.
-func OpenWith(path string, alg checksum.Algorithm, dst *vm.VM, cfg OpenConfig) (*Checkpoint, error) {
-	if !alg.Valid() {
-		return nil, fmt.Errorf("checkpoint: invalid checksum algorithm")
-	}
-	f, err := faultfs.OS.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint: stat: %w", err)
-	}
-	if st.Size()%vm.PageSize != 0 {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint: image size %d not a multiple of the page size", st.Size())
-	}
-	pages := int(st.Size() / vm.PageSize)
-	if dst != nil && dst.NumPages() != pages {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint: image has %d pages, VM has %d", pages, dst.NumPages())
-	}
-	cp := &Checkpoint{
-		files:   []faultfs.File{f},
-		alg:     alg,
-		sums:    checksum.NewSet(pages),
-		pages:   pages,
-		sidecar: SidecarDisabled,
-	}
-	if !cfg.NoSidecar {
-		sums, serr := loadSidecar(faultfs.OS, SidecarPath(path), alg, st.Size(), cfg.ExpectedDigest)
-		switch {
-		case serr == nil:
-			if err := cp.fromSums(f, sums, dst); err != nil {
-				f.Close()
-				return nil, err
-			}
-			cp.sidecar = SidecarHit
-			cp.index.sort()
-			return cp, nil
-		case os.IsNotExist(serr):
-			cp.sidecar = SidecarMiss
-		default:
-			cp.sidecar = SidecarFallback
-		}
-	}
-	br := bufio.NewReaderSize(f, 1<<20)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > pages/openChunkPages {
-		workers = pages / openChunkPages
-	}
-	if workers < 2 {
-		// Small image or single core: the sequential scan of §3.3.
-		cp.index.entries = make([]indexEntry, 0, pages)
-		buf := make([]byte, vm.PageSize)
-		for i := 0; i < pages; i++ {
-			if _, err := io.ReadFull(br, buf); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("checkpoint: read block %d: %w", i, err)
-			}
-			sum := alg.Page(buf)
-			cp.index.add(sum, pageRef{f: f, off: int64(i) * vm.PageSize})
-			cp.sums.Add(sum)
-			if dst != nil {
-				dst.InstallPage(i, buf)
-			}
-		}
-	} else if err := openParallel(br, f, alg, dst, cp, pages, workers); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if !cfg.NoSidecar {
-		// Self-heal: persist the freshly rebuilt index so the next Open is
-		// warm. Entries are still in page order here (sorting happens
-		// below), so the entry list doubles as the page-ordered sum list.
-		// Best effort — a failed rewrite only costs the next Open a rescan.
-		entries := cp.index.entries
-		_ = writeSidecar(faultfs.OS, SidecarPath(path), alg, st.Size(), cfg.ExpectedDigest,
-			len(entries), func(i int) checksum.Sum { return entries[i].sum })
-	}
-	cp.frames = cp.frameRefs(f, pages)
-	cp.index.sort()
-	return cp, nil
-}
-
-// frameRefs builds the page-frame geometry of a flat image: frame i at byte
-// offset i*PageSize of f.
-func (c *Checkpoint) frameRefs(f faultfs.File, pages int) []pageRef {
-	refs := make([]pageRef, pages)
-	for i := range refs {
-		refs[i] = pageRef{f: f, off: int64(i) * vm.PageSize}
-	}
-	return refs
-}
-
-// fromSums builds the index and announcement set from sidecar-loaded
-// page-ordered sums, installing the image into dst when non-nil. The
-// install is a plain sequential read — no hashing, the sums are already
-// known.
-func (c *Checkpoint) fromSums(f faultfs.File, sums []checksum.Sum, dst *vm.VM) error {
-	entries := make([]indexEntry, len(sums))
-	for i, s := range sums {
-		entries[i] = indexEntry{sum: s, ref: pageRef{f: f, off: int64(i) * vm.PageSize}}
-		c.sums.Add(s)
-	}
-	c.index.entries = entries
-	c.frames = c.frameRefs(f, c.pages)
-	if dst == nil {
-		return nil
-	}
-	br := bufio.NewReaderSize(f, 1<<20)
-	buf := make([]byte, vm.PageSize)
-	for i := 0; i < c.pages; i++ {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return fmt.Errorf("checkpoint: read block %d: %w", i, err)
-		}
-		dst.InstallPage(i, buf)
-	}
-	return nil
-}
-
-// openChunkPages is the work unit of the parallel index build: 2 MiB of
-// image per dispatch keeps channel overhead negligible.
-const openChunkPages = 512
-
-// openParallel fans the per-block checksum (and the optional RAM install)
-// out across `workers` goroutines while the file itself is still read
-// strictly sequentially — preserving the paper's "optimal use of the disk's
-// available I/O bandwidth" while removing the hash from the critical path.
-// Index entries are written positionally, so the result is identical to the
-// sequential scan's.
-func openParallel(br io.Reader, f faultfs.File, alg checksum.Algorithm, dst *vm.VM, cp *Checkpoint, pages, workers int) error {
-	entries := make([]indexEntry, pages)
-	type chunk struct {
-		start int
-		buf   []byte
-	}
-	free := make(chan []byte, workers+2)
-	for i := 0; i < workers+2; i++ {
-		free <- make([]byte, openChunkPages*vm.PageSize)
-	}
-	work := make(chan chunk)
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range work {
-				n := len(c.buf) / vm.PageSize
-				for i := 0; i < n; i++ {
-					page := c.start + i
-					block := c.buf[i*vm.PageSize : (i+1)*vm.PageSize]
-					entries[page] = indexEntry{sum: alg.Page(block), ref: pageRef{f: f, off: int64(page) * vm.PageSize}}
-					if dst != nil {
-						dst.InstallPage(page, block)
-					}
-				}
-				free <- c.buf
-			}
-		}()
-	}
-	var readErr error
-	for off := 0; off < pages; off += openChunkPages {
-		n := openChunkPages
-		if off+n > pages {
-			n = pages - off
-		}
-		buf := (<-free)[:n*vm.PageSize]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			readErr = fmt.Errorf("checkpoint: read block %d: %w", off, err)
-			break
-		}
-		work <- chunk{start: off, buf: buf}
-	}
-	close(work)
-	wg.Wait()
-	if readErr != nil {
-		return readErr
-	}
-	cp.index.entries = entries
-	for i := range entries {
-		cp.sums.Add(entries[i].sum)
-	}
-	return nil
 }
 
 // Pages reports the number of page frames the checkpoint describes — zero
 // for a union checkpoint, which has content but no frame geometry.
 func (c *Checkpoint) Pages() int { return c.pages }
 
-// Sidecar reports how this open interacted with the fingerprint sidecar:
-// loaded from it (hit), rebuilt because none existed (miss), rebuilt because
-// it failed validation (fallback), or bypassed (disabled).
-func (c *Checkpoint) Sidecar() SidecarStatus { return c.sidecar }
-
 // Algorithm reports the checksum algorithm the index was built with.
 func (c *Checkpoint) Algorithm() checksum.Algorithm { return c.alg }
+
+// IndexSource reports where this open's checksums came from, as the label the
+// restore trace event carries: "keys" when the index is the store's own key
+// tables (opened under ObjectAlgorithm: no page read, no hash), "rescan" when
+// every page was read and hashed under another algorithm.
+func (c *Checkpoint) IndexSource() string {
+	if c.alg == ObjectAlgorithm {
+		return "keys"
+	}
+	return "rescan"
+}
 
 // SumSet returns the set of block checksums present in the checkpoint — the
 // content of the destination's hash announcement. The caller must not

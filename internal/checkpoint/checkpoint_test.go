@@ -2,8 +2,10 @@ package checkpoint
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -30,157 +32,183 @@ func fillPattern(v *vm.VM) {
 	}
 }
 
-func TestWriteAndOpenRestoresMemory(t *testing.T) {
-	dir := t.TempDir()
-	src := newVM(t, "vm0", 16, 1)
-	fillPattern(src)
-	path := filepath.Join(dir, "vm0.img")
-	if err := Write(path, src); err != nil {
-		t.Fatal(err)
+// bothAlgorithms runs fn once opening under the store's key algorithm (the
+// index is the entry's key list) and once under another strong one (the
+// rescan): every Checkpoint contract holds on either path.
+func bothAlgorithms(t *testing.T, fn func(t *testing.T, alg checksum.Algorithm)) {
+	t.Helper()
+	for _, alg := range []checksum.Algorithm{ObjectAlgorithm, checksum.MD5} {
+		t.Run(alg.String(), func(t *testing.T) { fn(t, alg) })
 	}
-	dst := newVM(t, "vm0", 16, 2)
-	cp, err := Open(path, checksum.MD5, dst)
+}
+
+// savedStore saves src into a fresh store.
+func savedStore(t *testing.T, src *vm.VM) *Store {
+	t.Helper()
+	store, err := NewStore(filepath.Join(t.TempDir(), "ckpts"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cp.Close()
-	if !src.MemEqual(dst) {
-		t.Errorf("restored memory differs at page %d", src.FirstDifference(dst))
-	}
-	if cp.Pages() != 16 {
-		t.Errorf("Pages = %d", cp.Pages())
-	}
-	if cp.Algorithm() != checksum.MD5 {
-		t.Errorf("Algorithm = %v", cp.Algorithm())
-	}
-}
-
-func TestOpenWithoutVM(t *testing.T) {
-	dir := t.TempDir()
-	src := newVM(t, "vm0", 8, 1)
-	fillPattern(src)
-	path := filepath.Join(dir, "vm0.img")
-	if err := Write(path, src); err != nil {
+	if err := store.Save(src); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := Open(path, checksum.MD5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp.Close()
-	if cp.SumSet().Len() == 0 {
-		t.Error("no checksums indexed")
+	return store
+}
+
+func TestSaveAndRestoreRestoresMemory(t *testing.T) {
+	bothAlgorithms(t, func(t *testing.T, alg checksum.Algorithm) {
+		src := newVM(t, "vm0", 16, 1)
+		fillPattern(src)
+		dst := newVM(t, "vm0", 16, 2)
+		cp, err := savedStore(t, src).Restore("vm0", alg, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cp.Close()
+		if !src.MemEqual(dst) {
+			t.Errorf("restored memory differs at page %d", src.FirstDifference(dst))
+		}
+		if cp.Pages() != 16 {
+			t.Errorf("Pages = %d", cp.Pages())
+		}
+		if cp.Algorithm() != alg {
+			t.Errorf("Algorithm = %v", cp.Algorithm())
+		}
+		wantSource := "rescan"
+		if alg == ObjectAlgorithm {
+			wantSource = "keys"
+		}
+		if got := cp.IndexSource(); got != wantSource {
+			t.Errorf("IndexSource = %q, want %q", got, wantSource)
+		}
+	})
+}
+
+func TestRestoreSizeMismatch(t *testing.T) {
+	bothAlgorithms(t, func(t *testing.T, alg checksum.Algorithm) {
+		store := savedStore(t, newVM(t, "vm0", 8, 1))
+		if _, err := store.Restore("vm0", alg, newVM(t, "vm0", 16, 1)); err == nil {
+			t.Error("size mismatch accepted")
+		}
+	})
+}
+
+func TestRestoreMissingEntry(t *testing.T) {
+	store := savedStore(t, newVM(t, "vm0", 2, 1))
+	if _, err := store.Restore("none", checksum.Default, nil); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing entry: err = %v, want os.ErrNotExist", err)
 	}
 }
 
-func TestOpenSizeMismatch(t *testing.T) {
-	dir := t.TempDir()
-	src := newVM(t, "vm0", 8, 1)
-	path := filepath.Join(dir, "vm0.img")
-	if err := Write(path, src); err != nil {
-		t.Fatal(err)
-	}
-	wrong := newVM(t, "vm0", 16, 1)
-	if _, err := Open(path, checksum.MD5, wrong); err == nil {
-		t.Error("size mismatch accepted")
-	}
-}
-
-func TestOpenTruncatedImage(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.img")
-	if err := os.WriteFile(path, make([]byte, vm.PageSize+1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(path, checksum.MD5, nil); err == nil {
-		t.Error("non-page-aligned image accepted")
-	}
-}
-
-func TestOpenMissingFile(t *testing.T) {
-	if _, err := Open(filepath.Join(t.TempDir(), "none.img"), checksum.MD5, nil); err == nil {
-		t.Error("missing image accepted")
-	}
-}
-
-func TestOpenInvalidAlgorithm(t *testing.T) {
-	if _, err := Open("whatever", checksum.Algorithm(0), nil); err == nil {
+func TestRestoreInvalidAlgorithm(t *testing.T) {
+	store := savedStore(t, newVM(t, "vm0", 2, 1))
+	if _, err := store.Restore("vm0", checksum.Algorithm(0), nil); err == nil {
 		t.Error("invalid algorithm accepted")
+	}
+	if _, _, err := store.OpenUnion(checksum.Algorithm(0)); err == nil {
+		t.Error("invalid algorithm accepted by OpenUnion")
 	}
 }
 
 func TestSumSetAnnouncesEveryBlock(t *testing.T) {
-	dir := t.TempDir()
-	src := newVM(t, "vm0", 8, 1)
-	fillPattern(src)
-	path := filepath.Join(dir, "vm0.img")
-	if err := Write(path, src); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := Open(path, checksum.MD5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp.Close()
-	for i := 0; i < src.NumPages(); i++ {
-		if !cp.SumSet().Contains(src.PageSum(i, checksum.MD5)) {
-			t.Errorf("page %d checksum missing from announcement", i)
+	bothAlgorithms(t, func(t *testing.T, alg checksum.Algorithm) {
+		src := newVM(t, "vm0", 8, 1)
+		fillPattern(src)
+		cp, err := savedStore(t, src).Restore("vm0", alg, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		defer cp.Close()
+		for i := 0; i < src.NumPages(); i++ {
+			if !cp.SumSet().Contains(src.PageSum(i, alg)) {
+				t.Errorf("page %d checksum missing from announcement", i)
+			}
+		}
+	})
 }
 
 func TestReadBlockByChecksum(t *testing.T) {
-	dir := t.TempDir()
-	src := newVM(t, "vm0", 8, 1)
-	fillPattern(src)
-	path := filepath.Join(dir, "vm0.img")
-	if err := Write(path, src); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := Open(path, checksum.MD5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp.Close()
+	bothAlgorithms(t, func(t *testing.T, alg checksum.Algorithm) {
+		src := newVM(t, "vm0", 8, 1)
+		fillPattern(src)
+		cp, err := savedStore(t, src).Restore("vm0", alg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cp.Close()
 
-	want := make([]byte, vm.PageSize)
-	src.ReadPage(5, want)
-	data, ok, err := cp.ReadBlock(src.PageSum(5, checksum.MD5))
-	if err != nil || !ok {
-		t.Fatalf("ReadBlock: ok=%v err=%v", ok, err)
-	}
-	if !bytes.Equal(data, want) {
-		t.Error("ReadBlock returned wrong content")
-	}
-	// Unknown checksum.
-	if _, ok, err := cp.ReadBlock(checksum.MD5.Page([]byte("nope"))); ok || err != nil {
-		t.Errorf("unknown checksum: ok=%v err=%v", ok, err)
-	}
+		want := make([]byte, vm.PageSize)
+		src.ReadPage(5, want)
+		data, ok, err := cp.ReadBlock(src.PageSum(5, alg))
+		if err != nil || !ok {
+			t.Fatalf("ReadBlock: ok=%v err=%v", ok, err)
+		}
+		if !bytes.Equal(data, want) {
+			t.Error("ReadBlock returned wrong content")
+		}
+		// Unknown checksum.
+		if _, ok, err := cp.ReadBlock(alg.Page([]byte("nope"))); ok || err != nil {
+			t.Errorf("unknown checksum: ok=%v err=%v", ok, err)
+		}
+	})
 }
 
 func TestIndexDuplicateBlocks(t *testing.T) {
 	// Two pages with identical content: lookup must return a valid offset.
-	dir := t.TempDir()
-	src := newVM(t, "vm0", 4, 1)
-	same := bytes.Repeat([]byte{0x42}, vm.PageSize)
-	src.WritePage(1, same)
-	src.WritePage(3, same)
-	path := filepath.Join(dir, "vm0.img")
-	if err := Write(path, src); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := Open(path, checksum.MD5, nil)
+	bothAlgorithms(t, func(t *testing.T, alg checksum.Algorithm) {
+		src := newVM(t, "vm0", 4, 1)
+		same := bytes.Repeat([]byte{0x42}, vm.PageSize)
+		src.WritePage(1, same)
+		src.WritePage(3, same)
+		cp, err := savedStore(t, src).Restore("vm0", alg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cp.Close()
+		data, ok, err := cp.ReadBlock(alg.Page(same))
+		if err != nil || !ok {
+			t.Fatalf("ok=%v err=%v", ok, err)
+		}
+		if !bytes.Equal(data, same) {
+			t.Error("duplicate block content wrong")
+		}
+	})
+}
+
+// TestIndexSortsOnFirstLookup: a checkpoint's index stays in page order until
+// something looks a checksum up, and concurrent first lookups (the pipelined
+// merge's workers) all see the sorted index.
+func TestIndexSortsOnFirstLookup(t *testing.T) {
+	src := filledVM(t, "vm0", 64, 1)
+	cp, err := savedStore(t, src).Restore("vm0", checksum.Default, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cp.Close()
-	data, ok, err := cp.ReadBlock(checksum.MD5.Page(same))
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
+	for i, e := range cp.index.entries {
+		if e.sum != src.PageSum(i, checksum.Default) {
+			t.Fatalf("index entry %d is not page %d's sum before any lookup: sorted eagerly?", i, i)
+		}
 	}
-	if !bytes.Equal(data, same) {
-		t.Error("duplicate block content wrong")
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < src.NumPages(); i += 8 {
+				data, ok, err := cp.ReadBlock(src.PageSum(i, checksum.Default))
+				if err != nil || !ok {
+					t.Errorf("page %d: ok=%v err=%v", i, ok, err)
+					continue
+				}
+				if checksum.Default.Page(data) != src.PageSum(i, checksum.Default) {
+					t.Errorf("page %d: wrong block", i)
+				}
+				cp.Release(data)
+			}
+		}(w)
 	}
+	wg.Wait()
 }
 
 // Property: the index finds every inserted sum and nothing else.
@@ -193,7 +221,6 @@ func TestIndexLookupProperty(t *testing.T) {
 			ix.add(sum, pageRef{off: int64(i) * vm.PageSize})
 			want[sum] = true
 		}
-		ix.sort()
 		for sum := range want {
 			if _, ok := ix.Lookup(sum); !ok {
 				return false
@@ -225,7 +252,7 @@ func TestStoreSaveRestore(t *testing.T) {
 		t.Error("Has after Save")
 	}
 	dst := newVM(t, "web-1", 8, 9)
-	cp, err := store.Restore("web-1", checksum.MD5, dst)
+	cp, err := store.Restore("web-1", checksum.Default, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +280,7 @@ func TestStoreGenerations(t *testing.T) {
 		t.Errorf("generations = %v", gens)
 	}
 	if _, ok, err := store.Generations("other"); ok || err != nil {
-		t.Errorf("missing sidecar: ok=%v err=%v", ok, err)
+		t.Errorf("missing generations: ok=%v err=%v", ok, err)
 	}
 }
 

@@ -211,7 +211,7 @@ type Stats struct {
 	// occupy stored privately, one image per VM.
 	LogicalBytes int64
 	// PhysicalBytes is the payload bytes actually stored in segments (file
-	// format overhead, page manifests and sidecars excluded — together
+	// format overhead and page manifests excluded — together
 	// under half a percent of payload).
 	PhysicalBytes int64
 	// DedupPagesTotal is the cumulative count of pages Save deduplicated

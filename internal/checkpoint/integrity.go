@@ -23,33 +23,20 @@ import (
 // recorded in the manifest), and Restore can be made to verify first via
 // the store's VerifyOnRestore knob.
 
-// digestPath is where a pre-manifest, pre-CAS store recorded a legacy
-// image's whole-file digest; recovery consumes it during adoption.
-func (s *Store) digestPath(vmName string) string {
-	return s.legacyImagePath(vmName) + ".sha256"
-}
-
 // Verify re-reads the named VM's pages from the object pool and checks each
-// against its recorded object key. An entry with no resolvable page keys
-// (absent, or an un-adopted legacy quarantine) verifies trivially.
+// against its recorded object key. An entry with no page keys (absent, or
+// quarantined with an unreadable page manifest) verifies trivially.
 func (s *Store) Verify(vmName string) error {
 	s.mu.Lock()
 	key := sanitize(vmName)
 	pageKeys := s.keys[key]
-	var refs []pageRef
-	var files []faultfs.File
-	var err error
-	if pageKeys != nil {
-		refs, files, err = s.resolveLocked(pageKeys)
-	}
+	open := map[string]faultfs.File{}
+	refs, err := s.resolveLocked(pageKeys, open)
 	s.mu.Unlock()
-	if pageKeys == nil {
-		return nil
-	}
+	defer closeAll(openFiles(open))
 	if err != nil {
 		return err
 	}
-	defer closeAll(files)
 	buf := make([]byte, vm.PageSize)
 	for i, ref := range refs {
 		if _, err := ref.f.ReadAt(buf, ref.off); err != nil {

@@ -61,7 +61,7 @@ func TestVerifyOnRestore(t *testing.T) {
 	s.SetVerifyOnRestore(true)
 
 	// Clean restore succeeds.
-	cp, err := s.Restore("a", checksum.MD5, nil)
+	cp, err := s.Restore("a", checksum.Default, nil)
 	if err != nil {
 		t.Fatalf("clean restore: %v", err)
 	}
@@ -69,27 +69,29 @@ func TestVerifyOnRestore(t *testing.T) {
 
 	// Corrupt a stored page: restore must now fail before any data is used.
 	tamperObject(t, s, "a", 1)
-	if _, err := s.Restore("a", checksum.MD5, nil); err == nil {
+	if _, err := s.Restore("a", checksum.Default, nil); err == nil {
 		t.Error("corrupt checkpoint restored under VerifyOnRestore")
 	}
 
-	// Without the knob the (page-aligned) corruption is invisible: the warm
-	// sidecar path installs pages without hashing them.
+	// Without the knob the (page-aligned) corruption is invisible: an open
+	// under the key algorithm serves the recorded keys without reading pages.
 	s.SetVerifyOnRestore(false)
-	cp, err = s.Restore("a", checksum.MD5, nil)
+	cp, err = s.Restore("a", checksum.Default, nil)
 	if err != nil {
 		t.Fatalf("unverified restore: %v", err)
 	}
 	cp.Close()
 }
 
-func TestRemoveDeletesDigest(t *testing.T) {
+func TestRemoveDeletesEntryFiles(t *testing.T) {
 	s := quotaStore(t)
 	saveVM(t, s, "a", 4)
 	if err := s.Remove("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(s.digestPath("a")); !os.IsNotExist(err) {
-		t.Error("digest sidecar survived Remove")
+	for _, p := range []string{s.pmfPath("a"), s.genPath("a")} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s survived Remove", p)
+		}
 	}
 }

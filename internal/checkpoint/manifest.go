@@ -8,9 +8,9 @@ import (
 	"sort"
 )
 
-// The store manifest. Segments, page manifests, sidecars and generation
-// files are each written atomically, but a checkpoint entry is only
-// coherent when they agree — and a crash can land between any two of them.
+// The store manifest. Segments, page manifests and generation files are
+// each written atomically, but a checkpoint entry is only coherent when
+// they agree — and a crash can land between any two of them.
 // The manifest is the single commit point: a small versioned JSON file,
 // rewritten atomically as the LAST step of every Save/SaveSalvage/Remove/GC,
 // recording each entry's state and pmf digest plus every segment the object
@@ -18,17 +18,10 @@ import (
 // describing the previous transaction, so the startup recovery scan sees
 // digests that no longer match the bytes on disk and quarantines (entries)
 // or rolls back (unrecorded segments/pmfs) instead of serving torn state.
-//
-// Version 1 manifests described the pre-CAS store of one private image per
-// VM; loading one is supported, and the recovery scan converts its images
-// into the content-addressed layout on first open.
 
 const (
 	manifestName    = "MANIFEST.json"
 	manifestVersion = 2
-	// manifestVersionLegacy is the pre-CAS per-image manifest, still
-	// accepted on load; recovery adopts its images into the object pool.
-	manifestVersionLegacy = 1
 )
 
 // EntryState is the lifecycle state of a store entry, as recorded in the
@@ -55,7 +48,7 @@ type manifestEntry struct {
 	State EntryState `json:"state"`
 	// Digest is the hex SHA-256 of the entry's page manifest file, which —
 	// object keys being collision resistant — pins the entry's complete
-	// logical content. For un-adopted legacy entries it is the image digest.
+	// logical content.
 	Digest string `json:"digest,omitempty"`
 	// Size is the entry's logical byte size: what the guest's memory
 	// occupies, not what the deduplicated store spends on it.
@@ -63,9 +56,6 @@ type manifestEntry struct {
 	Pages int   `json:"pages,omitempty"`
 	// Reason explains a quarantine, empty otherwise.
 	Reason string `json:"reason,omitempty"`
-	// LegacyImage marks a quarantined pre-CAS entry whose .img file is kept
-	// on disk for forensics instead of being adopted into the object pool.
-	LegacyImage bool `json:"legacyImage,omitempty"`
 }
 
 // segmentRecord is one segment file's durable record.
@@ -106,18 +96,14 @@ type EntryInfo struct {
 	UniqueBytes int64
 	// Reason explains a quarantine, empty otherwise.
 	Reason string
-	// HasSidecar reports whether a fingerprint sidecar file exists for the
-	// entry (its validity is only established when it is loaded).
-	HasSidecar bool
 }
 
 func (s *Store) manifestPath() string {
 	return filepath.Join(s.dir, manifestName)
 }
 
-// loadManifestLocked reads the manifest into memory, tolerating absence
-// (fresh or pre-manifest store), accepting the legacy per-image version 1
-// (whose images the recovery scan adopts), and rejecting unknown versions.
+// loadManifestLocked reads the manifest into memory, tolerating absence (a
+// fresh store) and rejecting other versions.
 func (s *Store) loadManifestLocked() error {
 	s.man = manifestFile{Version: manifestVersion, Entries: map[string]manifestEntry{}, Segments: map[string]segmentRecord{}}
 	raw, err := s.fs.ReadFile(s.manifestPath())
@@ -131,7 +117,7 @@ func (s *Store) loadManifestLocked() error {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return fmt.Errorf("checkpoint: parse manifest: %w", err)
 	}
-	if m.Version != manifestVersion && m.Version != manifestVersionLegacy {
+	if m.Version != manifestVersion {
 		return fmt.Errorf("checkpoint: manifest version %d, want %d", m.Version, manifestVersion)
 	}
 	if m.Entries == nil {
@@ -139,16 +125,6 @@ func (s *Store) loadManifestLocked() error {
 	}
 	if m.Segments == nil {
 		m.Segments = map[string]segmentRecord{}
-	}
-	if m.Version == manifestVersionLegacy {
-		// Version 1 entries describe private .img files. Carry the records;
-		// the recovery scan converts the images into the object pool (or
-		// keeps them as legacy files when quarantined).
-		m.Version = manifestVersion
-		for key, e := range m.Entries {
-			e.LegacyImage = true
-			m.Entries[key] = e
-		}
 	}
 	s.man = m
 	return nil
@@ -169,8 +145,7 @@ func (s *Store) commitManifestLocked() error {
 
 // entryLocked reports the manifest record for vmName. Under content
 // addressing the manifest is the sole source of truth: files the manifest
-// does not describe are interrupted transactions (rolled back by recovery)
-// or legacy images (adopted by recovery).
+// does not describe are interrupted transactions, rolled back by recovery.
 func (s *Store) entryLocked(vmName string) (EntryInfo, bool) {
 	key := sanitize(vmName)
 	e, ok := s.man.Entries[key]
@@ -179,14 +154,8 @@ func (s *Store) entryLocked(vmName string) (EntryInfo, bool) {
 	}
 	return EntryInfo{
 		Name: key, State: e.State, Digest: e.Digest, Size: e.Size,
-		Pages: e.Pages, Reason: e.Reason, HasSidecar: s.hasSidecar(vmName),
-		UniqueBytes: s.uniqueBytesLocked(key),
+		Pages: e.Pages, Reason: e.Reason, UniqueBytes: s.uniqueBytesLocked(key),
 	}, true
-}
-
-func (s *Store) hasSidecar(vmName string) bool {
-	_, err := s.fs.Stat(s.sidecarPath(vmName))
-	return err == nil
 }
 
 // Entry reports the named VM's store entry, ok=false when none exists.

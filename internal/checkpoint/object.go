@@ -40,11 +40,13 @@ import (
 // interrupted transaction and is deleted by recovery and by GC.
 
 // ObjectAlgorithm is the checksum algorithm that keys the content-addressed
-// store. Object keys deduplicate across VMs and are never negotiated, so
-// only a collision-resistant (Strong) algorithm is acceptable here — the
-// PR 7 policy that weak checksums may only drive baseline transfers, never
-// content reuse, applies doubly to a host-wide index.
-const ObjectAlgorithm = checksum.SHA256
+// store: checksum.Default, the algorithm migrations speak unless told
+// otherwise, so a migration's digest table is the save's key list and an
+// entry's key list is the restore's announcement. Object keys deduplicate
+// across VMs and are never negotiated, so only a collision-resistant (Strong)
+// algorithm is acceptable here — weak checksums may only drive baseline
+// transfers, never content reuse, least of all a host-wide index.
+const ObjectAlgorithm = checksum.Default
 
 const (
 	segmentVersion    = 1
@@ -73,9 +75,9 @@ func segmentFileSize(count int) int64 {
 
 // writeSegment writes a segment holding the given object keys, reading slot
 // i's payload via page(i, buf). It returns the hex SHA-256 of the written
-// file, computed in the same pass. The write shares the image kill points
-// ("image-written", "image-synced", "image-renamed") with the legacy image
-// writer so the kill-point matrix drives both.
+// file, computed in the same pass. The kill points "image-written",
+// "image-synced" and "image-renamed" bracket its fsync and rename for the
+// kill-point matrix.
 func writeSegment(fsys faultfs.FS, path string, keys []checksum.Sum, page func(i int, buf []byte)) (digest string, err error) {
 	tmp := path + tmpSuffix
 	f, err := fsys.Create(tmp)

@@ -30,8 +30,11 @@ import (
 // whole pmf file. Because object keys are collision resistant, that one
 // digest pins the entry's complete logical content: the recovery scan can
 // decide "this pmf describes the committed transaction" with a single
-// small-file hash instead of re-reading gigabytes of pages, and the
-// fingerprint sidecar anchors to the same digest for its staleness check.
+// small-file hash instead of re-reading gigabytes of pages.
+//
+// The keys are also the entry's page checksums under checksum.Default — what
+// a restore announces and indexes by — so this file is the persisted
+// fingerprint index of §3.3; nothing else caches per-page sums.
 const (
 	pmfSuffix     = ".pmf"
 	pmfVersion    = 1
@@ -73,29 +76,44 @@ func loadPMF(fsys faultfs.FS, path string) (keys []checksum.Sum, digest string, 
 	if err != nil {
 		return nil, "", fmt.Errorf("checkpoint: page manifest: %w", err)
 	}
-	if len(raw) < pmfHeaderSize {
-		return nil, "", fmt.Errorf("checkpoint: page manifest truncated (%d bytes)", len(raw))
-	}
-	if [4]byte(raw[0:4]) != pmfMagic {
-		return nil, "", fmt.Errorf("checkpoint: page manifest has bad magic %q", raw[0:4])
-	}
-	if v := binary.LittleEndian.Uint16(raw[4:6]); v != pmfVersion {
-		return nil, "", fmt.Errorf("checkpoint: page manifest version %d, want %d", v, pmfVersion)
-	}
-	if got := checksum.Algorithm(raw[6]); got != ObjectAlgorithm {
-		return nil, "", fmt.Errorf("checkpoint: page manifest keyed with %v, store uses %v", got, ObjectAlgorithm)
-	}
-	if ps := binary.LittleEndian.Uint32(raw[8:12]); ps != vm.PageSize {
-		return nil, "", fmt.Errorf("checkpoint: page manifest page size %d, want %d", ps, vm.PageSize)
-	}
-	count := binary.LittleEndian.Uint64(raw[12:20])
-	if want := pmfHeaderSize + int(count)*checksum.Size; len(raw) != want {
-		return nil, "", fmt.Errorf("checkpoint: page manifest is %d bytes, want %d for %d pages", len(raw), want, count)
-	}
-	keys = make([]checksum.Sum, count)
-	for i := range keys {
-		keys[i] = checksum.Sum(raw[pmfHeaderSize+i*checksum.Size : pmfHeaderSize+(i+1)*checksum.Size])
+	if keys, err = parsePMF(raw); err != nil {
+		return nil, "", err
 	}
 	sum := sha256.Sum256(raw)
 	return keys, hex.EncodeToString(sum[:]), nil
+}
+
+// parsePMF decodes pmf file bytes into the page-ordered object keys. The keys
+// go out on the wire as the next restore's announcement, so every header
+// field is checked and the count is bounded by the bytes actually present
+// before anything is allocated.
+func parsePMF(raw []byte) ([]checksum.Sum, error) {
+	if len(raw) < pmfHeaderSize {
+		return nil, fmt.Errorf("checkpoint: page manifest truncated (%d bytes)", len(raw))
+	}
+	if [4]byte(raw[0:4]) != pmfMagic {
+		return nil, fmt.Errorf("checkpoint: page manifest has bad magic %q", raw[0:4])
+	}
+	if v := binary.LittleEndian.Uint16(raw[4:6]); v != pmfVersion {
+		return nil, fmt.Errorf("checkpoint: page manifest version %d, want %d", v, pmfVersion)
+	}
+	if got := checksum.Algorithm(raw[6]); got != ObjectAlgorithm {
+		return nil, fmt.Errorf("checkpoint: page manifest keyed with %v, store uses %v", got, ObjectAlgorithm)
+	}
+	if raw[7] != 0 {
+		return nil, fmt.Errorf("checkpoint: page manifest reserved byte is %#x, want 0", raw[7])
+	}
+	if ps := binary.LittleEndian.Uint32(raw[8:12]); ps != vm.PageSize {
+		return nil, fmt.Errorf("checkpoint: page manifest page size %d, want %d", ps, vm.PageSize)
+	}
+	count := binary.LittleEndian.Uint64(raw[12:20])
+	body := raw[pmfHeaderSize:]
+	if len(body)%checksum.Size != 0 || count != uint64(len(body)/checksum.Size) {
+		return nil, fmt.Errorf("checkpoint: page manifest is %d bytes, header claims %d pages", len(raw), count)
+	}
+	keys := make([]checksum.Sum, count)
+	for i := range keys {
+		keys[i] = checksum.Sum(body[i*checksum.Size : (i+1)*checksum.Size])
+	}
+	return keys, nil
 }

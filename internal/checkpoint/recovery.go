@@ -1,18 +1,13 @@
 package checkpoint
 
 import (
-	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
 	"vecycle/internal/checksum"
-	"vecycle/internal/vm"
 )
 
 // Startup recovery. NewStore replays the crash-consistency contract before
@@ -23,34 +18,24 @@ import (
 //     disk — a vanished or torn segment is pulled from the pool (the file,
 //     if torn, is set aside under a .bad suffix for forensics) and every
 //     entry that depended on it quarantines below;
-//   - legacy per-image checkpoints (pre-CAS stores and version-1 manifests)
-//     are adopted: their pages are deduplicated into the object pool, a
-//     page manifest is written, and the .img file retired — unless the
-//     image fails its recorded digest, in which case it is quarantined
-//     untouched;
 //   - every entry's page-manifest digest is replayed and its object keys
 //     resolved against the pool — a mismatch or an unresolvable key means
 //     the crash landed between a file rename and the manifest commit, and
 //     the entry is quarantined rather than served;
 //   - segment and page-manifest files the manifest never heard of are the
-//     uncommitted tail of an interrupted transaction and are rolled back.
-//
-// Torn fingerprint sidecars need no quarantine: Restore validates them
-// independently and falls back to the rescan, so a sidecar can at worst
-// cost time, never correctness.
+//     uncommitted tail of an interrupted transaction and are rolled back;
+//   - fingerprint index files (*.idx) of the retired two-digest layout are
+//     unlinked: the page manifest is the fingerprint index now, and nothing
+//     reads them.
 
 // ScrubReport summarizes one recovery scan.
 type ScrubReport struct {
 	// Checked counts the entries whose recorded page-manifest digest was
 	// replayed against the disk.
 	Checked int
-	// Adopted lists legacy per-image checkpoints converted into the
-	// content-addressed pool by this scan.
-	Adopted []string
 	// Quarantined lists entries quarantined by this scan.
 	Quarantined []string
-	// Dropped lists manifest records whose page manifest (or legacy image)
-	// had vanished.
+	// Dropped lists manifest records whose page manifest had vanished.
 	Dropped []string
 	// TempFiles lists interrupted-transaction temp files deleted.
 	TempFiles []string
@@ -58,7 +43,7 @@ type ScrubReport struct {
 	// transaction described, rolled back by this scan.
 	Orphans []string
 	// CleanupFailures lists paths of best-effort cleanups (satellite
-	// sweeps, retired legacy files) that failed to unlink. The scan
+	// sweeps, files of a retired format) that failed to unlink. The scan
 	// proceeds — the files are garbage, not state — but a disk that
 	// cannot unlink is worth surfacing; each failure is also counted in
 	// the vecycle_store_cleanup_errors_total metric.
@@ -144,37 +129,7 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 		}
 	}
 
-	// 3. Legacy per-image checkpoints: adopt them into the pool (or
-	// quarantine them untouched when their recorded digest does not match).
-	for _, de := range dirents {
-		key, ok := strings.CutSuffix(de.Name(), ".img")
-		if !ok {
-			continue
-		}
-		rec := s.man.Entries[key]
-		if rec.State == EntryQuarantined {
-			// Already quarantined: keep the evidence, adopt nothing.
-			if !rec.LegacyImage {
-				rec.LegacyImage = true
-				s.man.Entries[key] = rec
-				changed = true
-			}
-			continue
-		}
-		adopted, why, err := s.adoptLegacyLocked(&rep, key, rec)
-		if err != nil {
-			return rep, err
-		}
-		changed = true
-		if adopted {
-			rep.Adopted = append(rep.Adopted, key)
-		} else {
-			rep.Quarantined = append(rep.Quarantined, key)
-			_ = why
-		}
-	}
-
-	// 4. Entry replay: page-manifest digest and object resolution.
+	// 3. Entry replay: page-manifest digest and object resolution.
 	for _, key := range sortedKeys(s.man.Entries) {
 		e := s.man.Entries[key]
 		if e.State == EntryQuarantined {
@@ -198,7 +153,7 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 			}
 			// Record without a page manifest: a raced Remove or a crash
 			// after the unlink. Drop it, sweeping satellite files.
-			s.sweepLocked(&rep, s.sidecarPath(key), s.genPath(key), s.digestPath(key))
+			s.sweepLocked(&rep, s.genPath(key))
 			delete(s.man.Entries, key)
 			s.dropEntryLocked(key)
 			rep.Dropped = append(rep.Dropped, key)
@@ -231,8 +186,9 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 		}
 	}
 
-	// 5. Roll back files no committed transaction describes: unrecorded
+	// 4. Roll back files no committed transaction describes: unrecorded
 	// segments and page manifests are the tail of an interrupted Save.
+	// Fingerprint index files are swept whatever they sit next to.
 	for _, de := range dirents {
 		name := de.Name()
 		if strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, segmentSuffix) {
@@ -246,13 +202,15 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 		}
 		if key, ok := strings.CutSuffix(name, pmfSuffix); ok {
 			if _, recorded := s.man.Entries[key]; !recorded {
-				for _, p := range []string{filepath.Join(s.dir, name), filepath.Join(s.dir, name+sidecarSuffix)} {
-					if err := s.fs.Remove(p); err != nil && !os.IsNotExist(err) {
-						return rep, fmt.Errorf("checkpoint: roll back %s: %w", p, err)
-					}
+				if err := s.fs.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
+					return rep, fmt.Errorf("checkpoint: roll back %s: %w", name, err)
 				}
 				rep.Orphans = append(rep.Orphans, name)
 			}
+			continue
+		}
+		if strings.HasSuffix(name, retiredIndexSuffix) {
+			s.sweepLocked(&rep, filepath.Join(s.dir, name))
 		}
 	}
 
@@ -264,6 +222,10 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 	return rep, nil
 }
 
+// retiredIndexSuffix marked the per-entry fingerprint index files stores
+// wrote while object keys and wire checksums were different digests.
+const retiredIndexSuffix = ".idx"
+
 // sweepLocked removes best-effort satellite files, recording failures in
 // the scrub report and the cleanup-errors metric instead of dropping them.
 func (s *Store) sweepLocked(rep *ScrubReport, paths ...string) {
@@ -274,111 +236,6 @@ func (s *Store) sweepLocked(rep *ScrubReport, paths ...string) {
 			s.deferMetricLocked(func(m Metrics) { m.CleanupError(path) })
 		}
 	}
-}
-
-// adoptLegacyLocked converts one pre-CAS image into the object pool: its
-// pages are read once, deduplicated against the pool, and re-homed behind a
-// page manifest; the .img file and its satellites are retired. An image
-// whose recorded digest (version-1 manifest or legacy .sha256 file) does
-// not match the bytes on disk is quarantined untouched instead. Reports
-// adopted=false with a reason when quarantined.
-func (s *Store) adoptLegacyLocked(rep *ScrubReport, key string, rec manifestEntry) (adopted bool, reason string, err error) {
-	path := s.legacyImagePath(key)
-	expect := rec.Digest
-	if expect == "" {
-		if raw, err := s.fs.ReadFile(s.digestPath(key)); err == nil {
-			expect = strings.TrimSpace(string(raw))
-		}
-	}
-	quarantine := func(why string) (bool, string, error) {
-		state := rec
-		state.State = EntryQuarantined
-		state.Reason = why
-		state.LegacyImage = true
-		if state.Digest == "" {
-			state.Digest = expect
-		}
-		s.man.Entries[key] = state
-		return false, why, nil
-	}
-
-	f, err := s.fs.Open(path)
-	if err != nil {
-		return false, "", fmt.Errorf("checkpoint: adopt %s: %w", key, err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return false, "", fmt.Errorf("checkpoint: adopt %s: %w", key, err)
-	}
-	if st.Size()%vm.PageSize != 0 {
-		return quarantine(fmt.Sprintf("image size %d not a multiple of the page size", st.Size()))
-	}
-	pages := int(st.Size() / vm.PageSize)
-
-	// One sequential read: whole-image digest, object keys and announce
-	// sums all in the same pass.
-	h := sha256.New()
-	pageKeys := make([]checksum.Sum, pages)
-	announce := make([]checksum.Sum, pages)
-	br := bufio.NewReaderSize(f, 1<<20)
-	buf := make([]byte, vm.PageSize)
-	for i := 0; i < pages; i++ {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return false, "", fmt.Errorf("checkpoint: adopt %s: read page %d: %w", key, i, err)
-		}
-		h.Write(buf)
-		pageKeys[i] = ObjectAlgorithm.Page(buf)
-		announce[i] = SidecarAlgorithm.Page(buf)
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); expect != "" && got != expect {
-		return quarantine(fmt.Sprintf("image digest mismatch (recorded %.12s, computed %.12s)", expect, got))
-	}
-
-	// Write the missing pages into a fresh segment, reading them back out
-	// of the image by offset.
-	newSlots := s.missingLocked(pageKeys)
-	segName := ""
-	if len(newSlots) > 0 {
-		segKeyList := make([]checksum.Sum, len(newSlots))
-		for i, slot := range newSlots {
-			segKeyList[i] = pageKeys[slot]
-		}
-		segName = segmentName(s.man.NextSeg + 1)
-		var readErr error
-		digest, err := writeSegment(s.fs, filepath.Join(s.dir, segName), segKeyList, func(i int, out []byte) {
-			if _, rerr := f.ReadAt(out, int64(newSlots[i])*vm.PageSize); rerr != nil && readErr == nil {
-				readErr = rerr
-			}
-		})
-		if err == nil && readErr != nil {
-			err = fmt.Errorf("checkpoint: adopt %s: %w", key, readErr)
-		}
-		if err != nil {
-			return false, "", err
-		}
-		s.man.NextSeg++
-		s.man.Segments[segName] = segmentRecord{Digest: digest, Pages: len(newSlots)}
-		s.registerSegmentLocked(segName, segKeyList)
-	}
-	pmfDigest, err := writePMF(s.fs, s.pmfPath(key), pageKeys)
-	if err != nil {
-		return false, "", err
-	}
-	if !s.noSidecar {
-		if err := writeSidecar(s.fs, s.sidecarPath(key), SidecarAlgorithm, st.Size(), pmfDigest,
-			pages, func(i int) checksum.Sum { return announce[i] }); err != nil {
-			return false, "", err
-		}
-	}
-	state := rec.State
-	if state == "" {
-		state = EntryComplete
-	}
-	s.man.Entries[key] = manifestEntry{State: state, Digest: pmfDigest, Size: st.Size(), Pages: pages}
-	s.registerEntryLocked(key, pageKeys)
-	s.sweepLocked(rep, path, SidecarPath(path), s.digestPath(key))
-	return true, "", nil
 }
 
 // sortedKeys returns a map's keys in sorted order, for deterministic scans.

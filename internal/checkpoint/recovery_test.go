@@ -37,18 +37,18 @@ func TestSaveSalvagePartialEntry(t *testing.T) {
 	if !s.Has("a") {
 		t.Error("partial entry should be servable")
 	}
-	if info.Digest == "" || !info.HasSidecar {
-		t.Errorf("salvage entry missing digest or sidecar: %+v", info)
+	if info.Digest == "" {
+		t.Errorf("salvage entry missing digest: %+v", info)
 	}
 	if _, ok, err := s.Generations("a"); err != nil || ok {
 		t.Errorf("partial entry has generations (ok=%v, err=%v)", ok, err)
 	}
-	cp, err := s.Restore("a", checksum.MD5, nil)
+	cp, err := s.Restore("a", checksum.Default, nil)
 	if err != nil {
 		t.Fatalf("restore partial: %v", err)
 	}
-	if cp.Sidecar() != SidecarHit {
-		t.Errorf("salvage restore sidecar = %v, want hit", cp.Sidecar())
+	if got := cp.IndexSource(); got != "keys" {
+		t.Errorf("salvage restore index source = %q, want keys", got)
 	}
 	cp.Close()
 
@@ -95,8 +95,7 @@ func TestKillPointMatrix(t *testing.T) {
 		{point: "image-synced", wantOld: true},       // segment tmp durable, before rename
 		{point: "image-renamed", wantOld: true},      // segment renamed but unrecorded: rolled back
 		{point: "pmf-written"},                       // page manifest replaced, store manifest stale
-		{point: "gens-written"},                      // satellite files written, manifest stale
-		{point: "sidecar-written"},                   // all files new, manifest still stale
+		{point: "gens-written"},                      // all files new, manifest still stale
 		{point: "manifest-committed", wantNew: true}, // transaction committed
 	}
 	for _, tc := range points {
@@ -153,7 +152,7 @@ func TestKillPointMatrix(t *testing.T) {
 					t.Error("recovered entry is not the pre-crash checkpoint")
 				}
 				dst := newVM(t, "a", 4, 99)
-				if cp, err := s2.Restore("a", checksum.MD5, dst); err != nil {
+				if cp, err := s2.Restore("a", checksum.Default, dst); err != nil {
 					t.Errorf("old checkpoint refused: %v", err)
 				} else {
 					cp.Close()
@@ -168,7 +167,7 @@ func TestKillPointMatrix(t *testing.T) {
 				if info.Digest == oldInfo.Digest {
 					t.Error("committed transaction still serves the old digest")
 				}
-				if cp, err := s2.Restore("a", checksum.MD5, nil); err != nil {
+				if cp, err := s2.Restore("a", checksum.Default, nil); err != nil {
 					t.Errorf("committed checkpoint refused: %v", err)
 				} else {
 					cp.Close()
@@ -180,7 +179,7 @@ func TestKillPointMatrix(t *testing.T) {
 				if s2.Has("a") {
 					t.Error("Has serves a quarantined entry")
 				}
-				if _, err := s2.Restore("a", checksum.MD5, nil); err == nil {
+				if _, err := s2.Restore("a", checksum.Default, nil); err == nil {
 					t.Error("Restore served a quarantined entry")
 				}
 			}
@@ -206,11 +205,7 @@ func TestKillPointMatrix(t *testing.T) {
 	}
 }
 
-func TestTornSegmentQuarantinedTornSidecarNot(t *testing.T) {
-	// A torn segment must quarantine every entry whose pages it held; a torn
-	// fingerprint sidecar must not — Restore validates sidecars
-	// independently and falls back to the rescan, so tearing one can cost
-	// time, never correctness.
+func TestTornSegmentQuarantinesOnlyItsEntries(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "s")
 	s, err := NewStore(dir)
 	if err != nil {
@@ -221,7 +216,7 @@ func TestTornSegmentQuarantinedTornSidecarNot(t *testing.T) {
 	if err := s.Save(filledVM(t, "seg-torn", 4, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(filledVM(t, "idx-torn", 4, 4)); err != nil {
+	if err := s.Save(filledVM(t, "intact", 4, 4)); err != nil {
 		t.Fatal(err)
 	}
 	// Tear the segment holding seg-torn's pages mid-payload.
@@ -234,10 +229,6 @@ func TestTornSegmentQuarantinedTornSidecarNot(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	// A torn sidecar is a truncation: the write stopped partway.
-	if err := os.Truncate(s.sidecarPath("idx-torn"), sidecarHeaderSize+5); err != nil {
-		t.Fatal(err)
-	}
 
 	s2, err := NewStore(dir)
 	if err != nil {
@@ -246,74 +237,56 @@ func TestTornSegmentQuarantinedTornSidecarNot(t *testing.T) {
 	if info, _ := s2.Entry("seg-torn"); info.State != EntryQuarantined {
 		t.Errorf("torn segment entry state = %v, want quarantined", info.State)
 	}
-	if _, err := s2.Restore("seg-torn", checksum.MD5, nil); err == nil {
+	if _, err := s2.Restore("seg-torn", checksum.Default, nil); err == nil {
 		t.Error("entry with a torn segment served")
 	}
-	if info, _ := s2.Entry("idx-torn"); info.State != EntryComplete {
-		t.Errorf("torn sidecar state = %v (%s), want complete", info.State, info.Reason)
+	if info, _ := s2.Entry("intact"); info.State != EntryComplete {
+		t.Errorf("intact entry state = %v (%s), want complete", info.State, info.Reason)
 	}
-	cp, err := s2.Restore("idx-torn", checksum.MD5, nil)
+	cp, err := s2.Restore("intact", checksum.Default, nil)
 	if err != nil {
-		t.Fatalf("torn sidecar must fall back, got %v", err)
-	}
-	if cp.Sidecar() != SidecarFallback {
-		t.Errorf("sidecar status = %v, want fallback", cp.Sidecar())
+		t.Fatalf("intact entry refused: %v", err)
 	}
 	cp.Close()
 }
 
-func TestRecoveryAdoptsLegacyImage(t *testing.T) {
-	// An image written by a pre-CAS store (no manifest record, legacy
-	// .sha256 digest file) is adopted into the object pool as a complete
-	// entry; one that fails its recorded digest is quarantined untouched.
+func TestRecoverySweepsRetiredIndexFiles(t *testing.T) {
+	// A store directory written while object keys and wire checksums were
+	// different digests carries one fingerprint index file per entry. Nothing
+	// reads them any more: opening the store unlinks them, next to a live
+	// entry or not, and the entries serve from their page manifests.
 	dir := filepath.Join(t.TempDir(), "s")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	v := filledVM(t, "legacy", 4, 4)
-	digest, err := writeImage(filepath.Join(dir, "legacy.img"), v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "legacy.img.sha256"), []byte(digest+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A second legacy image with bit rot under its recorded digest.
-	if _, err := writeImage(filepath.Join(dir, "rotten.img"), filledVM(t, "rotten", 4, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "rotten.img.sha256"), []byte(digest+"\n"), 0o644); err != nil {
-		t.Fatal(err) // digest of the other image: guaranteed mismatch
-	}
-
 	s, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, ok := s.Entry("legacy")
-	if !ok || info.State != EntryComplete || info.Digest == "" {
-		t.Errorf("legacy adoption = %+v, %v", info, ok)
+	v := filledVM(t, "a", 4, 1)
+	if err := s.Save(v); err != nil {
+		t.Fatal(err)
 	}
-	// Adopted: the content round-trips out of the pool, and the .img file
-	// is retired.
-	dst := newVM(t, "legacy", 4, 99)
-	cp, err := s.Restore("legacy", checksum.MD5, dst)
+	stale := []string{"a.pmf.idx", "gone.pmf.idx"}
+	for _, name := range stale {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("VCFP stale"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range stale {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s survived recovery (stat err = %v)", name, err)
+		}
+	}
+	dst := newVM(t, "a", 4, 99)
+	cp, err := s2.Restore("a", checksum.Default, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()
 	if !v.MemEqual(dst) {
-		t.Error("adopted legacy content differs from the original image")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "legacy.img")); !os.IsNotExist(err) {
-		t.Error("adopted legacy image file not retired")
-	}
-	// Quarantined: untouched for forensics.
-	if info, _ := s.Entry("rotten"); info.State != EntryQuarantined {
-		t.Errorf("rotten legacy image state = %v, want quarantined", info.State)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "rotten.img")); err != nil {
-		t.Error("quarantined legacy image file removed")
+		t.Error("restored content differs from the save")
 	}
 }
 

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -35,10 +36,10 @@ func metricsStore(t *testing.T) (*Store, *fakeMetrics, string) {
 	return s, m, dir
 }
 
-// TestSaveWithSumsMatchesSave is the ingest-equivalence contract: a save
-// fed a migration-recorded MD5 table must produce a byte-identical
-// fingerprint sidecar and an identically restorable entry, while skipping
-// the sidecar digest pass entirely.
+// TestSaveWithSumsMatchesSave is the ingest-equivalence contract: a save fed
+// a migration-recorded table under the key algorithm must produce a
+// byte-identical page manifest and an identically restorable entry, while
+// hashing nothing.
 func TestSaveWithSumsMatchesSave(t *testing.T) {
 	const pages = 64
 	v := filledVM(t, "a", pages, 1)
@@ -48,89 +49,74 @@ func TestSaveWithSumsMatchesSave(t *testing.T) {
 		t.Fatal(err)
 	}
 	sPre, mPre, dirPre := metricsStore(t)
-	if err := sPre.SaveWithSums(v, SidecarAlgorithm, vmSums(t, v, SidecarAlgorithm)); err != nil {
+	table := vmSums(t, v, ObjectAlgorithm)
+	if err := sPre.SaveWithSums(v, ObjectAlgorithm, table); err != nil {
 		t.Fatal(err)
 	}
+	// The entry's key list outlives the call; the caller's buffer does not
+	// have to.
+	clear(table)
 
-	// Same content, same layout: the sidecars must be byte-identical.
-	plain, err := os.ReadFile(SidecarPath(filepath.Join(dirPlain, "a"+pmfSuffix)))
+	plain, err := os.ReadFile(filepath.Join(dirPlain, "a"+pmfSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := os.ReadFile(SidecarPath(filepath.Join(dirPre, "a"+pmfSuffix)))
+	pre, err := os.ReadFile(filepath.Join(dirPre, "a"+pmfSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain, pre) {
-		t.Error("precomputed-sum save wrote a different sidecar than a rehashing save")
+		t.Error("precomputed-sum save wrote a different page manifest than a rehashing save")
 	}
 
-	// Both entries restore bit exactly.
+	// Both entries restore bit exactly and announce the guest's sums.
 	for name, s := range map[string]*Store{"plain": sPlain, "withsums": sPre} {
 		dst := newVM(t, "a", pages, 99)
-		cp, err := s.Restore("a", checksum.MD5, dst)
+		cp, err := s.Restore("a", checksum.Default, dst)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		cp.Close()
 		if !v.MemEqual(dst) {
 			t.Errorf("%s: restore lost data at page %d", name, v.FirstDifference(dst))
 		}
+		for i := 0; i < pages; i++ {
+			if !cp.SumSet().Contains(v.PageSum(i, checksum.Default)) {
+				t.Errorf("%s: page %d missing from the announcement", name, i)
+			}
+		}
+		cp.Close()
 	}
 
-	// Accounting: the plain save digested the image twice (keys + sidecar);
-	// the precomputed save paid only the SHA-256 keying scan and recycled
-	// the sidecar pass.
+	// Accounting: the plain save digested the image once; the precomputed
+	// save hashed nothing.
 	mem := v.MemBytes()
 	mPlain.mu.Lock()
-	if mPlain.hashed["save_keys"] != mem || mPlain.hashed["save_sidecar"] != mem || mPlain.unhashed != 0 {
-		t.Errorf("plain save accounting = %v avoided=%d, want both stages hashed", mPlain.hashed, mPlain.unhashed)
+	if len(mPlain.hashed) != 1 || mPlain.hashed["save_keys"] != mem || mPlain.unhashed != 0 {
+		t.Errorf("plain save accounting = %v avoided=%d, want one keying pass", mPlain.hashed, mPlain.unhashed)
 	}
 	mPlain.mu.Unlock()
 	mPre.mu.Lock()
-	if mPre.hashed["save_keys"] != mem || mPre.hashed["save_sidecar"] != 0 || mPre.unhashed != mem {
-		t.Errorf("withsums save accounting = %v avoided=%d, want sidecar pass recycled", mPre.hashed, mPre.unhashed)
+	if len(mPre.hashed) != 0 || mPre.unhashed != mem {
+		t.Errorf("withsums save accounting = %v avoided=%d, want nothing hashed and one guest avoided", mPre.hashed, mPre.unhashed)
 	}
 	mPre.mu.Unlock()
-}
 
-// TestSaveWithSumsObjectAlgorithm: a SHA-256 table substitutes for the
-// content-keying scan instead, and dedup still works against entries keyed
-// by the rehashing path.
-func TestSaveWithSumsObjectAlgorithm(t *testing.T) {
-	const pages = 8
-	v := filledVM(t, "a", pages, 1)
-	s, m, _ := metricsStore(t)
-	if err := s.Save(v); err != nil {
+	// Dedup identity is the same either way: re-saving the unchanged guest
+	// under a precomputed table adds no bytes to a pool the rehashing path
+	// keyed.
+	before := sPlain.Stats()
+	if err := sPlain.SaveWithSums(v, ObjectAlgorithm, vmSums(t, v, ObjectAlgorithm)); err != nil {
 		t.Fatal(err)
 	}
-	before := s.Stats()
-	// Re-save the unchanged VM under a precomputed key table: every page
-	// must dedup against the first save, with zero key-scan hashing.
-	if err := s.SaveWithSums(v, ObjectAlgorithm, vmSums(t, v, ObjectAlgorithm)); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().PhysicalBytes - before.PhysicalBytes; got != 0 {
+	if got := sPlain.Stats().PhysicalBytes - before.PhysicalBytes; got != 0 {
 		t.Errorf("identical re-save grew the pool by %d bytes", got)
 	}
-	m.mu.Lock()
-	if m.hashed["save_keys"] != v.MemBytes() || m.unhashed != v.MemBytes() {
-		t.Errorf("accounting = %v avoided=%d, want first save's key scan hashed and second's recycled", m.hashed, m.unhashed)
-	}
-	m.mu.Unlock()
-	dst := newVM(t, "a", pages, 99)
-	cp, err := s.Restore("a", checksum.MD5, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.Close()
-	if !v.MemEqual(dst) {
-		t.Error("restore after keyed re-save lost data")
-	}
 }
 
-// TestSaveWithSumsFallback: a table that does not cover the image — wrong
-// length or no valid algorithm — silently degrades to the rehashing path.
+// TestSaveWithSumsFallback: a table the save cannot use as keys — wrong
+// length, no algorithm, or another algorithm, strong or not — makes it rehash
+// the guest once, accounted as save_keys, never fail and never key pages by
+// the wrong digest.
 func TestSaveWithSumsFallback(t *testing.T) {
 	const pages = 8
 	v := filledVM(t, "a", pages, 1)
@@ -138,10 +124,11 @@ func TestSaveWithSumsFallback(t *testing.T) {
 		alg  checksum.Algorithm
 		sums []checksum.Sum
 	}{
-		"nil-table":   {SidecarAlgorithm, nil},
-		"short-table": {SidecarAlgorithm, make([]checksum.Sum, pages-1)},
+		"nil-table":   {ObjectAlgorithm, nil},
+		"short-table": {ObjectAlgorithm, make([]checksum.Sum, pages-1)},
 		"zero-alg":    {0, make([]checksum.Sum, pages)},
-		"foreign-alg": {checksum.FNV, vmSums(t, v, checksum.FNV)},
+		"weak-alg":    {checksum.FNV, vmSums(t, v, checksum.FNV)},
+		"md5":         {checksum.MD5, vmSums(t, v, checksum.MD5)},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -151,12 +138,17 @@ func TestSaveWithSumsFallback(t *testing.T) {
 			}
 			mem := v.MemBytes()
 			m.mu.Lock()
-			if m.hashed["save_keys"] != mem || m.hashed["save_sidecar"] != mem || m.unhashed != 0 {
-				t.Errorf("accounting = %v avoided=%d, want full fallback rehash", m.hashed, m.unhashed)
+			if len(m.hashed) != 1 || m.hashed["save_keys"] != mem || m.unhashed != 0 {
+				t.Errorf("accounting = %v avoided=%d, want one fallback rehash", m.hashed, m.unhashed)
 			}
 			m.mu.Unlock()
+			for i, k := range s.keys["a"] {
+				if k != v.PageSum(i, ObjectAlgorithm) {
+					t.Fatalf("page %d keyed %s, want its %v digest", i, k, ObjectAlgorithm)
+				}
+			}
 			dst := newVM(t, "a", pages, 99)
-			cp, err := s.Restore("a", checksum.MD5, dst)
+			cp, err := s.Restore("a", checksum.Default, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,5 +157,88 @@ func TestSaveWithSumsFallback(t *testing.T) {
 				t.Error("fallback save lost data")
 			}
 		})
+	}
+}
+
+// TestRestoreSumsMatchGuest: whatever path produced them, the checksums a
+// restore serves are the restored guest's own — the reference RangeSums of the
+// bytes it installed — page for page: in the checkpoint's index, in its
+// announcement, and in the digest table it seeded the guest with. Key-algorithm
+// opens (sums are the entry's keys) and other-algorithm opens (rescan), complete
+// and salvage entries, with and without a guest to install into.
+func TestRestoreSumsMatchGuest(t *testing.T) {
+	const pages = 600 // more than two restore spans, so the fan-out runs
+	v := filledVM(t, "a", pages, 1)
+	zero := make([]byte, vm.PageSize)
+	v.WritePage(7, zero) // duplicates and the memoized zero digest
+	v.WritePage(300, zero)
+	saves := map[string]func(*Store) error{
+		"complete": func(s *Store) error { return s.Save(v) },
+		"withsums": func(s *Store) error {
+			return s.SaveWithSums(v, ObjectAlgorithm, vmSums(t, v, ObjectAlgorithm))
+		},
+		"salvage": func(s *Store) error { return s.SaveSalvage(v) },
+	}
+	for saveName, save := range saves {
+		for _, alg := range []checksum.Algorithm{ObjectAlgorithm, checksum.MD5} {
+			for _, install := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%s/%v/install=%v", saveName, alg, install), func(t *testing.T) {
+					s, m, _ := metricsStore(t)
+					if err := save(s); err != nil {
+						t.Fatal(err)
+					}
+					defer func() {
+						// A rescan is accounted, a key-list open has nothing to account.
+						var want int64
+						if alg != ObjectAlgorithm {
+							want = v.MemBytes()
+						}
+						m.mu.Lock()
+						defer m.mu.Unlock()
+						if m.hashed["restore"] != want {
+							t.Errorf("restore hashed %d bytes, want %d", m.hashed["restore"], want)
+						}
+					}()
+					var dst *vm.VM
+					if install {
+						dst = newVM(t, "a", pages, 99)
+					}
+					cp, err := s.Restore("a", alg, dst)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer cp.Close()
+					guest := v
+					if install {
+						if !v.MemEqual(dst) {
+							t.Fatalf("restore lost data at page %d", v.FirstDifference(dst))
+						}
+						guest = dst
+					}
+					want := guest.RangeSums(0, pages, alg, nil)
+					for i, e := range cp.index.entries { // page order until the first lookup
+						if e.sum != want[i] {
+							t.Fatalf("index sum of page %d = %s, want %s", i, e.sum, want[i])
+						}
+					}
+					distinct := checksum.NewSet(pages)
+					distinct.AddAll(want)
+					if cp.SumSet().Len() != distinct.Len() || cp.SumSet().IntersectCount(distinct) != distinct.Len() {
+						t.Errorf("announcement holds %d sums, guest has %d distinct", cp.SumSet().Len(), distinct.Len())
+					}
+					if install {
+						got, hashed := dst.Digests(0, pages, alg, nil)
+						if hashed != 0 {
+							t.Errorf("restore left %d pages without a digest", hashed)
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("guest digest table page %d = %s, want %s", i, got[i], want[i])
+							}
+						}
+					}
+				})
+			}
+		}
 	}
 }

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"vecycle/internal/checksum"
 	"vecycle/internal/dirtytrack"
@@ -30,7 +32,7 @@ import (
 // pool drive a GC pass (gc.go) that deletes and compacts dead segments.
 //
 // Alongside each entry the store keeps a Miyakodori generation-vector
-// sidecar, so the dirty-tracking baseline can be driven from the same
+// file, so the dirty-tracking baseline can be driven from the same
 // stored state.
 //
 // The store is crash-consistent: every file reaches its name via
@@ -48,7 +50,6 @@ type Store struct {
 	man             manifestFile
 	quota           int64
 	verifyOnRestore bool
-	noSidecar       bool
 
 	// In-memory view of the object pool, rebuilt from the manifest and the
 	// segment key tables by the recovery scan — never persisted, so it can
@@ -82,15 +83,17 @@ type Metrics interface {
 	// GCRun reports a completed GC pass; outcome is "reclaimed" when the
 	// pass deleted or compacted at least one segment, "clean" otherwise.
 	GCRun(outcome string)
-	// HashBytes reports n payload bytes a Save digested itself; stage is
-	// "save_keys" (the SHA-256 content-keying scan) or "save_sidecar" (the
-	// fingerprint sidecar build).
+	// HashBytes reports n payload bytes the store digested itself, by stage:
+	// "save_keys" is the content-keying rehash a save runs when its caller's
+	// digest table is absent or under another algorithm, "restore" the
+	// rescan of a Restore or OpenUnion under an algorithm the store does not
+	// key by. A migration under ObjectAlgorithm reports neither.
 	HashBytes(stage string, n int64)
 	// HashAvoidedBytes reports n payload bytes whose digests were supplied
 	// precomputed by the caller (SaveWithSums) instead of recomputed.
 	HashAvoidedBytes(n int64)
-	// CleanupError reports a best-effort cleanup (superseded legacy files,
-	// satellite sweeps) that failed to remove path. The store carries on —
+	// CleanupError reports a best-effort cleanup (satellite sweeps, files
+	// of a retired format) that failed to remove path. The store carries on —
 	// the file is garbage, not state — but silent failures used to hide
 	// sick disks, so every one is now counted.
 	CleanupError(path string)
@@ -132,8 +135,7 @@ func (s *Store) drainMetrics() {
 }
 
 // NewStore opens (creating if needed) a checkpoint store rooted at dir and
-// runs the crash-recovery scan — including adoption of legacy per-image
-// checkpoints into the object pool — before returning.
+// runs the crash-recovery scan before returning.
 func NewStore(dir string) (*Store, error) {
 	return NewStoreFS(dir, faultfs.OS)
 }
@@ -176,16 +178,6 @@ func (s *Store) pmfPath(vmName string) string {
 	return filepath.Join(s.dir, sanitize(vmName)+pmfSuffix)
 }
 
-// sidecarPath reports where the named VM's fingerprint sidecar lives.
-func (s *Store) sidecarPath(vmName string) string {
-	return SidecarPath(s.pmfPath(vmName))
-}
-
-// legacyImagePath reports where a pre-CAS store kept the named VM's image.
-func (s *Store) legacyImagePath(vmName string) string {
-	return filepath.Join(s.dir, sanitize(vmName)+".img")
-}
-
 func (s *Store) genPath(vmName string) string {
 	return filepath.Join(s.dir, sanitize(vmName)+".gens.json")
 }
@@ -214,54 +206,40 @@ func (s *Store) Has(vmName string) bool {
 // rewritten. When a quota is set, dead segments are collected and then
 // least-recently-used entries are evicted until the new pages fit.
 func (s *Store) Save(source *vm.VM) error {
-	s.mu.Lock()
-	_, err := s.saveLocked(source, EntryComplete, nil)
-	s.mu.Unlock()
-	s.drainMetrics()
-	return err
+	return s.SaveWithSums(source, 0, nil)
 }
 
 // SaveWithSums is Save with a caller-supplied per-page digest table —
 // typically the sums a migration recorded (core.DestResult.PageSums on
-// arrival, core.SumTable on departure) — so the digest pass matching alg is
-// skipped: the sidecar build when alg is SidecarAlgorithm, the
-// content-keying scan when it is ObjectAlgorithm. The other pass still
-// recomputes its own algorithm from the image.
+// arrival, core.SumTable on departure). A table under ObjectAlgorithm becomes
+// the entry's page keys as it stands and the save hashes nothing.
 //
 // The caller asserts sums[i] is alg's digest of the VM's current page i. A
-// wrong table poisons what that pass would have produced (a sidecar is
-// trusted on warm restore; content keys decide dedup identity), so hand over
-// only tables the migration protocol itself vouched for. A nil/short/alien
-// table is not an error — the save silently falls back to rehashing, so
-// callers need no special-casing for failed or untracked migrations.
+// wrong table poisons the entry (content keys decide dedup identity and are
+// what the next restore announces), so hand over only tables the migration
+// protocol itself vouched for. A nil, short or other-algorithm table is not
+// an error — the save rehashes the guest once, counted under the save_keys
+// stage, so callers need no special-casing for failed or untracked
+// migrations or for runs under another checksum.
 func (s *Store) SaveWithSums(source *vm.VM, alg checksum.Algorithm, sums []checksum.Sum) error {
-	var pre *preSums
-	if len(sums) == source.NumPages() && alg.Valid() {
-		pre = &preSums{alg: alg, sums: sums}
+	var pageKeys []checksum.Sum
+	if alg == ObjectAlgorithm && len(sums) == source.NumPages() {
+		// Copied: the entry's key list outlives the call (restores serve
+		// their announcement from it) and must not alias a caller's buffer.
+		pageKeys = append(pageKeys, sums...)
 	}
 	s.mu.Lock()
-	_, err := s.saveLocked(source, EntryComplete, pre)
+	_, err := s.saveLocked(source, EntryComplete, pageKeys)
 	s.mu.Unlock()
 	s.drainMetrics()
 	return err
 }
 
-// preSums is a caller-supplied digest table threaded into one save
-// transaction; covers reports whether it substitutes for a pass under alg.
-type preSums struct {
-	alg  checksum.Algorithm
-	sums []checksum.Sum
-}
-
-func (p *preSums) covers(alg checksum.Algorithm, pages int) bool {
-	return p != nil && p.alg == alg && len(p.sums) == pages
-}
-
 // SaveSalvage persists the VM's memory as a salvage checkpoint: a partial
 // entry holding whatever pages an interrupted incoming migration had
-// installed, with its own page manifest and fingerprint sidecar. The next
-// incoming attempt announces its page sums like any checkpoint, so the
-// source resends only what is missing. No generation vector is written —
+// installed, with its own page manifest. The next incoming attempt announces
+// its page sums like any checkpoint, so the source resends only what is
+// missing. No generation vector is written —
 // a partial image is not a coherent guest state — and any stale one from
 // a previous complete checkpoint is removed.
 func (s *Store) SaveSalvage(source *vm.VM) error {
@@ -353,22 +331,20 @@ func (s *Store) uniqueBytesLocked(key string) int64 {
 }
 
 // saveLocked runs one save transaction. Write order is: new segment (only
-// the pages the pool is missing), page manifest, generation vector,
-// fingerprint sidecar, then — the commit point — the store manifest. A
-// crash before the manifest commit leaves the previous transaction's
-// manifest in charge: recovery rolls back unrecorded segments and
-// quarantines the entry if its pmf was already replaced.
+// the pages the pool is missing), page manifest, generation vector, then —
+// the commit point — the store manifest. A crash before the manifest commit
+// leaves the previous transaction's manifest in charge: recovery rolls back
+// unrecorded segments and quarantines the entry if its pmf was already
+// replaced.
 //
-// pre, when non-nil, carries a caller-supplied digest table (SaveWithSums)
-// that substitutes for whichever digest pass matches its algorithm; the
-// hash/hash-avoided metric events account each pass either way.
-func (s *Store) saveLocked(source *vm.VM, state EntryState, pre *preSums) (dedup int, err error) {
+// pageKeys, when non-nil, is the guest's page-ordered digest table under
+// ObjectAlgorithm (SaveWithSums); nil makes the save compute it — the one
+// digest pass a save can have, accounted as hashed or avoided either way.
+func (s *Store) saveLocked(source *vm.VM, state EntryState, pageKeys []checksum.Sum) (dedup int, err error) {
 	name := source.Name()
 	key := sanitize(name)
 	memBytes := source.MemBytes()
-	var pageKeys []checksum.Sum
-	if pre.covers(ObjectAlgorithm, source.NumPages()) {
-		pageKeys = pre.sums
+	if pageKeys != nil {
 		s.deferMetricLocked(func(m Metrics) { m.HashAvoidedBytes(memBytes) })
 	} else {
 		pageKeys = pageSums(source, ObjectAlgorithm)
@@ -420,33 +396,6 @@ func (s *Store) saveLocked(source *vm.VM, state EntryState, pre *preSums) (dedup
 	if err := kill("gens-written"); err != nil {
 		return 0, err
 	}
-	if !s.noSidecar {
-		// Persist the fingerprint sidecar so the next Restore warm-starts
-		// instead of rehashing every page. Anchored to the pmf digest: a
-		// sidecar describing a different page manifest is stale. A
-		// migration-recorded table under the sidecar algorithm (the common
-		// SaveWithSums case) goes straight to the writer.
-		var sums []checksum.Sum
-		if pre.covers(SidecarAlgorithm, source.NumPages()) {
-			sums = pre.sums
-			s.deferMetricLocked(func(m Metrics) { m.HashAvoidedBytes(memBytes) })
-		} else {
-			sums = pageSums(source, SidecarAlgorithm)
-			s.deferMetricLocked(func(m Metrics) { m.HashBytes("save_sidecar", memBytes) })
-		}
-		if err := writeSidecar(s.fs, s.sidecarPath(name), SidecarAlgorithm,
-			source.MemBytes(), pmfDigest, len(sums), func(i int) checksum.Sum { return sums[i] }); err != nil {
-			return 0, err
-		}
-	}
-	if err := kill("sidecar-written"); err != nil {
-		return 0, err
-	}
-	// A superseded legacy digest record must not outlive the entry it
-	// described; the manifest carries the digest from here on.
-	if err := s.fs.Remove(s.digestPath(name)); err != nil && !os.IsNotExist(err) {
-		return 0, fmt.Errorf("checkpoint: remove legacy digest: %w", err)
-	}
 	// Transaction commit: the manifest is written LAST, so a crash at any
 	// earlier point leaves recorded digests that no longer match the disk —
 	// which the recovery scan quarantines instead of serving.
@@ -468,110 +417,104 @@ func (s *Store) saveLocked(source *vm.VM, state EntryState, pre *preSums) (dedup
 		n := dedup
 		s.deferMetricLocked(func(m Metrics) { m.DedupPages(n) })
 	}
-	// A save over an un-adopted legacy entry supersedes its image files.
-	for _, p := range []string{s.legacyImagePath(name), SidecarPath(s.legacyImagePath(name))} {
-		s.cleanupLocked(p)
-	}
 	return dedup, nil
 }
 
-// cleanupLocked removes a best-effort file: one whose survival costs bytes
-// but never correctness. A failure is counted (CleanupError metric) rather
-// than silently dropped or escalated — a disk that cannot even unlink is
-// news the operator wants.
-func (s *Store) cleanupLocked(path string) {
-	if err := s.fs.Remove(path); err != nil && !os.IsNotExist(err) {
-		p := path
-		s.deferMetricLocked(func(m Metrics) { m.CleanupError(p) })
+// minPagesPerSumWorker keeps the parallel keying scan from fanning out
+// over trivially small guests; mirrors the migration engine's checksum
+// fan-out granularity.
+const minPagesPerSumWorker = 256
+
+// sumChunkPages is the contiguous span one pageSums worker claims per grab:
+// large enough that a single ReadRange (one VM lock acquisition, one
+// contiguous copy) amortizes across many hashes, small enough that the tail
+// of the image still balances across the pool.
+const sumChunkPages = 256
+
+// pageSums computes the per-page sums of a live VM. Workers claim contiguous
+// sumChunkPages-sized spans off an atomic cursor and copy each span out with
+// one ReadRange before hashing — page-at-a-time PageSum calls paid one lock
+// round-trip per 4 KiB. This is the rehash a save runs when no digest table
+// under ObjectAlgorithm came with it.
+func pageSums(v *vm.VM, alg checksum.Algorithm) []checksum.Sum {
+	pages := v.NumPages()
+	sums := make([]checksum.Sum, pages)
+	chunk := sumChunkPages
+	if pages < chunk {
+		chunk = pages
 	}
-}
-
-// SidecarAlgorithm is the checksum algorithm Store.Save records in the
-// fingerprint sidecar. Restores requesting a different algorithm fall back
-// to the rescan path and rewrite the sidecar under the requested one.
-const SidecarAlgorithm = checksum.MD5
-
-// SetNoSidecar disables the fingerprint sidecar for this store: Save skips
-// writing it and Restore neither reads nor rewrites one. Escape hatch for
-// debugging and for hosts where the extra ~0.4 % of logical size matters.
-func (s *Store) SetNoSidecar(on bool) { s.noSidecar = on }
-
-// NoSidecar reports whether the fingerprint sidecar is disabled.
-func (s *Store) NoSidecar() bool { return s.noSidecar }
-
-// resolveLocked maps page keys to open-file page references, opening each
-// backing segment once. The returned files are owned by the caller (they
-// become the Checkpoint's, closed on its Close). Because the fds are opened
-// under the store lock, a concurrent GC deleting a compacted segment only
-// unlinks the name — the handle keeps serving the old bytes.
-func (s *Store) resolveLocked(pageKeys []checksum.Sum) (refs []pageRef, files []faultfs.File, err error) {
-	open := map[string]faultfs.File{}
-	defer func() {
-		if err != nil {
-			for _, f := range files {
-				f.Close()
+	var next atomic.Int64
+	scan := func() {
+		buf := make([]byte, chunk*vm.PageSize)
+		for {
+			start := int(next.Add(int64(chunk))) - chunk
+			if start >= pages {
+				return
+			}
+			cnt := chunk
+			if start+cnt > pages {
+				cnt = pages - start
+			}
+			span := buf[:cnt*vm.PageSize]
+			v.ReadRange(start, cnt, span)
+			for i := 0; i < cnt; i++ {
+				sums[start+i] = alg.Page(span[i*vm.PageSize : (i+1)*vm.PageSize])
 			}
 		}
-	}()
-	refs = make([]pageRef, len(pageKeys))
+	}
+	workers := runtime.GOMAXPROCS(0)
+	if workers > pages/minPagesPerSumWorker {
+		workers = pages / minPagesPerSumWorker
+	}
+	if workers < 2 {
+		scan()
+		return sums
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scan()
+		}()
+	}
+	wg.Wait()
+	return sums
+}
+
+// resolveLocked maps page keys to open-file page references, opening each
+// backing segment once into open (segment name → handle), which the caller
+// owns: its files become the Checkpoint's, closed on its Close, or are closed
+// by the caller on failure. Because the fds are opened under the store lock,
+// a concurrent GC deleting a compacted segment only unlinks the name — the
+// handle keeps serving the old bytes.
+func (s *Store) resolveLocked(pageKeys []checksum.Sum, open map[string]faultfs.File) ([]pageRef, error) {
+	refs := make([]pageRef, len(pageKeys))
 	for i, k := range pageKeys {
 		loc, ok := s.objects[k]
 		if !ok {
-			return nil, nil, fmt.Errorf("checkpoint: object %s missing from pool", k)
+			return nil, fmt.Errorf("checkpoint: object %s missing from pool", k)
 		}
 		f := open[loc.seg]
 		if f == nil {
-			f, err = s.fs.Open(filepath.Join(s.dir, loc.seg))
-			if err != nil {
-				return nil, nil, fmt.Errorf("checkpoint: open segment: %w", err)
+			var err error
+			if f, err = s.fs.Open(filepath.Join(s.dir, loc.seg)); err != nil {
+				return nil, fmt.Errorf("checkpoint: open segment: %w", err)
 			}
 			open[loc.seg] = f
-			files = append(files, f)
 		}
 		refs[i] = pageRef{f: f, off: loc.off}
 	}
-	return refs, files, nil
+	return refs, nil
 }
 
-// Restore opens the named VM's checkpoint, installing its pages into dst
-// (when non-nil) and returning the indexed handle for the merge phase.
-// Quarantined entries are refused: a checkpoint that failed its integrity
-// check is never served.
-func (s *Store) Restore(vmName string, alg checksum.Algorithm, dst *vm.VM) (*Checkpoint, error) {
-	if !alg.Valid() {
-		return nil, fmt.Errorf("checkpoint: invalid checksum algorithm")
+// openFiles lists the handles resolveLocked opened.
+func openFiles(open map[string]faultfs.File) []faultfs.File {
+	files := make([]faultfs.File, 0, len(open))
+	for _, f := range open {
+		files = append(files, f)
 	}
-	s.mu.Lock()
-	info, ok := s.entryLocked(vmName)
-	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("checkpoint: no checkpoint for %q: %w", vmName, os.ErrNotExist)
-	}
-	if info.State == EntryQuarantined {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("checkpoint: %q is quarantined (%s); refusing to serve", vmName, info.Reason)
-	}
-	pageKeys := s.keys[sanitize(vmName)]
-	refs, files, err := s.resolveLocked(pageKeys)
-	noSidecar := s.noSidecar
-	verify := s.verifyOnRestore
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if verify {
-		if err := s.Verify(vmName); err != nil {
-			closeAll(files)
-			return nil, err
-		}
-	}
-	cp, err := s.openEntry(vmName, alg, dst, info, refs, files, noSidecar)
-	if err != nil {
-		closeAll(files)
-		return nil, err
-	}
-	s.touch(vmName)
-	return cp, nil
+	return files
 }
 
 func closeAll(files []faultfs.File) {
@@ -580,51 +523,83 @@ func closeAll(files []faultfs.File) {
 	}
 }
 
-// openEntry builds a Checkpoint for one entry from resolved page refs,
-// loading announce sums from the fingerprint sidecar when possible and
-// rescanning (reading and hashing every page, then rewriting the sidecar)
-// otherwise. dst, when non-nil, receives every page and — its digest table —
-// the page's sum under alg.
-func (s *Store) openEntry(vmName string, alg checksum.Algorithm, dst *vm.VM, info EntryInfo, refs []pageRef, files []faultfs.File, noSidecar bool) (*Checkpoint, error) {
-	pages := len(refs)
-	if dst != nil && dst.NumPages() != pages {
-		return nil, fmt.Errorf("checkpoint: image has %d pages, VM has %d", pages, dst.NumPages())
+// Restore opens the named VM's checkpoint, installing its pages into dst
+// (when non-nil) and returning the indexed handle for the merge phase.
+// Quarantined entries are refused: a checkpoint that failed its integrity
+// check is never served.
+//
+// Under ObjectAlgorithm the checkpoint's checksums are the entry's page keys,
+// already in memory: the open reads no file and hashes nothing, and pages are
+// read only to install them into dst. Any other algorithm takes the rescan of
+// §3.3 — every page read and hashed under alg — on every open: nothing is
+// cached for an algorithm the store does not key by.
+func (s *Store) Restore(vmName string, alg checksum.Algorithm, dst *vm.VM) (*Checkpoint, error) {
+	if !alg.Valid() {
+		return nil, fmt.Errorf("checkpoint: invalid checksum algorithm")
 	}
-	logical := int64(pages) * vm.PageSize
-	status := SidecarDisabled
-	var sums []checksum.Sum
-	if !noSidecar {
-		var serr error
-		sums, serr = loadSidecar(s.fs, s.sidecarPath(vmName), alg, logical, info.Digest)
-		switch {
-		case serr == nil:
-			status = SidecarHit
-		case os.IsNotExist(serr):
-			status = SidecarMiss
-		default:
-			status = SidecarFallback
+	key := sanitize(vmName)
+	s.mu.Lock()
+	e, ok := s.man.Entries[key]
+	if !ok {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("checkpoint: no checkpoint for %q: %w", vmName, os.ErrNotExist)
+	}
+	if e.State == EntryQuarantined {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("checkpoint: %q is quarantined (%s); refusing to serve", vmName, e.Reason)
+	}
+	pageKeys := s.keys[key]
+	open := map[string]faultfs.File{}
+	refs, err := s.resolveLocked(pageKeys, open)
+	verify := s.verifyOnRestore
+	s.mu.Unlock()
+	files := openFiles(open)
+	fail := func(err error) (*Checkpoint, error) {
+		closeAll(files)
+		return nil, err
+	}
+	if err != nil {
+		return fail(err)
+	}
+	if verify {
+		if err := s.Verify(vmName); err != nil {
+			return fail(err)
 		}
 	}
-	if sums == nil {
-		// Rescan: read every page out of the pool and hash it under alg.
-		sums = make([]checksum.Sum, pages)
-		if err := loadPages(refs, alg, sums, true, dst); err != nil {
-			return nil, err
-		}
-		if !noSidecar {
-			// Self-heal: persist the rebuilt sums so the next Restore under
-			// this algorithm is warm. Best effort — a failed rewrite only
-			// costs the next Restore a rescan.
-			_ = writeSidecar(s.fs, s.sidecarPath(vmName), alg, logical, info.Digest,
-				pages, func(i int) checksum.Sum { return sums[i] })
-		}
-	} else if dst != nil {
-		// Warm hit with an install: a plain read of every page, no hashing.
-		if err := loadPages(refs, alg, sums, false, dst); err != nil {
-			return nil, err
-		}
+	if dst != nil && dst.NumPages() != len(refs) {
+		return fail(fmt.Errorf("checkpoint: image has %d pages, VM has %d", len(refs), dst.NumPages()))
 	}
-	return newCheckpoint(alg, sums, refs, files, status), nil
+	sums, err := s.entrySums(pageKeys, refs, alg, dst)
+	s.drainMetrics()
+	if err != nil {
+		return fail(err)
+	}
+	s.touch(vmName)
+	return newCheckpoint(alg, sums, refs, files), nil
+}
+
+// entrySums returns an entry's page-ordered checksums under alg: the page keys
+// themselves when alg keys the store, a rescan of every page — accounted as
+// the "restore" hash stage — otherwise. dst, when non-nil, receives every page
+// and — its digest table — the page's sum under alg. An entry's key list is
+// never modified after its save, so the returned slice may alias it. Called
+// without s.mu; the caller drains the metric.
+func (s *Store) entrySums(pageKeys []checksum.Sum, refs []pageRef, alg checksum.Algorithm, dst *vm.VM) ([]checksum.Sum, error) {
+	if alg == ObjectAlgorithm {
+		if dst == nil {
+			return pageKeys, nil
+		}
+		return pageKeys, loadPages(refs, alg, pageKeys, false, dst)
+	}
+	sums := make([]checksum.Sum, len(refs))
+	if err := loadPages(refs, alg, sums, true, dst); err != nil {
+		return nil, err
+	}
+	n := int64(len(refs)) * vm.PageSize
+	s.mu.Lock()
+	s.deferMetricLocked(func(m Metrics) { m.HashBytes("restore", n) })
+	s.mu.Unlock()
+	return sums, nil
 }
 
 // restoreFanout caps the goroutines one Restore reads its pages with. A
@@ -722,97 +697,42 @@ func (s *Store) OpenUnion(alg checksum.Algorithm) (*Checkpoint, []string, error)
 		return nil, nil, fmt.Errorf("checkpoint: invalid checksum algorithm")
 	}
 	type unionEntry struct {
-		info EntryInfo
+		name string
 		keys []checksum.Sum
 		refs []pageRef
 	}
 	s.mu.Lock()
-	var candidates []string
-	for key, e := range s.man.Entries {
-		if e.State != EntryQuarantined {
-			candidates = append(candidates, key)
-		}
-	}
-	sort.Strings(candidates)
-	entries := make([]unionEntry, 0, len(candidates))
-	var files []faultfs.File
+	var entries []unionEntry
 	open := map[string]faultfs.File{}
-	for _, key := range candidates {
-		info, _ := s.entryLocked(key)
-		pageKeys := s.keys[key]
-		refs := make([]pageRef, len(pageKeys))
-		var resolveErr error
-		for i, k := range pageKeys {
-			loc, ok := s.objects[k]
-			if !ok {
-				resolveErr = fmt.Errorf("checkpoint: object %s missing from pool", k)
-				break
-			}
-			f := open[loc.seg]
-			if f == nil {
-				f, resolveErr = s.fs.Open(filepath.Join(s.dir, loc.seg))
-				if resolveErr != nil {
-					break
-				}
-				open[loc.seg] = f
-				files = append(files, f)
-			}
-			refs[i] = pageRef{f: f, off: loc.off}
+	for _, key := range sortedKeys(s.man.Entries) {
+		if s.man.Entries[key].State == EntryQuarantined {
+			continue
 		}
-		if resolveErr != nil {
-			fault := faultfs.Label(resolveErr)
+		refs, err := s.resolveLocked(s.keys[key], open)
+		if err != nil {
+			fault := faultfs.Label(err)
 			s.deferMetricLocked(func(m Metrics) { m.Degraded("union-read", fault) })
 			continue
 		}
-		entries = append(entries, unionEntry{info: info, keys: pageKeys, refs: refs})
+		entries = append(entries, unionEntry{name: key, keys: s.keys[key], refs: refs})
 	}
-	noSidecar := s.noSidecar
 	s.mu.Unlock()
 	defer s.drainMetrics()
-	if len(entries) == 0 {
-		closeAll(files)
-		return nil, nil, nil
-	}
-	cp := &Checkpoint{
-		alg:     alg,
-		files:   files,
-		sums:    checksum.NewSet(0),
-		sidecar: SidecarHit,
-	}
+	files := openFiles(open)
+	cp := &Checkpoint{alg: alg, files: files, sums: checksum.NewSet(0)}
 	var names []string
-	buf := make([]byte, vm.PageSize)
 	for _, ue := range entries {
-		logical := int64(len(ue.keys)) * vm.PageSize
-		var sums []checksum.Sum
-		if !noSidecar {
-			if got, err := loadSidecar(s.fs, s.sidecarPath(ue.info.Name), alg, logical, ue.info.Digest); err == nil {
-				sums = got
-			}
+		// A read error (rescans only) skips the entry: nothing of it has
+		// been folded into the union yet.
+		sums, err := s.entrySums(ue.keys, ue.refs, alg, nil)
+		if err != nil {
+			fault := faultfs.Label(err)
+			s.mu.Lock()
+			s.deferMetricLocked(func(m Metrics) { m.Degraded("union-read", fault) })
+			s.mu.Unlock()
+			continue
 		}
-		if sums == nil {
-			// Rescan this entry's pages; no sidecar self-heal here — the
-			// union is read-mostly and must not race a concurrent Save on
-			// the entry's own files. A read error skips the entry: nothing
-			// of it has been folded into the union yet.
-			cp.sidecar = SidecarMiss
-			sums = make([]checksum.Sum, len(ue.refs))
-			readErr := error(nil)
-			for i, ref := range ue.refs {
-				if _, err := ref.f.ReadAt(buf, ref.off); err != nil {
-					readErr = err
-					break
-				}
-				sums[i] = alg.Page(buf)
-			}
-			if readErr != nil {
-				fault := faultfs.Label(readErr)
-				s.mu.Lock()
-				s.deferMetricLocked(func(m Metrics) { m.Degraded("union-read", fault) })
-				s.mu.Unlock()
-				continue
-			}
-		}
-		names = append(names, ue.info.Name)
+		names = append(names, ue.name)
 		for i, sum := range sums {
 			if cp.sums.Contains(sum) {
 				continue
@@ -825,7 +745,6 @@ func (s *Store) OpenUnion(alg checksum.Algorithm) (*Checkpoint, []string, error)
 		closeAll(files)
 		return nil, nil, nil
 	}
-	cp.index.sort()
 	return cp, names, nil
 }
 
@@ -846,7 +765,7 @@ func (s *Store) Generations(vmName string) (dirtytrack.GenVector, bool, error) {
 	return gens, true, nil
 }
 
-// Remove deletes the named VM's entry — page manifest, sidecars and
+// Remove deletes the named VM's entry — page manifest, generation vector and
 // manifest record — and releases its object references. The only way out
 // of quarantine. Object payloads stay pooled until a GC pass collects the
 // segments nothing references anymore.
@@ -858,13 +777,8 @@ func (s *Store) Remove(vmName string) error {
 
 func (s *Store) removeLocked(vmName string) error {
 	key := sanitize(vmName)
-	e, recorded := s.man.Entries[key]
-	paths := []string{s.pmfPath(vmName), s.sidecarPath(vmName), s.genPath(vmName), s.digestPath(vmName)}
-	if e.LegacyImage {
-		img := s.legacyImagePath(vmName)
-		paths = append(paths, img, SidecarPath(img))
-	}
-	for _, p := range paths {
+	_, recorded := s.man.Entries[key]
+	for _, p := range []string{s.pmfPath(vmName), s.genPath(vmName)} {
 		if err := s.fs.Remove(p); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("checkpoint: remove %s: %w", p, err)
 		}

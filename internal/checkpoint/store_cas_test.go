@@ -1,8 +1,10 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -51,7 +53,7 @@ func TestDedupAcrossVMs(t *testing.T) {
 	}
 	for name, src := range map[string]*vm.VM{"a": a, "b": b} {
 		dst := newVM(t, name, 8, 99)
-		cp, err := s.Restore(name, checksum.MD5, dst)
+		cp, err := s.Restore(name, checksum.Default, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +101,7 @@ func TestDedupAcrossGenerations(t *testing.T) {
 		t.Errorf("post-GC PhysicalBytes = %d, want %d", got, 8*testPage)
 	}
 	dst := newVM(t, "a", 8, 99)
-	cp, err := s.Restore("a", checksum.MD5, dst)
+	cp, err := s.Restore("a", checksum.Default, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestGCDeletesFullyDeadSegments(t *testing.T) {
 		t.Errorf("PhysicalBytes = %d, want %d", got, 4*testPage)
 	}
 	dst := newVM(t, "b", 4, 99)
-	cp, err := s.Restore("b", checksum.MD5, dst)
+	cp, err := s.Restore("b", checksum.Default, dst)
 	if err != nil {
 		t.Fatalf("survivor broken after GC: %v", err)
 	}
@@ -172,7 +174,7 @@ func TestGCCompactsMostlyDeadSegment(t *testing.T) {
 		t.Errorf("PhysicalBytes = %d, want %d", got, 8*testPage)
 	}
 	dst := newVM(t, "b", 8, 99)
-	cp, err := s.Restore("b", checksum.MD5, dst)
+	cp, err := s.Restore("b", checksum.Default, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +221,7 @@ func TestGCCrashMidCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := newVM(t, "b", 8, 99)
-	cp, err := s2.Restore("b", checksum.MD5, dst)
+	cp, err := s2.Restore("b", checksum.Default, dst)
 	if err != nil {
 		t.Fatalf("entry lost to a crashed GC: %v", err)
 	}
@@ -234,9 +236,13 @@ func TestGCCrashMidCompact(t *testing.T) {
 }
 
 func TestOpenUnionServesResidentContent(t *testing.T) {
+	bothAlgorithms(t, testOpenUnionServesResidentContent)
+}
+
+func testOpenUnionServesResidentContent(t *testing.T, alg checksum.Algorithm) {
 	s := quotaStore(t)
 	// Empty store: no union.
-	cp, names, err := s.OpenUnion(checksum.MD5)
+	cp, names, err := s.OpenUnion(alg)
 	if err != nil || cp != nil || names != nil {
 		t.Fatalf("empty union = %v, %v, %v", cp, names, err)
 	}
@@ -248,7 +254,7 @@ func TestOpenUnionServesResidentContent(t *testing.T) {
 	if err := s.SaveSalvage(b); err != nil {
 		t.Fatal(err)
 	}
-	cp, names, err = s.OpenUnion(checksum.MD5)
+	cp, names, err = s.OpenUnion(alg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +265,7 @@ func TestOpenUnionServesResidentContent(t *testing.T) {
 	// Every page of both residents resolves out of the union.
 	for name, src := range map[string]*vm.VM{"a": a, "b": b} {
 		for i := 0; i < src.NumPages(); i++ {
-			sum := src.PageSum(i, checksum.MD5)
+			sum := src.PageSum(i, alg)
 			if !cp.SumSet().Contains(sum) {
 				t.Fatalf("%s page %d missing from union announcement", name, i)
 			}
@@ -301,7 +307,7 @@ func TestOpenUnionSkipsQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, names, err := s2.OpenUnion(checksum.MD5)
+	cp, names, err := s2.OpenUnion(checksum.Default)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +442,8 @@ func TestConcurrentSaveGCRestore(t *testing.T) {
 	go func() { // restorer: vm0 always exists in some generation
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			cp, err := s.Restore("vm0", checksum.MD5, nil)
+			// Alternate the key-list open and the rescan.
+			cp, err := s.Restore("vm0", []checksum.Algorithm{checksum.Default, checksum.MD5}[i%2], nil)
 			if err != nil {
 				errc <- err
 				return
@@ -450,7 +457,7 @@ func TestConcurrentSaveGCRestore(t *testing.T) {
 	go func() { // union + stats reader
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			cp, _, err := s.OpenUnion(checksum.MD5)
+			cp, _, err := s.OpenUnion([]checksum.Algorithm{checksum.Default, checksum.MD5}[i%2])
 			if err != nil {
 				errc <- err
 				return
@@ -472,5 +479,99 @@ func TestConcurrentSaveGCRestore(t *testing.T) {
 	}
 	if _, err := s.GC(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentRemoveDuringRestore races Store.Remove — and the GC that
+// deletes the segments it orphaned — against Store.Restore and
+// Store.OpenUnion. A key-algorithm Restore hands out the entry's in-memory
+// key list and every open reads its segments outside the store lock, so
+// either outcome is legal — a not-found error, or a checkpoint that serves
+// exactly what was saved — but never a wrong index, a short read, a panic or
+// a data race. Run under -race.
+func TestConcurrentRemoveDuringRestore(t *testing.T) {
+	const pages = 32
+	algs := []checksum.Algorithm{checksum.Default, checksum.MD5}
+	for round := 0; round < 16; round++ {
+		alg := algs[round%2] // the key-list open, then the rescan
+		s := quotaStore(t)
+		src := filledVM(t, "vm0", pages, int64(round+1))
+		if err := s.Save(src); err != nil {
+			t.Fatal(err)
+		}
+		want := src.RangeSums(0, pages, alg, nil)
+		var dst *vm.VM
+		if round%4 >= 2 {
+			dst = newVM(t, "vm0", pages, 99)
+		}
+
+		var wg sync.WaitGroup
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			if err := s.Remove("vm0"); err != nil {
+				t.Errorf("Remove: %v", err)
+			}
+			if _, err := s.GC(); err != nil {
+				t.Errorf("GC: %v", err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			cp, err := s.Restore("vm0", alg, dst)
+			if err != nil {
+				if !errors.Is(err, os.ErrNotExist) {
+					t.Errorf("raced Restore: %v", err)
+				}
+				return // the removed side of the race
+			}
+			defer cp.Close()
+			if cp.Pages() != pages {
+				t.Errorf("raced restore has %d pages, want %d", cp.Pages(), pages)
+			}
+			buf := make([]byte, vm.PageSize)
+			for i, sum := range want {
+				if !cp.SumSet().Contains(sum) {
+					t.Errorf("raced restore: page %d missing from the index", i)
+					return
+				}
+				// The open handles outlive the unlinked segments.
+				src.ReadPage(i, buf)
+				if got, ok, err := cp.PageAt(i); err != nil || !ok || !bytes.Equal(got, buf) {
+					t.Errorf("raced restore: PageAt(%d) ok=%v err=%v, content differs=%v", i, ok, err, !bytes.Equal(got, buf))
+					return
+				}
+				if got, ok, err := cp.ReadBlock(sum); err != nil || !ok || !bytes.Equal(got, buf) {
+					t.Errorf("raced restore: ReadBlock(page %d) ok=%v err=%v", i, ok, err)
+					return
+				}
+				if dst != nil && dst.PageSum(i, alg) != sum {
+					t.Errorf("raced restore installed the wrong page %d", i)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			cp, names, err := s.OpenUnion(alg)
+			if err != nil {
+				t.Errorf("raced OpenUnion: %v", err)
+				return
+			}
+			if cp == nil {
+				return // the removed side of the race
+			}
+			defer cp.Close()
+			if len(names) != 1 || names[0] != "vm0" {
+				t.Errorf("raced union covers %v, want [vm0]", names)
+			}
+			for i, sum := range want {
+				if !cp.SumSet().Contains(sum) {
+					t.Errorf("raced union: page %d missing from the index", i)
+					return
+				}
+			}
+		}()
+		wg.Wait()
 	}
 }

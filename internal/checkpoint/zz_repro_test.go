@@ -42,7 +42,7 @@ func TestReproCompactionStaleIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := newVM(t, "c", 4, 123)
-	cp, err := s.Restore("c", checksum.MD5, dst)
+	cp, err := s.Restore("c", checksum.Default, dst)
 	if err != nil {
 		t.Fatalf("restore after compaction: %v", err)
 	}

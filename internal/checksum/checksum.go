@@ -35,15 +35,25 @@ func (s Sum) String() string { return hex.EncodeToString(s[:]) }
 // Algorithm identifies a page-checksum algorithm.
 type Algorithm uint8
 
-// Supported algorithms. MD5 is the paper's default. FAST64 is the
-// word-mixing multi-GB/s hash for baseline (non-recycled) migrations where
-// the checksum is an integrity tag rather than a cross-host dedup key.
+// Supported algorithms. MD5 is the paper's prototype choice, kept selectable
+// for paper-fidelity runs. FAST64 is the word-mixing multi-GB/s hash for
+// baseline (non-recycled) migrations where the checksum is an integrity tag
+// rather than a cross-host dedup key.
 const (
 	MD5 Algorithm = iota + 1
 	SHA256
 	FNV
 	FAST64
 )
+
+// Default is the one strong algorithm everything resolves to when none is
+// named: the migration engines' checksum, the CLI's empty -checksum, and the
+// checkpoint store's object keys. Because they agree, a page has one digest —
+// the 16 bytes that cross the wire are the 16 bytes that key the page on
+// disk, so a checkpoint save after a migration hashes nothing and a restore
+// serves its announcement from the page manifest. Any other strong algorithm
+// (-checksum md5) still works; it pays one rehash at save and at restore.
+const Default = SHA256
 
 // String returns the conventional lower-case name of the algorithm.
 func (a Algorithm) String() string {

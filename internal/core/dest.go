@@ -90,7 +90,7 @@ type DestResult struct {
 	// migration's checksum algorithm (Alg) — a snapshot of the guest's digest
 	// table taken at the final acknowledgement, before the guest can run
 	// (only when DestOptions.TrackIncoming was set). The post-migration
-	// checkpoint ingests it via Store.SaveWithSums without a sidecar rehash.
+	// checkpoint is keyed by it via Store.SaveWithSums, unhashed.
 	// Nil after a failed migration, which makes SaveWithSums rehash.
 	PageSums []checksum.Sum
 	// Alg is the checksum algorithm the source chose for this migration.
@@ -280,7 +280,7 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 		defer cp.Close()
 		res.UsedCheckpoint = true
 		res.ResumedFromPartial = partial && !union
-		opts.OnEvent.emit(Event{Kind: EventSidecar, Detail: cp.Sidecar().String()})
+		opts.OnEvent.emit(Event{Kind: EventRestore, Detail: cp.IndexSource()})
 		if res.ResumedFromPartial {
 			opts.OnEvent.emit(Event{Kind: EventSalvage, Detail: "resumed",
 				Pages: int64(cp.Pages())})

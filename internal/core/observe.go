@@ -18,11 +18,16 @@ const (
 	// checksums announced, from which the pre-compaction v1 size follows
 	// (checksum.EncodedSize).
 	EventAnnounce = "announce"
-	// EventSidecar: the destination restored its checkpoint and consulted
-	// the fingerprint sidecar. Detail is the outcome: "hit" (index loaded
-	// from the sidecar), "miss" (no sidecar; image rehashed), "fallback"
-	// (sidecar invalid; image rehashed), or "disabled".
-	EventSidecar = "sidecar"
+	// EventRestore: a checkpoint was opened and its checksum index is in
+	// hand — on the destination its bootstrap (own entry or union), on the
+	// source its delta base. Detail says where the checksums came from:
+	// "keys" (the store's key tables; nothing read, nothing hashed) or
+	// "rescan" (every page read and hashed, because the migration runs
+	// under an algorithm the store does not key by). The kind string is
+	// the one traces have always carried at this point — it dates from
+	// the fingerprint sidecar file this event once reported on — and trace
+	// consumers cut the restore phase at it, so it stays.
+	EventRestore = "sidecar"
 	// EventRound: one pre-copy round completed. Round is the 1-based
 	// round number, Pages the pages streamed (source) or observed dirty
 	// (per the round-end frame), Bytes the wire volume of the round as

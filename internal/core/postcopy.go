@@ -48,7 +48,8 @@ const requestWindow = 256
 
 // PostCopySourceOptions configures the source of a post-copy migration.
 type PostCopySourceOptions struct {
-	// Alg is the page-checksum algorithm (strong required). Defaults to MD5.
+	// Alg is the page-checksum algorithm (strong required). Defaults to
+	// checksum.Default.
 	Alg checksum.Algorithm
 	// OnEvent, when non-nil, observes each protocol turn (hello, manifest,
 	// fetch, done) for tracing. Emission never alters the wire stream.
@@ -88,7 +89,7 @@ func PostCopySource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Post
 		}
 	}()
 	if opts.Alg == 0 {
-		opts.Alg = checksum.MD5
+		opts.Alg = checksum.Default
 	}
 	if !opts.Alg.Valid() || !opts.Alg.Strong() {
 		return m, fmt.Errorf("core: post-copy requires a strong checksum algorithm")

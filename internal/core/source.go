@@ -25,7 +25,9 @@ type SourceOptions struct {
 	// strong one (MD5, SHA-256) because matches are declared across hosts
 	// without byte comparison (§3.4); baseline migrations may select the
 	// fast non-cryptographic hashes (fnv, fast64), whose sums serve only as
-	// payload integrity tags. Defaults to MD5.
+	// payload integrity tags. Defaults to checksum.Default, the algorithm the
+	// checkpoint store keys pages by; any other strong choice costs both
+	// hosts a rehash at checkpoint save and restore.
 	Alg checksum.Algorithm
 	// Recycle enables checkpoint-assisted mode. When false the engine
 	// behaves like stock QEMU pre-copy: every first-round page is sent in
@@ -88,14 +90,14 @@ type SourceOptions struct {
 	// overwrite re-sent ones, so after a successful migration the table
 	// holds the digest of every page of the paused final state — exactly
 	// what the post-migration checkpoint will contain, so
-	// checkpoint.Store.SaveWithSums can ingest it without a sidecar rehash.
+	// checkpoint.Store.SaveWithSums can key the checkpoint by it unhashed.
 	// Recording never alters the wire stream.
 	SentSums *SumTable
 }
 
 func (o *SourceOptions) setDefaults() {
 	if o.Alg == 0 {
-		o.Alg = checksum.MD5
+		o.Alg = checksum.Default
 	}
 	if o.MaxRounds <= 0 {
 		o.MaxRounds = 4

@@ -118,14 +118,12 @@ func TestMixedVersionAnnounceOverTCP(t *testing.T) {
 	}
 }
 
-// TestHostSetNoSidecar exercises the -no-sidecar plumbing at the host
-// level: with sidecars disabled neither departure checkpoints nor arrival
-// saves leave an index file behind, and migrations keep working.
-func TestHostSetNoSidecar(t *testing.T) {
+// TestHostsWriteNoIndexFiles: the page manifest is the fingerprint index, so
+// neither a departure checkpoint nor an arrival save leaves a separate index
+// file next to it.
+func TestHostsWriteNoIndexFiles(t *testing.T) {
 	alpha := newHost(t, "alpha")
 	beta := newHost(t, "beta")
-	alpha.SetNoSidecar(true)
-	beta.SetNoSidecar(true)
 	beta.SaveArrivals = true
 	addrB := listen(t, beta)
 
@@ -153,15 +151,12 @@ func TestHostSetNoSidecar(t *testing.T) {
 		if !h.Store().Has("vm0") {
 			t.Fatalf("host %s kept no checkpoint", h.Name())
 		}
-		if !h.Store().NoSidecar() {
-			t.Errorf("host %s store reports sidecars enabled", h.Name())
-		}
 		idx, err := filepath.Glob(filepath.Join(h.Store().Dir(), "*.idx"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(idx) != 0 {
-			t.Errorf("host %s wrote sidecars despite -no-sidecar: %v", h.Name(), idx)
+			t.Errorf("host %s wrote index files: %v", h.Name(), idx)
 		}
 	}
 }

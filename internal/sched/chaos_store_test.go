@@ -303,20 +303,13 @@ func TestChaosStoreRecycleReadQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Count the segment reads one steady-state restore performs: a warm-up
-	// restore settles the sidecar, then a latency-only rule (fires,
-	// injects nothing) counts the second. The EIO rule is armed past that
-	// count, so the migration's own bootstrap restore — the third,
-	// identical — succeeds and the fault lands on mid-merge ReadBlocks.
-	warm := newGuest(t, "vm0", pages)
-	cp, err := dst.Store().Restore("vm0", checksum.MD5, warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.Close()
+	// Count the segment reads one restore performs with a latency-only rule
+	// (fires, injects nothing). The EIO rule is armed past that count, so
+	// the migration's own bootstrap restore — identical — succeeds and the
+	// fault lands on mid-merge ReadBlocks.
 	inj.Arm(faultfs.Fault{Op: faultfs.OpReadAt, Path: ".seg", Times: -1, Latency: time.Nanosecond})
 	scratch := newGuest(t, "vm0", pages)
-	cp, err = dst.Store().Restore("vm0", checksum.MD5, scratch)
+	cp, err := dst.Store().Restore("vm0", checksum.Default, scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,8 +389,6 @@ func TestChaosStoreMatrix(t *testing.T) {
 		{".seg", faultfs.OpRename},
 		{".pmf", faultfs.OpCreate},
 		{".pmf", faultfs.OpWrite},
-		{".idx", faultfs.OpCreate},
-		{".idx", faultfs.OpWrite},
 		{".gens.json", faultfs.OpCreate},
 		{"MANIFEST.json", faultfs.OpCreate},
 		{"MANIFEST.json", faultfs.OpRename},
@@ -406,7 +397,6 @@ func TestChaosStoreMatrix(t *testing.T) {
 		{".seg", faultfs.OpOpen},
 		{".seg", faultfs.OpReadAt},
 		{".pmf", faultfs.OpOpen},
-		{".idx", faultfs.OpOpen},
 	}
 	faults := []struct {
 		name string

@@ -3,7 +3,6 @@ package sched
 import (
 	"context"
 	"math/rand"
-	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,13 +13,17 @@ import (
 	"vecycle/internal/vm"
 )
 
-// TestDigestTableExactCounts pins what the resident digest table promises,
-// through two hosts and in bytes: a returning source hashes exactly the pages
-// the guest rewrote since it arrived and the destination's probes hash
-// nothing; a different algorithm hashes everything and trusts no stale
-// entry; a restore that had to fall back to the rescan, and one from a
-// salvage image, seed the table as well as a warm one. The registry's
-// encode/probe series must tell the same story as the engine's metrics.
+// TestDigestTableExactCounts pins what "one digest per page" promises, through
+// two hosts and in bytes. Under the default algorithm a returning source
+// hashes exactly the pages the guest rewrote since it arrived, the
+// destination's probes hash nothing, and neither host's checkpoint save nor
+// the destination's restore hashes a byte — the wire checksum is the store
+// key. A delta base is opened without hashing either. Under another strong
+// algorithm (MD5) no stale digest is trusted, every save and the
+// destination's restore pay one guest of rehash each — counted, not hidden —
+// the guest still converges page for page, and the checkpoints written are
+// ordinary ones: the next default-algorithm leg restores them from their keys.
+// The registry's series must tell the same story as the engine's metrics.
 func TestDigestTableExactCounts(t *testing.T) {
 	const pages = 1024
 	const rewritten = pages / 20 // 5 %
@@ -43,8 +46,10 @@ func TestDigestTableExactCounts(t *testing.T) {
 	hosts["alpha"].AddVM(guest)
 
 	rng := rand.New(rand.NewSource(42))
-	// rewrite gives exactly k distinct pages of the guest on host fresh content.
-	rewrite := func(host string, k int) {
+	// rewrite changes exactly k distinct pages of the guest on host: wholly
+	// (fresh content) or, with partial set, 64 bytes of each — what a delta
+	// encodes.
+	rewrite := func(host string, k int, partial bool) {
 		t.Helper()
 		v, ok := hosts[host].VM("vm0")
 		if !ok {
@@ -52,7 +57,12 @@ func TestDigestTableExactCounts(t *testing.T) {
 		}
 		buf := make([]byte, vm.PageSize)
 		for _, p := range rng.Perm(pages)[:k] {
-			rng.Read(buf)
+			if partial {
+				v.ReadPage(p, buf)
+				rng.Read(buf[:64])
+			} else {
+				rng.Read(buf)
+			}
 			v.WritePage(p, buf)
 		}
 	}
@@ -60,10 +70,18 @@ func TestDigestTableExactCounts(t *testing.T) {
 		h := hosts[host]
 		return int64(h.obs.hashBytes.With(h.name, stage).Value())
 	}
+	avoided := func(host string) int64 {
+		h := hosts[host]
+		return int64(h.obs.hashAvoided.With(h.name).Value())
+	}
 	// hop migrates vm0 from→to and checks what each side hashed: the engine's
 	// metrics and the registry series agree (both describe the successful
 	// attempt), the source's encode pass digested wantEncode bytes and the
-	// probes none.
+	// probes none. On a single-attempt leg it also checks the store's share:
+	// with the stores' key algorithm on the wire, saves and restores hash
+	// nothing and each save recycles one guest of digests; under any other,
+	// each save and the destination's restore hash one guest, and the source's
+	// restore (a delta base, if any) still none.
 	hop := func(from, to string, opts MigrateOptions, wantEncode int64) (core.Metrics, core.DestResult) {
 		t.Helper()
 		opts.Recycle, opts.KeepCheckpoint = true, true
@@ -73,6 +91,11 @@ func TestDigestTableExactCounts(t *testing.T) {
 		}
 		want := leaving.Fingerprint64()
 		enc0, probe0 := stage(from, "encode"), stage(to, "probe")
+		type storeCounts struct{ saveKeys, restore, avoided int64 }
+		before := map[string]storeCounts{}
+		for _, h := range []string{from, to} {
+			before[h] = storeCounts{stage(h, "save_keys"), stage(h, "restore"), avoided(h)}
+		}
 		m, err := hosts[from].MigrateTo(ctx, addrs[to], "vm0", opts)
 		if err != nil {
 			t.Fatalf("%s→%s: %v", from, to, err)
@@ -100,6 +123,34 @@ func TestDigestTableExactCounts(t *testing.T) {
 		if res.Metrics.HashBytes != 0 {
 			t.Errorf("%s→%s: round-end tracking hashed %d bytes, want 0", from, to, res.Metrics.HashBytes)
 		}
+		if opts.Retry.Attempts > 1 {
+			return m, res // failed attempts restore and salvage too
+		}
+		var perSaveHashed, perSaveAvoided, destRestore int64 = 0, mem, 0
+		if res.Alg != checkpoint.ObjectAlgorithm {
+			perSaveHashed, perSaveAvoided, destRestore = mem, 0, mem
+		}
+		// The destination folds its engine metrics in after OnArrival returns.
+		engine := map[string]int64{from: m.HashAvoidedBytes, to: res.Metrics.HashAvoidedBytes}
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline) &&
+			avoided(to)-before[to].avoided < engine[to]+perSaveAvoided; {
+			time.Sleep(time.Millisecond)
+		}
+		for _, h := range []string{from, to} {
+			if got := stage(h, "save_keys") - before[h].saveKeys; got != perSaveHashed {
+				t.Errorf("%s→%s: %s's vecycle_hash_bytes_total{stage=save_keys} grew by %d, want %d", from, to, h, got, perSaveHashed)
+			}
+			if got, want := avoided(h)-before[h].avoided, engine[h]+perSaveAvoided; got != want {
+				t.Errorf("%s→%s: %s's vecycle_hash_avoided_bytes_total grew by %d, want %d (engine %d + save %d)",
+					from, to, h, got, want, engine[h], perSaveAvoided)
+			}
+		}
+		if got := stage(from, "restore") - before[from].restore; got != 0 {
+			t.Errorf("%s→%s: the source's restores hashed %d bytes, want 0", from, to, got)
+		}
+		if got := stage(to, "restore") - before[to].restore; got != destRestore {
+			t.Errorf("%s→%s: the destination's restore hashed %d bytes, want %d", from, to, got, destRestore)
+		}
 		return m, res
 	}
 
@@ -111,7 +162,7 @@ func TestDigestTableExactCounts(t *testing.T) {
 
 	// Returning legs: only the rewritten pages are hashed, at either width.
 	for i, leg := range [][2]string{{"beta", "alpha"}, {"alpha", "beta"}, {"beta", "alpha"}} {
-		rewrite(leg[0], rewritten)
+		rewrite(leg[0], rewritten, false)
 		hosts[leg[1]].Workers = 2 * (i % 2)
 		m, res := hop(leg[0], leg[1], MigrateOptions{Workers: 2 * (i % 2)}, rewritten*vm.PageSize)
 		if m.PagesFull != rewritten || res.Metrics.PagesReusedInPlace != pages-rewritten {
@@ -124,47 +175,121 @@ func TestDigestTableExactCounts(t *testing.T) {
 	}
 	hosts["alpha"].Workers, hosts["beta"].Workers = 0, 0
 
-	// A sidecar the destination cannot trust: the restore falls back to the
-	// rescan, which must seed the table just the same.
-	rewrite("alpha", rewritten)
-	sidecar := checkpoint.SidecarPath(hosts["beta"].Store().Dir() + "/vm0.pmf")
-	if err := os.WriteFile(sidecar, []byte("not a sidecar"), 0o644); err != nil {
-		t.Fatal(err)
+	// A delta leg: the source opens its own checkpoint of the guest as the
+	// delta base — for PageAt only, so hop's "the source's restores hashed 0
+	// bytes" holds whatever the leg's algorithm — and the partly rewritten
+	// pages travel as deltas.
+	rewrite("alpha", rewritten, true)
+	m, _ = hop("alpha", "beta", MigrateOptions{UseDelta: true}, rewritten*vm.PageSize)
+	if m.PagesDelta != rewritten || m.PagesFull != 0 {
+		t.Errorf("delta leg: %d deltas and %d full pages, want %d and 0", m.PagesDelta, m.PagesFull, rewritten)
 	}
-	fallbacks := hosts["beta"].obs.sidecar.With("beta", "fallback").Value()
-	_, res := hop("alpha", "beta", MigrateOptions{}, rewritten*vm.PageSize)
-	if got := hosts["beta"].obs.sidecar.With("beta", "fallback").Value() - fallbacks; got != 1 {
-		t.Errorf("destination counted %v sidecar fallbacks, want 1", got)
-	}
-	if res.Metrics.PagesReusedInPlace != pages-rewritten {
-		t.Errorf("after the rescan %d pages were reused in place, want %d", res.Metrics.PagesReusedInPlace, pages-rewritten)
+	rewrite("beta", rewritten, true)
+	m, res := hop("beta", "alpha", MigrateOptions{UseDelta: true, Alg: checksum.MD5}, mem)
+	if m.PagesDelta != rewritten || res.Alg != checksum.MD5 {
+		t.Errorf("MD5 delta leg: %d deltas under %v, want %d under md5", m.PagesDelta, res.Alg, rewritten)
 	}
 
 	// Another algorithm: every table entry is the wrong kind of digest, so
-	// the source hashes the whole guest and nothing stale crosses over. The
-	// destination's MD5 sidecar does not serve SHA-256 either; its rescan
-	// seeds the arriving guest's table under the new algorithm.
-	_, res = hop("beta", "alpha", MigrateOptions{Alg: checksum.SHA256}, mem)
-	if res.Alg != checksum.SHA256 || res.Metrics.PagesReusedInPlace != pages {
-		t.Errorf("algorithm switch: alg %v, %d pages reused in place, want sha256 and %d",
-			res.Alg, res.Metrics.PagesReusedInPlace, pages)
+	// the source hashes the whole guest and nothing stale crosses over (the
+	// leg above). The stores do not key by MD5: the destination's restore
+	// rescans, seeding the arriving guest's table under MD5 — so the next MD5
+	// leg hashes only what was rewritten — and every save rehashes.
+	rewrite("alpha", rewritten, false)
+	_, res = hop("alpha", "beta", MigrateOptions{Alg: checksum.MD5}, rewritten*vm.PageSize)
+	if res.Alg != checksum.MD5 || res.Metrics.PagesReusedInPlace != pages-rewritten {
+		t.Errorf("MD5 leg: alg %v, %d pages reused in place, want md5 and %d",
+			res.Alg, res.Metrics.PagesReusedInPlace, pages-rewritten)
 	}
-	rewrite("alpha", rewritten)
-	hop("alpha", "beta", MigrateOptions{Alg: checksum.SHA256}, rewritten*vm.PageSize)
 
 	// A cut mid-round leaves a salvage image at the destination; the retry
 	// bootstraps from it. The retry hashes the rewritten pages again (the
-	// source records nothing back), and the partial restore seeds the table
-	// as well as a complete one.
-	rewrite("beta", rewritten)
+	// source records nothing back), and the partial restore — a rescan, under
+	// MD5 — seeds the table as well as a complete one.
+	rewrite("beta", rewritten, false)
 	var handled atomic.Int64 // alpha's failed incoming handlers: the dialer's barrier
 	hosts["alpha"].OnError = func(error) { handled.Add(1) }
 	cd := &chaosDialer{t: t, schedule: []int64{100_000}, handled: &handled}
 	hosts["beta"].DialFunc = cd.dial
-	_, res = hop("beta", "alpha", MigrateOptions{Alg: checksum.SHA256,
+	_, res = hop("beta", "alpha", MigrateOptions{Alg: checksum.MD5,
 		Retry: RetryPolicy{Attempts: 2, Backoff: time.Millisecond}}, rewritten*vm.PageSize)
 	if cd.dials.Load() != 2 || !res.ResumedFromPartial {
 		t.Errorf("%d dials, resumed from partial: %v; want a cut attempt and a retry that resumes",
 			cd.dials.Load(), res.ResumedFromPartial)
+	}
+	hosts["beta"].DialFunc = nil
+
+	// Stores are algorithm-agnostic: the checkpoints the MD5 legs wrote are
+	// keyed like any other, so a default-algorithm return restores them from
+	// their keys (hop: the destination's restore hashes 0 bytes). Only the
+	// guest's digest table is the wrong kind, once.
+	rewrite("alpha", rewritten, false)
+	_, res = hop("alpha", "beta", MigrateOptions{}, mem)
+	if res.Alg != checksum.Default || res.Metrics.PagesReusedInPlace != pages-rewritten {
+		t.Errorf("back to the default: alg %v, %d pages reused in place, want %v and %d",
+			res.Alg, res.Metrics.PagesReusedInPlace, checksum.Default, pages-rewritten)
+	}
+}
+
+// TestExplicitMD5Converges: a fleet run on the paper's algorithm end to end —
+// recycle, keep, save arrivals, both directions, either engine width — still
+// lands every guest byte for byte and still recycles, and what it costs is on
+// the books: every checkpoint save rehashes one guest (the MD5 table is no use
+// as keys) and every returning destination's restore another.
+func TestExplicitMD5Converges(t *testing.T) {
+	const pages = 256
+	const mem = int64(pages) * vm.PageSize
+	for _, workers := range []int{0, 2} {
+		arrivals := make(chan core.DestResult, 1) // one migration in flight at a time
+		hosts := []*Host{newHost(t, "alpha"), newHost(t, "beta")}
+		addrs := make([]string, len(hosts))
+		for i, h := range hosts {
+			h.SaveArrivals, h.Workers = true, workers
+			h.OnArrival = func(_ *vm.VM, res core.DestResult) { arrivals <- res }
+			addrs[i] = listen(t, h)
+		}
+		hashed := func(h *Host, stage string) int64 {
+			return int64(h.obs.hashBytes.With(h.name, stage).Value())
+		}
+		guest := newGuest(t, "vm0", pages)
+		if err := guest.FillRandom(1.0); err != nil {
+			t.Fatal(err)
+		}
+		hosts[0].AddVM(guest)
+		for leg := 0; leg < 4; leg++ {
+			from, to := hosts[leg%2], hosts[(leg+1)%2]
+			v, _ := from.VM("vm0")
+			v.TouchRandomPages(8)
+			want := v.Fingerprint64()
+			m, err := from.MigrateTo(context.Background(), addrs[(leg+1)%2], "vm0", MigrateOptions{
+				Recycle: true, KeepCheckpoint: true, Alg: checksum.MD5, Workers: workers})
+			if err != nil {
+				t.Fatalf("workers=%d leg %d: %v", workers, leg, err)
+			}
+			res := <-arrivals
+			landed, _ := to.VM("vm0")
+			fingerprintEqual(t, want, landed)
+			if res.Alg != checksum.MD5 {
+				t.Errorf("workers=%d leg %d ran under %v", workers, leg, res.Alg)
+			}
+			if leg > 0 && (m.PagesFull > 8 || res.Metrics.PagesReusedInPlace < pages-8) {
+				t.Errorf("workers=%d leg %d: %d full pages, %d reused in place; a return should recycle all but the 8 touched",
+					workers, leg, m.PagesFull, res.Metrics.PagesReusedInPlace)
+			}
+			// One save per host per leg: the source's departure image, the
+			// destination's arrival image.
+			for _, h := range []*Host{from, to} {
+				if got, want := hashed(h, "save_keys"), int64(leg+1)*mem; got != want {
+					t.Errorf("workers=%d leg %d: %s rehashed %d bytes in saves, want %d", workers, leg, h.name, got, want)
+				}
+			}
+		}
+		// Legs 1..3 restored a checkpoint at their destination: beta once,
+		// alpha twice.
+		for i, wantRestores := range []int64{2, 1} {
+			if got := hashed(hosts[i], "restore"); got != wantRestores*mem {
+				t.Errorf("workers=%d: %s rescanned %d bytes in restores, want %d", workers, hosts[i].name, got, wantRestores*mem)
+			}
+		}
 	}
 }

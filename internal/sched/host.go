@@ -185,11 +185,6 @@ func (h *Host) Name() string { return h.name }
 // Store exposes the host's checkpoint store.
 func (h *Host) Store() *checkpoint.Store { return h.store }
 
-// SetNoSidecar disables fingerprint sidecars in the host's checkpoint
-// store: Save stops writing them and Restore rehashes the image instead of
-// consulting one. The warm-start escape hatch behind the -no-sidecar flag.
-func (h *Host) SetNoSidecar(on bool) { h.store.SetNoSidecar(on) }
-
 // AddVM places a VM on this host (initial placement, not migration).
 func (h *Host) AddVM(v *vm.VM) {
 	h.mu.Lock()
@@ -421,10 +416,10 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 	}
 	if h.SaveArrivals {
 		// The merge left every page's digest in the guest's digest table and
-		// snapshotted it (TrackIncoming is always on here), so the save skips
-		// its matching rehash pass. The persist is best-effort: the VM has
-		// fully arrived, so a failed save degrades (the next migration runs
-		// cold) instead of failing it.
+		// snapshotted it (TrackIncoming is always on here), so the save hashes
+		// nothing when the migration ran under the store's key algorithm. The
+		// persist is best-effort: the VM has fully arrived, so a failed save
+		// degrades (the next migration runs cold) instead of failing it.
 		if h.saveOrDegrade(core.StageSaveArrivals, rec, func() error {
 			return h.store.SaveWithSums(dst, res.Alg, res.PageSums)
 		}) {
@@ -699,8 +694,10 @@ type MigrateOptions struct {
 	// Compress deflates full-page payloads (core.SourceOptions.Compress).
 	Compress bool
 	// Alg selects the page-checksum algorithm (core.SourceOptions.Alg);
-	// zero keeps the engine default (MD5). Weak algorithms (fnv, fast64)
-	// are only valid for baseline migrations — recycling needs a
+	// zero keeps the engine default (checksum.Default, which is also what
+	// the checkpoint store keys pages by — another strong algorithm works
+	// but costs a rehash at every save and restore). Weak algorithms (fnv,
+	// fast64) are only valid for baseline migrations — recycling needs a
 	// collision-resistant digest to stand in for page content.
 	Alg checksum.Algorithm
 	// Workers sizes the source pipeline (core.SourceOptions.Workers): page
@@ -782,25 +779,10 @@ func (h *Host) MigrateTo(ctx context.Context, addr, vmName string, opts MigrateO
 // through one obs.finish call.
 func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, known *checksum.Set, opts MigrateOptions, rec *obs.Recorder) (core.Metrics, error) {
 	var deltaBase core.PageProvider
-	// Only a complete checkpoint is a sound delta base: a salvage image left
-	// by an interrupted incoming migration holds another attempt's partial
-	// state, not a mirror of the destination's checkpoint.
-	if info, ok := h.store.Entry(vmName); opts.UseDelta && ok && info.State == checkpoint.EntryComplete {
-		cp, err := h.store.Restore(vmName, checksum.MD5, nil)
-		if err != nil {
-			// Deltas are an optimization; an unopenable base loses it, not
-			// the migration. Degrade to full/sum encoding.
-			fault := faultfs.Label(err)
-			h.obs.degraded.With(h.name, core.StageDeltaBase, fault).Inc()
-			rec.Event(obs.Event{Kind: core.EventDegraded, Detail: core.StageDeltaBase + ":" + fault})
-			if h.OnError != nil {
-				h.OnError(fmt.Errorf("sched: delta base of %q degraded (%s): %w", vmName, fault, err))
-			}
-		} else {
+	if opts.UseDelta {
+		if cp := h.openDeltaBase(vmName, rec); cp != nil {
 			defer cp.Close()
 			deltaBase = cp
-			h.obs.sidecar.With(h.name, cp.Sidecar().String()).Inc()
-			rec.Event(obs.Event{Kind: core.EventSidecar, Detail: cp.Sidecar().String()})
 		}
 	}
 
@@ -832,8 +814,8 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 
 	// sent records each page's digest as it is encoded; after a successful
 	// attempt it holds the paused final state's sums, which the
-	// KeepCheckpoint save below hands to the store so the sidecar pass is
-	// skipped. The engine resets it at every attempt, so retries never
+	// KeepCheckpoint save below hands to the store as the checkpoint's page
+	// keys. The engine resets it at every attempt, so retries never
 	// inherit a failed attempt's partial table. Nil (recording disabled)
 	// when no checkpoint will be written.
 	var sent *core.SumTable
@@ -936,8 +918,9 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 	// The VM now runs at the destination. Write the local checkpoint —
 	// after the migration, off the critical path, as in the paper. The
 	// paused final state is exactly what the successful attempt's sum table
-	// describes, so the save skips its matching rehash pass (an incomplete
-	// table reads as nil, which SaveWithSums answers by rehashing).
+	// describes, so the save hashes nothing (an incomplete table reads as
+	// nil, and a table under another algorithm is no use as keys; either way
+	// SaveWithSums answers by rehashing).
 	if opts.KeepCheckpoint {
 		sums, _ := sent.Sums()
 		if h.saveOrDegrade(core.StageKeepCheckpoint, rec, func() error {
@@ -952,6 +935,32 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 	delete(h.seen, vmName)
 	h.mu.Unlock()
 	return m, nil
+}
+
+// openDeltaBase opens this host's checkpoint of the VM as a delta base, nil
+// when there is none to offer. Only a complete checkpoint is a sound base: a
+// salvage image left by an interrupted incoming migration holds another
+// attempt's partial state, not a mirror of the destination's checkpoint. The
+// base only serves PageAt, so it is opened under the store's own key
+// algorithm whatever the migration speaks: index only, no page read, nothing
+// hashed. Deltas are an optimization; an unopenable base loses it, not the
+// migration, which degrades to full/sum encoding.
+func (h *Host) openDeltaBase(vmName string, rec *obs.Recorder) *checkpoint.Checkpoint {
+	if info, ok := h.store.Entry(vmName); !ok || info.State != checkpoint.EntryComplete {
+		return nil
+	}
+	cp, err := h.store.Restore(vmName, checkpoint.ObjectAlgorithm, nil)
+	if err != nil {
+		fault := faultfs.Label(err)
+		h.obs.degraded.With(h.name, core.StageDeltaBase, fault).Inc()
+		rec.Event(obs.Event{Kind: core.EventDegraded, Detail: core.StageDeltaBase + ":" + fault})
+		if h.OnError != nil {
+			h.OnError(fmt.Errorf("sched: delta base of %q degraded (%s): %w", vmName, fault, err))
+		}
+		return nil
+	}
+	rec.Event(obs.Event{Kind: core.EventRestore, Detail: cp.IndexSource()})
+	return cp
 }
 
 // migrateDisk streams the block device to the peer on its own connection.

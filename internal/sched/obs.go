@@ -63,7 +63,6 @@ type hostObs struct {
 	rounds         *obs.CounterVec   // vecycle_migration_rounds_total{host}
 	announce       *obs.CounterVec   // vecycle_announce_bytes_total{host}
 	announceRaw    *obs.CounterVec   // vecycle_announce_raw_bytes_total{host}
-	sidecar        *obs.CounterVec   // vecycle_sidecar_total{host,outcome}
 	retries        *obs.CounterVec   // vecycle_migration_retries_total{host}
 	fallbacks      *obs.CounterVec   // vecycle_delta_fallbacks_total{host}
 	salvage        *obs.CounterVec   // vecycle_salvage_total{host,outcome}
@@ -125,9 +124,6 @@ func newHostObs(h *Host, reg *obs.Registry, traces *obs.TraceLog) *hostObs {
 		announceRaw: reg.CounterVec("vecycle_announce_raw_bytes_total",
 			"What announcements would have cost in the v1 encoding; minus vecycle_announce_bytes_total this is the compact-announce saving.",
 			"host"),
-		sidecar: reg.CounterVec("vecycle_sidecar_total",
-			"Checkpoint fingerprint-sidecar consultations by outcome (hit, miss, fallback, disabled).",
-			"host", "outcome"),
 		retries: reg.CounterVec("vecycle_migration_retries_total",
 			"Outgoing migration attempts re-run after transient transport failures.",
 			"host"),
@@ -165,7 +161,7 @@ func newHostObs(h *Host, reg *obs.Registry, traces *obs.TraceLog) *hostObs {
 			"Pages demand-fetched over the network after a post-copy resume.",
 			"host"),
 		hashBytes: reg.CounterVec("vecycle_hash_bytes_total",
-			"Payload bytes actually digested, by stage: encode (source pages the guest's digest table did not cover), probe (destination pages hashed to compare with a wire checksum), track (destination round-end TrackIncoming pass), save_keys (store content-keying scan), save_sidecar (fingerprint sidecar build).",
+			"Payload bytes actually digested, by stage: encode (source pages the guest's digest table did not cover), probe (destination pages hashed to compare with a wire checksum), track (destination round-end TrackIncoming pass), save_keys (bytes a checkpoint save had to rehash because its caller's digest table was absent or under another algorithm than the store keys by), restore (bytes a checkpoint open had to read and rehash because the migration runs under such an algorithm).",
 			"host", "stage"),
 		hashAvoided: reg.CounterVec("vecycle_hash_avoided_bytes_total",
 			"Payload bytes whose digest was recycled from an earlier computation (the guest's resident digest table on encode, probe and track; migration sum tables handed to SaveWithSums) instead of recomputed.",
@@ -296,8 +292,6 @@ func (o *hostObs) eventFunc(rec *obs.Recorder, role string) core.EventFunc {
 		case core.EventAnnounce:
 			o.announce.With(o.host).Add(float64(e.Bytes))
 			o.announceRaw.With(o.host).Add(float64(checksum.EncodedSize(int(e.Pages))))
-		case core.EventSidecar:
-			o.sidecar.With(o.host, e.Detail).Inc()
 		case core.EventSalvage:
 			o.salvage.With(o.host, e.Detail).Inc()
 			if e.Detail == "written" {
