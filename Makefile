@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-pipeline race-digest bench bench-cycle benchgate bench-smoke chaos-smoke chaos-store dedup-smoke fuzz-range docs profile ci
+.PHONY: build test vet race race-pipeline race-digest race-restore bench bench-cycle benchgate bench-smoke chaos-smoke chaos-store dedup-smoke fuzz-range docs profile ci
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,17 @@ race-pipeline:
 race-digest:
 	$(GO) test -race -count=10 -run 'TestDigestTableConcurrent' ./internal/vm/
 	$(GO) test -race -run 'TestDigestTable|TestExplicitMD5Converges' ./internal/vm/ ./internal/core/ ./internal/sched/
+
+# race-restore is the focused gate for the return path: the background
+# checkpoint install (a span held back past its wire frames, a sparse round
+# one, a cancel mid-install — repeated, since the interleavings are the point),
+# the store-level span reader, and the announce-by-name matrix through
+# sched.Host (matched legs, every fallback, a restart), under the race detector.
+race-restore:
+	$(GO) test -race -count=3 -run 'TestBackgroundInstall' ./internal/core/
+	$(GO) test -race -run 'TestSpanLoad|TestRestoreSumsMatchGuest|TestConcurrentRemoveDuringRestore' ./internal/checkpoint/
+	$(GO) test -race -run 'TestPingPongSkipsAnnouncement|TestPartialAnnounced|TestGoldenStreamByName' ./internal/core/
+	$(GO) test -race -run 'TestByName|TestPingPongOverTCP' ./internal/sched/
 
 # bench records the migration-engine benchmarks (first-round throughput at
 # pipeline widths {1,2,4,8}, tracked-migration overhead, destination
@@ -78,7 +89,7 @@ bench-smoke:
 # salvage/resume contract tests), under the race detector.
 chaos-smoke:
 	$(GO) test -race -run 'TestChaos' ./internal/sched/
-	$(GO) test -race -run 'TestSalvage|TestPartialSkipped|TestKillPointMatrix|TestTornSegment|TestGCCrashMidCompact' ./internal/core/ ./internal/checkpoint/
+	$(GO) test -race -run 'TestSalvage|TestPartialAnnounced|TestKillPointMatrix|TestTornSegment|TestGCCrashMidCompact' ./internal/core/ ./internal/checkpoint/
 
 # chaos-store is the storage-fault gate: deterministic faultfs schedules
 # inject EIO/ENOSPC/torn writes and read faults at every store op site
@@ -101,13 +112,18 @@ dedup-smoke:
 	$(GO) test -race -run 'TestStoreStatDedupRatio|TestStoreGCReclaimsRemovedEntries' ./cmd/vecycle/
 	$(GO) test -race -run 'TestDedupAcross|TestConcurrentSaveGCRestore|TestOpenUnion' ./internal/checkpoint/
 
-# fuzz-range runs the range-frame decoder fuzzers briefly beyond their
-# committed seed corpus: the frame parser directly, then the whole
-# destination engine against mutated negotiated streams — and the page
-# manifest parser, whose output a restore announces to the peer as it stands.
+# fuzz-range runs the wire and disk parser fuzzers briefly beyond their
+# committed seed corpus: the range-frame parser directly, then the whole
+# destination engine against mutated negotiated streams; the hello (with its
+# optional manifest root), the hello-ack and the compact announcement, which
+# open every conversation; and the page manifest parser, whose output a
+# restore announces to the peer as it stands.
 fuzz-range:
 	$(GO) test -run '^$$' -fuzz FuzzRangeDecode -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzRangeMergeStream -fuzztime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzHello$$' -fuzztime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzHelloAck$$' -fuzztime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzAnnounceV2Decode -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzParsePMF -fuzztime 5s ./internal/checkpoint/
 
 # docs is the documentation gate: every exported identifier in the
@@ -118,8 +134,8 @@ docs:
 
 # ci is the gate for every change: static analysis, the docs gate, the
 # full suite under the race detector (which includes the pipeline tests),
-# the digest-table gate, the chaos/resumability gate, the storage-fault
-# gate, the dedup-store gate, a single-iteration pass over every benchmark,
-# short range-frame and page-manifest fuzzing, and the worker-scaling gate on the committed
-# benchmark recording.
-ci: vet docs race race-pipeline race-digest chaos-smoke chaos-store dedup-smoke bench-smoke fuzz-range benchgate
+# the digest-table gate, the return-path gate, the chaos/resumability gate,
+# the storage-fault gate, the dedup-store gate, a single-iteration pass over
+# every benchmark, short wire- and manifest-parser fuzzing, and the
+# worker-scaling gate on the committed benchmark recording.
+ci: vet docs race race-pipeline race-digest race-restore chaos-smoke chaos-store dedup-smoke bench-smoke fuzz-range benchgate

@@ -12,7 +12,7 @@
 //
 //   - internal/core — the live-migration protocol (iterative pre-copy with
 //     checkpoint-assisted first round, bulk hash announcement, Listing 1
-//     merge loop, ping-pong announcement skipping).
+//     merge loop, ping-pong returns announced by manifest root).
 //   - internal/vm, internal/checkpoint, internal/dirtytrack,
 //     internal/checksum, internal/netem — the substrates: a byte-accurate
 //     guest, checkpoint images with a checksum→offset index, Miyakodori

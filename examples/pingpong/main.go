@@ -1,8 +1,9 @@
 // Ping-pong: the paper's headline migration pattern (Birke et al.: 68% of
 // VMs only ever visit two hosts). Two hosts with TCP listeners move a busy
-// VM back and forth; each host keeps a checkpoint, and return legs
-// additionally skip the hash announcement because the source remembers the
-// checksums it saw when the VM arrived (§3.2).
+// VM back and forth; each host keeps a checkpoint of every departure and
+// every arrival, so on a return leg both ends hold the same checkpoint under
+// the same manifest root: the source names it in its hello and the
+// destination skips the hash announcement (§3.2).
 //
 //	go run ./examples/pingpong
 package main
@@ -52,6 +53,9 @@ func run() error {
 	}
 	alpha.OnArrival = onArrival
 	beta.OnArrival = onArrival
+	// The arrival image is what the return leg's hello names.
+	alpha.SaveArrivals = true
+	beta.SaveArrivals = true
 
 	addrA, err := alpha.Listen("127.0.0.1:0")
 	if err != nil {
@@ -82,7 +86,6 @@ func run() error {
 		arrived.Add(1)
 		m, err := from.MigrateTo(context.Background(), addrs[toIdx], "consolidated-vm", sched.MigrateOptions{
 			Recycle:        true,
-			UsePingPong:    i >= 2, // by leg 3 the source has seen the VM arrive
 			KeepCheckpoint: true,
 		})
 		if err != nil {
@@ -91,7 +94,7 @@ func run() error {
 		arrived.Wait()
 		mode := "announce"
 		if m.AnnounceBytes == 0 && m.PagesSum > 0 {
-			mode = "ping-pong (no announce)"
+			mode = "ping-pong (named, no announce)"
 		}
 		if m.PagesSum == 0 {
 			mode = "full (first visit)"

@@ -36,6 +36,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
 	"fmt"
 	"sort"
 	"sync"
@@ -107,39 +109,53 @@ func (ix *Index) Len() int { return len(ix.entries) }
 // merge loop, the announcement sum set, and the page-frame geometry (for
 // entries that have one — the union of a whole store does not). The backing
 // files are shared pool segments; Close releases them all.
+//
+// An entry's checkpoint is opened index-only: it holds the page-ordered sums
+// and payload locations, and derives the announcement set and the block index
+// from them on first use — a returning guest whose peer already names this
+// entry by its manifest root needs neither. Its pages reach a guest through
+// InstallInto, in the background, or through Store.Restore, which waits.
 type Checkpoint struct {
-	files  []faultfs.File
-	alg    checksum.Algorithm
-	index  Index
-	sums   *checksum.Set
-	frames []pageRef // per-page-frame payloads; nil when the checkpoint has no frame geometry
-	pages  int
+	files    []faultfs.File
+	alg      checksum.Algorithm
+	frames   []pageRef      // per-page-frame payloads; nil when the checkpoint has no frame geometry
+	pageSums []checksum.Sum // frames[i] hashes to pageSums[i] under alg
+	partial  bool           // the entry is a salvage image
+	named    bool           // root is set: a complete entry's manifest root
+	root     [RootSize]byte
+
+	indexOnce sync.Once
+	index     Index
+	setOnce   sync.Once
+	sums      *checksum.Set
+
+	load *spanLoad // the background install InstallInto started, if any
 }
 
-// newCheckpoint assembles a Checkpoint whose page i lives at refs[i] and
-// hashes to sums[i]. The files are adopted (closed by Close).
-func newCheckpoint(alg checksum.Algorithm, sums []checksum.Sum, refs []pageRef, files []faultfs.File) *Checkpoint {
-	cp := &Checkpoint{
-		files:  files,
-		alg:    alg,
-		sums:   checksum.NewSet(len(sums)),
-		frames: refs,
-		pages:  len(refs),
-	}
-	cp.index.entries = make([]indexEntry, len(sums))
-	for i, s := range sums {
-		cp.index.entries[i] = indexEntry{sum: s, ref: refs[i]}
-		cp.sums.Add(s)
-	}
-	return cp
-}
+// RootSize is the byte length of a manifest root: the SHA-256 of an entry's
+// page manifest file, the name two hosts compare to learn they hold the same
+// key list without exchanging it.
+const RootSize = sha256.Size
 
 // Pages reports the number of page frames the checkpoint describes — zero
 // for a union checkpoint, which has content but no frame geometry.
-func (c *Checkpoint) Pages() int { return c.pages }
+func (c *Checkpoint) Pages() int { return len(c.frames) }
 
 // Algorithm reports the checksum algorithm the index was built with.
 func (c *Checkpoint) Algorithm() checksum.Algorithm { return c.alg }
+
+// Partial reports that the entry behind this checkpoint is a salvage image,
+// not a complete guest state.
+func (c *Checkpoint) Partial() bool { return c.partial }
+
+// Root reports the manifest root of the entry this checkpoint was opened
+// from — read under the same store-lock acquisition as its key list and
+// segment handles, so it names exactly the sums this checkpoint serves.
+// ok is false for anything a peer must not match by name: a salvage partial,
+// a union, an entry whose recorded digest does not parse.
+func (c *Checkpoint) Root() (root [RootSize]byte, ok bool) {
+	return c.root, c.named
+}
 
 // IndexSource reports where this open's checksums came from, as the label the
 // restore trace event carries: "keys" when the index is the store's own key
@@ -153,9 +169,31 @@ func (c *Checkpoint) IndexSource() string {
 }
 
 // SumSet returns the set of block checksums present in the checkpoint — the
-// content of the destination's hash announcement. The caller must not
-// mutate it.
-func (c *Checkpoint) SumSet() *checksum.Set { return c.sums }
+// content of the destination's hash announcement, built on the first call.
+// The caller must not mutate it.
+func (c *Checkpoint) SumSet() *checksum.Set {
+	c.setOnce.Do(func() {
+		if c.sums == nil { // a union's set is assembled by OpenUnion
+			c.sums = checksum.NewSet(len(c.pageSums))
+			c.sums.AddAll(c.pageSums)
+		}
+	})
+	return c.sums
+}
+
+// lookup finds a block's payload, building the index from the page-ordered
+// sums on the first call (a union's index is assembled by OpenUnion).
+func (c *Checkpoint) lookup(sum checksum.Sum) (pageRef, bool) {
+	c.indexOnce.Do(func() {
+		if c.index.entries == nil {
+			c.index.entries = make([]indexEntry, len(c.pageSums))
+			for i, s := range c.pageSums {
+				c.index.entries[i] = indexEntry{sum: s, ref: c.frames[i]}
+			}
+		}
+	})
+	return c.index.Lookup(sum)
+}
 
 // blockPool recycles ReadBlock buffers: the destination merge loop resolves
 // one block per reused-from-disk page, and a per-call 4 KiB allocation is
@@ -171,7 +209,7 @@ var blockPool = sync.Pool{New: func() interface{} {
 // ReadAt). The returned buffer may be recycled by passing it to Release
 // once its content has been consumed.
 func (c *Checkpoint) ReadBlock(sum checksum.Sum) (data []byte, ok bool, err error) {
-	ref, ok := c.index.Lookup(sum)
+	ref, ok := c.lookup(sum)
 	if !ok {
 		return nil, false, nil
 	}
@@ -211,8 +249,53 @@ func (c *Checkpoint) PageAt(frame int) (data []byte, ok bool, err error) {
 	return buf, true, nil
 }
 
-// Close releases the underlying files.
+// InstallInto starts installing the checkpoint's frames into dst — page bytes
+// and, into its digest table, their sums — in ascending restoreSpanPages
+// spans on background goroutines, and returns at once. Whoever then writes a
+// frame of dst calls AwaitFrames first; Drain waits for the rest. The readers
+// stop at the next span once ctx is cancelled. The checkpoint must have frame
+// geometry matching dst, and at most one install is started per open.
+func (c *Checkpoint) InstallInto(ctx context.Context, dst *vm.VM) error {
+	if c.load != nil {
+		return fmt.Errorf("checkpoint: install already started")
+	}
+	if dst.NumPages() != len(c.frames) {
+		return fmt.Errorf("checkpoint: image has %d pages, VM has %d", len(c.frames), dst.NumPages())
+	}
+	c.load = startSpanLoad(ctx, c.frames, c.alg, c.pageSums, false, dst)
+	return nil
+}
+
+// AwaitFrames blocks until the background install has finished every span
+// touching frames [start, start+count), so the caller's write lands on top of
+// checkpoint content, never under it. It returns the install's failure — a
+// page read error, or the context's — when such a span will not arrive. With
+// no install under way (a nil checkpoint, a union, an eager Restore) there is
+// nothing to wait for.
+func (c *Checkpoint) AwaitFrames(start, count int) error {
+	if c == nil || c.load == nil {
+		return nil
+	}
+	return c.load.await(start, count)
+}
+
+// Drain waits for the background install to finish or stop and reports why
+// it stopped short, nil when every frame was installed (or none was asked
+// for). After Drain nothing writes to the guest on this checkpoint's behalf.
+func (c *Checkpoint) Drain() error {
+	if c == nil || c.load == nil {
+		return nil
+	}
+	return c.load.drain()
+}
+
+// Close stops a background install still running, waits for it, and releases
+// the underlying files.
 func (c *Checkpoint) Close() error {
+	if c.load != nil {
+		c.load.cancel()
+		_ = c.load.drain() // the caller has the outcome already, or is abandoning it
+	}
 	var first error
 	for _, f := range c.files {
 		if err := f.Close(); err != nil && first == nil {

@@ -175,9 +175,9 @@ func TestIndexDuplicateBlocks(t *testing.T) {
 	})
 }
 
-// TestIndexSortsOnFirstLookup: a checkpoint's index stays in page order until
-// something looks a checksum up, and concurrent first lookups (the pipelined
-// merge's workers) all see the sorted index.
+// TestIndexSortsOnFirstLookup: a checkpoint holds its sums in page order and
+// builds no index until something looks a checksum up, and concurrent first
+// lookups (the pipelined merge's workers) all see the sorted index.
 func TestIndexSortsOnFirstLookup(t *testing.T) {
 	src := filledVM(t, "vm0", 64, 1)
 	cp, err := savedStore(t, src).Restore("vm0", checksum.Default, nil)
@@ -185,9 +185,12 @@ func TestIndexSortsOnFirstLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cp.Close()
-	for i, e := range cp.index.entries {
-		if e.sum != src.PageSum(i, checksum.Default) {
-			t.Fatalf("index entry %d is not page %d's sum before any lookup: sorted eagerly?", i, i)
+	if cp.index.entries != nil || cp.sums != nil {
+		t.Fatal("index or announcement set built at open, before any use")
+	}
+	for i, sum := range cp.pageSums {
+		if sum != src.PageSum(i, checksum.Default) {
+			t.Fatalf("sum %d is not page %d's", i, i)
 		}
 	}
 	var wg sync.WaitGroup

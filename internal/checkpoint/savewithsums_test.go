@@ -216,9 +216,9 @@ func TestRestoreSumsMatchGuest(t *testing.T) {
 						guest = dst
 					}
 					want := guest.RangeSums(0, pages, alg, nil)
-					for i, e := range cp.index.entries { // page order until the first lookup
-						if e.sum != want[i] {
-							t.Fatalf("index sum of page %d = %s, want %s", i, e.sum, want[i])
+					for i, sum := range cp.pageSums {
+						if sum != want[i] {
+							t.Fatalf("index sum of page %d = %s, want %s", i, sum, want[i])
 						}
 					}
 					distinct := checksum.NewSet(pages)

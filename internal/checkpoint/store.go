@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -195,8 +196,49 @@ func sanitize(name string) string {
 // Has reports whether a servable checkpoint — complete or partial, not
 // quarantined — exists for the named VM.
 func (s *Store) Has(vmName string) bool {
-	info, ok := s.Entry(vmName)
-	return ok && info.State != EntryQuarantined
+	state, ok := s.State(vmName)
+	return ok && state != EntryQuarantined
+}
+
+// State reports the named VM's entry state, ok=false when the store holds no
+// entry. Unlike Entry it prices nothing (no unique-bytes scan of the key
+// list), so the migration path can ask on every arrival.
+func (s *Store) State(vmName string) (EntryState, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.man.Entries[sanitize(vmName)]
+	return e.State, ok
+}
+
+// Mirror reports this host's complete checkpoint of the named VM by name and
+// by value: its manifest root and its page-ordered key list (not to be
+// modified; an entry's list never changes after its save). A source offers the
+// root to a destination; if the destination's own entry has the same root, the
+// two hold the same key list and the source's copy stands in for the
+// destination's announcement. ok is false when there is no entry or it is not
+// a complete one — a salvage partial or a quarantined entry is never offered.
+// No file is read.
+func (s *Store) Mirror(vmName string) (root [RootSize]byte, keys []checksum.Sum, ok bool) {
+	key := sanitize(vmName)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, found := s.man.Entries[key]
+	if !found || e.State != EntryComplete {
+		return root, nil, false
+	}
+	if root, ok = parseRoot(e.Digest); !ok {
+		return root, nil, false
+	}
+	return root, s.keys[key], true
+}
+
+// parseRoot decodes a manifest entry's recorded pmf digest.
+func parseRoot(digest string) (root [RootSize]byte, ok bool) {
+	raw, err := hex.DecodeString(digest)
+	if err != nil || len(raw) != RootSize {
+		return root, false
+	}
+	return [RootSize]byte(raw), true
 }
 
 // Save checkpoints the VM's memory (and its generation vector) on this
@@ -533,6 +575,10 @@ func closeAll(files []faultfs.File) {
 // read only to install them into dst. Any other algorithm takes the rescan of
 // §3.3 — every page read and hashed under alg — on every open: nothing is
 // cached for an algorithm the store does not key by.
+//
+// Restore is the eager form: it returns once dst holds every page. A caller
+// that can overlap the installs with other work opens index-only (dst nil)
+// and hands the guest to Checkpoint.InstallInto.
 func (s *Store) Restore(vmName string, alg checksum.Algorithm, dst *vm.VM) (*Checkpoint, error) {
 	if !alg.Valid() {
 		return nil, fmt.Errorf("checkpoint: invalid checksum algorithm")
@@ -575,7 +621,13 @@ func (s *Store) Restore(vmName string, alg checksum.Algorithm, dst *vm.VM) (*Che
 		return fail(err)
 	}
 	s.touch(vmName)
-	return newCheckpoint(alg, sums, refs, files), nil
+	// Page i lives at refs[i] and hashes to sums[i]; the files are the
+	// checkpoint's now, closed by its Close.
+	cp := &Checkpoint{files: files, alg: alg, frames: refs, pageSums: sums, partial: e.State == EntryPartial}
+	if e.State == EntryComplete {
+		cp.root, cp.named = parseRoot(e.Digest)
+	}
+	return cp, nil
 }
 
 // entrySums returns an entry's page-ordered checksums under alg: the page keys
@@ -600,78 +652,6 @@ func (s *Store) entrySums(pageKeys []checksum.Sum, refs []pageRef, alg checksum.
 	s.deferMetricLocked(func(m Metrics) { m.HashBytes("restore", n) })
 	s.mu.Unlock()
 	return sums, nil
-}
-
-// restoreFanout caps the goroutines one Restore reads its pages with. A
-// checkpoint's frames scatter over more segments with every churned hop (a
-// 256 MiB guest decays from 256 one-MiB runs to tens of thousands of short
-// ones within a dozen legs), so coalescing reads alone stops helping; the
-// fan-out is what keeps the reads and installs off one goroutine.
-const restoreFanout = 4
-
-// restoreSpanPages is the unit a restore goroutine works in: 256 frames, a
-// 1 MiB buffer, one install (one acquisition of the guest's lock).
-const restoreSpanPages = 256
-
-// restoreBufPool recycles the span buffers across restores; unpooled they
-// dominated a recycled migration's allocations.
-var restoreBufPool = sync.Pool{New: func() interface{} {
-	return make([]byte, restoreSpanPages*vm.PageSize)
-}}
-
-// loadPages reads every page refs locates, over up to restoreFanout
-// goroutines owning disjoint frame ranges. Each fills a span of frames —
-// payloads that sit back to back in one segment with a single ReadAt — and
-// installs it whole. With hash set (the rescan) each page is digested under
-// alg into sums[i]; otherwise sums already describes the pages. dst, when
-// non-nil, receives every span together with its digests, so the guest's
-// digest table is seeded with exactly the sums this restore serves the merge
-// from.
-func loadPages(refs []pageRef, alg checksum.Algorithm, sums []checksum.Sum, hash bool, dst *vm.VM) error {
-	pages := len(refs)
-	workers := max(1, min(restoreFanout, pages/restoreSpanPages))
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			buf := restoreBufPool.Get().([]byte)
-			defer restoreBufPool.Put(buf) //nolint:staticcheck // SA6002: 1 MiB slice, header alloc is fine
-			end := (k + 1) * pages / workers
-			for i := k * pages / workers; i < end; i += restoreSpanPages {
-				j := min(i+restoreSpanPages, end)
-				span := buf[:(j-i)*vm.PageSize]
-				for p := i; p < j; {
-					q := p + 1
-					for q < j && refs[q].f == refs[p].f && refs[q].off == refs[q-1].off+vm.PageSize {
-						q++
-					}
-					n, err := refs[p].f.ReadAt(span[(p-i)*vm.PageSize:(q-i)*vm.PageSize], refs[p].off)
-					if err != nil {
-						errs[k] = fmt.Errorf("checkpoint: read page %d: %w", p+n/vm.PageSize, err)
-						return
-					}
-					p = q
-				}
-				if hash {
-					for p := i; p < j; p++ {
-						sums[p] = alg.Page(span[(p-i)*vm.PageSize : (p-i+1)*vm.PageSize])
-					}
-				}
-				if dst != nil {
-					dst.InstallRangeSums(i, span, alg, sums[i:j])
-				}
-			}
-		}(k)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // OpenUnion builds a Checkpoint over the union of every servable entry in

@@ -200,8 +200,18 @@ func DecodeSetCompact(r io.Reader) (*Set, error) {
 	if maxBody := uint64(n) * (1 + Size); uint64(bodyLen) > maxBody {
 		return nil, fmt.Errorf("checksum: compact body length %d exceeds bound %d for %d sums", bodyLen, maxBody, n)
 	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
+	// An undeflated body spends at least a byte on every sum; say so before
+	// anything is sized by a count the peer merely claims.
+	if mode != compactModeDeflate && mode != compactModeTranspose && bodyLen < n {
+		return nil, fmt.Errorf("checksum: compact body length %d cannot hold %d sums", bodyLen, n)
+	}
+	// Read as it arrives rather than into a buffer of the claimed length: a
+	// header alone may claim a gigabyte.
+	body, err := io.ReadAll(io.LimitReader(r, int64(bodyLen)))
+	if err == nil && len(body) != int(bodyLen) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("checksum: compact decode body: %w", err)
 	}
 	if mode == compactModeTranspose {
@@ -211,7 +221,9 @@ func DecodeSetCompact(r io.Reader) (*Set, error) {
 	if mode == compactModeDeflate {
 		dr = flate.NewReader(dr)
 	}
-	st := NewSet(int(n))
+	// Sized by the bytes received, not the count claimed: a deflated body can
+	// be much shorter than its sums, and then the map grows as they arrive.
+	st := NewSet(int(min(n, bodyLen)))
 	var prev, cur Sum
 	for i := uint32(0); i < n; i++ {
 		prefix := 0
@@ -257,13 +269,14 @@ func DecodeSetCompact(r io.Reader) (*Set, error) {
 // as the other modes.
 func decodeTranspose(body []byte, n uint32) (*Set, error) {
 	fr := flate.NewReader(bytes.NewReader(body))
-	trans := make([]byte, int(n)*Size)
-	if _, err := io.ReadFull(fr, trans); err != nil {
+	// Grown as the planes inflate, so a short body claiming millions of sums
+	// costs what it inflates to, not what it claims.
+	trans, err := io.ReadAll(io.LimitReader(fr, int64(n)*Size+1))
+	if err != nil {
 		return nil, fmt.Errorf("checksum: compact transpose inflate: %w", err)
 	}
-	var trailing [1]byte
-	if _, err := fr.Read(trailing[:]); err != io.EOF {
-		return nil, fmt.Errorf("checksum: compact transpose has trailing bytes")
+	if len(trans) != int(n)*Size {
+		return nil, fmt.Errorf("checksum: compact transpose inflates to %d bytes, want %d", len(trans), int(n)*Size)
 	}
 	if err := fr.Close(); err != nil {
 		return nil, fmt.Errorf("checksum: compact transpose close: %w", err)

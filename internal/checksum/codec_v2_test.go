@@ -233,6 +233,12 @@ func TestCompactRejectsCorrupt(t *testing.T) {
 		"not ascending":       compactFrame(2, compactModeRaw, ascending(s2, s2)),
 		"descending plain":    compactFrame(2, compactModePlain, append(append([]byte{}, s2[:]...), s1[:]...)),
 		"trailing body bytes": compactFrame(1, compactModeRaw, append(ascending(s1), 0x00)),
+		// Nine bytes claiming the limit: refused on their length, before a map
+		// or a plane buffer is sized by the claim (the fuzzer's first find).
+		"claimed sums, empty raw body":        compactFrame(maxEncodedSums, compactModeRaw, nil),
+		"claimed sums, empty plain body":      compactFrame(maxEncodedSums, compactModePlain, nil),
+		"claimed sums, empty deflated body":   compactFrame(maxEncodedSums, compactModeDeflate, nil),
+		"claimed sums, empty transposed body": compactFrame(maxEncodedSums, compactModeTranspose, nil),
 	}
 	for name, frame := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -21,9 +21,11 @@ type DestOptions struct {
 	// Store is consulted for a checkpoint of the incoming VM. May be nil
 	// (pure baseline destination).
 	Store *checkpoint.Store
-	// TrackIncoming records the checksums of all pages observed during the
-	// migration, enabling the ping-pong optimization on a later outgoing
-	// migration of the same VM back to this peer (§3.2).
+	// TrackIncoming completes the arriving guest's digest table at the final
+	// acknowledgement and snapshots it as DestResult.PageSums, so the
+	// post-migration checkpoint is keyed without a rehash — and, the source
+	// having saved the same state, under the same manifest root, which is
+	// what lets the return leg name it instead of announcing it (§3.2).
 	TrackIncoming bool
 	// VerifyPayloads re-computes the checksum of every full page received
 	// and rejects mismatches. Costs one hash per page; useful under
@@ -64,11 +66,6 @@ func (o *DestOptions) workers() int {
 // DestResult reports the outcome of an incoming migration.
 type DestResult struct {
 	Metrics Metrics
-	// SeenSums is the checksum set of the VM's final arrived state (only
-	// when DestOptions.TrackIncoming was set) — by construction the set of
-	// blocks the peer's post-migration checkpoint holds, usable as
-	// SourceOptions.KnownDestSums on a later return migration.
-	SeenSums *checksum.Set
 	// UsedCheckpoint reports whether a local checkpoint bootstrapped RAM.
 	UsedCheckpoint bool
 	// ResumedFromPartial reports that the bootstrap checkpoint was a
@@ -184,9 +181,11 @@ func (s *IncomingSession) release() {
 // conn. The VM must be created (all-zero memory) and sized before the call;
 // its name and page count are validated against the source's hello.
 //
-// Checkpoint loading happens between hello and hello-ack. The paper
+// The checkpoint is opened between hello and hello-ack — index only under
+// the store's key algorithm, its pages then installed in the background
+// under round one; read and hashed in full under any other. The paper
 // excludes this setup from the reported migration time — Metrics.Duration
-// here starts after the checkpoint is loaded, matching that accounting.
+// here starts once the checkpoint is open, matching that accounting.
 func MigrateDest(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts DestOptions) (DestResult, error) {
 	s, err := Accept(ctx, conn)
 	if err != nil {
@@ -222,19 +221,14 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 	}
 
 	// Bootstrap from the local checkpoint if the source wants recycling and
-	// we have one. A salvage (partial) image left by an interrupted earlier
-	// attempt is served only when the announcement will actually describe
-	// it: under skip-announce the source replays the checksum set it
-	// learned from the last *complete* checkpoint, which a partial image
-	// need not hold, so the bootstrap is skipped rather than risk
-	// unresolvable page-sum references.
+	// we have one — complete, or the salvage image an interrupted earlier
+	// attempt left (the announcement describes whichever was opened, and a
+	// salvage image has no root a source could match by name).
 	var cp *checkpoint.Checkpoint
-	partial := false
 	union := false
 	if h.Recycle && opts.Store != nil {
-		if info, ok := opts.Store.Entry(h.VMName); ok && info.State != checkpoint.EntryQuarantined &&
-			!(info.State == checkpoint.EntryPartial && h.SkipAnnounce) {
-			rcp, rerr := opts.Store.Restore(h.VMName, h.Alg, v)
+		if state, ok := opts.Store.State(h.VMName); ok && state != checkpoint.EntryQuarantined {
+			rcp, rerr := s.openBootstrap(ctx, v, opts.Store)
 			if rerr != nil {
 				// A corrupt or unreadable checkpoint must not fail the
 				// migration; degrade to a full first round. A storage-borne
@@ -250,10 +244,9 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 				}
 			} else {
 				cp = rcp
-				partial = info.State == checkpoint.EntryPartial
 			}
 		}
-		if cp == nil && !h.SkipAnnounce {
+		if cp == nil {
 			// Fresh VM on a warm host: no servable checkpoint of its own, but
 			// the content-addressed pool may hold its pages anyway — other
 			// VMs' checkpoints, older generations, salvage partials.
@@ -265,7 +258,6 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 			if ucp, members, uerr := opts.Store.OpenUnion(h.Alg); uerr == nil && ucp != nil {
 				cp = ucp
 				union = true
-				partial = true
 				res.UnionBootstrap = true
 				opts.OnEvent.emit(Event{Kind: EventUnion,
 					Pages:  int64(ucp.SumSet().Len()),
@@ -276,21 +268,25 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 			}
 		}
 	}
+	// match: the source named, in its hello, the very key list this entry was
+	// opened with, so it already holds the announcement. Only a complete entry
+	// under the key algorithm has such a name.
+	match := false
 	if cp != nil {
 		defer cp.Close()
 		res.UsedCheckpoint = true
-		res.ResumedFromPartial = partial && !union
+		res.ResumedFromPartial = cp.Partial()
 		opts.OnEvent.emit(Event{Kind: EventRestore, Detail: cp.IndexSource()})
 		if res.ResumedFromPartial {
 			opts.OnEvent.emit(Event{Kind: EventSalvage, Detail: "resumed",
 				Pages: int64(cp.Pages())})
 		}
+		if root, ok := cp.Root(); ok && h.HasRoot && h.Alg == checkpoint.ObjectAlgorithm {
+			match = root == h.Root
+		}
 	}
 
 	res.Alg = h.Alg
-	if opts.TrackIncoming {
-		res.SeenSums = checksum.NewSet(v.NumPages())
-	}
 
 	start := time.Now()
 	// The capability holds only when both ends opted in: the source's hello
@@ -299,13 +295,13 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 	useV2 := h.CompactAnnounce && !opts.NoCompactAnnounce
 	s.rangeOK = h.RangeFrames && !opts.NoRangeFrames
 	if err := writeHelloAck(w, helloAck{OK: true, HaveCheckpoint: cp != nil,
-		CompactAnnounce: useV2, PartialCheckpoint: partial,
-		RangeFrames: s.rangeOK}); err != nil {
+		CompactAnnounce: useV2, PartialCheckpoint: union || res.ResumedFromPartial,
+		RangeFrames: s.rangeOK, ManifestMatch: match}); err != nil {
 		return res, err
 	}
 	opts.OnEvent.emit(Event{Kind: EventHello, Pages: int64(h.PageCount),
-		Detail: fmt.Sprintf("have_checkpoint=%v", cp != nil)})
-	if cp != nil && !h.SkipAnnounce {
+		Detail: helloDetail(cp != nil, match)})
+	if cp != nil && !match {
 		set := cp.SumSet()
 		before := s.cw.n + int64(w.Buffered())
 		if useV2 {
@@ -331,7 +327,11 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 		err = s.mergeSequential(ctx, v, opts, cp, &res, start)
 	}
 	if err != nil {
-		// A recycled-page read failure means this entry's bytes lie: the
+		// Let the background install finish (or stop, when ctx was cancelled
+		// or a read failed) before anything else looks at v.
+		drainErr := cp.Drain()
+		// A recycled-page read failure — a block the merge asked for, or a
+		// span of the background install — means this entry's bytes lie: the
 		// index promised content the disk would not yield. Quarantine it so
 		// the retry's announcement comes from the union or nothing and the
 		// affected pages flow over the wire instead. Union bootstraps skip
@@ -347,10 +347,35 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 		}
 		// Both merge engines have fully drained their workers by the time
 		// they return, so v's RAM is stable: persist the progress as a
-		// salvage checkpoint for the next attempt to resume from.
-		s.salvage(v, opts, &res)
+		// salvage checkpoint for the next attempt to resume from. An install
+		// cut short left v with less than the entry it was bootstrapping
+		// from, which salvaging over that entry would lose.
+		if drainErr == nil {
+			s.salvage(v, opts, &res)
+		}
 	}
 	return res, err
+}
+
+// openBootstrap opens the arriving VM's own checkpoint. Under the store's key
+// algorithm the open is index-only — the sums are the entry's keys, already in
+// memory — and the pages follow on background goroutines while the hello-ack,
+// the announcement and round one cross the wire; the merge awaits the spans a
+// frame touches (awaitInstall). Any other algorithm has to read and hash every
+// page before it can announce a single sum, so there the restore is eager.
+func (s *IncomingSession) openBootstrap(ctx context.Context, v *vm.VM, store *checkpoint.Store) (*checkpoint.Checkpoint, error) {
+	if s.h.Alg != checkpoint.ObjectAlgorithm {
+		return store.Restore(s.h.VMName, s.h.Alg, v)
+	}
+	cp, err := store.Restore(s.h.VMName, s.h.Alg, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := cp.InstallInto(ctx, v); err != nil {
+		cp.Close()
+		return nil, err
+	}
+	return cp, nil
 }
 
 // salvage persists the pages a failed merge had already installed as a
@@ -413,6 +438,9 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 				return err
 			}
 			rangeFloor = rng.start + uint64(rng.count)
+			if err := awaitInstall(cp, int(rng.start), rng.count); err != nil {
+				return err
+			}
 			if err := applyRange(v, cp, h.Alg, opts.VerifyPayloads, &rng, st, &res.Metrics); err != nil {
 				return err
 			}
@@ -444,6 +472,9 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 					return fmt.Errorf("%w: page %d payload checksum mismatch", ErrProtocol, page)
 				}
 			}
+			if err := awaitInstall(cp, int(page), 1); err != nil {
+				return err
+			}
 			// The header sum describes the installed bytes — verified above
 			// when VerifyPayloads is set, trusted at the protocol's own level
 			// otherwise (the same trust a recycled page-sum frame gets).
@@ -462,6 +493,9 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 				return fmt.Errorf("%w: page-sum received without a checkpoint", ErrProtocol)
 			}
 			res.Metrics.PageFrames++
+			if err := awaitInstall(cp, int(page), 1); err != nil {
+				return err
+			}
 			want := [1]checksum.Sum{sum}
 			if err := resolveSums(v, cp, h.Alg, int(page), want[:], st, &res.Metrics); err != nil {
 				return err
@@ -496,6 +530,9 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 			}
 			// The frame still holds bootstrap (checkpoint) content in round
 			// one; apply the delta against it.
+			if err := awaitInstall(cp, int(page), 1); err != nil {
+				return err
+			}
 			v.ReadPage(int(page), pageBuf)
 			if err := delta.Decode(pageBuf, enc, pageBuf); err != nil {
 				return fmt.Errorf("%w: %v", ErrProtocol, err)
@@ -522,6 +559,9 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 			rangeFloor = 0
 
 		case msgDone:
+			if err := drainInstall(cp); err != nil {
+				return err
+			}
 			if err := writeMsgType(w, msgAck); err != nil {
 				return err
 			}
@@ -541,20 +581,20 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 	}
 }
 
-// finishTrack is the round-end TrackIncoming pass: record the checksum set of
+// finishTrack is the round-end TrackIncoming pass: record the page digests of
 // the *final* arrived state. This is exactly "the set of pages existing at
 // the source" (§3.2): the source checkpoints its paused final state, which is
-// what v now holds — the sound basis for a later ping-pong return leg. Every
+// what v now holds, so both hosts' next saves carry one key list under one
+// manifest root — the sound basis for a later ping-pong return leg. Every
 // install recorded its digest in v's digest table (stale intermediate
 // contents were overwritten there just as in RAM), so completing the table
 // hashes only pages no install covered — none on the normal path, where round
-// one walks every page — and the completed table is both the set and the
-// PageSums snapshot. The caller has drained every install.
+// one walks every page — and the completed table is the PageSums snapshot.
+// The caller has drained every install, the background bootstrap included.
 func finishTrack(v *vm.VM, res *DestResult) {
 	n := v.NumPages()
 	hashed := v.CompleteDigests(res.Alg)
 	res.PageSums, _ = v.Digests(0, n, res.Alg, make([]checksum.Sum, 0, n))
-	res.SeenSums.AddAll(res.PageSums)
 	res.Metrics.HashBytes += int64(hashed) * vm.PageSize
 	res.Metrics.HashAvoidedBytes += int64(n-hashed) * vm.PageSize
 }

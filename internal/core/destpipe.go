@@ -63,6 +63,14 @@ type destWorker struct {
 // checkpoint-dependent messages when no checkpoint is loaded.
 func (ws *destWorker) process(j *destJob) error {
 	page := int(j.page)
+	start, count := page, 1
+	switch j.t {
+	case msgRangeSum, msgRangeFull, msgRangeFullZ, msgRangeDelta:
+		start, count = int(j.rng.start), j.rng.count
+	}
+	if err := awaitInstall(ws.cp, start, count); err != nil {
+		return err
+	}
 	switch j.t {
 	case msgRangeSum, msgRangeFull, msgRangeFullZ, msgRangeDelta:
 		return applyRange(ws.v, ws.cp, ws.alg, ws.verify, &j.rng, ws.st, &ws.m)
@@ -310,6 +318,9 @@ func (s *IncomingSession) mergePipelined(ctx context.Context, v *vm.VM, opts Des
 			inflight.Wait()
 			if werr := storedErr(); werr != nil {
 				return werr
+			}
+			if err := drainInstall(cp); err != nil {
+				return err
 			}
 			if err := writeMsgType(w, msgAck); err != nil {
 				return err

@@ -16,7 +16,10 @@ import (
 // guest left behind, save both ends from the migration's sums), with seeded
 // writes and plain installs between hops and a guest that keeps writing
 // during round one — so pages are dirtied after the source read them — at
-// every engine width and option set. After every step each entry the guests'
+// every engine width and option set, with the source naming the checkpoint it
+// holds (the destination matches it and announces nothing) and without (the
+// destination announces). Either way the destination installs its checkpoint
+// in the background, under round one. After every step each entry the guests'
 // digest tables answer from must equal an independent digest of the bytes
 // (vm.RangeSums never reads the table), and after every hop the destination
 // must hold the source's memory as of the pause.
@@ -24,16 +27,25 @@ func TestDigestTableMigrationAudit(t *testing.T) {
 	modes := []string{"plain", "compress", "delta", "verify", "postcopy"}
 	for _, workers := range []int{0, 1, 2, 8} {
 		for mi, mode := range modes {
-			t.Run(fmt.Sprintf("workers=%d/%s", workers, mode), func(t *testing.T) {
-				auditPingPong(t, int64(100*workers+mi+1), workers, mode)
-			})
+			for _, named := range []bool{false, true} {
+				if named && mode == "postcopy" {
+					continue // post-copy has no announcement to elide
+				}
+				name := fmt.Sprintf("workers=%d/%s", workers, mode)
+				if named {
+					name += "-named"
+				}
+				t.Run(name, func(t *testing.T) {
+					auditPingPong(t, int64(100*workers+mi+1), workers, mode, named)
+				})
+			}
 		}
 	}
 }
 
-func auditPingPong(t *testing.T, seed int64, workers int, mode string) {
+func auditPingPong(t *testing.T, seed int64, workers int, mode string, named bool) {
 	const pages = 600 // two full batches and a tail
-	const alg = checksum.MD5
+	const alg = checksum.Default
 	rng := rand.New(rand.NewSource(seed))
 	here, there := newStore(t), newStore(t) // the stores of the guest's host and of its peer
 	cur := newVM(t, "vm0", pages, seed)
@@ -94,7 +106,10 @@ func auditPingPong(t *testing.T, seed int64, workers int, mode string) {
 				Compress: mode == "compress"}
 			dopts := DestOptions{Store: there, Workers: workers, TrackIncoming: true,
 				VerifyPayloads: mode == "verify"}
-			if info, ok := here.Entry("vm0"); mode == "delta" && ok && info.State == checkpoint.EntryComplete {
+			if named && hop > 0 {
+				sopts.Mirror = mirrorOf(t, here, "vm0")
+			}
+			if state, ok := here.State("vm0"); mode == "delta" && ok && state == checkpoint.EntryComplete {
 				base, err := here.Restore("vm0", alg, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -136,6 +151,11 @@ func auditPingPong(t *testing.T, seed int64, workers int, mode string) {
 				}
 				if sm.HashAvoidedBytes == 0 {
 					t.Errorf("hop %d: the source took no digest from the guest's table", hop)
+				}
+				// Both hosts saved the same state last hop, so a named
+				// checkpoint always matches; an unnamed one is announced.
+				if (dres.Metrics.AnnounceBytes == 0) != named {
+					t.Errorf("hop %d: named=%v but the destination announced %d bytes", hop, named, dres.Metrics.AnnounceBytes)
 				}
 			}
 			// Save both ends from the migration's sums, as sched.Host does.

@@ -213,16 +213,26 @@ func TestRecycleWithoutCheckpointDegrades(t *testing.T) {
 	}
 }
 
+// mirrorOf returns the store's complete entry of the VM as a source offers it.
+func mirrorOf(t *testing.T, s *checkpoint.Store, name string) *Mirror {
+	t.Helper()
+	root, keys, ok := s.Mirror(name)
+	if !ok {
+		t.Fatalf("store holds no complete entry of %q to offer", name)
+	}
+	return &Mirror{Root: root, Keys: keys}
+}
+
 func TestPingPongSkipsAnnouncement(t *testing.T) {
-	// A→B with tracking, then B→A using the tracked sums: the second leg
-	// must carry no bulk announcement yet still recycle.
+	// A→B, both saving the moved state, then B→A naming that checkpoint: the
+	// second leg must carry no bulk announcement yet still recycle.
 	vmA := newVM(t, "vm0", 64, 1)
 	if err := vmA.FillRandom(0.9); err != nil {
 		t.Fatal(err)
 	}
 	storeA, storeB := newStore(t), newStore(t)
 
-	// Leg 1: A → B (no checkpoint at B yet; B tracks what it sees).
+	// Leg 1: A → B (no checkpoint at B yet; B saves what arrived).
 	vmB := newVM(t, "vm0", 64, 2)
 	if err := storeA.Save(vmA); err != nil { // A checkpoints on the way out
 		t.Fatal(err)
@@ -233,29 +243,51 @@ func TestPingPongSkipsAnnouncement(t *testing.T) {
 	if !vmA.MemEqual(vmB) {
 		t.Fatal("leg 1 memory differs")
 	}
-	if dres1.SeenSums == nil || dres1.SeenSums.Len() == 0 {
-		t.Fatal("leg 1 tracked nothing")
+	if err := storeB.SaveWithSums(vmB, dres1.Alg, dres1.PageSums); err != nil {
+		t.Fatal(err)
 	}
 
-	// B runs a little, then migrates back to A. B knows A's checkpoint
-	// content: it is exactly what B received (A checkpointed the same
-	// state it sent).
+	// B runs a little, then migrates back to A. B's arrival image is A's
+	// departure image — same key list, same root — so B's hello names it.
 	vmB.TouchRandomPages(5)
-	vmA2 := newVM(t, "vm0", 64, 3)
-	sm2, dres2 := migrate(t, vmB, vmA2,
-		SourceOptions{Recycle: true, KnownDestSums: dres1.SeenSums},
+	for _, workers := range []int{0, 2} {
+		vmA2 := newVM(t, "vm0", 64, 3)
+		var hello string
+		sm2, dres2 := migrate(t, vmB, vmA2,
+			SourceOptions{Recycle: true, Mirror: mirrorOf(t, storeB, "vm0"), OnEvent: func(e Event) {
+				if e.Kind == EventHello {
+					hello = e.Detail
+				}
+			}},
+			DestOptions{Store: storeA, VerifyPayloads: true, Workers: workers})
+		if !vmB.MemEqual(vmA2) {
+			t.Fatalf("leg 2 memory differs at page %d", vmB.FirstDifference(vmA2))
+		}
+		if sm2.AnnounceBytes != 0 {
+			t.Errorf("ping-pong leg carried a %d-byte announcement", sm2.AnnounceBytes)
+		}
+		if dres2.Metrics.AnnounceBytes != 0 {
+			t.Errorf("destination sent a %d-byte announcement despite the match", dres2.Metrics.AnnounceBytes)
+		}
+		if sm2.PagesSum == 0 {
+			t.Error("ping-pong leg recycled nothing")
+		}
+		if hello != "have_checkpoint=true manifest=match" {
+			t.Errorf("source hello event detail = %q", hello)
+		}
+	}
+
+	// Under another algorithm the root names nothing the destination could
+	// serve: the hello offers none and the announcement comes back.
+	vmA3 := newVM(t, "vm0", 64, 4)
+	sm3, _ := migrate(t, vmB, vmA3,
+		SourceOptions{Recycle: true, Alg: checksum.MD5, Mirror: mirrorOf(t, storeB, "vm0")},
 		DestOptions{Store: storeA, VerifyPayloads: true})
-	if !vmB.MemEqual(vmA2) {
-		t.Fatalf("leg 2 memory differs at page %d", vmB.FirstDifference(vmA2))
+	if !vmB.MemEqual(vmA3) {
+		t.Fatalf("md5 leg memory differs at page %d", vmB.FirstDifference(vmA3))
 	}
-	if sm2.AnnounceBytes != 0 {
-		t.Errorf("ping-pong leg carried a %d-byte announcement", sm2.AnnounceBytes)
-	}
-	if dres2.Metrics.AnnounceBytes != 0 {
-		t.Errorf("destination sent a %d-byte announcement despite skip", dres2.Metrics.AnnounceBytes)
-	}
-	if sm2.PagesSum == 0 {
-		t.Error("ping-pong leg recycled nothing")
+	if sm3.AnnounceBytes == 0 || sm3.PagesSum == 0 {
+		t.Errorf("md5 leg: announce %d bytes, %d checksum pages; want both non-zero", sm3.AnnounceBytes, sm3.PagesSum)
 	}
 }
 
@@ -338,17 +370,12 @@ func TestHelloRejectionWrongSize(t *testing.T) {
 func TestSourceRejectsWeakAlgorithm(t *testing.T) {
 	// Weak algorithms are integrity tags only: fine for baseline
 	// migrations, rejected before any I/O the moment checksum equality
-	// stands in for page content (recycling or a known-sums set).
+	// stands in for page content.
 	src := newVM(t, "vm0", 8, 1)
 	for _, alg := range []checksum.Algorithm{checksum.FNV, checksum.FAST64} {
 		a, _ := net.Pipe()
 		if _, err := MigrateSource(context.Background(), a, src, SourceOptions{Alg: alg, Recycle: true}); err == nil {
 			t.Errorf("%v accepted for recycling", alg)
-		}
-		a.Close()
-		a, _ = net.Pipe()
-		if _, err := MigrateSource(context.Background(), a, src, SourceOptions{Alg: alg, KnownDestSums: checksum.NewSet(0)}); err == nil {
-			t.Errorf("%v accepted for ping-pong matching", alg)
 		}
 		a.Close()
 	}

@@ -10,11 +10,13 @@
 // consider it unlikely that a page updated between copy rounds matches a
 // page already present at the destination".
 //
-// Destination side (§3.3): bootstrap RAM by sequentially reading the local
-// checkpoint, recording one checksum per 4 KiB block with its file offset;
-// announce the checksum set in bulk; then merge incoming messages per
-// Listing 1 — a received checksum that does not match the resident frame is
-// looked up in the checkpoint index and the block re-read from disk.
+// Destination side (§3.3): open the local checkpoint — one checksum per 4 KiB
+// block with its file offset — and bootstrap RAM from it, in the background
+// when the checksums are the store's own keys; announce the checksum set in
+// bulk unless the source named that very checkpoint in its hello; then merge
+// incoming messages per Listing 1 — a received checksum that does not match
+// the resident frame is looked up in the checkpoint index and the block
+// re-read from disk.
 package core
 
 import (
@@ -23,6 +25,7 @@ import (
 	"fmt"
 	"io"
 
+	"vecycle/internal/checkpoint"
 	"vecycle/internal/checksum"
 )
 
@@ -105,10 +108,14 @@ type hello struct {
 	Alg       checksum.Algorithm
 	// Recycle indicates the source wants checkpoint-assisted mode.
 	Recycle bool
-	// SkipAnnounce tells the destination the source already knows its
-	// checksum set from a previous incoming migration — the ping-pong
-	// optimization of §3.2.
-	SkipAnnounce bool
+	// HasRoot says Root follows the flags byte: the manifest root of the
+	// source's own complete checkpoint of this VM (checkpoint.Store.Mirror),
+	// offered only with Recycle under the store's key algorithm. A
+	// destination whose entry of the VM has the same root holds the same key
+	// list, says so in its ack (helloAck.ManifestMatch) and announces
+	// nothing — §3.2's ping-pong, by name instead of by trust.
+	HasRoot bool
+	Root    [checkpoint.RootSize]byte
 	// PostCopy selects the post-copy protocol (manifest + demand fetch)
 	// instead of iterative pre-copy.
 	PostCopy bool
@@ -150,6 +157,11 @@ type helloAck struct {
 	// the capability in its hello; without it the source keeps the
 	// per-page v1 stream.
 	RangeFrames bool
+	// ManifestMatch reports that the complete entry the destination opened
+	// has the manifest root the hello offered: no announcement follows, the
+	// source's own key list is the destination's checksum set. Implies
+	// HaveCheckpoint; never set without a root in the hello.
+	ManifestMatch bool
 }
 
 const maxNameLen = 1024
@@ -184,7 +196,7 @@ func writeHello(w io.Writer, h hello) error {
 	if h.Recycle {
 		flags |= 1
 	}
-	if h.SkipAnnounce {
+	if h.HasRoot {
 		flags |= 2
 	}
 	if h.PostCopy {
@@ -212,6 +224,11 @@ func writeHello(w io.Writer, h hello) error {
 	for _, f := range rest {
 		if err := binary.Write(w, binary.LittleEndian, f); err != nil {
 			return fmt.Errorf("core: write hello: %w", err)
+		}
+	}
+	if h.HasRoot {
+		if _, err := w.Write(h.Root[:]); err != nil {
+			return fmt.Errorf("core: write hello root: %w", err)
 		}
 	}
 	return nil
@@ -244,10 +261,20 @@ func readHello(r io.Reader) (hello, error) {
 	}
 	h.Alg = checksum.Algorithm(alg)
 	h.Recycle = flags&1 != 0
-	h.SkipAnnounce = flags&2 != 0
+	h.HasRoot = flags&2 != 0
 	h.PostCopy = flags&4 != 0
 	h.CompactAnnounce = flags&8 != 0
 	h.RangeFrames = flags&16 != 0
+	if h.HasRoot {
+		// A root names a checkpoint to recycle; without the recycle bit the
+		// 32 bytes that follow have no reading.
+		if !h.Recycle {
+			return h, fmt.Errorf("%w: hello offers a manifest root without recycling", ErrProtocol)
+		}
+		if _, err := io.ReadFull(r, h.Root[:]); err != nil {
+			return h, fmt.Errorf("core: read hello root: %w", err)
+		}
+	}
 	return h, nil
 }
 
@@ -270,6 +297,9 @@ func writeHelloAck(w io.Writer, a helloAck) error {
 	}
 	if a.RangeFrames {
 		flags |= 16
+	}
+	if a.ManifestMatch {
+		flags |= 32
 	}
 	if len(a.Reason) > maxNameLen {
 		a.Reason = a.Reason[:maxNameLen]
@@ -298,6 +328,7 @@ func readHelloAck(r io.Reader) (helloAck, error) {
 	a.CompactAnnounce = flags&4 != 0
 	a.PartialCheckpoint = flags&8 != 0
 	a.RangeFrames = flags&16 != 0
+	a.ManifestMatch = flags&32 != 0
 	var n uint16
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return a, fmt.Errorf("core: read hello-ack reason length: %w", err)

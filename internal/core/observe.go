@@ -1,5 +1,7 @@
 package core
 
+import "fmt"
+
 // Migration event hooks. The engine reports each protocol turn to an
 // optional per-migration callback so the observability layer
 // (internal/obs, wired by sched.Host) can build span-like traces without
@@ -10,7 +12,11 @@ package core
 // documents each kind's fields.
 const (
 	// EventHello: session established. Detail carries
-	// "have_checkpoint=true|false" (pre-copy source/dest) as negotiated.
+	// "have_checkpoint=true|false" as negotiated and, on the pre-copy engines,
+	// " manifest=match|announced|none": how the source learns the
+	// destination's checksums — by name (the hello's manifest root matched
+	// the destination's entry; no announcement crosses the wire), by the bulk
+	// announcement, or not at all (no checkpoint, or a baseline migration).
 	EventHello = "hello"
 	// EventAnnounce: the bulk checksum announcement crossed the wire
 	// (sent on the destination, received on the source). Bytes is its
@@ -95,6 +101,20 @@ type Event struct {
 // EventFunc observes migration protocol turns. Callbacks run on the
 // migration's protocol goroutine and must be fast; nil disables emission.
 type EventFunc func(Event)
+
+// helloDetail renders the pre-copy hello event's detail, the same on both
+// sides of one migration: a checkpoint in use is either matched by name or
+// announced.
+func helloDetail(haveCheckpoint, match bool) string {
+	manifest := "none"
+	switch {
+	case match:
+		manifest = "match"
+	case haveCheckpoint:
+		manifest = "announced"
+	}
+	return fmt.Sprintf("have_checkpoint=%v manifest=%s", haveCheckpoint, manifest)
+}
 
 // emit invokes the hook when set.
 func (f EventFunc) emit(e Event) {

@@ -440,42 +440,3 @@ func encodeBatch(enc *sourceEncoder, base PageProvider, b *pageBatch) error {
 	}
 	return nil
 }
-
-// minPagesPerSumWorker keeps the whole-memory checksum fan-out from
-// spawning workers for toy guests.
-const minPagesPerSumWorker = 256
-
-// collectSums adds the checksum of every page of v to set, fanning the hash
-// work across cores for large guests. Formerly the destination's
-// TrackIncoming final pass (§3.2); the live path now completes and reads the
-// guest's digest table (finishTrack), and this full-image scan — PageSum
-// never consults the table — remains as the independent reference the
-// equivalence tests pin it against.
-func collectSums(v *vm.VM, alg checksum.Algorithm, set *checksum.Set) {
-	n := v.NumPages()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n/minPagesPerSumWorker {
-		workers = n / minPagesPerSumWorker
-	}
-	if workers < 2 {
-		for i := 0; i < n; i++ {
-			set.Add(v.PageSum(i, alg))
-		}
-		return
-	}
-	sums := make([]checksum.Sum, n)
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			for i := k; i < n; i += workers {
-				sums[i] = v.PageSum(i, alg)
-			}
-		}(k)
-	}
-	wg.Wait()
-	for _, s := range sums {
-		set.Add(s)
-	}
-}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"vecycle/internal/checkpoint"
 	"vecycle/internal/checksum"
 	"vecycle/internal/vm"
 )
@@ -107,6 +108,15 @@ func (c *recordConn) Write(p []byte) (int, error) {
 // both endpoints to the per-page v1 stream (no range frames).
 func goldenRun(t *testing.T, workers int, onEvent EventFunc, legacy bool) ([]byte, Metrics, *vm.VM) {
 	t.Helper()
+	stream, _, sm, src := goldenExchange(t, workers, onEvent, legacy, false)
+	return stream, sm, src
+}
+
+// goldenExchange is goldenRun returning both directions of the conversation.
+// With named set the source offers the checkpoint by its manifest root, under
+// the store's key algorithm (the root is a name for those keys).
+func goldenExchange(t *testing.T, workers int, onEvent EventFunc, legacy, named bool) (fromSrc, fromDst []byte, _ Metrics, _ *vm.VM) {
+	t.Helper()
 	src, err := vm.New(vm.Config{Name: "vm0", MemBytes: goldenPages * vm.PageSize, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +137,19 @@ func goldenRun(t *testing.T, workers int, onEvent EventFunc, legacy bool) ([]byt
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	rc := &recordConn{Conn: a}
+	rc, rcDst := &recordConn{Conn: a}, &recordConn{Conn: b}
+	sopts := SourceOptions{
+		Recycle:       true,
+		Compress:      true,
+		DeltaBase:     base,
+		Workers:       workers,
+		NoRangeFrames: legacy,
+		Pause:         func() { goldenPause(src) },
+		OnEvent:       onEvent,
+	}
+	if named {
+		sopts.Mirror = mirrorOf(t, store, "vm0")
+	}
 
 	var (
 		wg   sync.WaitGroup
@@ -138,21 +160,13 @@ func goldenRun(t *testing.T, workers int, onEvent EventFunc, legacy bool) ([]byt
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		sm, serr = MigrateSource(context.Background(), rc, src, SourceOptions{
-			Recycle:       true,
-			Compress:      true,
-			DeltaBase:     base,
-			Workers:       workers,
-			NoRangeFrames: legacy,
-			Pause:         func() { goldenPause(src) },
-			OnEvent:       onEvent,
-		})
+		sm, serr = MigrateSource(context.Background(), rc, src, sopts)
 	}()
 	go func() {
 		defer wg.Done()
 		// Half the variants merge pipelined too, so the golden stream is
 		// also decoded by both destination engines.
-		_, derr = MigrateDest(context.Background(), b, dst, DestOptions{
+		_, derr = MigrateDest(context.Background(), rcDst, dst, DestOptions{
 			Store:          store,
 			VerifyPayloads: true,
 			Workers:        workers / 2,
@@ -170,7 +184,7 @@ func goldenRun(t *testing.T, workers int, onEvent EventFunc, legacy bool) ([]byt
 	if !src.MemEqual(dst) {
 		t.Fatalf("workers=%d: memory differs at page %d", workers, src.FirstDifference(dst))
 	}
-	return rc.rec.Bytes(), sm, src
+	return rc.rec.Bytes(), rcDst.rec.Bytes(), sm, src
 }
 
 // TestGoldenStreamEquivalence asserts the pipelined source emits a
@@ -227,6 +241,62 @@ func TestGoldenStreamEquivalence(t *testing.T) {
 			t.Errorf("workers=%d: metrics diverge: got %+v want %+v", workers, sm, gm)
 		}
 	}
+}
+
+// TestGoldenStreamByName pins the conversation of a migration matched by
+// name against the announced golden one. The source's stream is the golden
+// stream with one difference — its hello sets flag bit 1 and carries the
+// 32-byte manifest root after the flags; round one and everything after it is
+// byte for byte the announced run's, at every width (the source probes its
+// own key list, the same set the announcement would have delivered). The
+// destination's whole side of the conversation is five bytes: a hello-ack
+// with the have-checkpoint, compact-announce, range-frames and manifest-match
+// bits and an empty reason, then the final ack — no announcement.
+func TestGoldenStreamByName(t *testing.T) {
+	golden, announcedReply, gm, src := goldenExchange(t, 0, nil, false, false)
+	helloLen := 1 + 2 + 2 + len(src.Name()) + 4 + 8 + 1 + 1
+	if announcedReply[4] != byte(msgHashAnnounceV2) {
+		t.Fatalf("announced run's reply carries tag %d after the hello-ack, want the v2 announcement", announcedReply[4])
+	}
+	root := mirrorOf(t, goldenStore(t), "vm0").Root
+	for _, workers := range []int{0, 1, 2, 8} {
+		stream, reply, sm, _ := goldenExchange(t, workers, nil, false, true)
+		wantHello := append([]byte(nil), golden[:helloLen]...)
+		wantHello[helloLen-1] |= 2
+		if !bytes.Equal(stream[:helloLen], wantHello) {
+			t.Fatalf("workers=%d: hello % x, want % x", workers, stream[:helloLen], wantHello)
+		}
+		if !bytes.Equal(stream[helloLen:helloLen+len(root)], root[:]) {
+			t.Errorf("workers=%d: hello carries root % x, want % x", workers, stream[helloLen:helloLen+len(root)], root)
+		}
+		if !bytes.Equal(stream[helloLen+len(root):], golden[helloLen:]) {
+			t.Errorf("workers=%d: stream after the hello differs from the announced run's (lens %d vs %d)",
+				workers, len(stream)-helloLen-len(root), len(golden)-helloLen)
+		}
+		if want := []byte{byte(msgHelloAck), 1 | 2 | 4 | 16 | 32, 0, 0, byte(msgAck)}; !bytes.Equal(reply, want) {
+			t.Errorf("workers=%d: destination sent % x, want % x", workers, reply, want)
+		}
+		if sm.AnnounceBytes != 0 || sm.PagesSum != gm.PagesSum || sm.PagesFull != gm.PagesFull ||
+			sm.PagesDelta != gm.PagesDelta || sm.PageFrames != gm.PageFrames {
+			t.Errorf("workers=%d: metrics diverge from the announced run: got %+v want %+v", workers, sm, gm)
+		}
+	}
+}
+
+// goldenStore saves the golden guest's pre-mutation state: the checkpoint
+// every golden run starts from, whose root the by-name runs offer.
+func goldenStore(t *testing.T) *checkpoint.Store {
+	t.Helper()
+	src, err := vm.New(vm.Config{Name: "vm0", MemBytes: goldenPages * vm.PageSize, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillGolden(src)
+	store := newStore(t)
+	if err := store.Save(src); err != nil {
+		t.Fatal(err)
+	}
+	return store
 }
 
 // TestGoldenStreamLegacyV1 pins the unnegotiated fallback: with range
@@ -341,12 +411,18 @@ func (s slowWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestStageStallSplit pins the sequencer's two distinct stall accounts: a
-// slow wire backs up the in-order emit queue (ingest stall), a saturated
-// worker pool backs up the jobs handoff (dispatch stall). The old single
-// counter conflated the two bottlenecks.
+// TestStageStallSplit pins the stage accounting of a pipelined source by what
+// must hold whatever the scheduler does — never by which of two measured
+// durations came out larger, which a loaded runner decides. Each stage
+// goroutine books every moment of its life to exactly one account (sequencer:
+// ingest busy, ingest stall on the in-order queue, dispatch stall on the jobs
+// handoff; emitter: emit stall, emit busy; workers: busy), so the accounts of
+// one goroutine sum to no more than the migration took, and time a stage
+// provably spent — a wire that sleeps in every write, a sequencer that cannot
+// run more than workers+2 batches ahead of it — shows up in its accounts.
 func TestStageStallSplit(t *testing.T) {
-	const pages = 4096 // 16 batches: enough handoffs for the stalls to separate
+	const pages = 4096 // 16 batches
+	const batches = pages / batchPages
 	v, err := vm.New(vm.Config{Name: "stall-vm", MemBytes: pages * vm.PageSize, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -354,38 +430,49 @@ func TestStageStallSplit(t *testing.T) {
 	if err := v.FillRandom(1.0); err != nil {
 		t.Fatal(err)
 	}
+	run := func(w io.Writer, opts SourceOptions) StageMetrics {
+		t.Helper()
+		begin := time.Now()
+		sm, err := MigrateSource(context.Background(), readWriter{bytes.NewReader(scriptedPeer(t)), w}, v, opts)
+		wall := time.Since(begin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := sm.Stages
+		if st.Batches < batches {
+			t.Errorf("pipeline counted %d batches, want at least %d", st.Batches, batches)
+		}
+		for name, d := range map[string]time.Duration{
+			"sequencer (ingest busy + ingest stall + dispatch stall)": st.IngestBusy + st.IngestStall + st.DispatchStall,
+			"emitter (emit stall + emit busy)":                        st.EmitStall + st.EmitBusy,
+			"one worker's share of worker busy":                       st.WorkerBusy / time.Duration(opts.Workers),
+		} {
+			if d <= 0 || d > wall {
+				t.Errorf("%s accounts %v of a %v migration", name, d, wall)
+			}
+		}
+		return st
+	}
 
-	// Emitter backpressure: checksum-only encoding is far faster than a
-	// 30ms-per-write wire, so the sequencer's waits land on the ordered
-	// send, not on worker dispatch.
-	conn := readWriter{bytes.NewReader(scriptedPeer(t)), slowWriter{30 * time.Millisecond}}
-	sm, err := MigrateSource(context.Background(), conn, v, SourceOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	// A wire that sleeps in every write: a raw batch is larger than the data
+	// buffer, so each reaches the wire inside the emitter's write call, and the
+	// sequencer — at most workers+2 batches ahead — waits out all but the
+	// first few of them in one stall account or the other.
+	const nap = 10 * time.Millisecond
+	const workers = 4
+	st := run(slowWriter{nap}, SourceOptions{Workers: workers})
+	if st.EmitBusy < batches*nap {
+		t.Errorf("emit busy %v is less than %d writes of %v", st.EmitBusy, batches, nap)
 	}
-	if sm.Stages.IngestStall == 0 {
-		t.Error("slow wire produced no ingest stall")
-	}
-	if sm.Stages.IngestStall <= sm.Stages.DispatchStall {
-		t.Errorf("slow wire: ingest stall %v not above dispatch stall %v",
-			sm.Stages.IngestStall, sm.Stages.DispatchStall)
+	if got, want := st.IngestBusy+st.IngestStall+st.DispatchStall, (batches-workers-4)*nap; got < want {
+		t.Errorf("sequencer accounts %v, but stayed within %d batches of a wire that took %v per batch (want at least %v)",
+			got, workers+2, nap, want)
 	}
 
-	// Worker backpressure: an instant wire and a single worker grinding
-	// through deflate of random pages moves the sequencer's waits to the
-	// jobs handoff.
-	conn = readWriter{bytes.NewReader(scriptedPeer(t)), io.Discard}
-	sm, err = MigrateSource(context.Background(), conn, v, SourceOptions{Workers: 1, Compress: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sm.Stages.DispatchStall == 0 {
-		t.Error("saturated pool produced no dispatch stall")
-	}
-	if sm.Stages.DispatchStall <= sm.Stages.IngestStall {
-		t.Errorf("saturated pool: dispatch stall %v not above ingest stall %v",
-			sm.Stages.DispatchStall, sm.Stages.IngestStall)
-	}
+	// One worker deflating every page over an instant wire: the pool is busy
+	// nearly the whole time, which is where a double-booked account would
+	// break the bounds run checks.
+	run(io.Discard, SourceOptions{Workers: 1, Compress: true})
 
 	// The destination has no dispatch split — its decoder's only handoff is
 	// the jobs send, accounted as ingest — so its DispatchStall stays zero

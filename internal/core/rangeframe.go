@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -431,6 +432,33 @@ func getDestScratch() *destScratch {
 
 func putDestScratch(st *destScratch) {
 	destScratchPool.Put(st)
+}
+
+// awaitInstall holds the merge of a frame covering pages [start, start+count)
+// until the background bootstrap (openBootstrap) has installed the checkpoint
+// spans under it. Every frame kind waits, full pages included: a late
+// checkpoint install must never land on top of wire content, a delta needs
+// its base, and a page-sum probe compares against the bootstrapped frame. A
+// span whose pages could not be read surfaces here as the same retryable
+// recycle-read failure a block read mid-merge raises; a cancelled context
+// passes through as itself. Free once the install is complete or when there
+// is none (cp nil, a union, an eager restore).
+func awaitInstall(cp *checkpoint.Checkpoint, start, count int) error {
+	return installErr(cp.AwaitFrames(start, count))
+}
+
+// drainInstall waits out the background bootstrap before the final ack: round
+// one normally touched every span already, but nothing may write to the guest
+// once the source is told it arrived.
+func drainInstall(cp *checkpoint.Checkpoint) error {
+	return installErr(cp.Drain())
+}
+
+func installErr(err error) error {
+	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return err
+	}
+	return recycleReadErr(err)
 }
 
 // resolveSums makes pages [start, start+len(want)) of v hold the content the

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"vecycle/internal/checkpoint"
-	"vecycle/internal/checksum"
 	"vecycle/internal/vm"
 )
 
@@ -144,33 +143,41 @@ func TestSalvageDisabled(t *testing.T) {
 	}
 }
 
-// TestPartialSkippedUnderSkipAnnounce: with the ping-pong skip-announce
-// flag the source replays sums learned from the last complete checkpoint;
-// a partial image must not be served silently in its place.
-func TestPartialSkippedUnderSkipAnnounce(t *testing.T) {
+// TestPartialAnnouncedDespiteOfferedRoot: a salvage image has no name a
+// source could match — even when its key list happens to be the very one the
+// source's complete entry holds, so the two page manifests hash alike. The
+// destination bootstraps from it and announces it, as for any unnamed source.
+func TestPartialAnnouncedDespiteOfferedRoot(t *testing.T) {
 	const pages = 256
 	src := newVM(t, "vm0", pages, 1)
 	if err := src.FillRandom(0.95); err != nil {
 		t.Fatal(err)
 	}
-	store := newStore(t)
+	store, srcStore := newStore(t), newStore(t)
 	if err := store.SaveSalvage(src); err != nil {
 		t.Fatal(err)
 	}
-	// Ping-pong: the source claims to know the destination's sums.
-	known := checksum.NewSet(src.NumPages())
-	collectSums(src, checksum.MD5, known)
+	if err := srcStore.Save(src); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := store.Mirror("vm0"); ok {
+		t.Fatal("a salvage entry is offered as a mirror")
+	}
 	dst := newVM(t, "vm0", pages, 2)
 	sm, dres := migrate(t, src, dst,
-		SourceOptions{Recycle: true, KnownDestSums: known},
+		SourceOptions{Recycle: true, Mirror: mirrorOf(t, srcStore, "vm0")},
 		DestOptions{Store: store, VerifyPayloads: true})
 	if !src.MemEqual(dst) {
 		t.Fatalf("memory differs at page %d", src.FirstDifference(dst))
 	}
-	if dres.UsedCheckpoint {
-		t.Error("partial checkpoint bootstrapped under skip-announce")
+	if !dres.ResumedFromPartial {
+		t.Error("salvage image not bootstrapped from")
 	}
-	if sm.PagesSum != 0 {
-		t.Errorf("source sent %d page-sums against a skipped bootstrap", sm.PagesSum)
+	if sm.AnnounceBytes == 0 || dres.Metrics.AnnounceBytes == 0 {
+		t.Errorf("announcement elided against a salvage image (source saw %d bytes, destination sent %d)",
+			sm.AnnounceBytes, dres.Metrics.AnnounceBytes)
+	}
+	if sm.PagesFull != 0 {
+		t.Errorf("source resent %d full pages the salvage image announced", sm.PagesFull)
 	}
 }

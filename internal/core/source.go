@@ -7,6 +7,7 @@ import (
 	"io"
 	"time"
 
+	"vecycle/internal/checkpoint"
 	"vecycle/internal/checksum"
 	"vecycle/internal/vm"
 )
@@ -33,11 +34,13 @@ type SourceOptions struct {
 	// behaves like stock QEMU pre-copy: every first-round page is sent in
 	// full.
 	Recycle bool
-	// KnownDestSums carries the checksum set this host observed while it
-	// was the *destination* of a previous migration of this VM from the
-	// current peer — the ping-pong optimization of §3.2. When set, the
-	// destination's bulk announcement is skipped.
-	KnownDestSums *checksum.Set
+	// Mirror names this host's own complete checkpoint of the VM
+	// (checkpoint.Store.Mirror), or nil. With Recycle under the store's key
+	// algorithm the hello offers its root; a destination whose entry has the
+	// same root skips its bulk announcement and Keys stands in for it — the
+	// ping-pong optimization of §3.2, by name. Any other destination
+	// announces as if nothing had been offered.
+	Mirror *Mirror
 	// MaxRounds bounds the number of pre-copy rounds, including the final
 	// stop-and-copy round. Defaults to 4.
 	MaxRounds int
@@ -115,7 +118,7 @@ func (o *SourceOptions) validate() error {
 	// it demands a collision-resistant algorithm. A baseline migration only
 	// uses checksums as payload integrity tags verified on the receiving
 	// host, where the fast non-cryptographic hashes (fnv, fast64) suffice.
-	if (o.Recycle || o.KnownDestSums != nil) && !o.Alg.Strong() {
+	if o.Recycle && !o.Alg.Strong() {
 		return fmt.Errorf("core: %v is not collision-resistant enough for cross-host matching", o.Alg)
 	}
 	return nil
@@ -133,6 +136,13 @@ func (o *SourceOptions) workers() int {
 		return 0
 	}
 	return w
+}
+
+// Mirror is a checkpoint known by name and by value: the manifest root its
+// store records for it and the page-ordered key list that root is the name of.
+type Mirror struct {
+	Root [checkpoint.RootSize]byte
+	Keys []checksum.Sum
 }
 
 // PageProvider supplies the page content a delta can be based on.
@@ -188,13 +198,12 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	}()
 
 	h := hello{
-		Version:      ProtocolVersion,
-		VMName:       v.Name(),
-		PageSize:     vm.PageSize,
-		PageCount:    uint64(v.NumPages()),
-		Alg:          opts.Alg,
-		Recycle:      opts.Recycle,
-		SkipAnnounce: opts.Recycle && opts.KnownDestSums != nil,
+		Version:   ProtocolVersion,
+		VMName:    v.Name(),
+		PageSize:  vm.PageSize,
+		PageCount: uint64(v.NumPages()),
+		Alg:       opts.Alg,
+		Recycle:   opts.Recycle,
 		// Capability, not a demand: the destination answers with its own
 		// compact-announce bit and only then may use the v2 encoding. Old
 		// destinations ignore the flag bit entirely.
@@ -203,11 +212,23 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		// here, used only when the ack echoes acceptance.
 		RangeFrames: !opts.NoRangeFrames,
 	}
+	// The root is a name for keys of the store's algorithm; under any other the
+	// destination's sums are not those keys, so nothing is offered.
+	if opts.Recycle && opts.Mirror != nil && opts.Alg == checkpoint.ObjectAlgorithm {
+		h.HasRoot, h.Root = true, opts.Mirror.Root
+	}
 	if err := writeHello(w, h); err != nil {
 		return m, err
 	}
 	if err := flush(w); err != nil {
 		return m, err
+	}
+	// Built while the destination allocates the guest and opens its index, so
+	// a match costs the return nothing here; a mismatch wastes it unseen.
+	var mirrorSums *checksum.Set
+	if h.HasRoot {
+		mirrorSums = checksum.NewSet(len(opts.Mirror.Keys))
+		mirrorSums.AddAll(opts.Mirror.Keys)
 	}
 
 	t, err := readMsgType(r)
@@ -224,17 +245,21 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	if !ack.OK {
 		return m, fmt.Errorf("%w: %s", ErrRejected, ack.Reason)
 	}
+	if ack.ManifestMatch && !(h.HasRoot && ack.HaveCheckpoint) {
+		return m, fmt.Errorf("%w: manifest match without an offered root and a checkpoint", ErrProtocol)
+	}
+	announced := opts.Recycle && ack.HaveCheckpoint && !ack.ManifestMatch
 	opts.OnEvent.emit(Event{Kind: EventHello, Pages: int64(v.NumPages()),
-		Detail: fmt.Sprintf("have_checkpoint=%v", ack.HaveCheckpoint)})
+		Detail: helloDetail(ack.HaveCheckpoint, ack.ManifestMatch)})
 
 	// Determine the set of checksums available at the destination.
 	var destSums *checksum.Set
 	switch {
-	case !opts.Recycle || !ack.HaveCheckpoint:
+	case ack.ManifestMatch:
+		destSums = mirrorSums
+	case !announced:
 		// Baseline mode, or the destination found no checkpoint: full first
 		// round.
-	case h.SkipAnnounce:
-		destSums = opts.KnownDestSums
 	default:
 		// Bytes the decode consumed, tag included as on the destination: the
 		// transport count minus what the control reader holds undecoded. (cr.n

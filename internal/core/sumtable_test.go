@@ -28,9 +28,8 @@ func checkDigestTable(t *testing.T, v *vm.VM, alg checksum.Algorithm) {
 
 // checkTrackedResult asserts the hash-once contract after a successful
 // tracked migration: the page-sum snapshot is complete, every recorded sum
-// matches an independent digest of the installed memory, the SeenSums set
-// is exactly what the old full-image collectSums pass would have produced,
-// the guest's digest table is complete (a later pass over it hashes nothing),
+// matches an independent digest of the installed memory, the guest's digest
+// table is complete (a later pass over it hashes nothing),
 // and the round-end pass digested nothing (every byte's sum was recycled).
 func checkTrackedResult(t *testing.T, dst *vm.VM, res DestResult) {
 	t.Helper()
@@ -46,17 +45,6 @@ func checkTrackedResult(t *testing.T, dst *vm.VM, res DestResult) {
 	checkDigestTable(t, dst, alg)
 	if _, hashed := dst.Digests(0, dst.NumPages(), alg, nil); hashed != 0 {
 		t.Errorf("digest table leaves %d pages to hash after a tracked arrival, want 0", hashed)
-	}
-	// The table-backed SeenSums must equal the legacy full-scan reference.
-	ref := checksum.NewSet(dst.NumPages())
-	collectSums(dst, alg, ref)
-	if got, want := res.SeenSums.Len(), ref.Len(); got != want {
-		t.Fatalf("SeenSums has %d distinct sums, full scan has %d", got, want)
-	}
-	for i := 0; i < dst.NumPages(); i++ {
-		if s := dst.PageSum(i, alg); !res.SeenSums.Contains(s) {
-			t.Fatalf("SeenSums missing page %d's sum", i)
-		}
 	}
 	if res.Metrics.HashBytes != 0 {
 		t.Errorf("round-end pass digested %d bytes, want 0 (all sums recorded at install)", res.Metrics.HashBytes)

@@ -113,33 +113,48 @@ func TestFormatBytes(t *testing.T) {
 func TestHelloRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := hello{
-		Version:      ProtocolVersion,
-		VMName:       "desk-42",
-		PageSize:     4096,
-		PageCount:    1 << 20,
-		Alg:          checksum.SHA256,
-		Recycle:      true,
-		SkipAnnounce: true,
+		Version:   ProtocolVersion,
+		VMName:    "desk-42",
+		PageSize:  4096,
+		PageCount: 1 << 20,
+		Alg:       checksum.SHA256,
+		Recycle:   true,
 	}
-	if err := writeHello(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	tag, err := readMsgType(&buf)
-	if err != nil || tag != msgHello {
-		t.Fatalf("tag=%v err=%v", tag, err)
-	}
-	got, err := readHello(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != in {
-		t.Errorf("round trip: got %+v, want %+v", got, in)
+	// Without a root the hello is the frame it always was; with one, 32 bytes
+	// follow the flags.
+	for _, withRoot := range []bool{false, true} {
+		buf.Reset()
+		in.HasRoot = withRoot
+		if withRoot {
+			in.Root = [32]byte{1, 2, 3, 31: 0xff}
+		}
+		if err := writeHello(&buf, in); err != nil {
+			t.Fatal(err)
+		}
+		wantLen := 1 + 2 + 2 + len(in.VMName) + 4 + 8 + 1 + 1
+		if withRoot {
+			wantLen += 32
+		}
+		if buf.Len() != wantLen {
+			t.Errorf("root=%v: hello is %d bytes, want %d", withRoot, buf.Len(), wantLen)
+		}
+		tag, err := readMsgType(&buf)
+		if err != nil || tag != msgHello {
+			t.Fatalf("tag=%v err=%v", tag, err)
+		}
+		got, err := readHello(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != in {
+			t.Errorf("round trip: got %+v, want %+v", got, in)
+		}
 	}
 }
 
 func TestHelloAckRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := helloAck{OK: false, Reason: "size mismatch", HaveCheckpoint: true}
+	in := helloAck{OK: false, Reason: "size mismatch", HaveCheckpoint: true, ManifestMatch: true}
 	if err := writeHelloAck(&buf, in); err != nil {
 		t.Fatal(err)
 	}

@@ -373,6 +373,85 @@ func TestChaosStoreRecycleReadQuarantine(t *testing.T) {
 	}
 }
 
+// TestChaosStoreInstallReadFailure: the destination's checkpoint opens fine —
+// under the store's key algorithm the open reads no page — and then a segment
+// read fails while the pages are being installed in the background, under
+// round one. The merge's next wait for a span must surface it as the same
+// retryable recycle-read MigrationError a failed block read raises; the entry
+// is quarantined rather than salvaged over with the spans that made it; and
+// the retry converges over the wire with zero data loss.
+func TestChaosStoreInstallReadFailure(t *testing.T) {
+	inj := faultfs.NewInjector()
+	dst := newFaultHost(t, "beta", inj)
+	var handled atomic.Int64
+	var mu sync.Mutex
+	var destErrs []error
+	dst.OnError = func(err error) {
+		mu.Lock()
+		destErrs = append(destErrs, err)
+		mu.Unlock()
+		handled.Add(1)
+	}
+	addr := listen(t, dst)
+	src := newHost(t, "alpha")
+	t.Cleanup(func() { src.Close() })
+
+	const pages = 4 * 256 // four install spans
+	v := newGuest(t, "vm0", pages)
+	if err := v.FillRandom(0.9); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Store().Save(v); err != nil {
+		t.Fatal(err)
+	}
+	v.TouchRandomPages(pages / 16)
+	want := v.Fingerprint64()
+	src.AddVM(v)
+
+	// Two span reads succeed, every later one fails.
+	inj.Arm(faultfs.Fault{Op: faultfs.OpReadAt, Path: ".seg", After: 2, Times: -1})
+	cd := &chaosDialer{t: t, handled: &handled}
+	src.DialFunc = cd.dial
+	var attempts []error
+	if _, err := src.MigrateTo(context.Background(), addr, "vm0", MigrateOptions{
+		Recycle:   true,
+		Retry:     RetryPolicy{Attempts: 3, Backoff: time.Millisecond},
+		OnAttempt: func(_ int, _ core.Metrics, err error) { attempts = append(attempts, err) },
+	}); err != nil {
+		t.Fatalf("retry did not converge after the install read fault: %v", err)
+	}
+	waitFor(t, func() bool { _, ok := dst.VM("vm0"); return ok }, "guest never registered at the destination")
+	landed, _ := dst.VM("vm0")
+	fingerprintEqual(t, want, landed)
+	if len(attempts) != 2 || attempts[0] == nil || attempts[1] != nil {
+		t.Errorf("attempt outcomes %v, want one failure then success", attempts)
+	}
+
+	mu.Lock()
+	errs := append([]error(nil), destErrs...)
+	mu.Unlock()
+	found := false
+	for _, derr := range errs {
+		var me *core.MigrationError
+		if !errors.As(derr, &me) || me.Stage != core.StageRecycleRead {
+			continue
+		}
+		found = true
+		if me.Class != core.ClassRetryable || me.Fault != "eio" || !errors.Is(derr, syscall.EIO) || !Retryable(derr) {
+			t.Errorf("install read failure classified %v/%q (retryable=%v): %v", me.Class, me.Fault, Retryable(derr), derr)
+		}
+	}
+	if !found {
+		t.Errorf("no recycle-read MigrationError reached the handler; errors: %v", errs)
+	}
+	if state, ok := dst.Store().State("vm0"); !ok || state != checkpoint.EntryQuarantined {
+		t.Errorf("failing entry is %q (present=%v), want quarantined", state, ok)
+	}
+	if metrics := scrape(t, dst); !strings.Contains(metrics, `stage="recycle-read",fault="eio"`) {
+		t.Errorf("recycle-read degradation not counted; metrics:\n%s", metrics)
+	}
+}
+
 // TestChaosStoreMatrix is the chaos-store gate: one small migration per
 // (store op site × fault kind × migration phase) cell, each with the fault
 // armed for the whole run. Every cell must converge with the guest's

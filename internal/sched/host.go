@@ -1,7 +1,8 @@
 // Package sched provides the deployment layer above the migration engine:
 // hosts that accept incoming migrations over TCP, keep per-VM checkpoints
-// in a local store, remember the checksums seen on incoming migrations for
-// the ping-pong optimization (§3.2), and the migration schedules of the
+// in a local store, offer that store's entry by name on the way back so a
+// peer holding the same one announces nothing (the ping-pong optimization,
+// §3.2), and the migration schedules of the
 // paper's use cases (§2.2): the 9-to-5 VDI scenario evaluated in §4.6 and
 // Figure 8, dynamic consolidation, and hot-spot balancing.
 //
@@ -58,9 +59,8 @@ type Host struct {
 
 	mu       sync.Mutex
 	vms      map[string]*vm.VM
-	disks    map[string]*disk.Disk    // VM name → attached block device
-	seen     map[string]*checksum.Set // VM name → sums observed on last incoming migration
-	pending  map[string]bool          // arrivals in flight, reserved until registered
+	disks    map[string]*disk.Disk // VM name → attached block device
+	pending  map[string]bool       // arrivals in flight, reserved until registered
 	arrivals int
 	ln       net.Listener
 	opsSrv   *obs.Server // optional ops HTTP listener (ListenOps)
@@ -172,7 +172,6 @@ func NewHostWithStore(name string, store *checkpoint.Store) (*Host, error) {
 		cancel:  cancel,
 		vms:     make(map[string]*vm.VM),
 		disks:   make(map[string]*disk.Disk),
-		seen:    make(map[string]*checksum.Set),
 		pending: make(map[string]bool),
 	}
 	h.obs = newHostObs(h, obs.NewRegistry(), obs.NewTraceLog(0))
@@ -407,7 +406,7 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 		// The arrival succeeded, so any salvage image for this VM is now
 		// stale. SaveArrivals overwrites it with a complete checkpoint below;
 		// without it, drop the partial so later bootstraps don't use it.
-		if info, ok := h.store.Entry(name); ok && info.State == checkpoint.EntryPartial {
+		if state, ok := h.store.State(name); ok && state == checkpoint.EntryPartial {
 			if rerr := h.store.Remove(name); rerr == nil {
 				h.obs.salvage.With(h.name, "superseded").Inc()
 				rec.Event(obs.Event{Kind: core.EventSalvage, Detail: "superseded"})
@@ -440,7 +439,7 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 		h.mu.Unlock()
 		return res, nil
 	}
-	if err := h.register(dst, res.SeenSums); err != nil {
+	if err := h.register(dst); err != nil {
 		return res, err
 	}
 	if h.OnArrival != nil {
@@ -452,14 +451,13 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 // register makes an arrived VM resident, re-checking residency under the
 // same lock acquisition as the insert: two racing arrivals of one VM must
 // never silently overwrite each other, whichever registers second loses.
-func (h *Host) register(dst *vm.VM, sums *checksum.Set) error {
+func (h *Host) register(dst *vm.VM) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if _, dup := h.vms[dst.Name()]; dup {
 		return fmt.Errorf("sched: VM %q became resident on %s during migration; dropping duplicate arrival", dst.Name(), h.name)
 	}
 	h.vms[dst.Name()] = dst
-	h.seen[dst.Name()] = sums
 	return nil
 }
 
@@ -493,7 +491,7 @@ func (h *Host) runPostCopy(ctx context.Context, session *core.IncomingSession, r
 			rec.Event(obs.Event{Kind: "checkpoint-saved", Detail: "arrival image"})
 		}
 	}
-	if err := h.register(dst, nil); err != nil {
+	if err := h.register(dst); err != nil {
 		return res, err
 	}
 	if h.OnArrival != nil {
@@ -547,7 +545,6 @@ func (h *Host) runPostCopyTo(ctx context.Context, addr, vmName string, v *vm.VM,
 	}
 	h.mu.Lock()
 	delete(h.vms, vmName)
-	delete(h.seen, vmName)
 	h.mu.Unlock()
 	return m, nil
 }
@@ -674,12 +671,13 @@ func (h *Host) saveOrDegrade(stage string, rec *obs.Recorder, save func() error)
 type MigrateOptions struct {
 	// Recycle enables checkpoint-assisted mode (default in VeCycle
 	// deployments; disable for a baseline QEMU-style migration).
+	//
+	// A recycled migration offers the destination this host's own complete
+	// store entry of the VM by its manifest root — normally the arrival image
+	// saved when the VM came from there. A destination that kept the same
+	// checkpoint skips its announcement (§3.2's ping-pong, durable because it
+	// lives in the store); any other announces as usual.
 	Recycle bool
-	// UsePingPong consults the checksums seen when this VM last arrived
-	// here, skipping the destination's announcement (§3.2). Only sound when
-	// the destination is the host the VM arrived from and its checkpoint is
-	// unchanged since.
-	UsePingPong bool
 	// KeepCheckpoint writes a local checkpoint after the VM leaves (the
 	// core of VeCycle). Disable to model a host with no spare disk.
 	KeepCheckpoint bool
@@ -761,23 +759,19 @@ func (h *Host) MigrateTo(ctx context.Context, addr, vmName string, opts MigrateO
 	}
 	h.mu.Lock()
 	v, ok := h.vms[vmName]
-	var known *checksum.Set
-	if opts.UsePingPong {
-		known = h.seen[vmName]
-	}
 	h.mu.Unlock()
 	if !ok {
 		return core.Metrics{}, fmt.Errorf("%w: %q", ErrNoSuchVM, vmName)
 	}
 	rec := h.obs.begin("source", vmName, addr)
-	m, err := h.runMigrateTo(ctx, addr, vmName, v, known, opts, rec)
+	m, err := h.runMigrateTo(ctx, addr, vmName, v, opts, rec)
 	h.obs.finish(rec, "source", vmName, m, err)
 	return m, err
 }
 
 // runMigrateTo is the body of MigrateTo, split out so every return funnels
 // through one obs.finish call.
-func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, known *checksum.Set, opts MigrateOptions, rec *obs.Recorder) (core.Metrics, error) {
+func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, opts MigrateOptions, rec *obs.Recorder) (core.Metrics, error) {
 	var deltaBase core.PageProvider
 	if opts.UseDelta {
 		if cp := h.openDeltaBase(vmName, rec); cp != nil {
@@ -828,10 +822,19 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 			return core.Metrics{}, err
 		}
 		defer conn.Close()
+		// Looked up per attempt: the entry is whatever the store holds now, and
+		// the destination decides by comparing roots, so a checkpoint either
+		// side lost, replaced or salvaged over simply fails to match.
+		var mirror *core.Mirror
+		if opts.Recycle {
+			if root, keys, ok := h.store.Mirror(vmName); ok {
+				mirror = &core.Mirror{Root: root, Keys: keys}
+			}
+		}
 		return core.MigrateSource(ctx, core.NewDeadlineConn(conn, idle), v, core.SourceOptions{
 			Recycle:           opts.Recycle,
 			Alg:               opts.Alg,
-			KnownDestSums:     known,
+			Mirror:            mirror,
 			DeltaBase:         base,
 			SentSums:          sent,
 			Compress:          opts.Compress,
@@ -871,11 +874,6 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 		if errors.Is(err, core.ErrRejected) {
 			return m, err
 		}
-		// Any failed attempt may have left a salvage image at the
-		// destination, superseding the complete checkpoint the ping-pong
-		// sums describe. Drop them: the next attempt negotiates a fresh
-		// announcement and resumes from whatever the destination salvaged.
-		known = nil
 		if deltaFallback {
 			// Delta encoding is optimistic: if this host's checkpoint mirror
 			// went stale (the VM visited the destination via a third host),
@@ -932,7 +930,6 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 	h.mu.Lock()
 	delete(h.vms, vmName)
 	delete(h.disks, vmName)
-	delete(h.seen, vmName)
 	h.mu.Unlock()
 	return m, nil
 }
@@ -946,7 +943,7 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 // hashed. Deltas are an optimization; an unopenable base loses it, not the
 // migration, which degrades to full/sum encoding.
 func (h *Host) openDeltaBase(vmName string, rec *obs.Recorder) *checkpoint.Checkpoint {
-	if info, ok := h.store.Entry(vmName); !ok || info.State != checkpoint.EntryComplete {
+	if state, ok := h.store.State(vmName); !ok || state != checkpoint.EntryComplete {
 		return nil
 	}
 	cp, err := h.store.Restore(vmName, checkpoint.ObjectAlgorithm, nil)

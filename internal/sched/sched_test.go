@@ -116,6 +116,8 @@ func TestMigrateOverTCP(t *testing.T) {
 func TestPingPongOverTCP(t *testing.T) {
 	alpha := newHost(t, "alpha")
 	beta := newHost(t, "beta")
+	// The arrival image is the checkpoint a return leg names.
+	alpha.SaveArrivals, beta.SaveArrivals = true, true
 	addrA := listen(t, alpha)
 	addrB := listen(t, beta)
 
@@ -146,10 +148,11 @@ func TestPingPongOverTCP(t *testing.T) {
 	}
 	wait(beta)
 
-	// Touch some pages at beta, then send it home with ping-pong.
+	// Touch some pages at beta, then send it home: beta's arrival image is
+	// alpha's departure image, so the hello names it and nothing is announced.
 	vb, _ := beta.VM("vm0")
 	vb.TouchRandomPages(5)
-	m2, err := beta.MigrateTo(context.Background(), addrA, "vm0", MigrateOptions{Recycle: true, UsePingPong: true, KeepCheckpoint: true})
+	m2, err := beta.MigrateTo(context.Background(), addrA, "vm0", MigrateOptions{Recycle: true, KeepCheckpoint: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +168,8 @@ func TestPingPongOverTCP(t *testing.T) {
 		t.Errorf("return leg traffic %d not below first leg %d", m2.BytesSent, m1.BytesSent)
 	}
 
-	// Leg 3: alpha → beta again; beta now has a checkpoint, announcement
-	// path this time (no ping-pong flag).
+	// Leg 3: alpha → beta again, by name again: alpha saved what arrived,
+	// beta what left.
 	m3, err := alpha.MigrateTo(context.Background(), addrB, "vm0", MigrateOptions{Recycle: true, KeepCheckpoint: true})
 	if err != nil {
 		t.Fatal(err)
@@ -174,6 +177,9 @@ func TestPingPongOverTCP(t *testing.T) {
 	wait(beta)
 	if m3.PagesSum == 0 {
 		t.Error("third leg recycled nothing despite checkpoint at beta")
+	}
+	if m3.AnnounceBytes != 0 {
+		t.Errorf("third leg received a %d-byte announcement", m3.AnnounceBytes)
 	}
 }
 
