@@ -86,10 +86,11 @@ bench-smoke:
 # chaos-smoke is the resumability gate: the deterministic fault-schedule
 # harness kills one migration at every protocol turn and asserts the retry
 # chain converges on salvage checkpoints (plus the engine-level
-# salvage/resume contract tests), under the race detector.
+# salvage/resume contract tests, and the store's crash, corruption and
+# seeded-invariant cells), under the race detector.
 chaos-smoke:
 	$(GO) test -race -run 'TestChaos' ./internal/sched/
-	$(GO) test -race -run 'TestSalvage|TestPartialAnnounced|TestKillPointMatrix|TestTornSegment|TestGCCrashMidCompact' ./internal/core/ ./internal/checkpoint/
+	$(GO) test -race -run 'TestSalvage|TestPartialAnnounced|TestKillPointMatrix|TestTornSegment|TestRecoverySetsAside|TestStoreInvariants|TestWarmSaveSyncs|TestGCCrashMidCompact' ./internal/core/ ./internal/checkpoint/
 
 # chaos-store is the storage-fault gate: deterministic faultfs schedules
 # inject EIO/ENOSPC/torn writes and read faults at every store op site
@@ -115,16 +116,20 @@ dedup-smoke:
 # fuzz-range runs the wire and disk parser fuzzers briefly beyond their
 # committed seed corpus: the range-frame parser directly, then the whole
 # destination engine against mutated negotiated streams; the hello (with its
-# optional manifest root), the hello-ack and the compact announcement, which
-# open every conversation; and the page manifest parser, whose output a
-# restore announces to the peer as it stands.
+# optional manifest root), the hello-ack and both announcement codecs, which
+# open every conversation; the page manifest parser, whose output a restore
+# announces to the peer as it stands; and the segment key-table reader and
+# store-manifest parser, whose output recovery indexes the pool by.
 fuzz-range:
 	$(GO) test -run '^$$' -fuzz FuzzRangeDecode -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzRangeMergeStream -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzHello$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzHelloAck$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzAnnounceV2Decode -fuzztime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSet$$' -fuzztime 5s ./internal/checksum/
 	$(GO) test -run '^$$' -fuzz FuzzParsePMF -fuzztime 5s ./internal/checkpoint/
+	$(GO) test -run '^$$' -fuzz FuzzReadSegmentKeys -fuzztime 5s ./internal/checkpoint/
+	$(GO) test -run '^$$' -fuzz FuzzParseManifest -fuzztime 5s ./internal/checkpoint/
 
 # docs is the documentation gate: every exported identifier in the
 # operator-facing packages must carry a doc comment, and every relative

@@ -10,9 +10,9 @@ import (
 )
 
 // Crash-consistent file plumbing. Every durable artifact the store owns —
-// segment, page manifest, generation vector, manifest — reaches its
-// final name through the same discipline: write a temp file in the store
-// directory, fsync it, rename it over the target, fsync the directory. A
+// segment, page manifest, manifest — reaches its final name through the
+// same discipline: write a temp file in the store directory, fsync it,
+// rename it over the target, fsync the directory. A
 // crash at any instant therefore leaves either the old file or the new
 // one, never a torn hybrid; the only window that needs detection (a
 // renamed image whose manifest entry still describes the previous bytes)

@@ -265,28 +265,6 @@ func TestStoreSaveRestore(t *testing.T) {
 	}
 }
 
-func TestStoreGenerations(t *testing.T) {
-	store, err := NewStore(filepath.Join(t.TempDir(), "ckpts"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := newVM(t, "vm0", 4, 1)
-	src.WritePage(2, bytes.Repeat([]byte{1}, vm.PageSize))
-	if err := store.Save(src); err != nil {
-		t.Fatal(err)
-	}
-	gens, ok, err := store.Generations("vm0")
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	if len(gens) != 4 || gens[2] != 1 || gens[0] != 0 {
-		t.Errorf("generations = %v", gens)
-	}
-	if _, ok, err := store.Generations("other"); ok || err != nil {
-		t.Errorf("missing generations: ok=%v err=%v", ok, err)
-	}
-}
-
 func TestStoreRemoveAndList(t *testing.T) {
 	store, err := NewStore(filepath.Join(t.TempDir(), "ckpts"))
 	if err != nil {

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -144,22 +145,24 @@ func (s *Store) gcLocked() (rep GCReport, err error) {
 				return rep, fmt.Errorf("checkpoint: gc open %s: %w", segName, err)
 			}
 			newName := segmentName(s.man.NextSeg + 1)
-			var readErr error
-			digest, err := writeSegment(s.fs, filepath.Join(s.dir, newName), newKeys, func(i int, buf []byte) {
-				off := segPayloadOffset(len(keys), liveSlots[i])
-				if _, rerr := src.ReadAt(buf, off); rerr != nil && readErr == nil {
-					readErr = rerr
+			buf := make([]byte, vm.PageSize)
+			seal, err := writeSegment(s.fs, filepath.Join(s.dir, newName), newKeys, func(w io.Writer) error {
+				for _, slot := range liveSlots {
+					if _, err := src.ReadAt(buf, segPayloadOffset(len(keys), slot)); err != nil {
+						return fmt.Errorf("gc read %s: %w", segName, err)
+					}
+					if _, err := w.Write(buf); err != nil {
+						return err
+					}
 				}
+				return nil
 			})
 			src.Close()
-			if err == nil && readErr != nil {
-				err = fmt.Errorf("checkpoint: gc read %s: %w", segName, readErr)
-			}
 			if err != nil {
 				return rep, err
 			}
 			s.man.NextSeg++
-			s.man.Segments[newName] = segmentRecord{Digest: digest, Pages: len(newKeys)}
+			s.man.Segments[newName] = segmentRecord{Digest: seal, Pages: len(newKeys)}
 			delete(s.man.Segments, segName)
 			// Drop every index entry canonical to the old segment — the dead
 			// ones (refs == 0) vanish with the file; the live ones are

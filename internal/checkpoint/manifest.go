@@ -8,20 +8,25 @@ import (
 	"sort"
 )
 
-// The store manifest. Segments, page manifests and generation files are
-// each written atomically, but a checkpoint entry is only coherent when
-// they agree — and a crash can land between any two of them.
+// The store manifest. Segments and page manifests are each written
+// atomically, but a checkpoint entry is only coherent when they agree — and
+// a crash can land between the two.
 // The manifest is the single commit point: a small versioned JSON file,
 // rewritten atomically as the LAST step of every Save/SaveSalvage/Remove/GC,
 // recording each entry's state and pmf digest plus every segment the object
-// pool consists of. Any crash earlier in a transaction leaves the manifest
-// describing the previous transaction, so the startup recovery scan sees
-// digests that no longer match the bytes on disk and quarantines (entries)
-// or rolls back (unrecorded segments/pmfs) instead of serving torn state.
+// pool consists of, by its seal. Any crash earlier in a transaction leaves the
+// manifest describing the previous transaction, so the startup recovery scan
+// sees digests that no longer match the bytes on disk and quarantines
+// (entries) or rolls back (unrecorded segments/pmfs) instead of serving torn
+// state.
+//
+// Version 3 records segments by their seal (header + key table); version 2
+// recorded a whole-file digest, which a v3 store cannot check without
+// re-hashing every payload twice, so a v2 manifest is refused, not migrated.
 
 const (
 	manifestName    = "MANIFEST.json"
-	manifestVersion = 2
+	manifestVersion = 3
 )
 
 // EntryState is the lifecycle state of a store entry, as recorded in the
@@ -30,12 +35,12 @@ type EntryState string
 
 const (
 	// EntryComplete is a fully written checkpoint: a coherent image of the
-	// whole guest, eligible for bootstrap, delta bases and generations.
+	// whole guest, eligible for bootstrap, delta bases and by-name matches.
 	EntryComplete EntryState = "complete"
 	// EntryPartial is a salvage checkpoint: pages installed by an
 	// interrupted incoming migration, persisted so the next attempt's hash
 	// announcement resends only what is missing. Served for announce-driven
-	// bootstrap, never as a delta base or generation source.
+	// bootstrap, never as a delta base or a by-name match.
 	EntryPartial EntryState = "partial"
 	// EntryQuarantined marks an entry whose page manifest or backing
 	// segment failed its digest check (torn write, bit rot). The files are
@@ -60,8 +65,9 @@ type manifestEntry struct {
 
 // segmentRecord is one segment file's durable record.
 type segmentRecord struct {
-	// Digest is the hex SHA-256 of the whole segment file, replayed by the
-	// recovery scan to catch torn writes and bit rot.
+	// Digest is the segment's seal: the hex SHA-256 of its header and key
+	// table. The recovery scan replays it, then checks every payload against
+	// its key, to catch torn writes and bit rot.
 	Digest string `json:"digest"`
 	Pages  int    `json:"pages"`
 }
@@ -103,7 +109,7 @@ func (s *Store) manifestPath() string {
 }
 
 // loadManifestLocked reads the manifest into memory, tolerating absence (a
-// fresh store) and rejecting other versions.
+// fresh store).
 func (s *Store) loadManifestLocked() error {
 	s.man = manifestFile{Version: manifestVersion, Entries: map[string]manifestEntry{}, Segments: map[string]segmentRecord{}}
 	raw, err := s.fs.ReadFile(s.manifestPath())
@@ -113,12 +119,19 @@ func (s *Store) loadManifestLocked() error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: read manifest: %w", err)
 	}
+	s.man, err = parseManifest(raw)
+	return err
+}
+
+// parseManifest decodes manifest bytes, rejecting other versions and any
+// segment name segmentName did not issue: recovery renames and unlinks by it.
+func parseManifest(raw []byte) (manifestFile, error) {
 	var m manifestFile
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return fmt.Errorf("checkpoint: parse manifest: %w", err)
+		return m, fmt.Errorf("checkpoint: parse manifest: %w", err)
 	}
 	if m.Version != manifestVersion {
-		return fmt.Errorf("checkpoint: manifest version %d, want %d", m.Version, manifestVersion)
+		return m, fmt.Errorf("checkpoint: manifest version %d, want %d (stores of other versions are not migrated)", m.Version, manifestVersion)
 	}
 	if m.Entries == nil {
 		m.Entries = map[string]manifestEntry{}
@@ -126,8 +139,13 @@ func (s *Store) loadManifestLocked() error {
 	if m.Segments == nil {
 		m.Segments = map[string]segmentRecord{}
 	}
-	s.man = m
-	return nil
+	for name := range m.Segments {
+		var n uint64
+		if _, err := fmt.Sscanf(name, "seg-%d"+segmentSuffix, &n); err != nil || name != segmentName(n) || n > m.NextSeg {
+			return m, fmt.Errorf("checkpoint: manifest records segment %q, not one this store named", name)
+		}
+	}
+	return m, nil
 }
 
 // commitManifestLocked atomically persists the in-memory manifest — the

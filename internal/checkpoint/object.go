@@ -34,10 +34,14 @@ import (
 //	payloads count × pageSize bytes, in the same slot order
 //
 // A segment is written with the same tmp+fsync+rename discipline as every
-// other store artifact and recorded — whole-file SHA-256 included — in the
-// store manifest as part of the same transaction that makes its objects
-// reachable. A segment file the manifest does not know about is an
-// interrupted transaction and is deleted by recovery and by GC.
+// other store artifact and recorded in the store manifest as part of the same
+// transaction that makes its objects reachable. The record's digest is the
+// segment's seal: the SHA-256 of its header and key table, the way a CCNx
+// manifest names a run of content by a hash over its member names. Payloads
+// need no second digest — each is already named by its key — so a save hashes
+// only the table, and recovery checks the seal and then every payload against
+// its own key (checkPayloads). A segment file the manifest does not know about
+// is an interrupted transaction and is deleted by recovery and by GC.
 
 // ObjectAlgorithm is the checksum algorithm that keys the content-addressed
 // store: checksum.Default, the algorithm migrations speak unless told
@@ -73,12 +77,36 @@ func segmentFileSize(count int) int64 {
 	return segPayloadOffset(count, count)
 }
 
-// writeSegment writes a segment holding the given object keys, reading slot
-// i's payload via page(i, buf). It returns the hex SHA-256 of the written
-// file, computed in the same pass. The kill points "image-written",
-// "image-synced" and "image-renamed" bracket its fsync and rename for the
-// kill-point matrix.
-func writeSegment(fsys faultfs.FS, path string, keys []checksum.Sum, page func(i int, buf []byte)) (digest string, err error) {
+// segmentBufSize is writeSegment's write buffer: short runs of payloads
+// gather in it, and a run at least this long goes to the file straight from
+// the caller's memory.
+const segmentBufSize = 256 << 10
+
+// encodeSegmentHead renders a segment's header and key table — the bytes its
+// seal covers.
+func encodeSegmentHead(keys []checksum.Sum) []byte {
+	out := make([]byte, segmentHeaderSize+len(keys)*checksum.Size)
+	copy(out[0:4], segmentMagic[:])
+	binary.LittleEndian.PutUint16(out[4:6], segmentVersion)
+	binary.LittleEndian.PutUint32(out[8:12], uint32(vm.PageSize))
+	binary.LittleEndian.PutUint32(out[12:16], uint32(len(keys)))
+	for i := range keys {
+		copy(out[segmentHeaderSize+i*checksum.Size:], keys[i][:])
+	}
+	return out
+}
+
+// sealOf is the hex SHA-256 of a segment's header and key table.
+func sealOf(head []byte) string {
+	sum := sha256.Sum256(head)
+	return hex.EncodeToString(sum[:])
+}
+
+// writeSegment writes a segment holding the given object keys — payloads
+// writes their pages to w, in slot order — and returns the segment's seal.
+// The payloads are not hashed. The kill points "image-written", "image-synced"
+// and "image-renamed" bracket its fsync and rename for the kill-point matrix.
+func writeSegment(fsys faultfs.FS, path string, keys []checksum.Sum, payloads func(w io.Writer) error) (seal string, err error) {
 	tmp := path + tmpSuffix
 	f, err := fsys.Create(tmp)
 	if err != nil {
@@ -92,27 +120,13 @@ func writeSegment(fsys faultfs.FS, path string, keys []checksum.Sum, page func(i
 			}
 		}
 	}()
-	h := sha256.New()
-	bw := bufio.NewWriterSize(io.MultiWriter(f, h), 1<<20)
-	var hdr [segmentHeaderSize]byte
-	copy(hdr[0:4], segmentMagic[:])
-	binary.LittleEndian.PutUint16(hdr[4:6], segmentVersion)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(vm.PageSize))
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(keys)))
-	if _, err = bw.Write(hdr[:]); err != nil {
+	head := encodeSegmentHead(keys)
+	bw := bufio.NewWriterSize(f, segmentBufSize)
+	if _, err = bw.Write(head); err != nil {
 		return "", fmt.Errorf("checkpoint: segment header: %w", err)
 	}
-	for i := range keys {
-		if _, err = bw.Write(keys[i][:]); err != nil {
-			return "", fmt.Errorf("checkpoint: segment key %d: %w", i, err)
-		}
-	}
-	buf := make([]byte, vm.PageSize)
-	for i := range keys {
-		page(i, buf)
-		if _, err = bw.Write(buf); err != nil {
-			return "", fmt.Errorf("checkpoint: segment payload %d: %w", i, err)
-		}
+	if err = payloads(bw); err != nil {
+		return "", fmt.Errorf("checkpoint: segment payloads: %w", err)
 	}
 	if err = bw.Flush(); err != nil {
 		return "", fmt.Errorf("checkpoint: segment flush: %w", err)
@@ -138,46 +152,45 @@ func writeSegment(fsys faultfs.FS, path string, keys []checksum.Sum, page func(i
 	if err = syncDir(fsys, filepath.Dir(path)); err != nil {
 		return "", err
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return sealOf(head), nil
 }
 
-// readSegmentKeys parses a segment file's header and key table, validating
-// magic, version, page size and total file size. Payloads are not read.
-func readSegmentKeys(fsys faultfs.FS, path string) ([]checksum.Sum, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: segment: %w", err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: segment stat: %w", err)
-	}
-	br := bufio.NewReaderSize(f, 1<<16)
+// readSegmentKeys reads the header and key table at the start of r, a segment
+// file of size bytes, and returns the keys with the segment's seal. It
+// validates magic, version, reserved field and page size, and that the file
+// can hold the table the header claims — so the table is sized by bytes that
+// exist, never by the count alone. Payloads are not read, and their extent is
+// the caller's to check against segmentFileSize.
+func readSegmentKeys(r io.Reader, size int64) (keys []checksum.Sum, seal string, err error) {
 	var hdr [segmentHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("checkpoint: segment header: %w", err)
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, "", fmt.Errorf("checkpoint: segment header: %w", err)
 	}
 	if [4]byte(hdr[0:4]) != segmentMagic {
-		return nil, fmt.Errorf("checkpoint: segment has bad magic %q", hdr[0:4])
+		return nil, "", fmt.Errorf("checkpoint: segment has bad magic %q", hdr[0:4])
 	}
 	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != segmentVersion {
-		return nil, fmt.Errorf("checkpoint: segment format version %d, want %d", v, segmentVersion)
+		return nil, "", fmt.Errorf("checkpoint: segment format version %d, want %d", v, segmentVersion)
+	}
+	if rsv := binary.LittleEndian.Uint16(hdr[6:8]); rsv != 0 {
+		return nil, "", fmt.Errorf("checkpoint: segment reserved field is %#x, want 0", rsv)
 	}
 	if ps := binary.LittleEndian.Uint32(hdr[8:12]); ps != vm.PageSize {
-		return nil, fmt.Errorf("checkpoint: segment page size %d, want %d", ps, vm.PageSize)
+		return nil, "", fmt.Errorf("checkpoint: segment page size %d, want %d", ps, vm.PageSize)
 	}
 	count := int(binary.LittleEndian.Uint32(hdr[12:16]))
-	if st.Size() != segmentFileSize(count) {
-		return nil, fmt.Errorf("checkpoint: segment is %d bytes, want %d for %d objects", st.Size(), segmentFileSize(count), count)
+	if headLen := segmentHeaderSize + int64(count)*checksum.Size; size < headLen {
+		return nil, "", fmt.Errorf("checkpoint: segment of %d bytes cannot hold a key table of %d objects", size, count)
 	}
-	keys := make([]checksum.Sum, count)
+	head := make([]byte, segmentHeaderSize+count*checksum.Size)
+	copy(head, hdr[:])
+	if _, err := io.ReadFull(r, head[segmentHeaderSize:]); err != nil {
+		return nil, "", fmt.Errorf("checkpoint: segment key table: %w", err)
+	}
+	keys = make([]checksum.Sum, count)
+	table := head[segmentHeaderSize:]
 	for i := range keys {
-		var raw [checksum.Size]byte
-		if _, err := io.ReadFull(br, raw[:]); err != nil {
-			return nil, fmt.Errorf("checkpoint: segment key %d: %w", i, err)
-		}
-		keys[i] = checksum.Sum(raw)
+		keys[i] = checksum.Sum(table[i*checksum.Size : (i+1)*checksum.Size])
 	}
-	return keys, nil
+	return keys, sealOf(head), nil
 }

@@ -112,7 +112,7 @@ func (s *Store) fitQuotaLocked(selfKey string, pageKeys []checksum.Sum, newSlots
 		if rep, err := s.gcLocked(); err != nil {
 			return nil, err
 		} else if rep.Reclaimed() {
-			newSlots = s.missingLocked(pageKeys)
+			newSlots = s.missingLocked(selfKey, pageKeys)
 			continue
 		}
 		victim, ok := s.lruVictimLocked(selfKey)
@@ -132,7 +132,7 @@ func (s *Store) fitQuotaLocked(selfKey string, pageKeys []checksum.Sum, newSlots
 				return nil, fmt.Errorf("checkpoint: %d incoming bytes exceed store quota %d: %w", incoming, s.quota, ErrQuotaExceeded)
 			}
 		}
-		newSlots = s.missingLocked(pageKeys)
+		newSlots = s.missingLocked(selfKey, pageKeys)
 	}
 }
 

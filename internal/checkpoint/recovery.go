@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,25 +9,27 @@ import (
 	"strings"
 
 	"vecycle/internal/checksum"
+	"vecycle/internal/faultfs"
 )
 
 // Startup recovery. NewStore replays the crash-consistency contract before
 // serving anything:
 //
 //   - leftover temp files are interrupted transactions and are deleted;
-//   - every recorded segment's whole-file digest is replayed against the
-//     disk — a vanished or torn segment is pulled from the pool (the file,
-//     if torn, is set aside under a .bad suffix for forensics) and every
-//     entry that depended on it quarantines below;
+//   - every recorded segment is replayed against the disk — its header and
+//     key table against the recorded seal, then every payload against its
+//     own key — and a vanished or torn segment is pulled from the pool (the
+//     file, if torn, is set aside under a .bad suffix for forensics) and
+//     every entry that depended on it quarantines below;
 //   - every entry's page-manifest digest is replayed and its object keys
 //     resolved against the pool — a mismatch or an unresolvable key means
 //     the crash landed between a file rename and the manifest commit, and
 //     the entry is quarantined rather than served;
 //   - segment and page-manifest files the manifest never heard of are the
 //     uncommitted tail of an interrupted transaction and are rolled back;
-//   - fingerprint index files (*.idx) of the retired two-digest layout are
-//     unlinked: the page manifest is the fingerprint index now, and nothing
-//     reads them.
+//   - fingerprint index files (*.idx) of the retired two-digest layout and
+//     generation vectors (*.gens.json) of the retired dirty-tracking
+//     baseline are unlinked: nothing reads them.
 
 // ScrubReport summarizes one recovery scan.
 type ScrubReport struct {
@@ -88,38 +91,34 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 		}
 	}
 
-	// 2. Segment replay: every recorded segment must exist, parse, and hash
-	// to its recorded digest before its objects enter the pool. badKeys
-	// remembers why a torn segment's objects vanished, so the entries that
-	// referenced them can quarantine with the root cause.
+	// 2. Segment replay: every recorded segment must exist, parse, match its
+	// recorded seal and hold payloads that hash to their keys before its
+	// objects enter the pool. badKeys remembers why a torn segment's objects
+	// vanished, so the entries that referenced them can quarantine with the
+	// root cause.
 	badKeys := map[checksum.Sum]string{}
 	for _, segName := range sortedKeys(s.man.Segments) {
-		rec := s.man.Segments[segName]
 		path := filepath.Join(s.dir, segName)
-		got, err := hashFile(s.fs, path)
-		if os.IsNotExist(err) {
+		f, err := s.fs.Open(path)
+		if errors.Is(err, os.ErrNotExist) {
 			delete(s.man.Segments, segName)
 			changed = true
 			continue
 		}
 		if err != nil {
+			return rep, fmt.Errorf("checkpoint: recovery scan: %w", err)
+		}
+		segKeys, reason, err := checkSegment(f, segName, s.man.Segments[segName])
+		f.Close()
+		if err != nil {
 			return rep, err
 		}
-		reason := ""
-		if got != rec.Digest {
-			reason = fmt.Sprintf("segment %s digest mismatch (recorded %.12s, computed %.12s)", segName, rec.Digest, got)
-		} else if segKeys, kerr := readSegmentKeys(s.fs, path); kerr != nil {
-			reason = fmt.Sprintf("segment %s unreadable: %v", segName, kerr)
-		} else if len(segKeys) != rec.Pages {
-			reason = fmt.Sprintf("segment %s holds %d objects, manifest records %d", segName, len(segKeys), rec.Pages)
-		} else {
+		if reason == "" {
 			s.registerSegmentLocked(segName, segKeys)
 			continue
 		}
-		if segKeys, kerr := readSegmentKeys(s.fs, path); kerr == nil {
-			for _, k := range segKeys {
-				badKeys[k] = reason
-			}
+		for _, k := range segKeys {
+			badKeys[k] = reason
 		}
 		// Torn: pull it from the pool, set the file aside for forensics.
 		delete(s.man.Segments, segName)
@@ -142,7 +141,7 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 		}
 		pageKeys, digest, err := loadPMF(s.fs, s.pmfPath(key))
 		if err != nil {
-			if !os.IsNotExist(unwrapPathError(err)) {
+			if !errors.Is(err, os.ErrNotExist) {
 				// Readable but torn page manifest: quarantine.
 				e.State = EntryQuarantined
 				e.Reason = fmt.Sprintf("page manifest unreadable: %v", err)
@@ -152,10 +151,8 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 				continue
 			}
 			// Record without a page manifest: a raced Remove or a crash
-			// after the unlink. Drop it, sweeping satellite files.
-			s.sweepLocked(&rep, s.genPath(key))
+			// after the unlink. Drop it.
 			delete(s.man.Entries, key)
-			s.dropEntryLocked(key)
 			rep.Dropped = append(rep.Dropped, key)
 			changed = true
 			continue
@@ -165,14 +162,19 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 		if e.Digest != "" && digest != e.Digest {
 			reason = fmt.Sprintf("page manifest digest mismatch (recorded %.12s, computed %.12s)", e.Digest, digest)
 		} else {
+			// Prefer a torn segment's reason over a bare missing key: a
+			// flipped key-table byte leaves one key unaccounted for, but its
+			// neighbours name the segment.
 			for _, k := range pageKeys {
-				if _, ok := s.objects[k]; !ok {
-					if why, torn := badKeys[k]; torn {
-						reason = why
-					} else {
-						reason = fmt.Sprintf("object %s missing from pool", k)
-					}
+				if _, ok := s.objects[k]; ok {
+					continue
+				}
+				if why, torn := badKeys[k]; torn {
+					reason = why
 					break
+				}
+				if reason == "" {
+					reason = fmt.Sprintf("object %s missing from pool", k)
 				}
 			}
 		}
@@ -188,7 +190,7 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 
 	// 4. Roll back files no committed transaction describes: unrecorded
 	// segments and page manifests are the tail of an interrupted Save.
-	// Fingerprint index files are swept whatever they sit next to.
+	// Files of retired formats are swept whatever they sit next to.
 	for _, de := range dirents {
 		name := de.Name()
 		if strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, segmentSuffix) {
@@ -209,7 +211,7 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 			}
 			continue
 		}
-		if strings.HasSuffix(name, retiredIndexSuffix) {
+		if strings.HasSuffix(name, retiredIndexSuffix) || strings.HasSuffix(name, retiredGensSuffix) {
 			s.sweepLocked(&rep, filepath.Join(s.dir, name))
 		}
 	}
@@ -222,9 +224,47 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 	return rep, nil
 }
 
-// retiredIndexSuffix marked the per-entry fingerprint index files stores
-// wrote while object keys and wire checksums were different digests.
-const retiredIndexSuffix = ".idx"
+// checkSegment replays one recorded segment: its header and key table must
+// parse and hash to the recorded seal, and every payload must hash to its own
+// key. A segment that fails says why in reason, together with whatever keys
+// its table yielded; err is a read failure, which aborts the scan rather than
+// condemning the file.
+func checkSegment(f faultfs.File, name string, rec segmentRecord) (keys []checksum.Sum, reason string, err error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, "", fmt.Errorf("checkpoint: recovery scan %s: %w", name, err)
+	}
+	keys, seal, err := readSegmentKeys(f, st.Size())
+	switch {
+	case err != nil:
+		return nil, fmt.Sprintf("segment %s unreadable: %v", name, err), nil
+	case seal != rec.Digest:
+		return keys, fmt.Sprintf("segment %s key table digest mismatch (recorded %.12s, computed %.12s)", name, rec.Digest, seal), nil
+	case len(keys) != rec.Pages:
+		return keys, fmt.Sprintf("segment %s holds %d objects, manifest records %d", name, len(keys), rec.Pages), nil
+	case st.Size() != segmentFileSize(len(keys)):
+		return keys, fmt.Sprintf("segment %s is %d bytes, want %d: payloads torn", name, st.Size(), segmentFileSize(len(keys))), nil
+	}
+	refs := make([]pageRef, len(keys))
+	for i := range refs {
+		refs[i] = pageRef{f: f, off: segPayloadOffset(len(keys), i)}
+	}
+	var bad *corruptPage
+	if err := checkPayloads(refs, keys); errors.As(err, &bad) {
+		return keys, fmt.Sprintf("segment %s payload digest mismatch (slot %d stored as object %s, bytes hash to %s)", name, bad.slot, bad.key, bad.got), nil
+	} else if err != nil {
+		return nil, "", fmt.Errorf("checkpoint: recovery scan %s: %w", name, err)
+	}
+	return keys, "", nil
+}
+
+// Suffixes of retired per-entry files: the fingerprint index stores wrote
+// while object keys and wire checksums were different digests, and the
+// Miyakodori generation vector complete saves wrote while nothing read it.
+const (
+	retiredIndexSuffix = ".idx"
+	retiredGensSuffix  = ".gens.json"
+)
 
 // sweepLocked removes best-effort satellite files, recording failures in
 // the scrub report and the cleanup-errors metric instead of dropping them.
@@ -246,20 +286,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// unwrapPathError digs the underlying error out of the fmt wrapping so
-// os.IsNotExist works on loadPMF failures.
-func unwrapPathError(err error) error {
-	for {
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return err
-		}
-		inner := u.Unwrap()
-		if inner == nil {
-			return err
-		}
-		err = inner
-	}
 }

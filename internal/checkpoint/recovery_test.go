@@ -4,9 +4,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"vecycle/internal/checksum"
+	"vecycle/internal/faultfs"
 	"vecycle/internal/vm"
 )
 
@@ -40,9 +44,6 @@ func TestSaveSalvagePartialEntry(t *testing.T) {
 	if info.Digest == "" {
 		t.Errorf("salvage entry missing digest: %+v", info)
 	}
-	if _, ok, err := s.Generations("a"); err != nil || ok {
-		t.Errorf("partial entry has generations (ok=%v, err=%v)", ok, err)
-	}
 	cp, err := s.Restore("a", checksum.Default, nil)
 	if err != nil {
 		t.Fatalf("restore partial: %v", err)
@@ -59,23 +60,6 @@ func TestSaveSalvagePartialEntry(t *testing.T) {
 	info, _ = s.Entry("a")
 	if info.State != EntryComplete {
 		t.Errorf("state after Save = %v, want complete", info.State)
-	}
-	if _, ok, _ := s.Generations("a"); !ok {
-		t.Error("complete entry lost its generations")
-	}
-}
-
-func TestSaveRemovesStaleGenerationsOnSalvage(t *testing.T) {
-	s := quotaStore(t)
-	v := filledVM(t, "a", 4, 1)
-	if err := s.Save(v); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveSalvage(filledVM(t, "a", 4, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := s.Generations("a"); ok {
-		t.Error("salvage save left the previous checkpoint's generations behind")
 	}
 }
 
@@ -95,7 +79,6 @@ func TestKillPointMatrix(t *testing.T) {
 		{point: "image-synced", wantOld: true},       // segment tmp durable, before rename
 		{point: "image-renamed", wantOld: true},      // segment renamed but unrecorded: rolled back
 		{point: "pmf-written"},                       // page manifest replaced, store manifest stale
-		{point: "gens-written"},                      // all files new, manifest still stale
 		{point: "manifest-committed", wantNew: true}, // transaction committed
 	}
 	for _, tc := range points {
@@ -250,11 +233,96 @@ func TestTornSegmentQuarantinesOnlyItsEntries(t *testing.T) {
 	cp.Close()
 }
 
+// TestRecoverySetsAsideCorruptSegment damages a recorded segment behind the
+// store's back — one payload bit, one key-table byte, a truncated payload —
+// and asserts the reopened store sets the file aside as .seg.bad and
+// quarantines exactly the entry that depended on it, with a reason naming the
+// segment, while an entry in another segment keeps serving.
+func TestRecoverySetsAsideCorruptSegment(t *testing.T) {
+	flip := func(t *testing.T, path string, off int64) {
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		b := []byte{0}
+		if _, err := f.ReadAt(b, off); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0x01
+		if _, err := f.WriteAt(b, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const pages = 8
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, path string)
+	}{
+		{"payload-bit", func(t *testing.T, path string) { flip(t, path, segPayloadOffset(pages, 5)+1234) }},
+		{"key-table-byte", func(t *testing.T, path string) { flip(t, path, segmentHeaderSize+3*checksum.Size+7) }},
+		{"truncated-payload", func(t *testing.T, path string) {
+			if err := os.Truncate(path, segmentFileSize(pages)-100); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "s")
+			s, err := NewStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Save(filledVM(t, "victim", pages, 3)); err != nil {
+				t.Fatal(err)
+			}
+			intact := filledVM(t, "intact", pages, 4)
+			if err := s.Save(intact); err != nil {
+				t.Fatal(err)
+			}
+			seg := s.objects[s.keys["victim"][0]].seg
+			path := filepath.Join(dir, seg)
+			tc.damage(t, path)
+
+			s2, err := NewStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, _ := s2.Entry("victim")
+			if info.State != EntryQuarantined || !strings.Contains(info.Reason, seg) {
+				t.Errorf("victim = %v (%q), want quarantined with a reason naming %s", info.State, info.Reason, seg)
+			}
+			if _, err := os.Stat(path + ".bad"); err != nil {
+				t.Errorf("damaged segment not set aside: %v", err)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("damaged segment still under its name (stat err = %v)", err)
+			}
+			for _, si := range s2.Segments() {
+				if si.Name == seg {
+					t.Errorf("damaged segment %s still recorded", seg)
+				}
+			}
+			dst := newVM(t, "intact", pages, 99)
+			cp, err := s2.Restore("intact", checksum.Default, dst)
+			if err != nil {
+				t.Fatalf("intact entry refused: %v", err)
+			}
+			cp.Close()
+			if !intact.MemEqual(dst) {
+				t.Error("intact entry restored wrong content")
+			}
+		})
+	}
+}
+
 func TestRecoverySweepsRetiredIndexFiles(t *testing.T) {
 	// A store directory written while object keys and wire checksums were
-	// different digests carries one fingerprint index file per entry. Nothing
-	// reads them any more: opening the store unlinks them, next to a live
-	// entry or not, and the entries serve from their page manifests.
+	// different digests carries one fingerprint index file per entry, and
+	// one written while complete saves kept a generation vector carries a
+	// .gens.json per entry. Nothing reads either: opening the store unlinks
+	// them, next to a live entry or not, and the entries serve from their
+	// page manifests.
 	dir := filepath.Join(t.TempDir(), "s")
 	s, err := NewStore(dir)
 	if err != nil {
@@ -264,7 +332,7 @@ func TestRecoverySweepsRetiredIndexFiles(t *testing.T) {
 	if err := s.Save(v); err != nil {
 		t.Fatal(err)
 	}
-	stale := []string{"a.pmf.idx", "gone.pmf.idx"}
+	stale := []string{"a.pmf.idx", "gone.pmf.idx", "a.gens.json", "gone.gens.json"}
 	for _, name := range stale {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("VCFP stale"), 0o644); err != nil {
 			t.Fatal(err)
@@ -328,5 +396,81 @@ func TestScrubReportAndManifestDrop(t *testing.T) {
 	}
 	if !s.Has("kept") {
 		t.Error("surviving entry lost")
+	}
+}
+
+// syncLog is a faultfs.FS that records, in order, the name of every file or
+// directory handle synced through it.
+type syncLog struct {
+	faultfs.FS
+	mu    sync.Mutex
+	names []string
+}
+
+type syncLogFile struct {
+	faultfs.File
+	log *syncLog
+}
+
+func (f syncLogFile) Sync() error {
+	f.log.mu.Lock()
+	f.log.names = append(f.log.names, f.Name())
+	f.log.mu.Unlock()
+	return f.File.Sync()
+}
+
+func (l *syncLog) wrap(f faultfs.File, err error) (faultfs.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return syncLogFile{File: f, log: l}, nil
+}
+
+func (l *syncLog) Create(name string) (faultfs.File, error) { return l.wrap(l.FS.Create(name)) }
+
+func (l *syncLog) Open(name string) (faultfs.File, error) { return l.wrap(l.FS.Open(name)) }
+
+func (l *syncLog) OpenFile(name string, flag int, perm os.FileMode) (faultfs.File, error) {
+	return l.wrap(l.FS.OpenFile(name, flag, perm))
+}
+
+// TestWarmSaveSyncs pins what a warm complete save makes durable: the new
+// segment, the page manifest and the store manifest, each followed by its
+// directory — and nothing else, so a deleted satellite write cannot creep
+// back unnoticed.
+func TestWarmSaveSyncs(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "s")
+	log := &syncLog{FS: faultfs.OS}
+	s, err := NewStoreFS(dir, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := filledVM(t, "a", 64, 1)
+	if err := s.SaveWithSums(v, ObjectAlgorithm, v.RangeSums(0, 64, ObjectAlgorithm, nil)); err != nil {
+		t.Fatal(err)
+	}
+	copyPages(t, filledVM(t, "churn", 3, 2), v, 3)
+	log.names = nil
+	if err := s.SaveWithSums(v, ObjectAlgorithm, v.RangeSums(0, 64, ObjectAlgorithm, nil)); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, name := range log.names {
+		switch {
+		case name == dir:
+			got = append(got, "dir")
+		case strings.HasSuffix(name, segmentSuffix+tmpSuffix):
+			got = append(got, "segment")
+		case strings.HasSuffix(name, pmfSuffix+tmpSuffix):
+			got = append(got, "pmf")
+		case strings.HasSuffix(name, manifestName+tmpSuffix):
+			got = append(got, "manifest")
+		default:
+			got = append(got, name)
+		}
+	}
+	want := []string{"segment", "dir", "pmf", "dir", "manifest", "dir"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("warm save synced %v, want %v", got, want)
 	}
 }

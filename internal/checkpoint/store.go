@@ -2,8 +2,8 @@ package checkpoint
 
 import (
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 
 	"vecycle/internal/checksum"
-	"vecycle/internal/dirtytrack"
 	"vecycle/internal/faultfs"
 	"vecycle/internal/vm"
 )
@@ -32,14 +31,10 @@ import (
 // resident entry's content (OpenUnion). Reference counts over the object
 // pool drive a GC pass (gc.go) that deletes and compacts dead segments.
 //
-// Alongside each entry the store keeps a Miyakodori generation-vector
-// file, so the dirty-tracking baseline can be driven from the same
-// stored state.
-//
 // The store is crash-consistent: every file reaches its name via
 // tmp+fsync+rename, a versioned manifest (committed last, atomically)
-// records each entry's page-manifest digest and every live segment, and
-// NewStore replays the recorded digests against the disk — quarantining
+// records each entry's page-manifest digest and every live segment's seal,
+// and NewStore replays them against the disk — quarantining
 // entries a crash left torn and rolling back files no committed transaction
 // describes. Entries are complete (a full checkpoint), partial (a salvage
 // checkpoint persisted by an interrupted incoming migration, served for
@@ -179,10 +174,6 @@ func (s *Store) pmfPath(vmName string) string {
 	return filepath.Join(s.dir, sanitize(vmName)+pmfSuffix)
 }
 
-func (s *Store) genPath(vmName string) string {
-	return filepath.Join(s.dir, sanitize(vmName)+".gens.json")
-}
-
 // sanitize keeps VM names from escaping the store directory.
 func sanitize(name string) string {
 	r := strings.NewReplacer("/", "_", "\\", "_", "..", "_", string(os.PathSeparator), "_")
@@ -241,11 +232,10 @@ func parseRoot(digest string) (root [RootSize]byte, ok bool) {
 	return [RootSize]byte(raw), true
 }
 
-// Save checkpoints the VM's memory (and its generation vector) on this
-// host, replacing any previous checkpoint of the same VM — including a
-// salvage checkpoint, which a completed migration supersedes. Pages whose
-// content the object pool already holds (from any VM) are referenced, not
-// rewritten. When a quota is set, dead segments are collected and then
+// Save checkpoints the VM's memory on this host, replacing any previous
+// checkpoint of the same VM — including a salvage checkpoint, which a
+// completed migration supersedes. Pages whose content the object pool
+// already holds (from any VM) are referenced, not rewritten. When a quota is set, dead segments are collected and then
 // least-recently-used entries are evicted until the new pages fit.
 func (s *Store) Save(source *vm.VM) error {
 	return s.SaveWithSums(source, 0, nil)
@@ -281,9 +271,7 @@ func (s *Store) SaveWithSums(source *vm.VM, alg checksum.Algorithm, sums []check
 // entry holding whatever pages an interrupted incoming migration had
 // installed, with its own page manifest. The next incoming attempt announces
 // its page sums like any checkpoint, so the source resends only what is
-// missing. No generation vector is written —
-// a partial image is not a coherent guest state — and any stale one from
-// a previous complete checkpoint is removed.
+// missing.
 func (s *Store) SaveSalvage(source *vm.VM) error {
 	s.mu.Lock()
 	_, err := s.saveLocked(source, EntryPartial, nil)
@@ -303,53 +291,77 @@ func (s *Store) registerSegmentLocked(name string, keys []checksum.Sum) {
 	}
 }
 
-// registerEntryLocked records an entry's page keys, bumping refcounts (and
-// releasing the entry's previous keys, if any).
+// registerEntryLocked records an entry's page keys, bumping refcounts and
+// releasing the entry's previous keys, if any. A previous list of the same
+// length is diffed: only the positions that differ move a count, so a save
+// that rewrote 5 % of a guest touches 5 % of its keys.
 func (s *Store) registerEntryLocked(key string, pageKeys []checksum.Sum) {
-	if old := s.keys[key]; old != nil {
-		s.unrefLocked(old)
-	}
+	old := s.keys[key]
 	s.keys[key] = pageKeys
+	if len(old) == len(pageKeys) {
+		for i, k := range pageKeys {
+			if k != old[i] {
+				s.unrefLocked(old[i])
+				s.refs[k]++
+			}
+		}
+		return
+	}
+	for _, k := range old {
+		s.unrefLocked(k)
+	}
 	for _, k := range pageKeys {
 		s.refs[k]++
 	}
 }
 
-// unrefLocked releases one reference per key occurrence.
-func (s *Store) unrefLocked(pageKeys []checksum.Sum) {
-	for _, k := range pageKeys {
-		if s.refs[k] <= 1 {
-			delete(s.refs, k)
-		} else {
-			s.refs[k]--
-		}
+// unrefLocked releases one reference to k.
+func (s *Store) unrefLocked(k checksum.Sum) {
+	if s.refs[k] <= 1 {
+		delete(s.refs, k)
+	} else {
+		s.refs[k]--
 	}
 }
 
 // dropEntryLocked forgets an entry's in-memory key list and refcounts.
 func (s *Store) dropEntryLocked(key string) {
-	if old := s.keys[key]; old != nil {
-		s.unrefLocked(old)
-		delete(s.keys, key)
+	for _, k := range s.keys[key] {
+		s.unrefLocked(k)
 	}
+	delete(s.keys, key)
 }
 
 // missingLocked reports the page slots whose objects the pool does not yet
-// hold — one slot per distinct missing key, first occurrence wins.
-func (s *Store) missingLocked(pageKeys []checksum.Sum) []int {
-	var slots []int
-	seen := map[checksum.Sum]struct{}{}
-	for i, k := range pageKeys {
-		if _, ok := s.objects[k]; ok {
-			continue
-		}
-		if _, ok := seen[k]; ok {
-			continue
-		}
-		seen[k] = struct{}{}
-		slots = append(slots, i)
+// hold — one slot per distinct missing key, first occurrence wins. When the
+// entry pageKeys replaces is servable and as long, only the positions where
+// the two lists differ are probed: every key of a servable entry resolves in
+// the pool.
+func (s *Store) missingLocked(key string, pageKeys []checksum.Sum) []int {
+	old := s.keys[key]
+	if len(old) != len(pageKeys) || s.man.Entries[key].State == EntryQuarantined {
+		old = nil
 	}
-	return slots
+	var slots []int
+	for i, k := range pageKeys {
+		if old != nil && old[i] == k {
+			continue
+		}
+		if _, ok := s.objects[k]; !ok {
+			slots = append(slots, i)
+		}
+	}
+	// Sized up front: a cold save misses every page, and growing the set
+	// through 65 536 keys costs twice what filling it does.
+	seen := make(map[checksum.Sum]struct{}, len(slots))
+	distinct := slots[:0]
+	for _, i := range slots {
+		if _, dup := seen[pageKeys[i]]; !dup {
+			seen[pageKeys[i]] = struct{}{}
+			distinct = append(distinct, i)
+		}
+	}
+	return distinct
 }
 
 // uniqueBytesLocked reports the bytes of entry pages backed by objects no
@@ -373,15 +385,16 @@ func (s *Store) uniqueBytesLocked(key string) int64 {
 }
 
 // saveLocked runs one save transaction. Write order is: new segment (only
-// the pages the pool is missing), page manifest, generation vector, then —
-// the commit point — the store manifest. A crash before the manifest commit
-// leaves the previous transaction's manifest in charge: recovery rolls back
-// unrecorded segments and quarantines the entry if its pmf was already
-// replaced.
+// the pages the pool is missing), page manifest, then — the commit point —
+// the store manifest. A crash before the manifest commit leaves the previous
+// transaction's manifest in charge: recovery rolls back unrecorded segments
+// and quarantines the entry if its pmf was already replaced.
 //
 // pageKeys, when non-nil, is the guest's page-ordered digest table under
 // ObjectAlgorithm (SaveWithSums); nil makes the save compute it — the one
 // digest pass a save can have, accounted as hashed or avoided either way.
+// Replacing a servable entry of the same length costs map work only where
+// the key lists differ (missingLocked, registerEntryLocked).
 func (s *Store) saveLocked(source *vm.VM, state EntryState, pageKeys []checksum.Sum) (dedup int, err error) {
 	name := source.Name()
 	key := sanitize(name)
@@ -392,7 +405,7 @@ func (s *Store) saveLocked(source *vm.VM, state EntryState, pageKeys []checksum.
 		pageKeys = pageSums(source, ObjectAlgorithm)
 		s.deferMetricLocked(func(m Metrics) { m.HashBytes("save_keys", memBytes) })
 	}
-	newSlots := s.missingLocked(pageKeys)
+	newSlots := s.missingLocked(key, pageKeys)
 	if s.quota > 0 {
 		if newSlots, err = s.fitQuotaLocked(key, pageKeys, newSlots); err != nil {
 			return 0, err
@@ -401,7 +414,7 @@ func (s *Store) saveLocked(source *vm.VM, state EntryState, pageKeys []checksum.
 	dedup = len(pageKeys) - len(newSlots)
 
 	segName := ""
-	var segDigest string
+	var segSeal string
 	var segKeyList []checksum.Sum
 	if len(newSlots) > 0 {
 		segKeyList = make([]checksum.Sum, len(newSlots))
@@ -409,8 +422,19 @@ func (s *Store) saveLocked(source *vm.VM, state EntryState, pageKeys []checksum.
 			segKeyList[i] = pageKeys[slot]
 		}
 		segName = segmentName(s.man.NextSeg + 1)
-		segDigest, err = writeSegment(s.fs, filepath.Join(s.dir, segName), segKeyList, func(i int, buf []byte) {
-			source.ReadPage(newSlots[i], buf)
+		// Runs of adjacent frames go to the file straight out of guest memory.
+		segSeal, err = writeSegment(s.fs, filepath.Join(s.dir, segName), segKeyList, func(w io.Writer) error {
+			for i := 0; i < len(newSlots); {
+				j := i + 1
+				for j < len(newSlots) && j-i < saveRunPages && newSlots[j] == newSlots[j-1]+1 {
+					j++
+				}
+				if err := source.WriteRangeTo(w, newSlots[i], j-i); err != nil {
+					return err
+				}
+				i = j
+			}
+			return nil
 		})
 		if err != nil {
 			return 0, err
@@ -423,27 +447,12 @@ func (s *Store) saveLocked(source *vm.VM, state EntryState, pageKeys []checksum.
 	if err := kill("pmf-written"); err != nil {
 		return 0, err
 	}
-	if state == EntryComplete {
-		gens := source.GenSnapshot()
-		raw, err := json.Marshal(gens)
-		if err != nil {
-			return 0, fmt.Errorf("checkpoint: marshal generations: %w", err)
-		}
-		if err := atomicWriteFile(s.fs, s.genPath(name), raw, 0o644); err != nil {
-			return 0, err
-		}
-	} else if err := s.fs.Remove(s.genPath(name)); err != nil && !os.IsNotExist(err) {
-		return 0, fmt.Errorf("checkpoint: remove stale generations: %w", err)
-	}
-	if err := kill("gens-written"); err != nil {
-		return 0, err
-	}
 	// Transaction commit: the manifest is written LAST, so a crash at any
 	// earlier point leaves recorded digests that no longer match the disk —
 	// which the recovery scan quarantines instead of serving.
 	if segName != "" {
 		s.man.NextSeg++
-		s.man.Segments[segName] = segmentRecord{Digest: segDigest, Pages: len(newSlots)}
+		s.man.Segments[segName] = segmentRecord{Digest: segSeal, Pages: len(newSlots)}
 	}
 	s.man.Entries[key] = manifestEntry{State: state, Digest: pmfDigest, Size: source.MemBytes(), Pages: len(pageKeys)}
 	if err := s.commitManifestLocked(); err != nil {
@@ -461,6 +470,10 @@ func (s *Store) saveLocked(source *vm.VM, state EntryState, pageKeys []checksum.
 	}
 	return dedup, nil
 }
+
+// saveRunPages caps a run of guest pages a save writes under one hold of the
+// guest's read lock.
+const saveRunPages = 256
 
 // minPagesPerSumWorker keeps the parallel keying scan from fanning out
 // over trivially small guests; mirrors the migration engine's checksum
@@ -728,27 +741,10 @@ func (s *Store) OpenUnion(alg checksum.Algorithm) (*Checkpoint, []string, error)
 	return cp, names, nil
 }
 
-// Generations loads the Miyakodori generation vector stored with the
-// checkpoint, or ok=false if none exists.
-func (s *Store) Generations(vmName string) (dirtytrack.GenVector, bool, error) {
-	raw, err := s.fs.ReadFile(s.genPath(vmName))
-	if os.IsNotExist(err) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("checkpoint: read generations: %w", err)
-	}
-	var gens dirtytrack.GenVector
-	if err := json.Unmarshal(raw, &gens); err != nil {
-		return nil, false, fmt.Errorf("checkpoint: parse generations: %w", err)
-	}
-	return gens, true, nil
-}
-
-// Remove deletes the named VM's entry — page manifest, generation vector and
-// manifest record — and releases its object references. The only way out
-// of quarantine. Object payloads stay pooled until a GC pass collects the
-// segments nothing references anymore.
+// Remove deletes the named VM's entry — page manifest and manifest record —
+// and releases its object references. The only way out of quarantine.
+// Object payloads stay pooled until a GC pass collects the segments nothing
+// references anymore.
 func (s *Store) Remove(vmName string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -758,10 +754,8 @@ func (s *Store) Remove(vmName string) error {
 func (s *Store) removeLocked(vmName string) error {
 	key := sanitize(vmName)
 	_, recorded := s.man.Entries[key]
-	for _, p := range []string{s.pmfPath(vmName), s.genPath(vmName)} {
-		if err := s.fs.Remove(p); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("checkpoint: remove %s: %w", p, err)
-		}
+	if err := s.fs.Remove(s.pmfPath(vmName)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("checkpoint: remove page manifest: %w", err)
 	}
 	s.dropEntryLocked(key)
 	if recorded {

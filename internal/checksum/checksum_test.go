@@ -5,6 +5,7 @@ import (
 	"crypto/md5"
 	"encoding/binary"
 	"hash/fnv"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -255,6 +256,65 @@ func TestDecodeHostileCount(t *testing.T) {
 	if _, err := DecodeSet(bytes.NewReader(raw)); err == nil {
 		t.Error("hostile count accepted")
 	}
+}
+
+// TestDecodeSetClaimedCountNotPresized: a count inside the limit is still only
+// the peer's word. A bare 4-byte header claiming 2^26-1 sums must fail on the
+// missing sums having allocated about what a modest guest's set costs, not a
+// map sized for the claim (over a gigabyte).
+func TestDecodeSetClaimedCountNotPresized(t *testing.T) {
+	raw := []byte{0xff, 0xff, 0xff, 0x03}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := DecodeSet(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("header without sums decoded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+		t.Errorf("decoding a 4-byte header allocated %d bytes", got)
+	}
+}
+
+// FuzzDecodeSet feeds the v1 announcement decoder arbitrary bytes, seeded with
+// real frames. It must fail rather than panic or allocate for a count the
+// input does not carry, and a frame that decodes is a set: encoding it again
+// and decoding that yields the same set.
+func FuzzDecodeSet(f *testing.F) {
+	for _, n := range []int{0, 1, 7, 40} {
+		st := NewSet(n)
+		for i := 0; i < n; i++ {
+			st.Add(SHA256.Page([]byte{byte(i), byte(n)}))
+		}
+		var buf bytes.Buffer
+		if err := EncodeSet(&buf, st); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()/2])
+	}
+	f.Add([]byte{0xff, 0xff, 0xff, 0x03}) // 2^26-1 sums claimed, none sent
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		st, err := DecodeSet(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		if claimed := binary.LittleEndian.Uint32(raw); st.Len() > int(claimed) {
+			t.Fatalf("decoded %d sums from a frame claiming %d", st.Len(), claimed)
+		}
+		var buf bytes.Buffer
+		if err := EncodeSet(&buf, st); err != nil {
+			t.Fatalf("decoded set does not re-encode: %v", err)
+		}
+		again, err := DecodeSet(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded set does not decode: %v", err)
+		}
+		if again.Len() != st.Len() || again.IntersectCount(st) != st.Len() {
+			t.Fatalf("round trip changed the set: %d sums -> %d, %d in common", st.Len(), again.Len(), again.IntersectCount(st))
+		}
+	})
 }
 
 // Property: encode/decode is lossless for arbitrary page contents.

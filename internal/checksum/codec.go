@@ -23,6 +23,10 @@ import (
 // — far beyond anything this system migrates.
 const maxEncodedSums = 1 << 26
 
+// decodePresizeSums caps the set capacity DecodeSet reserves on a claimed
+// count: the sums of a 256 MiB guest.
+const decodePresizeSums = 1 << 16
+
 // sumsPool recycles the sorted-scratch slices the announce encoders use.
 // Announcements are O(guest pages) — 16 MiB of sums for a 4 GiB guest — so
 // allocating a fresh slice per announce dominated the encode cost.
@@ -91,7 +95,10 @@ func DecodeSet(r io.Reader) (*Set, error) {
 	if n > maxEncodedSums {
 		return nil, fmt.Errorf("checksum: announcement claims %d sums, limit %d", n, maxEncodedSums)
 	}
-	st := NewSet(int(n))
+	// The count is only the peer's word: pre-size for at most a modest guest
+	// and let the set grow as sums actually arrive, so a 4-byte header cannot
+	// make this side allocate for 2^26 of them.
+	st := NewSet(int(min(n, decodePresizeSums)))
 	var s Sum
 	for i := uint32(0); i < n; i++ {
 		if _, err := io.ReadFull(r, s[:]); err != nil {

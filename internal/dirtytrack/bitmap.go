@@ -1,9 +1,8 @@
-// Package dirtytrack provides the two dirty-page mechanisms the paper
-// compares against content-based redundancy elimination (§4.3): plain dirty
-// bitmaps, as used by pre-copy live migration to find the pages updated
-// during a copy round, and Miyakodori-style per-page generation counters,
-// which let a returning VM skip pages whose generation has not advanced
-// since the checkpoint was written.
+// Package dirtytrack provides the dirty-page bitmap pre-copy live migration
+// uses to find the pages updated during a copy round. (The paper's other
+// dirty-tracking mechanism, Miyakodori's per-page generation counters (§4.3),
+// is modelled frame-wise by internal/methods for Figure 5; no store or guest
+// keeps the counters.)
 package dirtytrack
 
 import (

@@ -130,95 +130,3 @@ func TestBitmapCountConsistent(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestNewTrackerValidation(t *testing.T) {
-	if _, err := NewTracker(-1); err == nil {
-		t.Error("negative size accepted")
-	}
-}
-
-func TestTrackerMiyakodoriCycle(t *testing.T) {
-	// The Miyakodori flow: checkpoint + generation snapshot on the way out,
-	// generation comparison on the way back in.
-	tr, err := NewTracker(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Touch(0)
-	tr.Touch(1)
-	snap := tr.Snapshot() // outgoing migration: checkpoint written here
-
-	tr.Touch(1) // page 1 written again after migration
-	tr.Touch(5) // page 5 written for the first time
-
-	unchanged := tr.UnchangedSince(snap)
-	wantUnchanged := map[int]bool{0: true, 2: true, 3: true, 4: true, 6: true, 7: true}
-	for i := 0; i < 8; i++ {
-		if unchanged.Test(i) != wantUnchanged[i] {
-			t.Errorf("page %d unchanged = %v, want %v", i, unchanged.Test(i), wantUnchanged[i])
-		}
-	}
-	if got := tr.DirtyCountSince(snap); got != 2 {
-		t.Errorf("DirtyCountSince = %d, want 2", got)
-	}
-}
-
-func TestTrackerSnapshotIsolated(t *testing.T) {
-	tr, _ := NewTracker(4)
-	snap := tr.Snapshot()
-	tr.Touch(0)
-	if snap[0] != 0 {
-		t.Error("snapshot mutated by later Touch")
-	}
-}
-
-func TestTrackerResizedVM(t *testing.T) {
-	tr, _ := NewTracker(6)
-	shortSnap := GenVector{0, 0, 0} // snapshot from when the VM had 3 pages
-	unchanged := tr.UnchangedSince(shortSnap)
-	if unchanged.Count() != 3 {
-		t.Errorf("unchanged = %d, want 3 (new pages count as changed)", unchanged.Count())
-	}
-	if got := tr.DirtyCountSince(shortSnap); got != 3 {
-		t.Errorf("DirtyCountSince = %d, want 3", got)
-	}
-}
-
-func TestTrackerGeneration(t *testing.T) {
-	tr, _ := NewTracker(2)
-	if tr.Generation(1) != 0 {
-		t.Error("initial generation not zero")
-	}
-	tr.Touch(1)
-	tr.Touch(1)
-	if got := tr.Generation(1); got != 2 {
-		t.Errorf("Generation = %d, want 2", got)
-	}
-	if tr.Generation(0) != 0 {
-		t.Error("Touch leaked to another page")
-	}
-}
-
-// Property: DirtyCountSince(snapshot just taken) == 0, and after touching k
-// distinct pages it is exactly k.
-func TestTrackerDirtyCountProperty(t *testing.T) {
-	f := func(pages []uint8) bool {
-		tr, err := NewTracker(256)
-		if err != nil {
-			return false
-		}
-		snap := tr.Snapshot()
-		if tr.DirtyCountSince(snap) != 0 {
-			return false
-		}
-		distinct := map[int]bool{}
-		for _, p := range pages {
-			tr.Touch(int(p))
-			distinct[int(p)] = true
-		}
-		return tr.DirtyCountSince(snap) == len(distinct)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

@@ -58,7 +58,7 @@ type Fault struct {
 	Op Op
 	// Path is a substring the target path must contain ("" matches all).
 	// Store fault sites are usually selected by suffix: ".seg", ".pmf",
-	// ".gens.json", "MANIFEST.json".
+	// "MANIFEST.json".
 	Path string
 	// After lets this many matching calls through before the rule fires.
 	After int

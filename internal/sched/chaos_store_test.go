@@ -468,7 +468,6 @@ func TestChaosStoreMatrix(t *testing.T) {
 		{".seg", faultfs.OpRename},
 		{".pmf", faultfs.OpCreate},
 		{".pmf", faultfs.OpWrite},
-		{".gens.json", faultfs.OpCreate},
 		{"MANIFEST.json", faultfs.OpCreate},
 		{"MANIFEST.json", faultfs.OpRename},
 	}

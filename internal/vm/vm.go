@@ -11,6 +11,7 @@ package vm
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 
@@ -43,7 +44,6 @@ type VM struct {
 	mu      sync.RWMutex
 	mem     []byte
 	dirty   *dirtytrack.Bitmap
-	gens    *dirtytrack.Tracker
 	digests digestTable
 	rng     *rand.Rand
 }
@@ -61,16 +61,11 @@ func New(cfg Config) (*VM, error) {
 	if err != nil {
 		return nil, err
 	}
-	gens, err := dirtytrack.NewTracker(pages)
-	if err != nil {
-		return nil, err
-	}
 	return &VM{
 		name:    cfg.Name,
 		seed:    cfg.Seed,
 		mem:     make([]byte, cfg.MemBytes),
 		dirty:   dirty,
-		gens:    gens,
 		digests: newDigestTable(pages),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}, nil
@@ -101,7 +96,7 @@ func (v *VM) PageSum(i int, alg checksum.Algorithm) checksum.Sum {
 }
 
 // WritePage replaces page i with data (PageSize bytes), marking the page
-// dirty, advancing its generation and forgetting its recorded digest.
+// dirty and forgetting its recorded digest.
 func (v *VM) WritePage(i int, data []byte) {
 	if len(data) != PageSize {
 		panic(fmt.Sprintf("vm: WritePage with %d bytes, want %d", len(data), PageSize))
@@ -110,7 +105,6 @@ func (v *VM) WritePage(i int, data []byte) {
 	defer v.mu.Unlock()
 	copy(v.pageLocked(i), data)
 	v.dirty.Set(i)
-	v.gens.Touch(i)
 	v.digests.valid[i] = false
 }
 
@@ -154,6 +148,18 @@ func (v *VM) ReadRange(start, count int, dst []byte) {
 	copy(dst[:count*PageSize], v.mem[start*PageSize:(start+count)*PageSize])
 }
 
+// WriteRangeTo writes count contiguous pages starting at frame start to w
+// straight out of guest memory, holding the read lock for the one Write call —
+// the copy-free counterpart of ReadRange a checkpoint save persists runs of
+// pages with. w must not call back into the VM, and writers to the guest wait
+// for the Write to return, so callers keep count small.
+func (v *VM) WriteRangeTo(w io.Writer, start, count int) error {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	_, err := w.Write(v.mem[start*PageSize : (start+count)*PageSize])
+	return err
+}
+
 // RangeSums computes the checksum of count contiguous pages starting at
 // frame start under one lock acquisition, appending to out (reusing its
 // capacity). The destination uses it to probe a whole range-sum frame
@@ -188,22 +194,6 @@ func (v *VM) DirtyCount() int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	return v.dirty.Count()
-}
-
-// GenSnapshot captures the Miyakodori generation vector (taken alongside a
-// checkpoint on an outgoing migration).
-func (v *VM) GenSnapshot() dirtytrack.GenVector {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.gens.Snapshot()
-}
-
-// UnchangedSince reports the pages not written since the given generation
-// snapshot.
-func (v *VM) UnchangedSince(snap dirtytrack.GenVector) *dirtytrack.Bitmap {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.gens.UnchangedSince(snap)
 }
 
 // MemEqual reports whether two guests hold byte-identical memory — the

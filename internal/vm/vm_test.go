@@ -110,21 +110,6 @@ func TestInstallPageDoesNotDirty(t *testing.T) {
 	}
 }
 
-func TestGenerationsFollowWrites(t *testing.T) {
-	v := newVM(t, 4)
-	snap := v.GenSnapshot()
-	v.WritePage(0, page(1))
-	v.WritePage(0, page(2))
-	v.WritePage(3, page(3))
-	unchanged := v.UnchangedSince(snap)
-	if unchanged.Test(0) || unchanged.Test(3) {
-		t.Error("written pages reported unchanged")
-	}
-	if !unchanged.Test(1) || !unchanged.Test(2) {
-		t.Error("untouched pages reported changed")
-	}
-}
-
 func TestPageSumMatchesContent(t *testing.T) {
 	v := newVM(t, 2)
 	v.WritePage(0, page(0x7F))
