@@ -32,13 +32,16 @@ race-digest:
 # race-restore is the focused gate for the return path: the background
 # checkpoint install (a span held back past its wire frames, a sparse round
 # one, a cancel mid-install — repeated, since the interleavings are the point),
-# the store-level span reader, and the announce-by-name matrix through
-# sched.Host (matched legs, every fallback, a restart), under the race detector.
+# the store-level span reader, the announce-by-name matrix through
+# sched.Host (matched legs, every fallback, a restart), and the streamed saves
+# both sides write under round one (every engine width, range frames and
+# compression on and off, a guest writing mid-round, a cut), under the race
+# detector.
 race-restore:
 	$(GO) test -race -count=3 -run 'TestBackgroundInstall' ./internal/core/
-	$(GO) test -race -run 'TestSpanLoad|TestRestoreSumsMatchGuest|TestConcurrentRemoveDuringRestore' ./internal/checkpoint/
+	$(GO) test -race -run 'TestSpanLoad|TestRestoreSumsMatchGuest|TestConcurrentRemoveDuringRestore|TestSaveStream' ./internal/checkpoint/
 	$(GO) test -race -run 'TestPingPongSkipsAnnouncement|TestPartialAnnounced|TestGoldenStreamByName' ./internal/core/
-	$(GO) test -race -run 'TestByName|TestPingPongOverTCP' ./internal/sched/
+	$(GO) test -race -run 'TestByName|TestPingPongOverTCP|TestStreamedSave' ./internal/sched/
 
 # bench records the migration-engine benchmarks (first-round throughput at
 # pipeline widths {1,2,4,8}, tracked-migration overhead, destination
@@ -90,7 +93,7 @@ bench-smoke:
 # seeded-invariant cells), under the race detector.
 chaos-smoke:
 	$(GO) test -race -run 'TestChaos' ./internal/sched/
-	$(GO) test -race -run 'TestSalvage|TestPartialAnnounced|TestKillPointMatrix|TestTornSegment|TestRecoverySetsAside|TestStoreInvariants|TestWarmSaveSyncs|TestGCCrashMidCompact' ./internal/core/ ./internal/checkpoint/
+	$(GO) test -race -run 'TestSalvage|TestPartialAnnounced|TestKillPointMatrix|TestTornSegment|TestRecoverySetsAside|TestStoreInvariants|TestWarmSaveSyncs|TestSegmentWriteback|TestGCCrashMidCompact' ./internal/core/ ./internal/checkpoint/
 
 # chaos-store is the storage-fault gate: deterministic faultfs schedules
 # inject EIO/ENOSPC/torn writes and read faults at every store op site

@@ -2,7 +2,6 @@ package checkpoint
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -140,28 +139,12 @@ func (s *Store) gcLocked() (rep GCReport, err error) {
 			for i, slot := range liveSlots {
 				newKeys[i] = keys[slot]
 			}
-			src, err := s.fs.Open(filepath.Join(s.dir, segName))
-			if err != nil {
-				return rep, fmt.Errorf("checkpoint: gc open %s: %w", segName, err)
-			}
-			newName := segmentName(s.man.NextSeg + 1)
-			buf := make([]byte, vm.PageSize)
-			seal, err := writeSegment(s.fs, filepath.Join(s.dir, newName), newKeys, func(w io.Writer) error {
-				for _, slot := range liveSlots {
-					if _, err := src.ReadAt(buf, segPayloadOffset(len(keys), slot)); err != nil {
-						return fmt.Errorf("gc read %s: %w", segName, err)
-					}
-					if _, err := w.Write(buf); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			src.Close()
+			n, newName := s.reserveSegmentLocked()
+			seal, err := s.compactLocked(segName, newName, liveSlots, newKeys)
 			if err != nil {
 				return rep, err
 			}
-			s.man.NextSeg++
+			s.man.NextSeg = max(s.man.NextSeg, n)
 			s.man.Segments[newName] = segmentRecord{Digest: seal, Pages: len(newKeys)}
 			delete(s.man.Segments, segName)
 			// Drop every index entry canonical to the old segment — the dead
@@ -178,7 +161,7 @@ func (s *Store) gcLocked() (rep GCReport, err error) {
 			s.segKeys[newName] = newKeys
 			delete(s.segKeys, segName)
 			for i, k := range newKeys {
-				s.objects[k] = objLoc{seg: newName, off: segPayloadOffset(len(newKeys), i)}
+				s.objects[k] = objLoc{seg: newName, off: segPayloadOffset(i)}
 			}
 			deadFiles = append(deadFiles, segName)
 			rep.SegmentsCompacted++
@@ -200,6 +183,32 @@ func (s *Store) gcLocked() (rep GCReport, err error) {
 		}
 	}
 	return rep, nil
+}
+
+// compactLocked writes the payloads of segName's live slots, whose keys are
+// keys, into the new segment newName and returns its seal.
+func (s *Store) compactLocked(segName, newName string, liveSlots []int, keys []checksum.Sum) (seal string, err error) {
+	src, err := s.fs.Open(filepath.Join(s.dir, segName))
+	if err != nil {
+		return "", fmt.Errorf("checkpoint: gc open %s: %w", segName, err)
+	}
+	defer src.Close()
+	w, err := createSegment(s.fs, filepath.Join(s.dir, newName))
+	if err != nil {
+		return "", err
+	}
+	buf := make([]byte, vm.PageSize)
+	for i, slot := range liveSlots {
+		if _, err := src.ReadAt(buf, segPayloadOffset(slot)); err != nil {
+			w.discard()
+			return "", fmt.Errorf("checkpoint: gc read %s: %w", segName, err)
+		}
+		if err := w.add(keys[i], buf); err != nil {
+			w.discard()
+			return "", err
+		}
+	}
+	return w.seal()
 }
 
 // Stats is the store's dedup accounting.

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vecycle/internal/checksum"
@@ -64,8 +65,8 @@ func checkInvariants(t *testing.T, s *Store) {
 			t.Errorf("object %s lives in %s (key table known %v, recorded %v)", k, loc.seg, inTable, recorded)
 			continue
 		}
-		slot := int((loc.off - segPayloadOffset(len(segKeys), 0)) / vm.PageSize)
-		if slot < 0 || slot >= len(segKeys) || segPayloadOffset(len(segKeys), slot) != loc.off || segKeys[slot] != k {
+		slot := int((loc.off - segPayloadOffset(0)) / vm.PageSize)
+		if slot < 0 || slot >= len(segKeys) || segPayloadOffset(slot) != loc.off || segKeys[slot] != k {
 			t.Errorf("object %s at %s+%d, which is not its slot", k, loc.seg, loc.off)
 		}
 	}
@@ -93,7 +94,7 @@ func sameView(t *testing.T, step string, want, got *Store) {
 
 // TestStoreInvariantsSeeded drives one store through a seeded sequence of
 // saves at several churns (with pages duplicated inside a guest and content
-// shared across guests), salvage saves, resizes, removals, GC passes with
+// shared across guests), streamed saves (streamStep), salvage saves, resizes, removals, GC passes with
 // compaction, quarantines and reopens. After every step the invariants are
 // re-derived, every servable entry verifies against its keys, and the view the
 // store built in place — by the diffing save path, mostly — must equal the one
@@ -150,7 +151,7 @@ func storeInvariantSequence(t *testing.T, seed int64, steps int) {
 		name := names[rng.Intn(len(names))]
 		v := guests[name]
 		var op string
-		switch r := rng.Intn(20); {
+		switch r := rng.Intn(24); {
 		case r < 8:
 			frac := []float64{0, 0.05, 0.5, 1}[rng.Intn(4)]
 			op = fmt.Sprintf("SaveWithSums(%s, churn %g)", name, frac)
@@ -193,7 +194,7 @@ func storeInvariantSequence(t *testing.T, seed int64, steps int) {
 			if ferr != nil {
 				t.Fatal(ferr)
 			}
-			off := segPayloadOffset(seg.Pages, rng.Intn(seg.Pages)) + int64(rng.Intn(vm.PageSize))
+			off := segPayloadOffset(rng.Intn(seg.Pages)) + int64(rng.Intn(vm.PageSize))
 			b := []byte{0}
 			if _, ferr = f.ReadAt(b, off); ferr == nil {
 				b[0] ^= 0x80
@@ -204,14 +205,22 @@ func storeInvariantSequence(t *testing.T, seed int64, steps int) {
 				t.Fatal(ferr)
 			}
 			s, err = NewStore(dir)
-		default:
+		case r < 20:
 			op = "reopen"
 			s, err = NewStore(dir)
+		default:
+			op, err = streamStep(s, v, rng, churn)
+			if info, ok := s.Entry(name); ok && strings.Contains(op, "complete") && info.Pages == v.NumPages() {
+				diffSaves++
+			}
 		}
 		if err != nil {
 			t.Fatalf("step %d %s: %v", step, op, err)
 		}
 		checkInvariants(t, s)
+		if tmp := tempFiles(t, dir); len(tmp) != 0 {
+			t.Errorf("step %d %s: temp files %v outlive it", step, op, tmp)
+		}
 		entries, _ := s.Entries()
 		for _, e := range entries {
 			if e.State != EntryQuarantined {
@@ -232,6 +241,50 @@ func storeInvariantSequence(t *testing.T, seed int64, steps int) {
 	if diffSaves == 0 {
 		t.Error("no save replaced a servable entry of the same length: the diff path went unexercised")
 	}
+}
+
+// streamStep saves v through a save stream the way a migration feeds one:
+// pages handed over in random order — some twice, some whose content the pool
+// already holds — then the guest churns and some pages, rewritten or not, are
+// handed over again. A collection may run while the stream is open. The
+// stream is then aborted, or committed as a complete entry (keyed by a digest
+// table or by a rehash) or as a partial one. It returns the step's name.
+func streamStep(s *Store, v *vm.VM, rng *rand.Rand, churn func(*vm.VM, float64)) (string, error) {
+	st := s.OpenSave(v.Name())
+	buf := make([]byte, vm.PageSize)
+	add := func(n int) {
+		for ; n > 0; n-- {
+			i := rng.Intn(v.NumPages())
+			v.ReadPage(i, buf)
+			st.Add(ObjectAlgorithm.Page(buf), buf)
+		}
+	}
+	add(v.NumPages() / 2)
+	churn(v, []float64{0, 0.05, 0.5}[rng.Intn(3)])
+	add(v.NumPages() / 2)
+	op := fmt.Sprintf("stream %s", v.Name())
+	if rng.Intn(3) == 0 {
+		op += ", GC"
+		if _, err := s.GC(); err != nil {
+			return op, err
+		}
+	}
+	var err error
+	switch rng.Intn(4) {
+	case 0:
+		op += ", Abort"
+		st.Abort()
+	case 1:
+		op += ", commit complete"
+		_, err = st.Commit(v, EntryComplete, ObjectAlgorithm, v.RangeSums(0, v.NumPages(), ObjectAlgorithm, nil))
+	case 2:
+		op += ", commit complete rehashed"
+		_, err = st.Commit(v, EntryComplete, 0, nil)
+	default:
+		op += ", commit partial"
+		_, err = st.Commit(v, EntryPartial, 0, nil)
+	}
+	return op, err
 }
 
 // TestSaveAfterCompactionRewritesDeadContent: a compaction drops the dead

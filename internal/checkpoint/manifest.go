@@ -20,13 +20,14 @@ import (
 // (entries) or rolls back (unrecorded segments/pmfs) instead of serving torn
 // state.
 //
-// Version 3 records segments by their seal (header + key table); version 2
-// recorded a whole-file digest, which a v3 store cannot check without
-// re-hashing every payload twice, so a v2 manifest is refused, not migrated.
+// Version 4 records segments of layout v2 (key table as a trailer) by their
+// seal over header and trailer. Version 3 recorded head-first segments, which
+// this store cannot read, and version 2 whole-file digests; stores of either
+// are refused, not migrated.
 
 const (
 	manifestName    = "MANIFEST.json"
-	manifestVersion = 3
+	manifestVersion = 4
 )
 
 // EntryState is the lifecycle state of a store entry, as recorded in the
@@ -65,9 +66,9 @@ type manifestEntry struct {
 
 // segmentRecord is one segment file's durable record.
 type segmentRecord struct {
-	// Digest is the segment's seal: the hex SHA-256 of its header and key
-	// table. The recovery scan replays it, then checks every payload against
-	// its key, to catch torn writes and bit rot.
+	// Digest is the segment's seal: the hex SHA-256 of its header and
+	// trailer (key table and count). The recovery scan replays it, then
+	// checks every payload against its key, to catch torn writes and bit rot.
 	Digest string `json:"digest"`
 	Pages  int    `json:"pages"`
 }

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,35 +11,39 @@ import (
 	"testing"
 )
 
-// TestNewStoreRejectsV2Manifest: a version-2 manifest records whole-file
-// segment digests, which this store no longer computes; opening one fails
-// with a version error instead of quarantining every segment.
+// TestNewStoreRejectsV2Manifest: manifests of version 2 (whole-file segment
+// digests) and version 3 (head-first segments) describe files this store no
+// longer reads; opening one fails with a version error instead of
+// quarantining every segment.
 func TestNewStoreRejectsV2Manifest(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "s")
-	s, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(filledVM(t, "a", 4, 1)); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(s.manifestPath())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	m["version"] = 2
-	if raw, err = json.Marshal(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.manifestPath(), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewStore(dir); err == nil || !strings.Contains(err.Error(), "manifest version 2, want 3") {
-		t.Errorf("NewStore over a v2 manifest: %v, want a version error", err)
+	for _, version := range []int{2, 3} {
+		dir := filepath.Join(t.TempDir(), "s")
+		s, err := NewStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Save(filledVM(t, "a", 4, 1)); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(s.manifestPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		m["version"] = version
+		if raw, err = json.Marshal(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(s.manifestPath(), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("manifest version %d, want 4", version)
+		if _, err := NewStore(dir); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("NewStore over a v%d manifest: %v, want %q", version, err, want)
+		}
 	}
 }
 

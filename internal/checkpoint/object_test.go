@@ -3,13 +3,11 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"vecycle/internal/checksum"
-	"vecycle/internal/faultfs"
 	"vecycle/internal/vm"
 )
 
@@ -22,36 +20,41 @@ func filledSeedVM(name string, seed int64) (*vm.VM, error) {
 	return v, v.FillRandom(1.0)
 }
 
-// FuzzReadSegmentKeys drives the segment header and key-table reader with
+// FuzzReadSegmentKeys drives the segment header and trailer reader with
 // mutated segment files. Its keys become the pool index recovery trusts, so
 // it must reject rather than panic or size the table by a count the file
-// cannot hold, and anything it accepts must be exactly that header and key
-// table, sealed by their hash.
+// cannot hold, and anything it accepts must be exactly a header, payloads and
+// the trailer of its own keys, sealed by their hash.
 func FuzzReadSegmentKeys(f *testing.F) {
-	// Real segments, byte for byte what a save writes.
-	dir := f.TempDir()
-	for _, n := range []int{1, 3} {
-		keys := make([]checksum.Sum, n)
-		for i := range keys {
-			keys[i] = checksum.Sum{0: byte(i + 1), 15: byte(n)}
-		}
-		path := filepath.Join(dir, segmentName(uint64(n)))
-		payloads := func(w io.Writer) error {
-			_, err := w.Write(bytes.Repeat([]byte{byte(n)}, n*vm.PageSize))
-			return err
-		}
-		if _, err := writeSegment(faultfs.OS, path, keys, payloads); err != nil {
+	// Real segments, byte for byte what a save writes: one streamed in full,
+	// one written by the commit's catch-up, one half and half.
+	s, err := NewStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for seed, streamed := range []int{4, 0, 2} {
+		v, err := filledSeedVM("vm", int64(seed+1))
+		if err != nil {
 			f.Fatal(err)
 		}
-		raw, err := os.ReadFile(path)
+		st := s.OpenSave("vm")
+		buf := make([]byte, vm.PageSize)
+		for i := 0; i < streamed; i++ {
+			v.ReadPage(i, buf)
+			st.Add(ObjectAlgorithm.Page(buf), buf)
+		}
+		if _, err := st.Commit(v, EntryComplete, 0, nil); err != nil {
+			f.Fatal(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(s.Dir(), st.seg))
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(raw)
-		f.Add(raw[:segmentHeaderSize+checksum.Size-1])
-		// A header claiming 2^32-1 objects over a file that holds one.
+		f.Add(raw[:len(raw)-checksum.Size-1])
+		// A tail claiming 2^32-1 objects over a file that holds a few.
 		huge := append([]byte(nil), raw...)
-		binary.LittleEndian.PutUint32(huge[12:16], 1<<32-1)
+		binary.LittleEndian.PutUint32(huge[len(huge)-4:], 1<<32-1)
 		f.Add(huge)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -59,12 +62,18 @@ func FuzzReadSegmentKeys(f *testing.F) {
 		if err != nil {
 			return
 		}
-		head := encodeSegmentHead(keys)
-		if !bytes.Equal(head, raw[:len(head)]) {
-			t.Fatalf("accepted a head that is not the encoding of its own %d keys", len(keys))
+		if int64(len(raw)) != segmentFileSize(len(keys)) {
+			t.Fatalf("accepted %d keys from a file of %d bytes", len(keys), len(raw))
 		}
-		if seal != sealOf(head) {
-			t.Fatalf("seal %s is not the hash of the head", seal)
+		if !bytes.Equal(raw[:segmentHeaderSize], segmentHeader[:]) {
+			t.Fatal("accepted a header that is not the segment header")
+		}
+		trailer := encodeSegmentTrailer(keys)
+		if !bytes.Equal(trailer, raw[len(raw)-len(trailer):]) {
+			t.Fatalf("accepted a trailer that is not the encoding of its own %d keys", len(keys))
+		}
+		if seal != sealOf(trailer) {
+			t.Fatalf("seal %s is not the hash of header and trailer", seal)
 		}
 	})
 }

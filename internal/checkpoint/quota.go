@@ -100,12 +100,19 @@ func (s *Store) shrinkToQuotaLocked() error {
 }
 
 // fitQuotaLocked makes room for a Save that must write the pages in
-// newSlots (indices into pageKeys). Eviction can free objects the save was
+// newSlots (indices into pageKeys) on top of the slots its stream already
+// wrote, whose keys are streamed. Eviction can free objects the save was
 // counting on reusing, so the missing set is recomputed after every pass;
 // the final missing set is returned. selfKey is never evicted.
-func (s *Store) fitQuotaLocked(selfKey string, pageKeys []checksum.Sum, newSlots []int) ([]int, error) {
+func (s *Store) fitQuotaLocked(selfKey string, pageKeys []checksum.Sum, newSlots []int, streamed map[checksum.Sum]struct{}) ([]int, error) {
 	for {
-		incoming := int64(len(newSlots)) * vm.PageSize
+		pages := len(streamed)
+		for _, i := range newSlots {
+			if _, ok := streamed[pageKeys[i]]; !ok {
+				pages++
+			}
+		}
+		incoming := int64(pages) * vm.PageSize
 		if s.physicalLocked()+incoming <= s.quota {
 			return newSlots, nil
 		}

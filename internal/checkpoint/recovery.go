@@ -15,9 +15,11 @@ import (
 // Startup recovery. NewStore replays the crash-consistency contract before
 // serving anything:
 //
-//   - leftover temp files are interrupted transactions and are deleted;
+//   - leftover temp files are interrupted transactions and are deleted —
+//     except the segment of a save stream still open, which a Scrub finds
+//     in flight while a migration writes it;
 //   - every recorded segment is replayed against the disk — its header and
-//     key table against the recorded seal, then every payload against its
+//     trailer against the recorded seal, then every payload against its
 //     own key — and a vanished or torn segment is pulled from the pool (the
 //     file, if torn, is set aside under a .bad suffix for forensics) and
 //     every entry that depended on it quarantines below;
@@ -80,9 +82,9 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 	s.segKeys = map[string][]checksum.Sum{}
 
 	// 1. Interrupted transactions: any surviving temp file belongs to a
-	// write whose commit never happened.
+	// write whose commit never happened, unless its save stream is open.
 	for _, de := range dirents {
-		if strings.HasSuffix(de.Name(), tmpSuffix) {
+		if strings.HasSuffix(de.Name(), tmpSuffix) && !s.inflight[de.Name()] {
 			p := filepath.Join(s.dir, de.Name())
 			if err := s.fs.Remove(p); err != nil && !os.IsNotExist(err) {
 				return rep, fmt.Errorf("checkpoint: remove orphan %s: %w", p, err)
@@ -95,8 +97,10 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 	// recorded seal and hold payloads that hash to their keys before its
 	// objects enter the pool. badKeys remembers why a torn segment's objects
 	// vanished, so the entries that referenced them can quarantine with the
-	// root cause.
+	// root cause; keyless lists the torn segments whose trailer was lost with
+	// the tail, so whose objects cannot be named.
 	badKeys := map[checksum.Sum]string{}
+	var keyless []string
 	for _, segName := range sortedKeys(s.man.Segments) {
 		path := filepath.Join(s.dir, segName)
 		f, err := s.fs.Open(path)
@@ -119,6 +123,9 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 		}
 		for _, k := range segKeys {
 			badKeys[k] = reason
+		}
+		if segKeys == nil {
+			keyless = append(keyless, reason)
 		}
 		// Torn: pull it from the pool, set the file aside for forensics.
 		delete(s.man.Segments, segName)
@@ -175,6 +182,9 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 				}
 				if reason == "" {
 					reason = fmt.Sprintf("object %s missing from pool", k)
+					if len(keyless) > 0 {
+						reason += "; " + strings.Join(keyless, "; ")
+					}
 				}
 			}
 		}
@@ -224,7 +234,7 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 	return rep, nil
 }
 
-// checkSegment replays one recorded segment: its header and key table must
+// checkSegment replays one recorded segment: its header and trailer must
 // parse and hash to the recorded seal, and every payload must hash to its own
 // key. A segment that fails says why in reason, together with whatever keys
 // its table yielded; err is a read failure, which aborts the scan rather than
@@ -242,12 +252,10 @@ func checkSegment(f faultfs.File, name string, rec segmentRecord) (keys []checks
 		return keys, fmt.Sprintf("segment %s key table digest mismatch (recorded %.12s, computed %.12s)", name, rec.Digest, seal), nil
 	case len(keys) != rec.Pages:
 		return keys, fmt.Sprintf("segment %s holds %d objects, manifest records %d", name, len(keys), rec.Pages), nil
-	case st.Size() != segmentFileSize(len(keys)):
-		return keys, fmt.Sprintf("segment %s is %d bytes, want %d: payloads torn", name, st.Size(), segmentFileSize(len(keys))), nil
 	}
 	refs := make([]pageRef, len(keys))
 	for i := range refs {
-		refs[i] = pageRef{f: f, off: segPayloadOffset(len(keys), i)}
+		refs[i] = pageRef{f: f, off: segPayloadOffset(i)}
 	}
 	var bad *corruptPage
 	if err := checkPayloads(refs, keys); errors.As(err, &bad) {

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -63,9 +64,32 @@ func TestSaveSalvagePartialEntry(t *testing.T) {
 	}
 }
 
+// streamSave saves v through a save stream that was handed every page first,
+// as a migration's round one does, leaving the commit nothing to catch up.
+func streamSave(s *Store, v *vm.VM) error {
+	st := s.OpenSave(v.Name())
+	streamPages(st, v, 0, v.NumPages())
+	_, err := st.Commit(v, EntryComplete, 0, nil)
+	return err
+}
+
+// streamPages hands pages [start, end) of v to st with their keys.
+func streamPages(st *SaveStream, v *vm.VM, start, end int) {
+	buf := make([]byte, vm.PageSize)
+	for i := start; i < end; i++ {
+		v.ReadPage(i, buf)
+		st.Add(ObjectAlgorithm.Page(buf), buf)
+	}
+}
+
+// errCrash stands in for a process that died with a save stream open.
+var errCrash = errors.New("simulated crash")
+
 // TestKillPointMatrix crashes a Save at every commit point and asserts the
 // reopened store either serves the old content or quarantines — never
-// serves torn state.
+// serves torn state. The streamed/ cells crash a save whose pages were all
+// streamed before the commit, plus one that crashes mid-stream, before any
+// commit began: its in-flight segment is swept at the next open.
 func TestKillPointMatrix(t *testing.T) {
 	points := []struct {
 		point string
@@ -81,110 +105,126 @@ func TestKillPointMatrix(t *testing.T) {
 		{point: "pmf-written"},                       // page manifest replaced, store manifest stale
 		{point: "manifest-committed", wantNew: true}, // transaction committed
 	}
+	midStream := func(s *Store, v *vm.VM) error {
+		streamPages(s.OpenSave(v.Name()), v, 0, v.NumPages())
+		return errCrash
+	}
 	for _, tc := range points {
 		t.Run(tc.point, func(t *testing.T) {
-			dir := filepath.Join(t.TempDir(), "s")
-			s, err := NewStore(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			old := filledVM(t, "a", 4, 1)
-			if err := s.Save(old); err != nil {
-				t.Fatal(err)
-			}
-			oldInfo, ok := s.Entry("a")
-			if !ok || oldInfo.Digest == "" {
-				t.Fatalf("pre-crash entry = %+v, %v", oldInfo, ok)
-			}
-
-			boom := errors.New("simulated crash")
-			testHookKill = func(p string) error {
-				if p == tc.point {
-					return boom
-				}
-				return nil
-			}
-			defer func() { testHookKill = nil }()
-			err = s.Save(filledVM(t, "a", 4, 2))
-			testHookKill = nil
-			if tc.point == "manifest-committed" {
-				// The kill fires after the commit: the error is reported but
-				// the transaction is already durable.
-				if err == nil {
-					t.Fatal("kill hook did not fire")
-				}
-			} else if err == nil || !errors.Is(err, boom) {
-				t.Fatalf("killed Save error = %v, want the simulated crash", err)
-			}
-
-			// "Reboot": a fresh store over the same directory runs recovery.
-			s2, err := NewStore(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			info, ok := s2.Entry("a")
-			if !ok {
-				t.Fatal("entry vanished after recovery")
-			}
-			switch {
-			case tc.wantOld:
-				if info.State != EntryComplete {
-					t.Fatalf("state = %v (%s), want complete (old content)", info.State, info.Reason)
-				}
-				if info.Digest != oldInfo.Digest {
-					t.Error("recovered entry is not the pre-crash checkpoint")
-				}
-				dst := newVM(t, "a", 4, 99)
-				if cp, err := s2.Restore("a", checksum.Default, dst); err != nil {
-					t.Errorf("old checkpoint refused: %v", err)
-				} else {
-					cp.Close()
-					if !old.MemEqual(dst) {
-						t.Error("recovered content differs from the pre-crash save")
-					}
-				}
-			case tc.wantNew:
-				if info.State != EntryComplete {
-					t.Fatalf("state = %v (%s), want complete (new content)", info.State, info.Reason)
-				}
-				if info.Digest == oldInfo.Digest {
-					t.Error("committed transaction still serves the old digest")
-				}
-				if cp, err := s2.Restore("a", checksum.Default, nil); err != nil {
-					t.Errorf("committed checkpoint refused: %v", err)
-				} else {
-					cp.Close()
-				}
-			default:
-				if info.State != EntryQuarantined {
-					t.Fatalf("state = %v, want quarantined", info.State)
-				}
-				if s2.Has("a") {
-					t.Error("Has serves a quarantined entry")
-				}
-				if _, err := s2.Restore("a", checksum.Default, nil); err == nil {
-					t.Error("Restore served a quarantined entry")
-				}
-			}
-			// No interrupted-transaction temp files or unrecorded segments
-			// survive recovery.
-			dirents, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recorded := map[string]bool{}
-			for _, seg := range s2.Segments() {
-				recorded[seg.Name] = true
-			}
-			for _, de := range dirents {
-				if filepath.Ext(de.Name()) == tmpSuffix {
-					t.Errorf("orphan temp file survived recovery: %s", de.Name())
-				}
-				if filepath.Ext(de.Name()) == segmentSuffix && !recorded[de.Name()] {
-					t.Errorf("unrecorded segment survived recovery: %s", de.Name())
-				}
-			}
+			killPointCell(t, tc.point, tc.wantOld, tc.wantNew, (*Store).Save)
 		})
+		t.Run("streamed/"+tc.point, func(t *testing.T) {
+			killPointCell(t, tc.point, tc.wantOld, tc.wantNew, streamSave)
+		})
+	}
+	t.Run("streamed/mid-stream", func(t *testing.T) {
+		killPointCell(t, "", true, false, midStream)
+	})
+}
+
+// killPointCell saves a checkpoint, then crashes save — a replacement of it —
+// at point (or wherever save itself returns errCrash), reopens the store and
+// checks what it serves.
+func killPointCell(t *testing.T, point string, wantOld, wantNew bool, save func(*Store, *vm.VM) error) {
+	dir := filepath.Join(t.TempDir(), "s")
+	s, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := filledVM(t, "a", 4, 1)
+	if err := s.Save(old); err != nil {
+		t.Fatal(err)
+	}
+	oldInfo, ok := s.Entry("a")
+	if !ok || oldInfo.Digest == "" {
+		t.Fatalf("pre-crash entry = %+v, %v", oldInfo, ok)
+	}
+
+	testHookKill = func(p string) error {
+		if p == point {
+			return errCrash
+		}
+		return nil
+	}
+	defer func() { testHookKill = nil }()
+	err = save(s, filledVM(t, "a", 4, 2))
+	testHookKill = nil
+	if point == "manifest-committed" {
+		// The kill fires after the commit: the error is reported but
+		// the transaction is already durable.
+		if err == nil {
+			t.Fatal("kill hook did not fire")
+		}
+	} else if err == nil || !errors.Is(err, errCrash) {
+		t.Fatalf("killed Save error = %v, want the simulated crash", err)
+	}
+
+	// "Reboot": a fresh store over the same directory runs recovery.
+	s2, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, ok := s2.Entry("a")
+	if !ok {
+		t.Fatal("entry vanished after recovery")
+	}
+	switch {
+	case wantOld:
+		if info.State != EntryComplete {
+			t.Fatalf("state = %v (%s), want complete (old content)", info.State, info.Reason)
+		}
+		if info.Digest != oldInfo.Digest {
+			t.Error("recovered entry is not the pre-crash checkpoint")
+		}
+		dst := newVM(t, "a", 4, 99)
+		if cp, err := s2.Restore("a", checksum.Default, dst); err != nil {
+			t.Errorf("old checkpoint refused: %v", err)
+		} else {
+			cp.Close()
+			if !old.MemEqual(dst) {
+				t.Error("recovered content differs from the pre-crash save")
+			}
+		}
+	case wantNew:
+		if info.State != EntryComplete {
+			t.Fatalf("state = %v (%s), want complete (new content)", info.State, info.Reason)
+		}
+		if info.Digest == oldInfo.Digest {
+			t.Error("committed transaction still serves the old digest")
+		}
+		if cp, err := s2.Restore("a", checksum.Default, nil); err != nil {
+			t.Errorf("committed checkpoint refused: %v", err)
+		} else {
+			cp.Close()
+		}
+	default:
+		if info.State != EntryQuarantined {
+			t.Fatalf("state = %v, want quarantined", info.State)
+		}
+		if s2.Has("a") {
+			t.Error("Has serves a quarantined entry")
+		}
+		if _, err := s2.Restore("a", checksum.Default, nil); err == nil {
+			t.Error("Restore served a quarantined entry")
+		}
+	}
+	// No interrupted-transaction temp files or unrecorded segments
+	// survive recovery.
+	dirents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := map[string]bool{}
+	for _, seg := range s2.Segments() {
+		recorded[seg.Name] = true
+	}
+	for _, de := range dirents {
+		if filepath.Ext(de.Name()) == tmpSuffix {
+			t.Errorf("orphan temp file survived recovery: %s", de.Name())
+		}
+		if filepath.Ext(de.Name()) == segmentSuffix && !recorded[de.Name()] {
+			t.Errorf("unrecorded segment survived recovery: %s", de.Name())
+		}
 	}
 }
 
@@ -234,7 +274,8 @@ func TestTornSegmentQuarantinesOnlyItsEntries(t *testing.T) {
 }
 
 // TestRecoverySetsAsideCorruptSegment damages a recorded segment behind the
-// store's back — one payload bit, one key-table byte, a truncated payload —
+// store's back — one payload bit, one key-table byte, a truncated payload, a
+// torn trailer, a wrong count —
 // and asserts the reopened store sets the file aside as .seg.bad and
 // quarantines exactly the entry that depended on it, with a reason naming the
 // segment, while an entry in another segment keeps serving.
@@ -259,13 +300,21 @@ func TestRecoverySetsAsideCorruptSegment(t *testing.T) {
 		name   string
 		damage func(t *testing.T, path string)
 	}{
-		{"payload-bit", func(t *testing.T, path string) { flip(t, path, segPayloadOffset(pages, 5)+1234) }},
-		{"key-table-byte", func(t *testing.T, path string) { flip(t, path, segmentHeaderSize+3*checksum.Size+7) }},
+		{"payload-bit", func(t *testing.T, path string) { flip(t, path, segPayloadOffset(5)+1234) }},
+		{"key-table-byte", func(t *testing.T, path string) { flip(t, path, segPayloadOffset(pages)+3*checksum.Size+7) }},
 		{"truncated-payload", func(t *testing.T, path string) {
+			if err := os.Truncate(path, segPayloadOffset(pages)-100); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// A tail torn inside the key table: the count read from the end is
+		// payload bytes, so the trailer names no objects at all.
+		{"torn-trailer", func(t *testing.T, path string) {
 			if err := os.Truncate(path, segmentFileSize(pages)-100); err != nil {
 				t.Fatal(err)
 			}
 		}},
+		{"trailer-count", func(t *testing.T, path string) { flip(t, path, segmentFileSize(pages)-4) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "s")
@@ -437,40 +486,56 @@ func (l *syncLog) OpenFile(name string, flag int, perm os.FileMode) (faultfs.Fil
 // TestWarmSaveSyncs pins what a warm complete save makes durable: the new
 // segment, the page manifest and the store manifest, each followed by its
 // directory — and nothing else, so a deleted satellite write cannot creep
-// back unnoticed.
+// back unnoticed. A save whose pages were streamed first syncs the same set:
+// streaming moves the segment's writes under the migration, not its fsync.
 func TestWarmSaveSyncs(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "s")
-	log := &syncLog{FS: faultfs.OS}
-	s, err := NewStoreFS(dir, log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := filledVM(t, "a", 64, 1)
-	if err := s.SaveWithSums(v, ObjectAlgorithm, v.RangeSums(0, 64, ObjectAlgorithm, nil)); err != nil {
-		t.Fatal(err)
-	}
-	copyPages(t, filledVM(t, "churn", 3, 2), v, 3)
-	log.names = nil
-	if err := s.SaveWithSums(v, ObjectAlgorithm, v.RangeSums(0, 64, ObjectAlgorithm, nil)); err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, name := range log.names {
-		switch {
-		case name == dir:
-			got = append(got, "dir")
-		case strings.HasSuffix(name, segmentSuffix+tmpSuffix):
-			got = append(got, "segment")
-		case strings.HasSuffix(name, pmfSuffix+tmpSuffix):
-			got = append(got, "pmf")
-		case strings.HasSuffix(name, manifestName+tmpSuffix):
-			got = append(got, "manifest")
-		default:
-			got = append(got, name)
-		}
-	}
-	want := []string{"segment", "dir", "pmf", "dir", "manifest", "dir"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("warm save synced %v, want %v", got, want)
+	for _, streamed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("streamed=%v", streamed), func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "s")
+			log := &syncLog{FS: faultfs.OS}
+			s, err := NewStoreFS(dir, log)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := filledVM(t, "a", 64, 1)
+			if err := s.SaveWithSums(v, ObjectAlgorithm, v.RangeSums(0, 64, ObjectAlgorithm, nil)); err != nil {
+				t.Fatal(err)
+			}
+			copyPages(t, filledVM(t, "churn", 3, 2), v, 3)
+			log.names = nil
+			st := s.OpenSave("a")
+			if streamed {
+				streamPages(st, v, 0, 3)
+			}
+			counts, err := st.Commit(v, EntryComplete, ObjectAlgorithm, v.RangeSums(0, 64, ObjectAlgorithm, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := SaveCounts{CaughtUp: 3}
+			if streamed {
+				want = SaveCounts{Streamed: 3}
+			}
+			if counts != want {
+				t.Errorf("save counted %+v, want %+v", counts, want)
+			}
+			var got []string
+			for _, name := range log.names {
+				switch {
+				case name == dir:
+					got = append(got, "dir")
+				case strings.HasSuffix(name, segmentSuffix+tmpSuffix):
+					got = append(got, "segment")
+				case strings.HasSuffix(name, pmfSuffix+tmpSuffix):
+					got = append(got, "pmf")
+				case strings.HasSuffix(name, manifestName+tmpSuffix):
+					got = append(got, "manifest")
+				default:
+					got = append(got, name)
+				}
+			}
+			if want := []string{"segment", "dir", "pmf", "dir", "manifest", "dir"}; !reflect.DeepEqual(got, want) {
+				t.Errorf("warm save synced %v, want %v", got, want)
+			}
+		})
 	}
 }

@@ -3,7 +3,6 @@ package checkpoint
 import (
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -56,6 +55,13 @@ type Store struct {
 	segKeys map[string][]checksum.Sum // segment file → keys in slot order
 
 	dedupPages int64 // cumulative pages Save skipped writing (already pooled)
+
+	// Segment numbers handed out but not necessarily committed yet (an open
+	// save stream's, a compaction's): lastSeg is the highest, so no two
+	// writers ever share a file name. inflight names the temp files of the
+	// save streams still open, which recovery's temp sweep must leave alone.
+	lastSeg  uint64
+	inflight map[string]bool
 
 	metrics Metrics
 	pending []func(Metrics) // metric callbacks deferred until s.mu is free
@@ -156,6 +162,8 @@ func NewStoreFS(dir string, fsys faultfs.FS) (*Store, error) {
 		refs:    map[checksum.Sum]int{},
 		keys:    map[string][]checksum.Sum{},
 		segKeys: map[string][]checksum.Sum{},
+
+		inflight: map[string]bool{},
 	}
 	if err := s.loadManifestLocked(); err != nil {
 		return nil, err
@@ -232,61 +240,13 @@ func parseRoot(digest string) (root [RootSize]byte, ok bool) {
 	return [RootSize]byte(raw), true
 }
 
-// Save checkpoints the VM's memory on this host, replacing any previous
-// checkpoint of the same VM — including a salvage checkpoint, which a
-// completed migration supersedes. Pages whose content the object pool
-// already holds (from any VM) are referenced, not rewritten. When a quota is set, dead segments are collected and then
-// least-recently-used entries are evicted until the new pages fit.
-func (s *Store) Save(source *vm.VM) error {
-	return s.SaveWithSums(source, 0, nil)
-}
-
-// SaveWithSums is Save with a caller-supplied per-page digest table —
-// typically the sums a migration recorded (core.DestResult.PageSums on
-// arrival, core.SumTable on departure). A table under ObjectAlgorithm becomes
-// the entry's page keys as it stands and the save hashes nothing.
-//
-// The caller asserts sums[i] is alg's digest of the VM's current page i. A
-// wrong table poisons the entry (content keys decide dedup identity and are
-// what the next restore announces), so hand over only tables the migration
-// protocol itself vouched for. A nil, short or other-algorithm table is not
-// an error — the save rehashes the guest once, counted under the save_keys
-// stage, so callers need no special-casing for failed or untracked
-// migrations or for runs under another checksum.
-func (s *Store) SaveWithSums(source *vm.VM, alg checksum.Algorithm, sums []checksum.Sum) error {
-	var pageKeys []checksum.Sum
-	if alg == ObjectAlgorithm && len(sums) == source.NumPages() {
-		// Copied: the entry's key list outlives the call (restores serve
-		// their announcement from it) and must not alias a caller's buffer.
-		pageKeys = append(pageKeys, sums...)
-	}
-	s.mu.Lock()
-	_, err := s.saveLocked(source, EntryComplete, pageKeys)
-	s.mu.Unlock()
-	s.drainMetrics()
-	return err
-}
-
-// SaveSalvage persists the VM's memory as a salvage checkpoint: a partial
-// entry holding whatever pages an interrupted incoming migration had
-// installed, with its own page manifest. The next incoming attempt announces
-// its page sums like any checkpoint, so the source resends only what is
-// missing.
-func (s *Store) SaveSalvage(source *vm.VM) error {
-	s.mu.Lock()
-	_, err := s.saveLocked(source, EntryPartial, nil)
-	s.mu.Unlock()
-	s.drainMetrics()
-	return err
-}
-
 // registerSegmentLocked adds a segment's key table to the in-memory pool
 // index. The first segment to hold an object wins its location.
 func (s *Store) registerSegmentLocked(name string, keys []checksum.Sum) {
 	s.segKeys[name] = keys
 	for i, k := range keys {
-		if _, ok := s.objects[k]; !ok {
-			s.objects[k] = objLoc{seg: name, off: segPayloadOffset(len(keys), i)}
+		if _, ok := s.objects[k]; !ok && k != deadSlot {
+			s.objects[k] = objLoc{seg: name, off: segPayloadOffset(i)}
 		}
 	}
 }
@@ -313,6 +273,13 @@ func (s *Store) registerEntryLocked(key string, pageKeys []checksum.Sum) {
 	for _, k := range pageKeys {
 		s.refs[k]++
 	}
+}
+
+// reserveSegmentLocked hands out the next segment number and its file name.
+// The manifest's NextSeg follows when a segment of that number commits.
+func (s *Store) reserveSegmentLocked() (uint64, string) {
+	s.lastSeg = max(s.lastSeg, s.man.NextSeg) + 1
+	return s.lastSeg, segmentName(s.lastSeg)
 }
 
 // unrefLocked releases one reference to k.
@@ -383,97 +350,6 @@ func (s *Store) uniqueBytesLocked(key string) int64 {
 	}
 	return n
 }
-
-// saveLocked runs one save transaction. Write order is: new segment (only
-// the pages the pool is missing), page manifest, then — the commit point —
-// the store manifest. A crash before the manifest commit leaves the previous
-// transaction's manifest in charge: recovery rolls back unrecorded segments
-// and quarantines the entry if its pmf was already replaced.
-//
-// pageKeys, when non-nil, is the guest's page-ordered digest table under
-// ObjectAlgorithm (SaveWithSums); nil makes the save compute it — the one
-// digest pass a save can have, accounted as hashed or avoided either way.
-// Replacing a servable entry of the same length costs map work only where
-// the key lists differ (missingLocked, registerEntryLocked).
-func (s *Store) saveLocked(source *vm.VM, state EntryState, pageKeys []checksum.Sum) (dedup int, err error) {
-	name := source.Name()
-	key := sanitize(name)
-	memBytes := source.MemBytes()
-	if pageKeys != nil {
-		s.deferMetricLocked(func(m Metrics) { m.HashAvoidedBytes(memBytes) })
-	} else {
-		pageKeys = pageSums(source, ObjectAlgorithm)
-		s.deferMetricLocked(func(m Metrics) { m.HashBytes("save_keys", memBytes) })
-	}
-	newSlots := s.missingLocked(key, pageKeys)
-	if s.quota > 0 {
-		if newSlots, err = s.fitQuotaLocked(key, pageKeys, newSlots); err != nil {
-			return 0, err
-		}
-	}
-	dedup = len(pageKeys) - len(newSlots)
-
-	segName := ""
-	var segSeal string
-	var segKeyList []checksum.Sum
-	if len(newSlots) > 0 {
-		segKeyList = make([]checksum.Sum, len(newSlots))
-		for i, slot := range newSlots {
-			segKeyList[i] = pageKeys[slot]
-		}
-		segName = segmentName(s.man.NextSeg + 1)
-		// Runs of adjacent frames go to the file straight out of guest memory.
-		segSeal, err = writeSegment(s.fs, filepath.Join(s.dir, segName), segKeyList, func(w io.Writer) error {
-			for i := 0; i < len(newSlots); {
-				j := i + 1
-				for j < len(newSlots) && j-i < saveRunPages && newSlots[j] == newSlots[j-1]+1 {
-					j++
-				}
-				if err := source.WriteRangeTo(w, newSlots[i], j-i); err != nil {
-					return err
-				}
-				i = j
-			}
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
-	pmfDigest, err := writePMF(s.fs, s.pmfPath(name), pageKeys)
-	if err != nil {
-		return 0, err
-	}
-	if err := kill("pmf-written"); err != nil {
-		return 0, err
-	}
-	// Transaction commit: the manifest is written LAST, so a crash at any
-	// earlier point leaves recorded digests that no longer match the disk —
-	// which the recovery scan quarantines instead of serving.
-	if segName != "" {
-		s.man.NextSeg++
-		s.man.Segments[segName] = segmentRecord{Digest: segSeal, Pages: len(newSlots)}
-	}
-	s.man.Entries[key] = manifestEntry{State: state, Digest: pmfDigest, Size: source.MemBytes(), Pages: len(pageKeys)}
-	if err := s.commitManifestLocked(); err != nil {
-		return 0, err
-	}
-	// The transaction is durable: fold it into the in-memory pool view.
-	if segName != "" {
-		s.registerSegmentLocked(segName, segKeyList)
-	}
-	s.registerEntryLocked(key, pageKeys)
-	s.dedupPages += int64(dedup)
-	if dedup > 0 {
-		n := dedup
-		s.deferMetricLocked(func(m Metrics) { m.DedupPages(n) })
-	}
-	return dedup, nil
-}
-
-// saveRunPages caps a run of guest pages a save writes under one hold of the
-// guest's read lock.
-const saveRunPages = 256
 
 // minPagesPerSumWorker keeps the parallel keying scan from fanning out
 // over trivially small guests; mirrors the migration engine's checksum

@@ -53,6 +53,13 @@ type DestOptions struct {
 	// announcement, round ends, done) for tracing. Emission never alters
 	// the wire stream.
 	OnEvent EventFunc
+	// Save, when non-nil, is the stream of the arrival checkpoint this host
+	// keeps (checkpoint.Store.OpenSave); the caller commits or aborts it.
+	// When the merge bootstraps from the VM's own entry under the store's key
+	// algorithm, every page installed in full or by delta is written to it as
+	// it lands, so the commit after the ack has little left to write. A
+	// failed merge commits it as the salvage checkpoint.
+	Save *checkpoint.SaveStream
 }
 
 // workers resolves the effective pipeline width (0 = sequential merge).
@@ -109,6 +116,9 @@ type IncomingSession struct {
 	// Run): a range frame from a peer that never negotiated it is a
 	// protocol violation.
 	rangeOK bool
+	// save is DestOptions.Save when this merge streams into it (set in Run):
+	// every page installed off the wire goes to it.
+	save *checkpoint.SaveStream
 }
 
 // Accept reads the source's hello from conn and returns the session.
@@ -287,6 +297,12 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 	}
 
 	res.Alg = h.Alg
+	// Stream only over the VM's own checkpoint: there the pages the wire
+	// moves are about all the save will be missing. A cold leg's round one is
+	// bound by CPU, not by the link, and its save stays after the ack.
+	if cp != nil && !union && h.Alg == checkpoint.ObjectAlgorithm {
+		s.save = opts.Save
+	}
 
 	start := time.Now()
 	// The capability holds only when both ends opted in: the source's hello
@@ -389,7 +405,7 @@ func (s *IncomingSession) salvage(v *vm.VM, opts DestOptions, res *DestResult) {
 	if opts.NoSalvage || opts.Store == nil || !s.h.Recycle || installed == 0 {
 		return
 	}
-	if err := opts.Store.SaveSalvage(v); err != nil {
+	if err := s.saveSalvage(v, opts); err != nil {
 		opts.OnEvent.emit(Event{Kind: EventSalvage, Detail: "write-failed"})
 		opts.OnEvent.emit(Event{Kind: EventDegraded,
 			Detail: StageSalvage + ":" + faultfs.Label(err)})
@@ -398,6 +414,19 @@ func (s *IncomingSession) salvage(v *vm.VM, opts DestOptions, res *DestResult) {
 	res.SalvagePages = installed
 	opts.OnEvent.emit(Event{Kind: EventSalvage, Detail: "written",
 		Pages: installed, Bytes: v.MemBytes()})
+}
+
+// saveSalvage commits the merge's save stream, when it has one, as the partial
+// entry — the pages it streamed are on disk already — and saves one afresh
+// when it has none or the stream broke.
+func (s *IncomingSession) saveSalvage(v *vm.VM, opts DestOptions) error {
+	if opts.Save != nil {
+		_, err := opts.Save.Commit(v, checkpoint.EntryPartial, 0, nil)
+		if !errors.Is(err, checkpoint.ErrStreamBroken) {
+			return err
+		}
+	}
+	return opts.Store.SaveSalvage(v)
 }
 
 // mergeSequential is the single-goroutine merge loop — Listing 1, extended
@@ -441,7 +470,7 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 			if err := awaitInstall(cp, int(rng.start), rng.count); err != nil {
 				return err
 			}
-			if err := applyRange(v, cp, h.Alg, opts.VerifyPayloads, &rng, st, &res.Metrics); err != nil {
+			if err := applyRange(v, cp, s.save, h.Alg, opts.VerifyPayloads, &rng, st, &res.Metrics); err != nil {
 				return err
 			}
 			res.Metrics.PageFrames++
@@ -478,7 +507,8 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 			// The header sum describes the installed bytes — verified above
 			// when VerifyPayloads is set, trusted at the protocol's own level
 			// otherwise (the same trust a recycled page-sum frame gets).
-			v.InstallPageSum(int(page), pageBuf, h.Alg, sum)
+			one := [1]checksum.Sum{sum}
+			installWire(v, s.save, int(page), pageBuf, h.Alg, one[:])
 			res.Metrics.PagesFull++
 
 		case msgPageSum:
@@ -542,7 +572,8 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 			if got := h.Alg.Page(pageBuf); got != sum {
 				return fmt.Errorf("%w: page %d delta produced checksum mismatch (stale delta base?)", ErrProtocol, page)
 			}
-			v.InstallPageSum(int(page), pageBuf, h.Alg, sum)
+			one := [1]checksum.Sum{sum}
+			installWire(v, s.save, int(page), pageBuf, h.Alg, one[:])
 			res.Metrics.PagesDelta++
 
 		case msgRoundEnd:

@@ -54,7 +54,8 @@ type destWorker struct {
 	alg    checksum.Algorithm
 	verify bool
 	cp     *checkpoint.Checkpoint
-	st     *destScratch // pooled; acquired at pool start, released after drain
+	save   *checkpoint.SaveStream // IncomingSession.save
+	st     *destScratch           // pooled; acquired at pool start, released after drain
 	m      Metrics
 }
 
@@ -73,7 +74,7 @@ func (ws *destWorker) process(j *destJob) error {
 	}
 	switch j.t {
 	case msgRangeSum, msgRangeFull, msgRangeFullZ, msgRangeDelta:
-		return applyRange(ws.v, ws.cp, ws.alg, ws.verify, &j.rng, ws.st, &ws.m)
+		return applyRange(ws.v, ws.cp, ws.save, ws.alg, ws.verify, &j.rng, ws.st, &ws.m)
 
 	case msgPageFull:
 		if ws.verify {
@@ -81,7 +82,7 @@ func (ws *destWorker) process(j *destJob) error {
 				return fmt.Errorf("%w: page %d payload checksum mismatch", ErrProtocol, page)
 			}
 		}
-		ws.v.InstallPageSum(page, j.payload, ws.alg, j.sum)
+		ws.install(page, j.payload, j.sum)
 		ws.m.PagesFull++
 
 	case msgPageFullZ:
@@ -97,7 +98,7 @@ func (ws *destWorker) process(j *destJob) error {
 				return fmt.Errorf("%w: page %d payload checksum mismatch", ErrProtocol, page)
 			}
 		}
-		ws.v.InstallPageSum(page, buf, ws.alg, j.sum)
+		ws.install(page, buf, j.sum)
 		ws.m.PagesFull++
 		ws.m.PagesCompressed++
 
@@ -118,10 +119,16 @@ func (ws *destWorker) process(j *destJob) error {
 		if got := ws.alg.Page(buf); got != j.sum {
 			return fmt.Errorf("%w: page %d delta produced checksum mismatch (stale delta base?)", ErrProtocol, page)
 		}
-		ws.v.InstallPageSum(page, buf, ws.alg, j.sum)
+		ws.install(page, buf, j.sum)
 		ws.m.PagesDelta++
 	}
 	return nil
+}
+
+// install lands one page that crossed the wire (installWire).
+func (ws *destWorker) install(page int, data []byte, sum checksum.Sum) {
+	one := [1]checksum.Sum{sum}
+	installWire(ws.v, ws.save, page, data, ws.alg, one[:])
 }
 
 // mergePipelined is the concurrent variant of the merge loop: it decodes
@@ -166,7 +173,7 @@ func (s *IncomingSession) mergePipelined(ctx context.Context, v *vm.VM, opts Des
 	wks := make([]*destWorker, workers)
 	for k := range wks {
 		wks[k] = &destWorker{v: v, alg: h.Alg, verify: opts.VerifyPayloads, cp: cp,
-			st: getDestScratch()}
+			save: s.save, st: getDestScratch()}
 		wg.Add(1)
 		go func(ws *destWorker) {
 			defer wg.Done()

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vecycle/internal/checkpoint"
 	"vecycle/internal/checksum"
 	"vecycle/internal/vm"
 )
@@ -68,12 +69,12 @@ type pageBatch struct {
 }
 
 // pageSum returns page i's digest: the one fillBatch read with the bytes or
-// the hash offload precomputed, computed in place otherwise.
+// the hash offload precomputed, computed in place — and kept — otherwise.
 func (b *pageBatch) pageSum(alg checksum.Algorithm, i int, data []byte) checksum.Sum {
-	if b.known[i] {
-		return b.sums[i]
+	if !b.known[i] {
+		b.sums[i], b.known[i] = alg.Page(data), true
 	}
-	return alg.Page(data)
+	return b.sums[i]
 }
 
 // fail marks the batch failed and releases its emitter.
@@ -240,7 +241,7 @@ func (e *sourceEncoder) tryDelta(w io.Writer, base PageProvider, page uint64, su
 // encoding them, and the emitter drains the ordered queue before returning
 // the first error — no goroutine outlives the call. Cancellation of ctx is
 // observed the same way (the caller's conn watcher unblocks a stuck write).
-func runSourcePipeline(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, encs []*sourceEncoder, base PageProvider, m *Metrics) error {
+func runSourcePipeline(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, encs []*sourceEncoder, base PageProvider, save *saveSink, m *Metrics) error {
 	n := pages.len()
 	workers := len(encs)
 	if n == 0 {
@@ -334,7 +335,7 @@ func runSourcePipeline(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq
 		}
 		if firstErr == nil {
 			t1 := time.Now()
-			if _, err := w.Write(b.buf.Bytes()); err != nil {
+			if err := emitBatch(w, b, save); err != nil {
 				firstErr = err
 				cancel()
 			}
@@ -349,6 +350,34 @@ func runSourcePipeline(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq
 		firstErr = ctx.Err()
 	}
 	return firstErr
+}
+
+// saveSink writes the pages a round sends into this host's departure
+// checkpoint as they go (SourceOptions.Save): those whose digest differs
+// from the key its mirror — the checkpoint being replaced — holds at their
+// position. The rest the pool has already.
+type saveSink struct {
+	stream *checkpoint.SaveStream
+	mirror []checksum.Sum
+}
+
+// emitBatch writes an encoded batch's frames to the wire, then its changed
+// pages to the save stream, if any. It runs on the one goroutine that emits,
+// in page order, so the pages of a round land in the segment in order too.
+// Every page's digest is known by now: encoding took it.
+func emitBatch(w io.Writer, b *pageBatch, save *saveSink) error {
+	if _, err := w.Write(b.buf.Bytes()); err != nil {
+		return err
+	}
+	if save == nil {
+		return nil
+	}
+	for i, p := range b.pages {
+		if sum := b.sums[i]; b.known[i] && sum != save.mirror[p] {
+			save.stream.Add(sum, b.data[i*vm.PageSize:(i+1)*vm.PageSize])
+		}
+	}
+	return nil
 }
 
 // fillBatch copies the batch's pages out of the guest together with every

@@ -493,13 +493,27 @@ func resolveSums(v *vm.VM, cp *checkpoint.Checkpoint, alg checksum.Algorithm, st
 	return nil
 }
 
+// installWire lands pages that crossed the wire — in full or as a delta —
+// at start, with their digests, and hands each to save, the stream of this
+// host's next checkpoint, when the merge writes one as it goes
+// (DestOptions.Save). A page's key is its frame's sum: the trust the digest
+// table, and so a post-ack save, gives it too.
+func installWire(v *vm.VM, save *checkpoint.SaveStream, start int, data []byte, alg checksum.Algorithm, sums []checksum.Sum) {
+	v.InstallRangeSums(start, data, alg, sums)
+	if save != nil {
+		for i, sum := range sums {
+			save.Add(sum, data[i*vm.PageSize:(i+1)*vm.PageSize])
+		}
+	}
+}
+
 // applyRange installs one decoded range frame into v: per-page verification
 // and payload decoding happen into a span buffer, then the whole run lands
 // with a single vectorized install and the metrics update once per range. The
 // caller has already validated the frame bounds and the checkpoint
 // requirement. The frame's per-page sums describe the installed content in
 // every treatment, so they land in v's digest table with the bytes.
-func applyRange(v *vm.VM, cp *checkpoint.Checkpoint, alg checksum.Algorithm, verify bool, f *rangeFrame, st *destScratch, m *Metrics) error {
+func applyRange(v *vm.VM, cp *checkpoint.Checkpoint, save *checkpoint.SaveStream, alg checksum.Algorithm, verify bool, f *rangeFrame, st *destScratch, m *Metrics) error {
 	start := int(f.start)
 	sums := f.sums[:f.count]
 	switch f.t {
@@ -514,7 +528,7 @@ func applyRange(v *vm.VM, cp *checkpoint.Checkpoint, alg checksum.Algorithm, ver
 				}
 			}
 		}
-		v.InstallRangeSums(start, f.payload, alg, sums)
+		installWire(v, save, start, f.payload, alg, sums)
 		m.PagesFull += f.count
 
 	case msgRangeFullZ:
@@ -536,7 +550,7 @@ func applyRange(v *vm.VM, cp *checkpoint.Checkpoint, alg checksum.Algorithm, ver
 				}
 			}
 		}
-		v.InstallRangeSums(start, buf, alg, sums)
+		installWire(v, save, start, buf, alg, sums)
 		m.PagesFull += f.count
 		m.PagesCompressed += f.count
 
@@ -560,7 +574,7 @@ func applyRange(v *vm.VM, cp *checkpoint.Checkpoint, alg checksum.Algorithm, ver
 				return fmt.Errorf("%w: page %d delta produced checksum mismatch (stale delta base?)", ErrProtocol, start+i)
 			}
 		}
-		v.InstallRangeSums(start, buf, alg, sums)
+		installWire(v, save, start, buf, alg, sums)
 		m.PagesDelta += f.count
 	}
 	return nil

@@ -96,6 +96,13 @@ type SourceOptions struct {
 	// checkpoint.Store.SaveWithSums can key the checkpoint by it unhashed.
 	// Recording never alters the wire stream.
 	SentSums *SumTable
+	// Save, when non-nil, is the stream of the departure checkpoint this host
+	// keeps (checkpoint.Store.OpenSave); the caller commits or aborts it. With
+	// a Mirror under the store's key algorithm, every page sent whose digest
+	// differs from the mirror's key at its position is written to it as the
+	// round moves it, so the commit after the ack has little left to write.
+	// Writing never alters the wire stream.
+	Save *checkpoint.SaveStream
 }
 
 func (o *SourceOptions) setDefaults() {
@@ -308,6 +315,14 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	// no longer allocates N fresh compressor windows every round.
 	cfg := encoderConfig{alg: opts.Alg, destSums: destSums, compress: opts.Compress,
 		ranges: h.RangeFrames && ack.RangeFrames, sent: opts.SentSums}
+	// Stream only over this host's own checkpoint: there the pages the wire
+	// moves are about all the save will be missing. A cold leg's round one is
+	// bound by CPU, not by the link, and its save stays after the ack.
+	var save *saveSink
+	if opts.Save != nil && opts.Mirror != nil && opts.Alg == checkpoint.ObjectAlgorithm &&
+		len(opts.Mirror.Keys) == v.NumPages() {
+		save = &saveSink{stream: opts.Save, mirror: opts.Mirror.Keys}
+	}
 	workers := opts.workers()
 	var seqEnc *sourceEncoder
 	var encs []*sourceEncoder
@@ -336,9 +351,9 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	// identical bytes; base (delta encoding) is set in round one only.
 	stream := func(pages pageSeq, base PageProvider) error {
 		if workers >= 1 {
-			return runSourcePipeline(ctx, w, v, pages, encs, base, &m)
+			return runSourcePipeline(ctx, w, v, pages, encs, base, save, &m)
 		}
-		return sendSequential(ctx, w, v, pages, seqEnc, base, &m)
+		return sendSequential(ctx, w, v, pages, seqEnc, base, save, &m)
 	}
 
 	// Reset the dirty log: everything the guest writes from here on must be
@@ -478,7 +493,7 @@ func sendFullPage(w io.Writer, page uint64, sum checksum.Sum, data []byte, comp 
 // per batch) in order on the calling goroutine — the reference
 // implementation the pipeline is tested against, sharing its batch path so
 // the two cannot drift. Cancellation is checked once per batch.
-func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, enc *sourceEncoder, base PageProvider, m *Metrics) error {
+func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, enc *sourceEncoder, base PageProvider, save *saveSink, m *Metrics) error {
 	n := pages.len()
 	b := batchPool.Get().(*pageBatch)
 	defer putBatch(b)
@@ -501,7 +516,7 @@ func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, e
 		if err := encodeBatch(enc, base, b); err != nil {
 			return err
 		}
-		if _, err := w.Write(b.buf.Bytes()); err != nil {
+		if err := emitBatch(w, b, save); err != nil {
 			return err
 		}
 		m.addPageCounters(b.m)

@@ -31,12 +31,16 @@ type namedPair struct {
 }
 
 func newNamedPair(t *testing.T, pages int, saveArrivals bool) *namedPair {
+	return pairOf(t, pages, saveArrivals, newHost(t, "alpha"), newHost(t, "beta"))
+}
+
+// pairOf wires alpha and beta into a pair, with the guest on alpha.
+func pairOf(t *testing.T, pages int, saveArrivals bool, alpha, beta *Host) *namedPair {
 	p := &namedPair{t: t, hosts: map[string]*Host{}, addrs: map[string]string{},
 		arrivals: make(chan core.DestResult, 1), // one migration in flight at a time
 		rng:      rand.New(rand.NewSource(42)), pages: pages}
-	for _, name := range []string{"alpha", "beta"} {
-		p.adopt(newHost(t, name), saveArrivals)
-	}
+	p.adopt(alpha, saveArrivals)
+	p.adopt(beta, saveArrivals)
 	guest := newGuest(t, "vm0", pages)
 	if err := guest.FillRandom(1.0); err != nil {
 		t.Fatal(err)
@@ -69,7 +73,8 @@ func (p *namedPair) rewrite(host string, k int) []int {
 	return touched
 }
 
-// hop migrates vm0 from→to and checks it arrived byte-identical.
+// hop migrates vm0 from→to and checks it arrived byte-identical to the guest
+// as it paused.
 func (p *namedPair) hop(from, to string, opts MigrateOptions) (core.Metrics, core.DestResult) {
 	p.t.Helper()
 	opts.Recycle, opts.KeepCheckpoint = true, true
@@ -77,10 +82,14 @@ func (p *namedPair) hop(from, to string, opts MigrateOptions) (core.Metrics, cor
 	if !ok {
 		p.t.Fatalf("vm0 is not on %s", from)
 	}
-	want := leaving.Fingerprint64()
+	var want []uint64
+	opts.Pause = func() { want = leaving.Fingerprint64() }
 	m, err := p.hosts[from].MigrateTo(context.Background(), p.addrs[to], "vm0", opts)
 	if err != nil {
 		p.t.Fatalf("%s→%s: %v", from, to, err)
+	}
+	if want == nil {
+		p.t.Fatalf("%s→%s never paused the guest", from, to)
 	}
 	var res core.DestResult
 	select {

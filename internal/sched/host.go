@@ -384,6 +384,14 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 	if err != nil {
 		return core.DestResult{}, session.Reject(err.Error())
 	}
+	// The arrival image is written as the pages land, when the merge
+	// bootstraps from this host's own checkpoint; the commit after the ack
+	// writes what is left. A failed merge commits it as its salvage image.
+	var save *checkpoint.SaveStream
+	if h.SaveArrivals {
+		save = h.store.OpenSave(name)
+		defer save.Abort()
+	}
 	res, err := session.Run(ctx, dst, core.DestOptions{
 		Store:             h.store,
 		TrackIncoming:     true,
@@ -392,6 +400,7 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 		NoRangeFrames:     h.NoRangeFrames,
 		NoSalvage:         h.NoSalvage,
 		OnEvent:           h.obs.eventFunc(rec, "dest"),
+		Save:              save,
 	})
 	if err != nil {
 		return res, err
@@ -419,11 +428,7 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 		// nothing when the migration ran under the store's key algorithm. The
 		// persist is best-effort: the VM has fully arrived, so a failed save
 		// degrades (the next migration runs cold) instead of failing it.
-		if h.saveOrDegrade(core.StageSaveArrivals, rec, func() error {
-			return h.store.SaveWithSums(dst, res.Alg, res.PageSums)
-		}) {
-			rec.Event(obs.Event{Kind: "checkpoint-saved", Detail: "arrival image"})
-		}
+		h.saveCheckpoint(core.StageSaveArrivals, rec, save, dst, res.Alg, res.PageSums, "arrival image")
 	}
 	if disk.IsDiskName(dst.Name()) {
 		d, err := disk.FromBacking(dst)
@@ -485,11 +490,7 @@ func (h *Host) runPostCopy(ctx context.Context, session *core.IncomingSession, r
 		return res, err
 	}
 	if h.SaveArrivals {
-		if h.saveOrDegrade(core.StageSaveArrivals, rec, func() error {
-			return h.store.Save(dst)
-		}) {
-			rec.Event(obs.Event{Kind: "checkpoint-saved", Detail: "arrival image"})
-		}
+		h.saveCheckpoint(core.StageSaveArrivals, rec, nil, dst, 0, nil, "arrival image")
 	}
 	if err := h.register(dst); err != nil {
 		return res, err
@@ -538,11 +539,7 @@ func (h *Host) runPostCopyTo(ctx context.Context, addr, vmName string, v *vm.VM,
 	}
 	// The guest already runs at the destination; the departure image is a
 	// future optimization, not part of this transfer's success.
-	if h.saveOrDegrade(core.StageKeepCheckpoint, rec, func() error {
-		return h.store.Save(v)
-	}) {
-		rec.Event(obs.Event{Kind: "checkpoint-saved", Detail: "departure image"})
-	}
+	h.saveCheckpoint(core.StageKeepCheckpoint, rec, nil, v, 0, nil, "departure image")
 	h.mu.Lock()
 	delete(h.vms, vmName)
 	h.mu.Unlock()
@@ -641,14 +638,20 @@ func Retryable(err error) bool {
 }
 
 // saveOrDegrade runs one best-effort checkpoint persist — a rung of the
-// graceful-degradation ladder. A full store (ENOSPC from the disk or
-// ErrQuotaExceeded from the quota) gets one GC-then-retry; any failure
-// that survives is recorded — vecycle_degraded_total, a trace event,
-// OnError — and swallowed. stage names the rung (core.Stage* constants).
-// Returns true when the save ultimately succeeded.
+// graceful-degradation ladder. A broken save stream (a write under the
+// migration failed) is recorded and retried once, the retry writing the
+// whole image after the fact; a full store (ENOSPC from the disk or
+// ErrQuotaExceeded from the quota) gets one GC-then-retry. Any failure that
+// survives is recorded — vecycle_degraded_total, a trace event, OnError —
+// and swallowed. stage names the rung (core.Stage* constants). Returns true
+// when the save ultimately succeeded.
 func (h *Host) saveOrDegrade(stage string, rec *obs.Recorder, save func() error) bool {
 	err := save()
-	if err != nil && (errors.Is(err, checkpoint.ErrQuotaExceeded) || faultfs.Label(err) == "enospc") {
+	switch {
+	case errors.Is(err, checkpoint.ErrStreamBroken):
+		h.degrade(stage, rec, err)
+		err = save()
+	case errors.Is(err, checkpoint.ErrQuotaExceeded) || faultfs.Label(err) == "enospc":
 		// The pool may hold dead segments a collection can turn into room;
 		// one pass, one more try. GC failing too just degrades below.
 		if _, gcErr := h.store.GC(); gcErr == nil {
@@ -658,13 +661,43 @@ func (h *Host) saveOrDegrade(stage string, rec *obs.Recorder, save func() error)
 	if err == nil {
 		return true
 	}
+	h.degrade(stage, rec, err)
+	return false
+}
+
+// degrade records one rung of the ladder taken at stage because of err.
+func (h *Host) degrade(stage string, rec *obs.Recorder, err error) {
 	fault := faultfs.Label(err)
 	h.obs.degraded.With(h.name, stage, fault).Inc()
 	rec.Event(obs.Event{Kind: core.EventDegraded, Detail: stage + ":" + fault})
 	if h.OnError != nil {
 		h.OnError(fmt.Errorf("sched: %s degraded (%s): %w", stage, fault, err))
 	}
-	return false
+}
+
+// saveCheckpoint commits v's checkpoint through save — the stream the
+// migration wrote pages into, or nil for none — as a rung of the ladder
+// (saveOrDegrade), sums being its digest table under alg
+// (checkpoint.SaveStream.Commit). A stream commits once, so a retry commits
+// a fresh one, which writes every missing page itself. A successful save is
+// traced as a checkpoint-saved event naming the image and how many of the
+// pages the store was missing were streamed and how many caught up after
+// the ack.
+func (h *Host) saveCheckpoint(stage string, rec *obs.Recorder, save *checkpoint.SaveStream, v *vm.VM, alg checksum.Algorithm, sums []checksum.Sum, image string) {
+	var counts checkpoint.SaveCounts
+	if h.saveOrDegrade(stage, rec, func() error {
+		if save == nil {
+			save = h.store.OpenSave(v.Name())
+		}
+		st := save
+		save = nil
+		var err error
+		counts, err = st.Commit(v, checkpoint.EntryComplete, alg, sums)
+		return err
+	}) {
+		rec.Event(obs.Event{Kind: "checkpoint-saved",
+			Detail: fmt.Sprintf("%s streamed=%d caught_up=%d", image, counts.Streamed, counts.CaughtUp)})
+	}
 }
 
 // MigrateOptions tunes an outgoing migration from a host.
@@ -813,8 +846,15 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 	// inherit a failed attempt's partial table. Nil (recording disabled)
 	// when no checkpoint will be written.
 	var sent *core.SumTable
+	// save is the departure image, written as round one sends the pages
+	// this host's own checkpoint lacks; its commit follows the ack. Every
+	// attempt writes into it: its slots are content addressed, so a failed
+	// attempt's pages are at worst dead ones.
+	var save *checkpoint.SaveStream
 	if opts.KeepCheckpoint {
 		sent = core.NewSumTable()
+		save = h.store.OpenSave(vmName)
+		defer save.Abort()
 	}
 	attempt := func(base core.PageProvider) (core.Metrics, error) {
 		conn, err := h.dial(ctx, addr)
@@ -837,6 +877,7 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 			Mirror:            mirror,
 			DeltaBase:         base,
 			SentSums:          sent,
+			Save:              save,
 			Compress:          opts.Compress,
 			Workers:           opts.Workers,
 			ChecksumWorkers:   opts.ChecksumWorkers,
@@ -913,19 +954,15 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 		}
 	}
 
-	// The VM now runs at the destination. Write the local checkpoint —
+	// The VM now runs at the destination. Commit the local checkpoint —
 	// after the migration, off the critical path, as in the paper. The
 	// paused final state is exactly what the successful attempt's sum table
-	// describes, so the save hashes nothing (an incomplete table reads as
+	// describes, so the commit hashes nothing (an incomplete table reads as
 	// nil, and a table under another algorithm is no use as keys; either way
-	// SaveWithSums answers by rehashing).
+	// the commit answers by rehashing).
 	if opts.KeepCheckpoint {
 		sums, _ := sent.Sums()
-		if h.saveOrDegrade(core.StageKeepCheckpoint, rec, func() error {
-			return h.store.SaveWithSums(v, sent.Alg(), sums)
-		}) {
-			rec.Event(obs.Event{Kind: "checkpoint-saved", Detail: "departure image"})
-		}
+		h.saveCheckpoint(core.StageKeepCheckpoint, rec, save, v, sent.Alg(), sums, "departure image")
 	}
 	h.mu.Lock()
 	delete(h.vms, vmName)
