@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-pipeline race-digest race-restore bench bench-cycle benchgate bench-smoke chaos-smoke chaos-store dedup-smoke fuzz-range docs profile ci
+.PHONY: build test vet race race-digest race-restore bench bench-cycle benchgate bench-smoke chaos-smoke chaos-store dedup-smoke fuzz-range docs profile ci
 
 build:
 	$(GO) build ./...
@@ -13,11 +13,6 @@ vet:
 
 race:
 	$(GO) test -race ./...
-
-# race-pipeline is the focused gate for the concurrent migration engine:
-# the golden-stream, leak, and barrier tests under the race detector.
-race-pipeline:
-	$(GO) test -race -run 'Golden|Pipeline|IterativeRoundSum|DestWorkerError' ./internal/core/
 
 # race-digest is the focused gate for the resident page-digest table
 # (vm.VM): the concurrent writer/installer/reader test repeated under the
@@ -34,17 +29,16 @@ race-digest:
 # one, a cancel mid-install — repeated, since the interleavings are the point),
 # the store-level span reader, the announce-by-name matrix through
 # sched.Host (matched legs, every fallback, a restart), and the streamed saves
-# both sides write under round one (every engine width, range frames and
-# compression on and off, a guest writing mid-round, a cut), under the race
-# detector.
+# both sides write under round one (range frames and compression on and
+# off, a guest writing mid-round, a cut), under the race detector.
 race-restore:
 	$(GO) test -race -count=3 -run 'TestBackgroundInstall' ./internal/core/
 	$(GO) test -race -run 'TestSpanLoad|TestRestoreSumsMatchGuest|TestConcurrentRemoveDuringRestore|TestSaveStream' ./internal/checkpoint/
 	$(GO) test -race -run 'TestPingPongSkipsAnnouncement|TestPartialAnnounced|TestGoldenStreamByName' ./internal/core/
 	$(GO) test -race -run 'TestByName|TestPingPongOverTCP|TestStreamedSave' ./internal/sched/
 
-# bench records the migration-engine benchmarks (first-round throughput at
-# pipeline widths {1,2,4,8}, tracked-migration overhead, destination
+# bench records the migration-engine benchmarks (cold first-round
+# throughput over net.Pipe and TCP, tracked-migration overhead, destination
 # merge-loop and install-primitive throughput, per-page checksum rates,
 # key-list vs rescanning checkpoint open, rehash vs precomputed-sum warm save,
 # announce-frame sizes) as machine-readable output for regression tracking.
@@ -60,13 +54,11 @@ bench:
 bench-cycle:
 	$(GO) run ./bench -workload return-churn5-lan
 
-# benchgate fails when the committed BENCH_migration.json shows any
-# pipeline width running below the scaling floor of workers=1, when
-# workers=8 allocates beyond the slack over workers=1, when the
-# precomputed-sum warm save loses its 1.5x edge over the rehashing one,
-# or when any gated series regresses against the recording committed at
-# HEAD (skipped when HEAD has none — e.g. the recording itself is being
-# re-recorded in this change).
+# benchgate fails when the committed BENCH_migration.json shows the
+# precomputed-sum warm save losing its 1.5x edge over the rehashing one,
+# or any gated series (BenchmarkFirstRound, BenchmarkTrackIncoming, both
+# SaveWarm arms) regressing against the recording committed at HEAD
+# (skipped for series HEAD's recording lacks).
 benchgate:
 	@git show HEAD:BENCH_migration.json > /tmp/benchgate-baseline.json 2>/dev/null \
 		|| rm -f /tmp/benchgate-baseline.json
@@ -74,9 +66,9 @@ benchgate:
 		-baseline /tmp/benchgate-baseline.json
 
 # profile records a CPU profile of the first-round hot path (the net.Pipe
-# variant, workers=1) for `go tool pprof`. Artifacts are gitignored.
+# variant) for `go tool pprof`. Artifacts are gitignored.
 profile:
-	$(GO) test -run '^$$' -bench '^BenchmarkFirstRound$$/^workers=1$$' \
+	$(GO) test -run '^$$' -bench '^BenchmarkFirstRound$$' \
 		-benchtime 10x -cpuprofile cpu.pprof -o core.test ./internal/core/
 	@echo "view with: go tool pprof core.test cpu.pprof"
 
@@ -141,9 +133,10 @@ docs:
 	$(GO) run ./tools/lintdocs
 
 # ci is the gate for every change: static analysis, the docs gate, the
-# full suite under the race detector (which includes the pipeline tests),
-# the digest-table gate, the return-path gate, the chaos/resumability gate,
-# the storage-fault gate, the dedup-store gate, a single-iteration pass over
-# every benchmark, short wire- and manifest-parser fuzzing, and the
-# worker-scaling gate on the committed benchmark recording.
-ci: vet docs race race-pipeline race-digest race-restore chaos-smoke chaos-store dedup-smoke bench-smoke fuzz-range benchgate
+# full suite under the race detector (which includes the golden-stream and
+# teardown tests), the digest-table gate, the return-path gate, the
+# chaos/resumability gate, the storage-fault gate, the dedup-store gate, a
+# single-iteration pass over every benchmark, short wire- and
+# manifest-parser fuzzing, and the regression gate on the committed
+# benchmark recording.
+ci: vet docs race race-digest race-restore chaos-smoke chaos-store dedup-smoke bench-smoke fuzz-range benchgate

@@ -28,7 +28,6 @@ func runFleet(args []string) error {
 		rounds    = fs.Int("rounds", 3, "migration rounds (each VM moves once per round)")
 		touches   = fs.Int("touch", 32, "pages dirtied by each guest between rounds")
 		compress  = fs.Bool("compress", false, "deflate-compress full-page payloads")
-		workers   = fs.Int("workers", 0, "pipeline encode/merge workers (<1 = sequential engines)")
 		noCompact = fs.Bool("no-compact-announce", false, "keep the v1 announcement encoding fleet-wide")
 		noRanges  = fs.Bool("no-range-frames", false, "keep the per-page v1 page encoding fleet-wide")
 		noSalvage = fs.Bool("no-salvage", false, "discard partially-installed pages on failed incoming migrations fleet-wide")
@@ -78,7 +77,6 @@ func runFleet(args []string) error {
 		}
 		h.UseObservability(reg, traces)
 		h.SaveArrivals = true
-		h.Workers = *workers
 		h.NoCompactAnnounce = *noCompact
 		h.NoSalvage = *noSalvage
 		h.NoRangeFrames = *noRanges
@@ -126,7 +124,6 @@ func runFleet(args []string) error {
 				UseDelta:          true,
 				KeepCheckpoint:    true,
 				Compress:          *compress,
-				Workers:           *workers,
 				NoCompactAnnounce: *noCompact,
 				NoRangeFrames:     *noRanges,
 			})

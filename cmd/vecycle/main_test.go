@@ -74,11 +74,10 @@ func TestDemoEndToEnd(t *testing.T) {
 }
 
 func TestFleetWithCompression(t *testing.T) {
-	// The fleet command end-to-end with the new engine flags plumbed
-	// through: compression plus parallel checksumming must not disturb the
-	// migration outcome.
+	// The fleet command end-to-end with compression plumbed through: it
+	// must not disturb the migration outcome.
 	err := run([]string{"fleet", "-hosts", "2", "-vms", "2", "-mem", "1MiB",
-		"-rounds", "2", "-touch", "4", "-compress", "-workers", "2"})
+		"-rounds", "2", "-touch", "4", "-compress"})
 	if err != nil {
 		t.Fatalf("fleet with -compress failed: %v", err)
 	}

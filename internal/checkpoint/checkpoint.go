@@ -90,7 +90,7 @@ func (ix *Index) sort() {
 }
 
 // Lookup reports the payload location of a block with the given checksum.
-// Safe for concurrent use (the pipelined merge calls it from every worker).
+// Safe for concurrent use.
 func (ix *Index) Lookup(sum checksum.Sum) (ref pageRef, ok bool) {
 	ix.sorted.Do(ix.sort)
 	i := sort.Search(len(ix.entries), func(i int) bool {

@@ -177,7 +177,7 @@ func TestIndexDuplicateBlocks(t *testing.T) {
 
 // TestIndexSortsOnFirstLookup: a checkpoint holds its sums in page order and
 // builds no index until something looks a checksum up, and concurrent first
-// lookups (the pipelined merge's workers) all see the sorted index.
+// lookups all see the sorted index.
 func TestIndexSortsOnFirstLookup(t *testing.T) {
 	src := filledVM(t, "vm0", 64, 1)
 	cp, err := savedStore(t, src).Restore("vm0", checksum.Default, nil)

@@ -28,7 +28,7 @@ import (
 // encrypted or already-compressed memory) skip the flate pass entirely and
 // go out as raw/full frames via the existing fallback encoding — no new
 // wire tags. The decision is a pure function of the page bytes, so the wire
-// stream stays byte-identical at every pipeline width. Misclassification is
+// stream is a function of the guest's content alone. Misclassification is
 // a pure performance trade: a skipped-but-compressible page ships raw
 // (bigger, still correct), a passed-but-incompressible page wastes one
 // deflate and falls back raw exactly as before.
@@ -61,8 +61,8 @@ func init() {
 }
 
 // compressible estimates whether deflate is worth attempting on page. Pure
-// function of the page bytes (content-pure): the golden-stream invariant
-// across pipeline widths depends on that.
+// function of the page bytes (content-pure): the pinned golden streams
+// depend on that.
 func compressible(page []byte) bool {
 	stride := len(page) / gateSamples
 	if stride < 1 {
@@ -99,7 +99,7 @@ func newPageCompressor() (*pageCompressor, error) {
 	return c, nil
 }
 
-// compressorPool recycles pageCompressors across migrations and workers.
+// compressorPool recycles pageCompressors across migrations.
 // Each one owns a flate.Writer holding several hundred KiB of window and
 // hash-chain state — far too expensive to rebuild per round.
 var compressorPool sync.Pool
@@ -188,9 +188,8 @@ func (d *pageDecompressor) readInto(r io.Reader, dst []byte) error {
 }
 
 // inflate decompresses one already-read deflate payload into dst, which
-// must hold exactly PageSize bytes. Pipeline workers use this directly:
-// the decoder stage reads the payload off the wire and the worker inflates
-// it off-thread.
+// must hold exactly PageSize bytes. A range frame's pages are inflated
+// through it one by one, their payloads having been read with the frame.
 func (d *pageDecompressor) inflate(comp, dst []byte) error {
 	if err := d.fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
 		return fmt.Errorf("core: reset inflater: %w", err)

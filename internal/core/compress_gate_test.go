@@ -48,7 +48,7 @@ func TestGateClassification(t *testing.T) {
 
 // TestGateDeterminism pins content-purity: the verdict depends only on the
 // page bytes, so repeated calls and calls on a copy agree — the property the
-// byte-identical golden streams across pipeline widths rest on.
+// pinned golden streams rest on.
 func TestGateDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	page := make([]byte, vm.PageSize)

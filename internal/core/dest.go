@@ -31,12 +31,6 @@ type DestOptions struct {
 	// and rejects mismatches. Costs one hash per page; useful under
 	// unreliable transports and in tests.
 	VerifyPayloads bool
-	// Workers sizes the destination pipeline: frame decoding runs on one
-	// goroutine while Workers goroutines decompress, verify, resolve
-	// checkpoint blocks, apply deltas, and install pages. Installs within a
-	// round are disjoint frames and proceed unordered; round boundaries are
-	// barriers. Values below 1 keep the single-goroutine merge loop.
-	Workers int
 	// NoCompactAnnounce keeps the v1 announcement encoding even when the
 	// source advertised the compact-announce capability. For interop testing
 	// and as an escape hatch.
@@ -60,14 +54,6 @@ type DestOptions struct {
 	// it lands, so the commit after the ack has little left to write. A
 	// failed merge commits it as the salvage checkpoint.
 	Save *checkpoint.SaveStream
-}
-
-// workers resolves the effective pipeline width (0 = sequential merge).
-func (o *DestOptions) workers() int {
-	if o.Workers < 1 {
-		return 0
-	}
-	return o.Workers
 }
 
 // DestResult reports the outcome of an incoming migration.
@@ -337,12 +323,7 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 		return res, err
 	}
 
-	if workers := opts.workers(); workers >= 1 {
-		err = s.mergePipelined(ctx, v, opts, cp, &res, start, workers)
-	} else {
-		err = s.mergeSequential(ctx, v, opts, cp, &res, start)
-	}
-	if err != nil {
+	if err = s.mergeSequential(ctx, v, opts, cp, &res, start); err != nil {
 		// Let the background install finish (or stop, when ctx was cancelled
 		// or a read failed) before anything else looks at v.
 		drainErr := cp.Drain()
@@ -361,11 +342,11 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 				_ = opts.Store.Quarantine(h.VMName, "recycled-page read failed: "+me.Err.Error())
 			}
 		}
-		// Both merge engines have fully drained their workers by the time
-		// they return, so v's RAM is stable: persist the progress as a
-		// salvage checkpoint for the next attempt to resume from. An install
-		// cut short left v with less than the entry it was bootstrapping
-		// from, which salvaging over that entry would lose.
+		// The merge has returned and the install drained, so v's RAM is
+		// stable: persist the progress as a salvage checkpoint for the next
+		// attempt to resume from. An install cut short left v with less than
+		// the entry it was bootstrapping from, which salvaging over that
+		// entry would lose.
 		if drainErr == nil {
 			s.salvage(v, opts, &res)
 		}
@@ -429,9 +410,10 @@ func (s *IncomingSession) saveSalvage(v *vm.VM, opts DestOptions) error {
 	return opts.Store.SaveSalvage(v)
 }
 
-// mergeSequential is the single-goroutine merge loop — Listing 1, extended
-// with full-page installs and round bookkeeping. It is the reference the
-// pipelined variant is tested against.
+// mergeSequential is the destination engine: the single-goroutine merge
+// loop of Listing 1, extended with full-page, delta and range-frame installs
+// and round bookkeeping. Each frame waits for the background install of the
+// checkpoint spans under it (awaitInstall) before it lands.
 func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts DestOptions, cp *checkpoint.Checkpoint, res *DestResult, start time.Time) error {
 	h := s.h
 	w, r := s.w, s.r
@@ -439,7 +421,7 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 	var deltaBuf []byte
 	st := getDestScratch()
 	defer putDestScratch(st)
-	var rng rangeFrame
+	rng := &st.frame
 	// rangeFloor is where the next range frame may start: the source emits
 	// each round's pages in ascending order, so a range below the previous
 	// range's end is overlapping or descending — malformed. Reset each
@@ -463,14 +445,14 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 			if cp == nil && (t == msgRangeSum || t == msgRangeDelta) {
 				return fmt.Errorf("%w: %v received without a checkpoint", ErrProtocol, t)
 			}
-			if err := readRangeFrame(r, t, v.NumPages(), rangeFloor, &rng); err != nil {
+			if err := readRangeFrame(r, t, v.NumPages(), rangeFloor, rng); err != nil {
 				return err
 			}
 			rangeFloor = rng.start + uint64(rng.count)
 			if err := awaitInstall(cp, int(rng.start), rng.count); err != nil {
 				return err
 			}
-			if err := applyRange(v, cp, s.save, h.Alg, opts.VerifyPayloads, &rng, st, &res.Metrics); err != nil {
+			if err := applyRange(v, cp, s.save, h.Alg, opts.VerifyPayloads, rng, st, &res.Metrics); err != nil {
 				return err
 			}
 			res.Metrics.PageFrames++

@@ -83,79 +83,11 @@ type Metrics struct {
 	// HashAvoidedBytes counts bytes whose digest came from the guest's
 	// digest table instead of being recomputed, over the same passes.
 	HashAvoidedBytes int64
-	// Stages breaks the pipelined engine down by stage, so a throughput
-	// regression can be attributed (reader-bound, worker-bound, or
-	// wire-bound) instead of guessed. All zero when the sequential
-	// (Workers <= 0) engine ran.
-	Stages StageMetrics
 	// Duration is the wall-clock migration time: from initiating the
 	// migration until the destination acknowledged the final merge. As in
 	// the paper, destination setup (checkpoint load) and source checkpoint
 	// writing are excluded.
 	Duration time.Duration
-}
-
-// StageMetrics records per-stage busy and stall time of a pipelined
-// transfer. On the source, ingest is the page reader, workers hash +
-// compress + delta-encode, and emit is the in-order frame writer; on the
-// destination, ingest is the frame decoder and workers
-// decompress/verify/install (there is no emit stage). A stage's stall time
-// is how long it spent blocked on its neighbours' bounded queues: a large
-// EmitStall means the workers are the bottleneck, a large IngestStall on
-// the destination means the workers cannot keep up with the wire.
-type StageMetrics struct {
-	// Batches counts work units through the pipeline: page batches on the
-	// source, page messages on the destination.
-	Batches int64
-	// IngestBusy/IngestStall: the reader (source) or decoder (dest) stage.
-	// On the source, IngestStall is time the sequencer spent blocked on the
-	// in-order emit queue (emitter backpressure); on the destination, time
-	// the decoder spent blocked handing jobs to the install pool.
-	IngestBusy  time.Duration
-	IngestStall time.Duration
-	// DispatchStall is time the source's sequencer spent blocked handing
-	// batches to the encode workers (worker backpressure). Separate from
-	// IngestStall so reader-bound, emitter-bound, and worker-bound rounds
-	// are distinguishable; zero on the destination.
-	DispatchStall time.Duration
-	// WorkerBusy is the summed busy time across the worker pool.
-	WorkerBusy time.Duration
-	// EmitBusy/EmitStall: the source's in-order emitter. Zero on the
-	// destination, where installs are unordered and happen in the workers.
-	EmitBusy  time.Duration
-	EmitStall time.Duration
-}
-
-// add accumulates another round's (or side's) stage counters.
-func (s *StageMetrics) add(o StageMetrics) {
-	s.Batches += o.Batches
-	s.IngestBusy += o.IngestBusy
-	s.IngestStall += o.IngestStall
-	s.DispatchStall += o.DispatchStall
-	s.WorkerBusy += o.WorkerBusy
-	s.EmitBusy += o.EmitBusy
-	s.EmitStall += o.EmitStall
-}
-
-// addPageCounters merges the per-page counters a pipeline batch collected
-// into the migration-wide metrics. Transport-level fields (BytesSent,
-// Duration, Rounds, ...) are owned by the protocol driver and not touched.
-func (m *Metrics) addPageCounters(d Metrics) {
-	m.PagesFull += d.PagesFull
-	m.PagesSum += d.PagesSum
-	m.PagesDelta += d.PagesDelta
-	m.PageFrames += d.PageFrames
-	m.RangeFrames += d.RangeFrames
-	m.PagesCompressed += d.PagesCompressed
-	m.CompressionSavedBytes += d.CompressionSavedBytes
-	m.CompressAttempted += d.CompressAttempted
-	m.CompressSkipped += d.CompressSkipped
-	m.DeltaSavedBytes += d.DeltaSavedBytes
-	m.PagesReusedInPlace += d.PagesReusedInPlace
-	m.PagesReusedFromDisk += d.PagesReusedFromDisk
-	m.HashBytes += d.HashBytes
-	m.ProbeHashBytes += d.ProbeHashBytes
-	m.HashAvoidedBytes += d.HashAvoidedBytes
 }
 
 // String summarizes the metrics in one line. Both byte directions render

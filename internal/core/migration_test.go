@@ -16,6 +16,10 @@ import (
 	"vecycle/internal/vm"
 )
 
+// engineSubtest names the subtest level kept by the tests that once looped
+// over engine widths: the one engine runs no pipeline workers, as width 0 did.
+const engineSubtest = "workers=0"
+
 func newVM(t *testing.T, name string, pages int, seed int64) *vm.VM {
 	t.Helper()
 	v, err := vm.New(vm.Config{Name: name, MemBytes: int64(pages) * vm.PageSize, Seed: seed})
@@ -250,31 +254,29 @@ func TestPingPongSkipsAnnouncement(t *testing.T) {
 	// B runs a little, then migrates back to A. B's arrival image is A's
 	// departure image — same key list, same root — so B's hello names it.
 	vmB.TouchRandomPages(5)
-	for _, workers := range []int{0, 2} {
-		vmA2 := newVM(t, "vm0", 64, 3)
-		var hello string
-		sm2, dres2 := migrate(t, vmB, vmA2,
-			SourceOptions{Recycle: true, Mirror: mirrorOf(t, storeB, "vm0"), OnEvent: func(e Event) {
-				if e.Kind == EventHello {
-					hello = e.Detail
-				}
-			}},
-			DestOptions{Store: storeA, VerifyPayloads: true, Workers: workers})
-		if !vmB.MemEqual(vmA2) {
-			t.Fatalf("leg 2 memory differs at page %d", vmB.FirstDifference(vmA2))
-		}
-		if sm2.AnnounceBytes != 0 {
-			t.Errorf("ping-pong leg carried a %d-byte announcement", sm2.AnnounceBytes)
-		}
-		if dres2.Metrics.AnnounceBytes != 0 {
-			t.Errorf("destination sent a %d-byte announcement despite the match", dres2.Metrics.AnnounceBytes)
-		}
-		if sm2.PagesSum == 0 {
-			t.Error("ping-pong leg recycled nothing")
-		}
-		if hello != "have_checkpoint=true manifest=match" {
-			t.Errorf("source hello event detail = %q", hello)
-		}
+	vmA2 := newVM(t, "vm0", 64, 3)
+	var hello string
+	sm2, dres2 := migrate(t, vmB, vmA2,
+		SourceOptions{Recycle: true, Mirror: mirrorOf(t, storeB, "vm0"), OnEvent: func(e Event) {
+			if e.Kind == EventHello {
+				hello = e.Detail
+			}
+		}},
+		DestOptions{Store: storeA, VerifyPayloads: true})
+	if !vmB.MemEqual(vmA2) {
+		t.Fatalf("leg 2 memory differs at page %d", vmB.FirstDifference(vmA2))
+	}
+	if sm2.AnnounceBytes != 0 {
+		t.Errorf("ping-pong leg carried a %d-byte announcement", sm2.AnnounceBytes)
+	}
+	if dres2.Metrics.AnnounceBytes != 0 {
+		t.Errorf("destination sent a %d-byte announcement despite the match", dres2.Metrics.AnnounceBytes)
+	}
+	if sm2.PagesSum == 0 {
+		t.Error("ping-pong leg recycled nothing")
+	}
+	if hello != "have_checkpoint=true manifest=match" {
+		t.Errorf("source hello event detail = %q", hello)
 	}
 
 	// Under another algorithm the root names nothing the destination could

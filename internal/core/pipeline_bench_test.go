@@ -3,10 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -32,38 +30,30 @@ func benchVM(b *testing.B, seed int64) *vm.VM {
 }
 
 // BenchmarkFirstRound measures a cold first-round migration (no checkpoint
-// at the destination, every page crosses the wire, compression on) at
-// fixed pipeline widths {1, 2, 4, 8} — tools/benchgate reads exactly these
-// series out of BENCH_migration.json and fails CI on negative scaling. On a
-// multi-core host workers=8 should beat workers=1 by ~NumCPU/2 or better;
-// on a single-core runner the widths converge but must not regress.
+// at the destination, every page crosses the wire, compression on) over
+// net.Pipe — tools/benchgate gates this series against the committed
+// recording in BENCH_migration.json.
 func BenchmarkFirstRound(b *testing.B) {
 	src := benchVM(b, 7)
 	dst := benchVM(b, 8)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(benchPages * vm.PageSize)
-			for i := 0; i < b.N; i++ {
-				a, c := net.Pipe()
-				var wg sync.WaitGroup
-				var serr, derr error
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					_, derr = MigrateDest(context.Background(), c, dst, DestOptions{Workers: workers})
-				}()
-				_, serr = MigrateSource(context.Background(), a, src, SourceOptions{
-					Compress: true,
-					Workers:  workers,
-				})
-				wg.Wait()
-				a.Close()
-				c.Close()
-				if serr != nil || derr != nil {
-					b.Fatalf("source: %v, dest: %v", serr, derr)
-				}
-			}
-		})
+	b.SetBytes(benchPages * vm.PageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, c := net.Pipe()
+		var wg sync.WaitGroup
+		var serr, derr error
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, derr = MigrateDest(context.Background(), c, dst, DestOptions{})
+		}()
+		_, serr = MigrateSource(context.Background(), a, src, SourceOptions{Compress: true})
+		wg.Wait()
+		a.Close()
+		c.Close()
+		if serr != nil || derr != nil {
+			b.Fatalf("source: %v, dest: %v", serr, derr)
+		}
 	}
 }
 
@@ -72,42 +62,33 @@ func BenchmarkFirstRound(b *testing.B) {
 // lifecycle the destination paid a full-image digest pass at round end on
 // top of the migration itself; install-time sum recording shrank that pass
 // to only unobserved pages, which in a clean run is none. tools/benchgate
-// gates these series against the committed recording, keeping the
+// gates this series against the committed recording, keeping the
 // tracked-migration overhead from creeping back.
 func BenchmarkTrackIncoming(b *testing.B) {
 	src := benchVM(b, 7)
 	dst := benchVM(b, 8)
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(benchPages * vm.PageSize)
-			for i := 0; i < b.N; i++ {
-				a, c := net.Pipe()
-				var wg sync.WaitGroup
-				var serr, derr error
-				var res DestResult
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					res, derr = MigrateDest(context.Background(), c, dst, DestOptions{
-						Workers:       workers,
-						TrackIncoming: true,
-					})
-				}()
-				_, serr = MigrateSource(context.Background(), a, src, SourceOptions{
-					Compress: true,
-					Workers:  workers,
-				})
-				wg.Wait()
-				a.Close()
-				c.Close()
-				if serr != nil || derr != nil {
-					b.Fatalf("source: %v, dest: %v", serr, derr)
-				}
-				if res.Metrics.HashBytes != 0 {
-					b.Fatalf("round-end pass digested %d bytes; install-time sums were not recycled", res.Metrics.HashBytes)
-				}
-			}
-		})
+	b.SetBytes(benchPages * vm.PageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, c := net.Pipe()
+		var wg sync.WaitGroup
+		var serr, derr error
+		var res DestResult
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, derr = MigrateDest(context.Background(), c, dst, DestOptions{TrackIncoming: true})
+		}()
+		_, serr = MigrateSource(context.Background(), a, src, SourceOptions{Compress: true})
+		wg.Wait()
+		a.Close()
+		c.Close()
+		if serr != nil || derr != nil {
+			b.Fatalf("source: %v, dest: %v", serr, derr)
+		}
+		if res.Metrics.HashBytes != 0 {
+			b.Fatalf("round-end pass digested %d bytes; install-time sums were not recycled", res.Metrics.HashBytes)
+		}
 	}
 }
 
@@ -125,40 +106,34 @@ func BenchmarkFirstRoundTCP(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer ln.Close()
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(benchPages * vm.PageSize)
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				var derr error
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					c, err := ln.Accept()
-					if err != nil {
-						derr = err
-						return
-					}
-					defer c.Close()
-					c.(*net.TCPConn).SetNoDelay(true)
-					_, derr = MigrateDest(context.Background(), c, dst, DestOptions{Workers: workers})
-				}()
-				a, err := net.Dial("tcp", ln.Addr().String())
-				if err != nil {
-					b.Fatal(err)
-				}
-				a.(*net.TCPConn).SetNoDelay(true)
-				_, serr := MigrateSource(context.Background(), a, src, SourceOptions{
-					Compress: true,
-					Workers:  workers,
-				})
-				wg.Wait()
-				a.Close()
-				if serr != nil || derr != nil {
-					b.Fatalf("source: %v, dest: %v", serr, derr)
-				}
+	b.SetBytes(benchPages * vm.PageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		var derr error
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := ln.Accept()
+			if err != nil {
+				derr = err
+				return
 			}
-		})
+			defer c.Close()
+			c.(*net.TCPConn).SetNoDelay(true)
+			_, derr = MigrateDest(context.Background(), c, dst, DestOptions{})
+		}()
+		a, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		a.(*net.TCPConn).SetNoDelay(true)
+		_, serr := MigrateSource(context.Background(), a, src, SourceOptions{Compress: true})
+		wg.Wait()
+		a.Close()
+		if serr != nil || derr != nil {
+			b.Fatalf("source: %v, dest: %v", serr, derr)
+		}
 	}
 }
 
@@ -169,19 +144,13 @@ func BenchmarkMergeLoop(b *testing.B) {
 	src := benchVM(b, 7)
 	rec := recordStream(b, src)
 	dst := benchVM(b, 8)
-	for _, workers := range []int{0, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(benchPages * vm.PageSize)
-			for i := 0; i < b.N; i++ {
-				conn := readWriter{bytes.NewReader(rec), io.Discard}
-				if _, err := MigrateDest(context.Background(), conn, dst, DestOptions{
-					Workers:        workers,
-					VerifyPayloads: true,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.SetBytes(benchPages * vm.PageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conn := readWriter{bytes.NewReader(rec), io.Discard}
+		if _, err := MigrateDest(context.Background(), conn, dst, DestOptions{VerifyPayloads: true}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

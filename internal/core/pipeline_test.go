@@ -3,8 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
-	"io"
+	"fmt"
 	"math/rand"
 	"net"
 	"runtime"
@@ -15,6 +16,7 @@ import (
 
 	"vecycle/internal/checkpoint"
 	"vecycle/internal/checksum"
+	"vecycle/internal/faultfs"
 	"vecycle/internal/vm"
 )
 
@@ -64,7 +66,7 @@ func mutateGolden(src *vm.VM) {
 	}
 	for i := 420; i < 440; i++ { // mid-entropy rewrites: half random, half
 		// zero — between the gate's clear-cut classes, lands on the
-		// compressible side and must classify identically at every width
+		// compressible side
 		rng.Read(buf[:vm.PageSize/2])
 		for j := vm.PageSize / 2; j < vm.PageSize; j++ {
 			buf[j] = 0
@@ -101,21 +103,35 @@ func (c *recordConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// goldenRun migrates a freshly reconstructed golden guest with the given
-// worker count and returns the exact byte stream the source emitted.
-// onEvent, when non-nil, is installed on both endpoints — the golden
-// comparison then proves observability never reaches the wire. legacy pins
-// both endpoints to the per-page v1 stream (no range frames).
-func goldenRun(t *testing.T, workers int, onEvent EventFunc, legacy bool) ([]byte, Metrics, *vm.VM) {
+// The golden streams, pinned by SHA-256: everything the source wrote and
+// everything the destination wrote, in each of the three scenarios
+// goldenExchange builds. The wire is a protocol peers of other versions
+// speak, so a change that moves a byte of it fails here and has to re-pin
+// these on purpose.
+const (
+	goldenAnnouncedSrc = "cb1be042d458ec192956b2ce1053fd90b6eb195d25586b315745ce7e935fc955"
+	goldenAnnouncedDst = "aa4a852289bba63aec91e5cd9394558856ce00f4f9b4770c7fd073a1caf0d06b"
+	goldenLegacySrc    = "64f3e2bd70669841bcc64b81d915e2d5f49a9ba7c8eb94ad51333e0418f62704"
+	goldenLegacyDst    = "f48cf1666f605cd22cd17c70c1cc985e134c560a523baa1bb4be7417d6de26e4"
+	goldenByNameSrc    = "938c2661f911d0382430d11339e6cb74b59d60ec86f843fec3c2718558df332a"
+	goldenByNameDst    = "850ff6763fff2d5e23a60a9248e9773a520014416fed8fb71bcd7e36d4730a06"
+)
+
+// checkGolden fails the test unless stream hashes to the pinned digest.
+func checkGolden(t *testing.T, what string, stream []byte, want string) {
 	t.Helper()
-	stream, _, sm, src := goldenExchange(t, workers, onEvent, legacy, false)
-	return stream, sm, src
+	if got := fmt.Sprintf("%x", sha256.Sum256(stream)); got != want {
+		t.Errorf("%s: %d bytes hash to %s, want the pinned %s", what, len(stream), got, want)
+	}
 }
 
-// goldenExchange is goldenRun returning both directions of the conversation.
-// With named set the source offers the checkpoint by its manifest root, under
-// the store's key algorithm (the root is a name for those keys).
-func goldenExchange(t *testing.T, workers int, onEvent EventFunc, legacy, named bool) (fromSrc, fromDst []byte, _ Metrics, _ *vm.VM) {
+// goldenExchange migrates a freshly reconstructed golden guest and returns
+// the exact bytes each side wrote. onEvent, when non-nil, is installed on
+// both endpoints — the pinned digests then prove observability never reaches
+// the wire. legacy pins both endpoints to the per-page v1 stream (no range
+// frames). With named set the source offers the checkpoint by its manifest
+// root, under the store's key algorithm (the root is a name for those keys).
+func goldenExchange(t *testing.T, onEvent EventFunc, legacy, named bool) (fromSrc, fromDst []byte, _ Metrics, _ *vm.VM) {
 	t.Helper()
 	src, err := vm.New(vm.Config{Name: "vm0", MemBytes: goldenPages * vm.PageSize, Seed: 7})
 	if err != nil {
@@ -133,7 +149,7 @@ func goldenExchange(t *testing.T, workers int, onEvent EventFunc, legacy, named 
 	}
 	defer base.Close()
 
-	dst := newVM(t, "vm0", goldenPages, int64(1000+workers))
+	dst := newVM(t, "vm0", goldenPages, 1000)
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
@@ -142,7 +158,6 @@ func goldenExchange(t *testing.T, workers int, onEvent EventFunc, legacy, named 
 		Recycle:       true,
 		Compress:      true,
 		DeltaBase:     base,
-		Workers:       workers,
 		NoRangeFrames: legacy,
 		Pause:         func() { goldenPause(src) },
 		OnEvent:       onEvent,
@@ -164,37 +179,37 @@ func goldenExchange(t *testing.T, workers int, onEvent EventFunc, legacy, named 
 	}()
 	go func() {
 		defer wg.Done()
-		// Half the variants merge pipelined too, so the golden stream is
-		// also decoded by both destination engines.
 		_, derr = MigrateDest(context.Background(), rcDst, dst, DestOptions{
 			Store:          store,
 			VerifyPayloads: true,
-			Workers:        workers / 2,
 			NoRangeFrames:  legacy,
 			OnEvent:        onEvent,
 		})
 	}()
 	wg.Wait()
 	if serr != nil {
-		t.Fatalf("workers=%d: source: %v", workers, serr)
+		t.Fatalf("source: %v", serr)
 	}
 	if derr != nil {
-		t.Fatalf("workers=%d: destination: %v", workers, derr)
+		t.Fatalf("destination: %v", derr)
 	}
 	if !src.MemEqual(dst) {
-		t.Fatalf("workers=%d: memory differs at page %d", workers, src.FirstDifference(dst))
+		t.Fatalf("memory differs at page %d", src.FirstDifference(dst))
 	}
 	return rc.rec.Bytes(), rcDst.rec.Bytes(), sm, src
 }
 
-// TestGoldenStreamEquivalence asserts the pipelined source emits a
-// byte-identical wire stream to the sequential engine for several worker
-// counts, with compression, deltas, checksum elimination, and a second
-// round all active. The baseline runs with no event hook and every
-// variant with one, so equality also proves observability is about the
-// stream, never in it.
+// TestGoldenStreamEquivalence pins the announced conversation — compression,
+// deltas, checksum elimination, range frames and a second round all active —
+// to its recorded digests in both directions. The run has an event hook on
+// both ends, so equality also proves observability is about the stream,
+// never in it.
 func TestGoldenStreamEquivalence(t *testing.T) {
-	golden, gm, _ := goldenRun(t, 0, nil, false)
+	var events atomic.Int64
+	stream, reply, gm, _ := goldenExchange(t, func(Event) { events.Add(1) }, false, false)
+	if events.Load() == 0 {
+		t.Fatal("no events observed")
+	}
 	// The scenario must actually exercise every encoding.
 	if gm.PagesSum == 0 || gm.PagesFull == 0 || gm.PagesDelta == 0 || gm.PagesCompressed == 0 {
 		t.Fatalf("golden scenario too narrow: %+v", gm)
@@ -209,8 +224,8 @@ func TestGoldenStreamEquivalence(t *testing.T) {
 		t.Fatalf("golden scenario ran %d round(s), want >= 2", gm.Rounds)
 	}
 	// Range frames are on by default, and the scenario's same-treatment runs
-	// must actually coalesce — otherwise the variants below only re-prove the
-	// per-page path.
+	// must actually coalesce — otherwise the digest only pins the per-page
+	// path.
 	if gm.RangeFrames == 0 {
 		t.Fatal("golden scenario emitted no range frames")
 	}
@@ -218,69 +233,48 @@ func TestGoldenStreamEquivalence(t *testing.T) {
 		t.Fatalf("PageFrames = %d not below page count %d; nothing coalesced",
 			gm.PageFrames, gm.PagesSum+gm.PagesFull+gm.PagesDelta)
 	}
-	for _, workers := range []int{0, 1, 2, 8} {
-		var events atomic.Int64
-		stream, sm, _ := goldenRun(t, workers, func(Event) { events.Add(1) }, false)
-		if events.Load() == 0 {
-			t.Fatalf("workers=%d: no events observed", workers)
-		}
-		if !bytes.Equal(stream, golden) {
-			i := 0
-			for i < len(stream) && i < len(golden) && stream[i] == golden[i] {
-				i++
-			}
-			t.Fatalf("workers=%d: stream diverges from sequential at byte %d (lens %d vs %d)",
-				workers, i, len(stream), len(golden))
-		}
-		if sm.PagesFull != gm.PagesFull || sm.PagesSum != gm.PagesSum ||
-			sm.PagesDelta != gm.PagesDelta || sm.PagesCompressed != gm.PagesCompressed ||
-			sm.CompressAttempted != gm.CompressAttempted ||
-			sm.CompressSkipped != gm.CompressSkipped ||
-			sm.PageFrames != gm.PageFrames || sm.RangeFrames != gm.RangeFrames ||
-			sm.BytesSent != gm.BytesSent {
-			t.Errorf("workers=%d: metrics diverge: got %+v want %+v", workers, sm, gm)
-		}
-	}
+	checkGolden(t, "source stream", stream, goldenAnnouncedSrc)
+	checkGolden(t, "destination reply", reply, goldenAnnouncedDst)
 }
 
 // TestGoldenStreamByName pins the conversation of a migration matched by
-// name against the announced golden one. The source's stream is the golden
-// stream with one difference — its hello sets flag bit 1 and carries the
-// 32-byte manifest root after the flags; round one and everything after it is
-// byte for byte the announced run's, at every width (the source probes its
-// own key list, the same set the announcement would have delivered). The
+// name, and explains it against the announced golden one. The source's stream
+// is the announced stream with one difference — its hello sets flag bit 1 and
+// carries the 32-byte manifest root after the flags; round one and everything
+// after it is byte for byte the announced run's (the source probes its own
+// key list, the same set the announcement would have delivered). The
 // destination's whole side of the conversation is five bytes: a hello-ack
 // with the have-checkpoint, compact-announce, range-frames and manifest-match
 // bits and an empty reason, then the final ack — no announcement.
 func TestGoldenStreamByName(t *testing.T) {
-	golden, announcedReply, gm, src := goldenExchange(t, 0, nil, false, false)
+	golden, announcedReply, gm, src := goldenExchange(t, nil, false, false)
 	helloLen := 1 + 2 + 2 + len(src.Name()) + 4 + 8 + 1 + 1
 	if announcedReply[4] != byte(msgHashAnnounceV2) {
 		t.Fatalf("announced run's reply carries tag %d after the hello-ack, want the v2 announcement", announcedReply[4])
 	}
 	root := mirrorOf(t, goldenStore(t), "vm0").Root
-	for _, workers := range []int{0, 1, 2, 8} {
-		stream, reply, sm, _ := goldenExchange(t, workers, nil, false, true)
-		wantHello := append([]byte(nil), golden[:helloLen]...)
-		wantHello[helloLen-1] |= 2
-		if !bytes.Equal(stream[:helloLen], wantHello) {
-			t.Fatalf("workers=%d: hello % x, want % x", workers, stream[:helloLen], wantHello)
-		}
-		if !bytes.Equal(stream[helloLen:helloLen+len(root)], root[:]) {
-			t.Errorf("workers=%d: hello carries root % x, want % x", workers, stream[helloLen:helloLen+len(root)], root)
-		}
-		if !bytes.Equal(stream[helloLen+len(root):], golden[helloLen:]) {
-			t.Errorf("workers=%d: stream after the hello differs from the announced run's (lens %d vs %d)",
-				workers, len(stream)-helloLen-len(root), len(golden)-helloLen)
-		}
-		if want := []byte{byte(msgHelloAck), 1 | 2 | 4 | 16 | 32, 0, 0, byte(msgAck)}; !bytes.Equal(reply, want) {
-			t.Errorf("workers=%d: destination sent % x, want % x", workers, reply, want)
-		}
-		if sm.AnnounceBytes != 0 || sm.PagesSum != gm.PagesSum || sm.PagesFull != gm.PagesFull ||
-			sm.PagesDelta != gm.PagesDelta || sm.PageFrames != gm.PageFrames {
-			t.Errorf("workers=%d: metrics diverge from the announced run: got %+v want %+v", workers, sm, gm)
-		}
+	stream, reply, sm, _ := goldenExchange(t, nil, false, true)
+	wantHello := append([]byte(nil), golden[:helloLen]...)
+	wantHello[helloLen-1] |= 2
+	if !bytes.Equal(stream[:helloLen], wantHello) {
+		t.Fatalf("hello % x, want % x", stream[:helloLen], wantHello)
 	}
+	if !bytes.Equal(stream[helloLen:helloLen+len(root)], root[:]) {
+		t.Errorf("hello carries root % x, want % x", stream[helloLen:helloLen+len(root)], root)
+	}
+	if !bytes.Equal(stream[helloLen+len(root):], golden[helloLen:]) {
+		t.Errorf("stream after the hello differs from the announced run's (lens %d vs %d)",
+			len(stream)-helloLen-len(root), len(golden)-helloLen)
+	}
+	if want := []byte{byte(msgHelloAck), 1 | 2 | 4 | 16 | 32, 0, 0, byte(msgAck)}; !bytes.Equal(reply, want) {
+		t.Errorf("destination sent % x, want % x", reply, want)
+	}
+	if sm.AnnounceBytes != 0 || sm.PagesSum != gm.PagesSum || sm.PagesFull != gm.PagesFull ||
+		sm.PagesDelta != gm.PagesDelta || sm.PageFrames != gm.PageFrames {
+		t.Errorf("metrics diverge from the announced run: got %+v want %+v", sm, gm)
+	}
+	checkGolden(t, "source stream", stream, goldenByNameSrc)
+	checkGolden(t, "destination reply", reply, goldenByNameDst)
 }
 
 // goldenStore saves the golden guest's pre-mutation state: the checkpoint
@@ -299,13 +293,12 @@ func goldenStore(t *testing.T) *checkpoint.Store {
 	return store
 }
 
-// TestGoldenStreamLegacyV1 pins the unnegotiated fallback: with range
-// frames disabled on either side the wire stream is the per-page v1
-// encoding, byte-identical at every pipeline width, identical no matter
-// which side (or both) is old — and genuinely different bytes from the
-// negotiated range-frame stream.
+// TestGoldenStreamLegacyV1 pins the unnegotiated fallback: with range frames
+// disabled the wire stream is the per-page v1 encoding, held to its recorded
+// digests — and genuinely different bytes from the negotiated range-frame
+// stream.
 func TestGoldenStreamLegacyV1(t *testing.T) {
-	legacy, lm, _ := goldenRun(t, 0, nil, true)
+	legacy, legacyReply, lm, _ := goldenExchange(t, nil, true, false)
 	if lm.RangeFrames != 0 {
 		t.Fatalf("legacy run emitted %d range frames", lm.RangeFrames)
 	}
@@ -313,20 +306,12 @@ func TestGoldenStreamLegacyV1(t *testing.T) {
 	if pages := lm.PagesSum + lm.PagesFull + lm.PagesDelta; lm.PageFrames != pages {
 		t.Fatalf("legacy PageFrames = %d, want one per page (%d)", lm.PageFrames, pages)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		stream, sm, _ := goldenRun(t, workers, nil, true)
-		if !bytes.Equal(stream, legacy) {
-			t.Fatalf("workers=%d: legacy stream diverges from sequential (lens %d vs %d)",
-				workers, len(stream), len(legacy))
-		}
-		if sm.RangeFrames != 0 {
-			t.Errorf("workers=%d: legacy run emitted %d range frames", workers, sm.RangeFrames)
-		}
-	}
+	checkGolden(t, "source stream", legacy, goldenLegacySrc)
+	checkGolden(t, "destination reply", legacyReply, goldenLegacyDst)
 	// The negotiated stream must actually differ — coalescing reaches the
 	// wire — while the page-level metrics stay identical (classification is
 	// unchanged, only the framing is).
-	ranged, rm, _ := goldenRun(t, 0, nil, false)
+	ranged, _, rm, _ := goldenExchange(t, nil, false, false)
 	if bytes.Equal(ranged, legacy) {
 		t.Error("negotiated and legacy streams are identical; range frames never hit the wire")
 	}
@@ -338,22 +323,6 @@ func TestGoldenStreamLegacyV1(t *testing.T) {
 		rm.CompressAttempted != lm.CompressAttempted ||
 		rm.CompressSkipped != lm.CompressSkipped {
 		t.Errorf("page classification changed with framing: ranged %+v legacy %+v", rm, lm)
-	}
-}
-
-// TestPipelineStageMetrics checks the per-stage counters are populated by a
-// pipelined run and absent from a sequential one.
-func TestPipelineStageMetrics(t *testing.T) {
-	_, seq, _ := goldenRun(t, 0, nil, false)
-	if seq.Stages.Batches != 0 {
-		t.Errorf("sequential run recorded %d pipeline batches", seq.Stages.Batches)
-	}
-	_, par, _ := goldenRun(t, 2, nil, false)
-	if par.Stages.Batches == 0 {
-		t.Error("pipelined run recorded no batches")
-	}
-	if par.Stages.WorkerBusy == 0 {
-		t.Error("pipelined run recorded no worker busy time")
 	}
 }
 
@@ -402,95 +371,6 @@ func TestIterativeRoundSumElimination(t *testing.T) {
 	}
 }
 
-// slowWriter models a link slower than the encoders: every write sleeps,
-// then succeeds.
-type slowWriter struct{ d time.Duration }
-
-func (s slowWriter) Write(p []byte) (int, error) {
-	time.Sleep(s.d)
-	return len(p), nil
-}
-
-// TestStageStallSplit pins the stage accounting of a pipelined source by what
-// must hold whatever the scheduler does — never by which of two measured
-// durations came out larger, which a loaded runner decides. Each stage
-// goroutine books every moment of its life to exactly one account (sequencer:
-// ingest busy, ingest stall on the in-order queue, dispatch stall on the jobs
-// handoff; emitter: emit stall, emit busy; workers: busy), so the accounts of
-// one goroutine sum to no more than the migration took, and time a stage
-// provably spent — a wire that sleeps in every write, a sequencer that cannot
-// run more than workers+2 batches ahead of it — shows up in its accounts.
-func TestStageStallSplit(t *testing.T) {
-	const pages = 4096 // 16 batches
-	const batches = pages / batchPages
-	v, err := vm.New(vm.Config{Name: "stall-vm", MemBytes: pages * vm.PageSize, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.FillRandom(1.0); err != nil {
-		t.Fatal(err)
-	}
-	run := func(w io.Writer, opts SourceOptions) StageMetrics {
-		t.Helper()
-		begin := time.Now()
-		sm, err := MigrateSource(context.Background(), readWriter{bytes.NewReader(scriptedPeer(t)), w}, v, opts)
-		wall := time.Since(begin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := sm.Stages
-		if st.Batches < batches {
-			t.Errorf("pipeline counted %d batches, want at least %d", st.Batches, batches)
-		}
-		for name, d := range map[string]time.Duration{
-			"sequencer (ingest busy + ingest stall + dispatch stall)": st.IngestBusy + st.IngestStall + st.DispatchStall,
-			"emitter (emit stall + emit busy)":                        st.EmitStall + st.EmitBusy,
-			"one worker's share of worker busy":                       st.WorkerBusy / time.Duration(opts.Workers),
-		} {
-			if d <= 0 || d > wall {
-				t.Errorf("%s accounts %v of a %v migration", name, d, wall)
-			}
-		}
-		return st
-	}
-
-	// A wire that sleeps in every write: a raw batch is larger than the data
-	// buffer, so each reaches the wire inside the emitter's write call, and the
-	// sequencer — at most workers+2 batches ahead — waits out all but the
-	// first few of them in one stall account or the other.
-	const nap = 10 * time.Millisecond
-	const workers = 4
-	st := run(slowWriter{nap}, SourceOptions{Workers: workers})
-	if st.EmitBusy < batches*nap {
-		t.Errorf("emit busy %v is less than %d writes of %v", st.EmitBusy, batches, nap)
-	}
-	if got, want := st.IngestBusy+st.IngestStall+st.DispatchStall, (batches-workers-4)*nap; got < want {
-		t.Errorf("sequencer accounts %v, but stayed within %d batches of a wire that took %v per batch (want at least %v)",
-			got, workers+2, nap, want)
-	}
-
-	// One worker deflating every page over an instant wire: the pool is busy
-	// nearly the whole time, which is where a double-booked account would
-	// break the bounds run checks.
-	run(io.Discard, SourceOptions{Workers: 1, Compress: true})
-
-	// The destination has no dispatch split — its decoder's only handoff is
-	// the jobs send, accounted as ingest — so its DispatchStall stays zero
-	// at any width.
-	src := newVM(t, "vm0", 256, 1)
-	if err := src.FillRandom(1.0); err != nil {
-		t.Fatal(err)
-	}
-	dst := newVM(t, "vm0", 256, 2)
-	_, dres := migrate(t, src, dst, SourceOptions{Workers: 2}, DestOptions{Workers: 4})
-	if dres.Metrics.Stages.DispatchStall != 0 {
-		t.Errorf("destination recorded dispatch stall %v, want 0", dres.Metrics.Stages.DispatchStall)
-	}
-	if dres.Metrics.Stages.Batches == 0 {
-		t.Error("destination pipeline recorded no batches")
-	}
-}
-
 // countConn counts bytes written while passing deadlines through to the
 // underlying net.Conn.
 type countConn struct {
@@ -523,15 +403,36 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestPipelineCancellationNoLeak cancels a pipelined migration mid-stream
-// on both sides and verifies every stage goroutine exits.
-func TestPipelineCancellationNoLeak(t *testing.T) {
-	base := runtime.NumGoroutine()
-	src := newVM(t, "vm0", 2048, 1)
+// leakSetup builds the migration the teardown tests cut: a destination
+// whose store holds an older checkpoint of the guest, read back in spans
+// held for hold each — so the background installer is still at work at the
+// cut — and a source guest that has never migrated, whose empty digest table
+// sends every page of every batch through the hash offload.
+func leakSetup(t *testing.T, pages int, hold time.Duration) (src, dst *vm.VM, store *checkpoint.Store) {
+	t.Helper()
+	inj := faultfs.NewInjector()
+	store = slowStore(t, inj)
+	old := newVM(t, "vm0", pages, 3)
+	if err := old.FillRandom(1.0); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(old); err != nil {
+		t.Fatal(err)
+	}
+	inj.Arm(faultfs.Fault{Op: faultfs.OpReadAt, Path: ".seg", Times: -1, Latency: hold})
+	src = newVM(t, "vm0", pages, 1)
 	if err := src.FillRandom(1.0); err != nil {
 		t.Fatal(err)
 	}
-	dst := newVM(t, "vm0", 2048, 2)
+	return src, newVM(t, "vm0", pages, 2), store
+}
+
+// TestPipelineCancellationNoLeak cancels a migration mid-stream on both sides
+// and verifies every goroutine it started exits: the connection watchers,
+// the hash offload and the background installer.
+func TestPipelineCancellationNoLeak(t *testing.T) {
+	base := runtime.NumGoroutine()
+	src, dst, store := leakSetup(t, 2048, 100*time.Millisecond)
 
 	a, b := net.Pipe()
 	defer a.Close()
@@ -545,11 +446,11 @@ func TestPipelineCancellationNoLeak(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, serr = MigrateSource(ctx, NewDeadlineConn(cc, time.Second), src, SourceOptions{Workers: 4})
+		_, serr = MigrateSource(ctx, NewDeadlineConn(cc, time.Second), src, SourceOptions{Recycle: true})
 	}()
 	go func() {
 		defer wg.Done()
-		_, derr = MigrateDest(ctx, NewDeadlineConn(b, time.Second), dst, DestOptions{Workers: 4})
+		_, derr = MigrateDest(ctx, NewDeadlineConn(b, time.Second), dst, DestOptions{Store: store})
 	}()
 	// Cancel once the transfer is demonstrably mid-stream.
 	for cc.n.Load() < 512*1024 {
@@ -566,15 +467,11 @@ func TestPipelineCancellationNoLeak(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestPipelineFaultResetNoLeak injects a mid-stream connection reset under
-// pipelined engines on both sides and verifies clean teardown.
+// TestPipelineFaultResetNoLeak injects a mid-stream connection reset and
+// verifies clean teardown on both sides.
 func TestPipelineFaultResetNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	src := newVM(t, "vm0", 512, 1)
-	if err := src.FillRandom(1.0); err != nil {
-		t.Fatal(err)
-	}
-	dst := newVM(t, "vm0", 512, 2)
+	src, dst, store := leakSetup(t, 512, 50*time.Millisecond)
 
 	a, b := net.Pipe()
 	cut := NewFaultConn(a, FaultConfig{ResetAfterBytes: 300_000})
@@ -584,12 +481,12 @@ func TestPipelineFaultResetNoLeak(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, serr = MigrateSource(context.Background(), cut, src, SourceOptions{Workers: 4})
+		_, serr = MigrateSource(context.Background(), cut, src, SourceOptions{Recycle: true})
 		a.Close() // unblock the destination's pending read
 	}()
 	go func() {
 		defer wg.Done()
-		_, _ = MigrateDest(context.Background(), b, dst, DestOptions{Workers: 4})
+		_, _ = MigrateDest(context.Background(), b, dst, DestOptions{Store: store})
 		b.Close()
 	}()
 	wg.Wait()
@@ -599,19 +496,16 @@ func TestPipelineFaultResetNoLeak(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestDestWorkerErrorAbortsDecoder injects a payload corruption that only a
-// destination worker can detect and verifies the failure propagates out of
-// the decoder (which would otherwise stay blocked reading) without leaks.
+// TestDestWorkerErrorAbortsDecoder injects a payload corruption that only the
+// destination's payload verification can detect and verifies the failure
+// ends both sides — the source, blocked writing to a merge that stopped
+// reading, included — without leaks.
 func TestDestWorkerErrorAbortsDecoder(t *testing.T) {
 	base := runtime.NumGoroutine()
-	src := newVM(t, "vm0", 512, 1)
-	if err := src.FillRandom(1.0); err != nil {
-		t.Fatal(err)
-	}
-	dst := newVM(t, "vm0", 512, 2)
+	src, dst, store := leakSetup(t, 512, 50*time.Millisecond)
 
 	a, b := net.Pipe()
-	// Flip one byte inside the 100th page's payload on the wire.
+	// Flip one byte inside the first range frame's payload on the wire.
 	corrupt := &corruptConn{Conn: a, target: 150_000}
 
 	var wg sync.WaitGroup
@@ -619,12 +513,12 @@ func TestDestWorkerErrorAbortsDecoder(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, serr = MigrateSource(context.Background(), NewDeadlineConn(corrupt, time.Second), src, SourceOptions{})
+		_, serr = MigrateSource(context.Background(), NewDeadlineConn(corrupt, time.Second), src, SourceOptions{Recycle: true})
 		a.Close()
 	}()
 	go func() {
 		defer wg.Done()
-		_, derr = MigrateDest(context.Background(), NewDeadlineConn(b, time.Second), dst, DestOptions{Workers: 4, VerifyPayloads: true})
+		_, derr = MigrateDest(context.Background(), NewDeadlineConn(b, time.Second), dst, DestOptions{Store: store, VerifyPayloads: true})
 		b.Close()
 	}()
 	wg.Wait()

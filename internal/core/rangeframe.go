@@ -16,24 +16,23 @@ import (
 )
 
 // Coalesced page-range frames (tags 12-15). The per-page protocol spends a
-// tag + page number + checksum on every 4 KiB page, and — worse for the
-// pipelined engines — one decode/dispatch cycle per page at the
-// destination. A range frame carries a contiguous run of pages that all
-// received the same treatment in one frame:
+// tag + page number + checksum on every 4 KiB page, and one decode and
+// install per page at the destination. A range frame carries a contiguous
+// run of pages that all received the same treatment in one frame:
 //
 //	tag · start u64 · count u32 · per-page metadata · concatenated payloads
 //
 // where the metadata is one checksum per page (range-sum, range-full) or
 // one (checksum, payload-length) pair per page (range-full-z, range-delta).
-// Runs never exceed MaxRangePages and never span a pipeline batch, so the
-// frame layout is a pure function of page content and batch boundaries —
-// which keeps the stream byte-identical across pipeline widths, exactly
-// like the per-page encoding. The capability is negotiated in the hello
-// exchange (hello bit 4 offered by the source, hello-ack bit 4 accepted by
-// the destination); unnegotiated peers keep the byte-exact v1 stream.
+// Runs never exceed MaxRangePages and never span a 256-page batch, so the
+// frame layout is a pure function of page content and batch boundaries,
+// exactly like the per-page encoding. The capability is negotiated in the
+// hello exchange (hello bit 4 offered by the source, hello-ack bit 4
+// accepted by the destination); unnegotiated peers keep the byte-exact v1
+// stream.
 
 // MaxRangePages caps the pages one range frame may carry. It equals the
-// pipeline's batch size: runs cannot span batches, so a larger cap would
+// source's batch size: runs cannot span batches, so a larger cap would
 // never be used, and the bound keeps a decoder's per-frame buffering at
 // MaxRangePages*vm.PageSize bytes no matter what a hostile peer sends.
 const MaxRangePages = batchPages
@@ -157,7 +156,7 @@ func writePageDelta(w io.Writer, page uint64, sum checksum.Sum, enc []byte) erro
 // coalesces contiguous same-treatment pages into range frames. Runs of one
 // page fall back to their per-page v1 frame, so a range frame on the wire
 // always carries at least minRangePages pages.
-func encodeBatchRanges(e *sourceEncoder, base PageProvider, b *pageBatch) error {
+func encodeBatchRanges(e *sourceEncoder, base PageProvider, b *pageBatch, m *Metrics) error {
 	r := &e.run
 	r.reset()
 	for i, p := range b.pages {
@@ -181,9 +180,9 @@ func encodeBatchRanges(e *sourceEncoder, base PageProvider, b *pageBatch) error 
 			}
 			if treat == treatFull && e.comp != nil {
 				if !compressible(data) {
-					b.m.CompressSkipped++
+					m.CompressSkipped++
 				} else {
-					b.m.CompressAttempted++
+					m.CompressAttempted++
 					z, ok, err := e.comp.compress(data)
 					if err != nil {
 						return err
@@ -199,7 +198,7 @@ func encodeBatchRanges(e *sourceEncoder, base PageProvider, b *pageBatch) error 
 		// contiguous, and the cap is not hit; anything else flushes.
 		if r.treat != treat || r.len() >= MaxRangePages ||
 			(r.len() > 0 && r.start+uint64(r.len()) != uint64(p)) {
-			if err := e.flushRun(b); err != nil {
+			if err := e.flushRun(b, m); err != nil {
 				return err
 			}
 			r.treat = treat
@@ -209,23 +208,23 @@ func encodeBatchRanges(e *sourceEncoder, base PageProvider, b *pageBatch) error 
 		r.sums = append(r.sums, sum)
 		switch treat {
 		case treatSum:
-			b.m.PagesSum++
+			m.PagesSum++
 		case treatFull:
-			b.m.PagesFull++
+			m.PagesFull++
 		case treatFullZ:
 			r.lens = append(r.lens, uint32(len(payload)))
 			r.payload.Write(payload)
-			b.m.PagesFull++
-			b.m.PagesCompressed++
-			b.m.CompressionSavedBytes += int64(vm.PageSize - len(payload) - 4)
+			m.PagesFull++
+			m.PagesCompressed++
+			m.CompressionSavedBytes += int64(vm.PageSize - len(payload) - 4)
 		case treatDelta:
 			r.lens = append(r.lens, uint32(len(payload)))
 			r.payload.Write(payload)
-			b.m.PagesDelta++
-			b.m.DeltaSavedBytes += int64(vm.PageSize - len(payload) - 4)
+			m.PagesDelta++
+			m.DeltaSavedBytes += int64(vm.PageSize - len(payload) - 4)
 		}
 	}
-	return e.flushRun(b)
+	return e.flushRun(b, m)
 }
 
 // deltaPayload attempts an XBZRLE delta of data against the provider's
@@ -254,7 +253,7 @@ func (e *sourceEncoder) deltaPayload(base PageProvider, p int, data []byte) ([]b
 // flushRun writes the accumulated run into the batch buffer — as the
 // per-page v1 frame when the run holds a single page, as one range frame
 // otherwise — and resets the run.
-func (e *sourceEncoder) flushRun(b *pageBatch) error {
+func (e *sourceEncoder) flushRun(b *pageBatch, m *Metrics) error {
 	r := &e.run
 	n := r.len()
 	if n == 0 {
@@ -262,7 +261,7 @@ func (e *sourceEncoder) flushRun(b *pageBatch) error {
 	}
 	defer r.reset()
 	w := &b.buf
-	b.m.PageFrames++
+	m.PageFrames++
 	if n == 1 {
 		data := b.data[r.startIdx*vm.PageSize : (r.startIdx+1)*vm.PageSize]
 		switch r.treat {
@@ -276,7 +275,7 @@ func (e *sourceEncoder) flushRun(b *pageBatch) error {
 			return writePageDelta(w, r.start, r.sums[0], r.payload.Bytes())
 		}
 	}
-	b.m.RangeFrames++
+	m.RangeFrames++
 	t := r.treat.rangeTag()
 	if err := writeRangeHeader(w, t, r.start, n); err != nil {
 		return err
@@ -304,8 +303,8 @@ func (e *sourceEncoder) flushRun(b *pageBatch) error {
 	}
 }
 
-// rangeFrame is one decoded page-range frame: the destination's carrier
-// between the decode stage and the install worker.
+// rangeFrame is one decoded page-range frame, between its decode and its
+// install.
 type rangeFrame struct {
 	t       msgType
 	start   uint64
@@ -400,11 +399,11 @@ func readRangeFrame(r io.Reader, t msgType, numPages int, floor uint64, f *range
 	return nil
 }
 
-// destScratch is the per-goroutine install state shared by the sequential
-// merge loop and each pipelined install worker: a span buffer that grows to
-// one full range, a checksum scratch for range-sum probes, and a lazily
-// created inflater.
+// destScratch is the merge loop's decode and install state: the range frame
+// being merged, a span buffer that grows to one full range, a checksum
+// scratch for range-sum probes, and a lazily created inflater.
 type destScratch struct {
+	frame  rangeFrame
 	buf    []byte
 	sums   []checksum.Sum
 	decomp *pageDecompressor
@@ -418,10 +417,10 @@ func (st *destScratch) span(n int) []byte {
 	return st.buf[:n*vm.PageSize]
 }
 
-// destScratchPool recycles install scratch across migrations and workers.
-// A scratch grows to one full range span (MaxRangePages*vm.PageSize = 1 MiB)
-// plus an inflater; allocating that per worker per migration is what made
-// B/op scale linearly with pipeline width before pooling.
+// destScratchPool recycles merge scratch across migrations. A scratch grows
+// to a full range frame's payload and a full span (MaxRangePages*vm.PageSize
+// = 1 MiB each) plus an inflater, too much to allocate afresh for every
+// arrival.
 var destScratchPool = sync.Pool{New: func() interface{} {
 	return new(destScratch)
 }}
@@ -463,7 +462,7 @@ func installErr(err error) error {
 
 // resolveSums makes pages [start, start+len(want)) of v hold the content the
 // source named by checksum alone — the merge of Listing 1, shared by the
-// page-sum and range-sum frames of both engines. The resident digests come
+// page-sum and range-sum frames. The resident digests come
 // from v's digest table (seeded by the checkpoint bootstrap, kept by every
 // install), so a page is hashed only when the table knows nothing about it.
 // A resident match is reuse in place; a mismatch falls back to the checkpoint

@@ -141,46 +141,40 @@ func scriptedSourceStream(t testing.TB, offerRanges bool, frame []byte) []byte {
 
 // TestRangeFrameNegotiationGate: a range frame from a peer that never
 // completed the negotiation — it did not offer the capability, or the
-// destination declined it — is a protocol violation on both destination
-// engines; with the handshake complete the same bytes install cleanly.
+// destination declined it — is a protocol violation; with the handshake
+// complete the same bytes install cleanly.
 func TestRangeFrameNegotiationGate(t *testing.T) {
 	pages := [][]byte{make([]byte, vm.PageSize), make([]byte, vm.PageSize)}
 	pages[0][7], pages[1][4095] = 0xAB, 0xCD
 	frame := buildRangeFull(t, 3, pages)
 
-	for _, workers := range []int{0, 4} {
-		name := map[int]string{0: "sequential", 4: "pipelined"}[workers]
-		t.Run(name, func(t *testing.T) {
-			run := func(offer, decline bool) (*vm.VM, error) {
-				dst := newVM(t, "vm0", 64, 2)
-				conn := readWriter{bytes.NewReader(scriptedSourceStream(t, offer, frame)), io.Discard}
-				_, err := MigrateDest(context.Background(), conn, dst, DestOptions{
-					Workers:       workers,
-					NoRangeFrames: decline,
-				})
-				return dst, err
-			}
-			if _, err := run(false, false); !errors.Is(err, ErrProtocol) {
-				t.Errorf("unoffered range frame: err = %v, want ErrProtocol", err)
-			}
-			if _, err := run(true, true); !errors.Is(err, ErrProtocol) {
-				t.Errorf("declined range frame: err = %v, want ErrProtocol", err)
-			}
-			dst, err := run(true, false)
-			if err != nil {
-				t.Fatalf("negotiated range frame rejected: %v", err)
-			}
-			got := make([]byte, vm.PageSize)
-			dst.ReadPage(3, got)
-			if !bytes.Equal(got, pages[0]) {
-				t.Error("negotiated range frame did not install page 3")
-			}
-			dst.ReadPage(4, got)
-			if !bytes.Equal(got, pages[1]) {
-				t.Error("negotiated range frame did not install page 4")
-			}
-		})
-	}
+	t.Run("sequential", func(t *testing.T) {
+		run := func(offer, decline bool) (*vm.VM, error) {
+			dst := newVM(t, "vm0", 64, 2)
+			conn := readWriter{bytes.NewReader(scriptedSourceStream(t, offer, frame)), io.Discard}
+			_, err := MigrateDest(context.Background(), conn, dst, DestOptions{NoRangeFrames: decline})
+			return dst, err
+		}
+		if _, err := run(false, false); !errors.Is(err, ErrProtocol) {
+			t.Errorf("unoffered range frame: err = %v, want ErrProtocol", err)
+		}
+		if _, err := run(true, true); !errors.Is(err, ErrProtocol) {
+			t.Errorf("declined range frame: err = %v, want ErrProtocol", err)
+		}
+		dst, err := run(true, false)
+		if err != nil {
+			t.Fatalf("negotiated range frame rejected: %v", err)
+		}
+		got := make([]byte, vm.PageSize)
+		dst.ReadPage(3, got)
+		if !bytes.Equal(got, pages[0]) {
+			t.Error("negotiated range frame did not install page 3")
+		}
+		dst.ReadPage(4, got)
+		if !bytes.Equal(got, pages[1]) {
+			t.Error("negotiated range frame did not install page 4")
+		}
+	})
 
 	// range-sum and range-delta reference checkpoint state; without a
 	// checkpoint they are protocol violations even when negotiated.

@@ -43,55 +43,55 @@ func cutMigration(t *testing.T, src, dst *vm.VM, resetAfter int64, sopts SourceO
 // pages — with the hello-ack reporting the partial bootstrap and delta
 // encoding disabled against it.
 func TestSalvageThenResume(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		t.Run(map[int]string{0: "sequential", 4: "pipelined"}[workers], func(t *testing.T) {
-			const pages = 512
-			src := newVM(t, "vm0", pages, 1)
-			if err := src.FillRandom(0.95); err != nil {
-				t.Fatal(err)
-			}
-			store := newStore(t)
+	t.Run("sequential", salvageThenResume)
+}
 
-			// Attempt 1: the wire dies mid round 1. No checkpoint exists yet,
-			// so every streamed page is a full page — coalesced into
-			// MaxRangePages-sized range frames (~1 MiB each), so the cut
-			// must fall beyond the first complete frame for any progress to
-			// have landed.
-			dst1 := newVM(t, "vm0", pages, 2)
-			dres, serr, derr := cutMigration(t, src, dst1, 1_200_000,
-				SourceOptions{Recycle: true, Workers: workers},
-				DestOptions{Store: store, Workers: workers, VerifyPayloads: true})
-			if serr == nil || derr == nil {
-				t.Fatalf("cut migration succeeded (source=%v dest=%v)", serr, derr)
-			}
-			if dres.SalvagePages == 0 {
-				t.Fatal("no salvage checkpoint written")
-			}
-			info, ok := store.Entry("vm0")
-			if !ok || info.State != checkpoint.EntryPartial {
-				t.Fatalf("store entry after cut = %+v, %v; want partial", info, ok)
-			}
+func salvageThenResume(t *testing.T) {
+	const pages = 512
+	src := newVM(t, "vm0", pages, 1)
+	if err := src.FillRandom(0.95); err != nil {
+		t.Fatal(err)
+	}
+	store := newStore(t)
 
-			// Attempt 2: clean wire. The announcement from the salvage image
-			// must eliminate every page the first attempt installed.
-			dst2 := newVM(t, "vm0", pages, 3)
-			sm, dres2 := migrate(t, src, dst2,
-				SourceOptions{Recycle: true, Workers: workers},
-				DestOptions{Store: store, Workers: workers, VerifyPayloads: true})
-			if !src.MemEqual(dst2) {
-				t.Fatalf("memory differs at page %d", src.FirstDifference(dst2))
-			}
-			if !dres2.ResumedFromPartial {
-				t.Error("destination did not report a partial bootstrap")
-			}
-			if int64(sm.PagesFull) > int64(pages)-dres.SalvagePages {
-				t.Errorf("resumed attempt sent %d full pages; attempt 1 salvaged %d of %d",
-					sm.PagesFull, dres.SalvagePages, pages)
-			}
-			if sm.PagesSum == 0 {
-				t.Error("resumed attempt reused nothing from the salvage image")
-			}
-		})
+	// Attempt 1: the wire dies mid round 1. No checkpoint exists yet,
+	// so every streamed page is a full page — coalesced into
+	// MaxRangePages-sized range frames (~1 MiB each), so the cut
+	// must fall beyond the first complete frame for any progress to
+	// have landed.
+	dst1 := newVM(t, "vm0", pages, 2)
+	dres, serr, derr := cutMigration(t, src, dst1, 1_200_000,
+		SourceOptions{Recycle: true},
+		DestOptions{Store: store, VerifyPayloads: true})
+	if serr == nil || derr == nil {
+		t.Fatalf("cut migration succeeded (source=%v dest=%v)", serr, derr)
+	}
+	if dres.SalvagePages == 0 {
+		t.Fatal("no salvage checkpoint written")
+	}
+	info, ok := store.Entry("vm0")
+	if !ok || info.State != checkpoint.EntryPartial {
+		t.Fatalf("store entry after cut = %+v, %v; want partial", info, ok)
+	}
+
+	// Attempt 2: clean wire. The announcement from the salvage image
+	// must eliminate every page the first attempt installed.
+	dst2 := newVM(t, "vm0", pages, 3)
+	sm, dres2 := migrate(t, src, dst2,
+		SourceOptions{Recycle: true},
+		DestOptions{Store: store, VerifyPayloads: true})
+	if !src.MemEqual(dst2) {
+		t.Fatalf("memory differs at page %d", src.FirstDifference(dst2))
+	}
+	if !dres2.ResumedFromPartial {
+		t.Error("destination did not report a partial bootstrap")
+	}
+	if int64(sm.PagesFull) > int64(pages)-dres.SalvagePages {
+		t.Errorf("resumed attempt sent %d full pages; attempt 1 salvaged %d of %d",
+			sm.PagesFull, dres.SalvagePages, pages)
+	}
+	if sm.PagesSum == 0 {
+		t.Error("resumed attempt reused nothing from the salvage image")
 	}
 }
 

@@ -60,17 +60,6 @@ type SourceOptions struct {
 	// range-capable destination. For interop testing and as an escape
 	// hatch.
 	NoRangeFrames bool
-	// Workers sizes the source pipeline: page reads, per-page encoding
-	// (checksum + compression + delta), and wire emission run as concurrent
-	// stages, with Workers goroutines in the encode stage — §3.4's remedy
-	// when the checksum rate, not the network, bounds the migration
-	// (10/40 GbE). The wire stream is byte-for-byte identical to the
-	// sequential engine's for any worker count. Values below 1 keep the
-	// single-goroutine sequential engine.
-	Workers int
-	// ChecksumWorkers is the deprecated name for Workers, kept so existing
-	// callers keep parallelizing; it is consulted only when Workers is 0.
-	ChecksumWorkers int
 	// DeltaBase supplies the content the destination's RAM will hold after
 	// its checkpoint bootstrap, per frame — typically this host's own
 	// mirror of the peer's checkpoint (checkpoint.Checkpoint satisfies the
@@ -131,20 +120,6 @@ func (o *SourceOptions) validate() error {
 	return nil
 }
 
-// workers resolves the effective pipeline width: Workers wins, the
-// deprecated ChecksumWorkers is the fallback, and anything below 1 selects
-// the sequential engine (returned as 0).
-func (o *SourceOptions) workers() int {
-	w := o.Workers
-	if w == 0 {
-		w = o.ChecksumWorkers
-	}
-	if w < 1 {
-		return 0
-	}
-	return w
-}
-
 // Mirror is a checkpoint known by name and by value: the manifest root its
 // store records for it and the page-ordered key list that root is the name of.
 type Mirror struct {
@@ -170,9 +145,11 @@ type PageProvider interface {
 // read or write. The returned error is then ctx.Err().
 //
 // On success the returned metrics describe the transfer as seen from the
-// source. The caller is responsible for writing the outgoing checkpoint
-// afterwards (checkpoint.Store.Save) — excluded from the migration time,
-// as in the paper's measurements.
+// source. The outgoing checkpoint is the caller's: pass its stream as
+// SourceOptions.Save (checkpoint.Store.OpenSave) and the pages that differ
+// from the mirror are written while they cross; commit it once this returns
+// — after the destination's ack — or abort it on failure. The commit is
+// excluded from the migration time, as in the paper's measurements.
 func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts SourceOptions) (m Metrics, err error) {
 	ctx = orBackground(ctx)
 	stop := watchContext(ctx, conn)
@@ -310,11 +287,6 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		opts.OnEvent.emit(Event{Kind: EventSalvage, Detail: "resumed"})
 	}
 
-	// Encoders are created once per migration — not per round — and their
-	// deflate state comes from a process-wide pool, so an N-worker migration
-	// no longer allocates N fresh compressor windows every round.
-	cfg := encoderConfig{alg: opts.Alg, destSums: destSums, compress: opts.Compress,
-		ranges: h.RangeFrames && ack.RangeFrames, sent: opts.SentSums}
 	// Stream only over this host's own checkpoint: there the pages the wire
 	// moves are about all the save will be missing. A cold leg's round one is
 	// bound by CPU, not by the link, and its save stays after the ack.
@@ -323,38 +295,14 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		len(opts.Mirror.Keys) == v.NumPages() {
 		save = &saveSink{stream: opts.Save, mirror: opts.Mirror.Keys}
 	}
-	workers := opts.workers()
-	var seqEnc *sourceEncoder
-	var encs []*sourceEncoder
-	defer func() {
-		seqEnc.release()
-		for _, e := range encs {
-			e.release()
-		}
-	}()
-	if workers == 0 {
-		seqEnc, err = newSourceEncoder(cfg)
-		if err != nil {
-			return m, err
-		}
-	} else {
-		for i := 0; i < workers; i++ {
-			e, err := newSourceEncoder(cfg)
-			if err != nil {
-				return m, err
-			}
-			encs = append(encs, e)
-		}
+	// One encoder for every round: its deflate state comes from a
+	// process-wide pool, too costly to rebuild per round.
+	enc, err := newSourceEncoder(opts.Alg, destSums, opts.Compress,
+		h.RangeFrames && ack.RangeFrames, opts.SentSums)
+	if err != nil {
+		return m, err
 	}
-	// stream sends one round's pages: through the staged pipeline when
-	// workers were requested, else through the sequential engine. Both emit
-	// identical bytes; base (delta encoding) is set in round one only.
-	stream := func(pages pageSeq, base PageProvider) error {
-		if workers >= 1 {
-			return runSourcePipeline(ctx, w, v, pages, encs, base, save, &m)
-		}
-		return sendSequential(ctx, w, v, pages, seqEnc, base, save, &m)
-	}
+	defer enc.release()
 
 	// Reset the dirty log: everything the guest writes from here on must be
 	// re-sent in a later round.
@@ -375,12 +323,12 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	}
 
 	// Round 1: walk every page. With a destination checksum set, redundant
-	// pages shrink to (page number, checksum). Encoding runs on the worker
-	// pool; messages are still emitted in page order.
+	// pages shrink to (page number, checksum); delta encoding against
+	// DeltaBase applies in this round only.
 	m.Rounds = 1
 	roundStart := cw.n
 	since := m
-	if err := stream(seqAll(v.NumPages()), opts.DeltaBase); err != nil {
+	if err := sendSequential(ctx, w, v, seqAll(v.NumPages()), enc, opts.DeltaBase, save, &m); err != nil {
 		return m, err
 	}
 	if err := writeRoundEnd(w, 1, uint64(v.DirtyCount())); err != nil {
@@ -427,7 +375,7 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		})
 		roundStart = cw.n
 		since = m
-		if err := stream(seqList(dirtyList), nil); err != nil {
+		if err := sendSequential(ctx, w, v, seqList(dirtyList), enc, nil, save, &m); err != nil {
 			return m, err
 		}
 		if err := writeRoundEnd(w, uint32(round), uint64(len(dirtyList))); err != nil {
@@ -488,11 +436,10 @@ func sendFullPage(w io.Writer, page uint64, sum checksum.Sum, data []byte, comp 
 	return writePageFull(w, page, sum, data)
 }
 
-// sendSequential is the single-goroutine engine: it runs the same
-// batchPages-sized units as the pipeline (fill, encode, one buffered write
-// per batch) in order on the calling goroutine — the reference
-// implementation the pipeline is tested against, sharing its batch path so
-// the two cannot drift. Cancellation is checked once per batch.
+// sendSequential is the source engine: it streams one round's pages in
+// batchPages-sized units — fill, hash offload, encode, one buffered write
+// per batch, then the batch's changed pages to the save stream — on the
+// calling goroutine, in page order. Cancellation is checked once per batch.
 func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, enc *sourceEncoder, base PageProvider, save *saveSink, m *Metrics) error {
 	n := pages.len()
 	b := batchPool.Get().(*pageBatch)
@@ -509,19 +456,14 @@ func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, e
 		for i := 0; i < cnt; i++ {
 			b.pages[i] = pages.at(off + i)
 		}
-		// Hash offload: digest what the guest's table did not cover on a
-		// small pool while this goroutine still owns the encode loop (the
-		// pipelined engine hashes inside its workers already).
-		offloadBatchSums(enc.alg, b, fillBatch(v, enc.alg, b))
-		if err := encodeBatch(enc, base, b); err != nil {
+		offloadBatchSums(enc.alg, b, fillBatch(v, enc.alg, b, m))
+		if err := encodeBatch(enc, base, b, m); err != nil {
 			return err
 		}
 		if err := emitBatch(w, b, save); err != nil {
 			return err
 		}
-		m.addPageCounters(b.m)
 		b.buf.Reset()
-		b.m = Metrics{}
 	}
 	return nil
 }

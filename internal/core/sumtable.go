@@ -9,11 +9,8 @@ import "vecycle/internal/checksum"
 // (The destination needs no such table: its installs record straight into the
 // arriving guest's own digest table, vm.VM.)
 //
-// Concurrency: within a round, encode workers touch disjoint pages, so the
-// per-page slots need no locking; `have` is a []bool rather than a bitmask
-// precisely so two workers never share a byte. The source's per-round loop
-// provides the cross-round happens-before, and the caller reads the table
-// only after MigrateSource returned.
+// Concurrency: the source engine's encode loop is the table's one writer,
+// and the caller reads it only after MigrateSource returned.
 //
 // The zero table (or a nil pointer) is inert: every method is nil-safe and
 // the engine sizes it per attempt via reset, so a host can allocate one with

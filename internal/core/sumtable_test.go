@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -61,15 +60,15 @@ func checkTrackedResult(t *testing.T, dst *vm.VM, res DestResult) {
 
 // TestSumTableEquivalence drives every frame kind that can install a page —
 // coalesced range frames, individual full pages, checksum-only recycling,
-// XBZRLE deltas — at every engine width, and pins the recorded table
+// XBZRLE deltas — and pins the recorded table
 // against an independent rehash of the final memory.
 func TestSumTableEquivalence(t *testing.T) {
 	const pages = 512
 	scenarios := []struct {
 		name string
-		run  func(t *testing.T, workers int)
+		run  func(t *testing.T)
 	}{
-		{"range-frames", func(t *testing.T, workers int) {
+		{"range-frames", func(t *testing.T) {
 			// Cold first round: every page arrives as a full payload,
 			// coalesced into range frames carrying per-page sum arrays.
 			src := newVM(t, "vm0", pages, 1)
@@ -78,14 +77,14 @@ func TestSumTableEquivalence(t *testing.T) {
 			}
 			dst := newVM(t, "vm0", pages, 2)
 			_, res := migrate(t, src, dst,
-				SourceOptions{Workers: workers},
-				DestOptions{Workers: workers, TrackIncoming: true, VerifyPayloads: true})
+				SourceOptions{},
+				DestOptions{TrackIncoming: true, VerifyPayloads: true})
 			if !src.MemEqual(dst) {
 				t.Fatalf("memory differs at page %d", src.FirstDifference(dst))
 			}
 			checkTrackedResult(t, dst, res)
 		}},
-		{"legacy-per-page", func(t *testing.T, workers int) {
+		{"legacy-per-page", func(t *testing.T) {
 			// Range frames withheld: the same cold round lands as
 			// individual msgPageFull/FullZ frames.
 			src := newVM(t, "vm0", pages, 1)
@@ -94,14 +93,14 @@ func TestSumTableEquivalence(t *testing.T) {
 			}
 			dst := newVM(t, "vm0", pages, 2)
 			_, res := migrate(t, src, dst,
-				SourceOptions{Workers: workers, NoRangeFrames: true},
-				DestOptions{Workers: workers, TrackIncoming: true, VerifyPayloads: true})
+				SourceOptions{NoRangeFrames: true},
+				DestOptions{TrackIncoming: true, VerifyPayloads: true})
 			if !src.MemEqual(dst) {
 				t.Fatalf("memory differs at page %d", src.FirstDifference(dst))
 			}
 			checkTrackedResult(t, dst, res)
 		}},
-		{"recycled", func(t *testing.T, workers int) {
+		{"recycled", func(t *testing.T) {
 			// Destination holds a warm checkpoint: most pages arrive as
 			// checksum-only frames resolved out of the image, the dirtied
 			// rest as payloads.
@@ -116,8 +115,8 @@ func TestSumTableEquivalence(t *testing.T) {
 			src.TouchRandomPages(40)
 			dst := newVM(t, "vm0", pages, 2)
 			_, res := migrate(t, src, dst,
-				SourceOptions{Recycle: true, Workers: workers},
-				DestOptions{Store: store, Workers: workers, TrackIncoming: true, VerifyPayloads: true})
+				SourceOptions{Recycle: true},
+				DestOptions{Store: store, TrackIncoming: true, VerifyPayloads: true})
 			if !src.MemEqual(dst) {
 				t.Fatalf("memory differs at page %d", src.FirstDifference(dst))
 			}
@@ -126,7 +125,7 @@ func TestSumTableEquivalence(t *testing.T) {
 			}
 			checkTrackedResult(t, dst, res)
 		}},
-		{"delta", func(t *testing.T, workers int) {
+		{"delta", func(t *testing.T) {
 			// Both sides share a base; partially-dirtied pages travel as
 			// XBZRLE deltas, installed after verification.
 			src := newVM(t, "vm0", pages, 1)
@@ -148,8 +147,8 @@ func TestSumTableEquivalence(t *testing.T) {
 			partialUpdate(t, src, []int{3, 7, 11, 19, 23, 29, 31, 37, 41, 43})
 			dst := newVM(t, "vm0", pages, 2)
 			sm, res := migrate(t, src, dst,
-				SourceOptions{Recycle: true, Workers: workers, DeltaBase: base},
-				DestOptions{Store: destStore, Workers: workers, TrackIncoming: true, VerifyPayloads: true})
+				SourceOptions{Recycle: true, DeltaBase: base},
+				DestOptions{Store: destStore, TrackIncoming: true, VerifyPayloads: true})
 			if !src.MemEqual(dst) {
 				t.Fatalf("memory differs at page %d", src.FirstDifference(dst))
 			}
@@ -160,13 +159,7 @@ func TestSumTableEquivalence(t *testing.T) {
 		}},
 	}
 	for _, sc := range scenarios {
-		t.Run(sc.name, func(t *testing.T) {
-			for _, workers := range []int{0, 1, 2, 8} {
-				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-					sc.run(t, workers)
-				})
-			}
-		})
+		t.Run(sc.name, func(t *testing.T) { t.Run(engineSubtest, sc.run) })
 	}
 }
 
@@ -231,40 +224,40 @@ func TestSumTableCorruptionTeardown(t *testing.T) {
 // still ends with a complete, correct one, because round one walks every
 // page regardless of how the destination resolves it.
 func TestSumTableSalvage(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		t.Run(map[int]string{0: "sequential", 4: "pipelined"}[workers], func(t *testing.T) {
-			const pages = 512
-			src := newVM(t, "vm0", pages, 1)
-			if err := src.FillRandom(0.95); err != nil {
-				t.Fatal(err)
-			}
-			store := newStore(t)
-			dst1 := newVM(t, "vm0", pages, 2)
-			dres, serr, derr := cutMigration(t, src, dst1, 1_200_000,
-				SourceOptions{Recycle: true, Workers: workers},
-				DestOptions{Store: store, Workers: workers, TrackIncoming: true, VerifyPayloads: true})
-			if serr == nil || derr == nil {
-				t.Fatalf("cut migration succeeded (source=%v dest=%v)", serr, derr)
-			}
-			if dres.SalvagePages == 0 {
-				t.Fatal("no salvage progress")
-			}
-			if dres.PageSums != nil {
-				t.Error("interrupted attempt returned a page-sum snapshot")
-			}
-			dst2 := newVM(t, "vm0", pages, 3)
-			_, dres2 := migrate(t, src, dst2,
-				SourceOptions{Recycle: true, Workers: workers},
-				DestOptions{Store: store, Workers: workers, TrackIncoming: true, VerifyPayloads: true})
-			if !src.MemEqual(dst2) {
-				t.Fatalf("memory differs at page %d", src.FirstDifference(dst2))
-			}
-			if !dres2.ResumedFromPartial {
-				t.Error("destination did not report a partial bootstrap")
-			}
-			checkTrackedResult(t, dst2, dres2)
-		})
+	t.Run("sequential", sumTableSalvage)
+}
+
+func sumTableSalvage(t *testing.T) {
+	const pages = 512
+	src := newVM(t, "vm0", pages, 1)
+	if err := src.FillRandom(0.95); err != nil {
+		t.Fatal(err)
 	}
+	store := newStore(t)
+	dst1 := newVM(t, "vm0", pages, 2)
+	dres, serr, derr := cutMigration(t, src, dst1, 1_200_000,
+		SourceOptions{Recycle: true},
+		DestOptions{Store: store, TrackIncoming: true, VerifyPayloads: true})
+	if serr == nil || derr == nil {
+		t.Fatalf("cut migration succeeded (source=%v dest=%v)", serr, derr)
+	}
+	if dres.SalvagePages == 0 {
+		t.Fatal("no salvage progress")
+	}
+	if dres.PageSums != nil {
+		t.Error("interrupted attempt returned a page-sum snapshot")
+	}
+	dst2 := newVM(t, "vm0", pages, 3)
+	_, dres2 := migrate(t, src, dst2,
+		SourceOptions{Recycle: true},
+		DestOptions{Store: store, TrackIncoming: true, VerifyPayloads: true})
+	if !src.MemEqual(dst2) {
+		t.Fatalf("memory differs at page %d", src.FirstDifference(dst2))
+	}
+	if !dres2.ResumedFromPartial {
+		t.Error("destination did not report a partial bootstrap")
+	}
+	checkTrackedResult(t, dst2, dres2)
 }
 
 // TestSourceSentSums pins the source-side half of the lifecycle: with a
@@ -272,30 +265,30 @@ func TestSumTableSalvage(t *testing.T) {
 // the digest of every page's final (paused) state — the exact table the
 // KeepCheckpoint save hands to SaveWithSums.
 func TestSourceSentSums(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			const pages = 512
-			src := newVM(t, "vm0", pages, 1)
-			if err := src.FillRandom(0.9); err != nil {
-				t.Fatal(err)
-			}
-			dst := newVM(t, "vm0", pages, 2)
-			sent := NewSumTable()
-			_, _ = migrate(t, src, dst,
-				SourceOptions{Workers: workers, SentSums: sent},
-				DestOptions{VerifyPayloads: true})
-			if !src.MemEqual(dst) {
-				t.Fatalf("memory differs at page %d", src.FirstDifference(dst))
-			}
-			sums, ok := sent.Sums()
-			if !ok {
-				t.Fatal("source table incomplete after a clean migration")
-			}
-			for i := 0; i < src.NumPages(); i++ {
-				if want := src.PageSum(i, sent.Alg()); sums[i] != want {
-					t.Fatalf("page %d: sent sum %x, paused state digests to %x", i, sums[i], want)
-				}
-			}
-		})
+	t.Run(engineSubtest, sourceSentSums)
+}
+
+func sourceSentSums(t *testing.T) {
+	const pages = 512
+	src := newVM(t, "vm0", pages, 1)
+	if err := src.FillRandom(0.9); err != nil {
+		t.Fatal(err)
+	}
+	dst := newVM(t, "vm0", pages, 2)
+	sent := NewSumTable()
+	_, _ = migrate(t, src, dst,
+		SourceOptions{SentSums: sent},
+		DestOptions{VerifyPayloads: true})
+	if !src.MemEqual(dst) {
+		t.Fatalf("memory differs at page %d", src.FirstDifference(dst))
+	}
+	sums, ok := sent.Sums()
+	if !ok {
+		t.Fatal("source table incomplete after a clean migration")
+	}
+	for i := 0; i < src.NumPages(); i++ {
+		if want := src.PageSum(i, sent.Alg()); sums[i] != want {
+			t.Fatalf("page %d: sent sum %x, paused state digests to %x", i, sums[i], want)
+		}
 	}
 }

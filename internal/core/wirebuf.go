@@ -9,7 +9,7 @@ import (
 // Wire buffer sizing and pooling. Each migration direction is asymmetric: the
 // source writes megabytes of frames and reads a handful of control messages,
 // the destination mirrors that. The data direction gets a buffer sized to a
-// whole pipeline batch (1 MiB of guest pages plus framing), so the emitter
+// whole batch (1 MiB of guest pages plus framing), so the source engine
 // hands the transport one large write per batch instead of sixteen 64 KiB
 // ones — on real sockets that means fewer syscalls and full-sized segments,
 // on net.Pipe fewer goroutine handoffs. The control direction stays at
@@ -18,7 +18,7 @@ import (
 // allocation profile the alloc-ceiling tests pin.
 
 const (
-	// dataBufBytes sizes the data-direction buffer: one full pipeline batch
+	// dataBufBytes sizes the data-direction buffer: one full batch
 	// (batchPages pages) plus per-page framing headroom.
 	dataBufBytes = 1 << 20
 	// ctlBufBytes sizes the control direction (hello exchange, acks, and the

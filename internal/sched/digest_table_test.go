@@ -160,11 +160,10 @@ func TestDigestTableExactCounts(t *testing.T) {
 		t.Errorf("first visit took %d bytes of digests from an empty table", m.HashAvoidedBytes)
 	}
 
-	// Returning legs: only the rewritten pages are hashed, at either width.
+	// Returning legs: only the rewritten pages are hashed.
 	for i, leg := range [][2]string{{"beta", "alpha"}, {"alpha", "beta"}, {"beta", "alpha"}} {
 		rewrite(leg[0], rewritten, false)
-		hosts[leg[1]].Workers = 2 * (i % 2)
-		m, res := hop(leg[0], leg[1], MigrateOptions{Workers: 2 * (i % 2)}, rewritten*vm.PageSize)
+		m, res := hop(leg[0], leg[1], MigrateOptions{}, rewritten*vm.PageSize)
 		if m.PagesFull != rewritten || res.Metrics.PagesReusedInPlace != pages-rewritten {
 			t.Errorf("leg %d: %d full pages and %d reused in place, want %d and %d",
 				i, m.PagesFull, res.Metrics.PagesReusedInPlace, rewritten, pages-rewritten)
@@ -173,7 +172,6 @@ func TestDigestTableExactCounts(t *testing.T) {
 			t.Errorf("leg %d: source took %d bytes of digests from the table, want %d", i, got, want)
 		}
 	}
-	hosts["alpha"].Workers, hosts["beta"].Workers = 0, 0
 
 	// A delta leg: the source opens its own checkpoint of the guest as the
 	// delta base — for PageAt only, so hop's "the source's restores hashed 0
@@ -232,64 +230,62 @@ func TestDigestTableExactCounts(t *testing.T) {
 }
 
 // TestExplicitMD5Converges: a fleet run on the paper's algorithm end to end —
-// recycle, keep, save arrivals, both directions, either engine width — still
+// recycle, keep, save arrivals, both directions — still
 // lands every guest byte for byte and still recycles, and what it costs is on
 // the books: every checkpoint save rehashes one guest (the MD5 table is no use
 // as keys) and every returning destination's restore another.
 func TestExplicitMD5Converges(t *testing.T) {
 	const pages = 256
 	const mem = int64(pages) * vm.PageSize
-	for _, workers := range []int{0, 2} {
-		arrivals := make(chan core.DestResult, 1) // one migration in flight at a time
-		hosts := []*Host{newHost(t, "alpha"), newHost(t, "beta")}
-		addrs := make([]string, len(hosts))
-		for i, h := range hosts {
-			h.SaveArrivals, h.Workers = true, workers
-			h.OnArrival = func(_ *vm.VM, res core.DestResult) { arrivals <- res }
-			addrs[i] = listen(t, h)
+	arrivals := make(chan core.DestResult, 1) // one migration in flight at a time
+	hosts := []*Host{newHost(t, "alpha"), newHost(t, "beta")}
+	addrs := make([]string, len(hosts))
+	for i, h := range hosts {
+		h.SaveArrivals = true
+		h.OnArrival = func(_ *vm.VM, res core.DestResult) { arrivals <- res }
+		addrs[i] = listen(t, h)
+	}
+	hashed := func(h *Host, stage string) int64 {
+		return int64(h.obs.hashBytes.With(h.name, stage).Value())
+	}
+	guest := newGuest(t, "vm0", pages)
+	if err := guest.FillRandom(1.0); err != nil {
+		t.Fatal(err)
+	}
+	hosts[0].AddVM(guest)
+	for leg := 0; leg < 4; leg++ {
+		from, to := hosts[leg%2], hosts[(leg+1)%2]
+		v, _ := from.VM("vm0")
+		v.TouchRandomPages(8)
+		want := v.Fingerprint64()
+		m, err := from.MigrateTo(context.Background(), addrs[(leg+1)%2], "vm0", MigrateOptions{
+			Recycle: true, KeepCheckpoint: true, Alg: checksum.MD5})
+		if err != nil {
+			t.Fatalf("leg %d: %v", leg, err)
 		}
-		hashed := func(h *Host, stage string) int64 {
-			return int64(h.obs.hashBytes.With(h.name, stage).Value())
+		res := <-arrivals
+		landed, _ := to.VM("vm0")
+		fingerprintEqual(t, want, landed)
+		if res.Alg != checksum.MD5 {
+			t.Errorf("leg %d ran under %v", leg, res.Alg)
 		}
-		guest := newGuest(t, "vm0", pages)
-		if err := guest.FillRandom(1.0); err != nil {
-			t.Fatal(err)
+		if leg > 0 && (m.PagesFull > 8 || res.Metrics.PagesReusedInPlace < pages-8) {
+			t.Errorf("leg %d: %d full pages, %d reused in place; a return should recycle all but the 8 touched",
+				leg, m.PagesFull, res.Metrics.PagesReusedInPlace)
 		}
-		hosts[0].AddVM(guest)
-		for leg := 0; leg < 4; leg++ {
-			from, to := hosts[leg%2], hosts[(leg+1)%2]
-			v, _ := from.VM("vm0")
-			v.TouchRandomPages(8)
-			want := v.Fingerprint64()
-			m, err := from.MigrateTo(context.Background(), addrs[(leg+1)%2], "vm0", MigrateOptions{
-				Recycle: true, KeepCheckpoint: true, Alg: checksum.MD5, Workers: workers})
-			if err != nil {
-				t.Fatalf("workers=%d leg %d: %v", workers, leg, err)
-			}
-			res := <-arrivals
-			landed, _ := to.VM("vm0")
-			fingerprintEqual(t, want, landed)
-			if res.Alg != checksum.MD5 {
-				t.Errorf("workers=%d leg %d ran under %v", workers, leg, res.Alg)
-			}
-			if leg > 0 && (m.PagesFull > 8 || res.Metrics.PagesReusedInPlace < pages-8) {
-				t.Errorf("workers=%d leg %d: %d full pages, %d reused in place; a return should recycle all but the 8 touched",
-					workers, leg, m.PagesFull, res.Metrics.PagesReusedInPlace)
-			}
-			// One save per host per leg: the source's departure image, the
-			// destination's arrival image.
-			for _, h := range []*Host{from, to} {
-				if got, want := hashed(h, "save_keys"), int64(leg+1)*mem; got != want {
-					t.Errorf("workers=%d leg %d: %s rehashed %d bytes in saves, want %d", workers, leg, h.name, got, want)
-				}
+		// One save per host per leg: the source's departure image, the
+		// destination's arrival image.
+		for _, h := range []*Host{from, to} {
+			if got, want := hashed(h, "save_keys"), int64(leg+1)*mem; got != want {
+				t.Errorf("leg %d: %s rehashed %d bytes in saves, want %d", leg, h.name, got, want)
 			}
 		}
-		// Legs 1..3 restored a checkpoint at their destination: beta once,
-		// alpha twice.
-		for i, wantRestores := range []int64{2, 1} {
-			if got := hashed(hosts[i], "restore"); got != wantRestores*mem {
-				t.Errorf("workers=%d: %s rescanned %d bytes in restores, want %d", workers, hosts[i].name, got, wantRestores*mem)
-			}
+	}
+	// Legs 1..3 restored a checkpoint at their destination: beta once,
+	// alpha twice.
+	for i, wantRestores := range []int64{2, 1} {
+		if got := hashed(hosts[i], "restore"); got != wantRestores*mem {
+			t.Errorf("%s rescanned %d bytes in restores, want %d", hosts[i].name, got, wantRestores*mem)
 		}
 	}
 }

@@ -70,7 +70,6 @@ type hostObs struct {
 	salvageAvoided *obs.CounterVec   // vecycle_salvage_bytes_avoided_total{host}
 	compressAtt    *obs.CounterVec   // vecycle_compress_attempted_total{host}
 	compressSkip   *obs.CounterVec   // vecycle_compress_skipped_total{host}
-	stage          *obs.CounterVec   // vecycle_stage_seconds_total{host,stage,state}
 	vmTotal        *obs.CounterVec   // vecycle_vm_migrations_total{host,vm,role}
 	vmLast         *obs.GaugeVec     // vecycle_vm_last_migration_seconds{host,vm}
 	resume         *obs.HistogramVec // vecycle_postcopy_resume_delay_seconds{host,role}
@@ -145,9 +144,6 @@ func newHostObs(h *Host, reg *obs.Registry, traces *obs.TraceLog) *hostObs {
 		compressSkip: reg.CounterVec("vecycle_compress_skipped_total",
 			"Full pages the entropy gate sent raw (sampled as incompressible) on outgoing migrations.",
 			"host"),
-		stage: reg.CounterVec("vecycle_stage_seconds_total",
-			"Pipelined-engine stage time by stage (ingest, worker, emit) and state (busy, stall).",
-			"host", "stage", "state"),
 		vmTotal: reg.CounterVec("vecycle_vm_migrations_total",
 			"Per-VM migration series: completed migrations touching this VM, by role.",
 			"host", "vm", "role"),
@@ -368,7 +364,6 @@ func (o *hostObs) finish(rec *obs.Recorder, role, vmName string, m core.Metrics,
 	if m.HashAvoidedBytes > 0 {
 		o.hashAvoided.With(o.host).Add(float64(m.HashAvoidedBytes))
 	}
-	o.observeStages(m.Stages)
 	if err == nil {
 		o.duration.With(o.host, role).Observe(m.Duration.Seconds())
 		o.vmLast.With(o.host, vmName).Set(m.Duration.Seconds())
@@ -382,21 +377,6 @@ func (o *hostObs) finishPostCopy(rec *obs.Recorder, role, vmName string, m core.
 	if err == nil {
 		o.resume.With(o.host, role).Observe(m.ResumeDelay.Seconds())
 	}
-}
-
-// observeStages accumulates the pipelined engine's busy/stall breakdown.
-func (o *hostObs) observeStages(s core.StageMetrics) {
-	add := func(stage, state string, d time.Duration) {
-		if d > 0 {
-			o.stage.With(o.host, stage, state).Add(d.Seconds())
-		}
-	}
-	add("ingest", "busy", s.IngestBusy)
-	add("ingest", "stall", s.IngestStall)
-	add("dispatch", "stall", s.DispatchStall)
-	add("worker", "busy", s.WorkerBusy)
-	add("emit", "busy", s.EmitBusy)
-	add("emit", "stall", s.EmitStall)
 }
 
 // Registry exposes the host's metrics registry (scraped at /metrics).

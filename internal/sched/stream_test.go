@@ -109,8 +109,8 @@ func (c *midRoundConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// TestStreamedSaveEquivalence ping-pongs a guest between two hosts under every
-// engine width, with range frames and compression on and off. The first
+// TestStreamedSaveEquivalence ping-pongs a guest between two hosts with range
+// frames and compression on and off. The first
 // visit streams nothing. On each return the guest rewrites pages during round
 // one, so round two resends them and both streams hold slots that end up
 // dead. After every leg both hosts' entries must be key for key the guest's
@@ -119,76 +119,73 @@ func (c *midRoundConn) Write(p []byte) (int, error) {
 // return.
 func TestStreamedSaveEquivalence(t *testing.T) {
 	const pages, rewritten, duringRound = 1024, 256, 64
-	for _, workers := range []int{0, 1, 2, 8} {
-		for _, ranges := range []bool{true, false} {
-			for _, compress := range []bool{false, true} {
-				name := fmt.Sprintf("workers=%d/ranges=%v/compress=%v", workers, ranges, compress)
-				t.Run(name, func(t *testing.T) {
-					p := newNamedPair(t, pages, true)
-					for _, h := range p.hosts {
-						h.Workers = workers
-					}
-					opts := MigrateOptions{Workers: workers, NoRangeFrames: !ranges, Compress: compress}
-					at, to := "alpha", "beta"
-					traced := map[string]int{} // finished migrations per host and role
-					for leg := 1; leg <= 3; leg++ {
-						var fired atomic.Bool
-						if leg > 1 {
-							p.rewrite(at, rewritten)
-							guest, _ := p.hosts[at].VM("vm0")
-							once, rng := new(sync.Once), rand.New(rand.NewSource(int64(leg)))
-							p.hosts[at].DialFunc = func(ctx context.Context, addr string) (io.ReadWriteCloser, error) {
-								var d net.Dialer
-								conn, err := d.DialContext(ctx, "tcp", addr)
-								if err != nil {
-									return nil, err
+	for _, ranges := range []bool{true, false} {
+		for _, compress := range []bool{false, true} {
+			// workers=0 is the level kept from when this looped over engine
+			// widths: the one engine runs no pipeline workers.
+			name := fmt.Sprintf("workers=0/ranges=%v/compress=%v", ranges, compress)
+			t.Run(name, func(t *testing.T) {
+				p := newNamedPair(t, pages, true)
+				opts := MigrateOptions{NoRangeFrames: !ranges, Compress: compress}
+				at, to := "alpha", "beta"
+				traced := map[string]int{} // finished migrations per host and role
+				for leg := 1; leg <= 3; leg++ {
+					var fired atomic.Bool
+					if leg > 1 {
+						p.rewrite(at, rewritten)
+						guest, _ := p.hosts[at].VM("vm0")
+						once, rng := new(sync.Once), rand.New(rand.NewSource(int64(leg)))
+						p.hosts[at].DialFunc = func(ctx context.Context, addr string) (io.ReadWriteCloser, error) {
+							var d net.Dialer
+							conn, err := d.DialContext(ctx, "tcp", addr)
+							if err != nil {
+								return nil, err
+							}
+							return &midRoundConn{ReadWriteCloser: conn, after: 64 << 10, once: once, fire: func() {
+								fired.Store(true)
+								buf := make([]byte, vm.PageSize)
+								for _, page := range rng.Perm(pages)[:duringRound] {
+									rng.Read(buf)
+									guest.WritePage(page, buf)
 								}
-								return &midRoundConn{ReadWriteCloser: conn, after: 64 << 10, once: once, fire: func() {
-									fired.Store(true)
-									buf := make([]byte, vm.PageSize)
-									for _, page := range rng.Perm(pages)[:duringRound] {
-										rng.Read(buf)
-										guest.WritePage(page, buf)
-									}
-								}}, nil
-							}
+							}}, nil
 						}
-						var prior [2][]checksum.Sum
-						for i, h := range []string{at, to} {
-							_, prior[i], _ = p.hosts[h].Store().Mirror("vm0")
-						}
-						m, _ := p.hop(at, to, opts)
-						p.hosts[at].DialFunc = nil
-						if leg > 1 && (!fired.Load() || m.Rounds < 2) {
-							t.Fatalf("leg %d: round-one writes fired=%v, %d rounds; the leg resent nothing", leg, fired.Load(), m.Rounds)
-						}
-						landed, _ := p.hosts[to].VM("vm0")
-						want := pageKeys(landed)
-						for i, h := range []string{at, to} {
-							host, role := p.hosts[h], []string{"source", "dest"}[i]
-							_, keys, ok := host.Store().Mirror("vm0")
-							if !ok || !slices.Equal(keys, want) {
-								t.Fatalf("leg %d: %s's entry (present %v) is not the guest's final state", leg, h, ok)
-							}
-							if err := host.Store().Verify("vm0"); err != nil {
-								t.Fatalf("leg %d: %s: %v", leg, h, err)
-							}
-							traced[h+role]++
-							streamed, caughtUp := savedCounts(t, host, role, traced[h+role])
-							if need := missing(want, prior[i]); streamed+caughtUp != need {
-								t.Errorf("leg %d %s: streamed %d + caught up %d pages, the save was missing %d", leg, role, streamed, caughtUp, need)
-							}
-							if leg == 1 && streamed != 0 {
-								t.Errorf("first visit %s streamed %d pages, want 0", role, streamed)
-							}
-							if leg > 1 && (streamed == 0 || caughtUp != 0) {
-								t.Errorf("return leg %d %s: streamed %d, caught up %d; want everything streamed", leg, role, streamed, caughtUp)
-							}
-						}
-						at, to = to, at
 					}
-				})
-			}
+					var prior [2][]checksum.Sum
+					for i, h := range []string{at, to} {
+						_, prior[i], _ = p.hosts[h].Store().Mirror("vm0")
+					}
+					m, _ := p.hop(at, to, opts)
+					p.hosts[at].DialFunc = nil
+					if leg > 1 && (!fired.Load() || m.Rounds < 2) {
+						t.Fatalf("leg %d: round-one writes fired=%v, %d rounds; the leg resent nothing", leg, fired.Load(), m.Rounds)
+					}
+					landed, _ := p.hosts[to].VM("vm0")
+					want := pageKeys(landed)
+					for i, h := range []string{at, to} {
+						host, role := p.hosts[h], []string{"source", "dest"}[i]
+						_, keys, ok := host.Store().Mirror("vm0")
+						if !ok || !slices.Equal(keys, want) {
+							t.Fatalf("leg %d: %s's entry (present %v) is not the guest's final state", leg, h, ok)
+						}
+						if err := host.Store().Verify("vm0"); err != nil {
+							t.Fatalf("leg %d: %s: %v", leg, h, err)
+						}
+						traced[h+role]++
+						streamed, caughtUp := savedCounts(t, host, role, traced[h+role])
+						if need := missing(want, prior[i]); streamed+caughtUp != need {
+							t.Errorf("leg %d %s: streamed %d + caught up %d pages, the save was missing %d", leg, role, streamed, caughtUp, need)
+						}
+						if leg == 1 && streamed != 0 {
+							t.Errorf("first visit %s streamed %d pages, want 0", role, streamed)
+						}
+						if leg > 1 && (streamed == 0 || caughtUp != 0) {
+							t.Errorf("return leg %d %s: streamed %d, caught up %d; want everything streamed", leg, role, streamed, caughtUp)
+						}
+					}
+					at, to = to, at
+				}
+			})
 		}
 	}
 }

@@ -264,10 +264,9 @@ func TestMigrateOptionsPlumbing(t *testing.T) {
 	src.AddVM(newGuest(t, "vm0", 64))
 
 	m, err := src.MigrateTo(context.Background(), addr, "vm0", MigrateOptions{
-		Compress:        true,
-		ChecksumWorkers: 4,
-		MaxRounds:       2,
-		StopThreshold:   1,
+		Compress:      true,
+		MaxRounds:     2,
+		StopThreshold: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

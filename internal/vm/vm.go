@@ -124,7 +124,7 @@ func (v *VM) InstallPage(i int, data []byte) {
 
 // InstallRange installs len(data)/PageSize contiguous pages starting at
 // frame start with one lock acquisition and one copy — the vectorized
-// install the destination pipeline uses for coalesced page-range frames.
+// install for a run of pages that arrive together.
 // len(data) must be a positive multiple of PageSize and the span must fit
 // the guest. Like InstallPage it forgets the pages' recorded digests
 // (InstallRangeSums keeps them).
@@ -141,7 +141,7 @@ func (v *VM) InstallRange(start int, data []byte) {
 
 // ReadRange copies count contiguous pages starting at frame start into dst
 // (at least count*PageSize bytes) under one lock acquisition — the batched
-// counterpart of ReadPage used by the pipeline's sharded readers.
+// counterpart of ReadPage: a range-delta frame's base span, a save's rehash.
 func (v *VM) ReadRange(start, count int, dst []byte) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()

@@ -1,38 +1,27 @@
-// Command benchgate fails CI when the pipelined migration engine scales
-// negatively with workers, when the hash-once save path loses its edge
+// Command benchgate fails CI when the hash-once save path loses its edge
 // over the rehashing one, or when a gated series regresses against a
 // previously committed recording. It reads BENCH_migration.json (the
 // `go test -json` stream `make bench` records), extracts the MB/s and
 // B/op figures of every benchmark series, and enforces:
 //
-//   - scaling floor: every BenchmarkFirstRound/workers=N width stays
-//     within -min-ratio of the workers=1 throughput (the regression the
-//     range-frame work fixed: adding workers must never make migrations
-//     meaningfully slower than the sequential engine);
-//   - allocation flatness: workers=8 allocates at most -alloc-slack bytes
-//     per migration more than workers=1 (the regression the pooled wire
-//     buffers and install scratch fixed: before pooling, workers=8 sat
-//     ~8 MB/op above workers=1);
 //   - hash-once floor: BenchmarkSaveWarm/withsums runs at least
 //     -warm-ratio times BenchmarkSaveWarm/rehash — the acceptance bar of
 //     the precomputed-sum ingest path (skipped when the recording lacks
 //     the series);
 //   - with -baseline (typically the recording at HEAD): every gated
-//     series — the FirstRound widths, the TrackIncoming widths, and both
+//     series — BenchmarkFirstRound, BenchmarkTrackIncoming and both
 //     SaveWarm arms — stays within -min-ratio of its own previous
 //     throughput, and its B/op does not grow more than -alloc-slack
 //     beyond it. Series absent from either recording are skipped (the
 //     benchmark matrix may legitimately change).
 //
-// The gates are deliberately floors, not speedup targets: CI runners are
-// often single-core, where all widths converge, and sync.Pool refills
-// after a mid-loop GC move B/op by a few hundred KB between runs. The
-// default tolerances (-min-ratio 0.85, -alloc-slack 1 MiB ≈ one pooled
+// The gates are deliberately floors, not speedup targets: sync.Pool
+// refills after a mid-loop GC move B/op by a few hundred KB between runs.
+// The default tolerances (-min-ratio 0.85, -alloc-slack 1 MiB ≈ one pooled
 // buffer refill) ride out that noise while still catching the real
-// regressions above, which were 3x slowdowns and multi-MB/op growth.
-// On multi-core hardware the recorded ratios document the realized
-// speedup; the deterministic per-migration allocation ceiling lives in
-// internal/core's alloc tests, which force GC and are noise-free.
+// regressions, which were 3x slowdowns and multi-MB/op growth. The
+// deterministic per-migration allocation ceiling lives in internal/core's
+// alloc tests, which force GC and are noise-free.
 package main
 
 import (
@@ -66,33 +55,28 @@ var (
 	// reporting MB/s are kept.
 	resultLine  = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+.*?(\d+(?:\.\d+)?) MB/s(?:\s+(\d+) B/op)?`)
 	procsSuffix = regexp.MustCompile(`-\d+$`)
-	workersName = regexp.MustCompile(`^BenchmarkFirstRound/workers=(\d+)$`)
 )
 
-// gatedPrefixes selects the series the baseline gate covers. Prefix-exact
-// on the sub-benchmark separator, so BenchmarkFirstRoundTCP (loopback
-// throughput varies more across kernels than the in-process pipe) stays
-// recorded but ungated.
-var gatedPrefixes = []string{
-	"BenchmarkFirstRound/",
-	"BenchmarkTrackIncoming/",
-	"BenchmarkSaveWarm/",
+// gatedNames selects the series the baseline gate covers, by exact name:
+// BenchmarkFirstRoundTCP (loopback throughput varies more across kernels
+// than the in-process pipe) stays recorded but ungated.
+var gatedNames = map[string]bool{
+	"BenchmarkFirstRound":        true,
+	"BenchmarkTrackIncoming":     true,
+	"BenchmarkSaveWarm/rehash":   true,
+	"BenchmarkSaveWarm/withsums": true,
 }
 
 func main() {
 	file := flag.String("file", "BENCH_migration.json", "go test -json benchmark recording to gate on")
 	baseline := flag.String("baseline", "", "previous recording to gate against (empty or missing file = skip)")
-	minRatio := flag.Float64("min-ratio", 0.85, "minimum throughput of every width relative to workers=1 (and of every gated series to the baseline)")
-	allocSlack := flag.Float64("alloc-slack", 1<<20, "maximum workers=8 B/op growth over workers=1 (and of any gated series over the baseline), in bytes")
+	minRatio := flag.Float64("min-ratio", 0.85, "minimum throughput of every gated series relative to the baseline")
+	allocSlack := flag.Float64("alloc-slack", 1<<20, "maximum B/op growth of any gated series over the baseline, in bytes")
 	warmRatio := flag.Float64("warm-ratio", 1.5, "minimum BenchmarkSaveWarm/withsums throughput relative to BenchmarkSaveWarm/rehash")
 	flag.Parse()
 
 	speeds, err := parseFile(*file)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-		os.Exit(1)
-	}
-	if err := gate(firstRound(speeds), *minRatio, *allocSlack); err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(1)
 	}
@@ -165,74 +149,6 @@ func parseFile(path string) (map[string]series, error) {
 	return speeds, nil
 }
 
-// firstRound projects the BenchmarkFirstRound/workers=N series out of the
-// named map for the scaling gates.
-func firstRound(speeds map[string]series) map[int]series {
-	widths := make(map[int]series)
-	for name, s := range speeds {
-		if m := workersName.FindStringSubmatch(name); m != nil {
-			w, _ := strconv.Atoi(m[1])
-			widths[w] = s
-		}
-	}
-	return widths
-}
-
-// gated reports whether a series name is covered by the baseline gate.
-func gated(name string) bool {
-	for _, p := range gatedPrefixes {
-		if strings.HasPrefix(name, p) {
-			return true
-		}
-	}
-	return false
-}
-
-// gate enforces the scaling floor and the allocation-flatness ceiling, and
-// prints the realized ratios.
-func gate(speeds map[int]series, minRatio, allocSlack float64) error {
-	base, ok := speeds[1]
-	if !ok || base.mbps <= 0 {
-		return fmt.Errorf("no BenchmarkFirstRound/workers=1 series in the recording; run `make bench`")
-	}
-	if _, ok := speeds[8]; !ok {
-		return fmt.Errorf("no BenchmarkFirstRound/workers=8 series in the recording; run `make bench`")
-	}
-
-	widths := make([]int, 0, len(speeds))
-	for w := range speeds {
-		widths = append(widths, w)
-	}
-	sort.Ints(widths)
-
-	var failures []string
-	for _, w := range widths {
-		ratio := speeds[w].mbps / base.mbps
-		fmt.Printf("benchgate: workers=%-2d %8.2f MB/s  %.2fx of workers=1", w, speeds[w].mbps, ratio)
-		if speeds[w].bop > 0 {
-			fmt.Printf("  %9.0f B/op", speeds[w].bop)
-		}
-		fmt.Println()
-		if ratio < minRatio {
-			failures = append(failures,
-				fmt.Sprintf("workers=%d runs at %.2fx of workers=1 (floor %.2fx)", w, ratio, minRatio))
-		}
-	}
-	if base.bop > 0 && speeds[8].bop > 0 {
-		growth := speeds[8].bop - base.bop
-		fmt.Printf("benchgate: alloc curve  workers=8 at %+.0f B/op over workers=1 (slack %.0f)\n",
-			growth, allocSlack)
-		if growth > allocSlack {
-			failures = append(failures,
-				fmt.Sprintf("workers=8 allocates %.0f B/op over workers=1 (slack %.0f)", growth, allocSlack))
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("negative worker scaling:\n  %s", strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
 // gateSaveWarm enforces the hash-once acceptance bar: the precomputed-sum
 // save must beat the rehashing save by warmRatio. Skipped when the
 // recording predates the benchmark.
@@ -262,7 +178,7 @@ func gateSaveWarm(speeds map[string]series, warmRatio float64) error {
 func gateBaseline(speeds, prev map[string]series, minRatio, allocSlack float64) error {
 	names := make([]string, 0, len(speeds))
 	for name := range speeds {
-		if _, ok := prev[name]; ok && gated(name) {
+		if _, ok := prev[name]; ok && gatedNames[name] {
 			names = append(names, name)
 		}
 	}
