@@ -29,8 +29,8 @@ race-digest:
 # one, a cancel mid-install — repeated, since the interleavings are the point),
 # the store-level span reader, the announce-by-name matrix through
 # sched.Host (matched legs, every fallback, a restart), and the streamed saves
-# both sides write under round one (range frames and compression on and
-# off, a guest writing mid-round, a cut), under the race detector.
+# both sides write under round one (compression on and off, a guest writing
+# mid-round, a cut), under the race detector.
 race-restore:
 	$(GO) test -race -count=3 -run 'TestBackgroundInstall' ./internal/core/
 	$(GO) test -race -run 'TestSpanLoad|TestRestoreSumsMatchGuest|TestConcurrentRemoveDuringRestore|TestSaveStream' ./internal/checkpoint/
@@ -110,17 +110,18 @@ dedup-smoke:
 
 # fuzz-range runs the wire and disk parser fuzzers briefly beyond their
 # committed seed corpus: the range-frame parser directly, then the whole
-# destination engine against mutated negotiated streams; the hello (with its
-# optional manifest root), the hello-ack and both announcement codecs, which
-# open every conversation; the page manifest parser, whose output a restore
-# announces to the peer as it stands; and the segment key-table reader and
-# store-manifest parser, whose output recovery indexes the pool by.
+# destination engine against mutated source streams of per-page and range
+# frames; the hello (with its optional manifest root), the hello-ack and the
+# announcement codec, which open every conversation; the page manifest
+# parser, whose output a restore announces to the peer as it stands; and the
+# segment key-table reader and store-manifest parser, whose output recovery
+# indexes the pool by.
 fuzz-range:
 	$(GO) test -run '^$$' -fuzz FuzzRangeDecode -fuzztime 5s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzRangeMergeStream -fuzztime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzMergeStream$$' -fuzztime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzRangeMergeStream$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzHello$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzHelloAck$$' -fuzztime 5s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzAnnounceV2Decode -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSet$$' -fuzztime 5s ./internal/checksum/
 	$(GO) test -run '^$$' -fuzz FuzzParsePMF -fuzztime 5s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzReadSegmentKeys -fuzztime 5s ./internal/checkpoint/

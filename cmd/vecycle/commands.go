@@ -21,9 +21,7 @@ func runDest(args []string) error {
 		store     = fs.String("store", "", "checkpoint store directory (required)")
 		count     = fs.Int("count", 1, "number of migrations to accept before exiting (0 = forever)")
 		name      = fs.String("name", "dest-host", "host name")
-		noCompact = fs.Bool("no-compact-announce", false, "keep the v1 announcement encoding even when the peer supports compaction")
 		noSalvage = fs.Bool("no-salvage", false, "discard partially-installed pages on failed incoming migrations instead of persisting a salvage checkpoint")
-		noRanges  = fs.Bool("no-range-frames", false, "keep the per-page v1 page encoding even when the peer supports coalesced page-range frames")
 		tcpDelay  = fs.Bool("tcp-delay", false, "re-enable Nagle's algorithm on migration sockets (default: TCP_NODELAY)")
 		tcpRead   = fs.Int("tcp-read-buffer", 0, "SO_RCVBUF for migration sockets in bytes (0 = OS default)")
 		tcpWrite  = fs.Int("tcp-write-buffer", 0, "SO_SNDBUF for migration sockets in bytes (0 = OS default)")
@@ -40,9 +38,7 @@ func runDest(args []string) error {
 	if err != nil {
 		return err
 	}
-	host.NoCompactAnnounce = *noCompact
 	host.NoSalvage = *noSalvage
-	host.NoRangeFrames = *noRanges
 	host.TCPDelay = *tcpDelay
 	host.TCPReadBuffer = *tcpRead
 	host.TCPWriteBuffer = *tcpWrite
@@ -71,27 +67,25 @@ func runDest(args []string) error {
 func runSource(args []string) error {
 	fs := flag.NewFlagSet("vecycle source", flag.ContinueOnError)
 	var (
-		dest      = fs.String("dest", "", "destination host address (required)")
-		vmName    = fs.String("vm", "vm0", "VM name")
-		mem       = fs.String("mem", "64MiB", "VM memory size (e.g. 64MiB, 1GiB)")
-		fill      = fs.Float64("fill", 0.95, "fraction of memory filled with random data before migrating")
-		seed      = fs.Int64("seed", 1, "guest content seed")
-		store     = fs.String("store", "", "checkpoint store directory (required)")
-		recycle   = fs.Bool("recycle", true, "enable checkpoint-assisted migration")
-		postcopy  = fs.Bool("postcopy", false, "use the post-copy protocol (manifest + demand fetch)")
-		compress  = fs.Bool("compress", false, "deflate-compress full-page payloads (entropy-gated per page)")
-		csum      = fs.String("checksum", "", "page checksum algorithm: md5, sha256, fnv, fast64 (empty = sha256, which is also what checkpoint stores key pages by; md5 for paper-fidelity runs, pays a rehash at every checkpoint save and restore; weak algorithms only for baseline, non-recycled migrations)")
-		tcpDelay  = fs.Bool("tcp-delay", false, "re-enable Nagle's algorithm on migration sockets (default: TCP_NODELAY)")
-		tcpRead   = fs.Int("tcp-read-buffer", 0, "SO_RCVBUF for migration sockets in bytes (0 = OS default)")
-		tcpWrite  = fs.Int("tcp-write-buffer", 0, "SO_SNDBUF for migration sockets in bytes (0 = OS default)")
-		rounds    = fs.Int("max-rounds", 0, "pre-copy round cap (0 = engine default)")
-		stopAt    = fs.Int("stop-threshold", 0, "dirty-page count triggering the final round (0 = engine default)")
-		idle      = fs.Duration("idle-timeout", 0, "per-I/O idle timeout (0 = default, negative disables)")
-		retries   = fs.Int("retries", 1, "total migration attempts on transient transport failures")
-		noCompact = fs.Bool("no-compact-announce", false, "withhold the compact-announce capability (pin the v1 announcement encoding)")
-		noRanges  = fs.Bool("no-range-frames", false, "withhold the page-range-frame capability (pin the per-page v1 page encoding)")
-		opsAddr   = fs.String("ops-addr", "", "serve /metrics, /debug/migrations and /debug/pprof on this address (e.g. :9090)")
-		traceOut  = fs.String("trace-out", "", "write migration traces as JSONL to this file on exit (- for stdout)")
+		dest     = fs.String("dest", "", "destination host address (required)")
+		vmName   = fs.String("vm", "vm0", "VM name")
+		mem      = fs.String("mem", "64MiB", "VM memory size (e.g. 64MiB, 1GiB)")
+		fill     = fs.Float64("fill", 0.95, "fraction of memory filled with random data before migrating")
+		seed     = fs.Int64("seed", 1, "guest content seed")
+		store    = fs.String("store", "", "checkpoint store directory (required)")
+		recycle  = fs.Bool("recycle", true, "enable checkpoint-assisted migration")
+		postcopy = fs.Bool("postcopy", false, "use the post-copy protocol (manifest + demand fetch)")
+		compress = fs.Bool("compress", false, "deflate-compress full-page payloads (entropy-gated per page)")
+		csum     = fs.String("checksum", "", "page checksum algorithm: md5, sha256, fnv, fast64 (empty = sha256, which is also what checkpoint stores key pages by; md5 for paper-fidelity runs, pays a rehash at every checkpoint save and restore; weak algorithms only for baseline, non-recycled migrations)")
+		tcpDelay = fs.Bool("tcp-delay", false, "re-enable Nagle's algorithm on migration sockets (default: TCP_NODELAY)")
+		tcpRead  = fs.Int("tcp-read-buffer", 0, "SO_RCVBUF for migration sockets in bytes (0 = OS default)")
+		tcpWrite = fs.Int("tcp-write-buffer", 0, "SO_SNDBUF for migration sockets in bytes (0 = OS default)")
+		rounds   = fs.Int("max-rounds", 0, "pre-copy round cap (0 = engine default)")
+		stopAt   = fs.Int("stop-threshold", 0, "dirty-page count triggering the final round (0 = engine default)")
+		idle     = fs.Duration("idle-timeout", 0, "per-I/O idle timeout (0 = default, negative disables)")
+		retries  = fs.Int("retries", 1, "total migration attempts on transient transport failures")
+		opsAddr  = fs.String("ops-addr", "", "serve /metrics, /debug/migrations and /debug/pprof on this address (e.g. :9090)")
+		traceOut = fs.String("trace-out", "", "write migration traces as JSONL to this file on exit (- for stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -138,16 +132,14 @@ func runSource(args []string) error {
 		return writeTraces(host.Traces(), *traceOut)
 	}
 	m, err := host.MigrateTo(context.Background(), *dest, *vmName, sched.MigrateOptions{
-		Recycle:           *recycle,
-		KeepCheckpoint:    true,
-		Compress:          *compress,
-		Alg:               alg,
-		MaxRounds:         *rounds,
-		StopThreshold:     *stopAt,
-		NoCompactAnnounce: *noCompact,
-		NoRangeFrames:     *noRanges,
-		IdleTimeout:       *idle,
-		Retry:             sched.RetryPolicy{Attempts: *retries},
+		Recycle:        *recycle,
+		KeepCheckpoint: true,
+		Compress:       *compress,
+		Alg:            alg,
+		MaxRounds:      *rounds,
+		StopThreshold:  *stopAt,
+		IdleTimeout:    *idle,
+		Retry:          sched.RetryPolicy{Attempts: *retries},
 	})
 	if err != nil {
 		return err

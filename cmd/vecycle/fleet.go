@@ -28,8 +28,6 @@ func runFleet(args []string) error {
 		rounds    = fs.Int("rounds", 3, "migration rounds (each VM moves once per round)")
 		touches   = fs.Int("touch", 32, "pages dirtied by each guest between rounds")
 		compress  = fs.Bool("compress", false, "deflate-compress full-page payloads")
-		noCompact = fs.Bool("no-compact-announce", false, "keep the v1 announcement encoding fleet-wide")
-		noRanges  = fs.Bool("no-range-frames", false, "keep the per-page v1 page encoding fleet-wide")
 		noSalvage = fs.Bool("no-salvage", false, "discard partially-installed pages on failed incoming migrations fleet-wide")
 		tcpDelay  = fs.Bool("tcp-delay", false, "re-enable Nagle's algorithm on migration sockets fleet-wide (default: TCP_NODELAY)")
 		tcpRead   = fs.Int("tcp-read-buffer", 0, "SO_RCVBUF for migration sockets in bytes (0 = OS default)")
@@ -77,9 +75,7 @@ func runFleet(args []string) error {
 		}
 		h.UseObservability(reg, traces)
 		h.SaveArrivals = true
-		h.NoCompactAnnounce = *noCompact
 		h.NoSalvage = *noSalvage
-		h.NoRangeFrames = *noRanges
 		h.TCPDelay = *tcpDelay
 		h.TCPReadBuffer = *tcpRead
 		h.TCPWriteBuffer = *tcpWrite
@@ -120,12 +116,10 @@ func runFleet(args []string) error {
 			}
 			arrived.Add(1)
 			m, err := hosts[from].MigrateTo(context.Background(), addrs[to], name, sched.MigrateOptions{
-				Recycle:           true,
-				UseDelta:          true,
-				KeepCheckpoint:    true,
-				Compress:          *compress,
-				NoCompactAnnounce: *noCompact,
-				NoRangeFrames:     *noRanges,
+				Recycle:        true,
+				UseDelta:       true,
+				KeepCheckpoint: true,
+				Compress:       *compress,
 			})
 			if err != nil {
 				return fmt.Errorf("round %d, %s: %w", round, name, err)

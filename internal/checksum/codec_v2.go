@@ -10,8 +10,12 @@ import (
 	"sync"
 )
 
-// The compact hash-announcement codec (protocol v2). The v1 announcement
-// ships every sum raw; on the paper's CloudNet WAN setting (465 Mbps / 27 ms)
+// The compact hash-announcement codec. No wire speaks it any more: protocol
+// version 1 negotiated it as hash-announce-v2 (tag 11), and version 2
+// announces with the raw encoding (EncodeSet) only. It stays for the recycle-
+// cycle benchmark's announce-codec rows, which still encode and decode it;
+// it goes when those rows move to the raw codec. The raw announcement ships
+// every sum raw; on the paper's CloudNet WAN setting (465 Mbps / 27 ms)
 // that front-loads up to 16 MiB per 4 GiB guest before the first copy round.
 // The v2 frame keeps the sums lossless but exploits their structure:
 //

@@ -40,9 +40,10 @@ func structuredGoldenSet() *Set {
 	return st
 }
 
-// The announce goldens pin the exact wire bytes of both codec versions:
-// old peers must keep seeing the v1 stream unchanged, and the v2 frame is
-// part of the protocol surface once shipped. Regenerate by logging
+// The announce goldens pin the exact bytes of both codecs: the v1 stream is
+// the one announcement on the wire, and the v2 frame is what protocol
+// version 1 negotiated and the benchmark's announce-codec rows still
+// measure. Regenerate by logging
 // hex.EncodeToString of the encoder output if the format is deliberately
 // revised (the deflate golden also pins compress/flate output, which is
 // stable for a pinned toolchain).
@@ -54,8 +55,8 @@ const (
 	announceGoldenV2Structured = "400000000328020000e2e0e1e5e3e317d7d1d5d33330323535b37175f3f20b090d0f8f8c8e4e4ec9c9cdafaa6ee8eceb9f3069faacf98b37ecd8b967cffefd478f9fb979e7ceddc7cfdf7efef3e504a79cbcd48ad732566be377da7c6ee49aa568f5cb7b8f56dfb2496fd23f1472f01f675fe76ed9e7fd5be012bbde2e4e45abdda72f9469ef5825ddb6aa548a6b7358495fe3d923016fc41ef9b5b20afe61bde5faacfe51045fa5e8a6d97daa3eeff25c4cfacf296eddb1f290aeecc34db7265e9f193dfbbf7a804f4165f966bfe6528664cbffab5f30cdbedaf1a0e3b33b8fa7c586fab5370466eb1dfff1566fa1ceca1f3be50e896c9ea8f04ff6f2ddf3e75caaf63fe97be158f7dfbad24c516fdde5d6daf4d72f37eed03ff8f6da9c070bc33cc3cca6d41ec8ccd5f3d37a90bbd6434e6d469b23534ee691e2a74d7f9f7b2e38e177ad22b45ecb7ed62c1e813f174ca4b8cf6e58f1d6c022fbc5ac5f35d65cb78e5ecabfde2bfeebcf64c60f9b3f68322cdfbcf46cedaa77796f9fd7fc9f90ba4cdae9f5baea176dad49fa51ce867b96c5de9ef1e5f3de6b0e3bb4350b575fa9e66958c4edc5e7287f66d5b3491ca5bb194edf4f14fcbb58b335bf2ba13173cefec4c2f5b5bd2767fdfe347b2fc36c81f5b3f65f71aeff5ee0fbedd1cd634151dea2bb9fec9d27b5e64d9c1073c9ce1d41ba8f5dd52a6fe6fe3d14bfb9f6c4ce32737bde6f66f79671f6894b569e8f2a7d23207fe9bdc2faff6fbfbe5a2bdcfda6f4989a3fc32818d100100000ffff"
 )
 
-// TestAnnounceGoldenV1 pins the v1 announce byte stream: peers that never
-// negotiate the compact capability must keep receiving exactly these bytes.
+// TestAnnounceGoldenV1 pins the v1 announce byte stream: every peer receives
+// exactly these bytes.
 func TestAnnounceGoldenV1(t *testing.T) {
 	var buf bytes.Buffer
 	if err := EncodeSet(&buf, goldenSet()); err != nil {

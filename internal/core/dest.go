@@ -31,14 +31,6 @@ type DestOptions struct {
 	// and rejects mismatches. Costs one hash per page; useful under
 	// unreliable transports and in tests.
 	VerifyPayloads bool
-	// NoCompactAnnounce keeps the v1 announcement encoding even when the
-	// source advertised the compact-announce capability. For interop testing
-	// and as an escape hatch.
-	NoCompactAnnounce bool
-	// NoRangeFrames refuses the page-range-frame capability even when the
-	// source offered it, keeping the per-page v1 page encoding. For interop
-	// testing and as an escape hatch.
-	NoRangeFrames bool
 	// NoSalvage disables salvage checkpoints: a failed incoming migration
 	// discards the pages it had installed instead of persisting them as a
 	// partial store entry for the next attempt to resume from.
@@ -98,10 +90,6 @@ type IncomingSession struct {
 	r    *bufio.Reader
 	cw   *countingWriter
 	cr   *countingReader
-	// rangeOK records the negotiated page-range-frame capability (set in
-	// Run): a range frame from a peer that never negotiated it is a
-	// protocol violation.
-	rangeOK bool
 	// save is DestOptions.Save when this merge streams into it (set in Run):
 	// every page installed off the wire goes to it.
 	save *checkpoint.SaveStream
@@ -291,14 +279,8 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 	}
 
 	start := time.Now()
-	// The capability holds only when both ends opted in: the source's hello
-	// bit and our own configuration. The ack echoes the decision so the
-	// source knows which announcement encoding to expect.
-	useV2 := h.CompactAnnounce && !opts.NoCompactAnnounce
-	s.rangeOK = h.RangeFrames && !opts.NoRangeFrames
 	if err := writeHelloAck(w, helloAck{OK: true, HaveCheckpoint: cp != nil,
-		CompactAnnounce: useV2, PartialCheckpoint: union || res.ResumedFromPartial,
-		RangeFrames: s.rangeOK, ManifestMatch: match}); err != nil {
+		PartialCheckpoint: union || res.ResumedFromPartial, ManifestMatch: match}); err != nil {
 		return res, err
 	}
 	opts.OnEvent.emit(Event{Kind: EventHello, Pages: int64(h.PageCount),
@@ -306,16 +288,10 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 	if cp != nil && !match {
 		set := cp.SumSet()
 		before := s.cw.n + int64(w.Buffered())
-		if useV2 {
-			err = writeHashAnnounceV2(w, set)
-		} else {
-			err = writeHashAnnounce(w, set)
-		}
-		if err != nil {
+		if err := writeHashAnnounce(w, set); err != nil {
 			return res, err
 		}
 		res.Metrics.AnnounceBytes = s.cw.n + int64(w.Buffered()) - before
-		res.Metrics.AnnounceRawBytes = int64(checksum.EncodedSize(set.Len()))
 		opts.OnEvent.emit(Event{Kind: EventAnnounce, Bytes: res.Metrics.AnnounceBytes,
 			Pages: int64(set.Len())})
 	}
@@ -439,9 +415,6 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 		}
 		switch t {
 		case msgRangeSum, msgRangeFull, msgRangeFullZ, msgRangeDelta:
-			if !s.rangeOK {
-				return fmt.Errorf("%w: %v received without range-frame negotiation", ErrProtocol, t)
-			}
 			if cp == nil && (t == msgRangeSum || t == msgRangeDelta) {
 				return fmt.Errorf("%w: %v received without a checkpoint", ErrProtocol, t)
 			}

@@ -43,26 +43,19 @@ type Metrics struct {
 	// PagesDelta counts changed pages sent as XBZRLE deltas against the
 	// checkpoint frame (only with SourceOptions.DeltaBase).
 	PagesDelta int
-	// PageFrames counts page-carrying wire frames in either encoding: one
-	// per page under the v1 per-page protocol, one per coalesced run when
-	// page-range frames were negotiated. Pages/PageFrames is the realized
-	// coalescing factor.
+	// PageFrames counts page-carrying wire frames: one per coalesced run,
+	// a run of one page being its per-page frame. Pages/PageFrames is the
+	// realized coalescing factor.
 	PageFrames int
 	// RangeFrames counts the subset of PageFrames that crossed the wire as
-	// coalesced page-range frames (tags 12-15). Zero for unnegotiated
-	// peers.
+	// coalesced page-range frames (tags 12-15).
 	RangeFrames int
 	// DeltaSavedBytes is the payload volume delta encoding avoided.
 	DeltaSavedBytes int64
 	// AnnounceBytes is the size of the bulk hash announcement (§3.2's
 	// "additional traffic", 16 MiB for a 4 GiB guest with MD5) as it
-	// crossed the wire — compacted when the v2 encoding was negotiated.
+	// crossed the wire, tag included: AnnounceMsgBytes of its sum count.
 	AnnounceBytes int64
-	// AnnounceRawBytes is what the same announcement would have cost in the
-	// v1 encoding (count + raw sums). AnnounceRawBytes - AnnounceBytes is
-	// the volume the compact encoding saved; equal (modulo framing) when v1
-	// was used.
-	AnnounceRawBytes int64
 	// Rounds is the number of pre-copy rounds, including the final
 	// stop-and-copy round.
 	Rounds int

@@ -29,8 +29,10 @@ import (
 	"vecycle/internal/checksum"
 )
 
-// ProtocolVersion guards against mixed deployments.
-const ProtocolVersion uint16 = 1
+// ProtocolVersion guards against mixed deployments: a hello of any other
+// version is refused with a hello-ack naming both, never negotiated. Version
+// 2 has one dialect: the raw announcement and range frames always.
+const ProtocolVersion uint16 = 2
 
 // msgType tags each wire message.
 type msgType uint8
@@ -47,15 +49,10 @@ const (
 	msgAck                             // destination → source: merge complete, VM may resume
 	msgPageFullZ                       // source → destination: deflate-compressed page payload
 	msgPageDelta                       // source → destination: XBZRLE delta against the checkpoint frame
-	// msgHashAnnounceV2 replaces msgHashAnnounce when both ends negotiated
-	// the compact-announce capability in the hello exchange: same checksum
-	// set, delta-encoded and deflated (checksum.EncodeSetCompact).
-	msgHashAnnounceV2 // destination → source: compact checksum announcement
+	_                                  // tag 11 is reserved (version 1's compact announcement): a protocol violation
 	// Coalesced page-range frames (tags 12-15): one frame carries a
 	// contiguous run of 2..MaxRangePages pages that all received the same
-	// treatment (checksum-only, full, compressed, delta). Only sent after
-	// the range-frame capability was negotiated in the hello exchange;
-	// unnegotiated peers keep the byte-exact per-page stream above.
+	// treatment (checksum-only, full, compressed, delta).
 	msgRangeSum   // source → destination: run of checkpoint-reusable pages
 	msgRangeFull  // source → destination: run of raw page payloads
 	msgRangeFullZ // source → destination: run of deflate-compressed payloads
@@ -84,8 +81,6 @@ func (m msgType) String() string {
 		return "page-full-z"
 	case msgPageDelta:
 		return "page-delta"
-	case msgHashAnnounceV2:
-		return "hash-announce-v2"
 	case msgRangeSum:
 		return "range-sum"
 	case msgRangeFull:
@@ -119,17 +114,16 @@ type hello struct {
 	// PostCopy selects the post-copy protocol (manifest + demand fetch)
 	// instead of iterative pre-copy.
 	PostCopy bool
-	// CompactAnnounce advertises that the source can decode the compact
-	// (v2) hash announcement. Old peers ignore unknown flag bits, so the
-	// capability degrades silently to the v1 byte stream.
-	CompactAnnounce bool
-	// RangeFrames advertises that the source wants to coalesce contiguous
-	// same-treatment pages into page-range frames (tags 12-15). The
-	// destination must echo acceptance in its hello-ack before any range
-	// frame goes on the wire; old peers ignore the bit and keep the
-	// byte-exact per-page stream.
-	RangeFrames bool
 }
+
+// The flag bits each handshake frame defines. A version-2 frame with any
+// other bit set is a protocol violation: bits 3 and 4 of the hello and bits 2
+// and 4 of the hello-ack were version 1's capability offers and acceptances,
+// and are retired with them.
+const (
+	helloFlagBits    = 1 | 2 | 4      // recycle, root follows, post-copy
+	helloAckFlagBits = 1 | 2 | 8 | 32 // OK, have-checkpoint, partial, manifest-match
+)
 
 // helloAck is the destination's response.
 type helloAck struct {
@@ -139,10 +133,6 @@ type helloAck struct {
 	// HaveCheckpoint reports whether a checkpoint was found and loaded; a
 	// recycle-mode migration degrades to a full first round otherwise.
 	HaveCheckpoint bool
-	// CompactAnnounce confirms the destination will ship its announcement
-	// in the compact (v2) frame. Only set when the source advertised the
-	// capability in its hello.
-	CompactAnnounce bool
 	// PartialCheckpoint reports that the checkpoint behind HaveCheckpoint
 	// is a salvage image — pages persisted by an interrupted earlier
 	// attempt, not a complete guest state. Purely informational: resume is
@@ -150,13 +140,8 @@ type helloAck struct {
 	// salvage image holds), so the wire sequence is unchanged; the source
 	// uses the bit to skip delta encoding (its mirror of the last complete
 	// checkpoint no longer describes the destination's RAM) and to label
-	// traces. Old sources ignore the unknown flag bit.
+	// traces.
 	PartialCheckpoint bool
-	// RangeFrames confirms the destination will decode coalesced
-	// page-range frames (tags 12-15). Only set when the source advertised
-	// the capability in its hello; without it the source keeps the
-	// per-page v1 stream.
-	RangeFrames bool
 	// ManifestMatch reports that the complete entry the destination opened
 	// has the manifest root the hello offered: no announcement follows, the
 	// source's own key list is the destination's checksum set. Implies
@@ -202,12 +187,6 @@ func writeHello(w io.Writer, h hello) error {
 	if h.PostCopy {
 		flags |= 4
 	}
-	if h.CompactAnnounce {
-		flags |= 8
-	}
-	if h.RangeFrames {
-		flags |= 16
-	}
 	fields := []interface{}{
 		h.Version,
 		uint16(len(h.VMName)),
@@ -234,7 +213,9 @@ func writeHello(w io.Writer, h hello) error {
 	return nil
 }
 
-// readHello parses a hello after its tag byte has been consumed.
+// readHello parses a hello after its tag byte has been consumed. Only a hello
+// of this version is held to its flag bits: one of another version still
+// parses, so validateHello can refuse it in a hello-ack naming both versions.
 func readHello(r io.Reader) (hello, error) {
 	var h hello
 	if err := binary.Read(r, binary.LittleEndian, &h.Version); err != nil {
@@ -260,11 +241,12 @@ func readHello(r io.Reader) (hello, error) {
 		}
 	}
 	h.Alg = checksum.Algorithm(alg)
+	if h.Version == ProtocolVersion && flags&^helloFlagBits != 0 {
+		return h, fmt.Errorf("%w: hello flags %#x set undefined bits", ErrProtocol, flags)
+	}
 	h.Recycle = flags&1 != 0
 	h.HasRoot = flags&2 != 0
 	h.PostCopy = flags&4 != 0
-	h.CompactAnnounce = flags&8 != 0
-	h.RangeFrames = flags&16 != 0
 	if h.HasRoot {
 		// A root names a checkpoint to recycle; without the recycle bit the
 		// 32 bytes that follow have no reading.
@@ -289,14 +271,8 @@ func writeHelloAck(w io.Writer, a helloAck) error {
 	if a.HaveCheckpoint {
 		flags |= 2
 	}
-	if a.CompactAnnounce {
-		flags |= 4
-	}
 	if a.PartialCheckpoint {
 		flags |= 8
-	}
-	if a.RangeFrames {
-		flags |= 16
 	}
 	if a.ManifestMatch {
 		flags |= 32
@@ -323,11 +299,12 @@ func readHelloAck(r io.Reader) (helloAck, error) {
 	if err := binary.Read(r, binary.LittleEndian, &flags); err != nil {
 		return a, fmt.Errorf("core: read hello-ack: %w", err)
 	}
+	if flags&^helloAckFlagBits != 0 {
+		return a, fmt.Errorf("%w: hello-ack flags %#x set undefined bits", ErrProtocol, flags)
+	}
 	a.OK = flags&1 != 0
 	a.HaveCheckpoint = flags&2 != 0
-	a.CompactAnnounce = flags&4 != 0
 	a.PartialCheckpoint = flags&8 != 0
-	a.RangeFrames = flags&16 != 0
 	a.ManifestMatch = flags&32 != 0
 	var n uint16
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
@@ -354,21 +331,6 @@ func writeHashAnnounce(w io.Writer, set *checksum.Set) error {
 // readHashAnnounce parses the bulk checksum set after the tag byte.
 func readHashAnnounce(r io.Reader) (*checksum.Set, error) {
 	return checksum.DecodeSet(r)
-}
-
-// writeHashAnnounceV2 emits the compact announcement; only sent after both
-// ends negotiated the capability in the hello exchange.
-func writeHashAnnounceV2(w io.Writer, set *checksum.Set) error {
-	if err := writeMsgType(w, msgHashAnnounceV2); err != nil {
-		return err
-	}
-	_, err := checksum.EncodeSetCompact(w, set)
-	return err
-}
-
-// readHashAnnounceV2 parses the compact checksum set after the tag byte.
-func readHashAnnounceV2(r io.Reader) (*checksum.Set, error) {
-	return checksum.DecodeSetCompact(r)
 }
 
 // pageHeader is shared by msgPageSum and msgPageFull: the page number and

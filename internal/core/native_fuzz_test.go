@@ -3,9 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"io"
-	"math/rand"
 	"testing"
 
 	"vecycle/internal/checksum"
@@ -52,10 +50,12 @@ func helloFrame(f *testing.F, h hello) []byte {
 // FuzzHello feeds readHello arbitrary bytes. Whatever parses must respect the
 // frame's own limits and survive a write/read round trip unchanged — the
 // parsed struct is the whole meaning of the frame, so nothing may be lost or
-// invented between the two.
+// invented between the two. A hello of this version sets only the flag bits
+// it defines, so it re-encodes to exactly the bytes it was read from; one of
+// another version parses for its rejection, whatever its flags.
 func FuzzHello(f *testing.F) {
 	plain := hello{Version: ProtocolVersion, VMName: "vm0", PageSize: vm.PageSize, PageCount: 65536,
-		Alg: checksum.Default, Recycle: true, CompactAnnounce: true, RangeFrames: true}
+		Alg: checksum.Default, Recycle: true}
 	named := plain
 	named.HasRoot, named.Root = true, [32]byte{0: 0xde, 1: 0xad, 31: 0xef}
 	f.Add(helloFrame(f, plain))
@@ -67,6 +67,12 @@ func FuzzHello(f *testing.F) {
 	rootless[len(rootless)-1] = 2 // root flag without recycle
 	f.Add(append(rootless, named.Root[:]...))
 	f.Add(append([]byte{1, 0, 0xff, 0xff}, bytes.Repeat([]byte{'x'}, 70)...)) // name length beyond the limit
+	retired := helloFrame(f, plain)
+	retired[len(retired)-1] |= 8 | 16 // version 1's capability offers
+	f.Add(retired)
+	v1 := append([]byte(nil), retired...)
+	v1[0] = 1 // a version-1 hello: parsed, for validateHello to refuse
+	f.Add(v1)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		h, err := readHello(bytes.NewReader(raw))
 		if err != nil {
@@ -82,21 +88,27 @@ func FuzzHello(f *testing.F) {
 		if err := writeHello(&buf, h); err != nil {
 			t.Fatalf("parsed hello does not re-encode: %v", err)
 		}
-		if buf.Len()-1 > len(raw) {
-			t.Fatalf("re-encoding is %d bytes, the input only %d", buf.Len()-1, len(raw))
+		frame := buf.Bytes()[1:]
+		if len(frame) > len(raw) {
+			t.Fatalf("re-encoding is %d bytes, the input only %d", len(frame), len(raw))
 		}
-		again, err := readHello(bytes.NewReader(buf.Bytes()[1:]))
+		if h.Version == ProtocolVersion && !bytes.Equal(frame, raw[:len(frame)]) {
+			t.Fatalf("version-%d hello % x re-encodes as % x", ProtocolVersion, raw[:len(frame)], frame)
+		}
+		again, err := readHello(bytes.NewReader(frame))
 		if err != nil || again != h {
 			t.Fatalf("round trip: %+v → %+v (err %v)", h, again, err)
 		}
 	})
 }
 
-// FuzzHelloAck is FuzzHello for the destination's reply.
+// FuzzHelloAck is FuzzHello for the destination's reply. The hello-ack
+// carries no version, so every one is held to this version's flag bits, and
+// an accepted frame re-encodes to exactly its bytes.
 func FuzzHelloAck(f *testing.F) {
 	for _, a := range []helloAck{
 		{OK: true},
-		{OK: true, HaveCheckpoint: true, CompactAnnounce: true, RangeFrames: true, ManifestMatch: true},
+		{OK: true, HaveCheckpoint: true, ManifestMatch: true},
 		{OK: true, HaveCheckpoint: true, PartialCheckpoint: true},
 		{Reason: "VM \"vm0\" already resident on beta"},
 	} {
@@ -108,6 +120,7 @@ func FuzzHelloAck(f *testing.F) {
 	}
 	f.Add([]byte{0xff, 0xff, 0xff}) // every flag, reason length beyond the limit
 	f.Add([]byte{1, 9, 0, 'c', 'u', 't'})
+	f.Add([]byte{1 | 2 | 4 | 16, 0, 0}) // version 1's capability acceptances
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		a, err := readHelloAck(bytes.NewReader(raw))
 		if err != nil {
@@ -120,86 +133,60 @@ func FuzzHelloAck(f *testing.F) {
 		if err := writeHelloAck(&buf, a); err != nil {
 			t.Fatalf("parsed hello-ack does not re-encode: %v", err)
 		}
-		again, err := readHelloAck(bytes.NewReader(buf.Bytes()[1:]))
+		frame := buf.Bytes()[1:]
+		if len(frame) > len(raw) || !bytes.Equal(frame, raw[:len(frame)]) {
+			t.Fatalf("hello-ack % x re-encodes as % x", raw, frame)
+		}
+		again, err := readHelloAck(bytes.NewReader(frame))
 		if err != nil || again != a {
 			t.Fatalf("round trip: %+v → %+v (err %v)", a, again, err)
 		}
 	})
 }
 
-// FuzzAnnounceV2Decode feeds the compact announcement decoder arbitrary
-// bytes, seeded with real frames of every body mode. A frame that decodes is
-// a set: encoding it again and decoding that yields the same set. A short
-// frame claiming millions of sums must fail on its length, not allocate for
-// them first.
-func FuzzAnnounceV2Decode(f *testing.F) {
-	rng := rand.New(rand.NewSource(7))
-	random, structured, dense := checksum.NewSet(0), checksum.NewSet(0), checksum.NewSet(0)
+// fuzzPage is the page the merge fuzzers' seed frames carry.
+func fuzzPage() []byte {
 	page := make([]byte, vm.PageSize)
-	for i := 0; i < 40; i++ { // small frames: the fuzzer minimizes every find
-		rng.Read(page)
-		random.Add(checksum.Default.Page(page))
-		structured.Add(checksum.FNV.Page(page)) // half of every sum is zero padding
-		var s checksum.Sum
-		binary.BigEndian.PutUint64(s[8:], uint64(3*i))
-		dense.Add(s)
+	for i := range page {
+		page[i] = byte(i)
 	}
-	single := checksum.NewSet(1)
-	single.Add(checksum.Sum{1: 0xaa, 15: 1})
-	for _, set := range []*checksum.Set{checksum.NewSet(0), single, random, structured, dense} {
-		var buf bytes.Buffer
-		if err := writeHashAnnounceV2(&buf, set); err != nil {
-			f.Fatal(err)
-		}
-		frame := buf.Bytes()[1:]
-		f.Add(frame)
-		f.Add(frame[:len(frame)/2])
-	}
-	for mode := byte(0); mode <= 3; mode++ {
-		f.Add([]byte{0xff, 0xff, 0xff, 0x03, mode, 0, 0, 0, 0}) // 2^26-1 sums, empty body
-	}
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		set, err := readHashAnnounceV2(bytes.NewReader(raw))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := writeHashAnnounceV2(&buf, set); err != nil {
-			t.Fatalf("decoded set does not re-encode: %v", err)
-		}
-		again, err := readHashAnnounceV2(bytes.NewReader(buf.Bytes()[1:]))
-		if err != nil {
-			t.Fatalf("re-encoded announcement does not decode: %v", err)
-		}
-		if again.Len() != set.Len() || again.IntersectCount(set) != set.Len() {
-			t.Fatalf("round trip changed the set: %d sums → %d, %d in common", set.Len(), again.Len(), again.IntersectCount(set))
-		}
-	})
+	return page
 }
 
+// mergeRaw drives the whole destination engine with one mutated source
+// stream: it must terminate with success or error, never panic.
+func mergeRaw(t *testing.T, raw []byte) {
+	dst, err := vm.New(vm.Config{Name: "vm0", MemBytes: 64 * vm.PageSize, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = MigrateDest(context.Background(), readWriter{bytes.NewReader(raw), io.Discard}, dst, DestOptions{VerifyPayloads: true})
+}
+
+// FuzzMergeStream fuzzes the destination engine from per-page frames.
 func FuzzMergeStream(f *testing.F) {
-	var valid bytes.Buffer
-	h := hello{Version: ProtocolVersion, VMName: "vm0", PageSize: 4096, PageCount: 2, Alg: checksum.MD5}
-	if err := writeHello(&valid, h); err != nil {
+	page := fuzzPage()
+	var full bytes.Buffer
+	if err := writePageFull(&full, 0, checksum.MD5.Page(page), page); err != nil {
 		f.Fatal(err)
 	}
-	page := make([]byte, vm.PageSize)
-	if err := writePageFull(&valid, 0, checksum.MD5.Page(page), page); err != nil {
-		f.Fatal(err)
-	}
-	if err := writeMsgType(&valid, msgDone); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:20])
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		dst, err := vm.New(vm.Config{Name: "vm0", MemBytes: 2 * vm.PageSize, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Must terminate with success or error, never panic.
-		_, _ = MigrateDest(context.Background(), readWriter{bytes.NewReader(raw), io.Discard}, dst, DestOptions{})
-	})
+	valid := scriptedSourceStream(f, full.Bytes())
+	f.Add(valid)
+	f.Add(valid[:20])
+	f.Fuzz(mergeRaw)
+}
+
+// FuzzRangeMergeStream fuzzes the same destination engine from range
+// frames, and from a range frame whose start plus count wraps past 2^64.
+func FuzzRangeMergeStream(f *testing.F) {
+	page := fuzzPage()
+	f.Add(scriptedSourceStream(f, buildRangeFull(f, 0, [][]byte{page, page})))
+	var sums bytes.Buffer
+	_ = writeRangeHeader(&sums, msgRangeSum, 0, 2)
+	_ = writeRangeSums(&sums, []checksum.Sum{checksum.MD5.Page(page), checksum.MD5.Page(page)})
+	f.Add(scriptedSourceStream(f, sums.Bytes()))
+	f.Add(scriptedSourceStream(f, wrappingRangeFull(f)))
+	f.Fuzz(mergeRaw)
 }
 
 func FuzzDeltaDecode(f *testing.F) {

@@ -20,9 +20,8 @@ const (
 	EventHello = "hello"
 	// EventAnnounce: the bulk checksum announcement crossed the wire
 	// (sent on the destination, received on the source). Bytes is its
-	// size as encoded (compact when negotiated); Pages the number of
-	// checksums announced, from which the pre-compaction v1 size follows
-	// (checksum.EncodedSize).
+	// size on the wire, AnnounceMsgBytes(Pages); Pages the number of
+	// checksums announced.
 	EventAnnounce = "announce"
 	// EventRestore: a checkpoint was opened and its checksum index is in
 	// hand — on the destination its bootstrap (own entry or union), on the
@@ -91,8 +90,9 @@ type Event struct {
 	// Bytes is the wire volume attributed to the turn.
 	Bytes int64
 	// Frames is the number of page-carrying wire frames the turn covered
-	// (EventRound only). With coalesced page-range frames negotiated this
-	// is well below Pages; under the v1 per-page protocol the two match.
+	// (EventRound only). Coalesced page-range frames put it well below
+	// Pages; the two match only when no two adjacent pages shared a
+	// treatment.
 	Frames int64
 	// Detail carries free-form context.
 	Detail string

@@ -90,17 +90,14 @@ func putBatch(b *pageBatch) {
 }
 
 // sourceEncoder is the migration's encoding state: the per-round encoding
-// parameters, a reusable deflate encoder, a delta scratch buffer, and (in
-// range mode) the current coalescing run. Encoding is pure per page and runs
-// never span a batch.
+// parameters, a reusable deflate encoder, a delta scratch buffer, and the
+// current coalescing run. Encoding is pure per page and runs never span a
+// batch.
 type sourceEncoder struct {
 	alg      checksum.Algorithm
 	destSums *checksum.Set // nil: no redundancy elimination
 	comp     *pageCompressor
 	deltaBuf []byte
-	// ranges selects the coalesced page-range encoding (negotiated in the
-	// hello exchange); false keeps the byte-exact per-page v1 stream.
-	ranges bool
 	// sent, when non-nil, receives the digest of every page as it is encoded
 	// (SourceOptions.SentSums). Recording never alters the wire bytes.
 	sent *SumTable
@@ -109,8 +106,8 @@ type sourceEncoder struct {
 
 // newSourceEncoder builds the encoder, taking a pooled deflate encoder when
 // compress is set.
-func newSourceEncoder(alg checksum.Algorithm, destSums *checksum.Set, compress, ranges bool, sent *SumTable) (*sourceEncoder, error) {
-	e := &sourceEncoder{alg: alg, destSums: destSums, ranges: ranges, sent: sent}
+func newSourceEncoder(alg checksum.Algorithm, destSums *checksum.Set, compress bool, sent *SumTable) (*sourceEncoder, error) {
+	e := &sourceEncoder{alg: alg, destSums: destSums, sent: sent}
 	if compress {
 		c, err := getPageCompressor()
 		if err != nil {
@@ -126,45 +123,6 @@ func newSourceEncoder(alg checksum.Algorithm, destSums *checksum.Set, compress, 
 func (e *sourceEncoder) release() {
 	putPageCompressor(e.comp)
 	e.comp = nil
-}
-
-// encodePage emits the wire frame for one page: a bare checksum when the
-// destination already holds the content, else a delta against base when one
-// fits, else the full (possibly deflated) payload. base is non-nil in the
-// first round of a recycled migration only. sum is data's digest, computed
-// by the caller (possibly ahead of time by the hash offload).
-func (e *sourceEncoder) encodePage(w io.Writer, base PageProvider, page uint64, sum checksum.Sum, data []byte, m *Metrics) error {
-	m.PageFrames++
-	if e.destSums != nil && e.destSums.Contains(sum) {
-		m.PagesSum++
-		return writePageSum(w, page, sum)
-	}
-	if base != nil {
-		sent, err := e.tryDelta(w, base, page, sum, data, m)
-		if err != nil {
-			return err
-		}
-		if sent {
-			return nil
-		}
-	}
-	m.PagesFull++
-	return sendFullPage(w, page, sum, data, e.comp, m)
-}
-
-// tryDelta attempts an XBZRLE delta of data against the provider's content
-// for the frame. sent reports whether a message was written.
-func (e *sourceEncoder) tryDelta(w io.Writer, base PageProvider, page uint64, sum checksum.Sum, data []byte, m *Metrics) (sent bool, err error) {
-	enc, err := e.deltaPayload(base, int(page), data)
-	if err != nil || enc == nil {
-		return false, err
-	}
-	if err := writePageDelta(w, page, sum, enc); err != nil {
-		return false, err
-	}
-	m.PagesDelta++
-	m.DeltaSavedBytes += int64(vm.PageSize - len(enc) - 4)
-	return true, nil
 }
 
 // saveSink writes the pages a round sends into this host's departure
@@ -264,21 +222,4 @@ func offloadBatchSums(alg checksum.Algorithm, b *pageBatch, unknown int) {
 		}(k)
 	}
 	wg.Wait()
-}
-
-// encodeBatch serializes every page of the batch into its buffer — in
-// coalesced range frames when negotiated, per-page v1 frames otherwise.
-func encodeBatch(enc *sourceEncoder, base PageProvider, b *pageBatch, m *Metrics) error {
-	if enc.ranges {
-		return encodeBatchRanges(enc, base, b, m)
-	}
-	for i, p := range b.pages {
-		data := b.data[i*vm.PageSize : (i+1)*vm.PageSize]
-		sum := b.pageSum(enc.alg, i, data)
-		enc.sent.record(p, sum)
-		if err := enc.encodePage(&b.buf, base, uint64(p), sum, data, m); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -104,18 +105,59 @@ func (c *recordConn) Write(p []byte) (int, error) {
 }
 
 // The golden streams, pinned by SHA-256: everything the source wrote and
-// everything the destination wrote, in each of the three scenarios
-// goldenExchange builds. The wire is a protocol peers of other versions
-// speak, so a change that moves a byte of it fails here and has to re-pin
-// these on purpose.
+// everything the destination wrote, in the two scenarios goldenExchange
+// builds. The wire is a protocol peers of other versions speak, so a change
+// that moves a byte of it fails here and has to re-pin these on purpose.
 const (
-	goldenAnnouncedSrc = "cb1be042d458ec192956b2ce1053fd90b6eb195d25586b315745ce7e935fc955"
-	goldenAnnouncedDst = "aa4a852289bba63aec91e5cd9394558856ce00f4f9b4770c7fd073a1caf0d06b"
-	goldenLegacySrc    = "64f3e2bd70669841bcc64b81d915e2d5f49a9ba7c8eb94ad51333e0418f62704"
-	goldenLegacyDst    = "f48cf1666f605cd22cd17c70c1cc985e134c560a523baa1bb4be7417d6de26e4"
-	goldenByNameSrc    = "938c2661f911d0382430d11339e6cb74b59d60ec86f843fec3c2718558df332a"
-	goldenByNameDst    = "850ff6763fff2d5e23a60a9248e9773a520014416fed8fb71bcd7e36d4730a06"
+	goldenAnnouncedSrc = "4f256f0e0ea0762c734ab8e9505bf31392ac3b29fa778688e19d828609dd6968"
+	goldenAnnouncedDst = "3ab19b39007aabe73901acf23fb4741ba8d685eabd676e14a78ee960e90e75f2"
+	goldenByNameSrc    = "0b16b09d0967b221aae40110ab9b5e5cb187de742726c33521bdd16fe9fec8e2"
+	goldenByNameDst    = "42a15d70066c15343066f26951fea20f0fb75f1e3d2e889e0887346a135ccf4d"
 )
+
+// The same conversations as protocol version 1 spoke them, both capabilities
+// negotiated. Version 2 moved their bytes only where asVersion1 puts them
+// back, so each of its streams rewritten by it must hash to these.
+const (
+	version1AnnouncedSrc = "cb1be042d458ec192956b2ce1053fd90b6eb195d25586b315745ce7e935fc955"
+	version1AnnouncedDst = "aa4a852289bba63aec91e5cd9394558856ce00f4f9b4770c7fd073a1caf0d06b"
+	version1ByNameSrc    = "938c2661f911d0382430d11339e6cb74b59d60ec86f843fec3c2718558df332a"
+)
+
+// asVersion1 rewrites a golden conversation the way protocol version 1 wrote
+// it. The source's hello gets version 1 and flag bits 3 and 4 (the compact
+// announcement and range frames offered); helloLen is its length through the
+// flags byte. The hello-ack gets flag bits 2 and 4 (both accepted), and an
+// announcement, which must be tag 3 and EncodedSize(n) bytes for n sums, is
+// re-encoded as the compact one under tag 11.
+func asVersion1(t *testing.T, stream, reply []byte, helloLen int) (v1Stream, v1Reply []byte) {
+	t.Helper()
+	v1Stream = append([]byte(nil), stream...)
+	binary.LittleEndian.PutUint16(v1Stream[1:3], 1)
+	v1Stream[helloLen-1] |= 8 | 16
+
+	v1Reply = append([]byte(nil), reply[:HelloAckMsgBytes]...)
+	v1Reply[1] |= 4 | 16
+	rest := reply[HelloAckMsgBytes:]
+	if msgType(rest[0]) == msgHashAnnounce {
+		r := bytes.NewReader(rest[1:])
+		set, err := checksum.DecodeSet(r)
+		if err != nil {
+			t.Fatalf("reply's announcement: %v", err)
+		}
+		if n := len(rest) - r.Len(); n != AnnounceMsgBytes(set.Len()) {
+			t.Fatalf("announcement of %d sums is %d bytes, want %d", set.Len(), n, AnnounceMsgBytes(set.Len()))
+		}
+		rest = rest[AnnounceMsgBytes(set.Len()):]
+		v1Reply = append(v1Reply, 11)
+		var compact bytes.Buffer
+		if _, err := checksum.EncodeSetCompact(&compact, set); err != nil {
+			t.Fatal(err)
+		}
+		v1Reply = append(v1Reply, compact.Bytes()...)
+	}
+	return v1Stream, append(v1Reply, rest...)
+}
 
 // checkGolden fails the test unless stream hashes to the pinned digest.
 func checkGolden(t *testing.T, what string, stream []byte, want string) {
@@ -128,10 +170,9 @@ func checkGolden(t *testing.T, what string, stream []byte, want string) {
 // goldenExchange migrates a freshly reconstructed golden guest and returns
 // the exact bytes each side wrote. onEvent, when non-nil, is installed on
 // both endpoints — the pinned digests then prove observability never reaches
-// the wire. legacy pins both endpoints to the per-page v1 stream (no range
-// frames). With named set the source offers the checkpoint by its manifest
+// the wire. With named set the source offers the checkpoint by its manifest
 // root, under the store's key algorithm (the root is a name for those keys).
-func goldenExchange(t *testing.T, onEvent EventFunc, legacy, named bool) (fromSrc, fromDst []byte, _ Metrics, _ *vm.VM) {
+func goldenExchange(t *testing.T, onEvent EventFunc, named bool) (fromSrc, fromDst []byte, _ Metrics, _ *vm.VM) {
 	t.Helper()
 	src, err := vm.New(vm.Config{Name: "vm0", MemBytes: goldenPages * vm.PageSize, Seed: 7})
 	if err != nil {
@@ -155,12 +196,11 @@ func goldenExchange(t *testing.T, onEvent EventFunc, legacy, named bool) (fromSr
 	defer b.Close()
 	rc, rcDst := &recordConn{Conn: a}, &recordConn{Conn: b}
 	sopts := SourceOptions{
-		Recycle:       true,
-		Compress:      true,
-		DeltaBase:     base,
-		NoRangeFrames: legacy,
-		Pause:         func() { goldenPause(src) },
-		OnEvent:       onEvent,
+		Recycle:   true,
+		Compress:  true,
+		DeltaBase: base,
+		Pause:     func() { goldenPause(src) },
+		OnEvent:   onEvent,
 	}
 	if named {
 		sopts.Mirror = mirrorOf(t, store, "vm0")
@@ -182,7 +222,6 @@ func goldenExchange(t *testing.T, onEvent EventFunc, legacy, named bool) (fromSr
 		_, derr = MigrateDest(context.Background(), rcDst, dst, DestOptions{
 			Store:          store,
 			VerifyPayloads: true,
-			NoRangeFrames:  legacy,
 			OnEvent:        onEvent,
 		})
 	}()
@@ -206,7 +245,7 @@ func goldenExchange(t *testing.T, onEvent EventFunc, legacy, named bool) (fromSr
 // never in it.
 func TestGoldenStreamEquivalence(t *testing.T) {
 	var events atomic.Int64
-	stream, reply, gm, _ := goldenExchange(t, func(Event) { events.Add(1) }, false, false)
+	stream, reply, gm, _ := goldenExchange(t, func(Event) { events.Add(1) }, false)
 	if events.Load() == 0 {
 		t.Fatal("no events observed")
 	}
@@ -235,6 +274,12 @@ func TestGoldenStreamEquivalence(t *testing.T) {
 	}
 	checkGolden(t, "source stream", stream, goldenAnnouncedSrc)
 	checkGolden(t, "destination reply", reply, goldenAnnouncedDst)
+	if want := HelloAckMsgBytes + 1; len(reply) <= want || reply[1] != 1|2 || reply[want-1] != byte(msgHashAnnounce) {
+		t.Fatalf("reply opens % x, want a hello-ack with OK and have-checkpoint, then the announcement", reply[:min(len(reply), want)])
+	}
+	v1Stream, v1Reply := asVersion1(t, stream, reply, HelloMsgBytes(len("vm0")))
+	checkGolden(t, "source stream as version 1", v1Stream, version1AnnouncedSrc)
+	checkGolden(t, "destination reply as version 1", v1Reply, version1AnnouncedDst)
 }
 
 // TestGoldenStreamByName pins the conversation of a migration matched by
@@ -244,16 +289,14 @@ func TestGoldenStreamEquivalence(t *testing.T) {
 // after it is byte for byte the announced run's (the source probes its own
 // key list, the same set the announcement would have delivered). The
 // destination's whole side of the conversation is five bytes: a hello-ack
-// with the have-checkpoint, compact-announce, range-frames and manifest-match
-// bits and an empty reason, then the final ack — no announcement.
+// with the OK, have-checkpoint and manifest-match bits and an empty reason,
+// then the final ack — no announcement. Version 1 set its two capability
+// acceptances there too.
 func TestGoldenStreamByName(t *testing.T) {
-	golden, announcedReply, gm, src := goldenExchange(t, nil, false, false)
-	helloLen := 1 + 2 + 2 + len(src.Name()) + 4 + 8 + 1 + 1
-	if announcedReply[4] != byte(msgHashAnnounceV2) {
-		t.Fatalf("announced run's reply carries tag %d after the hello-ack, want the v2 announcement", announcedReply[4])
-	}
+	golden, _, gm, src := goldenExchange(t, nil, false)
+	helloLen := HelloMsgBytes(len(src.Name()))
 	root := mirrorOf(t, goldenStore(t), "vm0").Root
-	stream, reply, sm, _ := goldenExchange(t, nil, false, true)
+	stream, reply, sm, _ := goldenExchange(t, nil, true)
 	wantHello := append([]byte(nil), golden[:helloLen]...)
 	wantHello[helloLen-1] |= 2
 	if !bytes.Equal(stream[:helloLen], wantHello) {
@@ -266,7 +309,7 @@ func TestGoldenStreamByName(t *testing.T) {
 		t.Errorf("stream after the hello differs from the announced run's (lens %d vs %d)",
 			len(stream)-helloLen-len(root), len(golden)-helloLen)
 	}
-	if want := []byte{byte(msgHelloAck), 1 | 2 | 4 | 16 | 32, 0, 0, byte(msgAck)}; !bytes.Equal(reply, want) {
+	if want := []byte{byte(msgHelloAck), 1 | 2 | 32, 0, 0, byte(msgAck)}; !bytes.Equal(reply, want) {
 		t.Errorf("destination sent % x, want % x", reply, want)
 	}
 	if sm.AnnounceBytes != 0 || sm.PagesSum != gm.PagesSum || sm.PagesFull != gm.PagesFull ||
@@ -275,6 +318,8 @@ func TestGoldenStreamByName(t *testing.T) {
 	}
 	checkGolden(t, "source stream", stream, goldenByNameSrc)
 	checkGolden(t, "destination reply", reply, goldenByNameDst)
+	v1Stream, _ := asVersion1(t, stream, reply, helloLen)
+	checkGolden(t, "source stream as version 1", v1Stream, version1ByNameSrc)
 }
 
 // goldenStore saves the golden guest's pre-mutation state: the checkpoint
@@ -291,39 +336,6 @@ func goldenStore(t *testing.T) *checkpoint.Store {
 		t.Fatal(err)
 	}
 	return store
-}
-
-// TestGoldenStreamLegacyV1 pins the unnegotiated fallback: with range frames
-// disabled the wire stream is the per-page v1 encoding, held to its recorded
-// digests — and genuinely different bytes from the negotiated range-frame
-// stream.
-func TestGoldenStreamLegacyV1(t *testing.T) {
-	legacy, legacyReply, lm, _ := goldenExchange(t, nil, true, false)
-	if lm.RangeFrames != 0 {
-		t.Fatalf("legacy run emitted %d range frames", lm.RangeFrames)
-	}
-	// v1 is strictly one frame per page.
-	if pages := lm.PagesSum + lm.PagesFull + lm.PagesDelta; lm.PageFrames != pages {
-		t.Fatalf("legacy PageFrames = %d, want one per page (%d)", lm.PageFrames, pages)
-	}
-	checkGolden(t, "source stream", legacy, goldenLegacySrc)
-	checkGolden(t, "destination reply", legacyReply, goldenLegacyDst)
-	// The negotiated stream must actually differ — coalescing reaches the
-	// wire — while the page-level metrics stay identical (classification is
-	// unchanged, only the framing is).
-	ranged, _, rm, _ := goldenExchange(t, nil, false, false)
-	if bytes.Equal(ranged, legacy) {
-		t.Error("negotiated and legacy streams are identical; range frames never hit the wire")
-	}
-	if len(ranged) >= len(legacy) {
-		t.Errorf("range-frame stream is %d bytes, not smaller than v1's %d", len(ranged), len(legacy))
-	}
-	if rm.PagesSum != lm.PagesSum || rm.PagesFull != lm.PagesFull ||
-		rm.PagesDelta != lm.PagesDelta || rm.PagesCompressed != lm.PagesCompressed ||
-		rm.CompressAttempted != lm.CompressAttempted ||
-		rm.CompressSkipped != lm.CompressSkipped {
-		t.Errorf("page classification changed with framing: ranged %+v legacy %+v", rm, lm)
-	}
 }
 
 // TestIterativeRoundSumElimination verifies the satellite behavior: a page

@@ -25,11 +25,8 @@ import (
 // where the metadata is one checksum per page (range-sum, range-full) or
 // one (checksum, payload-length) pair per page (range-full-z, range-delta).
 // Runs never exceed MaxRangePages and never span a 256-page batch, so the
-// frame layout is a pure function of page content and batch boundaries,
-// exactly like the per-page encoding. The capability is negotiated in the
-// hello exchange (hello bit 4 offered by the source, hello-ack bit 4
-// accepted by the destination); unnegotiated peers keep the byte-exact v1
-// stream.
+// frame layout is a pure function of page content and batch boundaries. A run
+// of one page keeps its per-page frame.
 
 // MaxRangePages caps the pages one range frame may carry. It equals the
 // source's batch size: runs cannot span batches, so a larger cap would
@@ -38,7 +35,7 @@ import (
 const MaxRangePages = batchPages
 
 // minRangePages is the smallest run worth coalescing: a single page is
-// cheaper in its per-page v1 frame (no count field), so the encoder only
+// cheaper in its per-page frame (no count field), so the encoder only
 // emits ranges for runs of at least two and the decoder rejects smaller
 // counts as malformed.
 const minRangePages = 2
@@ -150,13 +147,15 @@ func writePageDelta(w io.Writer, page uint64, sum checksum.Sum, enc []byte) erro
 	return nil
 }
 
-// encodeBatchRanges is the range-mode batch encoder: it classifies every
-// page exactly as encodePage would (checksum-set lookup, delta attempt,
-// deflate fallback — identical per-page decisions and metrics), but
-// coalesces contiguous same-treatment pages into range frames. Runs of one
-// page fall back to their per-page v1 frame, so a range frame on the wire
-// always carries at least minRangePages pages.
-func encodeBatchRanges(e *sourceEncoder, base PageProvider, b *pageBatch, m *Metrics) error {
+// encodeBatch serializes every page of the batch into its buffer. Each page
+// is classified on its own content: a bare checksum when the destination
+// already holds it, else a delta against base when one fits (base is non-nil
+// in the first round of a recycled migration only), else the full payload,
+// deflated when the entropy gate admits it and it shrinks. Contiguous
+// same-treatment pages coalesce into range frames; a run of one page goes out
+// as its per-page frame, so a range frame on the wire always carries at least
+// minRangePages pages.
+func encodeBatch(e *sourceEncoder, base PageProvider, b *pageBatch, m *Metrics) error {
 	r := &e.run
 	r.reset()
 	for i, p := range b.pages {
@@ -251,7 +250,7 @@ func (e *sourceEncoder) deltaPayload(base PageProvider, p int, data []byte) ([]b
 }
 
 // flushRun writes the accumulated run into the batch buffer — as the
-// per-page v1 frame when the run holds a single page, as one range frame
+// per-page frame when the run holds a single page, as one range frame
 // otherwise — and resets the run.
 func (e *sourceEncoder) flushRun(b *pageBatch, m *Metrics) error {
 	r := &e.run
@@ -340,7 +339,8 @@ func readRangeFrame(r io.Reader, t msgType, numPages int, floor uint64, f *range
 		return fmt.Errorf("%w: %v count %d out of [%d,%d]", ErrProtocol, t, count, minRangePages, MaxRangePages)
 	}
 	f.count = int(count)
-	if f.start+uint64(f.count) > uint64(numPages) {
+	// start+count may wrap; compare against the room left after start instead.
+	if f.start > uint64(numPages) || uint64(f.count) > uint64(numPages)-f.start {
 		return fmt.Errorf("%w: %v [%d,+%d) out of range (%d pages)", ErrProtocol, t, f.start, f.count, numPages)
 	}
 	if f.start < floor {

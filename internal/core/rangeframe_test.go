@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"testing"
 
 	"vecycle/internal/checksum"
@@ -76,6 +77,7 @@ func TestRangeDecodeRejectsMalformed(t *testing.T) {
 		{"count-over-cap", patchCount(valid, MaxRangePages+1), 0, true},
 		{"count-huge", patchCount(valid, 1<<31), 0, true},
 		{"out-of-page-bounds", buildRangeFull(t, numPages-1, [][]byte{page, page}), 0, true},
+		{"start-plus-count-wraps", wrappingRangeFull(t), 0, true},
 		{"overlaps-floor", valid, 12, true},
 		{"descends-below-floor", valid, 500, true},
 		{"truncated-sums", valid[:20], 0, false},
@@ -115,20 +117,18 @@ func TestRangeDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-// scriptedSourceStream builds a raw source-side byte stream: a hello with
-// the given range-frame bit, one range frame, then done. Feeding it to
-// MigrateDest exercises the destination's negotiation gate with no real
-// source in the loop.
-func scriptedSourceStream(t testing.TB, offerRanges bool, frame []byte) []byte {
+// scriptedSourceStream builds a raw source-side byte stream: a hello, one
+// frame, then done. Feeding it to MigrateDest exercises the destination's
+// frame checks with no real source in the loop.
+func scriptedSourceStream(t testing.TB, frame []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := writeHello(&buf, hello{
-		Version:     ProtocolVersion,
-		VMName:      "vm0",
-		PageSize:    vm.PageSize,
-		PageCount:   64,
-		Alg:         checksum.MD5,
-		RangeFrames: offerRanges,
+		Version:   ProtocolVersion,
+		VMName:    "vm0",
+		PageSize:  vm.PageSize,
+		PageCount: 64,
+		Alg:       checksum.MD5,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -139,45 +139,18 @@ func scriptedSourceStream(t testing.TB, offerRanges bool, frame []byte) []byte {
 	return buf.Bytes()
 }
 
-// TestRangeFrameNegotiationGate: a range frame from a peer that never
-// completed the negotiation — it did not offer the capability, or the
-// destination declined it — is a protocol violation; with the handshake
-// complete the same bytes install cleanly.
+// wrappingRangeFull is a range-full frame whose start plus count wraps past
+// 2^64 back into the guest: start 2^64-1, two pages.
+func wrappingRangeFull(t testing.TB) []byte {
+	t.Helper()
+	page := make([]byte, vm.PageSize)
+	return buildRangeFull(t, math.MaxUint64, [][]byte{page, page})
+}
+
+// TestRangeFrameNegotiationGate: range frames need no negotiation, but
+// range-sum and range-delta reference checkpoint state; without a checkpoint
+// they are protocol violations.
 func TestRangeFrameNegotiationGate(t *testing.T) {
-	pages := [][]byte{make([]byte, vm.PageSize), make([]byte, vm.PageSize)}
-	pages[0][7], pages[1][4095] = 0xAB, 0xCD
-	frame := buildRangeFull(t, 3, pages)
-
-	t.Run("sequential", func(t *testing.T) {
-		run := func(offer, decline bool) (*vm.VM, error) {
-			dst := newVM(t, "vm0", 64, 2)
-			conn := readWriter{bytes.NewReader(scriptedSourceStream(t, offer, frame)), io.Discard}
-			_, err := MigrateDest(context.Background(), conn, dst, DestOptions{NoRangeFrames: decline})
-			return dst, err
-		}
-		if _, err := run(false, false); !errors.Is(err, ErrProtocol) {
-			t.Errorf("unoffered range frame: err = %v, want ErrProtocol", err)
-		}
-		if _, err := run(true, true); !errors.Is(err, ErrProtocol) {
-			t.Errorf("declined range frame: err = %v, want ErrProtocol", err)
-		}
-		dst, err := run(true, false)
-		if err != nil {
-			t.Fatalf("negotiated range frame rejected: %v", err)
-		}
-		got := make([]byte, vm.PageSize)
-		dst.ReadPage(3, got)
-		if !bytes.Equal(got, pages[0]) {
-			t.Error("negotiated range frame did not install page 3")
-		}
-		dst.ReadPage(4, got)
-		if !bytes.Equal(got, pages[1]) {
-			t.Error("negotiated range frame did not install page 4")
-		}
-	})
-
-	// range-sum and range-delta reference checkpoint state; without a
-	// checkpoint they are protocol violations even when negotiated.
 	t.Run("sum-without-checkpoint", func(t *testing.T) {
 		var buf bytes.Buffer
 		if err := writeRangeHeader(&buf, msgRangeSum, 0, 2); err != nil {
@@ -187,67 +160,21 @@ func TestRangeFrameNegotiationGate(t *testing.T) {
 			t.Fatal(err)
 		}
 		dst := newVM(t, "vm0", 64, 2)
-		conn := readWriter{bytes.NewReader(scriptedSourceStream(t, true, buf.Bytes())), io.Discard}
+		conn := readWriter{bytes.NewReader(scriptedSourceStream(t, buf.Bytes())), io.Discard}
 		if _, err := MigrateDest(context.Background(), conn, dst, DestOptions{}); !errors.Is(err, ErrProtocol) {
 			t.Errorf("range-sum without checkpoint: err = %v, want ErrProtocol", err)
 		}
 	})
 }
 
-// TestRangeFrameInterop runs a recycled migration across the four
-// combinations of range-frame support, mirroring the compact-announce
-// interop test: coalescing is only on the wire when both ends opted in, any
-// other pairing keeps the per-page v1 stream, and every combination
-// migrates correctly with identical page classification.
-func TestRangeFrameInterop(t *testing.T) {
-	const pages = 600
-	cases := []struct {
-		name           string
-		srcOld, dstOld bool
-		wantRanges     bool
-	}{
-		{"both-new", false, false, true},
-		{"old-source", true, false, false},
-		{"old-dest", false, true, false},
-		{"both-old", true, true, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			src := newVM(t, "vm0", pages, 1)
-			fillGolden(src)
-			store := newStore(t)
-			if err := store.Save(src); err != nil {
-				t.Fatal(err)
-			}
-			mutateGolden(src)
-			dst := newVM(t, "vm0", pages, 2)
-			sm, dres := migrate(t, src, dst,
-				SourceOptions{Recycle: true, Compress: true, NoRangeFrames: tc.srcOld},
-				DestOptions{Store: store, VerifyPayloads: true, NoRangeFrames: tc.dstOld})
-			if !src.MemEqual(dst) {
-				t.Fatalf("memory differs at page %d", src.FirstDifference(dst))
-			}
-			if sm.PagesSum == 0 || sm.PagesFull == 0 || sm.PagesCompressed == 0 {
-				t.Fatalf("scenario too narrow: %+v", sm)
-			}
-			if tc.wantRanges {
-				if sm.RangeFrames == 0 {
-					t.Error("negotiated pair emitted no range frames")
-				}
-			} else if sm.RangeFrames != 0 {
-				t.Errorf("unnegotiated pair emitted %d range frames", sm.RangeFrames)
-			}
-			// Both sides count frames identically — the destination decodes
-			// exactly what the source emitted.
-			if dres.Metrics.RangeFrames != sm.RangeFrames {
-				t.Errorf("dest decoded %d range frames, source sent %d",
-					dres.Metrics.RangeFrames, sm.RangeFrames)
-			}
-			if dres.Metrics.PageFrames != sm.PageFrames {
-				t.Errorf("dest decoded %d frames, source sent %d",
-					dres.Metrics.PageFrames, sm.PageFrames)
-			}
-		})
+// TestRangeFrameWrapRejected: a peer's range frame whose start plus count
+// wraps around 2^64 is a protocol violation, not an install at a negative
+// page — which panicked the destination's host process.
+func TestRangeFrameWrapRejected(t *testing.T) {
+	dst := newVM(t, "vm0", 64, 2)
+	conn := readWriter{bytes.NewReader(scriptedSourceStream(t, wrappingRangeFull(t))), io.Discard}
+	if _, err := MigrateDest(context.Background(), conn, dst, DestOptions{}); !errors.Is(err, ErrProtocol) {
+		t.Errorf("wrapping range-full: err = %v, want ErrProtocol", err)
 	}
 }
 
@@ -291,6 +218,7 @@ func FuzzRangeDecode(f *testing.F) {
 	f.Add(buildRangeVar(f, msgRangeFullZ, 0, []uint32{4, 4}, make([]byte, 8)))
 	f.Add(buildRangeVar(f, msgRangeDelta, 0, []uint32{4, 4}, make([]byte, 8)))
 	f.Add([]byte{byte(msgRangeFull)})
+	f.Add(wrappingRangeFull(f)[1:]) // the header as the decoder sees it
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		const numPages = 64
 		for _, tag := range []msgType{msgRangeSum, msgRangeFull, msgRangeFullZ, msgRangeDelta} {
@@ -301,34 +229,13 @@ func FuzzRangeDecode(f *testing.F) {
 			if fr.count < minRangePages || fr.count > MaxRangePages {
 				t.Errorf("accepted count %d", fr.count)
 			}
-			if fr.start < 1 || fr.start+uint64(fr.count) > numPages {
+			// Checked without start+count, which wraps like the decoder's once did.
+			if fr.start < 1 || fr.start > numPages || uint64(fr.count) > numPages-fr.start {
 				t.Errorf("accepted run [%d,+%d) outside floor/bounds", fr.start, fr.count)
 			}
 			if len(fr.sums) != fr.count {
 				t.Errorf("decoded %d sums for count %d", len(fr.sums), fr.count)
 			}
 		}
-	})
-}
-
-// FuzzRangeMergeStream drives the whole destination engine with a mutated
-// range-negotiated stream: must terminate with success or error, never
-// panic — the range-frame sibling of FuzzMergeStream.
-func FuzzRangeMergeStream(f *testing.F) {
-	page := make([]byte, vm.PageSize)
-	for i := range page {
-		page[i] = byte(i)
-	}
-	f.Add(scriptedSourceStream(f, true, buildRangeFull(f, 0, [][]byte{page, page})))
-	var sums bytes.Buffer
-	_ = writeRangeHeader(&sums, msgRangeSum, 0, 2)
-	_ = writeRangeSums(&sums, []checksum.Sum{checksum.MD5.Page(page), checksum.MD5.Page(page)})
-	f.Add(scriptedSourceStream(f, true, sums.Bytes()))
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		dst, err := vm.New(vm.Config{Name: "vm0", MemBytes: 64 * vm.PageSize, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _ = MigrateDest(context.Background(), readWriter{bytes.NewReader(raw), io.Discard}, dst, DestOptions{VerifyPayloads: true})
 	})
 }

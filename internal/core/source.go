@@ -51,15 +51,6 @@ type SourceOptions struct {
 	// optimization, combinable with checkpoint recycling). Pages that do
 	// not shrink are sent raw.
 	Compress bool
-	// NoCompactAnnounce withholds the compact-announce capability from the
-	// hello, forcing the destination to use the v1 announcement encoding.
-	// For interop testing and as an escape hatch.
-	NoCompactAnnounce bool
-	// NoRangeFrames withholds the page-range-frame capability from the
-	// hello, keeping the per-page v1 page encoding even against a
-	// range-capable destination. For interop testing and as an escape
-	// hatch.
-	NoRangeFrames bool
 	// DeltaBase supplies the content the destination's RAM will hold after
 	// its checkpoint bootstrap, per frame — typically this host's own
 	// mirror of the peer's checkpoint (checkpoint.Checkpoint satisfies the
@@ -188,13 +179,6 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		PageCount: uint64(v.NumPages()),
 		Alg:       opts.Alg,
 		Recycle:   opts.Recycle,
-		// Capability, not a demand: the destination answers with its own
-		// compact-announce bit and only then may use the v2 encoding. Old
-		// destinations ignore the flag bit entirely.
-		CompactAnnounce: !opts.NoCompactAnnounce,
-		// Same negotiation shape for coalesced page-range frames: offered
-		// here, used only when the ack echoes acceptance.
-		RangeFrames: !opts.NoRangeFrames,
 	}
 	// The root is a name for keys of the store's algorithm; under any other the
 	// destination's sums are not those keys, so nothing is offered.
@@ -255,22 +239,13 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		if err != nil {
 			return m, err
 		}
-		switch t {
-		case msgHashAnnounce:
-			destSums, err = readHashAnnounce(r)
-		case msgHashAnnounceV2:
-			if !h.CompactAnnounce || !ack.CompactAnnounce {
-				return m, fmt.Errorf("%w: compact announce without negotiation", ErrProtocol)
-			}
-			destSums, err = readHashAnnounceV2(r)
-		default:
+		if t != msgHashAnnounce {
 			return m, fmt.Errorf("%w: expected hash-announce, got %v", ErrProtocol, t)
 		}
-		if err != nil {
+		if destSums, err = readHashAnnounce(r); err != nil {
 			return m, err
 		}
 		m.AnnounceBytes = consumed() - before
-		m.AnnounceRawBytes = int64(checksum.EncodedSize(destSums.Len()))
 		opts.OnEvent.emit(Event{Kind: EventAnnounce, Bytes: m.AnnounceBytes,
 			Pages: int64(destSums.Len())})
 	}
@@ -297,8 +272,7 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	}
 	// One encoder for every round: its deflate state comes from a
 	// process-wide pool, too costly to rebuild per round.
-	enc, err := newSourceEncoder(opts.Alg, destSums, opts.Compress,
-		h.RangeFrames && ack.RangeFrames, opts.SentSums)
+	enc, err := newSourceEncoder(opts.Alg, destSums, opts.Compress, opts.SentSums)
 	if err != nil {
 		return m, err
 	}
@@ -412,28 +386,6 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	m.Duration = time.Since(start)
 	opts.OnEvent.emit(Event{Kind: EventDone, Bytes: cw.n})
 	return m, nil
-}
-
-// sendFullPage writes a full-page message, deflated when a compressor is
-// configured, the entropy gate admits the page, and it actually shrinks.
-func sendFullPage(w io.Writer, page uint64, sum checksum.Sum, data []byte, comp *pageCompressor, m *Metrics) error {
-	if comp != nil {
-		if !compressible(data) {
-			m.CompressSkipped++
-			return writePageFull(w, page, sum, data)
-		}
-		m.CompressAttempted++
-		z, ok, err := comp.compress(data)
-		if err != nil {
-			return err
-		}
-		if ok {
-			m.PagesCompressed++
-			m.CompressionSavedBytes += int64(len(data) - len(z) - 4)
-			return writePageFullZ(w, page, sum, z)
-		}
-	}
-	return writePageFull(w, page, sum, data)
 }
 
 // sendSequential is the source engine: it streams one round's pages in

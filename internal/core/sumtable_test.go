@@ -84,22 +84,6 @@ func TestSumTableEquivalence(t *testing.T) {
 			}
 			checkTrackedResult(t, dst, res)
 		}},
-		{"legacy-per-page", func(t *testing.T) {
-			// Range frames withheld: the same cold round lands as
-			// individual msgPageFull/FullZ frames.
-			src := newVM(t, "vm0", pages, 1)
-			if err := src.FillRandom(0.9); err != nil {
-				t.Fatal(err)
-			}
-			dst := newVM(t, "vm0", pages, 2)
-			_, res := migrate(t, src, dst,
-				SourceOptions{NoRangeFrames: true},
-				DestOptions{TrackIncoming: true, VerifyPayloads: true})
-			if !src.MemEqual(dst) {
-				t.Fatalf("memory differs at page %d", src.FirstDifference(dst))
-			}
-			checkTrackedResult(t, dst, res)
-		}},
 		{"recycled", func(t *testing.T) {
 			// Destination holds a warm checkpoint: most pages arrive as
 			// checksum-only frames resolved out of the image, the dirtied

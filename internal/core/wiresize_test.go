@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"vecycle/internal/checksum"
@@ -85,6 +86,7 @@ func TestMsgTypeString(t *testing.T) {
 		msgRoundEnd:     "round-end",
 		msgDone:         "done",
 		msgAck:          "ack",
+		msgType(11):     "msg(11)", // reserved
 		msgType(99):     "msg(99)",
 	} {
 		if got := mt.String(); got != want {
@@ -168,5 +170,35 @@ func TestHelloAckRoundTrip(t *testing.T) {
 	}
 	if got != in {
 		t.Errorf("round trip: got %+v, want %+v", got, in)
+	}
+}
+
+// TestHandshakeFlagsStrict: a version-2 hello or any hello-ack that sets a
+// flag bit version 2 does not define is a protocol violation, the retired
+// capability bits included. A version-1 hello with its capability offers
+// still parses, so the destination can refuse it by version.
+func TestHandshakeFlagsStrict(t *testing.T) {
+	var buf bytes.Buffer
+	if err := writeHello(&buf, hello{Version: ProtocolVersion, VMName: "vm0", PageSize: 4096, PageCount: 4,
+		Alg: checksum.Default, Recycle: true}); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()[1:]
+	for _, bit := range []byte{8, 16, 32, 64, 128} {
+		bad := append([]byte(nil), frame...)
+		bad[len(bad)-1] |= bit
+		if _, err := readHello(bytes.NewReader(bad)); !errors.Is(err, ErrProtocol) {
+			t.Errorf("hello flag bit %#x: err = %v, want ErrProtocol", bit, err)
+		}
+		v1 := append([]byte(nil), bad...)
+		v1[0] = 1
+		if h, err := readHello(bytes.NewReader(v1)); err != nil || h.Version != 1 || !h.Recycle {
+			t.Errorf("version-1 hello with flag bit %#x: %+v, %v", bit, h, err)
+		}
+	}
+	for _, bit := range []byte{4, 16, 64, 128} {
+		if _, err := readHelloAck(bytes.NewReader([]byte{1 | bit, 0, 0})); !errors.Is(err, ErrProtocol) {
+			t.Errorf("hello-ack flag bit %#x: err = %v, want ErrProtocol", bit, err)
+		}
 	}
 }

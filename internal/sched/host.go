@@ -90,21 +90,11 @@ type Host struct {
 	// DefaultIdleTimeout; negative disables the per-I/O deadline.
 	IdleTimeout time.Duration
 
-	// NoCompactAnnounce keeps incoming migrations on the v1 announcement
-	// encoding even when the source advertises the compact-announce
-	// capability (core.DestOptions.NoCompactAnnounce).
-	NoCompactAnnounce bool
-
 	// NoSalvage disables salvage checkpoints: interrupted incoming
 	// migrations discard their partially-installed pages instead of
 	// persisting them for the next attempt to resume from
 	// (core.DestOptions.NoSalvage).
 	NoSalvage bool
-
-	// NoRangeFrames refuses the coalesced page-range-frame capability on
-	// incoming migrations, keeping the per-page v1 page encoding
-	// (core.DestOptions.NoRangeFrames).
-	NoRangeFrames bool
 
 	// DialFunc, when non-nil, replaces outbound connection establishment —
 	// the seam the fault-injection tests use to interpose a
@@ -387,13 +377,11 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 		defer save.Abort()
 	}
 	res, err := session.Run(ctx, dst, core.DestOptions{
-		Store:             h.store,
-		TrackIncoming:     true,
-		NoCompactAnnounce: h.NoCompactAnnounce,
-		NoRangeFrames:     h.NoRangeFrames,
-		NoSalvage:         h.NoSalvage,
-		OnEvent:           h.obs.eventFunc(rec, "dest"),
-		Save:              save,
+		Store:         h.store,
+		TrackIncoming: true,
+		NoSalvage:     h.NoSalvage,
+		OnEvent:       h.obs.eventFunc(rec, "dest"),
+		Save:          save,
 	})
 	if err != nil {
 		return res, err
@@ -724,14 +712,6 @@ type MigrateOptions struct {
 	// fast64) are only valid for baseline migrations — recycling needs a
 	// collision-resistant digest to stand in for page content.
 	Alg checksum.Algorithm
-	// NoCompactAnnounce withholds the compact-announce capability from the
-	// hello (core.SourceOptions.NoCompactAnnounce), pinning the v1
-	// announcement encoding.
-	NoCompactAnnounce bool
-	// NoRangeFrames withholds the page-range-frame capability from the
-	// hello (core.SourceOptions.NoRangeFrames), pinning the per-page v1
-	// page encoding.
-	NoRangeFrames bool
 	// MaxRounds bounds the pre-copy rounds (core.SourceOptions.MaxRounds);
 	// 0 keeps the engine default.
 	MaxRounds int
@@ -858,20 +838,18 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 			}
 		}
 		return core.MigrateSource(ctx, core.NewDeadlineConn(conn, idle), v, core.SourceOptions{
-			Recycle:           opts.Recycle,
-			Alg:               opts.Alg,
-			Mirror:            mirror,
-			DeltaBase:         base,
-			SentSums:          sent,
-			Save:              save,
-			Compress:          opts.Compress,
-			MaxRounds:         opts.MaxRounds,
-			StopThreshold:     opts.StopThreshold,
-			NoCompactAnnounce: opts.NoCompactAnnounce,
-			NoRangeFrames:     opts.NoRangeFrames,
-			Pause:             opts.Pause,
-			Resume:            opts.Resume,
-			OnEvent:           h.obs.eventFunc(rec, "source"),
+			Recycle:       opts.Recycle,
+			Alg:           opts.Alg,
+			Mirror:        mirror,
+			DeltaBase:     base,
+			SentSums:      sent,
+			Save:          save,
+			Compress:      opts.Compress,
+			MaxRounds:     opts.MaxRounds,
+			StopThreshold: opts.StopThreshold,
+			Pause:         opts.Pause,
+			Resume:        opts.Resume,
+			OnEvent:       h.obs.eventFunc(rec, "source"),
 		})
 	}
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"vecycle/internal/checksum"
 	"vecycle/internal/core"
 	"vecycle/internal/obs"
 )
@@ -32,8 +31,8 @@ var (
 	// round in powers of four.
 	roundBytesBuckets = []float64{4096, 16384, 65536, 262144, 1048576, 4194304, 16777216, 67108864, 268435456, 1073741824}
 	// roundFramesBuckets spans 1 to ~1M page-carrying frames per round in
-	// powers of four; with page-range frames negotiated a round's frame
-	// count collapses well below its page count.
+	// powers of four; page-range frames collapse a round's frame count
+	// well below its page count.
 	roundFramesBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576}
 )
 
@@ -62,7 +61,6 @@ type hostObs struct {
 	pages          *obs.CounterVec   // vecycle_migration_pages_total{host,kind}
 	rounds         *obs.CounterVec   // vecycle_migration_rounds_total{host}
 	announce       *obs.CounterVec   // vecycle_announce_bytes_total{host}
-	announceRaw    *obs.CounterVec   // vecycle_announce_raw_bytes_total{host}
 	retries        *obs.CounterVec   // vecycle_migration_retries_total{host}
 	fallbacks      *obs.CounterVec   // vecycle_delta_fallbacks_total{host}
 	salvage        *obs.CounterVec   // vecycle_salvage_total{host,outcome}
@@ -106,7 +104,7 @@ func newHostObs(h *Host, reg *obs.Registry, traces *obs.TraceLog) *hostObs {
 			"Page-carrying wire frames per pre-copy round; pages-per-round over this is the realized range-frame coalescing factor.",
 			roundFramesBuckets, "host", "role"),
 		rangeFrames: reg.CounterVec("vecycle_range_frames_total",
-			"Coalesced page-range frames handled (sent or received); zero when the capability was not negotiated.",
+			"Coalesced page-range frames handled (sent or received).",
 			"host"),
 		bytes: reg.CounterVec("vecycle_migration_bytes_total",
 			"Transport bytes moved by migrations, by direction (sent/received).",
@@ -119,9 +117,6 @@ func newHostObs(h *Host, reg *obs.Registry, traces *obs.TraceLog) *hostObs {
 			"host"),
 		announce: reg.CounterVec("vecycle_announce_bytes_total",
 			"Bulk checksum-announcement traffic (the paper's 'additional traffic', §3.2).",
-			"host"),
-		announceRaw: reg.CounterVec("vecycle_announce_raw_bytes_total",
-			"What announcements would have cost in the v1 encoding; minus vecycle_announce_bytes_total this is the compact-announce saving.",
 			"host"),
 		retries: reg.CounterVec("vecycle_migration_retries_total",
 			"Outgoing migration attempts re-run after transient transport failures.",
@@ -287,7 +282,6 @@ func (o *hostObs) eventFunc(rec *obs.Recorder, role string) core.EventFunc {
 			o.rounds.With(o.host).Inc()
 		case core.EventAnnounce:
 			o.announce.With(o.host).Add(float64(e.Bytes))
-			o.announceRaw.With(o.host).Add(float64(checksum.EncodedSize(int(e.Pages))))
 		case core.EventSalvage:
 			o.salvage.With(o.host, e.Detail).Inc()
 			if e.Detail == "written" {

@@ -282,3 +282,46 @@ func TestDirectionString(t *testing.T) {
 		t.Error("invalid direction label wrong")
 	}
 }
+
+// TestHostsWriteNoIndexFiles: the page manifest is the fingerprint index, so
+// neither a departure checkpoint nor an arrival save leaves a separate index
+// file next to it.
+func TestHostsWriteNoIndexFiles(t *testing.T) {
+	alpha := newHost(t, "alpha")
+	beta := newHost(t, "beta")
+	beta.SaveArrivals = true
+	addrB := listen(t, beta)
+
+	v := newGuest(t, "vm0", 32)
+	if err := v.FillRandom(0.9); err != nil {
+		t.Fatal(err)
+	}
+	alpha.AddVM(v)
+	if _, err := alpha.MigrateTo(context.Background(), addrB, "vm0", MigrateOptions{
+		Recycle: true, KeepCheckpoint: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, ok := beta.VM("vm0"); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("VM never arrived")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, h := range []*Host{alpha, beta} {
+		if !h.Store().Has("vm0") {
+			t.Fatalf("host %s kept no checkpoint", h.Name())
+		}
+		idx, err := filepath.Glob(filepath.Join(h.Store().Dir(), "*.idx"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(idx) != 0 {
+			t.Errorf("host %s wrote index files: %v", h.Name(), idx)
+		}
+	}
+}
