@@ -110,16 +110,18 @@ dedup-smoke:
 
 # fuzz-range runs the wire and disk parser fuzzers briefly beyond their
 # committed seed corpus: the range-frame parser directly, then the whole
-# destination engine against mutated source streams of per-page and range
-# frames; the hello (with its optional manifest root), the hello-ack and the
-# announcement codec, which open every conversation; the page manifest
-# parser, whose output a restore announces to the peer as it stands; and the
-# segment key-table reader and store-manifest parser, whose output recovery
-# indexes the pool by.
+# destination engine against mutated source streams of one-page and
+# multi-page range frames, and the post-copy destination against a mutated
+# recorded conversation; the hello (with its optional manifest root), the
+# hello-ack and the announcement codec, which open every conversation; the
+# page manifest parser, whose output a restore announces to the peer as it
+# stands; and the segment key-table reader and store-manifest parser, whose
+# output recovery indexes the pool by.
 fuzz-range:
 	$(GO) test -run '^$$' -fuzz FuzzRangeDecode -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeStream$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzRangeMergeStream$$' -fuzztime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzPostCopyDest$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzHello$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzHelloAck$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSet$$' -fuzztime 5s ./internal/checksum/

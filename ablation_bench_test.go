@@ -76,7 +76,7 @@ func BenchmarkAblationAnnounce(b *testing.B) {
 				bulk = time.Duration(float64(announceBytes) / env.cost.EffectiveBandwidth() * float64(time.Second))
 				// Per-page, stop-and-wait: each page costs one query/reply
 				// round trip plus the tiny payloads.
-				queryBytes := int64(pages) * (core.PageSumMsgBytes + 2)
+				queryBytes := int64(pages) * (migsim.PageSumMsgBytes + 2)
 				perPage = time.Duration(pages)*env.cost.Link.RTT() +
 					time.Duration(float64(queryBytes)/env.cost.EffectiveBandwidth()*float64(time.Second))
 			}

@@ -3,22 +3,21 @@ package core
 import (
 	"bytes"
 	"compress/flate"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math/bits"
 	"sync"
 
-	"vecycle/internal/checksum"
 	"vecycle/internal/vm"
 )
 
 // Page compression, the orthogonal optimization of Svärd et al. (paper
 // reference [24]) that §5 notes "can be combined with VeCycle": full pages
-// that must cross the wire are deflated first. Checksum-only pages gain
-// nothing (they are already 25 bytes), so compression only touches
-// msgPageFull traffic — and incompressible pages (random data, encrypted
-// memory) fall back to the raw encoding when deflate fails to shrink them.
+// that must cross the wire are deflated first and travel in range-full-z
+// frames. Checksum-only pages gain nothing (they are 16 bytes of checksum
+// each), so compression only touches full-page traffic — and incompressible
+// pages (random data, encrypted memory) fall back to the raw encoding
+// (range-full) when deflate fails to shrink them.
 
 // The entropy gate: deflate at BestSpeed still costs ~25 µs per 4 KiB page
 // even when the data is incompressible and the output is thrown away in
@@ -26,11 +25,11 @@ import (
 // page's byte histogram on a stride and estimates its Shannon entropy in
 // integer fixed point; pages sampling close to 8 bits/byte (random data,
 // encrypted or already-compressed memory) skip the flate pass entirely and
-// go out as raw/full frames via the existing fallback encoding — no new
-// wire tags. The decision is a pure function of the page bytes, so the wire
-// stream is a function of the guest's content alone. Misclassification is
-// a pure performance trade: a skipped-but-compressible page ships raw
-// (bigger, still correct), a passed-but-incompressible page wastes one
+// go out raw via the existing fallback encoding — no new wire tags. The
+// decision is a pure function of the page bytes, so the wire stream is a
+// function of the guest's content alone. Misclassification is a pure
+// performance trade: a skipped-but-compressible page ships raw (bigger,
+// still correct), a passed-but-incompressible page wastes one
 // deflate and falls back raw exactly as before.
 
 // gateSamples is the number of bytes the entropy probe reads, spread across
@@ -136,59 +135,17 @@ func (c *pageCompressor) compress(page []byte) (data []byte, ok bool, err error)
 	return c.buf.Bytes(), true, nil
 }
 
-// writePageFullZ emits a compressed full-page message: the standard page
-// header followed by a u32 length and the deflate stream.
-func writePageFullZ(w io.Writer, page uint64, sum checksum.Sum, compressed []byte) error {
-	if err := writePageHeader(w, msgPageFullZ, page, sum); err != nil {
-		return err
-	}
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(compressed)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return fmt.Errorf("core: write compressed length: %w", err)
-	}
-	if _, err := w.Write(compressed); err != nil {
-		return fmt.Errorf("core: write compressed payload: %w", err)
-	}
-	return nil
-}
-
 // pageDecompressor inflates page payloads, reusing one decoder.
 type pageDecompressor struct {
-	comp []byte
-	fr   io.ReadCloser
+	fr io.ReadCloser
 }
 
 func newPageDecompressor() *pageDecompressor {
-	return &pageDecompressor{
-		comp: make([]byte, 0, vm.PageSize),
-		fr:   flate.NewReader(bytes.NewReader(nil)),
-	}
-}
-
-// readInto reads one compressed payload (length prefix + deflate stream)
-// from r and inflates exactly PageSize bytes into dst.
-func (d *pageDecompressor) readInto(r io.Reader, dst []byte) error {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return fmt.Errorf("core: read compressed length: %w", err)
-	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
-	if n == 0 || n >= vm.PageSize {
-		return fmt.Errorf("%w: compressed page length %d out of (0,%d)", ErrProtocol, n, vm.PageSize)
-	}
-	if cap(d.comp) < int(n) {
-		d.comp = make([]byte, n)
-	}
-	d.comp = d.comp[:n]
-	if _, err := io.ReadFull(r, d.comp); err != nil {
-		return fmt.Errorf("core: read compressed payload: %w", err)
-	}
-	return d.inflate(d.comp, dst)
+	return &pageDecompressor{fr: flate.NewReader(bytes.NewReader(nil))}
 }
 
 // inflate decompresses one already-read deflate payload into dst, which
-// must hold exactly PageSize bytes. A range frame's pages are inflated
+// must hold exactly PageSize bytes. A range-full-z frame's pages are inflated
 // through it one by one, their payloads having been read with the frame.
 func (d *pageDecompressor) inflate(comp, dst []byte) error {
 	if err := d.fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {

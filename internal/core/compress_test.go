@@ -2,12 +2,45 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"testing"
 	"testing/quick"
 
 	"vecycle/internal/checksum"
 	"vecycle/internal/vm"
 )
+
+// writeZFrame encodes one deflated page as a one-page range-full-z frame at
+// start, tag included.
+func writeZFrame(w io.Writer, start uint64, sum checksum.Sum, z []byte) error {
+	if err := writeRangeHeader(w, msgRangeFullZ, start, 1); err != nil {
+		return err
+	}
+	if err := writeRangeVarMeta(w, []checksum.Sum{sum}, []uint32{uint32(len(z))}); err != nil {
+		return err
+	}
+	_, err := w.Write(z)
+	return err
+}
+
+// readZPage decodes one range-full-z frame from r and inflates its first page
+// into out, the way the merge does.
+func readZPage(r io.Reader, d *pageDecompressor, out []byte) (rangeFrame, error) {
+	var f rangeFrame
+	tag, err := readMsgType(r)
+	if err != nil {
+		return f, err
+	}
+	if tag != msgRangeFullZ {
+		return f, fmt.Errorf("tag %v, want range-full-z", tag)
+	}
+	if err := readRangeFrame(r, tag, 1<<20, 0, &f); err != nil {
+		return f, err
+	}
+	return f, d.inflate(f.payload[:f.lens[0]], out)
+}
 
 func TestCompressorRoundTrip(t *testing.T) {
 	comp, err := newPageCompressor()
@@ -30,20 +63,16 @@ func TestCompressorRoundTrip(t *testing.T) {
 
 	var buf bytes.Buffer
 	sum := checksum.MD5.Page(page)
-	if err := writePageFullZ(&buf, 3, sum, z); err != nil {
+	if err := writeZFrame(&buf, 3, sum, z); err != nil {
 		t.Fatal(err)
-	}
-	tag, err := readMsgType(&buf)
-	if err != nil || tag != msgPageFullZ {
-		t.Fatalf("tag=%v err=%v", tag, err)
-	}
-	pageNo, gotSum, err := readPageHeader(&buf)
-	if err != nil || pageNo != 3 || gotSum != sum {
-		t.Fatalf("header: page=%d sum=%v err=%v", pageNo, gotSum, err)
 	}
 	out := make([]byte, vm.PageSize)
-	if err := decomp.readInto(&buf, out); err != nil {
+	f, err := readZPage(&buf, decomp, out)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if f.start != 3 || f.count != 1 || f.sums[0] != sum {
+		t.Fatalf("header: start=%d count=%d sum=%v", f.start, f.count, f.sums[0])
 	}
 	if !bytes.Equal(out, page) {
 		t.Error("decompressed page differs")
@@ -84,17 +113,11 @@ func TestCompressorReuse(t *testing.T) {
 			t.Fatalf("page %d: ok=%v err=%v", i, ok, err)
 		}
 		var buf bytes.Buffer
-		if err := writePageFullZ(&buf, uint64(i), checksum.MD5.Page(page), z); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := readMsgType(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := readPageHeader(&buf); err != nil {
+		if err := writeZFrame(&buf, uint64(i), checksum.MD5.Page(page), z); err != nil {
 			t.Fatal(err)
 		}
 		out := make([]byte, vm.PageSize)
-		if err := decomp.readInto(&buf, out); err != nil {
+		if _, err := readZPage(&buf, decomp, out); err != nil {
 			t.Fatalf("page %d: %v", i, err)
 		}
 		if !bytes.Equal(out, page) {
@@ -106,14 +129,16 @@ func TestCompressorReuse(t *testing.T) {
 func TestDecompressorRejectsBadLengths(t *testing.T) {
 	decomp := newPageDecompressor()
 	out := make([]byte, vm.PageSize)
-	// Length 0.
-	if err := decomp.readInto(bytes.NewReader([]byte{0, 0, 0, 0}), out); err == nil {
-		t.Error("zero-length compressed page accepted")
-	}
-	// Length >= PageSize (would never have been sent compressed).
-	bad := []byte{0, 0x10, 0, 0} // 4096
-	if err := decomp.readInto(bytes.NewReader(bad), out); err == nil {
-		t.Error("page-size compressed length accepted")
+	// Length 0, and length >= PageSize (would never have been sent
+	// compressed): both are malformed frames.
+	for _, n := range []int{0, vm.PageSize} {
+		var buf bytes.Buffer
+		if err := writeZFrame(&buf, 0, checksum.Sum{}, make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readZPage(&buf, decomp, out); !errors.Is(err, ErrProtocol) {
+			t.Errorf("compressed page of %d bytes: err = %v, want ErrProtocol", n, err)
+		}
 	}
 }
 
@@ -121,8 +146,11 @@ func TestDecompressorRejectsGarbage(t *testing.T) {
 	decomp := newPageDecompressor()
 	out := make([]byte, vm.PageSize)
 	// Valid length, invalid deflate stream.
-	payload := append([]byte{8, 0, 0, 0}, []byte("notdeflate")[:8]...)
-	if err := decomp.readInto(bytes.NewReader(payload), out); err == nil {
+	var buf bytes.Buffer
+	if err := writeZFrame(&buf, 0, checksum.Sum{}, []byte("notdeflate")[:8]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readZPage(&buf, decomp, out); err == nil {
 		t.Error("garbage deflate stream accepted")
 	}
 }
@@ -233,17 +261,11 @@ func TestCompressionRoundTripProperty(t *testing.T) {
 			return true // raw fallback path, nothing to verify here
 		}
 		var buf bytes.Buffer
-		if err := writePageFullZ(&buf, 0, checksum.MD5.Page(page), z); err != nil {
-			return false
-		}
-		if _, err := readMsgType(&buf); err != nil {
-			return false
-		}
-		if _, _, err := readPageHeader(&buf); err != nil {
+		if err := writeZFrame(&buf, 0, checksum.MD5.Page(page), z); err != nil {
 			return false
 		}
 		out := make([]byte, vm.PageSize)
-		if err := decomp.readInto(&buf, out); err != nil {
+		if _, err := readZPage(&buf, decomp, out); err != nil {
 			return false
 		}
 		return bytes.Equal(out, page)

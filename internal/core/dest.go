@@ -3,7 +3,6 @@ package core
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,7 +10,6 @@ import (
 
 	"vecycle/internal/checkpoint"
 	"vecycle/internal/checksum"
-	"vecycle/internal/delta"
 	"vecycle/internal/faultfs"
 	"vecycle/internal/vm"
 )
@@ -198,7 +196,7 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 		res.Metrics.BytesReceived = s.cr.n
 	}()
 
-	if reason := validateHello(h, v); reason != "" {
+	if reason := validateHello(h, v, false); reason != "" {
 		_ = writeHelloAck(w, helloAck{OK: false, Reason: reason})
 		_ = flush(w)
 		return res, fmt.Errorf("%w: %s", ErrRejected, reason)
@@ -387,14 +385,13 @@ func (s *IncomingSession) saveSalvage(v *vm.VM, opts DestOptions) error {
 }
 
 // mergeSequential is the destination engine: the single-goroutine merge
-// loop of Listing 1, extended with full-page, delta and range-frame installs
-// and round bookkeeping. Each frame waits for the background install of the
-// checkpoint spans under it (awaitInstall) before it lands.
+// loop of Listing 1 over range frames — every page arrives in one, and
+// applyRange installs it — with round bookkeeping. Each frame waits for the
+// background install of the checkpoint spans under it (awaitInstall) before
+// it lands.
 func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts DestOptions, cp *checkpoint.Checkpoint, res *DestResult, start time.Time) error {
 	h := s.h
 	w, r := s.w, s.r
-	pageBuf := make([]byte, vm.PageSize)
-	var deltaBuf []byte
 	st := getDestScratch()
 	defer putDestScratch(st)
 	rng := &st.frame
@@ -429,107 +426,9 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 				return err
 			}
 			res.Metrics.PageFrames++
-			res.Metrics.RangeFrames++
-
-		case msgPageFull, msgPageFullZ:
-			page, sum, err := readPageHeader(r)
-			if err != nil {
-				return err
+			if rng.count > 1 {
+				res.Metrics.RangeFrames++
 			}
-			if page >= uint64(v.NumPages()) {
-				return fmt.Errorf("%w: page %d out of range", ErrProtocol, page)
-			}
-			res.Metrics.PageFrames++
-			if t == msgPageFullZ {
-				if st.decomp == nil {
-					st.decomp = newPageDecompressor()
-				}
-				if err := st.decomp.readInto(r, pageBuf); err != nil {
-					return err
-				}
-				res.Metrics.PagesCompressed++
-			} else if _, err := io.ReadFull(r, pageBuf); err != nil {
-				return fmt.Errorf("core: read page %d payload: %w", page, err)
-			}
-			if opts.VerifyPayloads {
-				if got := h.Alg.Page(pageBuf); got != sum {
-					return fmt.Errorf("%w: page %d payload checksum mismatch", ErrProtocol, page)
-				}
-			}
-			if err := awaitInstall(cp, int(page), 1); err != nil {
-				return err
-			}
-			// The header sum describes the installed bytes — verified above
-			// when VerifyPayloads is set, trusted at the protocol's own level
-			// otherwise (the same trust a recycled page-sum frame gets).
-			one := [1]checksum.Sum{sum}
-			installWire(v, s.save, int(page), pageBuf, h.Alg, one[:])
-			res.Metrics.PagesFull++
-
-		case msgPageSum:
-			page, sum, err := readPageHeader(r)
-			if err != nil {
-				return err
-			}
-			if page >= uint64(v.NumPages()) {
-				return fmt.Errorf("%w: page %d out of range", ErrProtocol, page)
-			}
-			if cp == nil {
-				return fmt.Errorf("%w: page-sum received without a checkpoint", ErrProtocol)
-			}
-			res.Metrics.PageFrames++
-			if err := awaitInstall(cp, int(page), 1); err != nil {
-				return err
-			}
-			want := [1]checksum.Sum{sum}
-			if err := resolveSums(v, cp, h.Alg, int(page), want[:], st, &res.Metrics); err != nil {
-				return err
-			}
-
-		case msgPageDelta:
-			page, sum, err := readPageHeader(r)
-			if err != nil {
-				return err
-			}
-			if page >= uint64(v.NumPages()) {
-				return fmt.Errorf("%w: page %d out of range", ErrProtocol, page)
-			}
-			if cp == nil {
-				return fmt.Errorf("%w: page-delta received without a checkpoint", ErrProtocol)
-			}
-			res.Metrics.PageFrames++
-			var lenBuf [4]byte
-			if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-				return fmt.Errorf("core: read delta length: %w", err)
-			}
-			n := binary.LittleEndian.Uint32(lenBuf[:])
-			if n == 0 || n > vm.PageSize {
-				return fmt.Errorf("%w: delta length %d out of range", ErrProtocol, n)
-			}
-			if cap(deltaBuf) < int(n) {
-				deltaBuf = make([]byte, n)
-			}
-			enc := deltaBuf[:n]
-			if _, err := io.ReadFull(r, enc); err != nil {
-				return fmt.Errorf("core: read delta payload: %w", err)
-			}
-			// The frame still holds bootstrap (checkpoint) content in round
-			// one; apply the delta against it.
-			if err := awaitInstall(cp, int(page), 1); err != nil {
-				return err
-			}
-			v.ReadPage(int(page), pageBuf)
-			if err := delta.Decode(pageBuf, enc, pageBuf); err != nil {
-				return fmt.Errorf("%w: %v", ErrProtocol, err)
-			}
-			// Deltas are always verified: a base mismatch (stale mirror at
-			// the source) silently corrupts otherwise.
-			if got := h.Alg.Page(pageBuf); got != sum {
-				return fmt.Errorf("%w: page %d delta produced checksum mismatch (stale delta base?)", ErrProtocol, page)
-			}
-			one := [1]checksum.Sum{sum}
-			installWire(v, s.save, int(page), pageBuf, h.Alg, one[:])
-			res.Metrics.PagesDelta++
 
 		case msgRoundEnd:
 			round, dirty, err := readRoundEnd(r)
@@ -585,11 +484,15 @@ func finishTrack(v *vm.VM, res *DestResult) {
 	res.Metrics.HashAvoidedBytes += int64(n-hashed) * vm.PageSize
 }
 
-// validateHello returns a rejection reason, or "" to accept.
-func validateHello(h hello, v *vm.VM) string {
+// validateHello returns a rejection reason, or "" to accept. postCopy is the
+// mode of the engine the session runs: a hello asking for the other is
+// refused by name, not left to fail on the first frame it does not expect.
+func validateHello(h hello, v *vm.VM, postCopy bool) string {
 	switch {
 	case h.Version != ProtocolVersion:
 		return fmt.Sprintf("protocol version %d unsupported (want %d)", h.Version, ProtocolVersion)
+	case h.PostCopy != postCopy:
+		return fmt.Sprintf("%s migration sent to a %s destination", migrationMode(h.PostCopy), migrationMode(postCopy))
 	case h.VMName != v.Name():
 		return fmt.Sprintf("VM name %q does not match prepared VM %q", h.VMName, v.Name())
 	case h.PageSize != vm.PageSize:
@@ -604,4 +507,12 @@ func validateHello(h hello, v *vm.VM) string {
 	default:
 		return ""
 	}
+}
+
+// migrationMode names a protocol mode in rejections.
+func migrationMode(postCopy bool) string {
+	if postCopy {
+		return "post-copy"
+	}
+	return "pre-copy"
 }

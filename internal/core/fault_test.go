@@ -160,7 +160,7 @@ func TestDestRejectsOutOfRangePage(t *testing.T) {
 		t.Fatal(err)
 	}
 	page := make([]byte, vm.PageSize)
-	if err := writePageFull(&stream, 99, checksum.MD5.Page(page), page); err != nil {
+	if err := writeRangePage(&stream, 99, checksum.MD5.Page(page), page); err != nil {
 		t.Fatal(err)
 	}
 	_, err := MigrateDest(context.Background(), readWriter{&stream, io.Discard}, dst, DestOptions{})
@@ -183,7 +183,10 @@ func TestDestRejectsPageSumWithoutCheckpoint(t *testing.T) {
 	if err := writeHello(&stream, h); err != nil {
 		t.Fatal(err)
 	}
-	if err := writePageSum(&stream, 0, checksum.MD5.Page([]byte("x"))); err != nil {
+	if err := writeRangeHeader(&stream, msgRangeSum, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeRangeSums(&stream, []checksum.Sum{checksum.MD5.Page([]byte("x"))}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := MigrateDest(context.Background(), readWriter{&stream, io.Discard}, dst, DestOptions{})
@@ -209,6 +212,50 @@ func TestDestRejectsUnknownMessage(t *testing.T) {
 	_, err := MigrateDest(context.Background(), readWriter{&stream, io.Discard}, dst, DestOptions{})
 	if !errors.Is(err, ErrProtocol) {
 		t.Errorf("err = %v, want ErrProtocol", err)
+	}
+}
+
+// TestDestRejectsRetiredPageTags: the per-page frames of version 2 — tags 4,
+// 5, 9 and 10 — are reserved in version 3. A stream carrying one, well formed
+// as version 2 wrote it and in a migration that could have used it (recycled,
+// over a checkpoint), fails with ErrProtocol.
+func TestDestRejectsRetiredPageTags(t *testing.T) {
+	src := newVM(t, "vm0", 4, 1)
+	if err := src.FillRandom(1.0); err != nil {
+		t.Fatal(err)
+	}
+	store := newStore(t)
+	if err := store.Save(src); err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, vm.PageSize)
+	src.ReadPage(2, page)
+	sum := checksum.Default.Page(page)
+	for tag, body := range map[byte][]byte{
+		4:  nil,                                            // page-sum
+		5:  page,                                           // page-full
+		9:  append([]byte{8, 0, 0, 0}, make([]byte, 8)...), // page-full-z
+		10: append([]byte{8, 0, 0, 0}, make([]byte, 8)...), // page-delta
+	} {
+		var stream bytes.Buffer
+		if err := writeHello(&stream, hello{Version: ProtocolVersion, VMName: "vm0", PageSize: vm.PageSize,
+			PageCount: 4, Alg: checksum.Default, Recycle: true}); err != nil {
+			t.Fatal(err)
+		}
+		stream.WriteByte(tag)
+		var pageNo [8]byte
+		pageNo[0] = 2
+		stream.Write(pageNo[:])
+		stream.Write(sum[:])
+		stream.Write(body)
+		if err := writeMsgType(&stream, msgDone); err != nil {
+			t.Fatal(err)
+		}
+		dst := newVM(t, "vm0", 4, 2)
+		_, err := MigrateDest(context.Background(), readWriter{&stream, io.Discard}, dst, DestOptions{Store: store})
+		if !errors.Is(err, ErrProtocol) {
+			t.Errorf("tag %d: err = %v, want ErrProtocol", tag, err)
+		}
 	}
 }
 

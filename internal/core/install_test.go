@@ -188,7 +188,7 @@ func sparseRounds(t *testing.T, pages int, hold time.Duration) {
 	want.WritePage(rewritten, page)
 	steps := []error{
 		writeRoundEnd(hs.w, 1, 1),
-		writePageFull(hs.w, rewritten, checksum.Default.Page(page), page),
+		writeRangePage(hs.w, rewritten, checksum.Default.Page(page), page),
 		writeRoundEnd(hs.w, 2, 0),
 		writeMsgType(hs.w, msgDone),
 		hs.w.Flush(),
@@ -238,7 +238,7 @@ func TestBackgroundInstallCancel(t *testing.T) {
 	hs, done := dialDest(t, ctx, store, dst)
 	// A full page so that there is progress a salvage would want to keep.
 	page := make([]byte, vm.PageSize)
-	if err := writePageFull(hs.w, 0, checksum.Default.Page(page), page); err != nil {
+	if err := writeRangePage(hs.w, 0, checksum.Default.Page(page), page); err != nil {
 		t.Fatal(err)
 	}
 	if err := hs.w.Flush(); err != nil {

@@ -43,12 +43,13 @@ type Metrics struct {
 	// PagesDelta counts changed pages sent as XBZRLE deltas against the
 	// checkpoint frame (only with SourceOptions.DeltaBase).
 	PagesDelta int
-	// PageFrames counts page-carrying wire frames: one per coalesced run,
-	// a run of one page being its per-page frame. Pages/PageFrames is the
+	// PageFrames counts the page-carrying frames sent (or, on the
+	// destination, received): one range frame per run of same-treatment
+	// pages, a lone page being a one-page frame. Pages/PageFrames is the
 	// realized coalescing factor.
 	PageFrames int
-	// RangeFrames counts the subset of PageFrames that crossed the wire as
-	// coalesced page-range frames (tags 12-15).
+	// RangeFrames counts the subset of PageFrames that carry two or more
+	// pages; PageFrames−RangeFrames frames carry one.
 	RangeFrames int
 	// DeltaSavedBytes is the payload volume delta encoding avoided.
 	DeltaSavedBytes int64
@@ -68,8 +69,8 @@ type Metrics struct {
 	// walks every page, so every digest arrives on some frame).
 	HashBytes int64
 	// ProbeHashBytes counts bytes the destination digested to compare a
-	// resident page with a checksum from the wire (page-sum and range-sum
-	// frames, the post-copy manifest). Zero after a checkpoint bootstrap,
+	// resident page with a checksum from the wire (range-sum frames, the
+	// post-copy manifest). Zero after a checkpoint bootstrap,
 	// which seeds the table from the sums it restored with; a union
 	// bootstrap installs nothing, so there every probed page is hashed.
 	ProbeHashBytes int64

@@ -5,10 +5,12 @@
 // Source side (§3.2): for every page of the first round, compute a strong
 // checksum; if the destination announced that checksum, send only (page
 // number, checksum), otherwise send the full page, with the checksum
-// attached so the receiver need not recompute it. Later rounds carry only
-// pages dirtied while the previous round streamed, always in full — "we
-// consider it unlikely that a page updated between copy rounds matches a
-// page already present at the destination".
+// attached so the receiver need not recompute it. Both travel in range
+// frames, which carry a run of consecutive pages of one treatment under one
+// header (rangeframe.go). Later rounds carry only pages dirtied while the
+// previous round streamed, always in full — "we consider it unlikely that a
+// page updated between copy rounds matches a page already present at the
+// destination".
 //
 // Destination side (§3.3): open the local checkpoint — one checksum per 4 KiB
 // block with its file offset — and bootstrap RAM from it, in the background
@@ -31,32 +33,35 @@ import (
 
 // ProtocolVersion guards against mixed deployments: a hello of any other
 // version is refused with a hello-ack naming both, never negotiated. Version
-// 2 has one dialect: the raw announcement and range frames always.
-const ProtocolVersion uint16 = 2
+// 3 has one dialect and one frame family: the raw announcement, and every page
+// in a range frame whose count byte holds count − 1.
+const ProtocolVersion uint16 = 3
 
 // msgType tags each wire message.
 type msgType uint8
 
-// Wire message types.
+// Wire message types. Tags 4, 5, 9 and 10 were version 2's per-page sum,
+// full, deflated and delta frames, tag 11 version 1's compact announcement;
+// all are reserved, and a reserved tag anywhere in a stream is a protocol
+// violation. The page-range frames (tags 12-15) are the only frames that carry
+// pages: one frame carries a contiguous run of 1..MaxRangePages pages that all
+// received the same treatment (checksum-only, full, compressed, delta).
 const (
 	msgHello        msgType = iota + 1 // source → destination: session parameters
 	msgHelloAck                        // destination → source: accept/reject
 	msgHashAnnounce                    // destination → source: checksums available locally
-	msgPageSum                         // source → destination: page reusable from checkpoint
-	msgPageFull                        // source → destination: page payload
+	_                                  // 4: reserved
+	_                                  // 5: reserved
 	msgRoundEnd                        // source → destination: pre-copy round boundary
 	msgDone                            // source → destination: stop-and-copy complete
 	msgAck                             // destination → source: merge complete, VM may resume
-	msgPageFullZ                       // source → destination: deflate-compressed page payload
-	msgPageDelta                       // source → destination: XBZRLE delta against the checkpoint frame
-	_                                  // tag 11 is reserved (version 1's compact announcement): a protocol violation
-	// Coalesced page-range frames (tags 12-15): one frame carries a
-	// contiguous run of 2..MaxRangePages pages that all received the same
-	// treatment (checksum-only, full, compressed, delta).
-	msgRangeSum   // source → destination: run of checkpoint-reusable pages
-	msgRangeFull  // source → destination: run of raw page payloads
-	msgRangeFullZ // source → destination: run of deflate-compressed payloads
-	msgRangeDelta // source → destination: run of XBZRLE deltas
+	_                                  // 9: reserved
+	_                                  // 10: reserved
+	_                                  // 11: reserved
+	msgRangeSum                        // source → destination: run of checkpoint-reusable pages
+	msgRangeFull                       // source → destination: run of raw page payloads
+	msgRangeFullZ                      // source → destination: run of deflate-compressed payloads
+	msgRangeDelta                      // source → destination: run of XBZRLE deltas
 )
 
 func (m msgType) String() string {
@@ -67,20 +72,12 @@ func (m msgType) String() string {
 		return "hello-ack"
 	case msgHashAnnounce:
 		return "hash-announce"
-	case msgPageSum:
-		return "page-sum"
-	case msgPageFull:
-		return "page-full"
 	case msgRoundEnd:
 		return "round-end"
 	case msgDone:
 		return "done"
 	case msgAck:
 		return "ack"
-	case msgPageFullZ:
-		return "page-full-z"
-	case msgPageDelta:
-		return "page-delta"
 	case msgRangeSum:
 		return "range-sum"
 	case msgRangeFull:
@@ -247,6 +244,12 @@ func readHello(r io.Reader) (hello, error) {
 	h.Recycle = flags&1 != 0
 	h.HasRoot = flags&2 != 0
 	h.PostCopy = flags&4 != 0
+	if h.PostCopy && !h.Recycle {
+		// Post-copy resolves its manifest against the checkpoint by sum, which
+		// declares page identity from a digest: only a recycled migration's
+		// strong-algorithm rule (validateHello) makes that sound.
+		return h, fmt.Errorf("%w: hello asks for post-copy without recycling", ErrProtocol)
+	}
 	if h.HasRoot {
 		// A root names a checkpoint to recycle; without the recycle bit the
 		// 32 bytes that follow have no reading.
@@ -331,45 +334,6 @@ func writeHashAnnounce(w io.Writer, set *checksum.Set) error {
 // readHashAnnounce parses the bulk checksum set after the tag byte.
 func readHashAnnounce(r io.Reader) (*checksum.Set, error) {
 	return checksum.DecodeSet(r)
-}
-
-// pageHeader is shared by msgPageSum and msgPageFull: the page number and
-// its checksum. Sending the checksum with the full page "saves the receiver
-// from re-computing the checksum for the received page".
-func writePageHeader(w io.Writer, t msgType, page uint64, sum checksum.Sum) error {
-	var buf [1 + 8 + checksum.Size]byte
-	buf[0] = byte(t)
-	binary.LittleEndian.PutUint64(buf[1:9], page)
-	copy(buf[9:], sum[:])
-	if _, err := w.Write(buf[:]); err != nil {
-		return fmt.Errorf("core: write %v: %w", t, err)
-	}
-	return nil
-}
-
-func writePageSum(w io.Writer, page uint64, sum checksum.Sum) error {
-	return writePageHeader(w, msgPageSum, page, sum)
-}
-
-func writePageFull(w io.Writer, page uint64, sum checksum.Sum, data []byte) error {
-	if err := writePageHeader(w, msgPageFull, page, sum); err != nil {
-		return err
-	}
-	if _, err := w.Write(data); err != nil {
-		return fmt.Errorf("core: write page payload: %w", err)
-	}
-	return nil
-}
-
-// readPageHeader parses the (page, sum) pair after the tag byte.
-func readPageHeader(r io.Reader) (page uint64, sum checksum.Sum, err error) {
-	var buf [8 + checksum.Size]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, sum, fmt.Errorf("core: read page header: %w", err)
-	}
-	page = binary.LittleEndian.Uint64(buf[:8])
-	copy(sum[:], buf[8:])
-	return page, sum, nil
 }
 
 func writeRoundEnd(w io.Writer, round uint32, dirty uint64) error {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net"
+	"runtime"
+	"sync"
 	"testing"
 
 	"vecycle/internal/checksum"
@@ -52,7 +55,9 @@ func helloFrame(f *testing.F, h hello) []byte {
 // parsed struct is the whole meaning of the frame, so nothing may be lost or
 // invented between the two. A hello of this version sets only the flag bits
 // it defines, so it re-encodes to exactly the bytes it was read from; one of
-// another version parses for its rejection, whatever its flags.
+// another version parses for its rejection, whatever its flags. No hello asks
+// for post-copy without recycling: post-copy resolves pages by checksum, and
+// only a recycled hello is held to a strong algorithm.
 func FuzzHello(f *testing.F) {
 	plain := hello{Version: ProtocolVersion, VMName: "vm0", PageSize: vm.PageSize, PageCount: 65536,
 		Alg: checksum.Default, Recycle: true}
@@ -60,7 +65,10 @@ func FuzzHello(f *testing.F) {
 	named.HasRoot, named.Root = true, [32]byte{0: 0xde, 1: 0xad, 31: 0xef}
 	f.Add(helloFrame(f, plain))
 	f.Add(helloFrame(f, named))
-	f.Add(helloFrame(f, hello{Version: ProtocolVersion, VMName: "", PostCopy: true, Alg: checksum.MD5}))
+	f.Add(helloFrame(f, hello{Version: ProtocolVersion, VMName: "", Recycle: true, PostCopy: true, Alg: checksum.MD5}))
+	weak := helloFrame(f, hello{Version: ProtocolVersion, VMName: "vm0", Recycle: true, PostCopy: true, Alg: checksum.FNV})
+	weak[len(weak)-1] = 4 // post-copy without recycle
+	f.Add(weak)
 	withRoot := helloFrame(f, named)
 	f.Add(withRoot[:len(withRoot)-7]) // truncated root
 	rootless := helloFrame(f, plain)
@@ -83,6 +91,9 @@ func FuzzHello(f *testing.F) {
 		}
 		if h.HasRoot && !h.Recycle {
 			t.Fatal("accepted a manifest root without recycling")
+		}
+		if h.PostCopy && !h.Recycle {
+			t.Fatal("accepted post-copy without recycling")
 		}
 		var buf bytes.Buffer
 		if err := writeHello(&buf, h); err != nil {
@@ -163,11 +174,12 @@ func mergeRaw(t *testing.T, raw []byte) {
 	_, _ = MigrateDest(context.Background(), readWriter{bytes.NewReader(raw), io.Discard}, dst, DestOptions{VerifyPayloads: true})
 }
 
-// FuzzMergeStream fuzzes the destination engine from per-page frames.
+// FuzzMergeStream fuzzes the destination engine from one-page range frames,
+// the frames a lone page crosses in.
 func FuzzMergeStream(f *testing.F) {
 	page := fuzzPage()
 	var full bytes.Buffer
-	if err := writePageFull(&full, 0, checksum.MD5.Page(page), page); err != nil {
+	if err := writeRangePage(&full, 0, checksum.MD5.Page(page), page); err != nil {
 		f.Fatal(err)
 	}
 	valid := scriptedSourceStream(f, full.Bytes())
@@ -187,6 +199,86 @@ func FuzzRangeMergeStream(f *testing.F) {
 	f.Add(scriptedSourceStream(f, sums.Bytes()))
 	f.Add(scriptedSourceStream(f, wrappingRangeFull(f)))
 	f.Fuzz(mergeRaw)
+}
+
+// fuzzPostCopyPages is the size of the guest FuzzPostCopyDest migrates into.
+const fuzzPostCopyPages = 8
+
+// postCopyAllocSlack is what RunPostCopy may allocate beyond the guest's size:
+// the hello-ack, the missing-page list, one frame's checksums and the errors.
+const postCopyAllocSlack = 16 << 10
+
+// recordPostCopy runs a real post-copy migration of a fuzzPostCopyPages guest
+// into a destination without a checkpoint, so that every page is fetched, and
+// returns every byte the source wrote: the hello, the manifest and one
+// range-full response per page, in request order.
+func recordPostCopy(f *testing.F) []byte {
+	f.Helper()
+	guest := func(seed int64) *vm.VM {
+		v, err := vm.New(vm.Config{Name: "vm0", MemBytes: fuzzPostCopyPages * vm.PageSize, Seed: seed})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return v
+	}
+	src, dst := guest(1), guest(2)
+	if err := src.FillRandom(0.5); err != nil {
+		f.Fatal(err)
+	}
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	rc := &recordConn{Conn: a}
+	var wg sync.WaitGroup
+	var serr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, serr = PostCopySource(context.Background(), rc, src, PostCopySourceOptions{})
+	}()
+	res, derr := PostCopyDest(context.Background(), b, dst, PostCopyDestOptions{})
+	wg.Wait()
+	if serr != nil || derr != nil {
+		f.Fatalf("recording: source %v, destination %v", serr, derr)
+	}
+	if res.Metrics.PagesRequested != fuzzPostCopyPages || !src.MemEqual(dst) {
+		f.Fatalf("recording fetched %d pages, want %d", res.Metrics.PagesRequested, fuzzPostCopyPages)
+	}
+	return rc.rec.Bytes()
+}
+
+// FuzzPostCopyDest drives the post-copy destination from arbitrary source
+// bytes: hello, manifest count and sums, and the range-full frames that answer
+// its page requests. It must end in success or an error, never panic, and
+// never allocate much beyond the guest it migrates into: the manifest must
+// count exactly the guest's pages, and a response frame cannot claim pages
+// past the guest's end.
+func FuzzPostCopyDest(f *testing.F) {
+	rec := recordPostCopy(f)
+	f.Add(rec)
+	f.Add(rec[:len(rec)/2])
+	// The first response claims every page of the guest.
+	manifestEnd := HelloMsgBytes(len("vm0")) + 1 + 8 + fuzzPostCopyPages*checksum.Size
+	greedy := append([]byte(nil), rec...)
+	greedy[manifestEnd+1+8] = fuzzPostCopyPages - 1
+	f.Add(greedy)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s, err := Accept(context.Background(), readWriter{bytes.NewReader(raw), io.Discard})
+		if err != nil {
+			return
+		}
+		dst, err := vm.New(vm.Config{Name: "vm0", MemBytes: fuzzPostCopyPages * vm.PageSize, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _ = s.RunPostCopy(context.Background(), dst, PostCopyDestOptions{})
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(dst.MemBytes()+postCopyAllocSlack); got > limit {
+			t.Fatalf("post-copy destination allocated %d bytes for a %d-byte guest", got, dst.MemBytes())
+		}
+	})
 }
 
 func FuzzDeltaDecode(f *testing.F) {

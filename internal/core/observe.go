@@ -90,9 +90,9 @@ type Event struct {
 	// Bytes is the wire volume attributed to the turn.
 	Bytes int64
 	// Frames is the number of page-carrying wire frames the turn covered
-	// (EventRound only). Coalesced page-range frames put it well below
-	// Pages; the two match only when no two adjacent pages shared a
-	// treatment.
+	// (EventRound only), each a range frame of one or more pages. Coalescing
+	// puts it well below Pages; the two match only when no two adjacent
+	// pages shared a treatment.
 	Frames int64
 	// Detail carries free-form context.
 	Detail string

@@ -109,10 +109,19 @@ func (c *recordConn) Write(p []byte) (int, error) {
 // builds. The wire is a protocol peers of other versions speak, so a change
 // that moves a byte of it fails here and has to re-pin these on purpose.
 const (
-	goldenAnnouncedSrc = "4f256f0e0ea0762c734ab8e9505bf31392ac3b29fa778688e19d828609dd6968"
+	goldenAnnouncedSrc = "b1fc461655e3b7705fa7565f44c5286b3a99c379a5656e6a6ebdff947d1d47af"
 	goldenAnnouncedDst = "3ab19b39007aabe73901acf23fb4741ba8d685eabd676e14a78ee960e90e75f2"
-	goldenByNameSrc    = "0b16b09d0967b221aae40110ab9b5e5cb187de742726c33521bdd16fe9fec8e2"
+	goldenByNameSrc    = "595d321280cf3fdb58bfbdb89fb6c3f8401dbb120af3269d81ee658eb30d5fd5"
 	goldenByNameDst    = "42a15d70066c15343066f26951fea20f0fb75f1e3d2e889e0887346a135ccf4d"
+)
+
+// The same source streams as protocol version 2 wrote them. Version 3 moved
+// their bytes only where asVersion2 puts them back, so each of its streams
+// rewritten by it must hash to these. The destination's side has no frame
+// version 3 changed: its digests are version 2's.
+const (
+	version2AnnouncedSrc = "4f256f0e0ea0762c734ab8e9505bf31392ac3b29fa778688e19d828609dd6968"
+	version2ByNameSrc    = "0b16b09d0967b221aae40110ab9b5e5cb187de742726c33521bdd16fe9fec8e2"
 )
 
 // The same conversations as protocol version 1 spoke them, both capabilities
@@ -123,6 +132,54 @@ const (
 	version1AnnouncedDst = "aa4a852289bba63aec91e5cd9394558856ce00f4f9b4770c7fd073a1caf0d06b"
 	version1ByNameSrc    = "938c2661f911d0382430d11339e6cb74b59d60ec86f843fec3c2718558df332a"
 )
+
+// asVersion2 rewrites a golden source stream the way protocol version 2 wrote
+// it. The hello gets version 2; helloLen is its length, root included. Every
+// range frame's count byte becomes a u32 count, except in a one-page frame,
+// which becomes the per-page frame of its kind: tag 4, 5, 9 or 10, then the
+// start as the page number and the rest of the frame as it stands. Round ends
+// and the done pass through; any other tag fails the test.
+func asVersion2(t *testing.T, stream []byte, helloLen int) []byte {
+	t.Helper()
+	out := append([]byte(nil), stream[:helloLen]...)
+	binary.LittleEndian.PutUint16(out[1:3], 2)
+	perPage := map[msgType]byte{msgRangeSum: 4, msgRangeFull: 5, msgRangeFullZ: 9, msgRangeDelta: 10}
+	for rest := stream[helloLen:]; len(rest) > 0; {
+		tag := msgType(rest[0])
+		switch tag {
+		case msgRoundEnd:
+			out, rest = append(out, rest[:RoundEndMsgBytes]...), rest[RoundEndMsgBytes:]
+			continue
+		case msgDone:
+			out, rest = append(out, rest...), nil
+			continue
+		case msgRangeSum, msgRangeFull, msgRangeFullZ, msgRangeDelta:
+		default:
+			t.Fatalf("unexpected %v in the source stream", tag)
+		}
+		count := int(rest[9]) + 1
+		size := RangeSumMsgBytes(count)
+		switch tag {
+		case msgRangeFull:
+			size = RangeFullMsgBytes(count)
+		case msgRangeFullZ, msgRangeDelta:
+			payload := 0
+			for i := 0; i < count; i++ {
+				meta := rest[RangeHeaderBytes+i*(checksum.Size+4):]
+				payload += int(binary.LittleEndian.Uint32(meta[checksum.Size:]))
+			}
+			size = RangeVarMsgBytes(count, payload)
+		}
+		frame, body := rest[:size], rest[RangeHeaderBytes:size]
+		if count == 1 {
+			out = append(append(out, perPage[tag]), frame[1:9]...)
+		} else {
+			out = binary.LittleEndian.AppendUint32(append(out, frame[:9]...), uint32(count))
+		}
+		out, rest = append(out, body...), rest[size:]
+	}
+	return out
+}
 
 // asVersion1 rewrites a golden conversation the way protocol version 1 wrote
 // it. The source's hello gets version 1 and flag bits 3 and 4 (the compact
@@ -277,7 +334,9 @@ func TestGoldenStreamEquivalence(t *testing.T) {
 	if want := HelloAckMsgBytes + 1; len(reply) <= want || reply[1] != 1|2 || reply[want-1] != byte(msgHashAnnounce) {
 		t.Fatalf("reply opens % x, want a hello-ack with OK and have-checkpoint, then the announcement", reply[:min(len(reply), want)])
 	}
-	v1Stream, v1Reply := asVersion1(t, stream, reply, HelloMsgBytes(len("vm0")))
+	v2Stream := asVersion2(t, stream, HelloMsgBytes(len("vm0")))
+	checkGolden(t, "source stream as version 2", v2Stream, version2AnnouncedSrc)
+	v1Stream, v1Reply := asVersion1(t, v2Stream, reply, HelloMsgBytes(len("vm0")))
 	checkGolden(t, "source stream as version 1", v1Stream, version1AnnouncedSrc)
 	checkGolden(t, "destination reply as version 1", v1Reply, version1AnnouncedDst)
 }
@@ -318,7 +377,9 @@ func TestGoldenStreamByName(t *testing.T) {
 	}
 	checkGolden(t, "source stream", stream, goldenByNameSrc)
 	checkGolden(t, "destination reply", reply, goldenByNameDst)
-	v1Stream, _ := asVersion1(t, stream, reply, helloLen)
+	v2Stream := asVersion2(t, stream, helloLen+len(root))
+	checkGolden(t, "source stream as version 2", v2Stream, version2ByNameSrc)
+	v1Stream, _ := asVersion1(t, v2Stream, reply, helloLen)
 	checkGolden(t, "source stream as version 1", v1Stream, version1ByNameSrc)
 }
 

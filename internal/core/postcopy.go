@@ -26,7 +26,8 @@ import (
 //
 //	source → destination: manifest = page count + one checksum per page
 //	destination → source: page requests (page numbers), then done
-//	source → destination: one full page per request, in request order
+//	source → destination: one one-page range-full frame per request, in
+//	                      request order
 //	source → destination: ack after done
 //
 // Requests are pipelined: the destination writes them in windows of
@@ -37,8 +38,8 @@ import (
 
 // Additional message tags for the post-copy protocol.
 const (
-	msgManifest msgType = iota + 32
-	msgPageRequest
+	msgManifest msgType = iota + 32 // source → destination: one checksum per page
+	msgFetch                        // destination → source: page-request, one page number
 )
 
 // requestWindow is the number of pipelined page requests in flight per
@@ -187,7 +188,7 @@ func PostCopySource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Post
 			return m, err
 		}
 		switch t {
-		case msgPageRequest:
+		case msgFetch:
 			var pageBuf [8]byte
 			if _, err := io.ReadFull(r, pageBuf[:]); err != nil {
 				return m, fmt.Errorf("core: read page request: %w", err)
@@ -199,8 +200,15 @@ func PostCopySource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Post
 			v.ReadPage(int(page), buf)
 			m.PagesRequested++
 			m.PagesFull++
-			if err := writePageFull(w, page, opts.Alg.Page(buf), buf); err != nil {
+			sum := [1]checksum.Sum{opts.Alg.Page(buf)}
+			if err := writeRangeHeader(w, msgRangeFull, page, 1); err != nil {
 				return m, err
+			}
+			if err := writeRangeSums(w, sum[:]); err != nil {
+				return m, err
+			}
+			if _, err := w.Write(buf); err != nil {
+				return m, fmt.Errorf("core: write page %d payload: %w", page, err)
 			}
 			if r.Buffered() == 0 {
 				if err := flush(w); err != nil {
@@ -279,7 +287,7 @@ func (s *IncomingSession) RunPostCopy(ctx context.Context, v *vm.VM, opts PostCo
 		res.Metrics.BytesReceived = s.cr.n
 	}()
 
-	if reason := validateHello(h, v); reason != "" {
+	if reason := validateHello(h, v, true); reason != "" {
 		_ = writeHelloAck(w, helloAck{OK: false, Reason: reason})
 		_ = flush(w)
 		return res, fmt.Errorf("%w: %s", ErrRejected, reason)
@@ -376,7 +384,7 @@ func (s *IncomingSession) RunPostCopy(ctx context.Context, v *vm.VM, opts PostCo
 	// Background pre-paging: request the missing pages in order, pipelined
 	// in windows — one flush (and so one round trip) per requestWindow
 	// pages instead of one per page.
-	pageBuf := make([]byte, vm.PageSize)
+	var f rangeFrame
 	for start := 0; start < len(missing); start += requestWindow {
 		if err := ctx.Err(); err != nil {
 			return res, err
@@ -387,7 +395,7 @@ func (s *IncomingSession) RunPostCopy(ctx context.Context, v *vm.VM, opts PostCo
 		}
 		for _, page := range missing[start:end] {
 			var reqBuf [9]byte
-			reqBuf[0] = byte(msgPageRequest)
+			reqBuf[0] = byte(msgFetch)
 			binary.LittleEndian.PutUint64(reqBuf[1:], page)
 			if _, err := w.Write(reqBuf[:]); err != nil {
 				return res, fmt.Errorf("core: write page request: %w", err)
@@ -401,23 +409,19 @@ func (s *IncomingSession) RunPostCopy(ctx context.Context, v *vm.VM, opts PostCo
 			if err != nil {
 				return res, err
 			}
-			if t != msgPageFull {
-				return res, fmt.Errorf("%w: expected page-full, got %v", ErrProtocol, t)
+			if t != msgRangeFull {
+				return res, fmt.Errorf("%w: expected range-full, got %v", ErrProtocol, t)
 			}
-			got, gotSum, err := readPageHeader(r)
-			if err != nil {
+			if err := readRangeFrame(r, t, v.NumPages(), 0, &f); err != nil {
 				return res, err
 			}
-			if got != page {
-				return res, fmt.Errorf("%w: requested page %d, received %d", ErrProtocol, page, got)
+			if f.start != page || f.count != 1 {
+				return res, fmt.Errorf("%w: requested page %d, received [%d,+%d)", ErrProtocol, page, f.start, f.count)
 			}
-			if _, err := io.ReadFull(r, pageBuf); err != nil {
-				return res, fmt.Errorf("core: read page %d payload: %w", page, err)
-			}
-			if h.Alg.Page(pageBuf) != gotSum {
+			if h.Alg.Page(f.payload) != f.sums[0] {
 				return res, fmt.Errorf("%w: page %d payload checksum mismatch", ErrProtocol, page)
 			}
-			v.InstallPageSum(int(page), pageBuf, h.Alg, gotSum)
+			v.InstallPageSum(int(page), f.payload, h.Alg, f.sums[0])
 			res.Metrics.PagesRequested++
 			res.Metrics.PagesFull++
 		}

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"vecycle/internal/checksum"
 	"vecycle/internal/vm"
@@ -216,5 +221,98 @@ func TestPostCopyVsPreCopyResumeLatency(t *testing.T) {
 	// volume must be below a tenth of the 1 MiB memory.
 	if sm.BytesSent > int64(src.MemBytes()/10) {
 		t.Errorf("post-copy with checkpoint sent %d bytes", sm.BytesSent)
+	}
+}
+
+// TestPostCopyRequiresRecycle: a post-copy hello without the recycle bit is a
+// protocol violation. Post-copy resolves its manifest against the checkpoint by
+// checksum, and only a recycled hello is held to a strong algorithm — accepted,
+// {post-copy, fnv} would have the destination restore its checkpoint under FNV
+// and take page identity from it.
+func TestPostCopyRequiresRecycle(t *testing.T) {
+	src := newVM(t, "vm0", 8, 1)
+	if err := src.FillRandom(1.0); err != nil {
+		t.Fatal(err)
+	}
+	store := newStore(t)
+	if err := store.Save(src); err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	if err := writeHello(&stream, hello{Version: ProtocolVersion, VMName: "vm0", PageSize: vm.PageSize,
+		PageCount: 8, Alg: checksum.FNV, PostCopy: true}); err != nil {
+		t.Fatal(err)
+	}
+	// The manifest such a source would send: every page by its FNV sum.
+	stream.WriteByte(byte(msgManifest))
+	stream.Write(binary.LittleEndian.AppendUint64(nil, 8))
+	for _, sum := range src.RangeSums(0, 8, checksum.FNV, nil) {
+		stream.Write(sum[:])
+	}
+	dst := newVM(t, "vm0", 8, 2)
+	res, err := PostCopyDest(context.Background(), readWriter{&stream, io.Discard}, dst, PostCopyDestOptions{Store: store})
+	if !errors.Is(err, ErrProtocol) {
+		t.Errorf("post-copy hello without recycling: err = %v, want ErrProtocol", err)
+	}
+	if res.UsedCheckpoint || res.Metrics.PagesReusedInPlace != 0 {
+		t.Errorf("the destination resolved pages under FNV: %+v", res)
+	}
+}
+
+// TestModeMismatchRefused: each destination engine refuses a hello asking for
+// the other protocol with a hello-ack naming both modes, so the source fails
+// as a rejection on the spot — not with an opaque merge error, and not by
+// waiting out an idle timeout while both sides block on a read.
+func TestModeMismatchRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		source func(ctx context.Context, conn net.Conn, v *vm.VM) error
+		dest   func(ctx context.Context, conn net.Conn, v *vm.VM) error
+		reason string
+	}{
+		{
+			name: "post-copy-to-pre-copy",
+			source: func(ctx context.Context, conn net.Conn, v *vm.VM) error {
+				_, err := PostCopySource(ctx, conn, v, PostCopySourceOptions{})
+				return err
+			},
+			dest: func(ctx context.Context, conn net.Conn, v *vm.VM) error {
+				_, err := MigrateDest(ctx, conn, v, DestOptions{})
+				return err
+			},
+			reason: "post-copy migration sent to a pre-copy destination",
+		},
+		{
+			name: "pre-copy-to-post-copy",
+			source: func(ctx context.Context, conn net.Conn, v *vm.VM) error {
+				_, err := MigrateSource(ctx, conn, v, SourceOptions{Recycle: true})
+				return err
+			},
+			dest: func(ctx context.Context, conn net.Conn, v *vm.VM) error {
+				_, err := PostCopyDest(ctx, conn, v, PostCopyDestOptions{})
+				return err
+			},
+			reason: "pre-copy migration sent to a post-copy destination",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			src, dst := newVM(t, "vm0", 8, 1), newVM(t, "vm0", 8, 2)
+			a, b := net.Pipe()
+			defer a.Close()
+			defer b.Close()
+			var wg sync.WaitGroup
+			var serr, derr error
+			wg.Add(2)
+			go func() { defer wg.Done(); serr = tc.source(ctx, a, src) }()
+			go func() { defer wg.Done(); derr = tc.dest(ctx, b, dst) }()
+			wg.Wait()
+			for side, err := range map[string]error{"source": serr, "destination": derr} {
+				if !errors.Is(err, ErrRejected) || !strings.Contains(err.Error(), tc.reason) {
+					t.Errorf("%s: err = %v, want a rejection saying %q", side, err, tc.reason)
+				}
+			}
+		})
 	}
 }

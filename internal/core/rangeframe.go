@@ -15,18 +15,18 @@ import (
 	"vecycle/internal/vm"
 )
 
-// Coalesced page-range frames (tags 12-15). The per-page protocol spends a
-// tag + page number + checksum on every 4 KiB page, and one decode and
-// install per page at the destination. A range frame carries a contiguous
-// run of pages that all received the same treatment in one frame:
+// Page-range frames (tags 12-15), the one frame family that carries pages. A
+// range frame carries a contiguous run of pages that all received the same
+// treatment, so a run pays one tag, start and count, and one decode and
+// install at the destination:
 //
-//	tag · start u64 · count u32 · per-page metadata · concatenated payloads
+//	tag · start u64 · count−1 u8 · per-page metadata · concatenated payloads
 //
 // where the metadata is one checksum per page (range-sum, range-full) or
 // one (checksum, payload-length) pair per page (range-full-z, range-delta).
 // Runs never exceed MaxRangePages and never span a 256-page batch, so the
 // frame layout is a pure function of page content and batch boundaries. A run
-// of one page keeps its per-page frame.
+// of one page is a one-page range frame.
 
 // MaxRangePages caps the pages one range frame may carry. It equals the
 // source's batch size: runs cannot span batches, so a larger cap would
@@ -34,11 +34,10 @@ import (
 // MaxRangePages*vm.PageSize bytes no matter what a hostile peer sends.
 const MaxRangePages = batchPages
 
-// minRangePages is the smallest run worth coalescing: a single page is
-// cheaper in its per-page frame (no count field), so the encoder only
-// emits ranges for runs of at least two and the decoder rejects smaller
-// counts as malformed.
-const minRangePages = 2
+// The count byte holds count − 1, so every byte value is a count in
+// 1..MaxRangePages and the decoder has no count to reject. This fails to
+// compile unless MaxRangePages is 256.
+const _ = uint8(MaxRangePages-1) - 255
 
 // pageTreatment classifies how one page crosses the wire; a range frame
 // coalesces a run of pages sharing one treatment.
@@ -92,12 +91,12 @@ func (r *rangeRun) reset() {
 func (r *rangeRun) len() int { return len(r.sums) }
 
 // writeRangeHeader emits the tag, start page, and page count of a range
-// frame.
+// frame; count is 1..MaxRangePages.
 func writeRangeHeader(w io.Writer, t msgType, start uint64, count int) error {
-	var buf [1 + 8 + 4]byte
+	var buf [RangeHeaderBytes]byte
 	buf[0] = byte(t)
 	binary.LittleEndian.PutUint64(buf[1:9], start)
-	binary.LittleEndian.PutUint32(buf[9:13], uint32(count))
+	buf[9] = byte(count - 1)
 	if _, err := w.Write(buf[:]); err != nil {
 		return fmt.Errorf("core: write %v header: %w", t, err)
 	}
@@ -130,31 +129,13 @@ func writeRangeVarMeta(w io.Writer, sums []checksum.Sum, lens []uint32) error {
 	return nil
 }
 
-// writePageDelta emits a single-page delta frame: the standard page header
-// followed by a u32 length and the XBZRLE encoding.
-func writePageDelta(w io.Writer, page uint64, sum checksum.Sum, enc []byte) error {
-	if err := writePageHeader(w, msgPageDelta, page, sum); err != nil {
-		return err
-	}
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(enc)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return fmt.Errorf("core: write delta length: %w", err)
-	}
-	if _, err := w.Write(enc); err != nil {
-		return fmt.Errorf("core: write delta payload: %w", err)
-	}
-	return nil
-}
-
 // encodeBatch serializes every page of the batch into its buffer. Each page
 // is classified on its own content: a bare checksum when the destination
 // already holds it, else a delta against base when one fits (base is non-nil
 // in the first round of a recycled migration only), else the full payload,
 // deflated when the entropy gate admits it and it shrinks. Contiguous
-// same-treatment pages coalesce into range frames; a run of one page goes out
-// as its per-page frame, so a range frame on the wire always carries at least
-// minRangePages pages.
+// same-treatment pages coalesce into range frames, a lone page into a
+// one-page one.
 func encodeBatch(e *sourceEncoder, base PageProvider, b *pageBatch, m *Metrics) error {
 	r := &e.run
 	r.reset()
@@ -249,9 +230,8 @@ func (e *sourceEncoder) deltaPayload(base PageProvider, p int, data []byte) ([]b
 	return enc, nil
 }
 
-// flushRun writes the accumulated run into the batch buffer — as the
-// per-page frame when the run holds a single page, as one range frame
-// otherwise — and resets the run.
+// flushRun writes the accumulated run into the batch buffer as one range
+// frame and resets the run.
 func (e *sourceEncoder) flushRun(b *pageBatch, m *Metrics) error {
 	r := &e.run
 	n := r.len()
@@ -261,22 +241,10 @@ func (e *sourceEncoder) flushRun(b *pageBatch, m *Metrics) error {
 	defer r.reset()
 	w := &b.buf
 	m.PageFrames++
-	if n == 1 {
-		data := b.data[r.startIdx*vm.PageSize : (r.startIdx+1)*vm.PageSize]
-		switch r.treat {
-		case treatSum:
-			return writePageSum(w, r.start, r.sums[0])
-		case treatFull:
-			return writePageFull(w, r.start, r.sums[0], data)
-		case treatFullZ:
-			return writePageFullZ(w, r.start, r.sums[0], r.payload.Bytes())
-		default:
-			return writePageDelta(w, r.start, r.sums[0], r.payload.Bytes())
-		}
+	if n > 1 {
+		m.RangeFrames++
 	}
-	m.RangeFrames++
-	t := r.treat.rangeTag()
-	if err := writeRangeHeader(w, t, r.start, n); err != nil {
+	if err := writeRangeHeader(w, r.treat.rangeTag(), r.start, n); err != nil {
 		return err
 	}
 	switch r.treat {
@@ -329,16 +297,12 @@ func (f *rangeFrame) reset() {
 func readRangeFrame(r io.Reader, t msgType, numPages int, floor uint64, f *rangeFrame) error {
 	f.reset()
 	f.t = t
-	var hdr [8 + 4]byte
+	var hdr [RangeHeaderBytes - 1]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return fmt.Errorf("core: read %v header: %w", t, err)
 	}
 	f.start = binary.LittleEndian.Uint64(hdr[:8])
-	count := binary.LittleEndian.Uint32(hdr[8:12])
-	if count < minRangePages || count > MaxRangePages {
-		return fmt.Errorf("%w: %v count %d out of [%d,%d]", ErrProtocol, t, count, minRangePages, MaxRangePages)
-	}
-	f.count = int(count)
+	f.count = int(hdr[8]) + 1
 	// start+count may wrap; compare against the room left after start instead.
 	if f.start > uint64(numPages) || uint64(f.count) > uint64(numPages)-f.start {
 		return fmt.Errorf("%w: %v [%d,+%d) out of range (%d pages)", ErrProtocol, t, f.start, f.count, numPages)
@@ -361,10 +325,6 @@ func readRangeFrame(r io.Reader, t msgType, numPages int, floor uint64, f *range
 			total = f.count * vm.PageSize
 		}
 	case msgRangeFullZ, msgRangeDelta:
-		perPage := msgPageFullZ
-		if t == msgRangeDelta {
-			perPage = msgPageDelta
-		}
 		var meta [checksum.Size + 4]byte
 		for i := 0; i < f.count; i++ {
 			if _, err := io.ReadFull(r, meta[:]); err != nil {
@@ -373,10 +333,10 @@ func readRangeFrame(r io.Reader, t msgType, numPages int, floor uint64, f *range
 			var sum checksum.Sum
 			copy(sum[:], meta[:checksum.Size])
 			n := binary.LittleEndian.Uint32(meta[checksum.Size:])
-			// Per-page limits match the per-page frames' (a compressed page
-			// must shrink, a delta may at most reach a full page).
+			// A compressed page must shrink; a delta may at most reach a
+			// full page.
 			limit := vm.PageSize
-			if perPage == msgPageFullZ {
+			if t == msgRangeFullZ {
 				limit = vm.PageSize - 1
 			}
 			if n == 0 || int(n) > limit {
@@ -437,7 +397,7 @@ func putDestScratch(st *destScratch) {
 // until the background bootstrap (openBootstrap) has installed the checkpoint
 // spans under it. Every frame kind waits, full pages included: a late
 // checkpoint install must never land on top of wire content, a delta needs
-// its base, and a page-sum probe compares against the bootstrapped frame. A
+// its base, and a range-sum probe compares against the bootstrapped frame. A
 // span whose pages could not be read surfaces here as the same retryable
 // recycle-read failure a block read mid-merge raises; a cancelled context
 // passes through as itself. Free once the install is complete or when there
@@ -461,10 +421,10 @@ func installErr(err error) error {
 }
 
 // resolveSums makes pages [start, start+len(want)) of v hold the content the
-// source named by checksum alone — the merge of Listing 1, shared by the
-// page-sum and range-sum frames. The resident digests come
-// from v's digest table (seeded by the checkpoint bootstrap, kept by every
-// install), so a page is hashed only when the table knows nothing about it.
+// source named by checksum alone — the merge of Listing 1 for a range-sum
+// frame. The resident digests come from v's digest table (seeded by the
+// checkpoint bootstrap, kept by every install), so a page is hashed only
+// when the table knows nothing about it.
 // A resident match is reuse in place; a mismatch falls back to the checkpoint
 // index (lseek+read), installed with its digest — the exception.
 func resolveSums(v *vm.VM, cp *checkpoint.Checkpoint, alg checksum.Algorithm, start int, want []checksum.Sum, st *destScratch, m *Metrics) error {

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -34,6 +33,18 @@ func buildRangeFull(t testing.TB, start uint64, pages [][]byte) []byte {
 	return buf.Bytes()
 }
 
+// writeRangePage writes one page as a one-page range-full frame, tag included.
+func writeRangePage(w io.Writer, page uint64, sum checksum.Sum, data []byte) error {
+	if err := writeRangeHeader(w, msgRangeFull, page, 1); err != nil {
+		return err
+	}
+	if err := writeRangeSums(w, []checksum.Sum{sum}); err != nil {
+		return err
+	}
+	_, err := w.Write(data)
+	return err
+}
+
 // buildRangeVar encodes a range-full-z/range-delta frame with arbitrary
 // per-page lengths and payload — valid or deliberately malformed.
 func buildRangeVar(t testing.TB, tag msgType, start uint64, lens []uint32, payload []byte) []byte {
@@ -51,18 +62,19 @@ func buildRangeVar(t testing.TB, tag msgType, start uint64, lens []uint32, paylo
 }
 
 // TestRangeDecodeRejectsMalformed is the decoder corruption matrix: every
-// violated invariant — count bounds, page bounds, ordering floor, per-page
-// length limits — is an ErrProtocol, and a truncated frame is an I/O error;
-// none may panic or install anything.
+// violated invariant — page bounds, ordering floor, per-page length limits —
+// is an ErrProtocol, and a truncated frame is an I/O error; none may panic or
+// install anything. The count byte holds count − 1, so every count it can
+// carry is in range; a count larger than the frame reads past its end.
 func TestRangeDecodeRejectsMalformed(t *testing.T) {
 	const numPages = 1024
 	page := make([]byte, vm.PageSize)
 	valid := buildRangeFull(t, 10, [][]byte{page, page, page})
 
-	// patchCount rewrites the count field of an encoded frame in place.
-	patchCount := func(frame []byte, count uint32) []byte {
+	// patchCount rewrites the count byte of an encoded frame.
+	patchCount := func(frame []byte, count int) []byte {
 		out := append([]byte(nil), frame...)
-		binary.LittleEndian.PutUint32(out[9:13], count)
+		out[9] = byte(count - 1)
 		return out
 	}
 
@@ -72,10 +84,7 @@ func TestRangeDecodeRejectsMalformed(t *testing.T) {
 		floor    uint64
 		wantProt bool // ErrProtocol; otherwise any non-nil error
 	}{
-		{"count-zero", patchCount(valid, 0), 0, true},
-		{"count-one", patchCount(valid, 1), 0, true},
-		{"count-over-cap", patchCount(valid, MaxRangePages+1), 0, true},
-		{"count-huge", patchCount(valid, 1<<31), 0, true},
+		{"count-huge", patchCount(valid, MaxRangePages), 0, false},
 		{"out-of-page-bounds", buildRangeFull(t, numPages-1, [][]byte{page, page}), 0, true},
 		{"start-plus-count-wraps", wrappingRangeFull(t), 0, true},
 		{"overlaps-floor", valid, 12, true},
@@ -179,8 +188,8 @@ func TestRangeFrameWrapRejected(t *testing.T) {
 }
 
 // TestRangeWireSizeHelpers cross-checks the exported range-frame size
-// arithmetic against the real encoders, like TestWireSizeConstants does for
-// the per-page messages.
+// arithmetic against the real encoders at odd run lengths;
+// TestWireSizeConstants covers one page and MaxRangePages.
 func TestRangeWireSizeHelpers(t *testing.T) {
 	page := make([]byte, vm.PageSize)
 	full := buildRangeFull(t, 0, [][]byte{page, page, page})
@@ -226,7 +235,7 @@ func FuzzRangeDecode(f *testing.F) {
 			if err := readRangeFrame(bytes.NewReader(raw), tag, numPages, 1, &fr); err != nil {
 				continue
 			}
-			if fr.count < minRangePages || fr.count > MaxRangePages {
+			if fr.count < 1 || fr.count > MaxRangePages {
 				t.Errorf("accepted count %d", fr.count)
 			}
 			// Checked without start+count, which wraps like the decoder's once did.

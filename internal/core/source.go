@@ -319,8 +319,8 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	// Iterative rounds: resend pages dirtied while the previous round
 	// streamed. A dirty page whose new content is already in the
 	// destination's checkpoint index still shrinks to a checksum — the
-	// destination resolves msgPageSum via its index in any round. The final
-	// round runs with the guest paused.
+	// destination resolves range-sum frames via its index in any round. The
+	// final round runs with the guest paused.
 	paused := false
 	defer func() {
 		if paused && opts.Resume != nil {

@@ -5,16 +5,9 @@ import (
 	"vecycle/internal/vm"
 )
 
-// Exact wire sizes of the protocol's messages, exported so the paper-scale
-// migration simulator (internal/migsim) accounts bytes identically to the
-// real engine. A package test cross-checks these constants against bytes
-// actually metered on the wire.
+// Exact wire sizes of the protocol's messages. A package test cross-checks
+// these constants against bytes actually metered on the wire.
 const (
-	// PageFullMsgBytes is a full-page message: tag, page number, checksum,
-	// payload.
-	PageFullMsgBytes = 1 + 8 + checksum.Size + vm.PageSize
-	// PageSumMsgBytes is a checksum-only page message.
-	PageSumMsgBytes = 1 + 8 + checksum.Size
 	// RoundEndMsgBytes is a round boundary.
 	RoundEndMsgBytes = 1 + 4 + 8
 	// DoneMsgBytes and AckMsgBytes are bare tags.
@@ -36,9 +29,9 @@ func AnnounceMsgBytes(n int) int {
 	return 1 + checksum.EncodedSize(n)
 }
 
-// RangeHeaderBytes is the fixed header of a coalesced page-range frame:
-// tag, start page, page count.
-const RangeHeaderBytes = 1 + 8 + 4
+// RangeHeaderBytes is the fixed header of a page-range frame: tag, start
+// page, and one byte holding the page count minus one.
+const RangeHeaderBytes = 1 + 8 + 1
 
 // RangeSumMsgBytes reports the size of a range-sum frame carrying n pages:
 // header plus one checksum per page.

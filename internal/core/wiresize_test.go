@@ -5,30 +5,54 @@ import (
 	"errors"
 	"testing"
 
+	"vecycle/internal/checkpoint"
 	"vecycle/internal/checksum"
+	"vecycle/internal/vm"
 )
 
 // TestWireSizeConstants cross-checks the exported size constants against
 // the actual encoders, so the analytical simulator can never drift from the
-// real protocol.
+// real protocol. Every page-carrying frame is a range frame behind a 10-byte
+// header; it is checked at one page and at MaxRangePages, in all four kinds.
 func TestWireSizeConstants(t *testing.T) {
 	var buf bytes.Buffer
 	sum := checksum.MD5.Page([]byte("x"))
 
-	buf.Reset()
-	if err := writePageFull(&buf, 7, sum, make([]byte, 4096)); err != nil {
-		t.Fatal(err)
+	if RangeHeaderBytes != 10 {
+		t.Errorf("RangeHeaderBytes = %d, want 10", RangeHeaderBytes)
 	}
-	if buf.Len() != PageFullMsgBytes {
-		t.Errorf("PageFullMsgBytes = %d, encoder wrote %d", PageFullMsgBytes, buf.Len())
-	}
-
-	buf.Reset()
-	if err := writePageSum(&buf, 7, sum); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != PageSumMsgBytes {
-		t.Errorf("PageSumMsgBytes = %d, encoder wrote %d", PageSumMsgBytes, buf.Len())
+	for _, n := range []int{1, MaxRangePages} {
+		sums := make([]checksum.Sum, n)
+		buf.Reset()
+		if err := writeRangeHeader(&buf, msgRangeSum, 7, n); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeRangeSums(&buf, sums); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() != RangeSumMsgBytes(n) {
+			t.Errorf("RangeSumMsgBytes(%d) = %d, encoder wrote %d", n, RangeSumMsgBytes(n), buf.Len())
+		}
+		pages := make([][]byte, n)
+		for i := range pages {
+			pages[i] = make([]byte, vm.PageSize)
+		}
+		if full := buildRangeFull(t, 7, pages); len(full) != RangeFullMsgBytes(n) {
+			t.Errorf("RangeFullMsgBytes(%d) = %d, encoder wrote %d", n, RangeFullMsgBytes(n), len(full))
+		}
+		lens := make([]uint32, n)
+		for i := range lens {
+			lens[i] = uint32(i%7 + 1)
+		}
+		payload := 0
+		for _, l := range lens {
+			payload += int(l)
+		}
+		for _, tag := range []msgType{msgRangeFullZ, msgRangeDelta} {
+			if v := buildRangeVar(t, tag, 7, lens, make([]byte, payload)); len(v) != RangeVarMsgBytes(n, payload) {
+				t.Errorf("%v: RangeVarMsgBytes(%d, %d) = %d, encoder wrote %d", tag, n, payload, RangeVarMsgBytes(n, payload), len(v))
+			}
+		}
 	}
 
 	buf.Reset()
@@ -76,17 +100,80 @@ func TestWireSizeConstants(t *testing.T) {
 	}
 }
 
+// TestSourceBytesClosedForm: without compression or deltas, what the source
+// sends is a closed form of its own counters — the hello (32 bytes more when it
+// offers a manifest root), a 10-byte header per frame, a 16-byte checksum per
+// page, a 4096-byte payload per full page, a 13-byte round end per round and
+// the one-byte done — and it is exactly what the destination receives. Checked
+// on a cold leg and on recycled legs of a churned guest, announced and named,
+// each with a second round.
+func TestSourceBytesClosedForm(t *testing.T) {
+	const pages = 600
+	src := newVM(t, "vm0", pages, 1)
+	if err := src.FillRandom(0.9); err != nil {
+		t.Fatal(err)
+	}
+	store := newStore(t)
+	if err := store.Save(src); err != nil {
+		t.Fatal(err)
+	}
+	src.TouchRandomPages(pages / 10)
+	for _, leg := range []struct {
+		name           string
+		recycle, named bool
+	}{
+		{"cold", false, false},
+		{"recycled", true, false},
+		{"named", true, true},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			opts := SourceOptions{Recycle: leg.recycle, Pause: func() { src.TouchRandomPages(5) }}
+			if leg.named {
+				opts.Mirror = mirrorOf(t, store, "vm0")
+			}
+			dst := newVM(t, "vm0", pages, 2)
+			m, dres := migrate(t, src, dst, opts, DestOptions{Store: store})
+			if !src.MemEqual(dst) {
+				t.Fatalf("memory differs at page %d", src.FirstDifference(dst))
+			}
+			want := int64(HelloMsgBytes(len("vm0")) + 10*m.PageFrames + 16*(m.PagesSum+m.PagesFull) +
+				4096*m.PagesFull + 13*m.Rounds + 1)
+			if leg.named {
+				want += checkpoint.RootSize
+			}
+			if m.BytesSent != want || dres.Metrics.BytesReceived != want {
+				t.Errorf("source sent %d bytes, destination received %d; the closed form of %+v is %d",
+					m.BytesSent, dres.Metrics.BytesReceived, m, want)
+			}
+			if m.Rounds < 2 || m.RangeFrames == 0 || leg.recycle && m.PageFrames == m.RangeFrames {
+				t.Errorf("leg too narrow: %d rounds, %d frames of which %d carry several pages",
+					m.Rounds, m.PageFrames, m.RangeFrames)
+			}
+			if dres.Metrics.PageFrames != m.PageFrames || dres.Metrics.RangeFrames != m.RangeFrames {
+				t.Errorf("destination counted %d frames (%d multi-page), source %d (%d)",
+					dres.Metrics.PageFrames, dres.Metrics.RangeFrames, m.PageFrames, m.RangeFrames)
+			}
+		})
+	}
+}
+
 func TestMsgTypeString(t *testing.T) {
 	for mt, want := range map[msgType]string{
 		msgHello:        "hello",
 		msgHelloAck:     "hello-ack",
 		msgHashAnnounce: "hash-announce",
-		msgPageSum:      "page-sum",
-		msgPageFull:     "page-full",
 		msgRoundEnd:     "round-end",
 		msgDone:         "done",
 		msgAck:          "ack",
-		msgType(11):     "msg(11)", // reserved
+		msgRangeSum:     "range-sum",
+		msgRangeFull:    "range-full",
+		msgRangeFullZ:   "range-full-z",
+		msgRangeDelta:   "range-delta",
+		msgType(4):      "msg(4)", // reserved, as are 5, 9, 10 and 11
+		msgType(5):      "msg(5)",
+		msgType(9):      "msg(9)",
+		msgType(10):     "msg(10)",
+		msgType(11):     "msg(11)",
 		msgType(99):     "msg(99)",
 	} {
 		if got := mt.String(); got != want {
@@ -173,10 +260,11 @@ func TestHelloAckRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHandshakeFlagsStrict: a version-2 hello or any hello-ack that sets a
-// flag bit version 2 does not define is a protocol violation, the retired
-// capability bits included. A version-1 hello with its capability offers
-// still parses, so the destination can refuse it by version.
+// TestHandshakeFlagsStrict: a hello of this version or any hello-ack that
+// sets a flag bit this version does not define is a protocol violation,
+// version 1's retired capability bits included. A version-1 hello with its
+// capability offers still parses, so the destination can refuse it by
+// version.
 func TestHandshakeFlagsStrict(t *testing.T) {
 	var buf bytes.Buffer
 	if err := writeHello(&buf, hello{Version: ProtocolVersion, VMName: "vm0", PageSize: 4096, PageCount: 4,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"vecycle/internal/core"
 	"vecycle/internal/vm"
 )
 
@@ -75,7 +74,7 @@ func SimulateLive(g *GuestState, cp *Checkpoint, cost CostModel, mode Mode, opts
 
 	dirty := dirtyPages(roundTime)
 	for res.Rounds < opts.MaxRounds-1 && dirty > opts.StopThresholdPages {
-		bytes := int64(dirty) * core.PageFullMsgBytes
+		bytes := int64(dirty) * PageFullMsgBytes
 		roundTime = cost.transferTime(bytes)
 		total += roundTime
 		res.SourceSendBytes += bytes
@@ -85,7 +84,7 @@ func SimulateLive(g *GuestState, cp *Checkpoint, cost CostModel, mode Mode, opts
 	}
 	// Final paused round: whatever is dirty now crosses with the guest
 	// stopped.
-	finalBytes := int64(dirty) * core.PageFullMsgBytes
+	finalBytes := int64(dirty) * PageFullMsgBytes
 	res.Downtime = cost.transferTime(finalBytes) + cost.Link.RTT()
 	res.SourceSendBytes += finalBytes
 	res.PagesFull += dirty

@@ -6,11 +6,12 @@
 // nothing, because the protocol's byte counts depend only on which pages
 // match the checkpoint. This simulator therefore keeps one content
 // identifier per page frame, replays the protocol's decision logic over
-// that metadata, accounts wire bytes with the exact message sizes exported
-// by internal/core, and converts bytes to time with a cost model holding
-// the paper's measured constants: 120 MiB/s effective gigabit Ethernet,
-// a 465 Mbps/27 ms CloudNet WAN whose TCP throughput collapses to ~6 MiB/s
-// (the paper measures 1 GiB in 177 s), 350 MiB/s single-core MD5, and
+// that metadata, accounts wire bytes with the paper's per-page message
+// sizes (PageFullMsgBytes, PageSumMsgBytes) and the exact sizes
+// internal/core exports for the rest, and converts bytes to time with a cost
+// model holding the paper's measured constants: 120 MiB/s effective gigabit
+// Ethernet, a 465 Mbps/27 ms CloudNet WAN whose TCP throughput collapses to
+// ~6 MiB/s (the paper measures 1 GiB in 177 s), 350 MiB/s single-core MD5, and
 // ~130 MiB/s sequential disk. The MD5 rate is the paper's hardware, not
 // this engine's (~600 MB/s single-core; DESIGN.md §5.2) — the constants
 // stay paper-fitted so the Figure 6/7 reproductions remain comparable.
@@ -22,7 +23,21 @@ import (
 	"fmt"
 	"math/rand"
 
+	"vecycle/internal/checksum"
 	"vecycle/internal/vm"
+)
+
+// The paper's per-page messages (§3.2): a page whose checksum the destination
+// announced crosses as (page number, checksum), any other as (page number,
+// checksum, payload), each behind a one-byte tag. The engine in internal/core
+// sends every page in a range frame instead; the simulator keeps the paper's
+// accounting, so its Figure 6/7 goldens stay the paper's.
+const (
+	// PageFullMsgBytes is a full-page message: tag, page number, checksum,
+	// payload.
+	PageFullMsgBytes = 1 + 8 + checksum.Size + vm.PageSize
+	// PageSumMsgBytes is a checksum-only page message.
+	PageSumMsgBytes = 1 + 8 + checksum.Size
 )
 
 // GuestState is a paper-scale guest: one content identifier per page frame.

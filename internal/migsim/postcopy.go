@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"vecycle/internal/checksum"
-	"vecycle/internal/core"
 	"vecycle/internal/vm"
 )
 
@@ -78,7 +77,7 @@ func SimulatePostCopy(g *GuestState, cp *Checkpoint, cost CostModel) (PostCopyRe
 	res.ResumeDelay = cost.Link.RTT() + pipeline + cost.diskTime(diskBytes)
 
 	// Background fetch: pipelined page requests.
-	fetchBytes := int64(missing) * core.PageFullMsgBytes
+	fetchBytes := int64(missing) * PageFullMsgBytes
 	res.Time = res.ResumeDelay + cost.Link.RTT() + cost.transferTime(fetchBytes)
 	res.SourceSendBytes = manifestBytes + fetchBytes
 	return res, nil

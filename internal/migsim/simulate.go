@@ -78,7 +78,7 @@ func Simulate(g *GuestState, cp *Checkpoint, cost CostModel, mode Mode) (Result,
 		for i, content := range g.contents {
 			if _, ok := cp.set[content]; ok {
 				res.PagesSum++
-				srcBytes += core.PageSumMsgBytes
+				srcBytes += PageSumMsgBytes
 				// Listing 1: the destination hashes the resident frame; on
 				// mismatch it reads the block from the checkpoint image.
 				destHashBytes += vm.PageSize
@@ -88,13 +88,13 @@ func Simulate(g *GuestState, cp *Checkpoint, cost CostModel, mode Mode) (Result,
 				continue
 			}
 			res.PagesFull++
-			srcBytes += core.PageFullMsgBytes
+			srcBytes += PageFullMsgBytes
 		}
 		// The source checksums its entire memory during the first round.
 		res.ChecksumTime = cost.computeTime(g.MemBytes())
 	} else {
 		res.PagesFull = n
-		srcBytes += int64(n) * core.PageFullMsgBytes
+		srcBytes += int64(n) * PageFullMsgBytes
 	}
 	srcBytes += core.RoundEndMsgBytes + core.DoneMsgBytes
 	res.SourceSendBytes = srcBytes

@@ -227,6 +227,30 @@ func TestDigestTableExactCounts(t *testing.T) {
 		t.Errorf("back to the default: alg %v, %d pages reused in place, want %v and %d",
 			res.Alg, res.Metrics.PagesReusedInPlace, checksum.Default, pages-rewritten)
 	}
+
+	// Post-copy: both saves key their image from the guest's digest table. The
+	// destination's restore seeded it and every fetched or re-read page landed
+	// with its digest, so the arrival image hashes nothing; the departure image
+	// hashes only the pages the guest rewrote since it arrived.
+	rewrite("beta", rewritten, false)
+	saved := map[string]int64{"alpha": stage("alpha", "save_keys"), "beta": stage("beta", "save_keys")}
+	leaving, _ := hosts["beta"].VM("vm0")
+	want := leaving.Fingerprint64()
+	if _, err := hosts["beta"].PostCopyTo(ctx, addrs["alpha"], "vm0"); err != nil {
+		t.Fatalf("beta→alpha post-copy: %v", err)
+	}
+	select {
+	case <-arrivals:
+	case <-time.After(10 * time.Second):
+		t.Fatal("beta→alpha post-copy: no arrival")
+	}
+	landed, _ := hosts["alpha"].VM("vm0")
+	fingerprintEqual(t, want, landed)
+	for host, want := range map[string]int64{"alpha": 0, "beta": rewritten * vm.PageSize} {
+		if got := stage(host, "save_keys") - saved[host]; got != want {
+			t.Errorf("post-copy: %s's vecycle_hash_bytes_total{stage=save_keys} grew by %d, want %d", host, got, want)
+		}
+	}
 }
 
 // TestExplicitMD5Converges: a fleet run on the paper's algorithm end to end —

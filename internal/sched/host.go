@@ -387,7 +387,7 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 		return res, err
 	}
 	if res.ResumedFromPartial {
-		// The resumed pages crossed the wire as page-sums instead of full
+		// The resumed pages crossed the wire as checksums instead of full
 		// pages; attribute the saving to the salvage image.
 		h.obs.salvageAvoided.With(h.name).Add(float64(
 			int64(res.Metrics.PagesReusedInPlace+res.Metrics.PagesReusedFromDisk) * vm.PageSize))
@@ -471,7 +471,7 @@ func (h *Host) runPostCopy(ctx context.Context, session *core.IncomingSession, r
 		return res, err
 	}
 	if h.SaveArrivals {
-		h.saveCheckpoint(core.StageSaveArrivals, rec, nil, dst, 0, nil, "arrival image")
+		h.saveCheckpoint(core.StageSaveArrivals, rec, nil, dst, checkpoint.ObjectAlgorithm, h.tableKeys(dst), "arrival image")
 	}
 	if err := h.register(dst); err != nil {
 		return res, err
@@ -520,11 +520,23 @@ func (h *Host) runPostCopyTo(ctx context.Context, addr, vmName string, v *vm.VM,
 	}
 	// The guest already runs at the destination; the departure image is a
 	// future optimization, not part of this transfer's success.
-	h.saveCheckpoint(core.StageKeepCheckpoint, rec, nil, v, 0, nil, "departure image")
+	h.saveCheckpoint(core.StageKeepCheckpoint, rec, nil, v, checkpoint.ObjectAlgorithm, h.tableKeys(v), "departure image")
 	h.mu.Lock()
 	delete(h.vms, vmName)
 	h.mu.Unlock()
 	return m, nil
+}
+
+// tableKeys returns a post-copy guest's page keys for its checkpoint save from
+// the guest's digest table, hashing only the pages the table does not cover,
+// and counts those as the save's keying work. A post-copy destination's table
+// covers every page — the restore seeded it, and each fetched or re-read page
+// landed with its digest — so only a departing guest's pages written since it
+// arrived are hashed.
+func (h *Host) tableKeys(v *vm.VM) []checksum.Sum {
+	sums, hashed := v.Digests(0, v.NumPages(), checkpoint.ObjectAlgorithm, nil)
+	h.obs.hashBytes.With(h.name, "save_keys").Add(float64(int64(hashed) * vm.PageSize))
+	return sums
 }
 
 // fnv64 hashes a string with FNV-1a.

@@ -101,10 +101,10 @@ func newHostObs(h *Host, reg *obs.Registry, traces *obs.TraceLog) *hostObs {
 			"Wire bytes per pre-copy round.",
 			roundBytesBuckets, "host", "role"),
 		roundFrames: reg.HistogramVec("vecycle_round_frames",
-			"Page-carrying wire frames per pre-copy round; pages-per-round over this is the realized range-frame coalescing factor.",
+			"Page-carrying wire frames per pre-copy round, each a range frame of one or more pages; pages-per-round over this is the realized coalescing factor.",
 			roundFramesBuckets, "host", "role"),
 		rangeFrames: reg.CounterVec("vecycle_range_frames_total",
-			"Coalesced page-range frames handled (sent or received).",
+			"Range frames carrying two or more pages handled (sent or received); one-page frames are not counted.",
 			"host"),
 		bytes: reg.CounterVec("vecycle_migration_bytes_total",
 			"Transport bytes moved by migrations, by direction (sent/received).",

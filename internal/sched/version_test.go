@@ -16,17 +16,19 @@ import (
 	"vecycle/internal/vm"
 )
 
-// versionOneConn turns the first frame a source writes, its hello, into the
-// hello a version-1 source sends: version field 1, and the capability offers
-// (flag bit 3 for the compact announcement, bit 4 for range frames) it made.
-type versionOneConn struct {
+// oldVersionConn turns the first frame a source writes, its hello, into the
+// hello an older source sends: its version field, and for version 1 the
+// capability offers (flag bit 3 for the compact announcement, bit 4 for range
+// frames) it made. Version 2's hello was this version's with another number.
+type oldVersionConn struct {
 	io.ReadWriteCloser
 	t       *testing.T
+	version uint16
 	offers  byte
 	patched bool
 }
 
-func (c *versionOneConn) Write(p []byte) (int, error) {
+func (c *oldVersionConn) Write(p []byte) (int, error) {
 	if !c.patched {
 		c.patched = true
 		// tag · version u16 · name-len u16 · name · page-size u32 ·
@@ -37,24 +39,24 @@ func (c *versionOneConn) Write(p []byte) (int, error) {
 			c.t.Errorf("first write of %d bytes does not hold the whole hello", len(p))
 		} else {
 			p = append([]byte(nil), p...)
-			binary.LittleEndian.PutUint16(p[1:3], 1)
+			binary.LittleEndian.PutUint16(p[1:3], c.version)
 			p[flags] |= c.offers
 		}
 	}
 	return c.ReadWriteCloser.Write(p)
 }
 
-// refuseVersionOne: a version-1 source offering the given capabilities and
-// reaching a host over TCP is refused at the hello, not negotiated with. It
-// reads a hello-ack that names both versions, so its migration fails as a
-// rejection on the first attempt, not as a dropped connection to retry; and
-// the destination registers no arrival.
-func refuseVersionOne(t *testing.T, offers byte) {
+// refuseOldVersion: a source of an older protocol version, offering the given
+// capabilities and reaching a host over TCP, is refused at the hello, not
+// negotiated with. It reads a hello-ack that names both versions, so its
+// migration fails as a rejection on the first attempt, not as a dropped
+// connection to retry; and the destination registers no arrival.
+func refuseOldVersion(t *testing.T, version uint16, offers byte) {
 	t.Helper()
 	alpha := newHost(t, "alpha")
 	beta := newHost(t, "beta")
 	addrB := listen(t, beta)
-	beta.OnArrival = func(*vm.VM, core.DestResult) { t.Error("a version-1 hello arrived") }
+	beta.OnArrival = func(*vm.VM, core.DestResult) { t.Errorf("a version-%d hello arrived", version) }
 	handled := make(chan error, 1)
 	beta.OnError = func(err error) {
 		select {
@@ -74,7 +76,7 @@ func refuseVersionOne(t *testing.T, offers byte) {
 		if err != nil {
 			return nil, err
 		}
-		return &versionOneConn{ReadWriteCloser: conn, t: t, offers: offers}, nil
+		return &oldVersionConn{ReadWriteCloser: conn, t: t, version: version, offers: offers}, nil
 	}
 
 	attempts := 0
@@ -87,7 +89,7 @@ func refuseVersionOne(t *testing.T, offers byte) {
 	if !errors.Is(err, core.ErrRejected) {
 		t.Fatalf("migration error = %v, want core.ErrRejected", err)
 	}
-	want := fmt.Sprintf("protocol version 1 unsupported (want %d)", core.ProtocolVersion)
+	want := fmt.Sprintf("protocol version %d unsupported (want %d)", version, core.ProtocolVersion)
 	if !strings.Contains(err.Error(), want) {
 		t.Errorf("rejection %q does not say %q", err, want)
 	}
@@ -127,14 +129,14 @@ func arrival(t *testing.T, ch <-chan core.DestResult) core.DestResult {
 }
 
 // TestMixedVersionAnnounceOverTCP: version 1 negotiated a compact
-// announcement; version 2 has the raw one only. A version-1 source offering
-// the compact announcement is refused at the hello. Between two hosts of this
-// version, a return leg to a host holding the departure checkpoint (the
-// other end saved no arrival, so there is no name to match) announces that
-// checkpoint's distinct sums over TCP, counted exactly on both sides, and the
-// guest's memory survives byte-for-byte.
+// announcement; versions 2 and 3 have the raw one only. A version-1 source
+// offering the compact announcement is refused at the hello. Between two
+// hosts of this version, a return leg to a host holding the departure
+// checkpoint (the other end saved no arrival, so there is no name to match)
+// announces that checkpoint's distinct sums over TCP, counted exactly on both
+// sides, and the guest's memory survives byte-for-byte.
 func TestMixedVersionAnnounceOverTCP(t *testing.T) {
-	refuseVersionOne(t, 8)
+	refuseOldVersion(t, 1, 8)
 
 	alpha := newHost(t, "alpha")
 	beta := newHost(t, "beta")
@@ -180,12 +182,15 @@ func TestMixedVersionAnnounceOverTCP(t *testing.T) {
 }
 
 // TestMixedVersionRangeFramesOverTCP: version 1 negotiated range frames;
-// version 2 always sends them. A version-1 source offering range frames is
-// refused at the hello. Between two hosts of this version, a cold leg over
-// TCP coalesces its full-page runs into range frames, the destination decodes
-// every one the source sent, and the guest's memory survives byte-for-byte.
+// version 2 always sent runs in them but a lone page in its per-page frame;
+// version 3 sends every page in a range frame. A version-1 source offering
+// range frames and a version-2 source are refused at the hello. Between two
+// hosts of this version, a cold leg over TCP coalesces its full-page runs into
+// range frames, the destination decodes every one the source sent, and the
+// guest's memory survives byte-for-byte.
 func TestMixedVersionRangeFramesOverTCP(t *testing.T) {
-	refuseVersionOne(t, 16)
+	refuseOldVersion(t, 1, 16)
+	refuseOldVersion(t, 2, 0)
 
 	alpha := newHost(t, "alpha")
 	beta := newHost(t, "beta")
