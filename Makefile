@@ -17,12 +17,12 @@ race:
 # race-digest is the focused gate for the resident page-digest table
 # (vm.VM): the concurrent writer/installer/reader test repeated under the
 # race detector, then the seeded migration audit and the exact-count tests
-# through sched.Host (digest table, save and restore hash stages, default
-# and explicit-MD5 legs). `race` runs them once with everything else; this
+# through sched.Host (digest table, save and restore hash stages, delta,
+# salvage-retry and post-copy legs). `race` runs them once with everything else; this
 # target is the one to repeat when touching internal/vm/digest.go.
 race-digest:
 	$(GO) test -race -count=10 -run 'TestDigestTableConcurrent' ./internal/vm/
-	$(GO) test -race -run 'TestDigestTable|TestExplicitMD5Converges' ./internal/vm/ ./internal/core/ ./internal/sched/
+	$(GO) test -race -run 'TestDigestTable' ./internal/vm/ ./internal/core/ ./internal/sched/
 
 # race-restore is the focused gate for the return path: the background
 # checkpoint install (a span held back past its wire frames, a sparse round

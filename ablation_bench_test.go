@@ -20,8 +20,7 @@ import (
 
 // BenchmarkAblationChecksum sweeps the checksum rate of the simulated
 // pipeline (the §3.4 lower bound on VeCycle's migration time) and also
-// runs the real engine under MD5 and SHA-256 to show the algorithms are
-// interchangeable.
+// runs the real engine, which digests every page under checksum.Default.
 func BenchmarkAblationChecksum(b *testing.B) {
 	// Simulated: 4 GiB idle guest, LAN; the migration time tracks the
 	// checksum rate once the wire is cheap.
@@ -47,12 +46,9 @@ func BenchmarkAblationChecksum(b *testing.B) {
 			b.ReportMetric(res.Time.Seconds(), "migration-s")
 		})
 	}
-	// Real engine: identical protocol under both strong algorithms.
-	for _, alg := range []checksum.Algorithm{checksum.MD5, checksum.SHA256} {
-		b.Run("engine-"+alg.String(), func(b *testing.B) {
-			benchEngineOnce(b, core.SourceOptions{Recycle: true, Alg: alg})
-		})
-	}
+	b.Run("engine", func(b *testing.B) {
+		benchEngineOnce(b, core.SourceOptions{Recycle: true})
+	})
 }
 
 // BenchmarkAblationAnnounce compares the bulk hash announcement against
@@ -256,7 +252,7 @@ func BenchmarkAblationDelta(b *testing.B) {
 			if err := srcStore.Save(guest); err != nil {
 				b.Fatal(err)
 			}
-			base, err := srcStore.Restore("bench", checksum.MD5, nil)
+			base, err := srcStore.Restore("bench", checksum.Default, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

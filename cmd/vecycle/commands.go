@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"vecycle/internal/checksum"
 	"vecycle/internal/core"
 	"vecycle/internal/sched"
 	"vecycle/internal/vm"
@@ -76,7 +75,6 @@ func runSource(args []string) error {
 		recycle  = fs.Bool("recycle", true, "enable checkpoint-assisted migration")
 		postcopy = fs.Bool("postcopy", false, "use the post-copy protocol (manifest + demand fetch)")
 		compress = fs.Bool("compress", false, "deflate-compress full-page payloads (entropy-gated per page)")
-		csum     = fs.String("checksum", "", "page checksum algorithm: md5, sha256, fnv, fast64 (empty = sha256, which is also what checkpoint stores key pages by; md5 for paper-fidelity runs, pays a rehash at every checkpoint save and restore; weak algorithms only for baseline, non-recycled migrations)")
 		tcpDelay = fs.Bool("tcp-delay", false, "re-enable Nagle's algorithm on migration sockets (default: TCP_NODELAY)")
 		tcpRead  = fs.Int("tcp-read-buffer", 0, "SO_RCVBUF for migration sockets in bytes (0 = OS default)")
 		tcpWrite = fs.Int("tcp-write-buffer", 0, "SO_SNDBUF for migration sockets in bytes (0 = OS default)")
@@ -108,10 +106,6 @@ func runSource(args []string) error {
 	if err := guest.FillRandom(*fill); err != nil {
 		return err
 	}
-	alg, err := checksumFlag(*csum)
-	if err != nil {
-		return err
-	}
 	host.AddVM(guest)
 	host.TCPDelay = *tcpDelay
 	host.TCPReadBuffer = *tcpRead
@@ -135,7 +129,6 @@ func runSource(args []string) error {
 		Recycle:        *recycle,
 		KeepCheckpoint: true,
 		Compress:       *compress,
-		Alg:            alg,
 		MaxRounds:      *rounds,
 		StopThreshold:  *stopAt,
 		IdleTimeout:    *idle,
@@ -146,15 +139,6 @@ func runSource(args []string) error {
 	}
 	printMetrics("migration complete", m)
 	return writeTraces(host.Traces(), *traceOut)
-}
-
-// checksumFlag resolves the -checksum flag: an algorithm name, or empty for
-// checksum.Default.
-func checksumFlag(name string) (checksum.Algorithm, error) {
-	if name == "" {
-		return checksum.Default, nil
-	}
-	return checksum.ParseAlgorithm(name)
 }
 
 func runDemo(args []string) error {

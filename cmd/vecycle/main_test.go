@@ -3,8 +3,6 @@ package main
 import (
 	"path/filepath"
 	"testing"
-
-	"vecycle/internal/checksum"
 )
 
 func TestParseMem(t *testing.T) {
@@ -32,21 +30,6 @@ func TestParseMem(t *testing.T) {
 		if err == nil && got != tc.want {
 			t.Errorf("parseMem(%q) = %d, want %d", tc.in, got, tc.want)
 		}
-	}
-}
-
-// TestChecksumFlagDefault: an empty -checksum is checksum.Default, the same
-// algorithm the engines and the checkpoint store default to
-// (core.TestOneDefaultAlgorithm), and a name is that algorithm.
-func TestChecksumFlagDefault(t *testing.T) {
-	if alg, err := checksumFlag(""); err != nil || alg != checksum.Default {
-		t.Errorf("empty -checksum = %v, %v; want %v", alg, err, checksum.Default)
-	}
-	if alg, err := checksumFlag("md5"); err != nil || alg != checksum.MD5 {
-		t.Errorf("-checksum md5 = %v, %v", alg, err)
-	}
-	if _, err := checksumFlag("crc32"); err == nil {
-		t.Error("unknown algorithm accepted")
 	}
 }
 

@@ -27,11 +27,12 @@
 //     even a first visit reuses any page some other guest already brought.
 //
 // A page has one digest: the object key is the page's checksum under
-// checksum.Default, the algorithm migrations speak unless told otherwise. So
-// the page manifest is the fingerprint index of §3.3 — Restore serves its
-// announcement straight from the manifest's key list, and a save handed the
-// migration's digest table hashes nothing. Only a migration under another
-// algorithm (an explicit -checksum md5 run) pays the paper's O(RAM) rescan.
+// checksum.Default, the algorithm every migration speaks. So the page
+// manifest is the fingerprint index of §3.3 — an open serves its announcement
+// straight from the manifest's key list, and a save reads its keys from the
+// migration's sum table or the guest's digest table, hashing only the pages
+// neither covers. The paper's O(RAM) rescan survives in Store.Restore under
+// another algorithm, for the benchmark's layer replay alone.
 package checkpoint
 
 import (
@@ -157,17 +158,6 @@ func (c *Checkpoint) Root() (root [RootSize]byte, ok bool) {
 	return c.root, c.named
 }
 
-// IndexSource reports where this open's checksums came from, as the label the
-// restore trace event carries: "keys" when the index is the store's own key
-// tables (opened under ObjectAlgorithm: no page read, no hash), "rescan" when
-// every page was read and hashed under another algorithm.
-func (c *Checkpoint) IndexSource() string {
-	if c.alg == ObjectAlgorithm {
-		return "keys"
-	}
-	return "rescan"
-}
-
 // SumSet returns the set of block checksums present in the checkpoint — the
 // content of the destination's hash announcement, built on the first call.
 // The caller must not mutate it.
@@ -254,15 +244,20 @@ func (c *Checkpoint) PageAt(frame int) (data []byte, ok bool, err error) {
 // spans on background goroutines, and returns at once. Whoever then writes a
 // frame of dst calls AwaitFrames first; Drain waits for the rest. The readers
 // stop at the next span once ctx is cancelled. The checkpoint must have frame
-// geometry matching dst, and at most one install is started per open.
+// geometry matching dst, must have been opened under ObjectAlgorithm (its
+// sums are what the guest's digest table records), and at most one install is
+// started per open.
 func (c *Checkpoint) InstallInto(ctx context.Context, dst *vm.VM) error {
 	if c.load != nil {
 		return fmt.Errorf("checkpoint: install already started")
 	}
+	if c.alg != ObjectAlgorithm {
+		return fmt.Errorf("checkpoint: background install of a checkpoint opened under %v", c.alg)
+	}
 	if dst.NumPages() != len(c.frames) {
 		return fmt.Errorf("checkpoint: image has %d pages, VM has %d", len(c.frames), dst.NumPages())
 	}
-	c.load = startSpanLoad(ctx, c.frames, c.alg, c.pageSums, false, dst)
+	c.load = startSpanLoad(ctx, c.frames, c.pageSums, 0, dst)
 	return nil
 }
 

@@ -74,13 +74,6 @@ func TestSaveAndRestoreRestoresMemory(t *testing.T) {
 		if cp.Algorithm() != alg {
 			t.Errorf("Algorithm = %v", cp.Algorithm())
 		}
-		wantSource := "rescan"
-		if alg == ObjectAlgorithm {
-			wantSource = "keys"
-		}
-		if got := cp.IndexSource(); got != wantSource {
-			t.Errorf("IndexSource = %q, want %q", got, wantSource)
-		}
 	})
 }
 
@@ -104,9 +97,6 @@ func TestRestoreInvalidAlgorithm(t *testing.T) {
 	store := savedStore(t, newVM(t, "vm0", 2, 1))
 	if _, err := store.Restore("vm0", checksum.Algorithm(0), nil); err == nil {
 		t.Error("invalid algorithm accepted")
-	}
-	if _, _, err := store.OpenUnion(checksum.Algorithm(0)); err == nil {
-		t.Error("invalid algorithm accepted by OpenUnion")
 	}
 }
 

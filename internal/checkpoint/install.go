@@ -31,10 +31,12 @@ var restoreBufPool = sync.Pool{New: func() interface{} {
 // spanLoad is one pass over a checkpoint's frames: up to restoreFanout
 // goroutines claim ascending restoreSpanPages spans off one cursor, fill each
 // — payloads that sit back to back in one segment with a single ReadAt — and
-// install it whole. With hash set (the rescan) each page is digested under alg
-// into sums[i]; otherwise sums already describes the pages. dst, when non-nil,
-// receives every span together with its digests, so the guest's digest table
-// is seeded with exactly the sums this checkpoint serves the merge from.
+// install it whole. Normally sums are the entry's store keys: dst, when
+// non-nil, receives every span together with them, so the guest's digest
+// table is seeded with exactly the sums this checkpoint serves the merge from.
+// With rescan set (Store.Restore under another algorithm) each page is
+// digested under it into sums[i] instead, and dst receives the bytes alone:
+// the digest table holds checksum.Default digests only.
 //
 // It serves both ways of restoring. The eager one (Store.Restore) starts it
 // and drains it. The background one (Checkpoint.InstallInto) starts it and
@@ -44,9 +46,8 @@ type spanLoad struct {
 	ctx    context.Context
 	cancel context.CancelFunc // stops the readers: the caller's ctx, a failed read, Checkpoint.Close
 	refs   []pageRef
-	alg    checksum.Algorithm
 	sums   []checksum.Sum
-	hash   bool
+	rescan checksum.Algorithm // zero: sums are the store keys
 	dst    *vm.VM
 
 	next    atomic.Int64    // span cursor
@@ -59,9 +60,9 @@ type spanLoad struct {
 	err error // first read failure
 }
 
-func startSpanLoad(ctx context.Context, refs []pageRef, alg checksum.Algorithm, sums []checksum.Sum, hash bool, dst *vm.VM) *spanLoad {
+func startSpanLoad(ctx context.Context, refs []pageRef, sums []checksum.Sum, rescan checksum.Algorithm, dst *vm.VM) *spanLoad {
 	spans := (len(refs) + restoreSpanPages - 1) / restoreSpanPages
-	l := &spanLoad{refs: refs, alg: alg, sums: sums, hash: hash, dst: dst,
+	l := &spanLoad{refs: refs, sums: sums, rescan: rescan, dst: dst,
 		done: make([]chan struct{}, spans), exited: make(chan struct{})}
 	l.ctx, l.cancel = context.WithCancel(ctx)
 	for k := range l.done {
@@ -122,13 +123,16 @@ func (l *spanLoad) loadSpan(k int, buf []byte) error {
 		}
 		p = q
 	}
-	if l.hash {
+	switch {
+	case l.rescan != 0:
 		for p := i; p < j; p++ {
-			l.sums[p] = l.alg.Page(span[(p-i)*vm.PageSize : (p-i+1)*vm.PageSize])
+			l.sums[p] = l.rescan.Page(span[(p-i)*vm.PageSize : (p-i+1)*vm.PageSize])
 		}
-	}
-	if l.dst != nil {
-		l.dst.InstallRangeSums(i, span, l.alg, l.sums[i:j])
+		if l.dst != nil {
+			l.dst.InstallRange(i, span)
+		}
+	case l.dst != nil:
+		l.dst.InstallRangeSums(i, span, l.sums[i:j])
 	}
 	return nil
 }
@@ -174,6 +178,6 @@ func (l *spanLoad) failure() error {
 }
 
 // loadPages is the eager pass: start the span load and wait for all of it.
-func loadPages(refs []pageRef, alg checksum.Algorithm, sums []checksum.Sum, hash bool, dst *vm.VM) error {
-	return startSpanLoad(context.Background(), refs, alg, sums, hash, dst).drain()
+func loadPages(refs []pageRef, sums []checksum.Sum, rescan checksum.Algorithm, dst *vm.VM) error {
+	return startSpanLoad(context.Background(), refs, sums, rescan, dst).drain()
 }

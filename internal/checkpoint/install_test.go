@@ -88,7 +88,7 @@ func TestSpanLoadBackgroundInstall(t *testing.T) {
 		t.Fatalf("installed guest differs at page %d", src.FirstDifference(dst))
 	}
 	want := src.RangeSums(0, pages, ObjectAlgorithm, nil)
-	got, hashed := dst.Digests(0, pages, ObjectAlgorithm, nil)
+	got, hashed := dst.Digests(0, pages, nil)
 	if hashed != 0 {
 		t.Errorf("install left %d pages without a digest", hashed)
 	}

@@ -276,13 +276,13 @@ func streamStep(s *Store, v *vm.VM, rng *rand.Rand, churn func(*vm.VM, float64))
 		st.Abort()
 	case 1:
 		op += ", commit complete"
-		_, err = st.Commit(v, EntryComplete, ObjectAlgorithm, v.RangeSums(0, v.NumPages(), ObjectAlgorithm, nil))
+		_, err = st.Commit(v, EntryComplete, v.RangeSums(0, v.NumPages(), ObjectAlgorithm, nil))
 	case 2:
 		op += ", commit complete rehashed"
-		_, err = st.Commit(v, EntryComplete, 0, nil)
+		_, err = st.Commit(v, EntryComplete, nil)
 	default:
 		op += ", commit partial"
-		_, err = st.Commit(v, EntryPartial, 0, nil)
+		_, err = st.Commit(v, EntryPartial, nil)
 	}
 	return op, err
 }

@@ -49,12 +49,10 @@ import (
 // one too, unless it belongs to a save stream still open (Store.inflight).
 
 // ObjectAlgorithm is the checksum algorithm that keys the content-addressed
-// store: checksum.Default, the algorithm migrations speak unless told
-// otherwise, so a migration's digest table is the save's key list and an
-// entry's key list is the restore's announcement. Object keys deduplicate
-// across VMs and are never negotiated, so only a collision-resistant (Strong)
-// algorithm is acceptable here — weak checksums may only drive baseline
-// transfers, never content reuse, least of all a host-wide index.
+// store: checksum.Default, the one algorithm every migration speaks, so a
+// migration's digest table is the save's key list and an entry's key list is
+// the restore's announcement. Object keys deduplicate across VMs and are never
+// negotiated, so the algorithm is a collision-resistant one.
 const ObjectAlgorithm = checksum.Default
 
 const (

@@ -49,9 +49,6 @@ func TestSaveSalvagePartialEntry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore partial: %v", err)
 	}
-	if got := cp.IndexSource(); got != "keys" {
-		t.Errorf("salvage restore index source = %q, want keys", got)
-	}
 	cp.Close()
 
 	// A completed migration supersedes the salvage entry.
@@ -69,7 +66,7 @@ func TestSaveSalvagePartialEntry(t *testing.T) {
 func streamSave(s *Store, v *vm.VM) error {
 	st := s.OpenSave(v.Name())
 	streamPages(st, v, 0, v.NumPages())
-	_, err := st.Commit(v, EntryComplete, 0, nil)
+	_, err := st.Commit(v, EntryComplete, nil)
 	return err
 }
 
@@ -507,7 +504,7 @@ func TestWarmSaveSyncs(t *testing.T) {
 			if streamed {
 				streamPages(st, v, 0, 3)
 			}
-			counts, err := st.Commit(v, EntryComplete, ObjectAlgorithm, v.RangeSums(0, 64, ObjectAlgorithm, nil))
+			counts, err := st.Commit(v, EntryComplete, v.RangeSums(0, 64, ObjectAlgorithm, nil))
 			if err != nil {
 				t.Fatal(err)
 			}

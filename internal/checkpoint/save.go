@@ -43,12 +43,17 @@ func (s *Store) Save(source *vm.VM) error {
 // The caller asserts sums[i] is alg's digest of the VM's current page i. A
 // wrong table poisons the entry (content keys decide dedup identity and are
 // what the next restore announces), so hand over only tables the migration
-// protocol itself vouched for. A nil, short or other-algorithm table is not
-// an error — the save rehashes the guest once, counted under the save_keys
-// stage, so callers need no special-casing for failed or untracked
-// migrations or for runs under another checksum.
+// protocol itself vouched for. A nil or short table is not an error — the
+// save keys the guest as Save does — so callers need no special-casing for
+// failed or untracked migrations. alg stays a parameter for one caller only:
+// the recycle-cycle benchmark's layer replay, which still hands over an MD5
+// table, and which this ignores the same way. It goes when that replay stops
+// asking.
 func (s *Store) SaveWithSums(source *vm.VM, alg checksum.Algorithm, sums []checksum.Sum) error {
-	_, err := s.OpenSave(source.Name()).Commit(source, EntryComplete, alg, sums)
+	if alg != ObjectAlgorithm {
+		sums = nil
+	}
+	_, err := s.OpenSave(source.Name()).Commit(source, EntryComplete, sums)
 	return err
 }
 
@@ -58,7 +63,7 @@ func (s *Store) SaveWithSums(source *vm.VM, alg checksum.Algorithm, sums []check
 // its page sums like any checkpoint, so the source resends only what is
 // missing.
 func (s *Store) SaveSalvage(source *vm.VM) error {
-	_, err := s.OpenSave(source.Name()).Commit(source, EntryPartial, 0, nil)
+	_, err := s.OpenSave(source.Name()).Commit(source, EntryPartial, nil)
 	return err
 }
 
@@ -140,9 +145,10 @@ func (st *SaveStream) writer() (*segWriter, error) {
 }
 
 // Commit makes the stream v's checkpoint in the given state, replacing any
-// previous entry of the VM. alg and sums are SaveWithSums's digest table: the
-// guest's page keys when they are ObjectAlgorithm digests of every page, else
-// the commit rehashes the guest.
+// previous entry of the VM. sums, when it covers every page, is the guest's
+// page keys — ObjectAlgorithm digests of its current pages, as SaveWithSums
+// takes them; otherwise the keys come from the guest's digest table, and only
+// the pages it does not cover are hashed.
 //
 // It computes the pages the pool is missing — against the pool and the entry
 // it replaces, as any save does — and appends those the stream has not
@@ -151,7 +157,7 @@ func (st *SaveStream) writer() (*segWriter, error) {
 // entry does not need are dead on arrival; a segment holding nothing the entry
 // needs is not kept at all. A broken stream commits nothing and fails with
 // ErrStreamBroken. Commit or Abort once; later calls fail or do nothing.
-func (st *SaveStream) Commit(v *vm.VM, state EntryState, alg checksum.Algorithm, sums []checksum.Sum) (SaveCounts, error) {
+func (st *SaveStream) Commit(v *vm.VM, state EntryState, sums []checksum.Sum) (SaveCounts, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.done {
@@ -162,14 +168,15 @@ func (st *SaveStream) Commit(v *vm.VM, state EntryState, alg checksum.Algorithm,
 		return SaveCounts{}, fmt.Errorf("%w: %w", ErrStreamBroken, st.err)
 	}
 	st.done = true
-	pageKeys, given := objectKeys(v, alg, sums)
+	pageKeys, hashed := objectKeys(v, sums)
 	s := st.s
 	s.mu.Lock()
-	memBytes := v.MemBytes()
-	if given {
-		s.deferMetricLocked(func(m Metrics) { m.HashAvoidedBytes(memBytes) })
-	} else {
-		s.deferMetricLocked(func(m Metrics) { m.HashBytes("save_keys", memBytes) })
+	// Every page is keyed exactly once: hashed here, or known already.
+	if hashedBytes := int64(hashed) * vm.PageSize; hashedBytes > 0 {
+		s.deferMetricLocked(func(m Metrics) { m.HashBytes("save_keys", hashedBytes) })
+	}
+	if avoided := v.MemBytes() - int64(hashed)*vm.PageSize; avoided > 0 {
+		s.deferMetricLocked(func(m Metrics) { m.HashAvoidedBytes(avoided) })
 	}
 	counts, err := st.commitLocked(v, state, pageKeys)
 	delete(s.inflight, st.seg+tmpSuffix)
@@ -178,16 +185,16 @@ func (st *SaveStream) Commit(v *vm.VM, state EntryState, alg checksum.Algorithm,
 	return counts, err
 }
 
-// objectKeys returns the guest's page keys: sums, copied, when they are
-// ObjectAlgorithm digests of every page (given), else a rehash of the guest —
-// the one digest pass a save can have.
-func objectKeys(v *vm.VM, alg checksum.Algorithm, sums []checksum.Sum) (keys []checksum.Sum, given bool) {
-	if alg == ObjectAlgorithm && len(sums) == v.NumPages() {
+// objectKeys returns the guest's page keys and how many pages it hashed for
+// them: sums, copied, when they cover every page, else the guest's digest
+// table with the pages it misses hashed — the one digest pass a save can have.
+func objectKeys(v *vm.VM, sums []checksum.Sum) (keys []checksum.Sum, hashed int) {
+	if len(sums) == v.NumPages() {
 		// Copied: the entry's key list outlives the call (restores serve
 		// their announcement from it) and must not alias a caller's buffer.
-		return append([]checksum.Sum(nil), sums...), true
+		return append([]checksum.Sum(nil), sums...), 0
 	}
-	return pageSums(v, ObjectAlgorithm), false
+	return guestKeys(v)
 }
 
 // commitLocked runs the commit transaction. Write order is: the segment

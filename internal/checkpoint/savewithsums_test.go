@@ -114,9 +114,10 @@ func TestSaveWithSumsMatchesSave(t *testing.T) {
 }
 
 // TestSaveWithSumsFallback: a table the save cannot use as keys — wrong
-// length, no algorithm, or another algorithm, strong or not — makes it rehash
-// the guest once, accounted as save_keys, never fail and never key pages by
-// the wrong digest.
+// length, no algorithm, or another algorithm, strong or not — makes it key the
+// guest as Save does: from its digest table, which knows nothing of these
+// freshly written pages, so every page is hashed once, accounted as
+// save_keys. It never fails and never keys pages by the wrong digest.
 func TestSaveWithSumsFallback(t *testing.T) {
 	const pages = 8
 	v := filledVM(t, "a", pages, 1)
@@ -157,6 +158,36 @@ func TestSaveWithSumsFallback(t *testing.T) {
 				t.Error("fallback save lost data")
 			}
 		})
+	}
+}
+
+// TestSaveKeysFromDigestTable: a save handed no sums keys the guest from its
+// digest table, hashing only the pages written since the table was complete,
+// and books every page exactly once — hashed plus avoided is the guest.
+func TestSaveKeysFromDigestTable(t *testing.T) {
+	const pages = 64
+	v := filledVM(t, "a", pages, 1)
+	v.CompleteDigests()
+	rewritten := []int{3, 40}
+	for _, p := range rewritten {
+		data := make([]byte, vm.PageSize)
+		data[0] = byte(p)
+		v.WritePage(p, data)
+	}
+	s, m, _ := metricsStore(t)
+	if err := s.Save(v); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	hashed, avoided := m.hashed["save_keys"], m.unhashed
+	m.mu.Unlock()
+	if want := int64(len(rewritten)) * vm.PageSize; hashed != want || hashed+avoided != v.MemBytes() {
+		t.Errorf("save hashed %d bytes and avoided %d, want %d hashed of %d", hashed, avoided, want, v.MemBytes())
+	}
+	for i, k := range s.keys["a"] {
+		if k != v.PageSum(i, ObjectAlgorithm) {
+			t.Fatalf("page %d keyed %s, want its %v digest", i, k, ObjectAlgorithm)
+		}
 	}
 }
 
@@ -227,7 +258,15 @@ func TestRestoreSumsMatchGuest(t *testing.T) {
 						t.Errorf("announcement holds %d sums, guest has %d distinct", cp.SumSet().Len(), distinct.Len())
 					}
 					if install {
-						got, hashed := dst.Digests(0, pages, alg, nil)
+						// The key path seeds the digest table; the rescan
+						// records nothing, the table holding store keys only.
+						got, hashed := dst.Digests(0, pages, nil)
+						if alg != ObjectAlgorithm {
+							if hashed != pages {
+								t.Errorf("a %v rescan seeded %d digest-table entries", alg, pages-hashed)
+							}
+							return
+						}
 						if hashed != 0 {
 							t.Errorf("restore left %d pages without a digest", hashed)
 						}

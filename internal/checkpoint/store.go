@@ -86,13 +86,14 @@ type Metrics interface {
 	// pass deleted or compacted at least one segment, "clean" otherwise.
 	GCRun(outcome string)
 	// HashBytes reports n payload bytes the store digested itself, by stage:
-	// "save_keys" is the content-keying rehash a save runs when its caller's
-	// digest table is absent or under another algorithm, "restore" the
-	// rescan of a Restore or OpenUnion under an algorithm the store does not
-	// key by. A migration under ObjectAlgorithm reports neither.
+	// "save_keys" is the keying of a save's pages that neither the caller's
+	// sums nor the guest's digest table covered, "restore" the rescan of a
+	// Restore under an algorithm the store does not key by (the benchmark's
+	// layer replay; no migration opens that way).
 	HashBytes(stage string, n int64)
-	// HashAvoidedBytes reports n payload bytes whose digests were supplied
-	// precomputed by the caller (SaveWithSums) instead of recomputed.
+	// HashAvoidedBytes reports n payload bytes a save keyed without hashing:
+	// from the caller's sums (SaveWithSums) or the guest's digest table. A
+	// save's save_keys and avoided bytes add up to the guest's size.
 	HashAvoidedBytes(n int64)
 	// CleanupError reports a best-effort cleanup (satellite sweeps, files
 	// of a retired format) that failed to remove path. The store carries on —
@@ -356,50 +357,37 @@ func (s *Store) uniqueBytesLocked(key string) int64 {
 // fan-out granularity.
 const minPagesPerSumWorker = 256
 
-// sumChunkPages is the contiguous span one pageSums worker claims per grab:
-// large enough that a single ReadRange (one VM lock acquisition, one
-// contiguous copy) amortizes across many hashes, small enough that the tail
-// of the image still balances across the pool.
+// sumChunkPages is the contiguous span one guestKeys worker claims per grab:
+// large enough that one Digests call (one VM lock acquisition) amortizes
+// across many pages, small enough that the tail of the image still balances
+// across the pool and a writer to the guest waits at most one span's hashing.
 const sumChunkPages = 256
 
-// pageSums computes the per-page sums of a live VM. Workers claim contiguous
-// sumChunkPages-sized spans off an atomic cursor and copy each span out with
-// one ReadRange before hashing — page-at-a-time PageSum calls paid one lock
-// round-trip per 4 KiB. This is the rehash a save runs when no digest table
-// under ObjectAlgorithm came with it.
-func pageSums(v *vm.VM, alg checksum.Algorithm) []checksum.Sum {
+// guestKeys returns a live VM's page keys from its digest table, hashing only
+// the pages the table does not cover, and reports how many it hashed. Workers
+// claim contiguous sumChunkPages-sized spans off an atomic cursor. This is the
+// keying pass of a save handed no sums.
+func guestKeys(v *vm.VM) (keys []checksum.Sum, hashed int) {
 	pages := v.NumPages()
-	sums := make([]checksum.Sum, pages)
-	chunk := sumChunkPages
-	if pages < chunk {
-		chunk = pages
-	}
-	var next atomic.Int64
+	keys = make([]checksum.Sum, pages)
+	chunk := min(sumChunkPages, pages)
+	var next, total atomic.Int64
 	scan := func() {
-		buf := make([]byte, chunk*vm.PageSize)
 		for {
 			start := int(next.Add(int64(chunk))) - chunk
 			if start >= pages {
 				return
 			}
-			cnt := chunk
-			if start+cnt > pages {
-				cnt = pages - start
-			}
-			span := buf[:cnt*vm.PageSize]
-			v.ReadRange(start, cnt, span)
-			for i := 0; i < cnt; i++ {
-				sums[start+i] = alg.Page(span[i*vm.PageSize : (i+1)*vm.PageSize])
-			}
+			// Digests appends into the span's own stretch of keys.
+			end := min(start+chunk, pages)
+			_, n := v.Digests(start, end-start, keys[start:start:end])
+			total.Add(int64(n))
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > pages/minPagesPerSumWorker {
-		workers = pages / minPagesPerSumWorker
-	}
+	workers := min(runtime.GOMAXPROCS(0), pages/minPagesPerSumWorker)
 	if workers < 2 {
 		scan()
-		return sums
+		return keys, int(total.Load())
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -410,7 +398,7 @@ func pageSums(v *vm.VM, alg checksum.Algorithm) []checksum.Sum {
 		}()
 	}
 	wg.Wait()
-	return sums
+	return keys, int(total.Load())
 }
 
 // resolveLocked maps page keys to open-file page references, opening each
@@ -459,11 +447,13 @@ func closeAll(files []faultfs.File) {
 // Quarantined entries are refused: a checkpoint that failed its integrity
 // check is never served.
 //
-// Under ObjectAlgorithm the checkpoint's checksums are the entry's page keys,
-// already in memory: the open reads no file and hashes nothing, and pages are
-// read only to install them into dst. Any other algorithm takes the rescan of
-// §3.3 — every page read and hashed under alg — on every open: nothing is
-// cached for an algorithm the store does not key by.
+// Under ObjectAlgorithm — every migration's — the checkpoint's checksums are
+// the entry's page keys, already in memory: the open reads no file and hashes
+// nothing, and pages are read only to install them, with their keys, into
+// dst. alg stays a parameter for one caller only: the recycle-cycle
+// benchmark's layer replay, which still times the paper's §3.3 rescan by
+// opening under MD5 — every page read and hashed on every open, and installed
+// into dst without a digest. It goes when that replay stops asking.
 //
 // Restore is the eager form: it returns once dst holds every page. A caller
 // that can overlap the installs with other work opens index-only (dst nil)
@@ -522,18 +512,18 @@ func (s *Store) Restore(vmName string, alg checksum.Algorithm, dst *vm.VM) (*Che
 // entrySums returns an entry's page-ordered checksums under alg: the page keys
 // themselves when alg keys the store, a rescan of every page — accounted as
 // the "restore" hash stage — otherwise. dst, when non-nil, receives every page
-// and — its digest table — the page's sum under alg. An entry's key list is
-// never modified after its save, so the returned slice may alias it. Called
-// without s.mu; the caller drains the metric.
+// (and, from the key path only, its digest). An entry's key list is never
+// modified after its save, so the returned slice may alias it. Called without
+// s.mu; the caller drains the metric.
 func (s *Store) entrySums(pageKeys []checksum.Sum, refs []pageRef, alg checksum.Algorithm, dst *vm.VM) ([]checksum.Sum, error) {
 	if alg == ObjectAlgorithm {
 		if dst == nil {
 			return pageKeys, nil
 		}
-		return pageKeys, loadPages(refs, alg, pageKeys, false, dst)
+		return pageKeys, loadPages(refs, pageKeys, 0, dst)
 	}
 	sums := make([]checksum.Sum, len(refs))
-	if err := loadPages(refs, alg, sums, true, dst); err != nil {
+	if err := loadPages(refs, sums, alg, dst); err != nil {
 		return nil, err
 	}
 	n := int64(len(refs)) * vm.PageSize
@@ -555,24 +545,20 @@ func (s *Store) entrySums(pageKeys []checksum.Sum, refs []pageRef, alg checksum.
 // Returns the union checkpoint and the names of the entries it covers, or
 // (nil, nil, nil) when the store holds nothing servable.
 //
-// The union is an optimization, so a single sick entry must not cost the
-// migration its whole bootstrap: an entry whose segments cannot be opened
-// or read is skipped — reported through the Metrics Degraded callback with
-// stage "union-read" — and the union is built from the rest. Skipped
-// entries stay in the store untouched (a transient read error is not
+// The union's sums are the entries' page keys, already in memory: the open
+// reads no page and hashes nothing. It is an optimization, so a single sick
+// entry must not cost the migration its whole bootstrap: an entry whose
+// segments cannot be opened is skipped — reported through the Metrics
+// Degraded callback with stage "union-read" — and the union is built from the
+// rest. Skipped entries stay in the store untouched (a transient error is not
 // evidence of corruption; Scrub and Verify decide quarantines).
-func (s *Store) OpenUnion(alg checksum.Algorithm) (*Checkpoint, []string, error) {
-	if !alg.Valid() {
-		return nil, nil, fmt.Errorf("checkpoint: invalid checksum algorithm")
-	}
-	type unionEntry struct {
-		name string
-		keys []checksum.Sum
-		refs []pageRef
-	}
+func (s *Store) OpenUnion() (*Checkpoint, []string, error) {
 	s.mu.Lock()
-	var entries []unionEntry
+	defer s.drainMetrics()
+	defer s.mu.Unlock()
 	open := map[string]faultfs.File{}
+	cp := &Checkpoint{alg: ObjectAlgorithm, sums: checksum.NewSet(0)}
+	var names []string
 	for _, key := range sortedKeys(s.man.Entries) {
 		if s.man.Entries[key].State == EntryQuarantined {
 			continue
@@ -583,35 +569,18 @@ func (s *Store) OpenUnion(alg checksum.Algorithm) (*Checkpoint, []string, error)
 			s.deferMetricLocked(func(m Metrics) { m.Degraded("union-read", fault) })
 			continue
 		}
-		entries = append(entries, unionEntry{name: key, keys: s.keys[key], refs: refs})
-	}
-	s.mu.Unlock()
-	defer s.drainMetrics()
-	files := openFiles(open)
-	cp := &Checkpoint{alg: alg, files: files, sums: checksum.NewSet(0)}
-	var names []string
-	for _, ue := range entries {
-		// A read error (rescans only) skips the entry: nothing of it has
-		// been folded into the union yet.
-		sums, err := s.entrySums(ue.keys, ue.refs, alg, nil)
-		if err != nil {
-			fault := faultfs.Label(err)
-			s.mu.Lock()
-			s.deferMetricLocked(func(m Metrics) { m.Degraded("union-read", fault) })
-			s.mu.Unlock()
-			continue
-		}
-		names = append(names, ue.name)
-		for i, sum := range sums {
+		names = append(names, key)
+		for i, sum := range s.keys[key] {
 			if cp.sums.Contains(sum) {
 				continue
 			}
 			cp.sums.Add(sum)
-			cp.index.add(sum, ue.refs[i])
+			cp.index.add(sum, refs[i])
 		}
 	}
+	cp.files = openFiles(open)
 	if len(names) == 0 {
-		closeAll(files)
+		closeAll(cp.files)
 		return nil, nil, nil
 	}
 	return cp, names, nil

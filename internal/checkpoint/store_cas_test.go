@@ -239,10 +239,13 @@ func TestOpenUnionServesResidentContent(t *testing.T) {
 	bothAlgorithms(t, testOpenUnionServesResidentContent)
 }
 
+// testOpenUnionServesResidentContent: the union serves every resident page by
+// its store key, whatever algorithm the subtest names — and, under any other,
+// announces none of that algorithm's digests: it speaks keys only.
 func testOpenUnionServesResidentContent(t *testing.T, alg checksum.Algorithm) {
 	s := quotaStore(t)
 	// Empty store: no union.
-	cp, names, err := s.OpenUnion(alg)
+	cp, names, err := s.OpenUnion()
 	if err != nil || cp != nil || names != nil {
 		t.Fatalf("empty union = %v, %v, %v", cp, names, err)
 	}
@@ -254,7 +257,7 @@ func testOpenUnionServesResidentContent(t *testing.T, alg checksum.Algorithm) {
 	if err := s.SaveSalvage(b); err != nil {
 		t.Fatal(err)
 	}
-	cp, names, err = s.OpenUnion(alg)
+	cp, names, err = s.OpenUnion()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +268,10 @@ func testOpenUnionServesResidentContent(t *testing.T, alg checksum.Algorithm) {
 	// Every page of both residents resolves out of the union.
 	for name, src := range map[string]*vm.VM{"a": a, "b": b} {
 		for i := 0; i < src.NumPages(); i++ {
-			sum := src.PageSum(i, alg)
+			if other := src.PageSum(i, alg); alg != ObjectAlgorithm && cp.SumSet().Contains(other) {
+				t.Fatalf("%s page %d: union announces its %v digest", name, i, alg)
+			}
+			sum := src.PageSum(i, ObjectAlgorithm)
 			if !cp.SumSet().Contains(sum) {
 				t.Fatalf("%s page %d missing from union announcement", name, i)
 			}
@@ -307,7 +313,7 @@ func TestOpenUnionSkipsQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, names, err := s2.OpenUnion(checksum.Default)
+	cp, names, err := s2.OpenUnion()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +463,7 @@ func TestConcurrentSaveGCRestore(t *testing.T) {
 	go func() { // union + stats reader
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			cp, _, err := s.OpenUnion([]checksum.Algorithm{checksum.Default, checksum.MD5}[i%2])
+			cp, _, err := s.OpenUnion()
 			if err != nil {
 				errc <- err
 				return
@@ -500,6 +506,7 @@ func TestConcurrentRemoveDuringRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := src.RangeSums(0, pages, alg, nil)
+		keys := src.RangeSums(0, pages, ObjectAlgorithm, nil)
 		var dst *vm.VM
 		if round%4 >= 2 {
 			dst = newVM(t, "vm0", pages, 99)
@@ -553,7 +560,7 @@ func TestConcurrentRemoveDuringRestore(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			cp, names, err := s.OpenUnion(alg)
+			cp, names, err := s.OpenUnion()
 			if err != nil {
 				t.Errorf("raced OpenUnion: %v", err)
 				return
@@ -565,7 +572,7 @@ func TestConcurrentRemoveDuringRestore(t *testing.T) {
 			if len(names) != 1 || names[0] != "vm0" {
 				t.Errorf("raced union covers %v, want [vm0]", names)
 			}
-			for i, sum := range want {
+			for i, sum := range keys {
 				if !cp.SumSet().Contains(sum) {
 					t.Errorf("raced union: page %d missing from the index", i)
 					return

@@ -1,14 +1,17 @@
 // Package checksum computes and manages per-page checksums, the currency of
 // VeCycle's content-based redundancy elimination.
 //
-// The paper's prototype uses MD5 (§3.4): strong enough that two pages on
-// different physical hosts can be declared identical without a byte-for-byte
-// comparison, and fast enough (~350 MiB/s on one 2012-era core) not to
-// bottleneck a gigabit link (~120 MiB/s). The paper notes SHA-1/SHA-256 as
-// drop-in replacements if MD5 is deemed a risk; both are provided here, as is
-// a non-cryptographic FNV probe hash for the sender-side-deduplication use
-// case where candidate matches are verified locally by memcmp (CloudNet's
-// trick, §4.2).
+// A page has one digest, end to end: Default (SHA-256 truncated to 128 bits)
+// is what every migration puts on the wire, what a guest's resident digest
+// table records and what the checkpoint store keys pages by. It is strong
+// enough that two pages on different physical hosts can be declared identical
+// without a byte-for-byte comparison (§3.2–3.4).
+//
+// The paper's prototype used MD5 (§3.4), ~350 MiB/s on one 2012-era core. MD5
+// stays here, with the non-cryptographic FNV and FAST64, for three readers
+// only: the paper-constant cost models (migsim, experiments), the independent
+// oracle the digest table is verified against (vm.VM.PageSum, RangeSums), and
+// the frozen benchmark's layer replay. No migration speaks them.
 package checksum
 
 import (
@@ -35,10 +38,9 @@ func (s Sum) String() string { return hex.EncodeToString(s[:]) }
 // Algorithm identifies a page-checksum algorithm.
 type Algorithm uint8
 
-// Supported algorithms. MD5 is the paper's prototype choice, kept selectable
-// for paper-fidelity runs. FAST64 is the word-mixing multi-GB/s hash for
-// baseline (non-recycled) migrations where the checksum is an integrity tag
-// rather than a cross-host dedup key.
+// Supported algorithms. MD5 is the paper's prototype choice; FNV and FAST64
+// are non-cryptographic (FAST64 the word-mixing multi-GB/s one). Only Default
+// crosses the wire or keys a store.
 const (
 	MD5 Algorithm = iota + 1
 	SHA256
@@ -46,13 +48,13 @@ const (
 	FAST64
 )
 
-// Default is the one strong algorithm everything resolves to when none is
-// named: the migration engines' checksum, the CLI's empty -checksum, and the
-// checkpoint store's object keys. Because they agree, a page has one digest —
-// the 16 bytes that cross the wire are the 16 bytes that key the page on
-// disk, so a checkpoint save after a migration hashes nothing and a restore
-// serves its announcement from the page manifest. Any other strong algorithm
-// (-checksum md5) still works; it pays one rehash at save and at restore.
+// Default is the one algorithm a page is digested under: the migration
+// engines' wire checksum (the hello's algorithm byte, which a destination
+// refuses to see set to anything else), the resident digest table's entries
+// and the checkpoint store's object keys. Because they agree, the 16 bytes
+// that cross the wire are the 16 bytes that key the page on disk, so a
+// checkpoint save after a migration hashes nothing and a restore serves its
+// announcement from the page manifest.
 const Default = SHA256
 
 // String returns the conventional lower-case name of the algorithm.
@@ -68,30 +70,6 @@ func (a Algorithm) String() string {
 		return "fast64"
 	default:
 		return fmt.Sprintf("algorithm(%d)", uint8(a))
-	}
-}
-
-// Strong reports whether the algorithm is collision-resistant enough to
-// declare two pages on *different* hosts identical without comparing bytes.
-// FNV and FAST64 are not: they may only be used as probe filters whose hits
-// are verified locally, or as payload integrity tags in baseline
-// (non-recycled) migrations.
-func (a Algorithm) Strong() bool { return a == MD5 || a == SHA256 }
-
-// ParseAlgorithm converts a name ("md5", "sha256", "fnv", "fast64") to an
-// Algorithm.
-func ParseAlgorithm(name string) (Algorithm, error) {
-	switch name {
-	case "md5":
-		return MD5, nil
-	case "sha256":
-		return SHA256, nil
-	case "fnv":
-		return FNV, nil
-	case "fast64":
-		return FAST64, nil
-	default:
-		return 0, fmt.Errorf("checksum: unknown algorithm %q", name)
 	}
 }
 

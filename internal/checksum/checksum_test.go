@@ -28,33 +28,6 @@ func TestAlgorithmString(t *testing.T) {
 	}
 }
 
-func TestParseAlgorithmRoundTrip(t *testing.T) {
-	for _, a := range []Algorithm{MD5, SHA256, FNV, FAST64} {
-		got, err := ParseAlgorithm(a.String())
-		if err != nil {
-			t.Fatalf("ParseAlgorithm(%q): %v", a.String(), err)
-		}
-		if got != a {
-			t.Errorf("ParseAlgorithm(%q) = %v, want %v", a.String(), got, a)
-		}
-	}
-	if _, err := ParseAlgorithm("crc32"); err == nil {
-		t.Error("ParseAlgorithm of unknown name should fail")
-	}
-}
-
-func TestStrong(t *testing.T) {
-	if !MD5.Strong() || !SHA256.Strong() {
-		t.Error("MD5 and SHA256 must be strong")
-	}
-	if FNV.Strong() {
-		t.Error("FNV must not be strong: probe-only")
-	}
-	if FAST64.Strong() {
-		t.Error("FAST64 must not be strong: integrity-tag only")
-	}
-}
-
 func TestPageMD5MatchesStdlib(t *testing.T) {
 	page := bytes.Repeat([]byte{0xAB}, 4096)
 	want := md5.Sum(page)

@@ -19,7 +19,7 @@ import (
 //     independent accumulator lanes each fold one 64-bit word per step, so
 //     the multiplies pipeline instead of serializing, followed by a final
 //     avalanche. Multi-GB/s on one core; integrity-tag strength only (it is
-//     not collision-resistant, see Algorithm.Strong).
+//     not collision-resistant).
 
 const (
 	fnvOffset64 = 14695981039346656037

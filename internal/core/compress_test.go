@@ -62,7 +62,7 @@ func TestCompressorRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	sum := checksum.MD5.Page(page)
+	sum := checksum.Default.Page(page)
 	if err := writeZFrame(&buf, 3, sum, z); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestCompressorReuse(t *testing.T) {
 			t.Fatalf("page %d: ok=%v err=%v", i, ok, err)
 		}
 		var buf bytes.Buffer
-		if err := writeZFrame(&buf, uint64(i), checksum.MD5.Page(page), z); err != nil {
+		if err := writeZFrame(&buf, uint64(i), checksum.Default.Page(page), z); err != nil {
 			t.Fatal(err)
 		}
 		out := make([]byte, vm.PageSize)
@@ -261,7 +261,7 @@ func TestCompressionRoundTripProperty(t *testing.T) {
 			return true // raw fallback path, nothing to verify here
 		}
 		var buf bytes.Buffer
-		if err := writeZFrame(&buf, 0, checksum.MD5.Page(page), z); err != nil {
+		if err := writeZFrame(&buf, 0, checksum.Default.Page(page), z); err != nil {
 			return false
 		}
 		out := make([]byte, vm.PageSize)

@@ -2,6 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"net"
 	"os"
@@ -14,20 +18,18 @@ import (
 	"vecycle/internal/vm"
 )
 
-// TestOneDefaultAlgorithm: every place that picks a checksum algorithm when
-// none is named picks checksum.Default — a pre-copy source with zero options,
-// a post-copy source with zero options (both read off the hello they put on
-// the wire) and the checkpoint store's object keys — so the wire checksum and
-// the store key are the same digest. And nothing quietly defaults to the
-// paper's MD5 any more: outside the checksum package itself and the
-// paper-constant models, no non-test source spells checksum.MD5. (The CLI's
-// empty -checksum is covered next to the flag, cmd/vecycle.)
+// TestOneDefaultAlgorithm: the checksum algorithm is decided in one place.
+// Both sources put checksum.Default in their hello, the checkpoint store keys
+// pages by it, and nothing quietly speaks the paper's MD5 any more: outside
+// the checksum package itself, the paper-constant models and the frozen
+// benchmark, no non-test source spells checksum.MD5. In the layers a migration
+// runs through (internal/core, internal/sched, internal/vm, cmd/), no non-test
+// source declares a checksum.Algorithm field or parameter, or names an
+// algorithm other than checksum.Default — save the vm oracle the digest table
+// is verified against (PageSum, RangeSums, Fingerprint64).
 func TestOneDefaultAlgorithm(t *testing.T) {
 	if checkpoint.ObjectAlgorithm != checksum.Default {
 		t.Errorf("store keys pages by %v, default is %v", checkpoint.ObjectAlgorithm, checksum.Default)
-	}
-	if !checksum.Default.Strong() {
-		t.Errorf("default algorithm %v is not collision resistant", checksum.Default)
 	}
 
 	// helloAlg runs a source against a destination that reads the hello and
@@ -47,8 +49,8 @@ func TestOneDefaultAlgorithm(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if s.h.Alg != checksum.Default {
-			t.Errorf("%s with zero options announces %v, want %v", name, s.h.Alg, checksum.Default)
+		if got := checksum.Algorithm(s.h.Alg); got != checksum.Default {
+			t.Errorf("%s announces %v, want %v", name, got, checksum.Default)
 		}
 		_ = s.Reject("only here for the hello") // the source's error is the point
 		if err := <-done; err == nil {
@@ -70,6 +72,12 @@ func TestOneDefaultAlgorithm(t *testing.T) {
 		filepath.Join("internal", "experiments"),
 		filepath.Join("internal", "migsim"),
 		"bench", // the frozen benchmark replays a layer under MD5 on purpose
+	}
+	guarded := []string{
+		filepath.Join("internal", "core"),
+		filepath.Join("internal", "sched"),
+		filepath.Join("internal", "vm"),
+		"cmd",
 	}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -95,11 +103,75 @@ func TestOneDefaultAlgorithm(t *testing.T) {
 			return err
 		}
 		if strings.Contains(string(src), "checksum.MD5") {
-			t.Errorf("%s spells checksum.MD5: name checksum.Default, or take the algorithm from the caller", rel)
+			t.Errorf("%s spells checksum.MD5: name checksum.Default", rel)
+		}
+		for _, g := range guarded {
+			if strings.HasPrefix(rel, g+string(filepath.Separator)) {
+				for _, msg := range algorithmChoices(t, path, src) {
+					t.Errorf("%s: %s", rel, msg)
+				}
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// vmOracle names the vm methods that digest under any algorithm the caller
+// names: the independent reference the digest table is verified against.
+var vmOracle = map[string]bool{"PageSum": true, "RangeSums": true, "Fingerprint64": true}
+
+// algorithmChoices parses one source file and reports every place it could
+// choose a checksum algorithm: a checksum.Algorithm field or parameter, or a
+// named algorithm other than checksum.Default — outside the vm oracle.
+func algorithmChoices(t *testing.T, path string, src []byte) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, path, src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isAlgorithm := func(e ast.Expr) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		pkg, ok := sel.X.(*ast.Ident)
+		return ok && pkg.Name == "checksum" && sel.Sel.Name == "Algorithm"
+	}
+	var out []string
+	fields := func(list *ast.FieldList, what string) {
+		if list == nil {
+			return
+		}
+		for _, f := range list.List {
+			if isAlgorithm(f.Type) {
+				out = append(out, fmt.Sprintf("line %d: a checksum.Algorithm %s", fset.Position(f.Pos()).Line, what))
+			}
+		}
+	}
+	for _, decl := range file.Decls {
+		if fn, ok := decl.(*ast.FuncDecl); ok && file.Name.Name == "vm" && fn.Recv != nil && vmOracle[fn.Name.Name] {
+			continue
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.StructType:
+				fields(n.Fields, "field")
+			case *ast.FuncType:
+				fields(n.Params, "parameter")
+			case *ast.SelectorExpr:
+				if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == "checksum" {
+					switch n.Sel.Name {
+					case "MD5", "SHA256", "FNV", "FAST64":
+						out = append(out, fmt.Sprintf("line %d: names checksum.%s, not checksum.Default", fset.Position(n.Pos()).Line, n.Sel.Name))
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out
 }

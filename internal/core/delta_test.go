@@ -41,7 +41,7 @@ func TestDeltaMigration(t *testing.T) {
 	if err := srcStore.Save(src); err != nil {
 		t.Fatal(err)
 	}
-	base, err := srcStore.Restore("vm0", checksum.MD5, nil)
+	base, err := srcStore.Restore("vm0", checksum.Default, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDeltaStaleBaseDetected(t *testing.T) {
 	if err := destStore.Save(src); err != nil {
 		t.Fatal(err)
 	}
-	base, err := staleStore.Restore("vm0", checksum.MD5, nil)
+	base, err := staleStore.Restore("vm0", checksum.Default, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestDeltaDisabledWithoutDestCheckpoint(t *testing.T) {
 	if err := srcStore.Save(src); err != nil {
 		t.Fatal(err)
 	}
-	base, err := srcStore.Restore("vm0", checksum.MD5, nil)
+	base, err := srcStore.Restore("vm0", checksum.Default, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestDeltaComposesWithCompression(t *testing.T) {
 	if err := srcStore.Save(src); err != nil {
 		t.Fatal(err)
 	}
-	base, err := srcStore.Restore("vm0", checksum.MD5, nil)
+	base, err := srcStore.Restore("vm0", checksum.Default, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,10 +39,10 @@ type DestOptions struct {
 	OnEvent EventFunc
 	// Save, when non-nil, is the stream of the arrival checkpoint this host
 	// keeps (checkpoint.Store.OpenSave); the caller commits or aborts it.
-	// When the merge bootstraps from the VM's own entry under the store's key
-	// algorithm, every page installed in full or by delta is written to it as
-	// it lands, so the commit after the ack has little left to write. A
-	// failed merge commits it as the salvage checkpoint.
+	// When the merge bootstraps from the VM's own entry, every page installed
+	// in full or by delta is written to it as it lands, so the commit after
+	// the ack has little left to write. A failed merge commits it as the
+	// salvage checkpoint.
 	Save *checkpoint.SaveStream
 }
 
@@ -66,15 +66,13 @@ type DestResult struct {
 	// UsedCheckpoint. The union serves blocks by content but installs
 	// nothing into RAM, so ResumedFromPartial stays false.
 	UnionBootstrap bool
-	// PageSums is the page-ordered digest of the arrived state under the
-	// migration's checksum algorithm (Alg) — a snapshot of the guest's digest
-	// table taken at the final acknowledgement, before the guest can run
-	// (only when DestOptions.TrackIncoming was set). The post-migration
-	// checkpoint is keyed by it via Store.SaveWithSums, unhashed.
-	// Nil after a failed migration, which makes SaveWithSums rehash.
+	// PageSums is the page-ordered checksum.Default digest of the arrived
+	// state — a snapshot of the guest's digest table taken at the final
+	// acknowledgement, before the guest can run (only when
+	// DestOptions.TrackIncoming was set). The post-migration checkpoint is
+	// keyed by it via Store.SaveWithSums, unhashed. Nil after a failed
+	// migration, which makes the save key the guest from its digest table.
 	PageSums []checksum.Sum
-	// Alg is the checksum algorithm the source chose for this migration.
-	Alg checksum.Algorithm
 }
 
 // IncomingSession is a half-open incoming migration: the hello has been
@@ -163,11 +161,11 @@ func (s *IncomingSession) release() {
 // conn. The VM must be created (all-zero memory) and sized before the call;
 // its name and page count are validated against the source's hello.
 //
-// The checkpoint is opened between hello and hello-ack — index only under
-// the store's key algorithm, its pages then installed in the background
-// under round one; read and hashed in full under any other. The paper
-// excludes this setup from the reported migration time — Metrics.Duration
-// here starts once the checkpoint is open, matching that accounting.
+// The checkpoint is opened between hello and hello-ack — index only, its
+// checksums the store's own keys — and its pages then installed in the
+// background under round one. The paper excludes this setup from the
+// reported migration time — Metrics.Duration here starts once the checkpoint
+// is open, matching that accounting.
 func MigrateDest(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts DestOptions) (DestResult, error) {
 	s, err := Accept(ctx, conn)
 	if err != nil {
@@ -209,25 +207,7 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 	var cp *checkpoint.Checkpoint
 	union := false
 	if h.Recycle && opts.Store != nil {
-		if state, ok := opts.Store.State(h.VMName); ok && state != checkpoint.EntryQuarantined {
-			rcp, rerr := s.openBootstrap(ctx, v, opts.Store)
-			if rerr != nil {
-				// A corrupt or unreadable checkpoint must not fail the
-				// migration; degrade to a full first round. A storage-borne
-				// failure (unreadable or torn bytes) will recur on every
-				// later bootstrap, so quarantine the entry — the next
-				// arrival goes straight to the union/full path and the
-				// operator sees it in the scrub report.
-				fault := faultfs.Label(rerr)
-				opts.OnEvent.emit(Event{Kind: EventDegraded,
-					Detail: StageBootstrap + ":" + fault})
-				if fault == "eio" || fault == "torn" {
-					_ = opts.Store.Quarantine(h.VMName, "bootstrap read failed: "+rerr.Error())
-				}
-			} else {
-				cp = rcp
-			}
-		}
+		cp = s.openBootstrap(ctx, v, opts.Store, opts.OnEvent)
 		if cp == nil {
 			// Fresh VM on a warm host: no servable checkpoint of its own, but
 			// the content-addressed pool may hold its pages anyway — other
@@ -237,7 +217,7 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 			// (nothing was installed into v, so there is no delta base) —
 			// exactly the salvage-bootstrap rule. Best-effort: a union that
 			// fails to open degrades to a plain full first round.
-			if ucp, members, uerr := opts.Store.OpenUnion(h.Alg); uerr == nil && ucp != nil {
+			if ucp, members, uerr := opts.Store.OpenUnion(); uerr == nil && ucp != nil {
 				cp = ucp
 				union = true
 				res.UnionBootstrap = true
@@ -252,27 +232,26 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 	}
 	// match: the source named, in its hello, the very key list this entry was
 	// opened with, so it already holds the announcement. Only a complete entry
-	// under the key algorithm has such a name.
+	// has such a name.
 	match := false
 	if cp != nil {
 		defer cp.Close()
 		res.UsedCheckpoint = true
 		res.ResumedFromPartial = cp.Partial()
-		opts.OnEvent.emit(Event{Kind: EventRestore, Detail: cp.IndexSource()})
+		opts.OnEvent.emit(Event{Kind: EventRestore})
 		if res.ResumedFromPartial {
 			opts.OnEvent.emit(Event{Kind: EventSalvage, Detail: "resumed",
 				Pages: int64(cp.Pages())})
 		}
-		if root, ok := cp.Root(); ok && h.HasRoot && h.Alg == checkpoint.ObjectAlgorithm {
+		if root, ok := cp.Root(); ok && h.HasRoot {
 			match = root == h.Root
 		}
 	}
 
-	res.Alg = h.Alg
 	// Stream only over the VM's own checkpoint: there the pages the wire
 	// moves are about all the save will be missing. A cold leg's round one is
 	// bound by CPU, not by the link, and its save stays after the ack.
-	if cp != nil && !union && h.Alg == checkpoint.ObjectAlgorithm {
+	if cp != nil && !union {
 		s.save = opts.Save
 	}
 
@@ -328,25 +307,43 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 	return res, err
 }
 
-// openBootstrap opens the arriving VM's own checkpoint. Under the store's key
-// algorithm the open is index-only — the sums are the entry's keys, already in
-// memory — and the pages follow on background goroutines while the hello-ack,
-// the announcement and round one cross the wire; the merge awaits the spans a
-// frame touches (awaitInstall). Any other algorithm has to read and hash every
-// page before it can announce a single sum, so there the restore is eager.
-func (s *IncomingSession) openBootstrap(ctx context.Context, v *vm.VM, store *checkpoint.Store) (*checkpoint.Checkpoint, error) {
-	if s.h.Alg != checkpoint.ObjectAlgorithm {
-		return store.Restore(s.h.VMName, s.h.Alg, v)
+// openBootstrap opens the arriving VM's own servable checkpoint, nil when
+// there is none or it cannot be opened. The open is index-only — the sums are
+// the entry's keys, already in memory — and the pages follow into v on
+// background goroutines; the pre-copy merge awaits the spans a frame touches
+// (awaitInstall) while the hello-ack, the announcement and round one cross the
+// wire, and the post-copy engine drains them before it resolves its manifest.
+//
+// A corrupt or unreadable checkpoint must not fail the migration: the open
+// degrades to none (degradeBootstrap), and the migration to the wire.
+func (s *IncomingSession) openBootstrap(ctx context.Context, v *vm.VM, store *checkpoint.Store, onEvent EventFunc) *checkpoint.Checkpoint {
+	if state, ok := store.State(s.h.VMName); !ok || state == checkpoint.EntryQuarantined {
+		return nil
 	}
-	cp, err := store.Restore(s.h.VMName, s.h.Alg, nil)
+	cp, err := store.Restore(s.h.VMName, checkpoint.ObjectAlgorithm, nil)
+	if err == nil {
+		if err = cp.InstallInto(ctx, v); err != nil {
+			cp.Close()
+		}
+	}
 	if err != nil {
-		return nil, err
+		s.degradeBootstrap(store, err, onEvent)
+		return nil
 	}
-	if err := cp.InstallInto(ctx, v); err != nil {
-		cp.Close()
-		return nil, err
+	return cp
+}
+
+// degradeBootstrap records a bootstrap that failed with err — a rung of the
+// graceful-degradation ladder (docs/ROBUSTNESS.md). A storage-borne failure
+// (unreadable or torn bytes) will recur on every later bootstrap, so the entry
+// is quarantined: the next arrival goes straight to the union or the wire, and
+// the operator sees it in the scrub report.
+func (s *IncomingSession) degradeBootstrap(store *checkpoint.Store, err error, onEvent EventFunc) {
+	fault := faultfs.Label(err)
+	onEvent.emit(Event{Kind: EventDegraded, Detail: StageBootstrap + ":" + fault})
+	if fault == "eio" || fault == "torn" {
+		_ = store.Quarantine(s.h.VMName, "bootstrap read failed: "+err.Error())
 	}
-	return cp, nil
 }
 
 // salvage persists the pages a failed merge had already installed as a
@@ -376,7 +373,7 @@ func (s *IncomingSession) salvage(v *vm.VM, opts DestOptions, res *DestResult) {
 // when it has none or the stream broke.
 func (s *IncomingSession) saveSalvage(v *vm.VM, opts DestOptions) error {
 	if opts.Save != nil {
-		_, err := opts.Save.Commit(v, checkpoint.EntryPartial, 0, nil)
+		_, err := opts.Save.Commit(v, checkpoint.EntryPartial, nil)
 		if !errors.Is(err, checkpoint.ErrStreamBroken) {
 			return err
 		}
@@ -390,7 +387,6 @@ func (s *IncomingSession) saveSalvage(v *vm.VM, opts DestOptions) error {
 // background install of the checkpoint spans under it (awaitInstall) before
 // it lands.
 func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts DestOptions, cp *checkpoint.Checkpoint, res *DestResult, start time.Time) error {
-	h := s.h
 	w, r := s.w, s.r
 	st := getDestScratch()
 	defer putDestScratch(st)
@@ -422,7 +418,7 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 			if err := awaitInstall(cp, int(rng.start), rng.count); err != nil {
 				return err
 			}
-			if err := applyRange(v, cp, s.save, h.Alg, opts.VerifyPayloads, rng, st, &res.Metrics); err != nil {
+			if err := applyRange(v, cp, s.save, opts.VerifyPayloads, rng, st, &res.Metrics); err != nil {
 				return err
 			}
 			res.Metrics.PageFrames++
@@ -478,8 +474,8 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 // The caller has drained every install, the background bootstrap included.
 func finishTrack(v *vm.VM, res *DestResult) {
 	n := v.NumPages()
-	hashed := v.CompleteDigests(res.Alg)
-	res.PageSums, _ = v.Digests(0, n, res.Alg, make([]checksum.Sum, 0, n))
+	hashed := v.CompleteDigests()
+	res.PageSums, _ = v.Digests(0, n, make([]checksum.Sum, 0, n))
 	res.Metrics.HashBytes += int64(hashed) * vm.PageSize
 	res.Metrics.HashAvoidedBytes += int64(n-hashed) * vm.PageSize
 }
@@ -499,11 +495,10 @@ func validateHello(h hello, v *vm.VM, postCopy bool) string {
 		return fmt.Sprintf("page size %d unsupported (want %d)", h.PageSize, vm.PageSize)
 	case h.PageCount != uint64(v.NumPages()):
 		return fmt.Sprintf("page count %d does not match prepared VM (%d)", h.PageCount, v.NumPages())
-	// Weak (non-collision-resistant) algorithms are acceptable for baseline
-	// migrations, where checksums only tag payload integrity; recycling
-	// declares cross-host identity from them and demands a strong one.
-	case !h.Alg.Valid() || (h.Recycle && !h.Alg.Strong()):
-		return fmt.Sprintf("checksum algorithm %v unacceptable", h.Alg)
+	// A page has one digest: the wire's is the digest table's and the store
+	// key's, so a migration under any other algorithm is refused outright.
+	case checksum.Algorithm(h.Alg) != checksum.Default:
+		return fmt.Sprintf("checksum algorithm %v unsupported (want %v)", checksum.Algorithm(h.Alg), checksum.Default)
 	default:
 		return ""
 	}

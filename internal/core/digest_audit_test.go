@@ -76,7 +76,7 @@ func auditPingPong(t *testing.T, seed int64, mode string, named bool) {
 
 	for hop := 0; hop < 4; hop++ {
 		mutate(cur, rng, 1+rng.Intn(pages/8))
-		checkDigestTable(t, cur, alg)
+		checkDigestTable(t, cur)
 		dst := newVM(t, "vm0", pages, seed+int64(hop)+1)
 
 		if mode == "postcopy" {
@@ -157,10 +157,10 @@ func auditPingPong(t *testing.T, seed int64, mode string, named bool) {
 			}
 			// Save both ends from the migration's sums, as sched.Host does.
 			sent, _ := sopts.SentSums.Sums()
-			if err := here.SaveWithSums(cur, sopts.SentSums.Alg(), sent); err != nil {
+			if err := here.SaveWithSums(cur, checkpoint.ObjectAlgorithm, sent); err != nil {
 				t.Fatal(err)
 			}
-			if err := there.SaveWithSums(dst, dres.Alg, dres.PageSums); err != nil {
+			if err := there.SaveWithSums(dst, checkpoint.ObjectAlgorithm, dres.PageSums); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -168,8 +168,8 @@ func auditPingPong(t *testing.T, seed int64, mode string, named bool) {
 		if !cur.MemEqual(dst) {
 			t.Fatalf("hop %d: destination differs from the paused source at page %d", hop, cur.FirstDifference(dst))
 		}
-		checkDigestTable(t, cur, alg)
-		checkDigestTable(t, dst, alg)
+		checkDigestTable(t, cur)
+		checkDigestTable(t, dst)
 
 		// What the peer saved must restore to the same bytes, and the restore
 		// must seed a table that is true of them.
@@ -182,8 +182,8 @@ func auditPingPong(t *testing.T, seed int64, mode string, named bool) {
 		if !back.MemEqual(dst) {
 			t.Fatalf("hop %d: the saved checkpoint restores differently at page %d", hop, back.FirstDifference(dst))
 		}
-		checkDigestTable(t, back, alg)
-		if _, hashed := back.Digests(0, pages, alg, nil); hashed != 0 {
+		checkDigestTable(t, back)
+		if _, hashed := back.Digests(0, pages, nil); hashed != 0 {
 			t.Errorf("hop %d: restore left %d pages without a digest", hop, hashed)
 		}
 

@@ -154,13 +154,13 @@ func TestDestRejectsOutOfRangePage(t *testing.T) {
 		VMName:    "vm0",
 		PageSize:  vm.PageSize,
 		PageCount: 4,
-		Alg:       checksum.MD5,
+		Alg:       uint8(checksum.Default),
 	}
 	if err := writeHello(&stream, h); err != nil {
 		t.Fatal(err)
 	}
 	page := make([]byte, vm.PageSize)
-	if err := writeRangePage(&stream, 99, checksum.MD5.Page(page), page); err != nil {
+	if err := writeRangePage(&stream, 99, checksum.Default.Page(page), page); err != nil {
 		t.Fatal(err)
 	}
 	_, err := MigrateDest(context.Background(), readWriter{&stream, io.Discard}, dst, DestOptions{})
@@ -177,7 +177,7 @@ func TestDestRejectsPageSumWithoutCheckpoint(t *testing.T) {
 		VMName:    "vm0",
 		PageSize:  vm.PageSize,
 		PageCount: 4,
-		Alg:       checksum.MD5,
+		Alg:       uint8(checksum.Default),
 		Recycle:   true,
 	}
 	if err := writeHello(&stream, h); err != nil {
@@ -186,7 +186,7 @@ func TestDestRejectsPageSumWithoutCheckpoint(t *testing.T) {
 	if err := writeRangeHeader(&stream, msgRangeSum, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeRangeSums(&stream, []checksum.Sum{checksum.MD5.Page([]byte("x"))}); err != nil {
+	if err := writeRangeSums(&stream, []checksum.Sum{checksum.Default.Page([]byte("x"))}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := MigrateDest(context.Background(), readWriter{&stream, io.Discard}, dst, DestOptions{})
@@ -203,7 +203,7 @@ func TestDestRejectsUnknownMessage(t *testing.T) {
 		VMName:    "vm0",
 		PageSize:  vm.PageSize,
 		PageCount: 4,
-		Alg:       checksum.MD5,
+		Alg:       uint8(checksum.Default),
 	}
 	if err := writeHello(&stream, h); err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestDestRejectsRetiredPageTags(t *testing.T) {
 	} {
 		var stream bytes.Buffer
 		if err := writeHello(&stream, hello{Version: ProtocolVersion, VMName: "vm0", PageSize: vm.PageSize,
-			PageCount: 4, Alg: checksum.Default, Recycle: true}); err != nil {
+			PageCount: 4, Alg: uint8(checksum.Default), Recycle: true}); err != nil {
 			t.Fatal(err)
 		}
 		stream.WriteByte(tag)

@@ -6,6 +6,8 @@ import (
 	"io"
 	"math/rand"
 	"testing"
+
+	"vecycle/internal/checksum"
 )
 
 // TestAcceptNeverPanicsOnGarbage feeds random byte streams to the accept
@@ -48,7 +50,7 @@ func TestDestGarbageAfterValidHello(t *testing.T) {
 			VMName:    "vm0",
 			PageSize:  4096,
 			PageCount: 4,
-			Alg:       1, // MD5
+			Alg:       uint8(checksum.Default),
 		}
 		if err := writeHello(&stream, h); err != nil {
 			t.Fatal(err)

@@ -140,7 +140,7 @@ func dialDest(t *testing.T, ctx context.Context, store *checkpoint.Store, dst *v
 	hs := &handSource{conn: a, w: bufio.NewWriter(a), r: bufio.NewReader(a)}
 	m := mirrorOf(t, store, dst.Name())
 	if err := writeHello(hs.w, hello{Version: ProtocolVersion, VMName: dst.Name(), PageSize: vm.PageSize,
-		PageCount: uint64(dst.NumPages()), Alg: checksum.Default, Recycle: true, HasRoot: true, Root: m.Root}); err != nil {
+		PageCount: uint64(dst.NumPages()), Alg: uint8(checksum.Default), Recycle: true, HasRoot: true, Root: m.Root}); err != nil {
 		t.Fatal(err)
 	}
 	if err := hs.w.Flush(); err != nil {
@@ -210,7 +210,7 @@ func sparseRounds(t *testing.T, pages int, hold time.Duration) {
 	if !want.MemEqual(dst) {
 		t.Fatalf("memory differs at page %d (rewritten page is %d)", want.FirstDifference(dst), rewritten)
 	}
-	checkDigestTable(t, dst, checksum.Default)
+	checkDigestTable(t, dst)
 }
 
 // TestBackgroundInstallCancel: cancelling the migration while the install is

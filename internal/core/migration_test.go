@@ -12,7 +12,6 @@ import (
 	"testing/quick"
 
 	"vecycle/internal/checkpoint"
-	"vecycle/internal/checksum"
 	"vecycle/internal/vm"
 )
 
@@ -247,7 +246,7 @@ func TestPingPongSkipsAnnouncement(t *testing.T) {
 	if !vmA.MemEqual(vmB) {
 		t.Fatal("leg 1 memory differs")
 	}
-	if err := storeB.SaveWithSums(vmB, dres1.Alg, dres1.PageSums); err != nil {
+	if err := storeB.SaveWithSums(vmB, checkpoint.ObjectAlgorithm, dres1.PageSums); err != nil {
 		t.Fatal(err)
 	}
 
@@ -277,19 +276,6 @@ func TestPingPongSkipsAnnouncement(t *testing.T) {
 	}
 	if hello != "have_checkpoint=true manifest=match" {
 		t.Errorf("source hello event detail = %q", hello)
-	}
-
-	// Under another algorithm the root names nothing the destination could
-	// serve: the hello offers none and the announcement comes back.
-	vmA3 := newVM(t, "vm0", 64, 4)
-	sm3, _ := migrate(t, vmB, vmA3,
-		SourceOptions{Recycle: true, Alg: checksum.MD5, Mirror: mirrorOf(t, storeB, "vm0")},
-		DestOptions{Store: storeA, VerifyPayloads: true})
-	if !vmB.MemEqual(vmA3) {
-		t.Fatalf("md5 leg memory differs at page %d", vmB.FirstDifference(vmA3))
-	}
-	if sm3.AnnounceBytes == 0 || sm3.PagesSum == 0 {
-		t.Errorf("md5 leg: announce %d bytes, %d checksum pages; want both non-zero", sm3.AnnounceBytes, sm3.PagesSum)
 	}
 }
 
@@ -366,32 +352,6 @@ func TestHelloRejectionWrongSize(t *testing.T) {
 	wg.Wait()
 	if !errors.Is(serr, ErrRejected) {
 		t.Errorf("source error = %v, want ErrRejected", serr)
-	}
-}
-
-func TestSourceRejectsWeakAlgorithm(t *testing.T) {
-	// Weak algorithms are integrity tags only: fine for baseline
-	// migrations, rejected before any I/O the moment checksum equality
-	// stands in for page content.
-	src := newVM(t, "vm0", 8, 1)
-	for _, alg := range []checksum.Algorithm{checksum.FNV, checksum.FAST64} {
-		a, _ := net.Pipe()
-		if _, err := MigrateSource(context.Background(), a, src, SourceOptions{Alg: alg, Recycle: true}); err == nil {
-			t.Errorf("%v accepted for recycling", alg)
-		}
-		a.Close()
-	}
-}
-
-func TestBaselineMigrationAcceptsWeakAlgorithm(t *testing.T) {
-	src := newVM(t, "vm0", 16, 1)
-	if err := src.FillRandom(0.5); err != nil {
-		t.Fatal(err)
-	}
-	dst := newVM(t, "vm0", 16, 2)
-	migrate(t, src, dst, SourceOptions{Alg: checksum.FAST64}, DestOptions{VerifyPayloads: true})
-	if !src.MemEqual(dst) {
-		t.Error("memory mismatch after fast64 baseline migration")
 	}
 }
 

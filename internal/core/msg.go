@@ -13,8 +13,8 @@
 // destination".
 //
 // Destination side (§3.3): open the local checkpoint — one checksum per 4 KiB
-// block with its file offset — and bootstrap RAM from it, in the background
-// when the checksums are the store's own keys; announce the checksum set in
+// block with its file offset, the checksums being the store's own keys — and
+// bootstrap RAM from it in the background; announce the checksum set in
 // bulk unless the source named that very checkpoint in its hello; then merge
 // incoming messages per Listing 1 — a received checksum that does not match
 // the resident frame is looked up in the checkpoint index and the block
@@ -29,12 +29,16 @@ import (
 
 	"vecycle/internal/checkpoint"
 	"vecycle/internal/checksum"
+	"vecycle/internal/vm"
 )
 
 // ProtocolVersion guards against mixed deployments: a hello of any other
 // version is refused with a hello-ack naming both, never negotiated. Version
 // 3 has one dialect and one frame family: the raw announcement, and every page
-// in a range frame whose count byte holds count − 1.
+// in a range frame whose count byte holds count − 1. The hello's algorithm
+// byte is fixed at checksum.Default and any other value refused the same way;
+// fixing it moved no byte of a stream that already spoke the default, so it
+// took no version.
 const ProtocolVersion uint16 = 3
 
 // msgType tags each wire message.
@@ -97,12 +101,16 @@ type hello struct {
 	VMName    string
 	PageSize  uint32
 	PageCount uint64
-	Alg       checksum.Algorithm
+	// Alg is the checksum-algorithm byte. Every writer puts checksum.Default
+	// there (newHello) and validateHello refuses any other value: a page has
+	// one digest, and the byte stays so a peer speaking another is refused by
+	// name rather than misread.
+	Alg uint8
 	// Recycle indicates the source wants checkpoint-assisted mode.
 	Recycle bool
 	// HasRoot says Root follows the flags byte: the manifest root of the
 	// source's own complete checkpoint of this VM (checkpoint.Store.Mirror),
-	// offered only with Recycle under the store's key algorithm. A
+	// offered only with Recycle. A
 	// destination whose entry of the VM has the same root holds the same key
 	// list, says so in its ack (helloAck.ManifestMatch) and announces
 	// nothing — §3.2's ping-pong, by name instead of by trust.
@@ -165,6 +173,19 @@ func readMsgType(r io.Reader) (msgType, error) {
 	return msgType(b[0]), nil
 }
 
+// newHello starts the hello of an outgoing migration of v: this protocol
+// version, the guest's geometry and checksum.Default, the one algorithm a
+// page is digested under. The caller sets the mode bits.
+func newHello(v *vm.VM) hello {
+	return hello{
+		Version:   ProtocolVersion,
+		VMName:    v.Name(),
+		PageSize:  vm.PageSize,
+		PageCount: uint64(v.NumPages()),
+		Alg:       uint8(checksum.Default),
+	}
+}
+
 func writeHello(w io.Writer, h hello) error {
 	// Validate before the tag byte goes out: failing after a partial frame
 	// would leave the stream desynced for any later traffic.
@@ -196,7 +217,7 @@ func writeHello(w io.Writer, h hello) error {
 	if _, err := io.WriteString(w, h.VMName); err != nil {
 		return fmt.Errorf("core: write hello name: %w", err)
 	}
-	rest := []interface{}{h.PageSize, h.PageCount, uint8(h.Alg), flags}
+	rest := []interface{}{h.PageSize, h.PageCount, h.Alg, flags}
 	for _, f := range rest {
 		if err := binary.Write(w, binary.LittleEndian, f); err != nil {
 			return fmt.Errorf("core: write hello: %w", err)
@@ -230,14 +251,12 @@ func readHello(r io.Reader) (hello, error) {
 		return h, fmt.Errorf("core: read hello name: %w", err)
 	}
 	h.VMName = string(name)
-	var alg uint8
 	var flags uint8
-	for _, f := range []interface{}{&h.PageSize, &h.PageCount, &alg, &flags} {
+	for _, f := range []interface{}{&h.PageSize, &h.PageCount, &h.Alg, &flags} {
 		if err := binary.Read(r, binary.LittleEndian, f); err != nil {
 			return h, fmt.Errorf("core: read hello: %w", err)
 		}
 	}
-	h.Alg = checksum.Algorithm(alg)
 	if h.Version == ProtocolVersion && flags&^helloFlagBits != 0 {
 		return h, fmt.Errorf("%w: hello flags %#x set undefined bits", ErrProtocol, flags)
 	}
@@ -245,9 +264,8 @@ func readHello(r io.Reader) (hello, error) {
 	h.HasRoot = flags&2 != 0
 	h.PostCopy = flags&4 != 0
 	if h.PostCopy && !h.Recycle {
-		// Post-copy resolves its manifest against the checkpoint by sum, which
-		// declares page identity from a digest: only a recycled migration's
-		// strong-algorithm rule (validateHello) makes that sound.
+		// Post-copy resolves its manifest against the checkpoint by sum: it is
+		// a recycled migration by construction.
 		return h, fmt.Errorf("%w: hello asks for post-copy without recycling", ErrProtocol)
 	}
 	if h.HasRoot {

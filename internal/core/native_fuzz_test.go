@@ -20,7 +20,7 @@ import (
 func FuzzAccept(f *testing.F) {
 	// Seed with a valid hello and a few mutations.
 	var valid bytes.Buffer
-	h := hello{Version: ProtocolVersion, VMName: "vm0", PageSize: 4096, PageCount: 4, Alg: checksum.MD5}
+	h := hello{Version: ProtocolVersion, VMName: "vm0", PageSize: 4096, PageCount: 4, Alg: uint8(checksum.Default)}
 	if err := writeHello(&valid, h); err != nil {
 		f.Fatal(err)
 	}
@@ -56,19 +56,30 @@ func helloFrame(f *testing.F, h hello) []byte {
 // invented between the two. A hello of this version sets only the flag bits
 // it defines, so it re-encodes to exactly the bytes it was read from; one of
 // another version parses for its rejection, whatever its flags. No hello asks
-// for post-copy without recycling: post-copy resolves pages by checksum, and
-// only a recycled hello is held to a strong algorithm.
+// for post-copy without recycling: post-copy resolves pages by checksum, which
+// is recycling by construction. And validateHello accepts no hello whose
+// algorithm byte is not checksum.Default's, even one prepared for in every
+// other respect: a page has one digest.
 func FuzzHello(f *testing.F) {
 	plain := hello{Version: ProtocolVersion, VMName: "vm0", PageSize: vm.PageSize, PageCount: 65536,
-		Alg: checksum.Default, Recycle: true}
+		Alg: uint8(checksum.Default), Recycle: true}
 	named := plain
 	named.HasRoot, named.Root = true, [32]byte{0: 0xde, 1: 0xad, 31: 0xef}
 	f.Add(helloFrame(f, plain))
 	f.Add(helloFrame(f, named))
-	f.Add(helloFrame(f, hello{Version: ProtocolVersion, VMName: "", Recycle: true, PostCopy: true, Alg: checksum.MD5}))
-	weak := helloFrame(f, hello{Version: ProtocolVersion, VMName: "vm0", Recycle: true, PostCopy: true, Alg: checksum.FNV})
-	weak[len(weak)-1] = 4 // post-copy without recycle
-	f.Add(weak)
+	f.Add(helloFrame(f, hello{Version: ProtocolVersion, VMName: "", Recycle: true, PostCopy: true, Alg: uint8(checksum.Default)}))
+	unrecycled := helloFrame(f, hello{Version: ProtocolVersion, VMName: "vm0", Recycle: true, PostCopy: true, Alg: uint8(checksum.Default)})
+	unrecycled[len(unrecycled)-1] = 4 // post-copy without recycle
+	f.Add(unrecycled)
+	// Every algorithm byte but the default's, on a hello small enough to
+	// prepare a guest for.
+	small := plain
+	small.PageCount = 4
+	for _, alg := range []uint8{uint8(checksum.MD5), uint8(checksum.FNV), uint8(checksum.FAST64), 0, 255} {
+		frame := helloFrame(f, small)
+		frame[len(frame)-2] = alg
+		f.Add(frame)
+	}
 	withRoot := helloFrame(f, named)
 	f.Add(withRoot[:len(withRoot)-7]) // truncated root
 	rootless := helloFrame(f, plain)
@@ -109,6 +120,22 @@ func FuzzHello(f *testing.F) {
 		again, err := readHello(bytes.NewReader(frame))
 		if err != nil || again != h {
 			t.Fatalf("round trip: %+v → %+v (err %v)", h, again, err)
+		}
+		if checksum.Algorithm(h.Alg) == checksum.Default {
+			return
+		}
+		// The guest the hello describes, where it is small enough to
+		// prepare — so no other check can refuse it first — else any.
+		name, pages := "vm0", uint64(1)
+		if h.VMName != "" && h.PageSize == vm.PageSize && h.PageCount > 0 && h.PageCount <= 64 {
+			name, pages = h.VMName, h.PageCount
+		}
+		guest, err := vm.New(vm.Config{Name: name, MemBytes: int64(pages) * vm.PageSize, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reason := validateHello(h, guest, h.PostCopy); reason == "" {
+			t.Fatalf("validateHello accepted algorithm byte %d: %+v", h.Alg, h)
 		}
 	})
 }
@@ -179,7 +206,7 @@ func mergeRaw(t *testing.T, raw []byte) {
 func FuzzMergeStream(f *testing.F) {
 	page := fuzzPage()
 	var full bytes.Buffer
-	if err := writeRangePage(&full, 0, checksum.MD5.Page(page), page); err != nil {
+	if err := writeRangePage(&full, 0, checksum.Default.Page(page), page); err != nil {
 		f.Fatal(err)
 	}
 	valid := scriptedSourceStream(f, full.Bytes())
@@ -195,7 +222,7 @@ func FuzzRangeMergeStream(f *testing.F) {
 	f.Add(scriptedSourceStream(f, buildRangeFull(f, 0, [][]byte{page, page})))
 	var sums bytes.Buffer
 	_ = writeRangeHeader(&sums, msgRangeSum, 0, 2)
-	_ = writeRangeSums(&sums, []checksum.Sum{checksum.MD5.Page(page), checksum.MD5.Page(page)})
+	_ = writeRangeSums(&sums, []checksum.Sum{checksum.Default.Page(page), checksum.Default.Page(page)})
 	f.Add(scriptedSourceStream(f, sums.Bytes()))
 	f.Add(scriptedSourceStream(f, wrappingRangeFull(f)))
 	f.Fuzz(mergeRaw)

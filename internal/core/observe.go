@@ -25,13 +25,11 @@ const (
 	EventAnnounce = "announce"
 	// EventRestore: a checkpoint was opened and its checksum index is in
 	// hand — on the destination its bootstrap (own entry or union), on the
-	// source its delta base. Detail says where the checksums came from:
-	// "keys" (the store's key tables; nothing read, nothing hashed) or
-	// "rescan" (every page read and hashed, because the migration runs
-	// under an algorithm the store does not key by). The kind string is
-	// the one traces have always carried at this point — it dates from
-	// the fingerprint sidecar file this event once reported on — and trace
-	// consumers cut the restore phase at it, so it stays.
+	// source its delta base. It carries no detail: the checksums are the
+	// store's own key tables, nothing read and nothing hashed. The kind
+	// string is the one traces have always carried at this point — it dates
+	// from the fingerprint sidecar file this event once reported on — and
+	// trace consumers cut the restore phase at it, so it stays.
 	EventRestore = "sidecar"
 	// EventRound: one pre-copy round completed. Round is the 1-based
 	// round number, Pages the pages streamed (source) or observed dirty

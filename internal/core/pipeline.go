@@ -56,9 +56,9 @@ type pageBatch struct {
 
 // pageSum returns page i's digest: the one fillBatch read with the bytes or
 // the hash offload precomputed, computed in place — and kept — otherwise.
-func (b *pageBatch) pageSum(alg checksum.Algorithm, i int, data []byte) checksum.Sum {
+func (b *pageBatch) pageSum(i int, data []byte) checksum.Sum {
 	if !b.known[i] {
-		b.sums[i], b.known[i] = alg.Page(data), true
+		b.sums[i], b.known[i] = checksum.Default.Page(data), true
 	}
 	return b.sums[i]
 }
@@ -94,7 +94,6 @@ func putBatch(b *pageBatch) {
 // current coalescing run. Encoding is pure per page and runs never span a
 // batch.
 type sourceEncoder struct {
-	alg      checksum.Algorithm
 	destSums *checksum.Set // nil: no redundancy elimination
 	comp     *pageCompressor
 	deltaBuf []byte
@@ -106,8 +105,8 @@ type sourceEncoder struct {
 
 // newSourceEncoder builds the encoder, taking a pooled deflate encoder when
 // compress is set.
-func newSourceEncoder(alg checksum.Algorithm, destSums *checksum.Set, compress bool, sent *SumTable) (*sourceEncoder, error) {
-	e := &sourceEncoder{alg: alg, destSums: destSums, sent: sent}
+func newSourceEncoder(destSums *checksum.Set, compress bool, sent *SumTable) (*sourceEncoder, error) {
+	e := &sourceEncoder{destSums: destSums, sent: sent}
 	if compress {
 		c, err := getPageCompressor()
 		if err != nil {
@@ -160,7 +159,7 @@ func emitBatch(w io.Writer, b *pageBatch, save *saveSink) error {
 // contiguous span instead of per page. It accounts the batch's hash work in
 // m: pages that came with a digest are avoided bytes, the rest — their count
 // is returned — are hashed by the offload or the encoder.
-func fillBatch(v *vm.VM, alg checksum.Algorithm, b *pageBatch, m *Metrics) (unknown int) {
+func fillBatch(v *vm.VM, b *pageBatch, m *Metrics) (unknown int) {
 	cnt := len(b.pages)
 	b.data = b.data[:cnt*vm.PageSize]
 	for i := 0; i < cnt; {
@@ -168,7 +167,7 @@ func fillBatch(v *vm.VM, alg checksum.Algorithm, b *pageBatch, m *Metrics) (unkn
 		for j < cnt && b.pages[j] == b.pages[j-1]+1 {
 			j++
 		}
-		v.ReadRangeDigests(b.pages[i], j-i, b.data[i*vm.PageSize:j*vm.PageSize], alg, b.sums[i:j], b.known[i:j])
+		v.ReadRangeDigests(b.pages[i], j-i, b.data[i*vm.PageSize:j*vm.PageSize], b.sums[i:j], b.known[i:j])
 		i = j
 	}
 	cached := 0
@@ -199,7 +198,7 @@ const minOffloadPages = 32
 // unchanged. Skipped on a single-CPU process or when fewer than
 // minOffloadPages pages came without a digest (unknown, as fillBatch counted
 // them); pageSum then hashes those inline.
-func offloadBatchSums(alg checksum.Algorithm, b *pageBatch, unknown int) {
+func offloadBatchSums(b *pageBatch, unknown int) {
 	cnt := len(b.pages)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > batchSumWorkers {
@@ -215,7 +214,7 @@ func offloadBatchSums(alg checksum.Algorithm, b *pageBatch, unknown int) {
 			defer wg.Done()
 			for i := k; i < cnt; i += workers {
 				if !b.known[i] {
-					b.sums[i] = alg.Page(b.data[i*vm.PageSize : (i+1)*vm.PageSize])
+					b.sums[i] = checksum.Default.Page(b.data[i*vm.PageSize : (i+1)*vm.PageSize])
 					b.known[i] = true
 				}
 			}

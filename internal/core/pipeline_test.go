@@ -241,7 +241,7 @@ func goldenExchange(t *testing.T, onEvent EventFunc, named bool) (fromSrc, fromD
 		t.Fatal(err)
 	}
 	mutateGolden(src)
-	base, err := store.Restore("vm0", checksum.MD5, nil)
+	base, err := store.Restore("vm0", checksum.Default, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,11 +47,9 @@ const (
 // (well inside one TCP window) and amortize one RTT over 1 MiB of pages.
 const requestWindow = 256
 
-// PostCopySourceOptions configures the source of a post-copy migration.
+// PostCopySourceOptions configures the source of a post-copy migration. Its
+// manifest carries checksum.Default digests, as every migration's frames do.
 type PostCopySourceOptions struct {
-	// Alg is the page-checksum algorithm (strong required). Defaults to
-	// checksum.Default.
-	Alg checksum.Algorithm
 	// OnEvent, when non-nil, observes each protocol turn (hello, manifest,
 	// fetch, done) for tracing. Emission never alters the wire stream.
 	OnEvent EventFunc
@@ -89,12 +87,6 @@ func PostCopySource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Post
 			err = ctx.Err()
 		}
 	}()
-	if opts.Alg == 0 {
-		opts.Alg = checksum.Default
-	}
-	if !opts.Alg.Valid() || !opts.Alg.Strong() {
-		return m, fmt.Errorf("core: post-copy requires a strong checksum algorithm")
-	}
 
 	start := time.Now()
 	cw := &countingWriter{w: conn}
@@ -108,15 +100,8 @@ func PostCopySource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Post
 		m.BytesReceived = cr.n
 	}()
 
-	h := hello{
-		Version:   ProtocolVersion,
-		VMName:    v.Name(),
-		PageSize:  vm.PageSize,
-		PageCount: uint64(v.NumPages()),
-		Alg:       opts.Alg,
-		Recycle:   true,
-		PostCopy:  true,
-	}
+	h := newHello(v)
+	h.Recycle, h.PostCopy = true, true
 	if err := writeHello(w, h); err != nil {
 		return m, err
 	}
@@ -159,7 +144,7 @@ func PostCopySource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Post
 		}
 		count := min(batchPages, v.NumPages()-start)
 		var hashed int
-		sums, hashed = v.Digests(start, count, opts.Alg, sums)
+		sums, hashed = v.Digests(start, count, sums)
 		m.HashBytes += int64(hashed) * vm.PageSize
 		m.HashAvoidedBytes += int64(count-hashed) * vm.PageSize
 		for i := range sums {
@@ -200,7 +185,7 @@ func PostCopySource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Post
 			v.ReadPage(int(page), buf)
 			m.PagesRequested++
 			m.PagesFull++
-			sum := [1]checksum.Sum{opts.Alg.Page(buf)}
+			sum := [1]checksum.Sum{checksum.Default.Page(buf)}
 			if err := writeRangeHeader(w, msgRangeFull, page, 1); err != nil {
 				return m, err
 			}
@@ -293,14 +278,21 @@ func (s *IncomingSession) RunPostCopy(ctx context.Context, v *vm.VM, opts PostCo
 		return res, fmt.Errorf("%w: %s", ErrRejected, reason)
 	}
 
+	// The manifest is resolved against v's digest table, so the bootstrap's
+	// pages must all have landed first; a span that cannot be read degrades
+	// the migration to fetching every page.
 	var cp *checkpoint.Checkpoint
-	if opts.Store != nil && opts.Store.Has(h.VMName) {
-		cp, err = opts.Store.Restore(h.VMName, h.Alg, v)
-		if err != nil {
-			cp = nil
-		}
+	if opts.Store != nil {
+		cp = s.openBootstrap(ctx, v, opts.Store, opts.OnEvent)
 	}
-	err = nil
+	if err := cp.Drain(); err != nil {
+		cp.Close()
+		cp = nil
+		if ctx.Err() != nil {
+			return res, ctx.Err()
+		}
+		s.degradeBootstrap(opts.Store, err, opts.OnEvent)
+	}
 	if cp != nil {
 		defer cp.Close()
 		res.UsedCheckpoint = true
@@ -353,7 +345,7 @@ func (s *IncomingSession) RunPostCopy(ctx context.Context, v *vm.VM, opts PostCo
 		// The restore seeded v's digest table, so this compares two digests;
 		// a page is hashed only when the table knows nothing about it.
 		var hashed int
-		resident, hashed = v.Digests(int(i), 1, h.Alg, resident)
+		resident, hashed = v.Digests(int(i), 1, resident)
 		res.Metrics.ProbeHashBytes += int64(hashed) * vm.PageSize
 		res.Metrics.HashAvoidedBytes += int64(1-hashed) * vm.PageSize
 		if resident[0] == sum {
@@ -363,7 +355,7 @@ func (s *IncomingSession) RunPostCopy(ctx context.Context, v *vm.VM, opts PostCo
 		if data, ok, err := cp.ReadBlock(sum); err != nil {
 			return res, recycleReadErr(err)
 		} else if ok {
-			v.InstallPageSum(int(i), data, h.Alg, sum)
+			v.InstallPageSum(int(i), data, sum)
 			cp.Release(data)
 			res.Metrics.PagesReusedFromDisk++
 			continue
@@ -418,10 +410,10 @@ func (s *IncomingSession) RunPostCopy(ctx context.Context, v *vm.VM, opts PostCo
 			if f.start != page || f.count != 1 {
 				return res, fmt.Errorf("%w: requested page %d, received [%d,+%d)", ErrProtocol, page, f.start, f.count)
 			}
-			if h.Alg.Page(f.payload) != f.sums[0] {
+			if checksum.Default.Page(f.payload) != f.sums[0] {
 				return res, fmt.Errorf("%w: page %d payload checksum mismatch", ErrProtocol, page)
 			}
-			v.InstallPageSum(int(page), f.payload, h.Alg, f.sums[0])
+			v.InstallPageSum(int(page), f.payload, f.sums[0])
 			res.Metrics.PagesRequested++
 			res.Metrics.PagesFull++
 		}

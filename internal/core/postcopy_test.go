@@ -167,15 +167,6 @@ func TestPostCopyResumeBeforeCompletion(t *testing.T) {
 	}
 }
 
-func TestPostCopyRejectsWeakAlgorithm(t *testing.T) {
-	src := newVM(t, "vm0", 4, 1)
-	a, _ := net.Pipe()
-	defer a.Close()
-	if _, err := PostCopySource(context.Background(), a, src, PostCopySourceOptions{Alg: checksum.FNV}); err == nil {
-		t.Error("FNV accepted")
-	}
-}
-
 func TestPostCopyRejectsMismatchedVM(t *testing.T) {
 	src := newVM(t, "vm0", 8, 1)
 	dst := newVM(t, "other", 8, 2)
@@ -226,9 +217,8 @@ func TestPostCopyVsPreCopyResumeLatency(t *testing.T) {
 
 // TestPostCopyRequiresRecycle: a post-copy hello without the recycle bit is a
 // protocol violation. Post-copy resolves its manifest against the checkpoint by
-// checksum, and only a recycled hello is held to a strong algorithm — accepted,
-// {post-copy, fnv} would have the destination restore its checkpoint under FNV
-// and take page identity from it.
+// checksum, so it is a recycled migration by construction: the destination
+// must neither open its checkpoint nor resolve a page for such a hello.
 func TestPostCopyRequiresRecycle(t *testing.T) {
 	src := newVM(t, "vm0", 8, 1)
 	if err := src.FillRandom(1.0); err != nil {
@@ -240,13 +230,13 @@ func TestPostCopyRequiresRecycle(t *testing.T) {
 	}
 	var stream bytes.Buffer
 	if err := writeHello(&stream, hello{Version: ProtocolVersion, VMName: "vm0", PageSize: vm.PageSize,
-		PageCount: 8, Alg: checksum.FNV, PostCopy: true}); err != nil {
+		PageCount: 8, Alg: uint8(checksum.Default), PostCopy: true}); err != nil {
 		t.Fatal(err)
 	}
-	// The manifest such a source would send: every page by its FNV sum.
+	// The manifest such a source would send: every page by its sum.
 	stream.WriteByte(byte(msgManifest))
 	stream.Write(binary.LittleEndian.AppendUint64(nil, 8))
-	for _, sum := range src.RangeSums(0, 8, checksum.FNV, nil) {
+	for _, sum := range src.RangeSums(0, 8, checksum.Default, nil) {
 		stream.Write(sum[:])
 	}
 	dst := newVM(t, "vm0", 8, 2)
@@ -255,7 +245,7 @@ func TestPostCopyRequiresRecycle(t *testing.T) {
 		t.Errorf("post-copy hello without recycling: err = %v, want ErrProtocol", err)
 	}
 	if res.UsedCheckpoint || res.Metrics.PagesReusedInPlace != 0 {
-		t.Errorf("the destination resolved pages under FNV: %+v", res)
+		t.Errorf("the destination resolved pages for a hello without recycling: %+v", res)
 	}
 }
 

@@ -141,7 +141,7 @@ func encodeBatch(e *sourceEncoder, base PageProvider, b *pageBatch, m *Metrics) 
 	r.reset()
 	for i, p := range b.pages {
 		data := b.data[i*vm.PageSize : (i+1)*vm.PageSize]
-		sum := b.pageSum(e.alg, i, data)
+		sum := b.pageSum(i, data)
 		e.sent.record(p, sum)
 		treat := treatFull
 		var payload []byte
@@ -401,7 +401,7 @@ func putDestScratch(st *destScratch) {
 // span whose pages could not be read surfaces here as the same retryable
 // recycle-read failure a block read mid-merge raises; a cancelled context
 // passes through as itself. Free once the install is complete or when there
-// is none (cp nil, a union, an eager restore).
+// is none (cp nil, a union).
 func awaitInstall(cp *checkpoint.Checkpoint, start, count int) error {
 	return installErr(cp.AwaitFrames(start, count))
 }
@@ -427,10 +427,10 @@ func installErr(err error) error {
 // when the table knows nothing about it.
 // A resident match is reuse in place; a mismatch falls back to the checkpoint
 // index (lseek+read), installed with its digest — the exception.
-func resolveSums(v *vm.VM, cp *checkpoint.Checkpoint, alg checksum.Algorithm, start int, want []checksum.Sum, st *destScratch, m *Metrics) error {
+func resolveSums(v *vm.VM, cp *checkpoint.Checkpoint, start int, want []checksum.Sum, st *destScratch, m *Metrics) error {
 	m.PagesSum += len(want)
 	var hashed int
-	st.sums, hashed = v.Digests(start, len(want), alg, st.sums)
+	st.sums, hashed = v.Digests(start, len(want), st.sums)
 	m.ProbeHashBytes += int64(hashed) * vm.PageSize
 	m.HashAvoidedBytes += int64(len(want)-hashed) * vm.PageSize
 	for i, sum := range want {
@@ -445,7 +445,7 @@ func resolveSums(v *vm.VM, cp *checkpoint.Checkpoint, alg checksum.Algorithm, st
 		if !ok {
 			return fmt.Errorf("%w: source referenced checksum %v absent from checkpoint", ErrProtocol, sum)
 		}
-		v.InstallPageSum(start+i, data, alg, sum)
+		v.InstallPageSum(start+i, data, sum)
 		cp.Release(data)
 		m.PagesReusedFromDisk++
 	}
@@ -457,8 +457,8 @@ func resolveSums(v *vm.VM, cp *checkpoint.Checkpoint, alg checksum.Algorithm, st
 // host's next checkpoint, when the merge writes one as it goes
 // (DestOptions.Save). A page's key is its frame's sum: the trust the digest
 // table, and so a post-ack save, gives it too.
-func installWire(v *vm.VM, save *checkpoint.SaveStream, start int, data []byte, alg checksum.Algorithm, sums []checksum.Sum) {
-	v.InstallRangeSums(start, data, alg, sums)
+func installWire(v *vm.VM, save *checkpoint.SaveStream, start int, data []byte, sums []checksum.Sum) {
+	v.InstallRangeSums(start, data, sums)
 	if save != nil {
 		for i, sum := range sums {
 			save.Add(sum, data[i*vm.PageSize:(i+1)*vm.PageSize])
@@ -472,22 +472,22 @@ func installWire(v *vm.VM, save *checkpoint.SaveStream, start int, data []byte, 
 // caller has already validated the frame bounds and the checkpoint
 // requirement. The frame's per-page sums describe the installed content in
 // every treatment, so they land in v's digest table with the bytes.
-func applyRange(v *vm.VM, cp *checkpoint.Checkpoint, save *checkpoint.SaveStream, alg checksum.Algorithm, verify bool, f *rangeFrame, st *destScratch, m *Metrics) error {
+func applyRange(v *vm.VM, cp *checkpoint.Checkpoint, save *checkpoint.SaveStream, verify bool, f *rangeFrame, st *destScratch, m *Metrics) error {
 	start := int(f.start)
 	sums := f.sums[:f.count]
 	switch f.t {
 	case msgRangeSum:
-		return resolveSums(v, cp, alg, start, sums, st, m)
+		return resolveSums(v, cp, start, sums, st, m)
 
 	case msgRangeFull:
 		if verify {
 			for i := 0; i < f.count; i++ {
-				if got := alg.Page(f.payload[i*vm.PageSize : (i+1)*vm.PageSize]); got != f.sums[i] {
+				if got := checksum.Default.Page(f.payload[i*vm.PageSize : (i+1)*vm.PageSize]); got != f.sums[i] {
 					return fmt.Errorf("%w: page %d payload checksum mismatch", ErrProtocol, start+i)
 				}
 			}
 		}
-		installWire(v, save, start, f.payload, alg, sums)
+		installWire(v, save, start, f.payload, sums)
 		m.PagesFull += f.count
 
 	case msgRangeFullZ:
@@ -504,12 +504,12 @@ func applyRange(v *vm.VM, cp *checkpoint.Checkpoint, save *checkpoint.SaveStream
 			}
 			off += n
 			if verify {
-				if got := alg.Page(dst); got != f.sums[i] {
+				if got := checksum.Default.Page(dst); got != f.sums[i] {
 					return fmt.Errorf("%w: page %d payload checksum mismatch", ErrProtocol, start+i)
 				}
 			}
 		}
-		installWire(v, save, start, buf, alg, sums)
+		installWire(v, save, start, buf, sums)
 		m.PagesFull += f.count
 		m.PagesCompressed += f.count
 
@@ -529,11 +529,11 @@ func applyRange(v *vm.VM, cp *checkpoint.Checkpoint, save *checkpoint.SaveStream
 			off += n
 			// Deltas are always verified: a base mismatch (stale mirror at
 			// the source) silently corrupts otherwise.
-			if got := alg.Page(dst); got != f.sums[i] {
+			if got := checksum.Default.Page(dst); got != f.sums[i] {
 				return fmt.Errorf("%w: page %d delta produced checksum mismatch (stale delta base?)", ErrProtocol, start+i)
 			}
 		}
-		installWire(v, save, start, buf, alg, sums)
+		installWire(v, save, start, buf, sums)
 		m.PagesDelta += f.count
 	}
 	return nil

@@ -22,7 +22,7 @@ func buildRangeFull(t testing.TB, start uint64, pages [][]byte) []byte {
 	}
 	sums := make([]checksum.Sum, len(pages))
 	for i, p := range pages {
-		sums[i] = checksum.MD5.Page(p)
+		sums[i] = checksum.Default.Page(p)
 	}
 	if err := writeRangeSums(&buf, sums); err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func scriptedSourceStream(t testing.TB, frame []byte) []byte {
 		VMName:    "vm0",
 		PageSize:  vm.PageSize,
 		PageCount: 64,
-		Alg:       checksum.MD5,
+		Alg:       uint8(checksum.Default),
 	}); err != nil {
 		t.Fatal(err)
 	}

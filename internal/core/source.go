@@ -21,25 +21,21 @@ var (
 )
 
 // SourceOptions configures an outgoing migration.
+//
+// Every page crosses under one checksum, checksum.Default: strong enough for
+// matches declared across hosts without byte comparison (§3.4), and the
+// algorithm the guest's digest table and the checkpoint store key by.
 type SourceOptions struct {
-	// Alg is the page-checksum algorithm. Recycled migrations must use a
-	// strong one (MD5, SHA-256) because matches are declared across hosts
-	// without byte comparison (§3.4); baseline migrations may select the
-	// fast non-cryptographic hashes (fnv, fast64), whose sums serve only as
-	// payload integrity tags. Defaults to checksum.Default, the algorithm the
-	// checkpoint store keys pages by; any other strong choice costs both
-	// hosts a rehash at checkpoint save and restore.
-	Alg checksum.Algorithm
 	// Recycle enables checkpoint-assisted mode. When false the engine
 	// behaves like stock QEMU pre-copy: every first-round page is sent in
 	// full.
 	Recycle bool
 	// Mirror names this host's own complete checkpoint of the VM
-	// (checkpoint.Store.Mirror), or nil. With Recycle under the store's key
-	// algorithm the hello offers its root; a destination whose entry has the
-	// same root skips its bulk announcement and Keys stands in for it — the
-	// ping-pong optimization of §3.2, by name. Any other destination
-	// announces as if nothing had been offered.
+	// (checkpoint.Store.Mirror), or nil. With Recycle the hello offers its
+	// root; a destination whose entry has the same root skips its bulk
+	// announcement and Keys stands in for it — the ping-pong optimization of
+	// §3.2, by name. Any other destination announces as if nothing had been
+	// offered.
 	Mirror *Mirror
 	// MaxRounds bounds the number of pre-copy rounds, including the final
 	// stop-and-copy round. Defaults to 4.
@@ -78,37 +74,20 @@ type SourceOptions struct {
 	SentSums *SumTable
 	// Save, when non-nil, is the stream of the departure checkpoint this host
 	// keeps (checkpoint.Store.OpenSave); the caller commits or aborts it. With
-	// a Mirror under the store's key algorithm, every page sent whose digest
-	// differs from the mirror's key at its position is written to it as the
-	// round moves it, so the commit after the ack has little left to write.
-	// Writing never alters the wire stream.
+	// a Mirror, every page sent whose digest differs from the mirror's key at
+	// its position is written to it as the round moves it, so the commit
+	// after the ack has little left to write. Writing never alters the wire
+	// stream.
 	Save *checkpoint.SaveStream
 }
 
 func (o *SourceOptions) setDefaults() {
-	if o.Alg == 0 {
-		o.Alg = checksum.Default
-	}
 	if o.MaxRounds <= 0 {
 		o.MaxRounds = 4
 	}
 	if o.StopThreshold <= 0 {
 		o.StopThreshold = 64
 	}
-}
-
-func (o *SourceOptions) validate() error {
-	if !o.Alg.Valid() {
-		return fmt.Errorf("core: invalid checksum algorithm")
-	}
-	// Recycling declares cross-host page identity from checksums alone, so
-	// it demands a collision-resistant algorithm. A baseline migration only
-	// uses checksums as payload integrity tags verified on the receiving
-	// host, where the fast non-cryptographic hashes (fnv, fast64) suffice.
-	if o.Recycle && !o.Alg.Strong() {
-		return fmt.Errorf("core: %v is not collision-resistant enough for cross-host matching", o.Alg)
-	}
-	return nil
 }
 
 // Mirror is a checkpoint known by name and by value: the manifest root its
@@ -151,12 +130,9 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		}
 	}()
 	opts.setDefaults()
-	if err := opts.validate(); err != nil {
-		return m, err
-	}
 	// Reset per attempt: a retry must not inherit a failed attempt's
 	// partial recordings.
-	opts.SentSums.reset(opts.Alg, v.NumPages())
+	opts.SentSums.reset(v.NumPages())
 
 	start := time.Now()
 	cw := &countingWriter{w: conn}
@@ -172,17 +148,9 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		m.BytesReceived = cr.n
 	}()
 
-	h := hello{
-		Version:   ProtocolVersion,
-		VMName:    v.Name(),
-		PageSize:  vm.PageSize,
-		PageCount: uint64(v.NumPages()),
-		Alg:       opts.Alg,
-		Recycle:   opts.Recycle,
-	}
-	// The root is a name for keys of the store's algorithm; under any other the
-	// destination's sums are not those keys, so nothing is offered.
-	if opts.Recycle && opts.Mirror != nil && opts.Alg == checkpoint.ObjectAlgorithm {
+	h := newHello(v)
+	h.Recycle = opts.Recycle
+	if opts.Recycle && opts.Mirror != nil {
 		h.HasRoot, h.Root = true, opts.Mirror.Root
 	}
 	if err := writeHello(w, h); err != nil {
@@ -266,13 +234,12 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	// moves are about all the save will be missing. A cold leg's round one is
 	// bound by CPU, not by the link, and its save stays after the ack.
 	var save *saveSink
-	if opts.Save != nil && opts.Mirror != nil && opts.Alg == checkpoint.ObjectAlgorithm &&
-		len(opts.Mirror.Keys) == v.NumPages() {
+	if opts.Save != nil && opts.Mirror != nil && len(opts.Mirror.Keys) == v.NumPages() {
 		save = &saveSink{stream: opts.Save, mirror: opts.Mirror.Keys}
 	}
 	// One encoder for every round: its deflate state comes from a
 	// process-wide pool, too costly to rebuild per round.
-	enc, err := newSourceEncoder(opts.Alg, destSums, opts.Compress, opts.SentSums)
+	enc, err := newSourceEncoder(destSums, opts.Compress, opts.SentSums)
 	if err != nil {
 		return m, err
 	}
@@ -408,7 +375,7 @@ func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, e
 		for i := 0; i < cnt; i++ {
 			b.pages[i] = pages.at(off + i)
 		}
-		offloadBatchSums(enc.alg, b, fillBatch(v, enc.alg, b, m))
+		offloadBatchSums(b, fillBatch(v, b, m))
 		if err := encodeBatch(enc, base, b, m); err != nil {
 			return err
 		}

@@ -2,8 +2,8 @@ package core
 
 import "vecycle/internal/checksum"
 
-// SumTable records, on the migration source, the digest of each page's most
-// recently sent content as a byproduct of encoding it — read from the guest's
+// SumTable records, on the migration source, the checksum.Default digest of
+// each page's most recently sent content as a byproduct of encoding it — read from the guest's
 // digest table or computed by the encoder, either kind — so the departure
 // checkpoint's Save reuses those digests instead of re-scanning the image.
 // (The destination needs no such table: its installs record straight into the
@@ -17,7 +17,6 @@ import "vecycle/internal/checksum"
 // NewSumTable, hand it to successive retry attempts, and read it only after
 // a success.
 type SumTable struct {
-	alg  checksum.Algorithm
 	sums []checksum.Sum
 	have []bool
 }
@@ -29,13 +28,12 @@ func NewSumTable() *SumTable {
 }
 
 // reset prepares the table for one migration attempt over a VM of `pages`
-// pages digested under alg, discarding anything an earlier attempt recorded
-// (a failed attempt's partial entries must never leak into the next).
-func (t *SumTable) reset(alg checksum.Algorithm, pages int) {
+// pages, discarding anything an earlier attempt recorded (a failed attempt's
+// partial entries must never leak into the next).
+func (t *SumTable) reset(pages int) {
 	if t == nil {
 		return
 	}
-	t.alg = alg
 	if cap(t.sums) < pages {
 		t.sums = make([]checksum.Sum, pages)
 		t.have = make([]bool, pages)
@@ -56,15 +54,6 @@ func (t *SumTable) record(page int, sum checksum.Sum) {
 	}
 	t.sums[page] = sum
 	t.have[page] = true
-}
-
-// Alg reports the algorithm the recorded digests use (the migration's
-// negotiated hash). Zero until the engine has reset the table.
-func (t *SumTable) Alg() checksum.Algorithm {
-	if t == nil {
-		return 0
-	}
-	return t.alg
 }
 
 // Sums returns the page-ordered digest slice and true when the last attempt

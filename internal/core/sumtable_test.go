@@ -14,10 +14,10 @@ import (
 // table answers from equals an independent digest of the page's bytes.
 // (Digests hashes the pages the table does not cover, so the comparison with
 // RangeSums — which never reads the table — tests exactly the valid entries.)
-func checkDigestTable(t *testing.T, v *vm.VM, alg checksum.Algorithm) {
+func checkDigestTable(t *testing.T, v *vm.VM) {
 	t.Helper()
-	got, _ := v.Digests(0, v.NumPages(), alg, nil)
-	want := v.RangeSums(0, v.NumPages(), alg, nil)
+	got, _ := v.Digests(0, v.NumPages(), nil)
+	want := v.RangeSums(0, v.NumPages(), checksum.Default, nil)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("page %d: digest table says %x, the bytes digest to %x", i, got[i], want[i])
@@ -32,17 +32,17 @@ func checkDigestTable(t *testing.T, v *vm.VM, alg checksum.Algorithm) {
 // and the round-end pass digested nothing (every byte's sum was recycled).
 func checkTrackedResult(t *testing.T, dst *vm.VM, res DestResult) {
 	t.Helper()
-	sums, alg := res.PageSums, res.Alg
+	sums := res.PageSums
 	if len(sums) != dst.NumPages() {
 		t.Fatalf("tracked migration returned %d page sums for %d pages", len(sums), dst.NumPages())
 	}
 	for i := 0; i < dst.NumPages(); i++ {
-		if want := dst.PageSum(i, alg); sums[i] != want {
+		if want := dst.PageSum(i, checksum.Default); sums[i] != want {
 			t.Fatalf("page %d: table sum %x, independent digest %x", i, sums[i], want)
 		}
 	}
-	checkDigestTable(t, dst, alg)
-	if _, hashed := dst.Digests(0, dst.NumPages(), alg, nil); hashed != 0 {
+	checkDigestTable(t, dst)
+	if _, hashed := dst.Digests(0, dst.NumPages(), nil); hashed != 0 {
 		t.Errorf("digest table leaves %d pages to hash after a tracked arrival, want 0", hashed)
 	}
 	if res.Metrics.HashBytes != 0 {
@@ -123,7 +123,7 @@ func TestSumTableEquivalence(t *testing.T) {
 			if err := srcStore.Save(src); err != nil {
 				t.Fatal(err)
 			}
-			base, err := srcStore.Restore("vm0", checksum.MD5, nil)
+			base, err := srcStore.Restore("vm0", checksum.Default, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +160,7 @@ func TestSumTableUntracked(t *testing.T) {
 	}
 	// Installs record into the guest's own table whether or not anything
 	// tracks the arrival.
-	checkDigestTable(t, dst, res.Alg)
+	checkDigestTable(t, dst)
 }
 
 // TestSumTableCorruptionTeardown: a verify failure aborts the migration
@@ -200,7 +200,7 @@ func TestSumTableCorruptionTeardown(t *testing.T) {
 	if dres.PageSums != nil {
 		t.Error("aborted migration returned a page-sum snapshot")
 	}
-	checkDigestTable(t, dst, dres.Alg)
+	checkDigestTable(t, dst)
 }
 
 // TestSumTableSalvage: an interrupted tracked attempt leaves no snapshot;
@@ -271,7 +271,7 @@ func sourceSentSums(t *testing.T) {
 		t.Fatal("source table incomplete after a clean migration")
 	}
 	for i := 0; i < src.NumPages(); i++ {
-		if want := src.PageSum(i, sent.Alg()); sums[i] != want {
+		if want := src.PageSum(i, checksum.Default); sums[i] != want {
 			t.Fatalf("page %d: sent sum %x, paused state digests to %x", i, sums[i], want)
 		}
 	}

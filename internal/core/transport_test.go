@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"vecycle/internal/checksum"
 	"vecycle/internal/vm"
 )
 
@@ -171,7 +172,7 @@ func TestOversizedNameHelloLeavesCleanStream(t *testing.T) {
 		VMName:    strings.Repeat("x", maxNameLen+1),
 		PageSize:  vm.PageSize,
 		PageCount: 4,
-		Alg:       1,
+		Alg:       uint8(checksum.Default),
 	}
 	if err := writeHello(&stream, bad); err == nil {
 		t.Fatal("oversized VM name accepted")

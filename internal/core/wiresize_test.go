@@ -16,7 +16,7 @@ import (
 // header; it is checked at one page and at MaxRangePages, in all four kinds.
 func TestWireSizeConstants(t *testing.T) {
 	var buf bytes.Buffer
-	sum := checksum.MD5.Page([]byte("x"))
+	sum := checksum.Default.Page([]byte("x"))
 
 	if RangeHeaderBytes != 10 {
 		t.Errorf("RangeHeaderBytes = %d, want 10", RangeHeaderBytes)
@@ -80,7 +80,7 @@ func TestWireSizeConstants(t *testing.T) {
 	}
 
 	buf.Reset()
-	h := hello{Version: ProtocolVersion, VMName: "vm-name", PageSize: 4096, PageCount: 10, Alg: checksum.MD5}
+	h := hello{Version: ProtocolVersion, VMName: "vm-name", PageSize: 4096, PageCount: 10, Alg: uint8(checksum.Default)}
 	if err := writeHello(&buf, h); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestWireSizeConstants(t *testing.T) {
 	buf.Reset()
 	set := checksum.NewSet(3)
 	set.Add(sum)
-	set.Add(checksum.MD5.Page([]byte("y")))
+	set.Add(checksum.Default.Page([]byte("y")))
 	if err := writeHashAnnounce(&buf, set); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		VMName:    "desk-42",
 		PageSize:  4096,
 		PageCount: 1 << 20,
-		Alg:       checksum.SHA256,
+		Alg:       uint8(checksum.Default),
 		Recycle:   true,
 	}
 	// Without a root the hello is the frame it always was; with one, 32 bytes
@@ -268,7 +268,7 @@ func TestHelloAckRoundTrip(t *testing.T) {
 func TestHandshakeFlagsStrict(t *testing.T) {
 	var buf bytes.Buffer
 	if err := writeHello(&buf, hello{Version: ProtocolVersion, VMName: "vm0", PageSize: 4096, PageCount: 4,
-		Alg: checksum.Default, Recycle: true}); err != nil {
+		Alg: uint8(checksum.Default), Recycle: true}); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()[1:]

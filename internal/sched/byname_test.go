@@ -3,12 +3,10 @@ package sched
 import (
 	"context"
 	"math/rand"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"vecycle/internal/checksum"
 	"vecycle/internal/core"
 	"vecycle/internal/vm"
 )
@@ -256,22 +254,6 @@ func TestByNameFallsBack(t *testing.T) {
 		// resends strictly fewer full pages than a from-zero attempt.
 		if m.PagesFull == 0 || m.PagesFull >= fromZero {
 			t.Errorf("retry resent %d full pages; a from-zero attempt sends %d", m.PagesFull, fromZero)
-		}
-		after(t, p)
-	})
-
-	t.Run("md5", func(t *testing.T) {
-		p := setup(t)
-		p.rewrite("alpha", rewritten)
-		m, res := p.hop("alpha", "beta", MigrateOptions{Alg: checksum.MD5})
-		if !announced(t, "alpha→beta", m, res) {
-			t.Error("an MD5 leg was matched by a root that names SHA-256 keys")
-		}
-		if m.PagesFull != rewritten {
-			t.Errorf("sent %d full pages, want %d", m.PagesFull, rewritten)
-		}
-		if tr := traceJSON(t, p.hosts["beta"]); !strings.Contains(tr, "manifest=announced") {
-			t.Errorf("destination trace does not say the leg was announced:\n%s", tr)
 		}
 		after(t, p)
 	})

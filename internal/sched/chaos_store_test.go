@@ -452,6 +452,59 @@ func TestChaosStoreInstallReadFailure(t *testing.T) {
 	}
 }
 
+// TestChaosStorePostCopyBootstrapEIO: a post-copy arrival whose checkpoint
+// opens fine and then fails every segment read while its pages install takes
+// the same bootstrap rung as a pre-copy one — counted once in
+// vecycle_degraded_total{stage=bootstrap,fault=eio}, the entry quarantined —
+// and the migration carries on without it: every page is fetched over the
+// wire and the guest lands byte for byte.
+func TestChaosStorePostCopyBootstrapEIO(t *testing.T) {
+	inj := faultfs.NewInjector()
+	dst := newFaultHost(t, "beta", inj)
+	arrivals := make(chan core.DestResult, 1) // the one arrival
+	dst.OnArrival = func(_ *vm.VM, res core.DestResult) { arrivals <- res }
+	addr := listen(t, dst)
+	src := newHost(t, "alpha")
+	t.Cleanup(func() { src.Close() })
+
+	const pages = 2 * 256 // two install spans
+	v := newGuest(t, "vm0", pages)
+	if err := v.FillRandom(0.9); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Store().Save(v); err != nil {
+		t.Fatal(err)
+	}
+	v.TouchRandomPages(pages / 16)
+	want := v.Fingerprint64()
+	src.AddVM(v)
+
+	degraded := func() float64 { return dst.obs.degraded.With(dst.name, core.StageBootstrap, "eio").Value() }
+	before := degraded()
+	inj.Arm(faultfs.Fault{Op: faultfs.OpReadAt, Path: ".seg", Times: -1})
+	m, err := src.PostCopyTo(context.Background(), addr, "vm0")
+	if err != nil {
+		t.Fatalf("post-copy failed on a bootstrap read fault: %v", err)
+	}
+	var res core.DestResult
+	select {
+	case res = <-arrivals:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the destination never reported the arrival")
+	}
+	landed, _ := dst.VM("vm0")
+	fingerprintEqual(t, want, landed)
+	if res.UsedCheckpoint || m.PagesRequested != pages {
+		t.Errorf("used checkpoint %v, %d pages fetched; want none and all %d over the wire", res.UsedCheckpoint, m.PagesRequested, pages)
+	}
+	if got := degraded() - before; got != 1 {
+		t.Errorf("vecycle_degraded_total{stage=bootstrap,fault=eio} grew by %v, want 1", got)
+	}
+	if state, ok := dst.Store().State("vm0"); !ok || state != checkpoint.EntryQuarantined {
+		t.Errorf("failing entry is %q (present=%v), want quarantined", state, ok)
+	}
+}
+
 // TestChaosStoreMatrix is the chaos-store gate: one small migration per
 // (store op site × fault kind × migration phase) cell, each with the fault
 // armed for the whole run. Every cell must converge with the guest's

@@ -7,23 +7,19 @@ import (
 	"testing"
 	"time"
 
-	"vecycle/internal/checkpoint"
-	"vecycle/internal/checksum"
 	"vecycle/internal/core"
 	"vecycle/internal/vm"
 )
 
 // TestDigestTableExactCounts pins what "one digest per page" promises, through
-// two hosts and in bytes. Under the default algorithm a returning source
-// hashes exactly the pages the guest rewrote since it arrived, the
-// destination's probes hash nothing, and neither host's checkpoint save nor
-// the destination's restore hashes a byte — the wire checksum is the store
-// key. A delta base is opened without hashing either. Under another strong
-// algorithm (MD5) no stale digest is trusted, every save and the
-// destination's restore pay one guest of rehash each — counted, not hidden —
-// the guest still converges page for page, and the checkpoints written are
-// ordinary ones: the next default-algorithm leg restores them from their keys.
-// The registry's series must tell the same story as the engine's metrics.
+// two hosts and in bytes. A returning source hashes exactly the pages the
+// guest rewrote since it arrived, the destination's probes hash nothing, and
+// neither host's checkpoint save nor the destination's restore hashes a byte —
+// the wire checksum is the store key. A delta base is opened without hashing
+// either, and a retry resuming from a salvage image hashes only what was
+// rewritten. A post-copy save keys its image from the guest's digest table and
+// books every page once: hashed plus avoided is the guest. The registry's
+// series must tell the same story as the engine's metrics.
 func TestDigestTableExactCounts(t *testing.T) {
 	const pages = 1024
 	const rewritten = pages / 20 // 5 %
@@ -78,10 +74,8 @@ func TestDigestTableExactCounts(t *testing.T) {
 	// metrics and the registry series agree (both describe the successful
 	// attempt), the source's encode pass digested wantEncode bytes and the
 	// probes none. On a single-attempt leg it also checks the store's share:
-	// with the stores' key algorithm on the wire, saves and restores hash
-	// nothing and each save recycles one guest of digests; under any other,
-	// each save and the destination's restore hash one guest, and the source's
-	// restore (a delta base, if any) still none.
+	// saves and restores hash nothing and each save recycles one guest of
+	// digests.
 	hop := func(from, to string, opts MigrateOptions, wantEncode int64) (core.Metrics, core.DestResult) {
 		t.Helper()
 		opts.Recycle, opts.KeepCheckpoint = true, true
@@ -126,10 +120,7 @@ func TestDigestTableExactCounts(t *testing.T) {
 		if opts.Retry.Attempts > 1 {
 			return m, res // failed attempts restore and salvage too
 		}
-		var perSaveHashed, perSaveAvoided, destRestore int64 = 0, mem, 0
-		if res.Alg != checkpoint.ObjectAlgorithm {
-			perSaveHashed, perSaveAvoided, destRestore = mem, 0, mem
-		}
+		const perSaveHashed, perSaveAvoided = 0, mem
 		// The destination folds its engine metrics in after OnArrival returns.
 		engine := map[string]int64{from: m.HashAvoidedBytes, to: res.Metrics.HashAvoidedBytes}
 		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline) &&
@@ -148,8 +139,8 @@ func TestDigestTableExactCounts(t *testing.T) {
 		if got := stage(from, "restore") - before[from].restore; got != 0 {
 			t.Errorf("%s→%s: the source's restores hashed %d bytes, want 0", from, to, got)
 		}
-		if got := stage(to, "restore") - before[to].restore; got != destRestore {
-			t.Errorf("%s→%s: the destination's restore hashed %d bytes, want %d", from, to, got, destRestore)
+		if got := stage(to, "restore") - before[to].restore; got != 0 {
+			t.Errorf("%s→%s: the destination's restore hashed %d bytes, want 0", from, to, got)
 		}
 		return m, res
 	}
@@ -173,143 +164,70 @@ func TestDigestTableExactCounts(t *testing.T) {
 		}
 	}
 
-	// A delta leg: the source opens its own checkpoint of the guest as the
+	// Delta legs: the source opens its own checkpoint of the guest as the
 	// delta base — for PageAt only, so hop's "the source's restores hashed 0
-	// bytes" holds whatever the leg's algorithm — and the partly rewritten
-	// pages travel as deltas.
-	rewrite("alpha", rewritten, true)
-	m, _ = hop("alpha", "beta", MigrateOptions{UseDelta: true}, rewritten*vm.PageSize)
-	if m.PagesDelta != rewritten || m.PagesFull != 0 {
-		t.Errorf("delta leg: %d deltas and %d full pages, want %d and 0", m.PagesDelta, m.PagesFull, rewritten)
-	}
-	rewrite("beta", rewritten, true)
-	m, res := hop("beta", "alpha", MigrateOptions{UseDelta: true, Alg: checksum.MD5}, mem)
-	if m.PagesDelta != rewritten || res.Alg != checksum.MD5 {
-		t.Errorf("MD5 delta leg: %d deltas under %v, want %d under md5", m.PagesDelta, res.Alg, rewritten)
-	}
-
-	// Another algorithm: every table entry is the wrong kind of digest, so
-	// the source hashes the whole guest and nothing stale crosses over (the
-	// leg above). The stores do not key by MD5: the destination's restore
-	// rescans, seeding the arriving guest's table under MD5 — so the next MD5
-	// leg hashes only what was rewritten — and every save rehashes.
-	rewrite("alpha", rewritten, false)
-	_, res = hop("alpha", "beta", MigrateOptions{Alg: checksum.MD5}, rewritten*vm.PageSize)
-	if res.Alg != checksum.MD5 || res.Metrics.PagesReusedInPlace != pages-rewritten {
-		t.Errorf("MD5 leg: alg %v, %d pages reused in place, want md5 and %d",
-			res.Alg, res.Metrics.PagesReusedInPlace, pages-rewritten)
+	// bytes" holds — and the partly rewritten pages travel as deltas.
+	for _, leg := range [][2]string{{"alpha", "beta"}, {"beta", "alpha"}} {
+		rewrite(leg[0], rewritten, true)
+		m, _ = hop(leg[0], leg[1], MigrateOptions{UseDelta: true}, rewritten*vm.PageSize)
+		if m.PagesDelta != rewritten || m.PagesFull != 0 {
+			t.Errorf("%s→%s delta leg: %d deltas and %d full pages, want %d and 0",
+				leg[0], leg[1], m.PagesDelta, m.PagesFull, rewritten)
+		}
 	}
 
 	// A cut mid-round leaves a salvage image at the destination; the retry
 	// bootstraps from it. The retry hashes the rewritten pages again (the
-	// source records nothing back), and the partial restore — a rescan, under
-	// MD5 — seeds the table as well as a complete one.
-	rewrite("beta", rewritten, false)
-	var handled atomic.Int64 // alpha's failed incoming handlers: the dialer's barrier
-	hosts["alpha"].OnError = func(error) { handled.Add(1) }
+	// source records nothing back), and the partial restore seeds the table
+	// from its keys as a complete one does.
+	rewrite("alpha", rewritten, false)
+	var handled atomic.Int64 // beta's failed incoming handlers: the dialer's barrier
+	hosts["beta"].OnError = func(error) { handled.Add(1) }
 	cd := &chaosDialer{t: t, schedule: []int64{100_000}, handled: &handled}
-	hosts["beta"].DialFunc = cd.dial
-	_, res = hop("beta", "alpha", MigrateOptions{Alg: checksum.MD5,
+	hosts["alpha"].DialFunc = cd.dial
+	_, res := hop("alpha", "beta", MigrateOptions{
 		Retry: RetryPolicy{Attempts: 2, Backoff: time.Millisecond}}, rewritten*vm.PageSize)
 	if cd.dials.Load() != 2 || !res.ResumedFromPartial {
 		t.Errorf("%d dials, resumed from partial: %v; want a cut attempt and a retry that resumes",
 			cd.dials.Load(), res.ResumedFromPartial)
 	}
-	hosts["beta"].DialFunc = nil
-
-	// Stores are algorithm-agnostic: the checkpoints the MD5 legs wrote are
-	// keyed like any other, so a default-algorithm return restores them from
-	// their keys (hop: the destination's restore hashes 0 bytes). Only the
-	// guest's digest table is the wrong kind, once.
-	rewrite("alpha", rewritten, false)
-	_, res = hop("alpha", "beta", MigrateOptions{}, mem)
-	if res.Alg != checksum.Default || res.Metrics.PagesReusedInPlace != pages-rewritten {
-		t.Errorf("back to the default: alg %v, %d pages reused in place, want %v and %d",
-			res.Alg, res.Metrics.PagesReusedInPlace, checksum.Default, pages-rewritten)
-	}
+	hosts["alpha"].DialFunc = nil
 
 	// Post-copy: both saves key their image from the guest's digest table. The
 	// destination's restore seeded it and every fetched or re-read page landed
 	// with its digest, so the arrival image hashes nothing; the departure image
-	// hashes only the pages the guest rewrote since it arrived.
+	// hashes only the pages the guest rewrote since it arrived. Each save books
+	// the rest of the guest as avoided, on top of what the engines avoided.
 	rewrite("beta", rewritten, false)
 	saved := map[string]int64{"alpha": stage("alpha", "save_keys"), "beta": stage("beta", "save_keys")}
+	avoided0 := map[string]int64{"alpha": avoided("alpha"), "beta": avoided("beta")}
 	leaving, _ := hosts["beta"].VM("vm0")
 	want := leaving.Fingerprint64()
-	if _, err := hosts["beta"].PostCopyTo(ctx, addrs["alpha"], "vm0"); err != nil {
+	pm, err := hosts["beta"].PostCopyTo(ctx, addrs["alpha"], "vm0")
+	if err != nil {
 		t.Fatalf("beta→alpha post-copy: %v", err)
 	}
 	select {
-	case <-arrivals:
+	case res = <-arrivals:
 	case <-time.After(10 * time.Second):
 		t.Fatal("beta→alpha post-copy: no arrival")
 	}
 	landed, _ := hosts["alpha"].VM("vm0")
 	fingerprintEqual(t, want, landed)
-	for host, want := range map[string]int64{"alpha": 0, "beta": rewritten * vm.PageSize} {
-		if got := stage(host, "save_keys") - saved[host]; got != want {
-			t.Errorf("post-copy: %s's vecycle_hash_bytes_total{stage=save_keys} grew by %d, want %d", host, got, want)
-		}
+	saveHashed := map[string]int64{"alpha": 0, "beta": rewritten * vm.PageSize}
+	engine := map[string]int64{"alpha": res.Metrics.HashAvoidedBytes, "beta": pm.HashAvoidedBytes}
+	// The destination folds its engine metrics in after OnArrival returns.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline) &&
+		avoided("alpha")-avoided0["alpha"] < engine["alpha"]+mem; {
+		time.Sleep(time.Millisecond)
 	}
-}
-
-// TestExplicitMD5Converges: a fleet run on the paper's algorithm end to end —
-// recycle, keep, save arrivals, both directions — still
-// lands every guest byte for byte and still recycles, and what it costs is on
-// the books: every checkpoint save rehashes one guest (the MD5 table is no use
-// as keys) and every returning destination's restore another.
-func TestExplicitMD5Converges(t *testing.T) {
-	const pages = 256
-	const mem = int64(pages) * vm.PageSize
-	arrivals := make(chan core.DestResult, 1) // one migration in flight at a time
-	hosts := []*Host{newHost(t, "alpha"), newHost(t, "beta")}
-	addrs := make([]string, len(hosts))
-	for i, h := range hosts {
-		h.SaveArrivals = true
-		h.OnArrival = func(_ *vm.VM, res core.DestResult) { arrivals <- res }
-		addrs[i] = listen(t, h)
-	}
-	hashed := func(h *Host, stage string) int64 {
-		return int64(h.obs.hashBytes.With(h.name, stage).Value())
-	}
-	guest := newGuest(t, "vm0", pages)
-	if err := guest.FillRandom(1.0); err != nil {
-		t.Fatal(err)
-	}
-	hosts[0].AddVM(guest)
-	for leg := 0; leg < 4; leg++ {
-		from, to := hosts[leg%2], hosts[(leg+1)%2]
-		v, _ := from.VM("vm0")
-		v.TouchRandomPages(8)
-		want := v.Fingerprint64()
-		m, err := from.MigrateTo(context.Background(), addrs[(leg+1)%2], "vm0", MigrateOptions{
-			Recycle: true, KeepCheckpoint: true, Alg: checksum.MD5})
-		if err != nil {
-			t.Fatalf("leg %d: %v", leg, err)
+	for host, hashed := range saveHashed {
+		if got := stage(host, "save_keys") - saved[host]; got != hashed {
+			t.Errorf("post-copy: %s's vecycle_hash_bytes_total{stage=save_keys} grew by %d, want %d", host, got, hashed)
 		}
-		res := <-arrivals
-		landed, _ := to.VM("vm0")
-		fingerprintEqual(t, want, landed)
-		if res.Alg != checksum.MD5 {
-			t.Errorf("leg %d ran under %v", leg, res.Alg)
-		}
-		if leg > 0 && (m.PagesFull > 8 || res.Metrics.PagesReusedInPlace < pages-8) {
-			t.Errorf("leg %d: %d full pages, %d reused in place; a return should recycle all but the 8 touched",
-				leg, m.PagesFull, res.Metrics.PagesReusedInPlace)
-		}
-		// One save per host per leg: the source's departure image, the
-		// destination's arrival image.
-		for _, h := range []*Host{from, to} {
-			if got, want := hashed(h, "save_keys"), int64(leg+1)*mem; got != want {
-				t.Errorf("leg %d: %s rehashed %d bytes in saves, want %d", leg, h.name, got, want)
-			}
-		}
-	}
-	// Legs 1..3 restored a checkpoint at their destination: beta once,
-	// alpha twice.
-	for i, wantRestores := range []int64{2, 1} {
-		if got := hashed(hosts[i], "restore"); got != wantRestores*mem {
-			t.Errorf("%s rescanned %d bytes in restores, want %d", hosts[i].name, got, wantRestores*mem)
+		if got, want := avoided(host)-avoided0[host], engine[host]+mem-hashed; got != want {
+			t.Errorf("post-copy: %s's vecycle_hash_avoided_bytes_total grew by %d, want %d (engine %d + save %d)",
+				host, got, want, engine[host], mem-hashed)
 		}
 	}
 }

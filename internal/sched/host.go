@@ -406,10 +406,10 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 	if h.SaveArrivals {
 		// The merge left every page's digest in the guest's digest table and
 		// snapshotted it (TrackIncoming is always on here), so the save hashes
-		// nothing when the migration ran under the store's key algorithm. The
-		// persist is best-effort: the VM has fully arrived, so a failed save
-		// degrades (the next migration runs cold) instead of failing it.
-		h.saveCheckpoint(core.StageSaveArrivals, rec, save, dst, res.Alg, res.PageSums, "arrival image")
+		// nothing. The persist is best-effort: the VM has fully arrived, so a
+		// failed save degrades (the next migration runs cold) instead of
+		// failing it.
+		h.saveCheckpoint(core.StageSaveArrivals, rec, save, dst, res.PageSums, "arrival image")
 	}
 	if disk.IsDiskName(dst.Name()) {
 		d, err := disk.FromBacking(dst)
@@ -471,7 +471,9 @@ func (h *Host) runPostCopy(ctx context.Context, session *core.IncomingSession, r
 		return res, err
 	}
 	if h.SaveArrivals {
-		h.saveCheckpoint(core.StageSaveArrivals, rec, nil, dst, checkpoint.ObjectAlgorithm, h.tableKeys(dst), "arrival image")
+		// Keyed from the guest's digest table: the bootstrap seeded it and
+		// every fetched or re-read page landed with its digest.
+		h.saveCheckpoint(core.StageSaveArrivals, rec, nil, dst, nil, "arrival image")
 	}
 	if err := h.register(dst); err != nil {
 		return res, err
@@ -519,24 +521,13 @@ func (h *Host) runPostCopyTo(ctx context.Context, addr, vmName string, v *vm.VM,
 		return m, err
 	}
 	// The guest already runs at the destination; the departure image is a
-	// future optimization, not part of this transfer's success.
-	h.saveCheckpoint(core.StageKeepCheckpoint, rec, nil, v, checkpoint.ObjectAlgorithm, h.tableKeys(v), "departure image")
+	// future optimization, not part of this transfer's success. Keyed from the
+	// guest's digest table, it hashes only the pages written since it arrived.
+	h.saveCheckpoint(core.StageKeepCheckpoint, rec, nil, v, nil, "departure image")
 	h.mu.Lock()
 	delete(h.vms, vmName)
 	h.mu.Unlock()
 	return m, nil
-}
-
-// tableKeys returns a post-copy guest's page keys for its checkpoint save from
-// the guest's digest table, hashing only the pages the table does not cover,
-// and counts those as the save's keying work. A post-copy destination's table
-// covers every page — the restore seeded it, and each fetched or re-read page
-// landed with its digest — so only a departing guest's pages written since it
-// arrived are hashed.
-func (h *Host) tableKeys(v *vm.VM) []checksum.Sum {
-	sums, hashed := v.Digests(0, v.NumPages(), checkpoint.ObjectAlgorithm, nil)
-	h.obs.hashBytes.With(h.name, "save_keys").Add(float64(int64(hashed) * vm.PageSize))
-	return sums
 }
 
 // fnv64 hashes a string with FNV-1a.
@@ -670,13 +661,13 @@ func (h *Host) degrade(stage string, rec *obs.Recorder, err error) {
 
 // saveCheckpoint commits v's checkpoint through save — the stream the
 // migration wrote pages into, or nil for none — as a rung of the ladder
-// (saveOrDegrade), sums being its digest table under alg
-// (checkpoint.SaveStream.Commit). A stream commits once, so a retry commits
+// (saveOrDegrade), sums being its page keys, or nil to key it from the
+// guest's digest table (checkpoint.SaveStream.Commit). A stream commits once, so a retry commits
 // a fresh one, which writes every missing page itself. A successful save is
 // traced as a checkpoint-saved event naming the image and how many of the
 // pages the store was missing were streamed and how many caught up after
 // the ack.
-func (h *Host) saveCheckpoint(stage string, rec *obs.Recorder, save *checkpoint.SaveStream, v *vm.VM, alg checksum.Algorithm, sums []checksum.Sum, image string) {
+func (h *Host) saveCheckpoint(stage string, rec *obs.Recorder, save *checkpoint.SaveStream, v *vm.VM, sums []checksum.Sum, image string) {
 	var counts checkpoint.SaveCounts
 	if h.saveOrDegrade(stage, rec, func() error {
 		if save == nil {
@@ -685,7 +676,7 @@ func (h *Host) saveCheckpoint(stage string, rec *obs.Recorder, save *checkpoint.
 		st := save
 		save = nil
 		var err error
-		counts, err = st.Commit(v, checkpoint.EntryComplete, alg, sums)
+		counts, err = st.Commit(v, checkpoint.EntryComplete, sums)
 		return err
 	}) {
 		rec.Event(obs.Event{Kind: "checkpoint-saved",
@@ -717,13 +708,6 @@ type MigrateOptions struct {
 	UseDelta bool
 	// Compress deflates full-page payloads (core.SourceOptions.Compress).
 	Compress bool
-	// Alg selects the page-checksum algorithm (core.SourceOptions.Alg);
-	// zero keeps the engine default (checksum.Default, which is also what
-	// the checkpoint store keys pages by — another strong algorithm works
-	// but costs a rehash at every save and restore). Weak algorithms (fnv,
-	// fast64) are only valid for baseline migrations — recycling needs a
-	// collision-resistant digest to stand in for page content.
-	Alg checksum.Algorithm
 	// MaxRounds bounds the pre-copy rounds (core.SourceOptions.MaxRounds);
 	// 0 keeps the engine default.
 	MaxRounds int
@@ -851,7 +835,6 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 		}
 		return core.MigrateSource(ctx, core.NewDeadlineConn(conn, idle), v, core.SourceOptions{
 			Recycle:       opts.Recycle,
-			Alg:           opts.Alg,
 			Mirror:        mirror,
 			DeltaBase:     base,
 			SentSums:      sent,
@@ -932,11 +915,10 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 	// after the migration, off the critical path, as in the paper. The
 	// paused final state is exactly what the successful attempt's sum table
 	// describes, so the commit hashes nothing (an incomplete table reads as
-	// nil, and a table under another algorithm is no use as keys; either way
-	// the commit answers by rehashing).
+	// nil, and the commit keys the guest from its digest table instead).
 	if opts.KeepCheckpoint {
 		sums, _ := sent.Sums()
-		h.saveCheckpoint(core.StageKeepCheckpoint, rec, save, v, sent.Alg(), sums, "departure image")
+		h.saveCheckpoint(core.StageKeepCheckpoint, rec, save, v, sums, "departure image")
 	}
 	h.mu.Lock()
 	delete(h.vms, vmName)
@@ -949,8 +931,7 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 // when there is none to offer. Only a complete checkpoint is a sound base: a
 // salvage image left by an interrupted incoming migration holds another
 // attempt's partial state, not a mirror of the destination's checkpoint. The
-// base only serves PageAt, so it is opened under the store's own key
-// algorithm whatever the migration speaks: index only, no page read, nothing
+// base only serves PageAt, so it is opened index only: no page read, nothing
 // hashed. Deltas are an optimization; an unopenable base loses it, not the
 // migration, which degrades to full/sum encoding.
 func (h *Host) openDeltaBase(vmName string, rec *obs.Recorder) *checkpoint.Checkpoint {
@@ -967,7 +948,7 @@ func (h *Host) openDeltaBase(vmName string, rec *obs.Recorder) *checkpoint.Check
 		}
 		return nil
 	}
-	rec.Event(obs.Event{Kind: core.EventRestore, Detail: cp.IndexSource()})
+	rec.Event(obs.Event{Kind: core.EventRestore})
 	return cp
 }
 
@@ -980,7 +961,6 @@ func (h *Host) migrateDisk(ctx context.Context, addr string, d *disk.Disk, idle 
 	defer diskConn.Close()
 	return core.MigrateSource(ctx, core.NewDeadlineConn(diskConn, idle), d.Backing(), core.SourceOptions{
 		Recycle: opts.Recycle,
-		Alg:     opts.Alg,
 		OnEvent: h.obs.eventFunc(rec, "source"),
 	})
 }

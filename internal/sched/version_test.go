@@ -16,19 +16,35 @@ import (
 	"vecycle/internal/vm"
 )
 
-// oldVersionConn turns the first frame a source writes, its hello, into the
-// hello an older source sends: its version field, and for version 1 the
+// helloRewrite describes the hello another source sends, as a rewrite of the
+// first frame this one writes: an older version field, and for version 1 the
 // capability offers (flag bit 3 for the compact announcement, bit 4 for range
-// frames) it made. Version 2's hello was this version's with another number.
-type oldVersionConn struct {
-	io.ReadWriteCloser
-	t       *testing.T
+// frames) it made; or another checksum algorithm byte. Version 2's hello was
+// this version's with another number. A zero field keeps this source's value.
+type helloRewrite struct {
 	version uint16
 	offers  byte
+	alg     checksum.Algorithm
+}
+
+// reason is the refusal the destination's hello-ack must carry, naming both
+// values.
+func (rw helloRewrite) reason() string {
+	if rw.version != 0 {
+		return fmt.Sprintf("protocol version %d unsupported (want %d)", rw.version, core.ProtocolVersion)
+	}
+	return fmt.Sprintf("checksum algorithm %v unsupported (want %v)", rw.alg, checksum.Default)
+}
+
+// rewrittenHelloConn applies a helloRewrite to the first frame written.
+type rewrittenHelloConn struct {
+	io.ReadWriteCloser
+	t       *testing.T
+	rw      helloRewrite
 	patched bool
 }
 
-func (c *oldVersionConn) Write(p []byte) (int, error) {
+func (c *rewrittenHelloConn) Write(p []byte) (int, error) {
 	if !c.patched {
 		c.patched = true
 		// tag · version u16 · name-len u16 · name · page-size u32 ·
@@ -39,24 +55,30 @@ func (c *oldVersionConn) Write(p []byte) (int, error) {
 			c.t.Errorf("first write of %d bytes does not hold the whole hello", len(p))
 		} else {
 			p = append([]byte(nil), p...)
-			binary.LittleEndian.PutUint16(p[1:3], c.version)
-			p[flags] |= c.offers
+			if c.rw.version != 0 {
+				binary.LittleEndian.PutUint16(p[1:3], c.rw.version)
+			}
+			if c.rw.alg != 0 {
+				p[flags-1] = byte(c.rw.alg)
+			}
+			p[flags] |= c.rw.offers
 		}
 	}
 	return c.ReadWriteCloser.Write(p)
 }
 
-// refuseOldVersion: a source of an older protocol version, offering the given
-// capabilities and reaching a host over TCP, is refused at the hello, not
-// negotiated with. It reads a hello-ack that names both versions, so its
-// migration fails as a rejection on the first attempt, not as a dropped
-// connection to retry; and the destination registers no arrival.
-func refuseOldVersion(t *testing.T, version uint16, offers byte) {
+// refuseHello: a source sending the rewritten hello — of an older protocol
+// version, or under another checksum algorithm — and reaching a host over TCP
+// is refused at the hello, not negotiated with. It reads a hello-ack naming
+// both values, so its migration fails as a rejection on the first attempt, not
+// as a dropped connection to retry; and the destination registers no arrival
+// and leaves its store untouched.
+func refuseHello(t *testing.T, rw helloRewrite) {
 	t.Helper()
 	alpha := newHost(t, "alpha")
 	beta := newHost(t, "beta")
 	addrB := listen(t, beta)
-	beta.OnArrival = func(*vm.VM, core.DestResult) { t.Errorf("a version-%d hello arrived", version) }
+	beta.OnArrival = func(*vm.VM, core.DestResult) { t.Errorf("a rewritten hello %+v arrived", rw) }
 	handled := make(chan error, 1)
 	beta.OnError = func(err error) {
 		select {
@@ -76,8 +98,9 @@ func refuseOldVersion(t *testing.T, version uint16, offers byte) {
 		if err != nil {
 			return nil, err
 		}
-		return &oldVersionConn{ReadWriteCloser: conn, t: t, version: version, offers: offers}, nil
+		return &rewrittenHelloConn{ReadWriteCloser: conn, t: t, rw: rw}, nil
 	}
+	stored := beta.Store().Stats()
 
 	attempts := 0
 	_, err := alpha.MigrateTo(context.Background(), addrB, "vm0", MigrateOptions{
@@ -89,8 +112,7 @@ func refuseOldVersion(t *testing.T, version uint16, offers byte) {
 	if !errors.Is(err, core.ErrRejected) {
 		t.Fatalf("migration error = %v, want core.ErrRejected", err)
 	}
-	want := fmt.Sprintf("protocol version %d unsupported (want %d)", version, core.ProtocolVersion)
-	if !strings.Contains(err.Error(), want) {
+	if want := rw.reason(); !strings.Contains(err.Error(), want) {
 		t.Errorf("rejection %q does not say %q", err, want)
 	}
 	if attempts != 1 {
@@ -111,9 +133,19 @@ func refuseOldVersion(t *testing.T, version uint16, offers byte) {
 	if _, ok := beta.VM("vm0"); ok {
 		t.Error("the destination registered the VM")
 	}
+	if names, _ := beta.Store().List(); len(names) != 0 || beta.Store().Stats() != stored {
+		t.Errorf("the refused hello touched the destination's store: entries %v, stats %+v → %+v", names, stored, beta.Store().Stats())
+	}
 	if m := scrape(t, beta); !strings.Contains(m, `vecycle_migrations_total{host="beta",role="dest",outcome="rejected"} 1`) {
 		t.Errorf("destination did not count one rejected arrival:\n%s", m)
 	}
+}
+
+// TestForeignAlgorithmRefusedOverTCP: a page has one digest, so a source
+// whose hello names another checksum algorithm — the paper's MD5 — is refused
+// with a reason naming both, exactly like a source of another version.
+func TestForeignAlgorithmRefusedOverTCP(t *testing.T) {
+	refuseHello(t, helloRewrite{alg: checksum.MD5})
 }
 
 // arrival waits for the next DestResult a host's OnArrival sends on ch.
@@ -136,7 +168,7 @@ func arrival(t *testing.T, ch <-chan core.DestResult) core.DestResult {
 // announces that checkpoint's distinct sums over TCP, counted exactly on both
 // sides, and the guest's memory survives byte-for-byte.
 func TestMixedVersionAnnounceOverTCP(t *testing.T) {
-	refuseOldVersion(t, 1, 8)
+	refuseHello(t, helloRewrite{version: 1, offers: 8})
 
 	alpha := newHost(t, "alpha")
 	beta := newHost(t, "beta")
@@ -189,8 +221,8 @@ func TestMixedVersionAnnounceOverTCP(t *testing.T) {
 // range frames, the destination decodes every one the source sent, and the
 // guest's memory survives byte-for-byte.
 func TestMixedVersionRangeFramesOverTCP(t *testing.T) {
-	refuseOldVersion(t, 1, 16)
-	refuseOldVersion(t, 2, 0)
+	refuseHello(t, helloRewrite{version: 1, offers: 16})
+	refuseHello(t, helloRewrite{version: 2})
 
 	alpha := newHost(t, "alpha")
 	beta := newHost(t, "beta")
