@@ -30,11 +30,14 @@ race-digest:
 # the store-level span reader, the announce-by-name matrix through
 # sched.Host (matched legs, every fallback, a restart), and the streamed saves
 # both sides write under round one (compression on and off, a guest writing
-# mid-round, a cut), under the race detector.
+# mid-round, a cut), and the writes each side hands the transport (one per
+# flush point, the paused guest's one write, done riding the last post-copy
+# window) with the per-round byte counts both sides report, under the race
+# detector.
 race-restore:
 	$(GO) test -race -count=3 -run 'TestBackgroundInstall' ./internal/core/
 	$(GO) test -race -run 'TestSpanLoad|TestRestoreSumsMatchGuest|TestConcurrentRemoveDuringRestore|TestSaveStream' ./internal/checkpoint/
-	$(GO) test -race -run 'TestPingPongSkipsAnnouncement|TestPartialAnnounced|TestGoldenStreamByName' ./internal/core/
+	$(GO) test -race -run 'TestPingPongSkipsAnnouncement|TestPartialAnnounced|TestGoldenStreamByName|TestSourceWritesPerTurn|TestRoundEventBytes' ./internal/core/
 	$(GO) test -race -run 'TestByName|TestPingPongOverTCP|TestStreamedSave' ./internal/sched/
 
 # bench records the migration-engine benchmarks (cold first-round

@@ -396,7 +396,10 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 	// range's end is overlapping or descending — malformed. Reset each
 	// round (later rounds legitimately revisit pages).
 	var rangeFloor uint64
-	roundStart := s.cr.n
+	// A round's bytes are the ones it decoded: the transport count less what
+	// the reader holds of the next round already.
+	consumed := func() int64 { return s.cr.n - int64(r.Buffered()) }
+	roundStart := consumed()
 	frameStart := 0
 	for {
 		if err := ctx.Err(); err != nil {
@@ -433,9 +436,9 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 			}
 			res.Metrics.Rounds++
 			opts.OnEvent.emit(Event{Kind: EventRound, Round: int(round),
-				Pages: int64(dirty), Bytes: s.cr.n - roundStart,
+				Pages: int64(dirty), Bytes: consumed() - roundStart,
 				Frames: int64(res.Metrics.PageFrames - frameStart)})
-			roundStart = s.cr.n
+			roundStart = consumed()
 			frameStart = res.Metrics.PageFrames
 			rangeFloor = 0
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"path/filepath"
@@ -43,7 +44,13 @@ func migrate(t *testing.T, src, dst *vm.VM, sopts SourceOptions, dopts DestOptio
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
+	return migrateOver(t, a, b, src, dst, sopts, dopts)
+}
 
+// migrateOver runs a full migration with the source on a and the destination
+// on b.
+func migrateOver(t *testing.T, a, b io.ReadWriter, src, dst *vm.VM, sopts SourceOptions, dopts DestOptions) (Metrics, DestResult) {
+	t.Helper()
 	var (
 		wg   sync.WaitGroup
 		sm   Metrics

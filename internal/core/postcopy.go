@@ -375,22 +375,26 @@ func (s *IncomingSession) RunPostCopy(ctx context.Context, v *vm.VM, opts PostCo
 
 	// Background pre-paging: request the missing pages in order, pipelined
 	// in windows — one flush (and so one round trip) per requestWindow
-	// pages instead of one per page.
+	// pages instead of one per page. done rides the last window (alone when
+	// nothing is missing), so the source answers it and acks in one write.
 	var f rangeFrame
-	for start := 0; start < len(missing); start += requestWindow {
+	for start := 0; ; start += requestWindow {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
-		end := start + requestWindow
-		if end > len(missing) {
-			end = len(missing)
-		}
+		end := min(start+requestWindow, len(missing))
 		for _, page := range missing[start:end] {
 			var reqBuf [9]byte
 			reqBuf[0] = byte(msgFetch)
 			binary.LittleEndian.PutUint64(reqBuf[1:], page)
 			if _, err := w.Write(reqBuf[:]); err != nil {
 				return res, fmt.Errorf("core: write page request: %w", err)
+			}
+		}
+		last := end == len(missing)
+		if last {
+			if err := writeMsgType(w, msgDone); err != nil {
+				return res, err
 			}
 		}
 		if err := flush(w); err != nil {
@@ -417,12 +421,9 @@ func (s *IncomingSession) RunPostCopy(ctx context.Context, v *vm.VM, opts PostCo
 			res.Metrics.PagesRequested++
 			res.Metrics.PagesFull++
 		}
-	}
-	if err := writeMsgType(w, msgDone); err != nil {
-		return res, err
-	}
-	if err := flush(w); err != nil {
-		return res, err
+		if last {
+			break
+		}
 	}
 	if t, err = readMsgType(r); err != nil {
 		return res, err

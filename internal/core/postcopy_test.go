@@ -21,6 +21,13 @@ func postcopy(t *testing.T, src, dst *vm.VM, sopts PostCopySourceOptions, dopts 
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
+	return postcopyOver(t, a, b, src, dst, sopts, dopts)
+}
+
+// postcopyOver runs a post-copy migration with the source on a and the
+// destination on b.
+func postcopyOver(t *testing.T, a, b io.ReadWriter, src, dst *vm.VM, sopts PostCopySourceOptions, dopts PostCopyDestOptions) (PostCopyMetrics, PostCopyDestResult) {
+	t.Helper()
 	var (
 		wg   sync.WaitGroup
 		sm   PostCopyMetrics

@@ -56,12 +56,16 @@ type SourceOptions struct {
 	// frame still holds checkpoint content.
 	DeltaBase PageProvider
 	// Pause, when non-nil, is invoked before the final round so the caller
-	// can stop the guest workload (the stop-and-copy pause). Resume, when
-	// non-nil, is invoked after the destination acknowledges.
+	// can stop the guest workload (the stop-and-copy pause). Every live
+	// round has been flushed by then; the final round, its round-end and
+	// done go out as one write. Resume, when non-nil, is invoked after the
+	// destination acknowledges.
 	Pause  func()
 	Resume func()
 	// OnEvent, when non-nil, observes each protocol turn (hello, rounds,
-	// pause, done) for tracing. Emission never alters the wire stream.
+	// pause, done) for tracing. A round event marks the round encoded, with
+	// its encoded bytes: the final round's are still buffered, waiting for
+	// done. Emission never alters the wire stream.
 	OnEvent EventFunc
 	// SentSums, when non-nil, is reset by the migration and filled with the
 	// digest of each page's most recently sent content, recorded as a
@@ -263,11 +267,15 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		return d
 	}
 
+	// A round's bytes are the ones it encoded: those on the wire plus those
+	// still buffered, since the final round leaves with done in one write.
+	encoded := func() int64 { return cw.n + int64(w.Buffered()) }
+
 	// Round 1: walk every page. With a destination checksum set, redundant
 	// pages shrink to (page number, checksum); delta encoding against
 	// DeltaBase applies in this round only.
 	m.Rounds = 1
-	roundStart := cw.n
+	roundStart := encoded()
 	since := m
 	if err := sendSequential(ctx, w, v, seqAll(v.NumPages()), enc, opts.DeltaBase, save, &m); err != nil {
 		return m, err
@@ -279,7 +287,7 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		return m, err
 	}
 	opts.OnEvent.emit(Event{Kind: EventRound, Round: 1,
-		Pages: int64(v.NumPages()), Bytes: cw.n - roundStart,
+		Pages: int64(v.NumPages()), Bytes: encoded() - roundStart,
 		Frames: int64(m.PageFrames - since.PageFrames),
 		Detail: roundDetail(since)})
 
@@ -314,7 +322,7 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		dirty.ForEachSet(func(page int) {
 			dirtyList = append(dirtyList, page)
 		})
-		roundStart = cw.n
+		roundStart = encoded()
 		since = m
 		if err := sendSequential(ctx, w, v, seqList(dirtyList), enc, nil, save, &m); err != nil {
 			return m, err
@@ -322,11 +330,15 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		if err := writeRoundEnd(w, uint32(round), uint64(len(dirtyList))); err != nil {
 			return m, err
 		}
-		if err := flush(w); err != nil {
-			return m, err
+		// A live round leaves before the guest can be paused; the final
+		// round's tail waits for done, so the paused guest costs one write.
+		if !final {
+			if err := flush(w); err != nil {
+				return m, err
+			}
 		}
 		opts.OnEvent.emit(Event{Kind: EventRound, Round: round,
-			Pages: int64(len(dirtyList)), Bytes: cw.n - roundStart,
+			Pages: int64(len(dirtyList)), Bytes: encoded() - roundStart,
 			Frames: int64(m.PageFrames - since.PageFrames),
 			Detail: roundDetail(since)})
 		if final {

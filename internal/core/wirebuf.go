@@ -49,8 +49,9 @@ func getDataWriter(w io.Writer) *bufio.Writer {
 }
 
 // putDataWriter returns the writer to the pool, dropping its reference to
-// the transport. Unflushed bytes are discarded — callers flush at every
-// protocol turn, so anything left is an aborted migration's tail.
+// the transport. Unflushed bytes are discarded — callers flush before every
+// read that waits on the peer, so anything left is an aborted migration's
+// tail.
 func putDataWriter(bw *bufio.Writer) {
 	bw.Reset(nil)
 	dataWriterPool.Put(bw)
