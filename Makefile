@@ -15,13 +15,16 @@ race:
 	$(GO) test -race ./...
 
 # race-digest is the focused gate for the resident page-digest table
-# (vm.VM): the concurrent writer/installer/reader test repeated under the
-# race detector, then the seeded migration audit and the exact-count tests
-# through sched.Host (digest table, save and restore hash stages, delta,
-# salvage-retry and post-copy legs). `race` runs them once with everything else; this
-# target is the one to repeat when touching internal/vm/digest.go.
+# (vm.VM), the only record of a page's digest: the concurrent
+# writer/installer/write-back/reader test and the write-back rules (a page
+# written since the read stays unrecorded, a batch read before a dirty-log
+# harvest is refused) repeated under the race detector, then the seeded
+# migration audit and the exact-count tests through sched.Host (digest table,
+# save and restore hash stages, delta, salvage-retry and post-copy legs).
+# `race` runs them once with everything else; this target is the one to
+# repeat when touching internal/vm/digest.go.
 race-digest:
-	$(GO) test -race -count=10 -run 'TestDigestTableConcurrent' ./internal/vm/
+	$(GO) test -race -count=10 -run 'TestDigestTableConcurrent|TestDigestTableWriteBack' ./internal/vm/
 	$(GO) test -race -run 'TestDigestTable' ./internal/vm/ ./internal/core/ ./internal/sched/
 
 # race-restore is the focused gate for the return path: the background
@@ -41,11 +44,12 @@ race-restore:
 	$(GO) test -race -run 'TestByName|TestPingPongOverTCP|TestStreamedSave' ./internal/sched/
 
 # bench records the migration-engine benchmarks (cold first-round
-# throughput over net.Pipe and TCP, tracked-migration overhead, destination
-# merge-loop and install-primitive throughput, per-page checksum rates,
-# key-list vs rescanning checkpoint open, rehash vs precomputed-sum warm save,
-# announce-frame sizes) as machine-readable output for regression tracking.
-# BENCH_migration.json is committed: tools/benchgate gates CI on it.
+# throughput over net.Pipe and TCP, the destination's round-end track pass,
+# destination merge-loop and install-primitive throughput, per-page checksum
+# rates, key-list vs rescanning checkpoint open, warm save rehashing vs keyed
+# from a complete digest table, announce-frame sizes) as machine-readable
+# output for regression tracking. BENCH_migration.json is committed:
+# tools/benchgate gates CI on it.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFirstRound|BenchmarkTrackIncoming|BenchmarkMergeLoop|BenchmarkDestInstall' -benchmem -json ./internal/core/ > BENCH_migration.json
 	$(GO) test -run '^$$' -bench 'BenchmarkChecksumPage|BenchmarkAnnounceSize' -benchmem -json ./internal/checksum/ >> BENCH_migration.json
@@ -57,11 +61,12 @@ bench:
 bench-cycle:
 	$(GO) run ./bench -workload return-churn5-lan
 
-# benchgate fails when the committed BENCH_migration.json shows the
-# precomputed-sum warm save losing its 1.5x edge over the rehashing one,
-# or any gated series (BenchmarkFirstRound, BenchmarkTrackIncoming, both
-# SaveWarm arms) regressing against the recording committed at HEAD
-# (skipped for series HEAD's recording lacks).
+# benchgate fails when the committed BENCH_migration.json shows the warm
+# save keyed from a complete digest table (SaveWarm/table) losing its 1.5x
+# edge over the rehashing one (SaveWarm/rehash), or any gated series
+# (BenchmarkFirstRound, BenchmarkTrackIncoming, both SaveWarm arms)
+# regressing against the recording committed at HEAD (skipped for series
+# HEAD's recording lacks).
 benchgate:
 	@git show HEAD:BENCH_migration.json > /tmp/benchgate-baseline.json 2>/dev/null \
 		|| rm -f /tmp/benchgate-baseline.json

@@ -21,7 +21,6 @@ func runDest(args []string) error {
 		count     = fs.Int("count", 1, "number of migrations to accept before exiting (0 = forever)")
 		name      = fs.String("name", "dest-host", "host name")
 		noSalvage = fs.Bool("no-salvage", false, "discard partially-installed pages on failed incoming migrations instead of persisting a salvage checkpoint")
-		tcpDelay  = fs.Bool("tcp-delay", false, "re-enable Nagle's algorithm on migration sockets (default: TCP_NODELAY)")
 		tcpRead   = fs.Int("tcp-read-buffer", 0, "SO_RCVBUF for migration sockets in bytes (0 = OS default)")
 		tcpWrite  = fs.Int("tcp-write-buffer", 0, "SO_SNDBUF for migration sockets in bytes (0 = OS default)")
 		opsAddr   = fs.String("ops-addr", "", "serve /metrics, /debug/migrations and /debug/pprof on this address (e.g. :9090)")
@@ -38,7 +37,6 @@ func runDest(args []string) error {
 		return err
 	}
 	host.NoSalvage = *noSalvage
-	host.TCPDelay = *tcpDelay
 	host.TCPReadBuffer = *tcpRead
 	host.TCPWriteBuffer = *tcpWrite
 	if err := startOps(host, *opsAddr); err != nil {
@@ -75,7 +73,6 @@ func runSource(args []string) error {
 		recycle  = fs.Bool("recycle", true, "enable checkpoint-assisted migration")
 		postcopy = fs.Bool("postcopy", false, "use the post-copy protocol (manifest + demand fetch)")
 		compress = fs.Bool("compress", false, "deflate-compress full-page payloads (entropy-gated per page)")
-		tcpDelay = fs.Bool("tcp-delay", false, "re-enable Nagle's algorithm on migration sockets (default: TCP_NODELAY)")
 		tcpRead  = fs.Int("tcp-read-buffer", 0, "SO_RCVBUF for migration sockets in bytes (0 = OS default)")
 		tcpWrite = fs.Int("tcp-write-buffer", 0, "SO_SNDBUF for migration sockets in bytes (0 = OS default)")
 		rounds   = fs.Int("max-rounds", 0, "pre-copy round cap (0 = engine default)")
@@ -107,7 +104,6 @@ func runSource(args []string) error {
 		return err
 	}
 	host.AddVM(guest)
-	host.TCPDelay = *tcpDelay
 	host.TCPReadBuffer = *tcpRead
 	host.TCPWriteBuffer = *tcpWrite
 	if *idle != 0 {

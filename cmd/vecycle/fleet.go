@@ -29,7 +29,6 @@ func runFleet(args []string) error {
 		touches   = fs.Int("touch", 32, "pages dirtied by each guest between rounds")
 		compress  = fs.Bool("compress", false, "deflate-compress full-page payloads")
 		noSalvage = fs.Bool("no-salvage", false, "discard partially-installed pages on failed incoming migrations fleet-wide")
-		tcpDelay  = fs.Bool("tcp-delay", false, "re-enable Nagle's algorithm on migration sockets fleet-wide (default: TCP_NODELAY)")
 		tcpRead   = fs.Int("tcp-read-buffer", 0, "SO_RCVBUF for migration sockets in bytes (0 = OS default)")
 		tcpWrite  = fs.Int("tcp-write-buffer", 0, "SO_SNDBUF for migration sockets in bytes (0 = OS default)")
 		opsAddr   = fs.String("ops-addr", "", "serve the whole fleet's /metrics, /debug/migrations and /debug/pprof on this address")
@@ -76,7 +75,6 @@ func runFleet(args []string) error {
 		h.UseObservability(reg, traces)
 		h.SaveArrivals = true
 		h.NoSalvage = *noSalvage
-		h.TCPDelay = *tcpDelay
 		h.TCPReadBuffer = *tcpRead
 		h.TCPWriteBuffer = *tcpWrite
 		h.OnArrival = func(*vm.VM, core.DestResult) { arrived.Done() }

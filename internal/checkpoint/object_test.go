@@ -43,7 +43,7 @@ func FuzzReadSegmentKeys(f *testing.F) {
 			v.ReadPage(i, buf)
 			st.Add(ObjectAlgorithm.Page(buf), buf)
 		}
-		if _, err := st.Commit(v, EntryComplete, nil); err != nil {
+		if _, err := st.Commit(v, EntryComplete); err != nil {
 			f.Fatal(err)
 		}
 		raw, err := os.ReadFile(filepath.Join(s.Dir(), st.seg))

@@ -66,7 +66,7 @@ func TestSaveSalvagePartialEntry(t *testing.T) {
 func streamSave(s *Store, v *vm.VM) error {
 	st := s.OpenSave(v.Name())
 	streamPages(st, v, 0, v.NumPages())
-	_, err := st.Commit(v, EntryComplete, nil)
+	_, err := st.Commit(v, EntryComplete)
 	return err
 }
 
@@ -495,7 +495,7 @@ func TestWarmSaveSyncs(t *testing.T) {
 				t.Fatal(err)
 			}
 			v := filledVM(t, "a", 64, 1)
-			if err := s.SaveWithSums(v, ObjectAlgorithm, v.RangeSums(0, 64, ObjectAlgorithm, nil)); err != nil {
+			if err := s.Save(v); err != nil {
 				t.Fatal(err)
 			}
 			copyPages(t, filledVM(t, "churn", 3, 2), v, 3)
@@ -504,7 +504,7 @@ func TestWarmSaveSyncs(t *testing.T) {
 			if streamed {
 				streamPages(st, v, 0, 3)
 			}
-			counts, err := st.Commit(v, EntryComplete, v.RangeSums(0, 64, ObjectAlgorithm, nil))
+			counts, err := st.Commit(v, EntryComplete)
 			if err != nil {
 				t.Fatal(err)
 			}

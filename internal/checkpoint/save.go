@@ -30,31 +30,20 @@ var ErrStreamBroken = errors.New("checkpoint: save stream broken")
 // completed migration supersedes. Pages whose content the object pool
 // already holds (from any VM) are referenced, not rewritten. When a quota is
 // set, dead segments are collected and then least-recently-used entries are
-// evicted until the new pages fit.
+// evicted until the new pages fit. The pages are keyed from the guest's
+// digest table; only the pages it does not cover are hashed.
 func (s *Store) Save(source *vm.VM) error {
-	return s.SaveWithSums(source, 0, nil)
+	_, err := s.OpenSave(source.Name()).Commit(source, EntryComplete)
+	return err
 }
 
-// SaveWithSums is Save with a caller-supplied per-page digest table —
-// typically the sums a migration recorded (core.DestResult.PageSums on
-// arrival, core.SumTable on departure). A table under ObjectAlgorithm becomes
-// the entry's page keys as it stands and the save hashes nothing.
-//
-// The caller asserts sums[i] is alg's digest of the VM's current page i. A
-// wrong table poisons the entry (content keys decide dedup identity and are
-// what the next restore announces), so hand over only tables the migration
-// protocol itself vouched for. A nil or short table is not an error — the
-// save keys the guest as Save does — so callers need no special-casing for
-// failed or untracked migrations. alg stays a parameter for one caller only:
-// the recycle-cycle benchmark's layer replay, which still hands over an MD5
-// table, and which this ignores the same way. It goes when that replay stops
-// asking.
+// SaveWithSums is Save: alg and sums are ignored. The guest's digest table is
+// the only record of a page's digest, and a migration leaves it complete, so
+// there is no table for a caller to hand over. The signature stays for the
+// recycle-cycle benchmark's frozen layer replay, which still passes an MD5
+// table; it goes when that replay stops calling it.
 func (s *Store) SaveWithSums(source *vm.VM, alg checksum.Algorithm, sums []checksum.Sum) error {
-	if alg != ObjectAlgorithm {
-		sums = nil
-	}
-	_, err := s.OpenSave(source.Name()).Commit(source, EntryComplete, sums)
-	return err
+	return s.Save(source)
 }
 
 // SaveSalvage persists the VM's memory as a salvage checkpoint: a partial
@@ -63,7 +52,7 @@ func (s *Store) SaveWithSums(source *vm.VM, alg checksum.Algorithm, sums []check
 // its page sums like any checkpoint, so the source resends only what is
 // missing.
 func (s *Store) SaveSalvage(source *vm.VM) error {
-	_, err := s.OpenSave(source.Name()).Commit(source, EntryPartial, nil)
+	_, err := s.OpenSave(source.Name()).Commit(source, EntryPartial)
 	return err
 }
 
@@ -145,10 +134,8 @@ func (st *SaveStream) writer() (*segWriter, error) {
 }
 
 // Commit makes the stream v's checkpoint in the given state, replacing any
-// previous entry of the VM. sums, when it covers every page, is the guest's
-// page keys — ObjectAlgorithm digests of its current pages, as SaveWithSums
-// takes them; otherwise the keys come from the guest's digest table, and only
-// the pages it does not cover are hashed.
+// previous entry of the VM. The page keys come from the guest's digest table,
+// and only the pages it does not cover are hashed.
 //
 // It computes the pages the pool is missing — against the pool and the entry
 // it replaces, as any save does — and appends those the stream has not
@@ -157,7 +144,7 @@ func (st *SaveStream) writer() (*segWriter, error) {
 // entry does not need are dead on arrival; a segment holding nothing the entry
 // needs is not kept at all. A broken stream commits nothing and fails with
 // ErrStreamBroken. Commit or Abort once; later calls fail or do nothing.
-func (st *SaveStream) Commit(v *vm.VM, state EntryState, sums []checksum.Sum) (SaveCounts, error) {
+func (st *SaveStream) Commit(v *vm.VM, state EntryState) (SaveCounts, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.done {
@@ -168,7 +155,7 @@ func (st *SaveStream) Commit(v *vm.VM, state EntryState, sums []checksum.Sum) (S
 		return SaveCounts{}, fmt.Errorf("%w: %w", ErrStreamBroken, st.err)
 	}
 	st.done = true
-	pageKeys, hashed := objectKeys(v, sums)
+	pageKeys, hashed := guestKeys(v)
 	s := st.s
 	s.mu.Lock()
 	// Every page is keyed exactly once: hashed here, or known already.
@@ -183,18 +170,6 @@ func (st *SaveStream) Commit(v *vm.VM, state EntryState, sums []checksum.Sum) (S
 	s.mu.Unlock()
 	s.drainMetrics()
 	return counts, err
-}
-
-// objectKeys returns the guest's page keys and how many pages it hashed for
-// them: sums, copied, when they cover every page, else the guest's digest
-// table with the pages it misses hashed — the one digest pass a save can have.
-func objectKeys(v *vm.VM, sums []checksum.Sum) (keys []checksum.Sum, hashed int) {
-	if len(sums) == v.NumPages() {
-		// Copied: the entry's key list outlives the call (restores serve
-		// their announcement from it) and must not alias a caller's buffer.
-		return append([]checksum.Sum(nil), sums...), 0
-	}
-	return guestKeys(v)
 }
 
 // commitLocked runs the commit transaction. Write order is: the segment

@@ -64,7 +64,7 @@ func TestSegmentWritebackLeavesTailToFsync(t *testing.T) {
 	v := filledVM(t, "a", pages, 1)
 	st := s.OpenSave("a")
 	streamPages(st, v, 0, pages/3) // part streamed, the rest caught up
-	if _, err := st.Commit(v, EntryComplete, nil); err != nil {
+	if _, err := st.Commit(v, EntryComplete); err != nil {
 		t.Fatal(err)
 	}
 	var started int64
@@ -98,7 +98,7 @@ func TestSaveStreamAbortLeavesNoFile(t *testing.T) {
 		if tmp := tempFiles(t, s.Dir()); len(tmp) != 0 {
 			t.Errorf("abort after %d streamed pages left %v", streamed, tmp)
 		}
-		if _, err := st.Commit(old, EntryComplete, nil); err == nil {
+		if _, err := st.Commit(old, EntryComplete); err == nil {
 			t.Error("an aborted stream committed")
 		}
 	}
@@ -142,7 +142,7 @@ func TestSaveStreamSurvivesGCAndScrub(t *testing.T) {
 		t.Fatalf("temp files after gc and scrub: %v, want only the stream's", tmp)
 	}
 	streamPages(st, v, 200, 300)
-	counts, err := st.Commit(v, EntryComplete, nil)
+	counts, err := st.Commit(v, EntryComplete)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestSaveStreamDeadSlots(t *testing.T) {
 	copyPages(t, filledVM(t, "churn", 8, 2), v, 6)
 	streamPages(st, v, 2, 6)                       // 4 slots, of which pages 2-3 are
 	copyPages(t, filledVM(t, "churn", 8, 3), v, 4) // superseded here: 2 dead
-	counts, err := st.Commit(v, EntryComplete, nil)
+	counts, err := st.Commit(v, EntryComplete)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSaveStreamBroken(t *testing.T) {
 	if len(inj.Shots()) != 1 {
 		t.Fatalf("%d faults fired, want the one armed", len(inj.Shots()))
 	}
-	if _, err := st.Commit(v, EntryComplete, nil); !errors.Is(err, ErrStreamBroken) || !errors.Is(err, faultfs.ErrEIO) {
+	if _, err := st.Commit(v, EntryComplete); !errors.Is(err, ErrStreamBroken) || !errors.Is(err, faultfs.ErrEIO) {
 		t.Fatalf("commit of a broken stream: %v, want ErrStreamBroken wrapping EIO", err)
 	}
 	if tmp := tempFiles(t, dir); len(tmp) != 0 {

@@ -36,10 +36,11 @@ func metricsStore(t *testing.T) (*Store, *fakeMetrics, string) {
 	return s, m, dir
 }
 
-// TestSaveWithSumsMatchesSave is the ingest-equivalence contract: a save fed
-// a migration-recorded table under the key algorithm must produce a
-// byte-identical page manifest and an identically restorable entry, while
-// hashing nothing.
+// TestSaveWithSumsMatchesSave is the ingest-equivalence contract: a save of a
+// guest whose digest table is complete — as a migration leaves it, on either
+// side — must produce a byte-identical page manifest and an identically
+// restorable entry to a save that hashes every page, while hashing nothing.
+// SaveWithSums is Save: the table it is handed is ignored.
 func TestSaveWithSumsMatchesSave(t *testing.T) {
 	const pages = 64
 	v := filledVM(t, "a", pages, 1)
@@ -48,14 +49,14 @@ func TestSaveWithSumsMatchesSave(t *testing.T) {
 	if err := sPlain.Save(v); err != nil {
 		t.Fatal(err)
 	}
+	// The plain save hashed but recorded nothing; complete the table now.
+	if got := v.CompleteDigests(); got != pages {
+		t.Fatalf("CompleteDigests hashed %d pages after a save, want %d", got, pages)
+	}
 	sPre, mPre, dirPre := metricsStore(t)
-	table := vmSums(t, v, ObjectAlgorithm)
-	if err := sPre.SaveWithSums(v, ObjectAlgorithm, table); err != nil {
+	if err := sPre.SaveWithSums(v, ObjectAlgorithm, make([]checksum.Sum, pages)); err != nil {
 		t.Fatal(err)
 	}
-	// The entry's key list outlives the call; the caller's buffer does not
-	// have to.
-	clear(table)
 
 	plain, err := os.ReadFile(filepath.Join(dirPlain, "a"+pmfSuffix))
 	if err != nil {
@@ -66,11 +67,11 @@ func TestSaveWithSumsMatchesSave(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain, pre) {
-		t.Error("precomputed-sum save wrote a different page manifest than a rehashing save")
+		t.Error("a save keyed from a complete table wrote a different page manifest than a rehashing save")
 	}
 
 	// Both entries restore bit exactly and announce the guest's sums.
-	for name, s := range map[string]*Store{"plain": sPlain, "withsums": sPre} {
+	for name, s := range map[string]*Store{"plain": sPlain, "table": sPre} {
 		dst := newVM(t, "a", pages, 99)
 		cp, err := s.Restore("a", checksum.Default, dst)
 		if err != nil {
@@ -87,8 +88,8 @@ func TestSaveWithSumsMatchesSave(t *testing.T) {
 		cp.Close()
 	}
 
-	// Accounting: the plain save digested the image once; the precomputed
-	// save hashed nothing.
+	// Accounting: the plain save digested the image once; the save keyed
+	// from the complete table hashed nothing.
 	mem := v.MemBytes()
 	mPlain.mu.Lock()
 	if len(mPlain.hashed) != 1 || mPlain.hashed["save_keys"] != mem || mPlain.unhashed != 0 {
@@ -97,15 +98,15 @@ func TestSaveWithSumsMatchesSave(t *testing.T) {
 	mPlain.mu.Unlock()
 	mPre.mu.Lock()
 	if len(mPre.hashed) != 0 || mPre.unhashed != mem {
-		t.Errorf("withsums save accounting = %v avoided=%d, want nothing hashed and one guest avoided", mPre.hashed, mPre.unhashed)
+		t.Errorf("table save accounting = %v avoided=%d, want nothing hashed and one guest avoided", mPre.hashed, mPre.unhashed)
 	}
 	mPre.mu.Unlock()
 
 	// Dedup identity is the same either way: re-saving the unchanged guest
-	// under a precomputed table adds no bytes to a pool the rehashing path
+	// from its complete table adds no bytes to a pool the rehashing path
 	// keyed.
 	before := sPlain.Stats()
-	if err := sPlain.SaveWithSums(v, ObjectAlgorithm, vmSums(t, v, ObjectAlgorithm)); err != nil {
+	if err := sPlain.Save(v); err != nil {
 		t.Fatal(err)
 	}
 	if got := sPlain.Stats().PhysicalBytes - before.PhysicalBytes; got != 0 {
@@ -113,11 +114,11 @@ func TestSaveWithSumsMatchesSave(t *testing.T) {
 	}
 }
 
-// TestSaveWithSumsFallback: a table the save cannot use as keys — wrong
-// length, no algorithm, or another algorithm, strong or not — makes it key the
-// guest as Save does: from its digest table, which knows nothing of these
-// freshly written pages, so every page is hashed once, accounted as
-// save_keys. It never fails and never keys pages by the wrong digest.
+// TestSaveWithSumsFallback: whatever table SaveWithSums is handed — wrong
+// length, no algorithm, another algorithm, strong or not — it keys the guest
+// as Save does: from its digest table, which knows nothing of these freshly
+// written pages, so every page is hashed once, accounted as save_keys. It
+// never fails and never keys pages by the wrong digest.
 func TestSaveWithSumsFallback(t *testing.T) {
 	const pages = 8
 	v := filledVM(t, "a", pages, 1)

@@ -366,7 +366,7 @@ const sumChunkPages = 256
 // guestKeys returns a live VM's page keys from its digest table, hashing only
 // the pages the table does not cover, and reports how many it hashed. Workers
 // claim contiguous sumChunkPages-sized spans off an atomic cursor. This is the
-// keying pass of a save handed no sums.
+// keying pass of every save.
 func guestKeys(v *vm.VM) (keys []checksum.Sum, hashed int) {
 	pages := v.NumPages()
 	keys = make([]checksum.Sum, pages)

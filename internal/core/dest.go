@@ -19,12 +19,6 @@ type DestOptions struct {
 	// Store is consulted for a checkpoint of the incoming VM. May be nil
 	// (pure baseline destination).
 	Store *checkpoint.Store
-	// TrackIncoming completes the arriving guest's digest table at the final
-	// acknowledgement and snapshots it as DestResult.PageSums, so the
-	// post-migration checkpoint is keyed without a rehash — and, the source
-	// having saved the same state, under the same manifest root, which is
-	// what lets the return leg name it instead of announcing it (§3.2).
-	TrackIncoming bool
 	// VerifyPayloads re-computes the checksum of every full page received
 	// and rejects mismatches. Costs one hash per page; useful under
 	// unreliable transports and in tests.
@@ -66,13 +60,6 @@ type DestResult struct {
 	// UsedCheckpoint. The union serves blocks by content but installs
 	// nothing into RAM, so ResumedFromPartial stays false.
 	UnionBootstrap bool
-	// PageSums is the page-ordered checksum.Default digest of the arrived
-	// state — a snapshot of the guest's digest table taken at the final
-	// acknowledgement, before the guest can run (only when
-	// DestOptions.TrackIncoming was set). The post-migration checkpoint is
-	// keyed by it via Store.SaveWithSums, unhashed. Nil after a failed
-	// migration, which makes the save key the guest from its digest table.
-	PageSums []checksum.Sum
 }
 
 // IncomingSession is a half-open incoming migration: the hello has been
@@ -373,7 +360,7 @@ func (s *IncomingSession) salvage(v *vm.VM, opts DestOptions, res *DestResult) {
 // when it has none or the stream broke.
 func (s *IncomingSession) saveSalvage(v *vm.VM, opts DestOptions) error {
 	if opts.Save != nil {
-		_, err := opts.Save.Commit(v, checkpoint.EntryPartial, nil)
+		_, err := opts.Save.Commit(v, checkpoint.EntryPartial)
 		if !errors.Is(err, checkpoint.ErrStreamBroken) {
 			return err
 		}
@@ -454,33 +441,20 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 			}
 			res.Metrics.Duration = time.Since(start)
 			opts.OnEvent.emit(Event{Kind: EventDone, Bytes: s.cr.n})
-			if opts.TrackIncoming {
-				finishTrack(v, res)
-			}
+			// The track pass: complete the table for the final arrived state,
+			// "the set of pages existing at the source" (§3.2), so both hosts'
+			// saves carry one key list under one manifest root. Every install
+			// recorded its digest, so this hashes only pages none covered —
+			// none on the normal path, where round one walks every page.
+			hashed := v.CompleteDigests()
+			res.Metrics.HashBytes += int64(hashed) * vm.PageSize
+			res.Metrics.HashAvoidedBytes += int64(v.NumPages()-hashed) * vm.PageSize
 			return nil
 
 		default:
 			return fmt.Errorf("%w: unexpected %v during merge", ErrProtocol, t)
 		}
 	}
-}
-
-// finishTrack is the round-end TrackIncoming pass: record the page digests of
-// the *final* arrived state. This is exactly "the set of pages existing at
-// the source" (§3.2): the source checkpoints its paused final state, which is
-// what v now holds, so both hosts' next saves carry one key list under one
-// manifest root — the sound basis for a later ping-pong return leg. Every
-// install recorded its digest in v's digest table (stale intermediate
-// contents were overwritten there just as in RAM), so completing the table
-// hashes only pages no install covered — none on the normal path, where round
-// one walks every page — and the completed table is the PageSums snapshot.
-// The caller has drained every install, the background bootstrap included.
-func finishTrack(v *vm.VM, res *DestResult) {
-	n := v.NumPages()
-	hashed := v.CompleteDigests()
-	res.PageSums, _ = v.Digests(0, n, make([]checksum.Sum, 0, n))
-	res.Metrics.HashBytes += int64(hashed) * vm.PageSize
-	res.Metrics.HashAvoidedBytes += int64(n-hashed) * vm.PageSize
 }
 
 // validateHello returns a rejection reason, or "" to accept. postCopy is the

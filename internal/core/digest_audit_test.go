@@ -12,7 +12,7 @@ import (
 
 // TestDigestTableMigrationAudit ping-pongs one guest a→b→a→b between two
 // stores the way two sched.Hosts would (bootstrap from the checkpoint the
-// guest left behind, save both ends from the migration's sums), with seeded
+// guest left behind, save both ends from the guests' digest tables), with seeded
 // writes and plain installs between hops and a guest that keeps writing
 // during round one — so pages are dirtied after the source read them — at
 // every option set, with the source naming the checkpoint it
@@ -20,8 +20,10 @@ import (
 // destination announces). Either way the destination installs its checkpoint
 // in the background, under round one. After every step each entry the guests'
 // digest tables answer from must equal an independent digest of the bytes
-// (vm.RangeSums never reads the table), and after every hop the destination
-// must hold the source's memory as of the pause.
+// (vm.RangeSums never reads the table); after every hop the destination must
+// hold the source's memory as of the pause, and both guests' tables — the
+// source's filled by the engine writing its digests back while the guest
+// wrote — must be complete, so neither save hashes a page.
 func TestDigestTableMigrationAudit(t *testing.T) {
 	modes := []string{"plain", "compress", "delta", "verify", "postcopy"}
 	for mi, mode := range modes {
@@ -93,16 +95,9 @@ func auditPingPong(t *testing.T, seed int64, mode string, named bool) {
 					t.Errorf("hop %d: the manifest took no digest from the guest's table", hop)
 				}
 			}
-			for _, s := range []*checkpoint.Store{here, there} {
-				if err := s.Save(cur); err != nil {
-					t.Fatal(err)
-				}
-			}
 		} else {
-			sopts := SourceOptions{Recycle: true, SentSums: NewSumTable(),
-				Compress: mode == "compress"}
-			dopts := DestOptions{Store: there, TrackIncoming: true,
-				VerifyPayloads: mode == "verify"}
+			sopts := SourceOptions{Recycle: true, Compress: mode == "compress"}
+			dopts := DestOptions{Store: there, VerifyPayloads: mode == "verify"}
 			if named && hop > 0 {
 				sopts.Mirror = mirrorOf(t, here, "vm0")
 			}
@@ -155,21 +150,24 @@ func auditPingPong(t *testing.T, seed int64, mode string, named bool) {
 					t.Errorf("hop %d: named=%v but the destination announced %d bytes", hop, named, dres.Metrics.AnnounceBytes)
 				}
 			}
-			// Save both ends from the migration's sums, as sched.Host does.
-			sent, _ := sopts.SentSums.Sums()
-			if err := here.SaveWithSums(cur, checkpoint.ObjectAlgorithm, sent); err != nil {
-				t.Fatal(err)
-			}
-			if err := there.SaveWithSums(dst, checkpoint.ObjectAlgorithm, dres.PageSums); err != nil {
-				t.Fatal(err)
-			}
 		}
 
 		if !cur.MemEqual(dst) {
 			t.Fatalf("hop %d: destination differs from the paused source at page %d", hop, cur.FirstDifference(dst))
 		}
-		checkDigestTable(t, cur)
-		checkDigestTable(t, dst)
+		for side, v := range map[string]*vm.VM{"source": cur, "destination": dst} {
+			checkDigestTable(t, v)
+			if _, hashed := v.Digests(0, pages, nil); hashed != 0 {
+				t.Errorf("hop %d: the %s's table leaves %d pages to hash", hop, side, hashed)
+			}
+		}
+		// Save both ends from the guests' tables, as sched.Host does.
+		if err := here.Save(cur); err != nil {
+			t.Fatal(err)
+		}
+		if err := there.Save(dst); err != nil {
+			t.Fatal(err)
+		}
 
 		// What the peer saved must restore to the same bytes, and the restore
 		// must seed a table that is true of them.

@@ -94,7 +94,7 @@ func TestBackgroundInstallWireWins(t *testing.T) {
 				dst := newVM(t, "vm0", pages, 2)
 				begin := time.Now()
 				sm, dres := migrate(t, src, dst, sopts,
-					DestOptions{Store: store, TrackIncoming: true})
+					DestOptions{Store: store})
 				if took := time.Since(begin); took < hold || len(inj.Shots()) != 1 {
 					t.Fatalf("migration took %v with %d held reads; the merge did not wait for the span", took, len(inj.Shots()))
 				}

@@ -64,9 +64,10 @@ type Metrics struct {
 	// digest itself because the guest's digest table (vm.VM) held nothing for
 	// the page. On the source it is the encode pass: pages written since
 	// their digest was last recorded — every page of a guest that never
-	// migrated. On the destination it is the round-end TrackIncoming pass:
-	// pages no install covered, zero on the normal tracked path (round one
-	// walks every page, so every digest arrives on some frame).
+	// migrated. On the destination it is the round-end track pass that
+	// completes the guest's table: pages no install covered, zero on the
+	// normal path (round one walks every page, so every digest arrives on
+	// some frame). Both sides leave what they hash in the guest's table.
 	HashBytes int64
 	// ProbeHashBytes counts bytes the destination digested to compare a
 	// resident page with a checksum from the wire (range-sum frames, the

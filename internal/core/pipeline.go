@@ -14,13 +14,13 @@ import (
 // The source engine's batch path (sendSequential): each round's pages go
 // through in 256-page batches — fill (the guest's bytes with every digest
 // its table holds), hash offload (a small pool digests what the table did
-// not cover), encode (checksum-set lookup, delta attempt, deflate), emit
-// (one buffered write, then the changed pages to the save stream). The
-// checksum rate, not the network, bounds fast-link migrations (MD5 at
-// ~350 MiB/s vs 10/40 GbE, §3.4); the offload is what keeps hashing off the
-// single encode loop, and only pages written since their digest was recorded
-// are hashed at all. Per-page encoding decisions depend only on the page
-// content, never on neighbouring pages.
+// not cover), encode (checksum-set lookup, delta attempt, deflate), write-back
+// (vm.VM.StoreDigests), emit (one buffered write, then the changed pages to
+// the save stream). The checksum rate, not the network, bounds fast-link
+// migrations (MD5 at ~350 MiB/s vs 10/40 GbE, §3.4); the offload is what
+// keeps hashing off the single encode loop, and only pages written since
+// their digest was recorded are hashed at all. Per-page encoding decisions
+// depend only on the page content, never on neighbouring pages.
 
 // batchPages is the engine's work-unit size: 256 pages (1 MiB of guest
 // memory) amortizes the per-batch read, offload and write while keeping the
@@ -97,16 +97,13 @@ type sourceEncoder struct {
 	destSums *checksum.Set // nil: no redundancy elimination
 	comp     *pageCompressor
 	deltaBuf []byte
-	// sent, when non-nil, receives the digest of every page as it is encoded
-	// (SourceOptions.SentSums). Recording never alters the wire bytes.
-	sent *SumTable
-	run  rangeRun
+	run      rangeRun
 }
 
 // newSourceEncoder builds the encoder, taking a pooled deflate encoder when
 // compress is set.
-func newSourceEncoder(destSums *checksum.Set, compress bool, sent *SumTable) (*sourceEncoder, error) {
-	e := &sourceEncoder{destSums: destSums, sent: sent}
+func newSourceEncoder(destSums *checksum.Set, compress bool) (*sourceEncoder, error) {
+	e := &sourceEncoder{destSums: destSums}
 	if compress {
 		c, err := getPageCompressor()
 		if err != nil {

@@ -29,9 +29,23 @@ func benchVM(b *testing.B, seed int64) *vm.VM {
 	return v
 }
 
-// BenchmarkFirstRound measures a cold first-round migration (no checkpoint
-// at the destination, every page crosses the wire, compression on) over
-// net.Pipe — tools/benchgate gates this series against the committed
+// forgetDigests rewrites every page of v in place, outside the timer, so its
+// digest table is empty again: each iteration of a cold-round benchmark then
+// migrates a guest that never migrated, as the first iteration did, instead
+// of one whose table the previous iteration's source filled.
+func forgetDigests(b *testing.B, v *vm.VM) {
+	b.StopTimer()
+	buf := make([]byte, vm.PageSize)
+	for i := 0; i < v.NumPages(); i++ {
+		v.ReadPage(i, buf)
+		v.WritePage(i, buf)
+	}
+	b.StartTimer()
+}
+
+// BenchmarkFirstRound measures a cold first-round migration (a guest that
+// never migrated, so the source hashes every page; no checkpoint at the
+// destination, every page crosses the wire, compression on) over net.Pipe — tools/benchgate gates this series against the committed
 // recording in BENCH_migration.json.
 func BenchmarkFirstRound(b *testing.B) {
 	src := benchVM(b, 7)
@@ -39,6 +53,7 @@ func BenchmarkFirstRound(b *testing.B) {
 	b.SetBytes(benchPages * vm.PageSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		forgetDigests(b, src)
 		a, c := net.Pipe()
 		var wg sync.WaitGroup
 		var serr, derr error
@@ -57,19 +72,21 @@ func BenchmarkFirstRound(b *testing.B) {
 	}
 }
 
-// BenchmarkTrackIncoming is BenchmarkFirstRound with destination tracking
-// on — the ping-pong preparation path (§3.2). Before the hash-once
-// lifecycle the destination paid a full-image digest pass at round end on
-// top of the migration itself; install-time sum recording shrank that pass
-// to only unobserved pages, which in a clean run is none. tools/benchgate
-// gates this series against the committed recording, keeping the
-// tracked-migration overhead from creeping back.
+// BenchmarkTrackIncoming is BenchmarkFirstRound asserting that the
+// destination's round-end track pass — completing the arrived guest's digest
+// table, the ping-pong preparation (§3.2) every migration runs — hashes
+// nothing. Before the hash-once lifecycle the destination paid a full-image
+// digest pass at round end on top of the migration itself; install-time sum
+// recording shrank that pass to only unobserved pages, which in a clean run
+// is none. tools/benchgate gates this series against the committed
+// recording, keeping that overhead from creeping back.
 func BenchmarkTrackIncoming(b *testing.B) {
 	src := benchVM(b, 7)
 	dst := benchVM(b, 8)
 	b.SetBytes(benchPages * vm.PageSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		forgetDigests(b, src)
 		a, c := net.Pipe()
 		var wg sync.WaitGroup
 		var serr, derr error
@@ -77,7 +94,7 @@ func BenchmarkTrackIncoming(b *testing.B) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, derr = MigrateDest(context.Background(), c, dst, DestOptions{TrackIncoming: true})
+			res, derr = MigrateDest(context.Background(), c, dst, DestOptions{})
 		}()
 		_, serr = MigrateSource(context.Background(), a, src, SourceOptions{Compress: true})
 		wg.Wait()
@@ -109,6 +126,7 @@ func BenchmarkFirstRoundTCP(b *testing.B) {
 	b.SetBytes(benchPages * vm.PageSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		forgetDigests(b, src)
 		var wg sync.WaitGroup
 		var derr error
 		wg.Add(1)

@@ -135,18 +135,18 @@ func PostCopySource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Post
 	if _, err := w.Write(countBuf[:]); err != nil {
 		return m, fmt.Errorf("core: write manifest count: %w", err)
 	}
-	// The guest is paused, so its digest table answers for every page not
-	// written since it last migrated; only the rest are hashed.
+	// The guest is paused, so completing its digest table hashes only the
+	// pages written since it last migrated, and the table then answers for
+	// the manifest, every fetch and the departure checkpoint.
+	hashed := v.CompleteDigests()
+	m.HashBytes += int64(hashed) * vm.PageSize
+	m.HashAvoidedBytes += int64(v.NumPages()-hashed) * vm.PageSize
 	var sums []checksum.Sum
 	for start := 0; start < v.NumPages(); start += batchPages {
 		if err := ctx.Err(); err != nil {
 			return m, err
 		}
-		count := min(batchPages, v.NumPages()-start)
-		var hashed int
-		sums, hashed = v.Digests(start, count, sums)
-		m.HashBytes += int64(hashed) * vm.PageSize
-		m.HashAvoidedBytes += int64(count-hashed) * vm.PageSize
+		sums, _ = v.Digests(start, min(batchPages, v.NumPages()-start), sums)
 		for i := range sums {
 			if _, err := w.Write(sums[i][:]); err != nil {
 				return m, fmt.Errorf("core: write manifest sum %d: %w", start+i, err)
@@ -164,6 +164,8 @@ func PostCopySource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Post
 	// flushed once no further request is already buffered, so a pipelined
 	// window of requests is answered with one batched write.
 	buf := make([]byte, vm.PageSize)
+	var sum [1]checksum.Sum
+	var known [1]bool
 	for {
 		if err := ctx.Err(); err != nil {
 			return m, err
@@ -182,10 +184,14 @@ func PostCopySource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Post
 			if page >= uint64(v.NumPages()) {
 				return m, fmt.Errorf("%w: requested page %d out of range", ErrProtocol, page)
 			}
-			v.ReadPage(int(page), buf)
+			v.ReadRangeDigests(int(page), 1, buf, sum[:], known[:])
+			if !known[0] {
+				// Written since the table was completed: the guest was not
+				// paused after all, so the page goes out as it is now.
+				sum[0] = checksum.Default.Page(buf)
+			}
 			m.PagesRequested++
 			m.PagesFull++
-			sum := [1]checksum.Sum{checksum.Default.Page(buf)}
 			if err := writeRangeHeader(w, msgRangeFull, page, 1); err != nil {
 				return m, err
 			}

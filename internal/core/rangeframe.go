@@ -142,7 +142,6 @@ func encodeBatch(e *sourceEncoder, base PageProvider, b *pageBatch, m *Metrics) 
 	for i, p := range b.pages {
 		data := b.data[i*vm.PageSize : (i+1)*vm.PageSize]
 		sum := b.pageSum(i, data)
-		e.sent.record(p, sum)
 		treat := treatFull
 		var payload []byte
 		switch {

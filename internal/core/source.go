@@ -67,15 +67,6 @@ type SourceOptions struct {
 	// its encoded bytes: the final round's are still buffered, waiting for
 	// done. Emission never alters the wire stream.
 	OnEvent EventFunc
-	// SentSums, when non-nil, is reset by the migration and filled with the
-	// digest of each page's most recently sent content, recorded as a
-	// byproduct of encoding. Round one walks every page and later rounds
-	// overwrite re-sent ones, so after a successful migration the table
-	// holds the digest of every page of the paused final state — exactly
-	// what the post-migration checkpoint will contain, so
-	// checkpoint.Store.SaveWithSums can key the checkpoint by it unhashed.
-	// Recording never alters the wire stream.
-	SentSums *SumTable
 	// Save, when non-nil, is the stream of the departure checkpoint this host
 	// keeps (checkpoint.Store.OpenSave); the caller commits or aborts it. With
 	// a Mirror, every page sent whose digest differs from the mirror's key at
@@ -134,9 +125,6 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		}
 	}()
 	opts.setDefaults()
-	// Reset per attempt: a retry must not inherit a failed attempt's
-	// partial recordings.
-	opts.SentSums.reset(v.NumPages())
 
 	start := time.Now()
 	cw := &countingWriter{w: conn}
@@ -243,7 +231,7 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	}
 	// One encoder for every round: its deflate state comes from a
 	// process-wide pool, too costly to rebuild per round.
-	enc, err := newSourceEncoder(destSums, opts.Compress, opts.SentSums)
+	enc, err := newSourceEncoder(destSums, opts.Compress)
 	if err != nil {
 		return m, err
 	}
@@ -368,9 +356,10 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 }
 
 // sendSequential is the source engine: it streams one round's pages in
-// batchPages-sized units — fill, hash offload, encode, one buffered write
-// per batch, then the batch's changed pages to the save stream — on the
-// calling goroutine, in page order. Cancellation is checked once per batch.
+// batchPages-sized units — fill, hash offload, encode, digest write-back, one
+// buffered write per batch, then the batch's changed pages to the save
+// stream — on the calling goroutine, in page order. Cancellation is checked
+// once per batch.
 func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, enc *sourceEncoder, base PageProvider, save *saveSink, m *Metrics) error {
 	n := pages.len()
 	b := batchPool.Get().(*pageBatch)
@@ -387,10 +376,12 @@ func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, e
 		for i := 0; i < cnt; i++ {
 			b.pages[i] = pages.at(off + i)
 		}
+		epoch := v.DigestEpoch()
 		offloadBatchSums(b, fillBatch(v, b, m))
 		if err := encodeBatch(enc, base, b, m); err != nil {
 			return err
 		}
+		v.StoreDigests(epoch, b.pages, b.sums[:cnt])
 		if err := emitBatch(w, b, save); err != nil {
 			return err
 		}

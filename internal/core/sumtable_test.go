@@ -26,24 +26,14 @@ func checkDigestTable(t *testing.T, v *vm.VM) {
 }
 
 // checkTrackedResult asserts the hash-once contract after a successful
-// tracked migration: the page-sum snapshot is complete, every recorded sum
-// matches an independent digest of the installed memory, the guest's digest
-// table is complete (a later pass over it hashes nothing),
-// and the round-end pass digested nothing (every byte's sum was recycled).
+// migration: the arrived guest's digest table is complete (a later pass over
+// it hashes nothing) and true of every page, and the round-end pass digested
+// nothing (every byte's sum was recycled).
 func checkTrackedResult(t *testing.T, dst *vm.VM, res DestResult) {
 	t.Helper()
-	sums := res.PageSums
-	if len(sums) != dst.NumPages() {
-		t.Fatalf("tracked migration returned %d page sums for %d pages", len(sums), dst.NumPages())
-	}
-	for i := 0; i < dst.NumPages(); i++ {
-		if want := dst.PageSum(i, checksum.Default); sums[i] != want {
-			t.Fatalf("page %d: table sum %x, independent digest %x", i, sums[i], want)
-		}
-	}
 	checkDigestTable(t, dst)
 	if _, hashed := dst.Digests(0, dst.NumPages(), nil); hashed != 0 {
-		t.Errorf("digest table leaves %d pages to hash after a tracked arrival, want 0", hashed)
+		t.Errorf("digest table leaves %d pages to hash after an arrival, want 0", hashed)
 	}
 	if res.Metrics.HashBytes != 0 {
 		t.Errorf("round-end pass digested %d bytes, want 0 (all sums recorded at install)", res.Metrics.HashBytes)
@@ -60,8 +50,8 @@ func checkTrackedResult(t *testing.T, dst *vm.VM, res DestResult) {
 
 // TestSumTableEquivalence drives every frame kind that can install a page —
 // coalesced range frames, individual full pages, checksum-only recycling,
-// XBZRLE deltas — and pins the recorded table
-// against an independent rehash of the final memory.
+// XBZRLE deltas — and pins the arrived guest's digest table against an
+// independent rehash of the final memory.
 func TestSumTableEquivalence(t *testing.T) {
 	const pages = 512
 	scenarios := []struct {
@@ -78,7 +68,7 @@ func TestSumTableEquivalence(t *testing.T) {
 			dst := newVM(t, "vm0", pages, 2)
 			_, res := migrate(t, src, dst,
 				SourceOptions{},
-				DestOptions{TrackIncoming: true, VerifyPayloads: true})
+				DestOptions{VerifyPayloads: true})
 			if !src.MemEqual(dst) {
 				t.Fatalf("memory differs at page %d", src.FirstDifference(dst))
 			}
@@ -100,7 +90,7 @@ func TestSumTableEquivalence(t *testing.T) {
 			dst := newVM(t, "vm0", pages, 2)
 			_, res := migrate(t, src, dst,
 				SourceOptions{Recycle: true},
-				DestOptions{Store: store, TrackIncoming: true, VerifyPayloads: true})
+				DestOptions{Store: store, VerifyPayloads: true})
 			if !src.MemEqual(dst) {
 				t.Fatalf("memory differs at page %d", src.FirstDifference(dst))
 			}
@@ -132,7 +122,7 @@ func TestSumTableEquivalence(t *testing.T) {
 			dst := newVM(t, "vm0", pages, 2)
 			sm, res := migrate(t, src, dst,
 				SourceOptions{Recycle: true, DeltaBase: base},
-				DestOptions{Store: destStore, TrackIncoming: true, VerifyPayloads: true})
+				DestOptions{Store: destStore, VerifyPayloads: true})
 			if !src.MemEqual(dst) {
 				t.Fatalf("memory differs at page %d", src.FirstDifference(dst))
 			}
@@ -147,26 +137,21 @@ func TestSumTableEquivalence(t *testing.T) {
 	}
 }
 
-// TestSumTableUntracked: without TrackIncoming there is no table to build.
+// TestSumTableUntracked: a destination given DestOptions{} still completes
+// the arriving guest's table, so its checkpoint save can always key from it.
 func TestSumTableUntracked(t *testing.T) {
 	src := newVM(t, "vm0", 64, 1)
 	if err := src.FillRandom(0.9); err != nil {
 		t.Fatal(err)
 	}
 	dst := newVM(t, "vm0", 64, 2)
-	_, res := migrate(t, src, dst, SourceOptions{}, DestOptions{VerifyPayloads: true})
-	if res.PageSums != nil {
-		t.Error("untracked migration snapshotted page sums")
-	}
-	// Installs record into the guest's own table whether or not anything
-	// tracks the arrival.
-	checkDigestTable(t, dst)
+	_, res := migrate(t, src, dst, SourceOptions{}, DestOptions{})
+	checkTrackedResult(t, dst, res)
 }
 
 // TestSumTableCorruptionTeardown: a verify failure aborts the migration
-// mid-stream; no page-sum snapshot may come out of it, so no caller can feed
-// a half-built digest set into SaveWithSums — and what the guest's table
-// recorded before the abort is still true of the installed bytes.
+// mid-stream; what either guest's table recorded before the abort is still
+// true of its bytes, so a salvage or a later save can key from it.
 func TestSumTableCorruptionTeardown(t *testing.T) {
 	src := newVM(t, "vm0", 64, 1)
 	if err := src.FillRandom(0.9); err != nil {
@@ -179,7 +164,6 @@ func TestSumTableCorruptionTeardown(t *testing.T) {
 	evil := &corruptConn{Conn: a, target: 10_000}
 	var (
 		wg   sync.WaitGroup
-		dres DestResult
 		derr error
 	)
 	wg.Add(2)
@@ -189,24 +173,22 @@ func TestSumTableCorruptionTeardown(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		dres, derr = MigrateDest(context.Background(), b, dst,
-			DestOptions{TrackIncoming: true, VerifyPayloads: true})
+		_, derr = MigrateDest(context.Background(), b, dst,
+			DestOptions{VerifyPayloads: true})
 		b.Close()
 	}()
 	wg.Wait()
 	if derr == nil {
 		t.Fatal("corrupted stream accepted")
 	}
-	if dres.PageSums != nil {
-		t.Error("aborted migration returned a page-sum snapshot")
-	}
+	checkDigestTable(t, src)
 	checkDigestTable(t, dst)
 }
 
-// TestSumTableSalvage: an interrupted tracked attempt leaves no snapshot;
-// the resumed attempt — bootstrapping from the salvage image —
-// still ends with a complete, correct one, because round one walks every
-// page regardless of how the destination resolves it.
+// TestSumTableSalvage: the attempt resumed after an interruption —
+// bootstrapping from the salvage image — still ends with a complete, correct
+// table, because round one walks every page regardless of how the
+// destination resolves it.
 func TestSumTableSalvage(t *testing.T) {
 	t.Run("sequential", sumTableSalvage)
 }
@@ -221,20 +203,18 @@ func sumTableSalvage(t *testing.T) {
 	dst1 := newVM(t, "vm0", pages, 2)
 	dres, serr, derr := cutMigration(t, src, dst1, 1_200_000,
 		SourceOptions{Recycle: true},
-		DestOptions{Store: store, TrackIncoming: true, VerifyPayloads: true})
+		DestOptions{Store: store, VerifyPayloads: true})
 	if serr == nil || derr == nil {
 		t.Fatalf("cut migration succeeded (source=%v dest=%v)", serr, derr)
 	}
 	if dres.SalvagePages == 0 {
 		t.Fatal("no salvage progress")
 	}
-	if dres.PageSums != nil {
-		t.Error("interrupted attempt returned a page-sum snapshot")
-	}
+	checkDigestTable(t, dst1)
 	dst2 := newVM(t, "vm0", pages, 3)
 	_, dres2 := migrate(t, src, dst2,
 		SourceOptions{Recycle: true},
-		DestOptions{Store: store, TrackIncoming: true, VerifyPayloads: true})
+		DestOptions{Store: store, VerifyPayloads: true})
 	if !src.MemEqual(dst2) {
 		t.Fatalf("memory differs at page %d", src.FirstDifference(dst2))
 	}
@@ -244,10 +224,11 @@ func sumTableSalvage(t *testing.T) {
 	checkTrackedResult(t, dst2, dres2)
 }
 
-// TestSourceSentSums pins the source-side half of the lifecycle: with a
-// SentSums table supplied, a completed migration leaves the table holding
-// the digest of every page's final (paused) state — the exact table the
-// KeepCheckpoint save hands to SaveWithSums.
+// TestSourceSentSums pins the source-side half of the lifecycle: the engine
+// writes every digest it computes back to the guest's table, so after a clean
+// migration Digests over the source — like over the destination — hashes
+// nothing and equals RangeSums: the departure checkpoint keys the paused state
+// from it unhashed.
 func TestSourceSentSums(t *testing.T) {
 	t.Run(engineSubtest, sourceSentSums)
 }
@@ -259,20 +240,23 @@ func sourceSentSums(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := newVM(t, "vm0", pages, 2)
-	sent := NewSumTable()
-	_, _ = migrate(t, src, dst,
-		SourceOptions{SentSums: sent},
-		DestOptions{VerifyPayloads: true})
+	sm, _ := migrate(t, src, dst, SourceOptions{}, DestOptions{VerifyPayloads: true})
 	if !src.MemEqual(dst) {
 		t.Fatalf("memory differs at page %d", src.FirstDifference(dst))
 	}
-	sums, ok := sent.Sums()
-	if !ok {
-		t.Fatal("source table incomplete after a clean migration")
+	if sm.HashBytes != src.MemBytes() {
+		t.Errorf("source hashed %d bytes of a guest that never migrated, want %d", sm.HashBytes, src.MemBytes())
 	}
-	for i := 0; i < src.NumPages(); i++ {
-		if want := src.PageSum(i, checksum.Default); sums[i] != want {
-			t.Fatalf("page %d: sent sum %x, paused state digests to %x", i, sums[i], want)
+	for name, v := range map[string]*vm.VM{"source": src, "destination": dst} {
+		got, hashed := v.Digests(0, pages, nil)
+		if hashed != 0 {
+			t.Errorf("%s: %d pages left to hash after a clean migration, want 0", name, hashed)
+		}
+		want := v.RangeSums(0, pages, checksum.Default, nil)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: page %d: table says %x, the bytes digest to %x", name, i, got[i], want[i])
+			}
 		}
 	}
 }

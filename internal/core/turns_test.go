@@ -91,9 +91,9 @@ func TestSourceWritesPerTurn(t *testing.T) {
 			t.Fatal(err)
 		}
 		vmB := newVM(t, "vm0", 64, 2)
-		_, dres1 := migrate(t, vmA, vmB, SourceOptions{Recycle: true},
-			DestOptions{Store: storeB, TrackIncoming: true})
-		if err := storeB.SaveWithSums(vmB, checkpoint.ObjectAlgorithm, dres1.PageSums); err != nil {
+		migrate(t, vmA, vmB, SourceOptions{Recycle: true},
+			DestOptions{Store: storeB})
+		if err := storeB.Save(vmB); err != nil {
 			t.Fatal(err)
 		}
 		a, b := pipePair(t)

@@ -16,8 +16,9 @@ import (
 // guest rewrote since it arrived, the destination's probes hash nothing, and
 // neither host's checkpoint save nor the destination's restore hashes a byte —
 // the wire checksum is the store key. A delta base is opened without hashing
-// either, and a retry resuming from a salvage image hashes only what was
-// rewritten. A post-copy save keys its image from the guest's digest table and
+// either, and a retry resuming from a salvage image hashes nothing: the cut
+// attempt wrote its digests back to the guest's table. A post-copy source
+// hashes the rewritten pages once, and neither post-copy save hashes any; each
 // books every page once: hashed plus avoided is the guest. The registry's
 // series must tell the same story as the engine's metrics.
 func TestDigestTableExactCounts(t *testing.T) {
@@ -177,16 +178,17 @@ func TestDigestTableExactCounts(t *testing.T) {
 	}
 
 	// A cut mid-round leaves a salvage image at the destination; the retry
-	// bootstraps from it. The retry hashes the rewritten pages again (the
-	// source records nothing back), and the partial restore seeds the table
-	// from its keys as a complete one does.
+	// bootstraps from it. The cut attempt encoded all of round one before its
+	// first write and wrote those digests back to the guest's table, so the
+	// retry hashes nothing; the partial restore seeds the table from its keys
+	// as a complete one does.
 	rewrite("alpha", rewritten, false)
 	var handled atomic.Int64 // beta's failed incoming handlers: the dialer's barrier
 	hosts["beta"].OnError = func(error) { handled.Add(1) }
 	cd := &chaosDialer{t: t, schedule: []int64{100_000}, handled: &handled}
 	hosts["alpha"].DialFunc = cd.dial
 	_, res := hop("alpha", "beta", MigrateOptions{
-		Retry: RetryPolicy{Attempts: 2, Backoff: time.Millisecond}}, rewritten*vm.PageSize)
+		Retry: RetryPolicy{Attempts: 2, Backoff: time.Millisecond}}, 0)
 	if cd.dials.Load() != 2 || !res.ResumedFromPartial {
 		t.Errorf("%d dials, resumed from partial: %v; want a cut attempt and a retry that resumes",
 			cd.dials.Load(), res.ResumedFromPartial)
@@ -195,9 +197,11 @@ func TestDigestTableExactCounts(t *testing.T) {
 
 	// Post-copy: both saves key their image from the guest's digest table. The
 	// destination's restore seeded it and every fetched or re-read page landed
-	// with its digest, so the arrival image hashes nothing; the departure image
-	// hashes only the pages the guest rewrote since it arrived. Each save books
-	// the rest of the guest as avoided, on top of what the engines avoided.
+	// with its digest, so the arrival image hashes nothing. The source
+	// completed its table before the manifest — hashing the pages the guest
+	// rewrote since it arrived, once — so the departure image hashes nothing
+	// either. Each save books the whole guest as avoided, on top of what the
+	// engines avoided.
 	rewrite("beta", rewritten, false)
 	saved := map[string]int64{"alpha": stage("alpha", "save_keys"), "beta": stage("beta", "save_keys")}
 	avoided0 := map[string]int64{"alpha": avoided("alpha"), "beta": avoided("beta")}
@@ -214,7 +218,11 @@ func TestDigestTableExactCounts(t *testing.T) {
 	}
 	landed, _ := hosts["alpha"].VM("vm0")
 	fingerprintEqual(t, want, landed)
-	saveHashed := map[string]int64{"alpha": 0, "beta": rewritten * vm.PageSize}
+	if pm.HashBytes != rewritten*vm.PageSize || pm.HashBytes+pm.HashAvoidedBytes != mem {
+		t.Errorf("post-copy: source hashed %d bytes and avoided %d, want %d hashed of %d",
+			pm.HashBytes, pm.HashAvoidedBytes, rewritten*vm.PageSize, mem)
+	}
+	saveHashed := map[string]int64{"alpha": 0, "beta": 0}
 	engine := map[string]int64{"alpha": res.Metrics.HashAvoidedBytes, "beta": pm.HashAvoidedBytes}
 	// The destination folds its engine metrics in after OnArrival returns.
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline) &&

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"vecycle/internal/checkpoint"
-	"vecycle/internal/checksum"
 	"vecycle/internal/core"
 	"vecycle/internal/disk"
 	"vecycle/internal/faultfs"
@@ -101,12 +100,6 @@ type Host struct {
 	// core.FaultConn. nil dials TCP with dialTimeout.
 	DialFunc func(ctx context.Context, addr string) (io.ReadWriteCloser, error)
 
-	// TCPDelay re-enables Nagle's algorithm on migration sockets. By default
-	// the host calls SetNoDelay(true): the engine already batches frames into
-	// megabyte writes, so coalescing in the kernel only adds latency to the
-	// small control turns (hello, round acks) the protocol blocks on.
-	TCPDelay bool
-
 	// TCPReadBuffer / TCPWriteBuffer, when positive, set SO_RCVBUF /
 	// SO_SNDBUF on migration sockets (both accept- and dial-side). Zero
 	// keeps the OS defaults (with auto-tuning, usually right on a LAN);
@@ -117,13 +110,16 @@ type Host struct {
 
 // tuneConn applies the host's socket knobs to a migration connection. It is
 // a no-op on anything but a *net.TCPConn (tests dial net.Pipe and fault
-// wrappers through DialFunc).
+// wrappers through DialFunc). Nagle's algorithm is always off: the engine
+// already batches frames into megabyte writes, so coalescing in the kernel
+// would only delay the small control turns (hello, acks) the protocol blocks
+// on.
 func (h *Host) tuneConn(conn interface{}) {
 	tc, ok := conn.(*net.TCPConn)
 	if !ok {
 		return
 	}
-	_ = tc.SetNoDelay(!h.TCPDelay)
+	_ = tc.SetNoDelay(true)
 	if h.TCPReadBuffer > 0 {
 		_ = tc.SetReadBuffer(h.TCPReadBuffer)
 	}
@@ -377,11 +373,10 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 		defer save.Abort()
 	}
 	res, err := session.Run(ctx, dst, core.DestOptions{
-		Store:         h.store,
-		TrackIncoming: true,
-		NoSalvage:     h.NoSalvage,
-		OnEvent:       h.obs.eventFunc(rec, "dest"),
-		Save:          save,
+		Store:     h.store,
+		NoSalvage: h.NoSalvage,
+		OnEvent:   h.obs.eventFunc(rec, "dest"),
+		Save:      save,
 	})
 	if err != nil {
 		return res, err
@@ -404,12 +399,11 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 		}
 	}
 	if h.SaveArrivals {
-		// The merge left every page's digest in the guest's digest table and
-		// snapshotted it (TrackIncoming is always on here), so the save hashes
-		// nothing. The persist is best-effort: the VM has fully arrived, so a
-		// failed save degrades (the next migration runs cold) instead of
-		// failing it.
-		h.saveCheckpoint(core.StageSaveArrivals, rec, save, dst, res.PageSums, "arrival image")
+		// The merge left every page's digest in the guest's digest table, so
+		// the save hashes nothing. The persist is best-effort: the VM has
+		// fully arrived, so a failed save degrades (the next migration runs
+		// cold) instead of failing it.
+		h.saveCheckpoint(core.StageSaveArrivals, rec, save, dst, "arrival image")
 	}
 	if disk.IsDiskName(dst.Name()) {
 		d, err := disk.FromBacking(dst)
@@ -473,7 +467,7 @@ func (h *Host) runPostCopy(ctx context.Context, session *core.IncomingSession, r
 	if h.SaveArrivals {
 		// Keyed from the guest's digest table: the bootstrap seeded it and
 		// every fetched or re-read page landed with its digest.
-		h.saveCheckpoint(core.StageSaveArrivals, rec, nil, dst, nil, "arrival image")
+		h.saveCheckpoint(core.StageSaveArrivals, rec, nil, dst, "arrival image")
 	}
 	if err := h.register(dst); err != nil {
 		return res, err
@@ -521,9 +515,9 @@ func (h *Host) runPostCopyTo(ctx context.Context, addr, vmName string, v *vm.VM,
 		return m, err
 	}
 	// The guest already runs at the destination; the departure image is a
-	// future optimization, not part of this transfer's success. Keyed from the
-	// guest's digest table, it hashes only the pages written since it arrived.
-	h.saveCheckpoint(core.StageKeepCheckpoint, rec, nil, v, nil, "departure image")
+	// future optimization, not part of this transfer's success. The transfer
+	// completed the guest's digest table, so the save hashes nothing.
+	h.saveCheckpoint(core.StageKeepCheckpoint, rec, nil, v, "departure image")
 	h.mu.Lock()
 	delete(h.vms, vmName)
 	h.mu.Unlock()
@@ -661,13 +655,13 @@ func (h *Host) degrade(stage string, rec *obs.Recorder, err error) {
 
 // saveCheckpoint commits v's checkpoint through save — the stream the
 // migration wrote pages into, or nil for none — as a rung of the ladder
-// (saveOrDegrade), sums being its page keys, or nil to key it from the
-// guest's digest table (checkpoint.SaveStream.Commit). A stream commits once, so a retry commits
-// a fresh one, which writes every missing page itself. A successful save is
+// (saveOrDegrade), keyed from the guest's digest table
+// (checkpoint.SaveStream.Commit). A stream commits once, so a retry commits a
+// fresh one, which writes every missing page itself. A successful save is
 // traced as a checkpoint-saved event naming the image and how many of the
 // pages the store was missing were streamed and how many caught up after
 // the ack.
-func (h *Host) saveCheckpoint(stage string, rec *obs.Recorder, save *checkpoint.SaveStream, v *vm.VM, sums []checksum.Sum, image string) {
+func (h *Host) saveCheckpoint(stage string, rec *obs.Recorder, save *checkpoint.SaveStream, v *vm.VM, image string) {
 	var counts checkpoint.SaveCounts
 	if h.saveOrDegrade(stage, rec, func() error {
 		if save == nil {
@@ -676,7 +670,7 @@ func (h *Host) saveCheckpoint(stage string, rec *obs.Recorder, save *checkpoint.
 		st := save
 		save = nil
 		var err error
-		counts, err = st.Commit(v, checkpoint.EntryComplete, sums)
+		counts, err = st.Commit(v, checkpoint.EntryComplete)
 		return err
 	}) {
 		rec.Event(obs.Event{Kind: "checkpoint-saved",
@@ -801,20 +795,12 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 		}
 	}
 
-	// sent records each page's digest as it is encoded; after a successful
-	// attempt it holds the paused final state's sums, which the
-	// KeepCheckpoint save below hands to the store as the checkpoint's page
-	// keys. The engine resets it at every attempt, so retries never
-	// inherit a failed attempt's partial table. Nil (recording disabled)
-	// when no checkpoint will be written.
-	var sent *core.SumTable
 	// save is the departure image, written as round one sends the pages
 	// this host's own checkpoint lacks; its commit follows the ack. Every
 	// attempt writes into it: its slots are content addressed, so a failed
 	// attempt's pages are at worst dead ones.
 	var save *checkpoint.SaveStream
 	if opts.KeepCheckpoint {
-		sent = core.NewSumTable()
 		save = h.store.OpenSave(vmName)
 		defer save.Abort()
 	}
@@ -837,7 +823,6 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 			Recycle:       opts.Recycle,
 			Mirror:        mirror,
 			DeltaBase:     base,
-			SentSums:      sent,
 			Save:          save,
 			Compress:      opts.Compress,
 			MaxRounds:     opts.MaxRounds,
@@ -912,13 +897,12 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 	}
 
 	// The VM now runs at the destination. Commit the local checkpoint —
-	// after the migration, off the critical path, as in the paper. The
-	// paused final state is exactly what the successful attempt's sum table
-	// describes, so the commit hashes nothing (an incomplete table reads as
-	// nil, and the commit keys the guest from its digest table instead).
+	// after the migration, off the critical path, as in the paper. The engine
+	// wrote every digest it computed back to the guest's table, and the
+	// paused final round left no page unrecorded, so the commit hashes
+	// nothing.
 	if opts.KeepCheckpoint {
-		sums, _ := sent.Sums()
-		h.saveCheckpoint(core.StageKeepCheckpoint, rec, save, v, sums, "departure image")
+		h.saveCheckpoint(core.StageKeepCheckpoint, rec, save, v, "departure image")
 	}
 	h.mu.Lock()
 	delete(h.vms, vmName)

@@ -152,10 +152,10 @@ func newHostObs(h *Host, reg *obs.Registry, traces *obs.TraceLog) *hostObs {
 			"Pages demand-fetched over the network after a post-copy resume.",
 			"host"),
 		hashBytes: reg.CounterVec("vecycle_hash_bytes_total",
-			"Payload bytes actually digested, by stage: encode (source pages the guest's digest table did not cover), probe (destination pages hashed to compare with a wire checksum), track (destination round-end TrackIncoming pass), save_keys (pages a checkpoint save keyed by hashing because neither the migration's sums nor the guest's digest table covered them), restore (pages a checkpoint open read and rehashed under an algorithm the store does not key by; no migration opens that way).",
+			"Payload bytes actually digested, by stage: encode (source pages the guest's digest table did not cover), probe (destination pages hashed to compare with a wire checksum), track (destination round-end pass completing the arrived guest's digest table), save_keys (pages a checkpoint save keyed by hashing because the guest's digest table did not cover them), restore (pages a checkpoint open read and rehashed under an algorithm the store does not key by; no migration opens that way).",
 			"host", "stage"),
 		hashAvoided: reg.CounterVec("vecycle_hash_avoided_bytes_total",
-			"Payload bytes whose digest was recycled from an earlier computation (the guest's resident digest table on encode, probe, track and save; migration sum tables handed to SaveWithSums) instead of recomputed. A save books each page once: save_keys plus avoided is the guest.",
+			"Payload bytes whose digest was recycled from the guest's resident digest table (on encode, probe, track and save) instead of recomputed. A save books each page once: save_keys plus avoided is the guest.",
 			"host"),
 		degraded: reg.CounterVec("vecycle_degraded_total",
 			"Graceful-degradation ladder rungs taken: a best-effort activity (checkpoint persist, salvage, recycled read, union fold) failed and the migration carried on without it, by stage and storage-fault label.",
@@ -345,7 +345,7 @@ func (o *hostObs) finish(rec *obs.Recorder, role, vmName string, m core.Metrics,
 	o.compressSkip.With(o.host).Add(float64(m.CompressSkipped))
 	if m.HashBytes > 0 {
 		// One field, two passes: the source's encode, the destination's
-		// round-end tracking (core.Metrics.HashBytes).
+		// round-end track pass (core.Metrics.HashBytes).
 		stage := "track"
 		if role == "source" {
 			stage = "encode"

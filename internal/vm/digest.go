@@ -20,6 +20,8 @@ import (
 // as trustworthy as the dirty log), the digest-carrying installs store bytes
 // and sum together, the plain installs clear, and CompleteDigests hashes
 // under the write lock. Readers take digest and bytes under one read lock.
+// The one writer that hashes outside the lock, the migration source, writes
+// back through StoreDigests, whose version check is the dirty log itself.
 //
 // PageSum, RangeSums and Fingerprint64 never consult the table: they are the
 // independent reference, under any algorithm, the tests and the benchmark
@@ -56,6 +58,7 @@ func (v *VM) InstallRangeSums(start int, data []byte, sums []checksum.Sum) {
 	for i := range sums {
 		v.digests.valid[start+i] = true
 	}
+	v.epoch++
 }
 
 // ReadRangeDigests is ReadRange that also reports, atomically with the copy,
@@ -90,6 +93,33 @@ func (v *VM) Digests(start, count int, out []checksum.Sum) (sums []checksum.Sum,
 		hashed++
 	}
 	return out, hashed
+}
+
+// DigestEpoch reports a counter advanced by every change the dirty log does
+// not show: a HarvestDirty, which clears dirty bits, and every install, which
+// rewrites pages without setting them. Read it before the pages whose digests
+// go to StoreDigests.
+func (v *VM) DigestEpoch() uint64 {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	return v.epoch
+}
+
+// StoreDigests records sums[i], the digest of page pages[i] as read after
+// DigestEpoch returned epoch — the migration source's write-back. The dirty
+// log is the version check: a dirty page may have been written since the
+// read, so it is skipped, and if the epoch moved the whole batch is refused.
+func (v *VM) StoreDigests(epoch uint64, pages []int, sums []checksum.Sum) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.epoch != epoch {
+		return
+	}
+	for i, p := range pages {
+		if !v.dirty.Test(p) {
+			v.digests.sums[p], v.digests.valid[p] = sums[i], true
+		}
+	}
 }
 
 // completeChunkPages bounds how long CompleteDigests holds the write lock:

@@ -150,9 +150,9 @@ func TestDigestTableAudit(t *testing.T) {
 }
 
 // TestDigestTableConcurrent runs writers, digest-carrying installers, a
-// completer and readers against one guest at once — the overlap a live
-// migration has — and checks in every reader that a digest handed out with
-// bytes describes those bytes. Run under -race it also proves the table
+// completer, a source writing digests back, a dirty-log harvester and readers
+// against one guest at once — the overlap a live migration has — and checks
+// in every reader that a digest handed out with bytes describes those bytes. Run under -race it also proves the table
 // needs no lock of its own.
 func TestDigestTableConcurrent(t *testing.T) {
 	const pages = 64
@@ -187,6 +187,20 @@ func TestDigestTableConcurrent(t *testing.T) {
 		v.InstallPageSum(rng.Intn(pages), data, alg.Page(data))
 	})
 	spawn(30, func(*rand.Rand) { v.CompleteDigests() })
+	// A migration source: read a span, hash it outside the lock, write back.
+	spawn(35, func(rng *rand.Rand) {
+		start := rng.Intn(pages - 8)
+		epoch := v.DigestEpoch()
+		buf := make([]byte, 8*PageSize)
+		v.ReadRange(start, 8, buf)
+		batch := make([]int, 8)
+		sums := make([]checksum.Sum, 8)
+		for i := range batch {
+			batch[i], sums[i] = start+i, alg.Page(buf[i*PageSize:(i+1)*PageSize])
+		}
+		v.StoreDigests(epoch, batch, sums)
+	})
+	spawn(36, func(*rand.Rand) { v.HarvestDirty() })
 
 	var readers sync.WaitGroup
 	for r := int64(0); r < 2; r++ {
@@ -218,4 +232,56 @@ func TestDigestTableConcurrent(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	auditDigests(t, v, "the concurrent run")
+}
+
+// TestDigestTableWriteBack pins StoreDigests' two rules, the ones that let a
+// migration source hash outside the lock and write the digests back: a page
+// written between the read and the store stays unrecorded, and a batch stored
+// after an intervening HarvestDirty — which clears the dirty bit that would
+// have shown the write — is refused whole. A clean page is recorded.
+func TestDigestTableWriteBack(t *testing.T) {
+	const pages = 8
+	batch := []int{1, 2, 3}
+	// readBatch reads the batch as the source does: the epoch first, then the
+	// bytes, digested outside the lock.
+	readBatch := func(v *VM) (uint64, []checksum.Sum) {
+		epoch := v.DigestEpoch()
+		buf := make([]byte, PageSize)
+		sums := make([]checksum.Sum, len(batch))
+		for i, p := range batch {
+			v.ReadPage(p, buf)
+			sums[i] = alg.Page(buf)
+		}
+		return epoch, sums
+	}
+	t.Run("clean", func(t *testing.T) {
+		v := newVM(t, pages)
+		epoch, sums := readBatch(v)
+		v.StoreDigests(epoch, batch, sums)
+		if got := hashedPages(v); got != pages-len(batch) {
+			t.Errorf("%d pages unknown after the store, want %d", got, pages-len(batch))
+		}
+		auditDigests(t, v, "a clean store")
+	})
+	t.Run("written-since-read", func(t *testing.T) {
+		v := newVM(t, pages)
+		epoch, sums := readBatch(v)
+		v.WritePage(2, page(0x5A))
+		v.StoreDigests(epoch, batch, sums)
+		if got := hashedPages(v); got != pages-len(batch)+1 {
+			t.Errorf("%d pages unknown after the store, want %d (page 2 among them)", got, pages-len(batch)+1)
+		}
+		auditDigests(t, v, "a store over a written page")
+	})
+	t.Run("harvest-since-read", func(t *testing.T) {
+		v := newVM(t, pages)
+		epoch, sums := readBatch(v)
+		v.WritePage(2, page(0x5A))
+		v.HarvestDirty()
+		v.StoreDigests(epoch, batch, sums)
+		if got := hashedPages(v); got != pages {
+			t.Errorf("%d pages recorded after a harvest, want the batch refused", pages-got)
+		}
+		auditDigests(t, v, "a store after a harvest")
+	})
 }

@@ -45,6 +45,7 @@ type VM struct {
 	mem     []byte
 	dirty   *dirtytrack.Bitmap
 	digests digestTable
+	epoch   uint64 // see DigestEpoch
 	rng     *rand.Rand
 }
 
@@ -120,6 +121,7 @@ func (v *VM) InstallPage(i int, data []byte) {
 	defer v.mu.Unlock()
 	copy(v.pageLocked(i), data)
 	v.digests.valid[i] = false
+	v.epoch++
 }
 
 // InstallRange installs len(data)/PageSize contiguous pages starting at
@@ -137,6 +139,7 @@ func (v *VM) InstallRange(start int, data []byte) {
 	defer v.mu.Unlock()
 	copy(v.mem[start*PageSize:(start+count)*PageSize], data)
 	clear(v.digests.valid[start : start+count])
+	v.epoch++
 }
 
 // ReadRange copies count contiguous pages starting at frame start into dst
@@ -180,12 +183,14 @@ func (v *VM) pageLocked(i int) []byte {
 }
 
 // HarvestDirty atomically returns the current dirty bitmap and clears it —
-// the "dirty log read" a pre-copy round performs before re-scanning.
+// the "dirty log read" a pre-copy round performs before re-scanning. It
+// advances the digest epoch (DigestEpoch).
 func (v *VM) HarvestDirty() *dirtytrack.Bitmap {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	out := v.dirty.Clone()
 	v.dirty.Reset()
+	v.epoch++
 	return out
 }
 

@@ -4,10 +4,10 @@
 // `go test -json` stream `make bench` records), extracts the MB/s and
 // B/op figures of every benchmark series, and enforces:
 //
-//   - hash-once floor: BenchmarkSaveWarm/withsums runs at least
-//     -warm-ratio times BenchmarkSaveWarm/rehash — the acceptance bar of
-//     the precomputed-sum ingest path (skipped when the recording lacks
-//     the series);
+//   - hash-once floor: BenchmarkSaveWarm/table — a save keyed from a
+//     complete digest table, as every migration leaves the guest's — runs
+//     at least -warm-ratio times BenchmarkSaveWarm/rehash (skipped when
+//     the recording lacks both arms);
 //   - with -baseline (typically the recording at HEAD): every gated
 //     series — BenchmarkFirstRound, BenchmarkTrackIncoming and both
 //     SaveWarm arms — stays within -min-ratio of its own previous
@@ -61,10 +61,10 @@ var (
 // BenchmarkFirstRoundTCP (loopback throughput varies more across kernels
 // than the in-process pipe) stays recorded but ungated.
 var gatedNames = map[string]bool{
-	"BenchmarkFirstRound":        true,
-	"BenchmarkTrackIncoming":     true,
-	"BenchmarkSaveWarm/rehash":   true,
-	"BenchmarkSaveWarm/withsums": true,
+	"BenchmarkFirstRound":      true,
+	"BenchmarkTrackIncoming":   true,
+	"BenchmarkSaveWarm/rehash": true,
+	"BenchmarkSaveWarm/table":  true,
 }
 
 func main() {
@@ -72,7 +72,7 @@ func main() {
 	baseline := flag.String("baseline", "", "previous recording to gate against (empty or missing file = skip)")
 	minRatio := flag.Float64("min-ratio", 0.85, "minimum throughput of every gated series relative to the baseline")
 	allocSlack := flag.Float64("alloc-slack", 1<<20, "maximum B/op growth of any gated series over the baseline, in bytes")
-	warmRatio := flag.Float64("warm-ratio", 1.5, "minimum BenchmarkSaveWarm/withsums throughput relative to BenchmarkSaveWarm/rehash")
+	warmRatio := flag.Float64("warm-ratio", 1.5, "minimum BenchmarkSaveWarm/table throughput relative to BenchmarkSaveWarm/rehash")
 	flag.Parse()
 
 	speeds, err := parseFile(*file)
@@ -149,23 +149,23 @@ func parseFile(path string) (map[string]series, error) {
 	return speeds, nil
 }
 
-// gateSaveWarm enforces the hash-once acceptance bar: the precomputed-sum
-// save must beat the rehashing save by warmRatio. Skipped when the
-// recording predates the benchmark.
+// gateSaveWarm enforces the hash-once acceptance bar: the save keyed from a
+// complete digest table must beat the rehashing save by warmRatio. Skipped
+// when the recording predates the benchmark.
 func gateSaveWarm(speeds map[string]series, warmRatio float64) error {
 	rehash, okR := speeds["BenchmarkSaveWarm/rehash"]
-	withsums, okW := speeds["BenchmarkSaveWarm/withsums"]
-	if !okR && !okW {
+	table, okT := speeds["BenchmarkSaveWarm/table"]
+	if !okR && !okT {
 		return nil
 	}
-	if !okR || !okW || rehash.mbps <= 0 {
-		return fmt.Errorf("recording has only one BenchmarkSaveWarm arm; run `make bench`")
+	if !okR || !okT || rehash.mbps <= 0 {
+		return fmt.Errorf("recording lacks a BenchmarkSaveWarm arm (rehash and table); run `make bench`")
 	}
-	ratio := withsums.mbps / rehash.mbps
+	ratio := table.mbps / rehash.mbps
 	fmt.Printf("benchgate: SaveWarm     %8.2f -> %8.2f MB/s  %.2fx of rehash (floor %.2fx)\n",
-		rehash.mbps, withsums.mbps, ratio, warmRatio)
+		rehash.mbps, table.mbps, ratio, warmRatio)
 	if ratio < warmRatio {
-		return fmt.Errorf("SaveWarm/withsums runs at %.2fx of rehash (floor %.2fx): the precomputed-sum ingest lost its edge", ratio, warmRatio)
+		return fmt.Errorf("SaveWarm/table runs at %.2fx of rehash (floor %.2fx): the save keyed from the digest table lost its edge", ratio, warmRatio)
 	}
 	return nil
 }
