@@ -30,8 +30,11 @@ race-digest:
 # race-restore is the focused gate for the return path: the background
 # checkpoint install (a span held back past its wire frames, a sparse round
 # one, a cancel mid-install — repeated, since the interleavings are the point),
-# the store-level span reader, the announce-by-name matrix through
-# sched.Host (matched legs, every fallback, a restart), and the streamed saves
+# the store-level span reader, the announce-by-name matrix (round one of a
+# matched leg leaving out the pages still equal to the named checkpoint, by
+# content and in round one only; every other leg's round one tiling the guest,
+# a retry after a cut included) through the engine and through sched.Host
+# (matched legs, every fallback, a restart), and the streamed saves
 # both sides write under round one (compression on and off, a guest writing
 # mid-round, a cut), and the writes each side hands the transport (one per
 # flush point, the paused guest's one write, done riding the last post-copy
@@ -40,7 +43,7 @@ race-digest:
 race-restore:
 	$(GO) test -race -count=3 -run 'TestBackgroundInstall' ./internal/core/
 	$(GO) test -race -run 'TestSpanLoad|TestRestoreSumsMatchGuest|TestConcurrentRemoveDuringRestore|TestSaveStream' ./internal/checkpoint/
-	$(GO) test -race -run 'TestPingPongSkipsAnnouncement|TestPartialAnnounced|TestGoldenStreamByName|TestSourceWritesPerTurn|TestRoundEventBytes' ./internal/core/
+	$(GO) test -race -run 'TestPingPongSkipsAnnouncement|TestPartialAnnounced|TestGoldenStreamByName|TestRoundOneGap|TestKeep|TestSourceWritesPerTurn|TestRoundEventBytes' ./internal/core/
 	$(GO) test -race -run 'TestByName|TestPingPongOverTCP|TestStreamedSave' ./internal/sched/
 
 # bench records the migration-engine benchmarks (cold first-round

@@ -44,9 +44,9 @@ func runDest(args []string) error {
 	}
 	arrivals := make(chan core.DestResult)
 	host.OnArrival = func(v *vm.VM, res core.DestResult) {
-		fmt.Printf("VM %q arrived: %d full pages, %d checksum-only (%d reused in place, %d from disk), checkpoint=%v\n",
+		fmt.Printf("VM %q arrived: %d full pages, %d checksum-only (%d reused in place, %d from disk), %d kept, checkpoint=%v\n",
 			v.Name(), res.Metrics.PagesFull, res.Metrics.PagesSum,
-			res.Metrics.PagesReusedInPlace, res.Metrics.PagesReusedFromDisk, res.UsedCheckpoint)
+			res.Metrics.PagesReusedInPlace, res.Metrics.PagesReusedFromDisk, res.Metrics.PagesKept, res.UsedCheckpoint)
 		arrivals <- res
 	}
 	addr, err := host.Listen(*listen)

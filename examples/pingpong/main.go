@@ -47,8 +47,8 @@ func run() error {
 
 	var arrived sync.WaitGroup
 	onArrival := func(v *vm.VM, res core.DestResult) {
-		fmt.Printf("    arrived: %d pages reused in place, %d repaired from checkpoint disk\n",
-			res.Metrics.PagesReusedInPlace, res.Metrics.PagesReusedFromDisk)
+		fmt.Printf("    arrived: %d pages kept from the named checkpoint, %d reused in place, %d repaired from checkpoint disk\n",
+			res.Metrics.PagesKept, res.Metrics.PagesReusedInPlace, res.Metrics.PagesReusedFromDisk)
 		arrived.Done()
 	}
 	alpha.OnArrival = onArrival
@@ -93,15 +93,15 @@ func run() error {
 		}
 		arrived.Wait()
 		mode := "announce"
-		if m.AnnounceBytes == 0 && m.PagesSum > 0 {
-			mode = "ping-pong (named, no announce)"
+		if m.PagesKept > 0 {
+			mode = "ping-pong (named, no announce, unchanged pages left out)"
 		}
-		if m.PagesSum == 0 {
+		if m.PagesSum == 0 && m.PagesKept == 0 {
 			mode = "full (first visit)"
 		}
-		fmt.Printf("leg %d %s -> %s: %s sent, %d full / %d checksum pages [%s]\n",
+		fmt.Printf("leg %d %s -> %s: %s sent, %d full / %d checksum / %d kept pages [%s]\n",
 			i+1, from.Name(), hosts[toIdx].Name(),
-			core.FormatBytes(m.BytesSent), m.PagesFull, m.PagesSum, mode)
+			core.FormatBytes(m.BytesSent), m.PagesFull, m.PagesSum, m.PagesKept, mode)
 
 		// Work a little before the next leg: 3% of memory changes.
 		landed, ok := hosts[toIdx].VM("consolidated-vm")

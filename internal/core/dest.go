@@ -263,7 +263,7 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 		return res, err
 	}
 
-	if err = s.mergeSequential(ctx, v, opts, cp, &res, start); err != nil {
+	if err = s.mergeSequential(ctx, v, opts, cp, match, &res, start); err != nil {
 		// Let the background install finish (or stop, when ctx was cancelled
 		// or a read failed) before anything else looks at v.
 		drainErr := cp.Drain()
@@ -373,7 +373,13 @@ func (s *IncomingSession) saveSalvage(v *vm.VM, opts DestOptions) error {
 // applyRange installs it — with round bookkeeping. Each frame waits for the
 // background install of the checkpoint spans under it (awaitInstall) before
 // it lands.
-func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts DestOptions, cp *checkpoint.Checkpoint, res *DestResult, start time.Time) error {
+//
+// Round one must tile the guest — each frame starting where the last ended,
+// the round ending at the last page — unless the leg matched by name: then
+// the source leaves out the pages still equal to the named checkpoint, and
+// the frames it skips keep what the install puts there (drainInstall runs
+// before the ack).
+func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts DestOptions, cp *checkpoint.Checkpoint, match bool, res *DestResult, start time.Time) error {
 	w, r := s.w, s.r
 	st := getDestScratch()
 	defer putDestScratch(st)
@@ -383,6 +389,21 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 	// range's end is overlapping or descending — malformed. Reset each
 	// round (later rounds legitimately revisit pages).
 	var rangeFloor uint64
+	// skip takes the pages round one passes over, up to the next frame's
+	// start or the guest's end: kept on a matched leg, a violation on any
+	// other.
+	roundOne := true
+	skip := func(to uint64) error {
+		if !roundOne || to == rangeFloor {
+			return nil
+		}
+		if !match {
+			return fmt.Errorf("%w: round one skips pages [%d, %d) on a leg not matched by name", ErrProtocol, rangeFloor, to)
+		}
+		res.Metrics.PagesKept += int(to - rangeFloor)
+		return nil
+	}
+	end := uint64(v.NumPages())
 	// A round's bytes are the ones it decoded: the transport count less what
 	// the reader holds of the next round already.
 	consumed := func() int64 { return s.cr.n - int64(r.Buffered()) }
@@ -404,6 +425,9 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 			if err := readRangeFrame(r, t, v.NumPages(), rangeFloor, rng); err != nil {
 				return err
 			}
+			if err := skip(rng.start); err != nil {
+				return err
+			}
 			rangeFloor = rng.start + uint64(rng.count)
 			if err := awaitInstall(cp, int(rng.start), rng.count); err != nil {
 				return err
@@ -421,6 +445,10 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 			if err != nil {
 				return err
 			}
+			if err := skip(end); err != nil {
+				return err
+			}
+			roundOne = false
 			res.Metrics.Rounds++
 			opts.OnEvent.emit(Event{Kind: EventRound, Round: int(round),
 				Pages: int64(dirty), Bytes: consumed() - roundStart,
@@ -430,6 +458,9 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 			rangeFloor = 0
 
 		case msgDone:
+			if err := skip(end); err != nil {
+				return err
+			}
 			if err := drainInstall(cp); err != nil {
 				return err
 			}
@@ -445,7 +476,8 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 			// "the set of pages existing at the source" (§3.2), so both hosts'
 			// saves carry one key list under one manifest root. Every install
 			// recorded its digest, so this hashes only pages none covered —
-			// none on the normal path, where round one walks every page.
+			// none on the normal path, where round one walks every page or
+			// leaves it to the checkpoint install.
 			hashed := v.CompleteDigests()
 			res.Metrics.HashBytes += int64(hashed) * vm.PageSize
 			res.Metrics.HashAvoidedBytes += int64(v.NumPages()-hashed) * vm.PageSize

@@ -109,8 +109,15 @@ func TestBackgroundInstallWireWins(t *testing.T) {
 				if mode == "delta" && sm.PagesDelta == 0 || mode == "compress" && sm.PagesCompressed == 0 {
 					t.Errorf("mode %s not exercised: %+v", mode, sm)
 				}
-				if dres.Metrics.PagesReusedInPlace != pages-sm.PagesFull-sm.PagesDelta {
-					t.Errorf("reused %d pages in place, want %d", dres.Metrics.PagesReusedInPlace, pages-sm.PagesFull-sm.PagesDelta)
+				// A named leg leaves the unchanged pages out of round one; an
+				// announced one names each and the destination finds it in place.
+				unchanged, kept := pages-sm.PagesFull-sm.PagesDelta, 0
+				if named {
+					unchanged, kept = 0, unchanged
+				}
+				if dres.Metrics.PagesReusedInPlace != unchanged || dres.Metrics.PagesKept != kept || sm.PagesKept != kept {
+					t.Errorf("reused %d pages in place and kept %d (source kept %d), want %d and %d",
+						dres.Metrics.PagesReusedInPlace, dres.Metrics.PagesKept, sm.PagesKept, unchanged, kept)
 				}
 			})
 		}
@@ -124,23 +131,33 @@ type handSource struct {
 	r    *bufio.Reader
 }
 
+// destOutcome is what MigrateDest returned.
+type destOutcome struct {
+	res DestResult
+	err error
+}
+
 // dialDest starts MigrateDest on one end of a pipe and performs the hello
-// exchange on the other, offering the store's own entry by name (so the
-// destination matches it and announces nothing). The destination's result
-// arrives on the returned channel.
-func dialDest(t *testing.T, ctx context.Context, store *checkpoint.Store, dst *vm.VM) (*handSource, chan error) {
+// exchange on the other. With a store the hello asks for recycling, and named
+// offers the store's own entry by name (so the destination matches it and
+// announces nothing); without, the announcement is read. Without a store the
+// leg is cold. The destination's outcome arrives on the returned channel.
+func dialDest(t *testing.T, ctx context.Context, store *checkpoint.Store, dst *vm.VM, named bool) (*handSource, chan destOutcome) {
 	t.Helper()
 	a, b := net.Pipe()
 	t.Cleanup(func() { a.Close(); b.Close() })
-	done := make(chan error, 1)
+	done := make(chan destOutcome, 1)
 	go func() {
-		_, err := MigrateDest(ctx, b, dst, DestOptions{Store: store})
-		done <- err
+		res, err := MigrateDest(ctx, b, dst, DestOptions{Store: store})
+		done <- destOutcome{res, err}
 	}()
 	hs := &handSource{conn: a, w: bufio.NewWriter(a), r: bufio.NewReader(a)}
-	m := mirrorOf(t, store, dst.Name())
-	if err := writeHello(hs.w, hello{Version: ProtocolVersion, VMName: dst.Name(), PageSize: vm.PageSize,
-		PageCount: uint64(dst.NumPages()), Alg: uint8(checksum.Default), Recycle: true, HasRoot: true, Root: m.Root}); err != nil {
+	h := hello{Version: ProtocolVersion, VMName: dst.Name(), PageSize: vm.PageSize,
+		PageCount: uint64(dst.NumPages()), Alg: uint8(checksum.Default), Recycle: store != nil}
+	if named {
+		h.HasRoot, h.Root = true, mirrorOf(t, store, dst.Name()).Root
+	}
+	if err := writeHello(hs.w, h); err != nil {
 		t.Fatal(err)
 	}
 	if err := hs.w.Flush(); err != nil {
@@ -149,8 +166,17 @@ func dialDest(t *testing.T, ctx context.Context, store *checkpoint.Store, dst *v
 	if tag, err := readMsgType(hs.r); err != nil || tag != msgHelloAck {
 		t.Fatalf("tag=%v err=%v", tag, err)
 	}
-	if ack, err := readHelloAck(hs.r); err != nil || !ack.OK || !ack.ManifestMatch {
+	ack, err := readHelloAck(hs.r)
+	if err != nil || !ack.OK || ack.ManifestMatch != named || ack.HaveCheckpoint != (store != nil) {
 		t.Fatalf("ack=%+v err=%v", ack, err)
+	}
+	if store != nil && !named {
+		if tag, err := readMsgType(hs.r); err != nil || tag != msgHashAnnounce {
+			t.Fatalf("tag=%v err=%v, want the announcement", tag, err)
+		}
+		if _, err := readHashAnnounce(hs.r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return hs, done
 }
@@ -180,7 +206,7 @@ func sparseRounds(t *testing.T, pages int, hold time.Duration) {
 	inj.Arm(faultfs.Fault{Op: faultfs.OpReadAt, Path: ".seg", Times: -1, Latency: hold})
 	dst := newVM(t, "vm0", pages, 2)
 	begin := time.Now()
-	hs, done := dialDest(t, context.Background(), store, dst)
+	hs, done := dialDest(t, context.Background(), store, dst, true)
 
 	page := make([]byte, vm.PageSize)
 	rand.New(rand.NewSource(3)).Read(page)
@@ -204,8 +230,8 @@ func sparseRounds(t *testing.T, pages int, hold time.Duration) {
 	if took := time.Since(begin); took < hold {
 		t.Errorf("acknowledged after %v, before the held reads (%v) could finish", took, hold)
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	if out := <-done; out.err != nil {
+		t.Fatal(out.err)
 	}
 	if !want.MemEqual(dst) {
 		t.Fatalf("memory differs at page %d (rewritten page is %d)", want.FirstDifference(dst), rewritten)
@@ -235,7 +261,7 @@ func TestBackgroundInstallCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	dst := newVM(t, "vm0", spans*spanPages, 2)
-	hs, done := dialDest(t, ctx, store, dst)
+	hs, done := dialDest(t, ctx, store, dst, true)
 	// A full page so that there is progress a salvage would want to keep.
 	page := make([]byte, vm.PageSize)
 	if err := writeRangePage(hs.w, 0, checksum.Default.Page(page), page); err != nil {
@@ -246,9 +272,9 @@ func TestBackgroundInstallCancel(t *testing.T) {
 	}
 	cancel()
 	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("err = %v, want context.Canceled", err)
+	case out := <-done:
+		if !errors.Is(out.err, context.Canceled) {
+			t.Errorf("err = %v, want context.Canceled", out.err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("destination did not return promptly after the cancel")

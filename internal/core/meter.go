@@ -20,6 +20,13 @@ type Metrics struct {
 	PagesFull int
 	// PagesSum counts pages replaced by a bare checksum.
 	PagesSum int
+	// PagesKept counts pages round one of a return matched by name left out
+	// altogether: on the source, pages whose digest equals the named
+	// checkpoint's key at their position, never framed (nor hashed when
+	// the guest's digest table already knew that digest); on the
+	// destination, the frames round one skipped, which keep the checkpoint's
+	// content. They are not in PagesSum or PagesReusedInPlace.
+	PagesKept int
 	// PagesReusedInPlace counts destination frames whose resident content
 	// already matched the received checksum (no disk read needed).
 	PagesReusedInPlace int
@@ -66,8 +73,9 @@ type Metrics struct {
 	// their digest was last recorded — every page of a guest that never
 	// migrated. On the destination it is the round-end track pass that
 	// completes the guest's table: pages no install covered, zero on the
-	// normal path (round one walks every page, so every digest arrives on
-	// some frame). Both sides leave what they hash in the guest's table.
+	// normal path (every digest arrives on some frame of round one, or with
+	// the checkpoint install for a page round one left to it). Both sides
+	// leave what they hash in the guest's table.
 	HashBytes int64
 	// ProbeHashBytes counts bytes the destination digested to compare a
 	// resident page with a checksum from the wire (range-sum frames, the
@@ -91,9 +99,9 @@ type Metrics struct {
 // destination's recv mirrors the source's sent). PostCopyMetrics.String
 // extends this prefix with the post-copy fields.
 func (m Metrics) String() string {
-	return fmt.Sprintf("sent=%s recv=%s full=%d sum=%d rounds=%d time=%v",
+	return fmt.Sprintf("sent=%s recv=%s full=%d sum=%d kept=%d rounds=%d time=%v",
 		FormatBytes(m.BytesSent), FormatBytes(m.BytesReceived),
-		m.PagesFull, m.PagesSum, m.Rounds, m.Duration)
+		m.PagesFull, m.PagesSum, m.PagesKept, m.Rounds, m.Duration)
 }
 
 // FormatBytes renders a byte count in binary units.

@@ -17,10 +17,11 @@ func TestMetricsStringNormalized(t *testing.T) {
 		BytesReceived: 1 << 10,
 		PagesFull:     7,
 		PagesSum:      9,
+		PagesKept:     4,
 		Rounds:        2,
 		Duration:      1500 * time.Millisecond,
 	}
-	want := "sent=3.00 MiB recv=1.00 KiB full=7 sum=9 rounds=2 time=1.5s"
+	want := "sent=3.00 MiB recv=1.00 KiB full=7 sum=9 kept=4 rounds=2 time=1.5s"
 	if got := m.String(); got != want {
 		t.Errorf("Metrics.String() = %q, want %q", got, want)
 	}

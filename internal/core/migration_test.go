@@ -278,8 +278,11 @@ func TestPingPongSkipsAnnouncement(t *testing.T) {
 	if dres2.Metrics.AnnounceBytes != 0 {
 		t.Errorf("destination sent a %d-byte announcement despite the match", dres2.Metrics.AnnounceBytes)
 	}
-	if sm2.PagesSum == 0 {
-		t.Error("ping-pong leg recycled nothing")
+	// The pages the guest did not rewrite still hold the named checkpoint's
+	// content: round one leaves them out, and the destination keeps them.
+	if sm2.PagesKept == 0 || sm2.PagesKept != dres2.Metrics.PagesKept || sm2.PagesSum != 0 {
+		t.Errorf("ping-pong leg: source kept %d pages and sent %d checksums, destination kept %d; want the same nonzero count kept and no checksum",
+			sm2.PagesKept, sm2.PagesSum, dres2.Metrics.PagesKept)
 	}
 	if hello != "have_checkpoint=true manifest=match" {
 		t.Errorf("source hello event detail = %q", hello)

@@ -209,14 +209,16 @@ func FuzzMergeStream(f *testing.F) {
 	if err := writeRangePage(&full, 0, checksum.Default.Page(page), page); err != nil {
 		f.Fatal(err)
 	}
-	valid := scriptedSourceStream(f, full.Bytes())
-	f.Add(valid)
-	f.Add(valid[:20])
+	stream := scriptedSourceStream(f, full.Bytes())
+	f.Add(stream)
+	f.Add(stream[:20])
 	f.Fuzz(mergeRaw)
 }
 
 // FuzzRangeMergeStream fuzzes the same destination engine from range
-// frames, and from a range frame whose start plus count wraps past 2^64.
+// frames, from a range frame whose start plus count wraps past 2^64, and from
+// a round one that skips a page, which no checkpoint named by the source
+// fills.
 func FuzzRangeMergeStream(f *testing.F) {
 	page := fuzzPage()
 	f.Add(scriptedSourceStream(f, buildRangeFull(f, 0, [][]byte{page, page})))
@@ -225,6 +227,10 @@ func FuzzRangeMergeStream(f *testing.F) {
 	_ = writeRangeSums(&sums, []checksum.Sum{checksum.Default.Page(page), checksum.Default.Page(page)})
 	f.Add(scriptedSourceStream(f, sums.Bytes()))
 	f.Add(scriptedSourceStream(f, wrappingRangeFull(f)))
+	gapped := append(buildRangeFull(f, 0, [][]byte{page}), buildRangeFull(f, 2, [][]byte{page})...)
+	var end bytes.Buffer
+	_ = writeRoundEnd(&end, 1, 0)
+	f.Add(scriptedSourceStream(f, append(gapped, end.Bytes()...)))
 	f.Fuzz(mergeRaw)
 }
 

@@ -36,8 +36,10 @@ const (
 	// (per the round-end frame), Bytes the wire volume of the round as
 	// seen from the emitting side. On the source, Detail carries the
 	// round's hash work in pages as "hashed=N cached=M" (digested here vs.
-	// taken from the guest's digest table) and, when compressing, the
-	// entropy gate's hit rate as " gate_attempted=N gate_skipped=M".
+	// taken from the guest's digest table), then " kept=K", the pages round
+	// one of a return matched by name left to the checkpoint (Metrics.PagesKept),
+	// and, when compressing, the entropy gate's hit rate as
+	// " gate_attempted=N gate_skipped=M".
 	EventRound = "round"
 	// EventPause: the source paused the guest for stop-and-copy.
 	EventPause = "pause"

@@ -111,14 +111,15 @@ func (c *recordConn) Write(p []byte) (int, error) {
 const (
 	goldenAnnouncedSrc = "b1fc461655e3b7705fa7565f44c5286b3a99c379a5656e6a6ebdff947d1d47af"
 	goldenAnnouncedDst = "3ab19b39007aabe73901acf23fb4741ba8d685eabd676e14a78ee960e90e75f2"
-	goldenByNameSrc    = "595d321280cf3fdb58bfbdb89fb6c3f8401dbb120af3269d81ee658eb30d5fd5"
+	goldenByNameSrc    = "87deb60f5e078d0098e6ad818a03d38438bd57c60d5fa7f8daf9059fc2a481d2"
 	goldenByNameDst    = "42a15d70066c15343066f26951fea20f0fb75f1e3d2e889e0887346a135ccf4d"
 )
 
 // The same source streams as protocol version 2 wrote them. Version 3 moved
-// their bytes only where asVersion2 puts them back, so each of its streams
-// rewritten by it must hash to these. The destination's side has no frame
-// version 3 changed: its digests are version 2's.
+// their bytes only where asVersion2 puts them back — and, matched by name,
+// left out of round one the pages withoutKept drops — so each of its streams,
+// with round one whole, rewritten by it must hash to these. The destination's
+// side has no frame version 3 changed: its digests are version 2's.
 const (
 	version2AnnouncedSrc = "4f256f0e0ea0762c734ab8e9505bf31392ac3b29fa778688e19d828609dd6968"
 	version2ByNameSrc    = "0b16b09d0967b221aae40110ab9b5e5cb187de742726c33521bdd16fe9fec8e2"
@@ -157,19 +158,7 @@ func asVersion2(t *testing.T, stream []byte, helloLen int) []byte {
 		default:
 			t.Fatalf("unexpected %v in the source stream", tag)
 		}
-		count := int(rest[9]) + 1
-		size := RangeSumMsgBytes(count)
-		switch tag {
-		case msgRangeFull:
-			size = RangeFullMsgBytes(count)
-		case msgRangeFullZ, msgRangeDelta:
-			payload := 0
-			for i := 0; i < count; i++ {
-				meta := rest[RangeHeaderBytes+i*(checksum.Size+4):]
-				payload += int(binary.LittleEndian.Uint32(meta[checksum.Size:]))
-			}
-			size = RangeVarMsgBytes(count, payload)
-		}
+		count, size := int(rest[9])+1, rangeFrameSize(rest)
 		frame, body := rest[:size], rest[RangeHeaderBytes:size]
 		if count == 1 {
 			out = append(append(out, perPage[tag]), frame[1:9]...)
@@ -179,6 +168,84 @@ func asVersion2(t *testing.T, stream []byte, helloLen int) []byte {
 		out, rest = append(out, body...), rest[size:]
 	}
 	return out
+}
+
+// rangeFrameSize reports the length of the range frame at the head of rest.
+func rangeFrameSize(rest []byte) int {
+	count := int(rest[9]) + 1
+	switch msgType(rest[0]) {
+	case msgRangeFull:
+		return RangeFullMsgBytes(count)
+	case msgRangeFullZ, msgRangeDelta:
+		payload := 0
+		for i := 0; i < count; i++ {
+			meta := rest[RangeHeaderBytes+i*(checksum.Size+4):]
+			payload += int(binary.LittleEndian.Uint32(meta[checksum.Size:]))
+		}
+		return RangeVarMsgBytes(count, payload)
+	default:
+		return RangeSumMsgBytes(count)
+	}
+}
+
+// withoutKept rewrites a golden source stream's frames, everything after the
+// hello, the way a source matched by name sends them: round one leaves out
+// every page whose checksum is keys' at its position, so each of its
+// range-sum frames splits into the runs between the pages left out. Later
+// rounds pass through, as do the round ends and the done; any other tag fails
+// the test.
+func withoutKept(t *testing.T, frames []byte, keys []checksum.Sum) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	roundOne := true
+	for rest := frames; len(rest) > 0; {
+		tag := msgType(rest[0])
+		switch tag {
+		case msgRoundEnd:
+			roundOne = false
+			out.Write(rest[:RoundEndMsgBytes])
+			rest = rest[RoundEndMsgBytes:]
+			continue
+		case msgDone:
+			out.Write(rest)
+			rest = nil
+			continue
+		case msgRangeSum, msgRangeFull, msgRangeFullZ, msgRangeDelta:
+		default:
+			t.Fatalf("unexpected %v in the source stream", tag)
+		}
+		frame := rest[:rangeFrameSize(rest)]
+		rest = rest[len(frame):]
+		if !roundOne || tag != msgRangeSum {
+			out.Write(frame)
+			continue
+		}
+		start, count := binary.LittleEndian.Uint64(frame[1:9]), int(frame[9])+1
+		var run []checksum.Sum
+		flush := func(end uint64) {
+			if len(run) == 0 {
+				return
+			}
+			if err := writeRangeHeader(&out, msgRangeSum, end-uint64(len(run)), len(run)); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeRangeSums(&out, run); err != nil {
+				t.Fatal(err)
+			}
+			run = run[:0]
+		}
+		for i := 0; i < count; i++ {
+			var sum checksum.Sum
+			copy(sum[:], frame[RangeHeaderBytes+i*checksum.Size:])
+			if p := start + uint64(i); sum == keys[p] {
+				flush(p)
+				continue
+			}
+			run = append(run, sum)
+		}
+		flush(start + uint64(count))
+	}
+	return out.Bytes()
 }
 
 // asVersion1 rewrites a golden conversation the way protocol version 1 wrote
@@ -343,18 +410,25 @@ func TestGoldenStreamEquivalence(t *testing.T) {
 
 // TestGoldenStreamByName pins the conversation of a migration matched by
 // name, and explains it against the announced golden one. The source's stream
-// is the announced stream with one difference — its hello sets flag bit 1 and
-// carries the 32-byte manifest root after the flags; round one and everything
-// after it is byte for byte the announced run's (the source probes its own
-// key list, the same set the announcement would have delivered). The
-// destination's whole side of the conversation is five bytes: a hello-ack
-// with the OK, have-checkpoint and manifest-match bits and an empty reason,
-// then the final ack — no announcement. Version 1 set its two capability
-// acceptances there too.
+// is the announced stream with two differences: its hello sets flag bit 1 and
+// carries the 32-byte manifest root after the flags, and round one leaves out
+// every page whose checksum is still the named checkpoint's key at its
+// position — the announced run's frames with those pages dropped and their
+// range-sum runs re-split (withoutKept). The source guest never migrated, so
+// its digest table is empty and every page it leaves out was hashed first:
+// the omission follows content, not the table. Round two and everything after
+// it is byte for byte the announced run's. The destination's whole side of the
+// conversation is five bytes: a hello-ack with the OK, have-checkpoint and
+// manifest-match bits and an empty reason, then the final ack — no
+// announcement. Versions 2 and 1 sent round one whole; the by-name stream with
+// round one restored, rewritten to their framing, hashes to what they
+// recorded, and version 1 set its two capability acceptances in the hello-ack
+// too.
 func TestGoldenStreamByName(t *testing.T) {
 	golden, _, gm, src := goldenExchange(t, nil, false)
 	helloLen := HelloMsgBytes(len(src.Name()))
-	root := mirrorOf(t, goldenStore(t), "vm0").Root
+	mirror := mirrorOf(t, goldenStore(t), "vm0")
+	root := mirror.Root
 	stream, reply, sm, _ := goldenExchange(t, nil, true)
 	wantHello := append([]byte(nil), golden[:helloLen]...)
 	wantHello[helloLen-1] |= 2
@@ -364,23 +438,24 @@ func TestGoldenStreamByName(t *testing.T) {
 	if !bytes.Equal(stream[helloLen:helloLen+len(root)], root[:]) {
 		t.Errorf("hello carries root % x, want % x", stream[helloLen:helloLen+len(root)], root)
 	}
-	if !bytes.Equal(stream[helloLen+len(root):], golden[helloLen:]) {
-		t.Errorf("stream after the hello differs from the announced run's (lens %d vs %d)",
-			len(stream)-helloLen-len(root), len(golden)-helloLen)
+	if want := withoutKept(t, golden[helloLen:], mirror.Keys); !bytes.Equal(stream[helloLen+len(root):], want) {
+		t.Errorf("stream after the hello differs from the announced run's without the kept pages (lens %d vs %d)",
+			len(stream)-helloLen-len(root), len(want))
 	}
 	if want := []byte{byte(msgHelloAck), 1 | 2 | 32, 0, 0, byte(msgAck)}; !bytes.Equal(reply, want) {
 		t.Errorf("destination sent % x, want % x", reply, want)
 	}
-	if sm.AnnounceBytes != 0 || sm.PagesSum != gm.PagesSum || sm.PagesFull != gm.PagesFull ||
-		sm.PagesDelta != gm.PagesDelta || sm.PageFrames != gm.PageFrames {
-		t.Errorf("metrics diverge from the announced run: got %+v want %+v", sm, gm)
+	if sm.AnnounceBytes != 0 || sm.PagesKept == 0 || sm.PagesSum+sm.PagesKept != gm.PagesSum ||
+		sm.PagesFull != gm.PagesFull || sm.PagesDelta != gm.PagesDelta || sm.PagesCompressed != gm.PagesCompressed {
+		t.Errorf("metrics diverge from the announced run: got %+v want %+v, its checksum pages kept or sent", sm, gm)
 	}
 	checkGolden(t, "source stream", stream, goldenByNameSrc)
 	checkGolden(t, "destination reply", reply, goldenByNameDst)
-	v2Stream := asVersion2(t, stream, helloLen+len(root))
-	checkGolden(t, "source stream as version 2", v2Stream, version2ByNameSrc)
+	whole := append(append([]byte(nil), stream[:helloLen+len(root)]...), golden[helloLen:]...)
+	v2Stream := asVersion2(t, whole, helloLen+len(root))
+	checkGolden(t, "source stream with round one whole, as version 2", v2Stream, version2ByNameSrc)
 	v1Stream, _ := asVersion1(t, v2Stream, reply, helloLen)
-	checkGolden(t, "source stream as version 1", v1Stream, version1ByNameSrc)
+	checkGolden(t, "source stream with round one whole, as version 1", v1Stream, version1ByNameSrc)
 }
 
 // goldenStore saves the golden guest's pre-mutation state: the checkpoint

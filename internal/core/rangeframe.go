@@ -130,18 +130,24 @@ func writeRangeVarMeta(w io.Writer, sums []checksum.Sum, lens []uint32) error {
 }
 
 // encodeBatch serializes every page of the batch into its buffer. Each page
-// is classified on its own content: a bare checksum when the destination
-// already holds it, else a delta against base when one fits (base is non-nil
-// in the first round of a recycled migration only), else the full payload,
-// deflated when the entropy gate admits it and it shrinks. Contiguous
-// same-treatment pages coalesce into range frames, a lone page into a
-// one-page one.
-func encodeBatch(e *sourceEncoder, base PageProvider, b *pageBatch, m *Metrics) error {
+// is classified on its own content: left out when it equals keep's key at
+// its position (keep is non-nil in the first round of a return matched by
+// name only), else a bare checksum when the destination already holds it,
+// else a delta against base when one fits (base is non-nil in the first
+// round of a recycled migration only), else the full payload, deflated when
+// the entropy gate admits it and it shrinks. Contiguous same-treatment pages
+// coalesce into range frames, a lone page into a one-page one; a page left
+// out ends the run it would have joined.
+func encodeBatch(e *sourceEncoder, base PageProvider, keep []checksum.Sum, b *pageBatch, m *Metrics) error {
 	r := &e.run
 	r.reset()
 	for i, p := range b.pages {
 		data := b.data[i*vm.PageSize : (i+1)*vm.PageSize]
 		sum := b.pageSum(i, data)
+		if keep != nil && sum == keep[p] {
+			m.PagesKept++
+			continue
+		}
 		treat := treatFull
 		var payload []byte
 		switch {

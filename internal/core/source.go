@@ -221,6 +221,14 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	if ack.PartialCheckpoint {
 		opts.OnEvent.emit(Event{Kind: EventSalvage, Detail: "resumed"})
 	}
+	// On a match the destination's background install puts the named
+	// checkpoint's content at every frame, so round one need not mention a
+	// page that still holds it. Later rounds must: by then the frame may hold
+	// round one's wire content instead.
+	var keep []checksum.Sum
+	if ack.ManifestMatch && len(opts.Mirror.Keys) == v.NumPages() {
+		keep = opts.Mirror.Keys
+	}
 
 	// Stream only over this host's own checkpoint: there the pages the wire
 	// moves are about all the save will be missing. A cold leg's round one is
@@ -242,12 +250,14 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	v.HarvestDirty()
 
 	// roundDetail renders a round's hash work — pages digested here versus
-	// pages whose digest came from the guest's table — and, when compressing,
-	// the entropy gate's hit rate, all as deltas since the given snapshot.
+	// pages whose digest came from the guest's table — the pages it left to
+	// the named checkpoint and, when compressing, the entropy gate's hit
+	// rate, all as deltas since the given snapshot.
 	roundDetail := func(since Metrics) string {
-		d := fmt.Sprintf("hashed=%d cached=%d",
+		d := fmt.Sprintf("hashed=%d cached=%d kept=%d",
 			(m.HashBytes-since.HashBytes)/vm.PageSize,
-			(m.HashAvoidedBytes-since.HashAvoidedBytes)/vm.PageSize)
+			(m.HashAvoidedBytes-since.HashAvoidedBytes)/vm.PageSize,
+			m.PagesKept-since.PagesKept)
 		if opts.Compress {
 			d += fmt.Sprintf(" gate_attempted=%d gate_skipped=%d",
 				m.CompressAttempted-since.CompressAttempted, m.CompressSkipped-since.CompressSkipped)
@@ -259,13 +269,14 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	// still buffered, since the final round leaves with done in one write.
 	encoded := func() int64 { return cw.n + int64(w.Buffered()) }
 
-	// Round 1: walk every page. With a destination checksum set, redundant
+	// Round 1: walk every page. On a match, pages still equal to the named
+	// checkpoint are left out; with a destination checksum set, redundant
 	// pages shrink to (page number, checksum); delta encoding against
 	// DeltaBase applies in this round only.
 	m.Rounds = 1
 	roundStart := encoded()
 	since := m
-	if err := sendSequential(ctx, w, v, seqAll(v.NumPages()), enc, opts.DeltaBase, save, &m); err != nil {
+	if err := sendSequential(ctx, w, v, seqAll(v.NumPages()), enc, opts.DeltaBase, keep, save, &m); err != nil {
 		return m, err
 	}
 	if err := writeRoundEnd(w, 1, uint64(v.DirtyCount())); err != nil {
@@ -312,7 +323,7 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		})
 		roundStart = encoded()
 		since = m
-		if err := sendSequential(ctx, w, v, seqList(dirtyList), enc, nil, save, &m); err != nil {
+		if err := sendSequential(ctx, w, v, seqList(dirtyList), enc, nil, nil, save, &m); err != nil {
 			return m, err
 		}
 		if err := writeRoundEnd(w, uint32(round), uint64(len(dirtyList))); err != nil {
@@ -358,9 +369,10 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 // sendSequential is the source engine: it streams one round's pages in
 // batchPages-sized units — fill, hash offload, encode, digest write-back, one
 // buffered write per batch, then the batch's changed pages to the save
-// stream — on the calling goroutine, in page order. Cancellation is checked
-// once per batch.
-func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, enc *sourceEncoder, base PageProvider, save *saveSink, m *Metrics) error {
+// stream — on the calling goroutine, in page order. With keep (round one of a
+// return matched by name) encodeBatch omits every page equal to keep's key.
+// Cancellation is checked once per batch.
+func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, enc *sourceEncoder, base PageProvider, keep []checksum.Sum, save *saveSink, m *Metrics) error {
 	n := pages.len()
 	b := batchPool.Get().(*pageBatch)
 	defer putBatch(b)
@@ -378,7 +390,7 @@ func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, e
 		}
 		epoch := v.DigestEpoch()
 		offloadBatchSums(b, fillBatch(v, b, m))
-		if err := encodeBatch(enc, base, b, m); err != nil {
+		if err := encodeBatch(enc, base, keep, b, m); err != nil {
 			return err
 		}
 		v.StoreDigests(epoch, b.pages, b.sums[:cnt])

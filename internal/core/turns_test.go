@@ -80,8 +80,8 @@ func pipePair(t *testing.T) (net.Conn, net.Conn) {
 // 1 MiB buffer goes out as one direct Write of its own.
 func TestSourceWritesPerTurn(t *testing.T) {
 	t.Run("idle-by-name", func(t *testing.T) {
-		// A ping-pong return of a guest that did not run: round one is 64
-		// range-sum pages, well inside the buffer, and the final round empty.
+		// A ping-pong return of a guest that did not run: round one leaves all
+		// 64 pages to the named checkpoint, and the final round is empty.
 		vmA := newVM(t, "vm0", 64, 1)
 		if err := vmA.FillRandom(0.9); err != nil {
 			t.Fatal(err)
@@ -101,8 +101,8 @@ func TestSourceWritesPerTurn(t *testing.T) {
 		sm, _ := migrateOver(t, tc, b, vmB, newVM(t, "vm0", 64, 3),
 			SourceOptions{Recycle: true, Mirror: mirrorOf(t, storeB, "vm0")},
 			DestOptions{Store: storeA})
-		if sm.PagesSum != 64 || sm.AnnounceBytes != 0 {
-			t.Fatalf("not an idle by-name return: %d sums, %d announce bytes", sm.PagesSum, sm.AnnounceBytes)
+		if sm.PagesKept != 64 || sm.AnnounceBytes != 0 {
+			t.Fatalf("not an idle by-name return: %d pages kept, %d announce bytes", sm.PagesKept, sm.AnnounceBytes)
 		}
 		// hello, round one, final round + done.
 		if w, n := tc.writes.Load(), tc.turns.Load(); w != 3 || n != 2 {

@@ -104,9 +104,10 @@ func TestWireSizeConstants(t *testing.T) {
 // sends is a closed form of its own counters — the hello (32 bytes more when it
 // offers a manifest root), a 10-byte header per frame, a 16-byte checksum per
 // page, a 4096-byte payload per full page, a 13-byte round end per round and
-// the one-byte done — and it is exactly what the destination receives. Checked
-// on a cold leg and on recycled legs of a churned guest, announced and named,
-// each with a second round.
+// the one-byte done — and it is exactly what the destination receives. A page
+// a named leg's round one leaves to the checkpoint costs nothing. Checked on a
+// cold leg and on recycled legs of a churned guest, announced and named, each
+// with a second round.
 func TestSourceBytesClosedForm(t *testing.T) {
 	const pages = 600
 	src := newVM(t, "vm0", pages, 1)
@@ -144,6 +145,10 @@ func TestSourceBytesClosedForm(t *testing.T) {
 			if m.BytesSent != want || dres.Metrics.BytesReceived != want {
 				t.Errorf("source sent %d bytes, destination received %d; the closed form of %+v is %d",
 					m.BytesSent, dres.Metrics.BytesReceived, m, want)
+			}
+			if (m.PagesKept > 0) != leg.named || dres.Metrics.PagesKept != m.PagesKept {
+				t.Errorf("source kept %d pages, destination %d; want some exactly on the named leg",
+					m.PagesKept, dres.Metrics.PagesKept)
 			}
 			if m.Rounds < 2 || m.RangeFrames == 0 || leg.recycle && m.PageFrames == m.RangeFrames {
 				t.Errorf("leg too narrow: %d rounds, %d frames of which %d carry several pages",

@@ -112,16 +112,20 @@ func announced(t *testing.T, leg string, m core.Metrics, res core.DestResult) bo
 
 // TestByNameDefaultPingPong: under the product defaults every return leg is
 // matched by name — no announcement on either side — and moves exactly the
-// pages an announced ping-pong of the same guest moves.
+// pages an announced ping-pong of the same guest moves in full or by delta.
+// Each page the announced leg names by checksum the named leg either names too
+// or leaves out of round one, and the destination keeps what it left out
+// where the announced one found it in place.
 func TestByNameDefaultPingPong(t *testing.T) {
 	const pages, rewritten, legs = 512, 24, 5
-	type counts struct{ full, sum, inPlace, fromDisk, rounds int }
+	type counts struct{ full, delta, sum, kept, inPlace, dstKept, fromDisk, rounds int }
 	run := func(saveArrivals bool) (out []counts, announcedLegs []bool) {
 		p := newNamedPair(t, pages, saveArrivals)
 		at, to := "alpha", "beta"
 		for leg := 1; leg <= legs; leg++ {
 			m, res := p.hop(at, to, MigrateOptions{})
-			out = append(out, counts{m.PagesFull, m.PagesSum, res.Metrics.PagesReusedInPlace, res.Metrics.PagesReusedFromDisk, m.Rounds})
+			out = append(out, counts{m.PagesFull, m.PagesDelta, m.PagesSum, m.PagesKept,
+				res.Metrics.PagesReusedInPlace, res.Metrics.PagesKept, res.Metrics.PagesReusedFromDisk, m.Rounds})
 			announcedLegs = append(announcedLegs, announced(t, at+"→"+to, m, res))
 			at, to = to, at
 			p.rewrite(at, rewritten)
@@ -142,11 +146,13 @@ func TestByNameDefaultPingPong(t *testing.T) {
 		if wantAnn := leg >= 2; plainAnn[i] != wantAnn {
 			t.Errorf("leg %d without arrival images: announced=%v, want %v", leg, plainAnn[i], wantAnn)
 		}
-		if named[i] != plain[i] {
-			t.Errorf("leg %d: page counters differ between the named run %+v and the announced run %+v", leg, named[i], plain[i])
+		n, a := named[i], plain[i]
+		if n.full != a.full || n.delta != a.delta || n.fromDisk != a.fromDisk || n.rounds != a.rounds ||
+			n.sum+n.kept != a.sum || n.inPlace+n.dstKept != a.inPlace || n.dstKept != n.kept || a.kept != 0 {
+			t.Errorf("leg %d: page counters of the named run %+v do not account for the announced run's %+v", leg, n, a)
 		}
-		if leg >= 2 && (named[i].full != rewritten || named[i].sum != pages-rewritten) {
-			t.Errorf("leg %d: %d full / %d checksum pages, want %d / %d", leg, named[i].full, named[i].sum, rewritten, pages-rewritten)
+		if leg >= 2 && (n.full != rewritten || n.kept != pages-rewritten) {
+			t.Errorf("leg %d: %d full / %d kept pages, want %d / %d", leg, n.full, n.kept, rewritten, pages-rewritten)
 		}
 	}
 }
@@ -243,9 +249,13 @@ func TestByNameFallsBack(t *testing.T) {
 		if len(attempts) != 2 {
 			t.Fatalf("ran %d attempts, want 2 (one cut, one clean)", len(attempts))
 		}
-		if attempts[0].AnnounceBytes != 0 || attempts[0].PagesSum == 0 {
-			t.Errorf("the cut attempt read a %d-byte announcement and sent %d checksum pages; it should have matched by name",
-				attempts[0].AnnounceBytes, attempts[0].PagesSum)
+		if attempts[0].AnnounceBytes != 0 || attempts[0].PagesKept == 0 {
+			t.Errorf("the cut attempt read a %d-byte announcement and kept %d pages; it should have matched by name",
+				attempts[0].AnnounceBytes, attempts[0].PagesKept)
+		}
+		if m.PagesKept != 0 || res.Metrics.PagesKept != 0 {
+			t.Errorf("the announced retry kept %d pages (destination %d); an unmatched round one tiles the guest",
+				m.PagesKept, res.Metrics.PagesKept)
 		}
 		if !announced(t, "retry", m, res) || !res.ResumedFromPartial {
 			t.Errorf("retry: announced=%v resumed=%v, want the salvage image announced", m.AnnounceBytes != 0, res.ResumedFromPartial)

@@ -110,7 +110,7 @@ func newHostObs(h *Host, reg *obs.Registry, traces *obs.TraceLog) *hostObs {
 			"Transport bytes moved by migrations, by direction (sent/received).",
 			"host", "role", "direction"),
 		pages: reg.CounterVec("vecycle_migration_pages_total",
-			"Pages handled, by wire encoding or reuse kind (full, sum, delta, compressed, reused_in_place, reused_from_disk, postcopy_fetched).",
+			"Pages handled, by wire encoding or reuse kind (full, sum, delta, compressed, kept, reused_in_place, reused_from_disk, postcopy_fetched); kept counts pages round one of a return matched by name left to the checkpoint, on either side.",
 			"host", "kind"),
 		rounds: reg.CounterVec("vecycle_migration_rounds_total",
 			"Pre-copy rounds run, including final stop-and-copy rounds.",
@@ -338,6 +338,7 @@ func (o *hostObs) finish(rec *obs.Recorder, role, vmName string, m core.Metrics,
 	o.pages.With(o.host, "sum").Add(float64(m.PagesSum))
 	o.pages.With(o.host, "delta").Add(float64(m.PagesDelta))
 	o.pages.With(o.host, "compressed").Add(float64(m.PagesCompressed))
+	o.pages.With(o.host, "kept").Add(float64(m.PagesKept))
 	o.pages.With(o.host, "reused_in_place").Add(float64(m.PagesReusedInPlace))
 	o.pages.With(o.host, "reused_from_disk").Add(float64(m.PagesReusedFromDisk))
 	o.rangeFrames.With(o.host).Add(float64(m.RangeFrames))

@@ -161,8 +161,8 @@ func TestPingPongOverTCP(t *testing.T) {
 	if m2.AnnounceBytes != 0 {
 		t.Errorf("ping-pong leg received a %d-byte announcement", m2.AnnounceBytes)
 	}
-	if m2.PagesSum == 0 {
-		t.Error("return leg recycled nothing")
+	if m2.PagesKept == 0 {
+		t.Error("return leg left nothing to the named checkpoint")
 	}
 	if m2.BytesSent >= m1.BytesSent {
 		t.Errorf("return leg traffic %d not below first leg %d", m2.BytesSent, m1.BytesSent)
@@ -175,8 +175,8 @@ func TestPingPongOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	wait(beta)
-	if m3.PagesSum == 0 {
-		t.Error("third leg recycled nothing despite checkpoint at beta")
+	if m3.PagesKept == 0 {
+		t.Error("third leg left nothing to the named checkpoint at beta")
 	}
 	if m3.AnnounceBytes != 0 {
 		t.Errorf("third leg received a %d-byte announcement", m3.AnnounceBytes)
