@@ -20,7 +20,7 @@ race:
 # written since the read stays unrecorded, a batch read before a dirty-log
 # harvest is refused) repeated under the race detector, then the seeded
 # migration audit and the exact-count tests through sched.Host (digest table,
-# save and restore hash stages, delta, salvage-retry and post-copy legs).
+# save and restore hash stages, delta and salvage-retry legs).
 # `race` runs them once with everything else; this target is the one to
 # repeat when touching internal/vm/digest.go.
 race-digest:
@@ -37,9 +37,8 @@ race-digest:
 # (matched legs, every fallback, a restart), and the streamed saves
 # both sides write under round one (compression on and off, a guest writing
 # mid-round, a cut), and the writes each side hands the transport (one per
-# flush point, the paused guest's one write, done riding the last post-copy
-# window) with the per-round byte counts both sides report, under the race
-# detector.
+# flush point, the paused guest's one write) with the per-round byte counts
+# both sides report, under the race detector.
 race-restore:
 	$(GO) test -race -count=3 -run 'TestBackgroundInstall' ./internal/core/
 	$(GO) test -race -run 'TestSpanLoad|TestRestoreSumsMatchGuest|TestConcurrentRemoveDuringRestore|TestSaveStream' ./internal/checkpoint/
@@ -122,8 +121,7 @@ dedup-smoke:
 # fuzz-range runs the wire and disk parser fuzzers briefly beyond their
 # committed seed corpus: the range-frame parser directly, then the whole
 # destination engine against mutated source streams of one-page and
-# multi-page range frames, and the post-copy destination against a mutated
-# recorded conversation; the hello (with its optional manifest root), the
+# multi-page range frames; the hello (with its optional manifest root), the
 # hello-ack and the announcement codec, which open every conversation; the
 # page manifest parser, whose output a restore announces to the peer as it
 # stands; and the segment key-table reader and store-manifest parser, whose
@@ -132,7 +130,6 @@ fuzz-range:
 	$(GO) test -run '^$$' -fuzz FuzzRangeDecode -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeStream$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzRangeMergeStream$$' -fuzztime 5s ./internal/core/
-	$(GO) test -run '^$$' -fuzz '^FuzzPostCopyDest$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzHello$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzHelloAck$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSet$$' -fuzztime 5s ./internal/checksum/

@@ -225,57 +225,6 @@ func syntheticFingerprint(pages, churn int) *fingerprint.Fingerprint {
 	return f
 }
 
-// BenchmarkPostCopyProtocol runs the post-copy engine end to end: a 32 MiB
-// guest, 5% churn since the checkpoint at the destination. The interesting
-// metric is resume-delay, the downtime-equivalent.
-func BenchmarkPostCopyProtocol(b *testing.B) {
-	store, err := checkpoint.NewStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	guest, err := vm.New(vm.Config{Name: "bench", MemBytes: 32 << 20, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := guest.FillRandom(0.95); err != nil {
-		b.Fatal(err)
-	}
-	if err := store.Save(guest); err != nil {
-		b.Fatal(err)
-	}
-	guest.TouchRandomPages(guest.NumPages() / 20)
-
-	b.SetBytes(guest.MemBytes())
-	b.ResetTimer()
-	var last core.PostCopyDestResult
-	for i := 0; i < b.N; i++ {
-		dst, err := vm.New(vm.Config{Name: "bench", MemBytes: guest.MemBytes(), Seed: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ca, cb := net.Pipe()
-		var wg sync.WaitGroup
-		var serr, derr error
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			_, serr = core.PostCopySource(context.Background(), ca, guest, core.PostCopySourceOptions{})
-		}()
-		go func() {
-			defer wg.Done()
-			last, derr = core.PostCopyDest(context.Background(), cb, dst, core.PostCopyDestOptions{Store: store})
-		}()
-		wg.Wait()
-		ca.Close()
-		cb.Close()
-		if serr != nil || derr != nil {
-			b.Fatalf("source=%v dest=%v", serr, derr)
-		}
-	}
-	b.ReportMetric(last.Metrics.ResumeDelay.Seconds()*1000, "resume-ms")
-	b.ReportMetric(float64(last.Metrics.PagesRequested), "net-faults")
-}
-
 // BenchmarkDiskMigration moves an 8 MiB virtual disk (journal churn only)
 // through the engine with checkpoint recycling.
 func BenchmarkDiskMigration(b *testing.B) {

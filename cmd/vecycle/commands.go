@@ -71,7 +71,6 @@ func runSource(args []string) error {
 		seed     = fs.Int64("seed", 1, "guest content seed")
 		store    = fs.String("store", "", "checkpoint store directory (required)")
 		recycle  = fs.Bool("recycle", true, "enable checkpoint-assisted migration")
-		postcopy = fs.Bool("postcopy", false, "use the post-copy protocol (manifest + demand fetch)")
 		compress = fs.Bool("compress", false, "deflate-compress full-page payloads (entropy-gated per page)")
 		tcpRead  = fs.Int("tcp-read-buffer", 0, "SO_RCVBUF for migration sockets in bytes (0 = OS default)")
 		tcpWrite = fs.Int("tcp-write-buffer", 0, "SO_SNDBUF for migration sockets in bytes (0 = OS default)")
@@ -113,14 +112,6 @@ func runSource(args []string) error {
 		return err
 	}
 	defer host.Close()
-	if *postcopy {
-		m, err := host.PostCopyTo(context.Background(), *dest, *vmName)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("post-copy complete: %s\n", m)
-		return writeTraces(host.Traces(), *traceOut)
-	}
 	m, err := host.MigrateTo(context.Background(), *dest, *vmName, sched.MigrateOptions{
 		Recycle:        *recycle,
 		KeepCheckpoint: true,

@@ -95,26 +95,3 @@ func TestSourceDestOverTCP(t *testing.T) {
 		t.Fatalf("dest: %v", derr)
 	}
 }
-
-func TestSourceDestPostCopyOverTCP(t *testing.T) {
-	dir := t.TempDir()
-	const addr = "127.0.0.1:39721"
-	errc := make(chan error, 1)
-	go func() {
-		errc <- run([]string{"dest", "-listen", addr, "-store", filepath.Join(dir, "d"), "-count", "1"})
-	}()
-	var err error
-	for i := 0; i < 100; i++ {
-		err = run([]string{"source", "-dest", addr, "-store", filepath.Join(dir, "s"),
-			"-vm", "pc-vm", "-mem", "1MiB", "-postcopy"})
-		if err == nil {
-			break
-		}
-	}
-	if err != nil {
-		t.Fatalf("source: %v", err)
-	}
-	if derr := <-errc; derr != nil {
-		t.Fatalf("dest: %v", derr)
-	}
-}

@@ -19,7 +19,7 @@ import (
 )
 
 // TestOneDefaultAlgorithm: the checksum algorithm is decided in one place.
-// Both sources put checksum.Default in their hello, the checkpoint store keys
+// The source puts checksum.Default in its hello, the checkpoint store keys
 // pages by it, and nothing quietly speaks the paper's MD5 any more: outside
 // the checksum package itself, the paper-constant models and the frozen
 // benchmark, no non-test source spells checksum.MD5. In the layers a migration
@@ -59,10 +59,6 @@ func TestOneDefaultAlgorithm(t *testing.T) {
 	}
 	helloAlg("pre-copy", func(conn net.Conn, v *vm.VM) error {
 		_, err := MigrateSource(context.Background(), conn, v, SourceOptions{})
-		return err
-	})
-	helloAlg("post-copy", func(conn net.Conn, v *vm.VM) error {
-		_, err := PostCopySource(context.Background(), conn, v, PostCopySourceOptions{})
 		return err
 	})
 

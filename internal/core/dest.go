@@ -96,8 +96,8 @@ func Accept(ctx context.Context, conn io.ReadWriter) (s *IncomingSession, err er
 		cr:   &countingReader{r: conn},
 	}
 	// Data direction (frames in) gets a pooled batch-sized buffer; the
-	// control direction (acks out) a pooled 64 KiB one. Run and RunPostCopy
-	// return them via release().
+	// control direction (acks out) a pooled 64 KiB one. Run returns them via
+	// release().
 	s.w = getCtlWriter(s.cw)
 	s.r = getDataReader(s.cr)
 
@@ -181,7 +181,7 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 		res.Metrics.BytesReceived = s.cr.n
 	}()
 
-	if reason := validateHello(h, v, false); reason != "" {
+	if reason := validateHello(h, v); reason != "" {
 		_ = writeHelloAck(w, helloAck{OK: false, Reason: reason})
 		_ = flush(w)
 		return res, fmt.Errorf("%w: %s", ErrRejected, reason)
@@ -297,12 +297,16 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 // openBootstrap opens the arriving VM's own servable checkpoint, nil when
 // there is none or it cannot be opened. The open is index-only — the sums are
 // the entry's keys, already in memory — and the pages follow into v on
-// background goroutines; the pre-copy merge awaits the spans a frame touches
+// background goroutines; the merge awaits the spans a frame touches
 // (awaitInstall) while the hello-ack, the announcement and round one cross the
-// wire, and the post-copy engine drains them before it resolves its manifest.
+// wire.
 //
 // A corrupt or unreadable checkpoint must not fail the migration: the open
-// degrades to none (degradeBootstrap), and the migration to the wire.
+// degrades to none, and the migration to the wire. That is a rung of the
+// graceful-degradation ladder (docs/ROBUSTNESS.md): a storage-borne failure
+// (unreadable or torn bytes) will recur on every later bootstrap, so the entry
+// is quarantined, the next arrival goes straight to the union or the wire, and
+// the operator sees it in the scrub report.
 func (s *IncomingSession) openBootstrap(ctx context.Context, v *vm.VM, store *checkpoint.Store, onEvent EventFunc) *checkpoint.Checkpoint {
 	if state, ok := store.State(s.h.VMName); !ok || state == checkpoint.EntryQuarantined {
 		return nil
@@ -314,23 +318,14 @@ func (s *IncomingSession) openBootstrap(ctx context.Context, v *vm.VM, store *ch
 		}
 	}
 	if err != nil {
-		s.degradeBootstrap(store, err, onEvent)
+		fault := faultfs.Label(err)
+		onEvent.emit(Event{Kind: EventDegraded, Detail: StageBootstrap + ":" + fault})
+		if fault == "eio" || fault == "torn" {
+			_ = store.Quarantine(s.h.VMName, "bootstrap read failed: "+err.Error())
+		}
 		return nil
 	}
 	return cp
-}
-
-// degradeBootstrap records a bootstrap that failed with err — a rung of the
-// graceful-degradation ladder (docs/ROBUSTNESS.md). A storage-borne failure
-// (unreadable or torn bytes) will recur on every later bootstrap, so the entry
-// is quarantined: the next arrival goes straight to the union or the wire, and
-// the operator sees it in the scrub report.
-func (s *IncomingSession) degradeBootstrap(store *checkpoint.Store, err error, onEvent EventFunc) {
-	fault := faultfs.Label(err)
-	onEvent.emit(Event{Kind: EventDegraded, Detail: StageBootstrap + ":" + fault})
-	if fault == "eio" || fault == "torn" {
-		_ = store.Quarantine(s.h.VMName, "bootstrap read failed: "+err.Error())
-	}
 }
 
 // salvage persists the pages a failed merge had already installed as a
@@ -489,15 +484,11 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 	}
 }
 
-// validateHello returns a rejection reason, or "" to accept. postCopy is the
-// mode of the engine the session runs: a hello asking for the other is
-// refused by name, not left to fail on the first frame it does not expect.
-func validateHello(h hello, v *vm.VM, postCopy bool) string {
+// validateHello returns a rejection reason, or "" to accept.
+func validateHello(h hello, v *vm.VM) string {
 	switch {
 	case h.Version != ProtocolVersion:
 		return fmt.Sprintf("protocol version %d unsupported (want %d)", h.Version, ProtocolVersion)
-	case h.PostCopy != postCopy:
-		return fmt.Sprintf("%s migration sent to a %s destination", migrationMode(h.PostCopy), migrationMode(postCopy))
 	case h.VMName != v.Name():
 		return fmt.Sprintf("VM name %q does not match prepared VM %q", h.VMName, v.Name())
 	case h.PageSize != vm.PageSize:
@@ -511,12 +502,4 @@ func validateHello(h hello, v *vm.VM, postCopy bool) string {
 	default:
 		return ""
 	}
-}
-
-// migrationMode names a protocol mode in rejections.
-func migrationMode(postCopy bool) string {
-	if postCopy {
-		return "post-copy"
-	}
-	return "pre-copy"
 }

@@ -25,12 +25,9 @@ import (
 // source's filled by the engine writing its digests back while the guest
 // wrote — must be complete, so neither save hashes a page.
 func TestDigestTableMigrationAudit(t *testing.T) {
-	modes := []string{"plain", "compress", "delta", "verify", "postcopy"}
+	modes := []string{"plain", "compress", "delta", "verify"}
 	for mi, mode := range modes {
 		for _, named := range []bool{false, true} {
-			if named && mode == "postcopy" {
-				continue // post-copy has no announcement to elide
-			}
 			name := engineSubtest + "/" + mode
 			if named {
 				name += "-named"
@@ -81,74 +78,58 @@ func auditPingPong(t *testing.T, seed int64, mode string, named bool) {
 		checkDigestTable(t, cur)
 		dst := newVM(t, "vm0", pages, seed+int64(hop)+1)
 
-		if mode == "postcopy" {
-			// Post-copy moves a paused guest; both hosts save it afterwards.
-			sm, dres := postcopy(t, cur, dst, PostCopySourceOptions{}, PostCopyDestOptions{Store: there})
-			if hop > 0 {
-				if !dres.UsedCheckpoint {
-					t.Fatalf("hop %d: destination ignored its checkpoint", hop)
-				}
-				if dres.Metrics.ProbeHashBytes != 0 {
-					t.Errorf("hop %d: manifest resolve hashed %d bytes after a seeded restore", hop, dres.Metrics.ProbeHashBytes)
-				}
-				if sm.HashAvoidedBytes == 0 {
-					t.Errorf("hop %d: the manifest took no digest from the guest's table", hop)
-				}
+		sopts := SourceOptions{Recycle: true, Compress: mode == "compress"}
+		dopts := DestOptions{Store: there, VerifyPayloads: mode == "verify"}
+		if named && hop > 0 {
+			sopts.Mirror = mirrorOf(t, here, "vm0")
+		}
+		if state, ok := here.State("vm0"); mode == "delta" && ok && state == checkpoint.EntryComplete {
+			base, err := here.Restore("vm0", alg, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		} else {
-			sopts := SourceOptions{Recycle: true, Compress: mode == "compress"}
-			dopts := DestOptions{Store: there, VerifyPayloads: mode == "verify"}
-			if named && hop > 0 {
-				sopts.Mirror = mirrorOf(t, here, "vm0")
+			defer base.Close()
+			sopts.DeltaBase = base
+		}
+		// The guest keeps writing — a third of its pages, so the rest keep
+		// their digests — until the stop-and-copy pause.
+		paused := make(chan struct{})
+		var writer sync.WaitGroup
+		writer.Add(1)
+		go func(r *rand.Rand) {
+			defer writer.Done()
+			wbuf := make([]byte, vm.PageSize)
+			for {
+				select {
+				case <-paused:
+					return
+				default:
+				}
+				p := r.Intn(pages/3) * 3
+				cur.ReadPage(p, wbuf)
+				wbuf[r.Intn(vm.PageSize)]++
+				cur.WritePage(p, wbuf)
 			}
-			if state, ok := here.State("vm0"); mode == "delta" && ok && state == checkpoint.EntryComplete {
-				base, err := here.Restore("vm0", alg, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer base.Close()
-				sopts.DeltaBase = base
+		}(rand.New(rand.NewSource(rng.Int63())))
+		stopGuest := sync.OnceFunc(func() {
+			close(paused)
+			writer.Wait()
+		})
+		sopts.Pause = stopGuest
+		sm, dres := migrate(t, cur, dst, sopts, dopts)
+		stopGuest() // already stopped, unless the migration never paused
+		checkTrackedResult(t, dst, dres)
+		if hop > 0 {
+			if !dres.UsedCheckpoint || dres.UnionBootstrap {
+				t.Fatalf("hop %d: destination did not bootstrap from the guest's checkpoint", hop)
 			}
-			// The guest keeps writing — a third of its pages, so the rest keep
-			// their digests — until the stop-and-copy pause.
-			paused := make(chan struct{})
-			var writer sync.WaitGroup
-			writer.Add(1)
-			go func(r *rand.Rand) {
-				defer writer.Done()
-				wbuf := make([]byte, vm.PageSize)
-				for {
-					select {
-					case <-paused:
-						return
-					default:
-					}
-					p := r.Intn(pages/3) * 3
-					cur.ReadPage(p, wbuf)
-					wbuf[r.Intn(vm.PageSize)]++
-					cur.WritePage(p, wbuf)
-				}
-			}(rand.New(rand.NewSource(rng.Int63())))
-			stopGuest := sync.OnceFunc(func() {
-				close(paused)
-				writer.Wait()
-			})
-			sopts.Pause = stopGuest
-			sm, dres := migrate(t, cur, dst, sopts, dopts)
-			stopGuest() // already stopped, unless the migration never paused
-			checkTrackedResult(t, dst, dres)
-			if hop > 0 {
-				if !dres.UsedCheckpoint || dres.UnionBootstrap {
-					t.Fatalf("hop %d: destination did not bootstrap from the guest's checkpoint", hop)
-				}
-				if sm.HashAvoidedBytes == 0 {
-					t.Errorf("hop %d: the source took no digest from the guest's table", hop)
-				}
-				// Both hosts saved the same state last hop, so a named
-				// checkpoint always matches; an unnamed one is announced.
-				if (dres.Metrics.AnnounceBytes == 0) != named {
-					t.Errorf("hop %d: named=%v but the destination announced %d bytes", hop, named, dres.Metrics.AnnounceBytes)
-				}
+			if sm.HashAvoidedBytes == 0 {
+				t.Errorf("hop %d: the source took no digest from the guest's table", hop)
+			}
+			// Both hosts saved the same state last hop, so a named
+			// checkpoint always matches; an unnamed one is announced.
+			if (dres.Metrics.AnnounceBytes == 0) != named {
+				t.Errorf("hop %d: named=%v but the destination announced %d bytes", hop, named, dres.Metrics.AnnounceBytes)
 			}
 		}
 

@@ -216,7 +216,7 @@ func TestDestRejectsUnknownMessage(t *testing.T) {
 }
 
 // TestDestRejectsRetiredPageTags: the per-page frames of version 2 — tags 4,
-// 5, 9 and 10 — are reserved in version 3. A stream carrying one, well formed
+// 5, 9 and 10 — are reserved since version 3. A stream carrying one, well formed
 // as version 2 wrote it and in a migration that could have used it (recycled,
 // over a checkpoint), fails with ErrProtocol.
 func TestDestRejectsRetiredPageTags(t *testing.T) {

@@ -78,10 +78,10 @@ type Metrics struct {
 	// leave what they hash in the guest's table.
 	HashBytes int64
 	// ProbeHashBytes counts bytes the destination digested to compare a
-	// resident page with a checksum from the wire (range-sum frames, the
-	// post-copy manifest). Zero after a checkpoint bootstrap,
-	// which seeds the table from the sums it restored with; a union
-	// bootstrap installs nothing, so there every probed page is hashed.
+	// resident page with a checksum from a range-sum frame. Zero after a
+	// checkpoint bootstrap, which seeds the table from the sums it restored
+	// with; a union bootstrap installs nothing, so there every probed page
+	// is hashed.
 	ProbeHashBytes int64
 	// HashAvoidedBytes counts bytes whose digest came from the guest's
 	// digest table instead of being recomputed, over the same passes.
@@ -96,8 +96,7 @@ type Metrics struct {
 // String summarizes the metrics in one line. Both byte directions render
 // through FormatBytes and the field order is fixed, so source- and
 // destination-side summaries line up column-for-column in logs (the
-// destination's recv mirrors the source's sent). PostCopyMetrics.String
-// extends this prefix with the post-copy fields.
+// destination's recv mirrors the source's sent).
 func (m Metrics) String() string {
 	return fmt.Sprintf("sent=%s recv=%s full=%d sum=%d kept=%d rounds=%d time=%v",
 		FormatBytes(m.BytesSent), FormatBytes(m.BytesReceived),

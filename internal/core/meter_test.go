@@ -7,8 +7,7 @@ import (
 )
 
 // TestMetricsStringNormalized pins the one-line summary format: both byte
-// directions in binary units via FormatBytes, fixed field order, and the
-// post-copy variant extending — not reordering — the shared prefix. A
+// directions in binary units via FormatBytes and a fixed field order. A
 // source's sent=X and the destination's recv=X then agree byte-for-byte in
 // logs.
 func TestMetricsStringNormalized(t *testing.T) {
@@ -24,17 +23,6 @@ func TestMetricsStringNormalized(t *testing.T) {
 	want := "sent=3.00 MiB recv=1.00 KiB full=7 sum=9 kept=4 rounds=2 time=1.5s"
 	if got := m.String(); got != want {
 		t.Errorf("Metrics.String() = %q, want %q", got, want)
-	}
-
-	pm := PostCopyMetrics{
-		Metrics:        m,
-		ResumeDelay:    200 * time.Millisecond,
-		PagesRequested: 5,
-	}
-	if got := pm.String(); !strings.HasPrefix(got, want+" ") {
-		t.Errorf("PostCopyMetrics.String() = %q, want prefix %q", got, want)
-	} else if got != want+" resume=200ms fetched=5" {
-		t.Errorf("PostCopyMetrics.String() = %q", got)
 	}
 
 	// The two sides of one migration must summarize symmetrically: the

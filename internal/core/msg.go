@@ -38,15 +38,18 @@ import (
 // in a range frame whose count byte holds count − 1. The hello's algorithm
 // byte is fixed at checksum.Default and any other value refused the same way;
 // fixing it moved no byte of a stream that already spoke the default, so it
-// took no version.
-const ProtocolVersion uint16 = 3
+// took no version. Version 4 is version 3 less post-copy: the hello's mode bit
+// and the manifest and fetch tags are reserved, and a pre-copy stream differs
+// from version 3's only in the version field.
+const ProtocolVersion uint16 = 4
 
 // msgType tags each wire message.
 type msgType uint8
 
 // Wire message types. Tags 4, 5, 9 and 10 were version 2's per-page sum,
-// full, deflated and delta frames, tag 11 version 1's compact announcement;
-// all are reserved, and a reserved tag anywhere in a stream is a protocol
+// full, deflated and delta frames, tag 11 version 1's compact announcement,
+// tags 32 and 33 version 3's post-copy manifest and page fetch; all are
+// reserved, and a reserved tag anywhere in a stream is a protocol
 // violation. The page-range frames (tags 12-15) are the only frames that carry
 // pages: one frame carries a contiguous run of 1..MaxRangePages pages that all
 // received the same treatment (checksum-only, full, compressed, delta).
@@ -116,17 +119,15 @@ type hello struct {
 	// nothing — §3.2's ping-pong, by name instead of by trust.
 	HasRoot bool
 	Root    [checkpoint.RootSize]byte
-	// PostCopy selects the post-copy protocol (manifest + demand fetch)
-	// instead of iterative pre-copy.
-	PostCopy bool
 }
 
-// The flag bits each handshake frame defines. A version-2 frame with any
+// The flag bits each handshake frame defines. A frame of this version with any
 // other bit set is a protocol violation: bits 3 and 4 of the hello and bits 2
 // and 4 of the hello-ack were version 1's capability offers and acceptances,
-// and are retired with them.
+// and bit 2 of the hello (mask 4) was version 3's post-copy mode; all are
+// retired with them.
 const (
-	helloFlagBits    = 1 | 2 | 4      // recycle, root follows, post-copy
+	helloFlagBits    = 1 | 2          // recycle, root follows
 	helloAckFlagBits = 1 | 2 | 8 | 32 // OK, have-checkpoint, partial, manifest-match
 )
 
@@ -175,7 +176,7 @@ func readMsgType(r io.Reader) (msgType, error) {
 
 // newHello starts the hello of an outgoing migration of v: this protocol
 // version, the guest's geometry and checksum.Default, the one algorithm a
-// page is digested under. The caller sets the mode bits.
+// page is digested under. The caller sets the recycle bit and the root.
 func newHello(v *vm.VM) hello {
 	return hello{
 		Version:   ProtocolVersion,
@@ -201,9 +202,6 @@ func writeHello(w io.Writer, h hello) error {
 	}
 	if h.HasRoot {
 		flags |= 2
-	}
-	if h.PostCopy {
-		flags |= 4
 	}
 	fields := []interface{}{
 		h.Version,
@@ -262,12 +260,6 @@ func readHello(r io.Reader) (hello, error) {
 	}
 	h.Recycle = flags&1 != 0
 	h.HasRoot = flags&2 != 0
-	h.PostCopy = flags&4 != 0
-	if h.PostCopy && !h.Recycle {
-		// Post-copy resolves its manifest against the checkpoint by sum: it is
-		// a recycled migration by construction.
-		return h, fmt.Errorf("%w: hello asks for post-copy without recycling", ErrProtocol)
-	}
 	if h.HasRoot {
 		// A root names a checkpoint to recycle; without the recycle bit the
 		// 32 bytes that follow have no reading.

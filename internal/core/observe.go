@@ -12,7 +12,7 @@ import "fmt"
 // documents each kind's fields.
 const (
 	// EventHello: session established. Detail carries
-	// "have_checkpoint=true|false" as negotiated and, on the pre-copy engines,
+	// "have_checkpoint=true|false" as negotiated and
 	// " manifest=match|announced|none": how the source learns the
 	// destination's checksums — by name (the hello's manifest root matched
 	// the destination's entry; no announcement crosses the wire), by the bulk
@@ -46,13 +46,6 @@ const (
 	// EventResume: the source resumed/released the guest after the
 	// destination acknowledged.
 	EventResume = "resume"
-	// EventManifest: the post-copy checksum manifest crossed the wire.
-	// Bytes is its size; Pages (destination only) the pages still
-	// missing after resolving it locally.
-	EventManifest = "manifest"
-	// EventFetch: the post-copy demand-fetch phase finished. Pages is
-	// the number of pages served over the network after resume.
-	EventFetch = "fetch"
 	// EventUnion: the destination had no servable checkpoint of the
 	// arriving VM and announced the union of all resident store content
 	// instead (the content-addressed pool — other VMs' checkpoints, older
@@ -102,7 +95,7 @@ type Event struct {
 // migration's protocol goroutine and must be fast; nil disables emission.
 type EventFunc func(Event)
 
-// helloDetail renders the pre-copy hello event's detail, the same on both
+// helloDetail renders the hello event's detail, the same on both
 // sides of one migration: a checkpoint in use is either matched by name or
 // announced.
 func helloDetail(haveCheckpoint, match bool) string {

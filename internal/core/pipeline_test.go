@@ -109,10 +109,20 @@ func (c *recordConn) Write(p []byte) (int, error) {
 // builds. The wire is a protocol peers of other versions speak, so a change
 // that moves a byte of it fails here and has to re-pin these on purpose.
 const (
-	goldenAnnouncedSrc = "b1fc461655e3b7705fa7565f44c5286b3a99c379a5656e6a6ebdff947d1d47af"
+	goldenAnnouncedSrc = "4da0a11ce25371f1b868bde2b2ac107c42f9e7ffd4a162647b41e115c1171808"
 	goldenAnnouncedDst = "3ab19b39007aabe73901acf23fb4741ba8d685eabd676e14a78ee960e90e75f2"
-	goldenByNameSrc    = "87deb60f5e078d0098e6ad818a03d38438bd57c60d5fa7f8daf9059fc2a481d2"
+	goldenByNameSrc    = "7e8fc87367ceadf9feb3f40cd001b6c10a218bdb8b19a11d7694d47bfb33f0f8"
 	goldenByNameDst    = "42a15d70066c15343066f26951fea20f0fb75f1e3d2e889e0887346a135ccf4d"
+)
+
+// The same source streams as protocol version 3 wrote them. Version 4 only
+// retired post-copy, so its pre-copy streams differ from version 3's in the
+// hello's version field alone: each of them with that field set to 3
+// (asVersion3) must hash to these. The destination's side carries no version:
+// its digests are version 3's.
+const (
+	version3AnnouncedSrc = "b1fc461655e3b7705fa7565f44c5286b3a99c379a5656e6a6ebdff947d1d47af"
+	version3ByNameSrc    = "87deb60f5e078d0098e6ad818a03d38438bd57c60d5fa7f8daf9059fc2a481d2"
 )
 
 // The same source streams as protocol version 2 wrote them. Version 3 moved
@@ -133,6 +143,14 @@ const (
 	version1AnnouncedDst = "aa4a852289bba63aec91e5cd9394558856ce00f4f9b4770c7fd073a1caf0d06b"
 	version1ByNameSrc    = "938c2661f911d0382430d11339e6cb74b59d60ec86f843fec3c2718558df332a"
 )
+
+// asVersion3 returns a golden source stream as protocol version 3 wrote it:
+// the same bytes under a hello of version 3.
+func asVersion3(stream []byte) []byte {
+	out := append([]byte(nil), stream...)
+	binary.LittleEndian.PutUint16(out[1:3], 3)
+	return out
+}
 
 // asVersion2 rewrites a golden source stream the way protocol version 2 wrote
 // it. The hello gets version 2; helloLen is its length, root included. Every
@@ -401,6 +419,7 @@ func TestGoldenStreamEquivalence(t *testing.T) {
 	if want := HelloAckMsgBytes + 1; len(reply) <= want || reply[1] != 1|2 || reply[want-1] != byte(msgHashAnnounce) {
 		t.Fatalf("reply opens % x, want a hello-ack with OK and have-checkpoint, then the announcement", reply[:min(len(reply), want)])
 	}
+	checkGolden(t, "source stream as version 3", asVersion3(stream), version3AnnouncedSrc)
 	v2Stream := asVersion2(t, stream, HelloMsgBytes(len("vm0")))
 	checkGolden(t, "source stream as version 2", v2Stream, version2AnnouncedSrc)
 	v1Stream, v1Reply := asVersion1(t, v2Stream, reply, HelloMsgBytes(len("vm0")))
@@ -451,6 +470,7 @@ func TestGoldenStreamByName(t *testing.T) {
 	}
 	checkGolden(t, "source stream", stream, goldenByNameSrc)
 	checkGolden(t, "destination reply", reply, goldenByNameDst)
+	checkGolden(t, "source stream as version 3", asVersion3(stream), version3ByNameSrc)
 	whole := append(append([]byte(nil), stream[:helloLen+len(root)]...), golden[helloLen:]...)
 	v2Stream := asVersion2(t, whole, helloLen+len(root))
 	checkGolden(t, "source stream with round one whole, as version 2", v2Stream, version2ByNameSrc)

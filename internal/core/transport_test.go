@@ -308,49 +308,3 @@ func TestFaultConnStallHonorsDeadline(t *testing.T) {
 		t.Fatalf("stalled write held the caller for %v", elapsed)
 	}
 }
-
-func TestPostCopyRequestsArePipelined(t *testing.T) {
-	const pages = 700
-	src := newVM(t, "vm0", pages, 1)
-	if err := src.FillRandom(1.0); err != nil {
-		t.Fatal(err)
-	}
-	dst := newVM(t, "vm0", pages, 2)
-
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	// Latency on the destination's writes makes every flush cost a round
-	// trip, as on a real link; counting writes through the wrapper counts
-	// flushes, since the 64 KiB protocol buffer holds a full request window.
-	lat := NewFaultConn(b, FaultConfig{WriteLatency: 200 * time.Microsecond})
-
-	var wg sync.WaitGroup
-	var serr, derr error
-	var res PostCopyDestResult
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		_, serr = PostCopySource(context.Background(), a, src, PostCopySourceOptions{})
-	}()
-	go func() {
-		defer wg.Done()
-		res, derr = PostCopyDest(context.Background(), lat, dst, PostCopyDestOptions{})
-	}()
-	wg.Wait()
-	if serr != nil || derr != nil {
-		t.Fatalf("post-copy failed: source=%v dest=%v", serr, derr)
-	}
-	if !src.MemEqual(dst) {
-		t.Fatal("memory differs after post-copy")
-	}
-	missing := res.Metrics.PagesRequested
-	if missing < requestWindow*2 {
-		t.Fatalf("only %d pages were demand-fetched; test needs multiple windows", missing)
-	}
-	// One request flush per window plus a handful of control-message
-	// flushes — versus one flush per page before pipelining.
-	if got, limit := lat.WriteOps(), int64(missing/10); got > limit {
-		t.Errorf("destination flushed %d times for %d fetched pages, want <= %d (pipelined windows)", got, missing, limit)
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"vecycle/internal/checkpoint"
 	"vecycle/internal/checksum"
 	"vecycle/internal/vm"
 )
@@ -71,13 +70,12 @@ func pipePair(t *testing.T) (net.Conn, net.Conn) {
 	return a, b
 }
 
-// TestSourceWritesPerTurn pins the writes each endpoint hands the transport.
-// A pre-copy source flushes after the hello, after each live round's
-// round-end, and after done: the final round and done leave in one write, so
-// the paused guest waits on one write however many rounds ran live. A
-// post-copy destination sends done with its last window of page requests.
-// Over net.Pipe every flush is one Write, and a data batch larger than the
-// 1 MiB buffer goes out as one direct Write of its own.
+// TestSourceWritesPerTurn pins the writes the source hands the transport. It
+// flushes after the hello, after each live round's round-end, and after done:
+// the final round and done leave in one write, so the paused guest waits on
+// one write however many rounds ran live. Over net.Pipe every flush is one
+// Write, and a data batch larger than the 1 MiB buffer goes out as one direct
+// Write of its own.
 func TestSourceWritesPerTurn(t *testing.T) {
 	t.Run("idle-by-name", func(t *testing.T) {
 		// A ping-pong return of a guest that did not run: round one leaves all
@@ -191,48 +189,6 @@ func TestSourceWritesPerTurn(t *testing.T) {
 		}
 		if n := tc.turns.Load(); n != 2 {
 			t.Errorf("%d turns, want 2", n)
-		}
-	})
-
-	t.Run("postcopy-dest", func(t *testing.T) {
-		// hello-ack, then one write per window of requests, done riding the
-		// last; with nothing missing, done goes alone.
-		for _, tc := range []struct {
-			name      string
-			pages     int
-			stored    bool
-			wantFetch int
-			wantWrite int64
-		}{
-			{"missing-300", 300, false, 300, 3},
-			{"missing-0", 64, true, 0, 2},
-		} {
-			t.Run(tc.name, func(t *testing.T) {
-				src := newVM(t, "vm0", tc.pages, 1)
-				if err := src.FillRandom(1); err != nil {
-					t.Fatal(err)
-				}
-				var store *checkpoint.Store
-				if tc.stored {
-					store = newStore(t)
-					if err := store.Save(src); err != nil {
-						t.Fatal(err)
-					}
-				}
-				a, b := pipePair(t)
-				dc := &turnConn{ReadWriter: b}
-				dst := newVM(t, "vm0", tc.pages, 2)
-				_, dres := postcopyOver(t, a, dc, src, dst, PostCopySourceOptions{}, PostCopyDestOptions{Store: store})
-				if !src.MemEqual(dst) {
-					t.Fatalf("memory differs at page %d", src.FirstDifference(dst))
-				}
-				if dres.Metrics.PagesRequested != tc.wantFetch {
-					t.Fatalf("fetched %d pages, want %d", dres.Metrics.PagesRequested, tc.wantFetch)
-				}
-				if w := dc.writes.Load(); w != tc.wantWrite {
-					t.Errorf("%d destination writes, want %d", w, tc.wantWrite)
-				}
-			})
 		}
 	})
 }

@@ -10,7 +10,7 @@ import (
 // Per-migration event tracing: each migration attempt (either role) is one
 // Migration record holding a bounded sequence of span-like Events, one per
 // protocol turn — hello, per-round progress, checksum announcement,
-// stop-and-copy pause, post-copy fetch, retry/backoff decisions. Completed
+// stop-and-copy pause, retry/backoff decisions. Completed
 // records are retained in a fixed-size ring (oldest evicted first) and can
 // be exported as JSONL or served over the ops endpoint.
 

@@ -452,13 +452,13 @@ func TestChaosStoreInstallReadFailure(t *testing.T) {
 	}
 }
 
-// TestChaosStorePostCopyBootstrapEIO: a post-copy arrival whose checkpoint
-// opens fine and then fails every segment read while its pages install takes
-// the same bootstrap rung as a pre-copy one — counted once in
-// vecycle_degraded_total{stage=bootstrap,fault=eio}, the entry quarantined —
-// and the migration carries on without it: every page is fetched over the
-// wire and the guest lands byte for byte.
-func TestChaosStorePostCopyBootstrapEIO(t *testing.T) {
+// TestChaosStoreBootstrapEIO: an arrival whose checkpoint cannot be opened —
+// every segment open fails with EIO — takes the bootstrap rung of the
+// degradation ladder: counted once in
+// vecycle_degraded_total{stage=bootstrap,fault=eio}, the entry quarantined so
+// the next arrival does not try it again. The migration carries on without
+// it, and the guest lands byte for byte.
+func TestChaosStoreBootstrapEIO(t *testing.T) {
 	inj := faultfs.NewInjector()
 	dst := newFaultHost(t, "beta", inj)
 	arrivals := make(chan core.DestResult, 1) // the one arrival
@@ -481,10 +481,9 @@ func TestChaosStorePostCopyBootstrapEIO(t *testing.T) {
 
 	degraded := func() float64 { return dst.obs.degraded.With(dst.name, core.StageBootstrap, "eio").Value() }
 	before := degraded()
-	inj.Arm(faultfs.Fault{Op: faultfs.OpReadAt, Path: ".seg", Times: -1})
-	m, err := src.PostCopyTo(context.Background(), addr, "vm0")
-	if err != nil {
-		t.Fatalf("post-copy failed on a bootstrap read fault: %v", err)
+	inj.Arm(faultfs.Fault{Op: faultfs.OpOpen, Path: ".seg", Err: faultfs.ErrEIO, Times: -1})
+	if _, err := src.MigrateTo(context.Background(), addr, "vm0", MigrateOptions{Recycle: true}); err != nil {
+		t.Fatalf("migration failed on a bootstrap open fault: %v", err)
 	}
 	var res core.DestResult
 	select {
@@ -494,8 +493,8 @@ func TestChaosStorePostCopyBootstrapEIO(t *testing.T) {
 	}
 	landed, _ := dst.VM("vm0")
 	fingerprintEqual(t, want, landed)
-	if res.UsedCheckpoint || m.PagesRequested != pages {
-		t.Errorf("used checkpoint %v, %d pages fetched; want none and all %d over the wire", res.UsedCheckpoint, m.PagesRequested, pages)
+	if res.UsedCheckpoint {
+		t.Error("the destination reports bootstrapping from the checkpoint it could not open")
 	}
 	if got := degraded() - before; got != 1 {
 		t.Errorf("vecycle_degraded_total{stage=bootstrap,fault=eio} grew by %v, want 1", got)
@@ -508,7 +507,9 @@ func TestChaosStorePostCopyBootstrapEIO(t *testing.T) {
 // TestChaosStoreMatrix is the chaos-store gate: one small migration per
 // (store op site × fault kind × migration phase) cell, each with the fault
 // armed for the whole run. Every cell must converge with the guest's
-// memory intact — storage faults may cost checkpoints, never migrations.
+// memory intact — storage faults may cost checkpoints, never migrations —
+// and must have injected its fault at least once, so no cell passes for a
+// site the phase never touches.
 func TestChaosStoreMatrix(t *testing.T) {
 	type site struct {
 		path string
@@ -527,7 +528,6 @@ func TestChaosStoreMatrix(t *testing.T) {
 	readSites := []site{
 		{".seg", faultfs.OpOpen},
 		{".seg", faultfs.OpReadAt},
-		{".pmf", faultfs.OpOpen},
 	}
 	faults := []struct {
 		name string
@@ -605,6 +605,9 @@ func TestChaosStoreMatrix(t *testing.T) {
 		waitFor(t, func() bool { _, ok := dst.VM("vm0"); return ok }, "guest never registered at the destination")
 		landed, _ := dst.VM("vm0")
 		fingerprintEqual(t, want, landed)
+		if len(inj.Shots()) == 0 {
+			t.Errorf("phase %s, fault %s on %s %s: the fault never fired", phase, faultName, s.op, s.path)
+		}
 	}
 
 	for _, phase := range []string{"keep-checkpoint", "save-arrivals"} {

@@ -17,9 +17,8 @@ import (
 // neither host's checkpoint save nor the destination's restore hashes a byte —
 // the wire checksum is the store key. A delta base is opened without hashing
 // either, and a retry resuming from a salvage image hashes nothing: the cut
-// attempt wrote its digests back to the guest's table. A post-copy source
-// hashes the rewritten pages once, and neither post-copy save hashes any; each
-// books every page once: hashed plus avoided is the guest. The registry's
+// attempt wrote its digests back to the guest's table. Each save books every
+// page once: hashed plus avoided is the guest. The registry's
 // series must tell the same story as the engine's metrics.
 func TestDigestTableExactCounts(t *testing.T) {
 	const pages = 1024
@@ -197,48 +196,4 @@ func TestDigestTableExactCounts(t *testing.T) {
 			cd.dials.Load(), res.ResumedFromPartial)
 	}
 	hosts["alpha"].DialFunc = nil
-
-	// Post-copy: both saves key their image from the guest's digest table. The
-	// destination's restore seeded it and every fetched or re-read page landed
-	// with its digest, so the arrival image hashes nothing. The source
-	// completed its table before the manifest — hashing the pages the guest
-	// rewrote since it arrived, once — so the departure image hashes nothing
-	// either. Each save books the whole guest as avoided, on top of what the
-	// engines avoided.
-	rewrite("beta", rewritten, false)
-	saved := map[string]int64{"alpha": stage("alpha", "save_keys"), "beta": stage("beta", "save_keys")}
-	avoided0 := map[string]int64{"alpha": avoided("alpha"), "beta": avoided("beta")}
-	leaving, _ := hosts["beta"].VM("vm0")
-	want := leaving.Fingerprint64()
-	pm, err := hosts["beta"].PostCopyTo(ctx, addrs["alpha"], "vm0")
-	if err != nil {
-		t.Fatalf("beta→alpha post-copy: %v", err)
-	}
-	select {
-	case res = <-arrivals:
-	case <-time.After(10 * time.Second):
-		t.Fatal("beta→alpha post-copy: no arrival")
-	}
-	landed, _ := hosts["alpha"].VM("vm0")
-	fingerprintEqual(t, want, landed)
-	if pm.HashBytes != rewritten*vm.PageSize || pm.HashBytes+pm.HashAvoidedBytes != mem {
-		t.Errorf("post-copy: source hashed %d bytes and avoided %d, want %d hashed of %d",
-			pm.HashBytes, pm.HashAvoidedBytes, rewritten*vm.PageSize, mem)
-	}
-	saveHashed := map[string]int64{"alpha": 0, "beta": 0}
-	engine := map[string]int64{"alpha": res.Metrics.HashAvoidedBytes, "beta": pm.HashAvoidedBytes}
-	// The destination folds its engine metrics in after OnArrival returns.
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline) &&
-		avoided("alpha")-avoided0["alpha"] < engine["alpha"]+mem; {
-		time.Sleep(time.Millisecond)
-	}
-	for host, hashed := range saveHashed {
-		if got := stage(host, "save_keys") - saved[host]; got != hashed {
-			t.Errorf("post-copy: %s's vecycle_hash_bytes_total{stage=save_keys} grew by %d, want %d", host, got, hashed)
-		}
-		if got, want := avoided(host)-avoided0[host], engine[host]+mem-hashed; got != want {
-			t.Errorf("post-copy: %s's vecycle_hash_avoided_bytes_total grew by %d, want %d (engine %d + save %d)",
-				host, got, want, engine[host], mem-hashed)
-		}
-	}
 }

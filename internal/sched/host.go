@@ -339,16 +339,13 @@ func (h *Host) handleIncoming(ctx context.Context, conn io.ReadWriter, peer stri
 		return session.Reject(fmt.Sprintf("VM %q already resident on %s", name, h.name))
 	}
 	defer h.releaseArrival(name)
-	if session.IsPostCopy() {
-		return h.handlePostCopy(ctx, session, rec)
-	}
 	res, err := h.runIncoming(ctx, session, rec)
 	h.obs.finish(rec, "dest", name, res.Metrics, err)
 	return err
 }
 
-// runIncoming is the body of handleIncoming for the pre-copy path, split
-// out so every return funnels through one obs.finish call.
+// runIncoming is the body of handleIncoming, split out so every return
+// funnels through one obs.finish call.
 func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, rec *obs.Recorder) (core.DestResult, error) {
 	name := session.VMName()
 	// The seed only drives the guest's future workload randomness (its
@@ -439,89 +436,6 @@ func (h *Host) register(dst *vm.VM) error {
 	}
 	h.vms[dst.Name()] = dst
 	return nil
-}
-
-// handlePostCopy completes an incoming post-copy migration.
-func (h *Host) handlePostCopy(ctx context.Context, session *core.IncomingSession, rec *obs.Recorder) error {
-	res, err := h.runPostCopy(ctx, session, rec)
-	h.obs.finishPostCopy(rec, "dest", session.VMName(), res.Metrics, err)
-	return err
-}
-
-func (h *Host) runPostCopy(ctx context.Context, session *core.IncomingSession, rec *obs.Recorder) (core.PostCopyDestResult, error) {
-	h.mu.Lock()
-	h.arrivals++
-	seed := int64(fnv64(fmt.Sprintf("%s/%s/%d", h.name, session.VMName(), h.arrivals)))
-	h.mu.Unlock()
-	dst, err := vm.New(vm.Config{Name: session.VMName(), MemBytes: session.MemBytes(), Seed: seed})
-	if err != nil {
-		return core.PostCopyDestResult{}, session.Reject(err.Error())
-	}
-	res, err := session.RunPostCopy(ctx, dst, core.PostCopyDestOptions{
-		Store:   h.store,
-		OnEvent: h.obs.eventFunc(rec, "dest"),
-	})
-	if err != nil {
-		return res, err
-	}
-	if h.SaveArrivals {
-		// Keyed from the guest's digest table: the bootstrap seeded it and
-		// every fetched or re-read page landed with its digest.
-		h.saveCheckpoint(core.StageSaveArrivals, rec, nil, dst, "arrival image")
-	}
-	if err := h.register(dst); err != nil {
-		return res, err
-	}
-	if h.OnArrival != nil {
-		h.OnArrival(dst, core.DestResult{
-			Metrics:        res.Metrics.Metrics,
-			UsedCheckpoint: res.UsedCheckpoint,
-		})
-	}
-	return res, nil
-}
-
-// PostCopyTo moves the named VM to the peer at addr using the post-copy
-// protocol. The caller must have stopped the guest workload: post-copy
-// transfers a frozen state, and the guest logically resumes at the
-// destination the moment the manifest is resolved. Cancelling ctx aborts
-// the transfer; per-I/O deadlines follow Host.IdleTimeout.
-func (h *Host) PostCopyTo(ctx context.Context, addr, vmName string) (core.PostCopyMetrics, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	h.mu.Lock()
-	v, ok := h.vms[vmName]
-	h.mu.Unlock()
-	if !ok {
-		return core.PostCopyMetrics{}, fmt.Errorf("%w: %q", ErrNoSuchVM, vmName)
-	}
-	rec := h.obs.begin("source", vmName, addr)
-	m, err := h.runPostCopyTo(ctx, addr, vmName, v, rec)
-	h.obs.finishPostCopy(rec, "source", vmName, m, err)
-	return m, err
-}
-
-func (h *Host) runPostCopyTo(ctx context.Context, addr, vmName string, v *vm.VM, rec *obs.Recorder) (core.PostCopyMetrics, error) {
-	conn, err := h.dial(ctx, addr)
-	if err != nil {
-		return core.PostCopyMetrics{}, err
-	}
-	defer conn.Close()
-	m, err := core.PostCopySource(ctx, core.NewDeadlineConn(conn, h.idle()), v, core.PostCopySourceOptions{
-		OnEvent: h.obs.eventFunc(rec, "source"),
-	})
-	if err != nil {
-		return m, err
-	}
-	// The guest already runs at the destination; the departure image is a
-	// future optimization, not part of this transfer's success. The transfer
-	// completed the guest's digest table, so the save hashes nothing.
-	h.saveCheckpoint(core.StageKeepCheckpoint, rec, nil, v, "departure image")
-	h.mu.Lock()
-	delete(h.vms, vmName)
-	h.mu.Unlock()
-	return m, nil
 }
 
 // fnv64 hashes a string with FNV-1a.

@@ -70,8 +70,6 @@ type hostObs struct {
 	compressSkip   *obs.CounterVec   // vecycle_compress_skipped_total{host}
 	vmTotal        *obs.CounterVec   // vecycle_vm_migrations_total{host,vm,role}
 	vmLast         *obs.GaugeVec     // vecycle_vm_last_migration_seconds{host,vm}
-	resume         *obs.HistogramVec // vecycle_postcopy_resume_delay_seconds{host,role}
-	fetched        *obs.CounterVec   // vecycle_postcopy_pages_fetched_total{host}
 	hashBytes      *obs.CounterVec   // vecycle_hash_bytes_total{host,stage}
 	hashAvoided    *obs.CounterVec   // vecycle_hash_avoided_bytes_total{host}
 	degraded       *obs.CounterVec   // vecycle_degraded_total{host,stage,fault}
@@ -110,7 +108,7 @@ func newHostObs(h *Host, reg *obs.Registry, traces *obs.TraceLog) *hostObs {
 			"Transport bytes moved by migrations, by direction (sent/received).",
 			"host", "role", "direction"),
 		pages: reg.CounterVec("vecycle_migration_pages_total",
-			"Pages handled, by wire encoding or reuse kind (full, sum, delta, compressed, kept, reused_in_place, reused_from_disk, postcopy_fetched); kept counts pages round one of a return matched by name left to the checkpoint, on either side.",
+			"Pages handled, by wire encoding or reuse kind (full, sum, delta, compressed, kept, reused_in_place, reused_from_disk); kept counts pages round one of a return matched by name left to the checkpoint, on either side.",
 			"host", "kind"),
 		rounds: reg.CounterVec("vecycle_migration_rounds_total",
 			"Pre-copy rounds run, including final stop-and-copy rounds.",
@@ -145,12 +143,6 @@ func newHostObs(h *Host, reg *obs.Registry, traces *obs.TraceLog) *hostObs {
 		vmLast: reg.GaugeVec("vecycle_vm_last_migration_seconds",
 			"Duration of the VM's most recent successful migration on this host.",
 			"host", "vm"),
-		resume: reg.HistogramVec("vecycle_postcopy_resume_delay_seconds",
-			"Post-copy resume delay: migration start until the guest could run at the destination.",
-			downtimeBuckets, "host", "role"),
-		fetched: reg.CounterVec("vecycle_postcopy_pages_fetched_total",
-			"Pages demand-fetched over the network after a post-copy resume.",
-			"host"),
 		hashBytes: reg.CounterVec("vecycle_hash_bytes_total",
 			"Payload bytes actually digested, by stage: encode (source pages the guest's digest table did not cover), probe (destination pages hashed to compare with a wire checksum), track (destination round-end pass completing the arrived guest's digest table), save_keys (pages a checkpoint save keyed by hashing because the guest's digest table did not cover them), restore (pages a checkpoint open read and rehashed under an algorithm the store does not key by; no migration opens that way).",
 			"host", "stage"),
@@ -362,15 +354,6 @@ func (o *hostObs) finish(rec *obs.Recorder, role, vmName string, m core.Metrics,
 	if err == nil {
 		o.duration.With(o.host, role).Observe(m.Duration.Seconds())
 		o.vmLast.With(o.host, vmName).Set(m.Duration.Seconds())
-	}
-}
-
-// finishPostCopy is finish plus the post-copy specifics.
-func (o *hostObs) finishPostCopy(rec *obs.Recorder, role, vmName string, m core.PostCopyMetrics, err error) {
-	o.finish(rec, role, vmName, m.Metrics, err)
-	o.fetched.With(o.host).Add(float64(m.PagesRequested))
-	if err == nil {
-		o.resume.With(o.host, role).Observe(m.ResumeDelay.Seconds())
 	}
 }
 

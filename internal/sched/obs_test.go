@@ -302,59 +302,6 @@ func TestFleetSharedRegistry(t *testing.T) {
 	}
 }
 
-// TestPostCopyObservability migrates post-copy and checks the post-copy
-// series and trace events.
-func TestPostCopyObservability(t *testing.T) {
-	src := newHost(t, "alpha")
-	dst := newHost(t, "beta")
-	addr := listen(t, dst)
-	t.Cleanup(func() { src.Close() })
-
-	v := newGuest(t, "vm0", 32)
-	if err := v.FillRandom(0.9); err != nil {
-		t.Fatal(err)
-	}
-	src.AddVM(v)
-	arrived := make(chan struct{}, 1)
-	dst.OnArrival = func(*vm.VM, core.DestResult) { arrived <- struct{}{} }
-
-	if _, err := src.PostCopyTo(context.Background(), addr, "vm0"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-arrived:
-	case <-time.After(5 * time.Second):
-		t.Fatal("destination never registered the VM")
-	}
-
-	var sb strings.Builder
-	if err := src.Registry().WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
-	for _, want := range []string{
-		`vecycle_postcopy_resume_delay_seconds_count{host="alpha",role="source"} 1`,
-		`vecycle_postcopy_pages_fetched_total{host="alpha"}`,
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("source post-copy metrics missing %q", want)
-		}
-	}
-	recent := src.Traces().Recent()
-	if len(recent) != 1 {
-		t.Fatalf("recent traces = %d", len(recent))
-	}
-	kinds := make(map[string]bool)
-	for _, e := range recent[0].Events {
-		kinds[e.Kind] = true
-	}
-	for _, want := range []string{core.EventHello, core.EventManifest, core.EventFetch, core.EventDone} {
-		if !kinds[want] {
-			t.Errorf("post-copy trace missing %q event (got %v)", want, kinds)
-		}
-	}
-}
-
 // metricWord matches metric-name-shaped words in the documentation.
 var metricWord = regexp.MustCompile(`vecycle_[a-z0-9_]+`)
 

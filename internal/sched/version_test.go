@@ -19,8 +19,9 @@ import (
 // helloRewrite describes the hello another source sends, as a rewrite of the
 // first frame this one writes: an older version field, and for version 1 the
 // capability offers (flag bit 3 for the compact announcement, bit 4 for range
-// frames) it made; or another checksum algorithm byte. Version 2's hello was
-// this version's with another number. A zero field keeps this source's value.
+// frames) it made, for version 3 its post-copy mode (flag bit 2); or another
+// checksum algorithm byte. The pre-copy hellos of versions 2 and 3 were this
+// version's with another number. A zero field keeps this source's value.
 type helloRewrite struct {
 	version uint16
 	offers  byte
@@ -161,7 +162,7 @@ func arrival(t *testing.T, ch <-chan core.DestResult) core.DestResult {
 }
 
 // TestMixedVersionAnnounceOverTCP: version 1 negotiated a compact
-// announcement; versions 2 and 3 have the raw one only. A version-1 source
+// announcement; versions 2 to 4 have the raw one only. A version-1 source
 // offering the compact announcement is refused at the hello. Between two
 // hosts of this version, a return leg to a host holding the departure
 // checkpoint (the other end saved no arrival, so there is no name to match)
@@ -215,14 +216,18 @@ func TestMixedVersionAnnounceOverTCP(t *testing.T) {
 
 // TestMixedVersionRangeFramesOverTCP: version 1 negotiated range frames;
 // version 2 always sent runs in them but a lone page in its per-page frame;
-// version 3 sends every page in a range frame. A version-1 source offering
-// range frames and a version-2 source are refused at the hello. Between two
+// versions 3 and 4 send every page in a range frame, and version 3 also spoke
+// post-copy. A version-1 source offering range frames, a version-2 source and
+// a version-3 source, pre-copy or post-copy, are refused at the hello, by
+// their version. Between two
 // hosts of this version, a cold leg over TCP coalesces its full-page runs into
 // range frames, the destination decodes every one the source sent, and the
 // guest's memory survives byte-for-byte.
 func TestMixedVersionRangeFramesOverTCP(t *testing.T) {
 	refuseHello(t, helloRewrite{version: 1, offers: 16})
 	refuseHello(t, helloRewrite{version: 2})
+	refuseHello(t, helloRewrite{version: 3})
+	refuseHello(t, helloRewrite{version: 3, offers: 4})
 
 	alpha := newHost(t, "alpha")
 	beta := newHost(t, "beta")
