@@ -20,7 +20,7 @@ race:
 # written since the read stays unrecorded, a batch read before a dirty-log
 # harvest is refused) repeated under the race detector, then the seeded
 # migration audit and the exact-count tests through sched.Host (digest table,
-# save and restore hash stages, delta and salvage-retry legs).
+# save and restore hash stages, a salvage-retry leg).
 # `race` runs them once with everything else; this target is the one to
 # repeat when touching internal/vm/digest.go.
 race-digest:
@@ -35,10 +35,10 @@ race-digest:
 # content and in round one only; every other leg's round one tiling the guest,
 # a retry after a cut included) through the engine and through sched.Host
 # (matched legs, every fallback, a restart), and the streamed saves
-# both sides write under round one (compression on and off, a guest writing
-# mid-round, a cut), and the writes each side hands the transport (one per
-# flush point, the paused guest's one write) with the per-round byte counts
-# both sides report, under the race detector.
+# both sides write under round one (a guest writing mid-round, a cut), and
+# the writes each side hands the transport (one per flush point, the paused
+# guest's one write) with the per-round byte counts both sides report, under
+# the race detector.
 race-restore:
 	$(GO) test -race -count=3 -run 'TestBackgroundInstall' ./internal/core/
 	$(GO) test -race -run 'TestSpanLoad|TestRestoreSumsMatchGuest|TestConcurrentRemoveDuringRestore|TestSaveStream' ./internal/checkpoint/

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"vecycle/internal/checkpoint"
-	"vecycle/internal/checksum"
 	"vecycle/internal/core"
 	"vecycle/internal/migsim"
 	"vecycle/internal/vm"
@@ -214,88 +213,4 @@ func newBenchStore(b *testing.B) *checkpoint.Store {
 		b.Fatal(err)
 	}
 	return store
-}
-
-// BenchmarkAblationDelta compares the three encodings of a changed page —
-// raw, deflate, XBZRLE delta against the checkpoint — on a workload where
-// each dirty page changed in only a 64-byte stretch.
-func BenchmarkAblationDelta(b *testing.B) {
-	type variant struct {
-		name string
-		opts func(base core.PageProvider) core.SourceOptions
-	}
-	variants := []variant{
-		{"raw", func(core.PageProvider) core.SourceOptions {
-			return core.SourceOptions{Recycle: true}
-		}},
-		{"compress", func(core.PageProvider) core.SourceOptions {
-			return core.SourceOptions{Recycle: true, Compress: true}
-		}},
-		{"delta", func(base core.PageProvider) core.SourceOptions {
-			return core.SourceOptions{Recycle: true, DeltaBase: base}
-		}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			destStore := newBenchStore(b)
-			srcStore := newBenchStore(b)
-			guest, err := vm.New(vm.Config{Name: "bench", MemBytes: 16 << 20, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := guest.FillRandom(0.95); err != nil {
-				b.Fatal(err)
-			}
-			if err := destStore.Save(guest); err != nil {
-				b.Fatal(err)
-			}
-			if err := srcStore.Save(guest); err != nil {
-				b.Fatal(err)
-			}
-			base, err := srcStore.Restore("bench", checksum.Default, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer base.Close()
-			// 10% of pages change, 64 bytes each.
-			buf := make([]byte, vm.PageSize)
-			for p := 0; p < guest.NumPages()/10; p++ {
-				guest.ReadPage(p, buf)
-				for i := 0; i < 64; i++ {
-					buf[i] ^= 0x3C
-				}
-				guest.WritePage(p, buf)
-			}
-
-			b.SetBytes(guest.MemBytes())
-			b.ResetTimer()
-			var last core.Metrics
-			for i := 0; i < b.N; i++ {
-				dst, err := vm.New(vm.Config{Name: "bench", MemBytes: guest.MemBytes(), Seed: 2})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ca, cb := net.Pipe()
-				var wg sync.WaitGroup
-				var serr, derr error
-				wg.Add(2)
-				go func() {
-					defer wg.Done()
-					last, serr = core.MigrateSource(context.Background(), ca, guest, v.opts(base))
-				}()
-				go func() {
-					defer wg.Done()
-					_, derr = core.MigrateDest(context.Background(), cb, dst, core.DestOptions{Store: destStore})
-				}()
-				wg.Wait()
-				ca.Close()
-				cb.Close()
-				if serr != nil || derr != nil {
-					b.Fatalf("source=%v dest=%v", serr, derr)
-				}
-			}
-			b.ReportMetric(float64(last.BytesSent), "bytes-sent")
-			b.ReportMetric(float64(last.PagesDelta), "pages-delta")
-		})
-	}
 }

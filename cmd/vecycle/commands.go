@@ -71,7 +71,6 @@ func runSource(args []string) error {
 		seed     = fs.Int64("seed", 1, "guest content seed")
 		store    = fs.String("store", "", "checkpoint store directory (required)")
 		recycle  = fs.Bool("recycle", true, "enable checkpoint-assisted migration")
-		compress = fs.Bool("compress", false, "deflate-compress full-page payloads (entropy-gated per page)")
 		tcpRead  = fs.Int("tcp-read-buffer", 0, "SO_RCVBUF for migration sockets in bytes (0 = OS default)")
 		tcpWrite = fs.Int("tcp-write-buffer", 0, "SO_SNDBUF for migration sockets in bytes (0 = OS default)")
 		rounds   = fs.Int("max-rounds", 0, "pre-copy round cap (0 = engine default)")
@@ -105,9 +104,7 @@ func runSource(args []string) error {
 	host.AddVM(guest)
 	host.TCPReadBuffer = *tcpRead
 	host.TCPWriteBuffer = *tcpWrite
-	if *idle != 0 {
-		host.IdleTimeout = *idle
-	}
+	host.IdleTimeout = *idle
 	if err := startOps(host, *opsAddr); err != nil {
 		return err
 	}
@@ -115,10 +112,8 @@ func runSource(args []string) error {
 	m, err := host.MigrateTo(context.Background(), *dest, *vmName, sched.MigrateOptions{
 		Recycle:        *recycle,
 		KeepCheckpoint: true,
-		Compress:       *compress,
 		MaxRounds:      *rounds,
 		StopThreshold:  *stopAt,
-		IdleTimeout:    *idle,
 		Retry:          sched.RetryPolicy{Attempts: *retries},
 	})
 	if err != nil {

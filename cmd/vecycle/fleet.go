@@ -27,7 +27,6 @@ func runFleet(args []string) error {
 		mem       = fs.String("mem", "8MiB", "memory size per VM")
 		rounds    = fs.Int("rounds", 3, "migration rounds (each VM moves once per round)")
 		touches   = fs.Int("touch", 32, "pages dirtied by each guest between rounds")
-		compress  = fs.Bool("compress", false, "deflate-compress full-page payloads")
 		noSalvage = fs.Bool("no-salvage", false, "discard partially-installed pages on failed incoming migrations fleet-wide")
 		tcpRead   = fs.Int("tcp-read-buffer", 0, "SO_RCVBUF for migration sockets in bytes (0 = OS default)")
 		tcpWrite  = fs.Int("tcp-write-buffer", 0, "SO_SNDBUF for migration sockets in bytes (0 = OS default)")
@@ -115,9 +114,7 @@ func runFleet(args []string) error {
 			arrived.Add(1)
 			m, err := hosts[from].MigrateTo(context.Background(), addrs[to], name, sched.MigrateOptions{
 				Recycle:        true,
-				UseDelta:       true,
 				KeepCheckpoint: true,
-				Compress:       *compress,
 			})
 			if err != nil {
 				return fmt.Errorf("round %d, %s: %w", round, name, err)

@@ -221,24 +221,6 @@ func (c *Checkpoint) Release(data []byte) {
 	blockPool.Put(data[:vm.PageSize]) //nolint:staticcheck // SA6002
 }
 
-// PageAt returns the checkpoint's content for page frame i — the content
-// the destination's RAM holds right after its checkpoint bootstrap. The
-// source of a delta-encoded migration reads its own mirror of the
-// destination's checkpoint through this method. ok is false when the frame
-// is outside the image, or when the checkpoint has no frame geometry at all
-// (a union bootstrap — which is exactly why a union is never a delta base).
-func (c *Checkpoint) PageAt(frame int) (data []byte, ok bool, err error) {
-	if frame < 0 || frame >= len(c.frames) {
-		return nil, false, nil
-	}
-	ref := c.frames[frame]
-	buf := make([]byte, vm.PageSize)
-	if _, err := ref.f.ReadAt(buf, ref.off); err != nil {
-		return nil, true, fmt.Errorf("checkpoint: read frame %d: %w", frame, err)
-	}
-	return buf, true, nil
-}
-
 // InstallInto starts installing the checkpoint's frames into dst — page bytes
 // and, into its digest table, their sums — in ascending restoreSpanPages
 // spans on background goroutines, and returns at once. Whoever then writes a

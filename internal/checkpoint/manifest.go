@@ -36,12 +36,12 @@ type EntryState string
 
 const (
 	// EntryComplete is a fully written checkpoint: a coherent image of the
-	// whole guest, eligible for bootstrap, delta bases and by-name matches.
+	// whole guest, eligible for bootstrap and by-name matches.
 	EntryComplete EntryState = "complete"
 	// EntryPartial is a salvage checkpoint: pages installed by an
 	// interrupted incoming migration, persisted so the next attempt's hash
 	// announcement resends only what is missing. Served for announce-driven
-	// bootstrap, never as a delta base or a by-name match.
+	// bootstrap, never as a by-name match.
 	EntryPartial EntryState = "partial"
 	// EntryQuarantined marks an entry whose page manifest or backing
 	// segment failed its digest check (torn write, bit rot). The files are

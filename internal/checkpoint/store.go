@@ -538,9 +538,8 @@ func (s *Store) entrySums(pageKeys []checksum.Sum, refs []pageRef, alg checksum.
 // destination of a fresh VM's migration (no checkpoint of its own) opens
 // the union and announces it, so the source skips every page any resident
 // checkpoint holds (the paper's §3.1 redundancy, pooled host-wide). The
-// union has no page-frame geometry: PageAt reports no frames, so it can
-// never serve as a delta base — matching the partial-checkpoint rules the
-// wire protocol already carries.
+// union has no page-frame geometry: it serves blocks by content and installs
+// nothing.
 //
 // Returns the union checkpoint and the names of the entries it covers, or
 // (nil, nil, nil) when the store holds nothing servable.

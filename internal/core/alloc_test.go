@@ -15,7 +15,7 @@ import (
 // scriptedPeer builds the exact byte sequence a baseline destination sends a
 // source: a positive hello-ack (no checkpoint, so no announcement) and the
 // final ack. Replaying it from memory lets a test run the full source engine
-// — batches, compression, round loop — with no peer goroutine, so memory
+// — batches, encoder, round loop — with no peer goroutine, so memory
 // measurements see only the source's own allocations.
 func scriptedPeer(t *testing.T) []byte {
 	t.Helper()
@@ -29,13 +29,13 @@ func scriptedPeer(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// migrationAllocBytes reports the average bytes allocated by one compressed
-// source migration, after warming the process-wide pools.
+// migrationAllocBytes reports the average bytes allocated by one source
+// migration, after warming the process-wide pools.
 func migrationAllocBytes(t *testing.T, v *vm.VM, script []byte) uint64 {
 	t.Helper()
 	run := func() {
 		conn := readWriter{bytes.NewReader(script), io.Discard}
-		if _, err := MigrateSource(context.Background(), conn, v, SourceOptions{Compress: true}); err != nil {
+		if _, err := MigrateSource(context.Background(), conn, v, SourceOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,25 +60,24 @@ func steadyAllocBytes(run func()) uint64 {
 }
 
 // TestPipelineAllocCeiling pins the source engine's steady-state allocation:
-// its encoder is created once per migration and its deflate state is pooled
-// process-wide, so a compressed migration allocates only batch bookkeeping.
-// Rebuilding the encoder every round — a deflate window of several hundred
-// KiB each time — would break the ceiling.
+// its batches and wire buffer are pooled process-wide, so a migration
+// allocates only batch bookkeeping. A batch's 1 MiB page buffer allocated
+// afresh per migration or per round would break the ceiling.
 func TestPipelineAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation skews allocation accounting")
 	}
-	const pages = 512 // 2 MiB guest, compressible: the deflate path stays hot
+	const pages = 512 // 2 MiB guest
 	v, err := vm.New(vm.Config{Name: "alloc-vm", MemBytes: pages * vm.PageSize, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.FillCompressible(1.0); err != nil {
+	if err := v.FillRandom(1.0); err != nil {
 		t.Fatal(err)
 	}
 	got := migrationAllocBytes(t, v, scriptedPeer(t))
 	t.Logf("steady-state alloc per migration: %d B", got)
-	const ceiling = 1 << 20 // 1 MiB; one deflate window alone is ~600 KiB
+	const ceiling = 1 << 20 // 1 MiB, one batch's page buffer
 	if got > ceiling {
 		t.Errorf("source migration allocates %d B, want <= %d", got, ceiling)
 	}
@@ -98,16 +97,13 @@ func TestMigrationAllocCeiling(t *testing.T) {
 	// ones. One P keeps it the deterministic count of what the engine itself
 	// allocates.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const pages = 512 // 2 MiB guest, half random: both encoder branches hot
+	const pages = 512 // 2 MiB guest
 	newGuest := func(name string, seed int64) *vm.VM {
 		v, err := vm.New(vm.Config{Name: name, MemBytes: pages * vm.PageSize, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := v.FillRandom(1.0); err != nil {
-			t.Fatal(err)
-		}
-		if err := v.FillCompressible(0.5); err != nil {
 			t.Fatal(err)
 		}
 		return v
@@ -123,7 +119,7 @@ func TestMigrationAllocCeiling(t *testing.T) {
 			defer wg.Done()
 			_, derr = MigrateDest(context.Background(), c, dst, DestOptions{})
 		}()
-		_, serr := MigrateSource(context.Background(), a, src, SourceOptions{Compress: true})
+		_, serr := MigrateSource(context.Background(), a, src, SourceOptions{})
 		wg.Wait()
 		a.Close()
 		c.Close()

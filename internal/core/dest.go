@@ -34,7 +34,7 @@ type DestOptions struct {
 	// Save, when non-nil, is the stream of the arrival checkpoint this host
 	// keeps (checkpoint.Store.OpenSave); the caller commits or aborts it.
 	// When the merge bootstraps from the VM's own entry, every page installed
-	// in full or by delta is written to it as it lands, so the commit after
+	// off the wire is written to it as it lands, so the commit after
 	// the ack has little left to write. A failed merge commits it as the
 	// salvage checkpoint.
 	Save *checkpoint.SaveStream
@@ -199,11 +199,9 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 			// Fresh VM on a warm host: no servable checkpoint of its own, but
 			// the content-addressed pool may hold its pages anyway — other
 			// VMs' checkpoints, older generations, salvage partials.
-			// Announce the union of everything resident. The
-			// partial-checkpoint ack bit keeps the source off delta encoding
-			// (nothing was installed into v, so there is no delta base) —
-			// exactly the salvage-bootstrap rule. Best-effort: a union that
-			// fails to open degrades to a plain full first round.
+			// Announce the union of everything resident, flagged in the ack
+			// as a partial checkpoint. Best-effort: a union that fails to
+			// open degrades to a plain full first round.
 			if ucp, members, uerr := opts.Store.OpenUnion(); uerr == nil && ucp != nil {
 				cp = ucp
 				union = true
@@ -335,7 +333,7 @@ func (s *IncomingSession) openBootstrap(ctx context.Context, v *vm.VM, store *ch
 // written when no new page content arrived (checksum-only progress lives
 // in the previous checkpoint already, which salvaging would demote).
 func (s *IncomingSession) salvage(v *vm.VM, opts DestOptions, res *DestResult) {
-	installed := int64(res.Metrics.PagesFull + res.Metrics.PagesDelta)
+	installed := int64(res.Metrics.PagesFull)
 	if opts.NoSalvage || opts.Store == nil || !s.h.Recycle || installed == 0 {
 		return
 	}
@@ -413,8 +411,8 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 			return err
 		}
 		switch t {
-		case msgRangeSum, msgRangeFull, msgRangeFullZ, msgRangeDelta:
-			if cp == nil && (t == msgRangeSum || t == msgRangeDelta) {
+		case msgRangeSum, msgRangeFull:
+			if cp == nil && t == msgRangeSum {
 				return fmt.Errorf("%w: %v received without a checkpoint", ErrProtocol, t)
 			}
 			if err := readRangeFrame(r, t, v.NumPages(), rangeFloor, rng); err != nil {

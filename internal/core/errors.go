@@ -70,9 +70,6 @@ const (
 	// StageBootstrap: restoring a local checkpoint to seed an incoming
 	// migration (full restore or union announce).
 	StageBootstrap = "bootstrap"
-	// StageDeltaBase: opening the previous-generation image that delta
-	// encoding diffs against on the source.
-	StageDeltaBase = "delta-base"
 	// StageRecycleRead: reading a recycled page out of the local store
 	// mid-merge, after the round loop decided to reuse it.
 	StageRecycleRead = "recycle-read"
@@ -120,13 +117,6 @@ func Fail(stage string, class ErrorClass, fault string, err error) error {
 // terminal.
 func recycleReadErr(err error) error {
 	return Fail(StageRecycleRead, ClassRetryable, faultfs.Label(err), err)
-}
-
-// deltaBaseErr classifies a failed read of the source-side delta base.
-// Deltas are an optimization; the scheduler's retry re-runs the attempt
-// with delta encoding disabled, exactly like a stale-base abort.
-func deltaBaseErr(err error) error {
-	return Fail(StageDeltaBase, ClassRetryable, faultfs.Label(err), err)
 }
 
 // Classify reports how a migration error should be handled. A

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"compress/flate"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -216,9 +218,10 @@ func TestDestRejectsUnknownMessage(t *testing.T) {
 }
 
 // TestDestRejectsRetiredPageTags: the per-page frames of version 2 — tags 4,
-// 5, 9 and 10 — are reserved since version 3. A stream carrying one, well formed
-// as version 2 wrote it and in a migration that could have used it (recycled,
-// over a checkpoint), fails with ErrProtocol.
+// 5, 9 and 10 — are reserved since version 3, and version 4's deflated and
+// delta range frames — tags 14 and 15 — since version 5. A stream carrying
+// one, well formed as its version wrote it and in a migration that could have
+// used it (recycled, over a checkpoint), fails with ErrProtocol.
 func TestDestRejectsRetiredPageTags(t *testing.T) {
 	src := newVM(t, "vm0", 4, 1)
 	if err := src.FillRandom(1.0); err != nil {
@@ -230,31 +233,49 @@ func TestDestRejectsRetiredPageTags(t *testing.T) {
 	}
 	page := make([]byte, vm.PageSize)
 	src.ReadPage(2, page)
-	sum := checksum.Default.Page(page)
-	for tag, body := range map[byte][]byte{
-		4:  nil,                                            // page-sum
-		5:  page,                                           // page-full
-		9:  append([]byte{8, 0, 0, 0}, make([]byte, 8)...), // page-full-z
-		10: append([]byte{8, 0, 0, 0}, make([]byte, 8)...), // page-delta
+	// Version 2: tag, page number, checksum, then the body.
+	v2 := func(tag byte, body []byte) []byte {
+		sum := checksum.Default.Page(page)
+		frame := binary.LittleEndian.AppendUint64([]byte{tag}, 2)
+		return append(append(frame, sum[:]...), body...)
+	}
+	// Version 4: a one-page range frame of page 2 holding content.
+	v4 := func(tag byte, content, payload []byte) []byte {
+		return version4RangeFrame(tag, 2, []checksum.Sum{checksum.Default.Page(content)}, [][]byte{payload})
+	}
+	// A zero page deflates; a page differing from the checkpoint's in byte 10
+	// is the XBZRLE delta (zero run 10, literal run 1, the new byte).
+	zero := make([]byte, vm.PageSize)
+	var deflated bytes.Buffer
+	fw, err := flate.NewWriter(&deflated, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.Write(zero)
+	fw.Close()
+	patched := append([]byte(nil), page...)
+	patched[10] ^= 0xFF
+	for _, frame := range [][]byte{
+		v2(4, nil),  // page-sum
+		v2(5, page), // page-full
+		v2(9, append([]byte{8, 0, 0, 0}, zero[:8]...)),  // page-full-z
+		v2(10, append([]byte{8, 0, 0, 0}, zero[:8]...)), // page-delta
+		v4(14, zero, deflated.Bytes()),                  // range-full-z
+		v4(15, patched, []byte{10, 1, patched[10]}),     // range-delta
 	} {
 		var stream bytes.Buffer
 		if err := writeHello(&stream, hello{Version: ProtocolVersion, VMName: "vm0", PageSize: vm.PageSize,
 			PageCount: 4, Alg: uint8(checksum.Default), Recycle: true}); err != nil {
 			t.Fatal(err)
 		}
-		stream.WriteByte(tag)
-		var pageNo [8]byte
-		pageNo[0] = 2
-		stream.Write(pageNo[:])
-		stream.Write(sum[:])
-		stream.Write(body)
+		stream.Write(frame)
 		if err := writeMsgType(&stream, msgDone); err != nil {
 			t.Fatal(err)
 		}
 		dst := newVM(t, "vm0", 4, 2)
 		_, err := MigrateDest(context.Background(), readWriter{&stream, io.Discard}, dst, DestOptions{Store: store})
 		if !errors.Is(err, ErrProtocol) {
-			t.Errorf("tag %d: err = %v, want ErrProtocol", tag, err)
+			t.Errorf("tag %d: err = %v, want ErrProtocol", frame[0], err)
 		}
 	}
 }

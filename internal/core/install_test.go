@@ -37,90 +37,70 @@ func slowStore(t *testing.T, inj *faultfs.Injector) *checkpoint.Store {
 
 // TestBackgroundInstallWireWins: destination memory ≡ source memory at pause
 // although one span of the checkpoint is read long after the frames that
-// rewrite its pages arrived — full (compressed) pages, which a late install
-// would bury, and deltas, which need the span as their base — with the
-// announcement and with a matched manifest root.
+// rewrite its pages arrived — full pages, which a late install would bury —
+// with the announcement and with a matched manifest root.
 func TestBackgroundInstallWireWins(t *testing.T) {
 	const pages = 4 * spanPages
 	const hold = 150 * time.Millisecond
-	for _, mode := range []string{"compress", "delta"} {
-		for _, named := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/%s/named=%v", engineSubtest, mode, named), func(t *testing.T) {
-				inj := faultfs.NewInjector()
-				store, mirror := slowStore(t, inj), newStore(t)
-				src := newVM(t, "vm0", pages, 1)
-				if err := src.FillRandom(1.0); err != nil {
+	for _, named := range []bool{false, true} {
+		t.Run(fmt.Sprintf("%s/full/named=%v", engineSubtest, named), func(t *testing.T) {
+			inj := faultfs.NewInjector()
+			store, mirror := slowStore(t, inj), newStore(t)
+			src := newVM(t, "vm0", pages, 1)
+			if err := src.FillRandom(1.0); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []*checkpoint.Store{store, mirror} {
+				if err := s.Save(src); err != nil {
 					t.Fatal(err)
 				}
-				for _, s := range []*checkpoint.Store{store, mirror} {
-					if err := s.Save(src); err != nil {
-						t.Fatal(err)
-					}
+			}
+			// Rewrite pages at the head, middle and tail of every span, so
+			// whichever span the held read belongs to has wire content.
+			rng := rand.New(rand.NewSource(0))
+			buf := make([]byte, vm.PageSize)
+			for span := 0; span < pages/spanPages; span++ {
+				for _, off := range []int{0, 1, 100, spanPages - 1} {
+					rng.Read(buf)
+					src.WritePage(span*spanPages+off, buf)
 				}
-				// Rewrite pages at the head, middle and tail of every span,
-				// so whichever span the held read belongs to has wire content.
-				rng := rand.New(rand.NewSource(0))
-				buf := make([]byte, vm.PageSize)
-				for span := 0; span < pages/spanPages; span++ {
-					for _, off := range []int{0, 1, 100, spanPages - 1} {
-						p := span*spanPages + off
-						if mode == "delta" {
-							src.ReadPage(p, buf)
-							rng.Read(buf[:48])
-						} else {
-							for i := range buf {
-								buf[i] = byte(p + i%16)
-							}
-						}
-						src.WritePage(p, buf)
-					}
-				}
-				sopts := SourceOptions{Recycle: true, Compress: mode == "compress"}
-				if named {
-					sopts.Mirror = mirrorOf(t, mirror, "vm0")
-				}
-				if mode == "delta" {
-					base, err := mirror.Restore("vm0", checksum.Default, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer base.Close()
-					sopts.DeltaBase = base
-				}
-				// One read per span (the save wrote the pages back to back);
-				// the third to start is the one held.
-				inj.Arm(faultfs.Fault{Op: faultfs.OpReadAt, Path: ".seg", After: 2, Latency: hold})
+			}
+			sopts := SourceOptions{Recycle: true}
+			if named {
+				sopts.Mirror = mirrorOf(t, mirror, "vm0")
+			}
+			// One read per span (the save wrote the pages back to back); the
+			// third to start is the one held.
+			inj.Arm(faultfs.Fault{Op: faultfs.OpReadAt, Path: ".seg", After: 2, Latency: hold})
 
-				dst := newVM(t, "vm0", pages, 2)
-				begin := time.Now()
-				sm, dres := migrate(t, src, dst, sopts,
-					DestOptions{Store: store})
-				if took := time.Since(begin); took < hold || len(inj.Shots()) != 1 {
-					t.Fatalf("migration took %v with %d held reads; the merge did not wait for the span", took, len(inj.Shots()))
-				}
-				if !src.MemEqual(dst) {
-					t.Fatalf("memory differs at page %d: checkpoint content landed on wire content, or a delta had no base",
-						src.FirstDifference(dst))
-				}
-				checkTrackedResult(t, dst, dres)
-				if (dres.Metrics.AnnounceBytes == 0) != named {
-					t.Errorf("named=%v but the destination announced %d bytes", named, dres.Metrics.AnnounceBytes)
-				}
-				if mode == "delta" && sm.PagesDelta == 0 || mode == "compress" && sm.PagesCompressed == 0 {
-					t.Errorf("mode %s not exercised: %+v", mode, sm)
-				}
-				// A named leg leaves the unchanged pages out of round one; an
-				// announced one names each and the destination finds it in place.
-				unchanged, kept := pages-sm.PagesFull-sm.PagesDelta, 0
-				if named {
-					unchanged, kept = 0, unchanged
-				}
-				if dres.Metrics.PagesReusedInPlace != unchanged || dres.Metrics.PagesKept != kept || sm.PagesKept != kept {
-					t.Errorf("reused %d pages in place and kept %d (source kept %d), want %d and %d",
-						dres.Metrics.PagesReusedInPlace, dres.Metrics.PagesKept, sm.PagesKept, unchanged, kept)
-				}
-			})
-		}
+			dst := newVM(t, "vm0", pages, 2)
+			begin := time.Now()
+			sm, dres := migrate(t, src, dst, sopts, DestOptions{Store: store})
+			if took := time.Since(begin); took < hold || len(inj.Shots()) != 1 {
+				t.Fatalf("migration took %v with %d held reads; the merge did not wait for the span", took, len(inj.Shots()))
+			}
+			if !src.MemEqual(dst) {
+				t.Fatalf("memory differs at page %d: checkpoint content landed on wire content",
+					src.FirstDifference(dst))
+			}
+			checkTrackedResult(t, dst, dres)
+			if (dres.Metrics.AnnounceBytes == 0) != named {
+				t.Errorf("named=%v but the destination announced %d bytes", named, dres.Metrics.AnnounceBytes)
+			}
+			if rewritten := 4 * pages / spanPages; sm.PagesFull != rewritten {
+				t.Errorf("%d full pages crossed, want the %d rewritten", sm.PagesFull, rewritten)
+			}
+			// A named leg leaves the unchanged pages out of round one; an
+			// announced one names each and the destination finds it in place.
+			unchanged, kept := pages-sm.PagesFull, 0
+			if named {
+				unchanged, kept = 0, unchanged
+			}
+			if dres.Metrics.PagesReusedInPlace != unchanged || dres.Metrics.PagesKept != kept || sm.PagesKept != kept {
+				t.Errorf("reused %d pages in place and kept %d (source kept %d), want %d and %d",
+					dres.Metrics.PagesReusedInPlace, dres.Metrics.PagesKept, sm.PagesKept, unchanged, kept)
+			}
+		})
 	}
 }
 

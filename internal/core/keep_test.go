@@ -32,7 +32,7 @@ func roundOneEnd(t *testing.T, stream []byte, helloLen int) uint64 {
 		switch tag := msgType(rest[0]); tag {
 		case msgRoundEnd:
 			return end
-		case msgRangeSum, msgRangeFull, msgRangeFullZ, msgRangeDelta:
+		case msgRangeSum, msgRangeFull:
 			if start := binary.LittleEndian.Uint64(rest[1:9]); start != end {
 				t.Fatalf("round one jumps from page %d to a %v at %d", end, tag, start)
 			}

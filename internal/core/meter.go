@@ -33,23 +33,6 @@ type Metrics struct {
 	// PagesReusedFromDisk counts frames repaired from the checkpoint file
 	// via the checksum index (the lseek+read path of Listing 1).
 	PagesReusedFromDisk int
-	// PagesCompressed counts full pages that crossed the wire deflated
-	// (only with SourceOptions.Compress); incompressible pages fall back
-	// to the raw encoding and count under PagesFull alone.
-	PagesCompressed int
-	// CompressionSavedBytes is the payload volume compression avoided.
-	CompressionSavedBytes int64
-	// CompressAttempted counts full pages the entropy gate admitted to the
-	// deflate pass (source side, only with SourceOptions.Compress). A page
-	// that deflated but did not shrink still counts here.
-	CompressAttempted int
-	// CompressSkipped counts full pages the entropy gate judged
-	// incompressible and sent raw without running deflate at all.
-	// CompressAttempted+CompressSkipped is the number of gate decisions.
-	CompressSkipped int
-	// PagesDelta counts changed pages sent as XBZRLE deltas against the
-	// checkpoint frame (only with SourceOptions.DeltaBase).
-	PagesDelta int
 	// PageFrames counts the page-carrying frames sent (or, on the
 	// destination, received): one range frame per run of same-treatment
 	// pages, a lone page being a one-page frame. Pages/PageFrames is the
@@ -58,8 +41,6 @@ type Metrics struct {
 	// RangeFrames counts the subset of PageFrames that carry two or more
 	// pages; PageFrames−RangeFrames frames carry one.
 	RangeFrames int
-	// DeltaSavedBytes is the payload volume delta encoding avoided.
-	DeltaSavedBytes int64
 	// AnnounceBytes is the size of the bulk hash announcement (§3.2's
 	// "additional traffic", 16 MiB for a 4 GiB guest with MD5) as it
 	// crossed the wire, tag included: AnnounceMsgBytes of its sum count.

@@ -40,19 +40,23 @@ import (
 // fixing it moved no byte of a stream that already spoke the default, so it
 // took no version. Version 4 is version 3 less post-copy: the hello's mode bit
 // and the manifest and fetch tags are reserved, and a pre-copy stream differs
-// from version 3's only in the version field.
-const ProtocolVersion uint16 = 4
+// from version 3's only in the version field. Version 5 is version 4 less the
+// deflated and delta range frames: a page crosses as its digest or as its raw
+// bytes, tags 14 and 15 are reserved, and a stream that used neither differs
+// from version 4's only in the version field.
+const ProtocolVersion uint16 = 5
 
 // msgType tags each wire message.
 type msgType uint8
 
 // Wire message types. Tags 4, 5, 9 and 10 were version 2's per-page sum,
 // full, deflated and delta frames, tag 11 version 1's compact announcement,
-// tags 32 and 33 version 3's post-copy manifest and page fetch; all are
-// reserved, and a reserved tag anywhere in a stream is a protocol
-// violation. The page-range frames (tags 12-15) are the only frames that carry
-// pages: one frame carries a contiguous run of 1..MaxRangePages pages that all
-// received the same treatment (checksum-only, full, compressed, delta).
+// tags 32 and 33 version 3's post-copy manifest and page fetch, tags 14 and
+// 15 version 4's deflated and delta range frames; all are reserved, and a
+// reserved tag anywhere in a stream is a protocol violation. The page-range
+// frames (tags 12 and 13) are the only frames that carry pages: one frame
+// carries a contiguous run of 1..MaxRangePages pages that all received the
+// same treatment (checksum-only or full).
 const (
 	msgHello        msgType = iota + 1 // source → destination: session parameters
 	msgHelloAck                        // destination → source: accept/reject
@@ -67,8 +71,6 @@ const (
 	_                                  // 11: reserved
 	msgRangeSum                        // source → destination: run of checkpoint-reusable pages
 	msgRangeFull                       // source → destination: run of raw page payloads
-	msgRangeFullZ                      // source → destination: run of deflate-compressed payloads
-	msgRangeDelta                      // source → destination: run of XBZRLE deltas
 )
 
 func (m msgType) String() string {
@@ -89,10 +91,6 @@ func (m msgType) String() string {
 		return "range-sum"
 	case msgRangeFull:
 		return "range-full"
-	case msgRangeFullZ:
-		return "range-full-z"
-	case msgRangeDelta:
-		return "range-delta"
 	default:
 		return fmt.Sprintf("msg(%d)", uint8(m))
 	}
@@ -141,12 +139,11 @@ type helloAck struct {
 	HaveCheckpoint bool
 	// PartialCheckpoint reports that the checkpoint behind HaveCheckpoint
 	// is a salvage image — pages persisted by an interrupted earlier
-	// attempt, not a complete guest state. Purely informational: resume is
+	// attempt, not a complete guest state — or the union of the store's
+	// entries. Purely informational: resume is
 	// announce-driven (the announcement carries exactly the sums the
 	// salvage image holds), so the wire sequence is unchanged; the source
-	// uses the bit to skip delta encoding (its mirror of the last complete
-	// checkpoint no longer describes the destination's RAM) and to label
-	// traces.
+	// uses the bit to label traces.
 	PartialCheckpoint bool
 	// ManifestMatch reports that the complete entry the destination opened
 	// has the manifest root the hello offered: no announcement follows, the

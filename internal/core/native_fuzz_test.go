@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"vecycle/internal/checksum"
-	"vecycle/internal/delta"
 	"vecycle/internal/vm"
 )
 
@@ -218,9 +217,10 @@ func FuzzMergeStream(f *testing.F) {
 }
 
 // FuzzRangeMergeStream fuzzes the same destination engine from range
-// frames, from a range frame whose start plus count wraps past 2^64, and from
+// frames, from a range frame whose start plus count wraps past 2^64, from
 // a round one that skips a page, which no checkpoint named by the source
-// fills.
+// fills, and from version 4's frames of the retired tags 14 and 15, which the
+// destination must refuse.
 func FuzzRangeMergeStream(f *testing.F) {
 	page := fuzzPage()
 	f.Add(scriptedSourceStream(f, buildRangeFull(f, 0, [][]byte{page, page})))
@@ -233,29 +233,8 @@ func FuzzRangeMergeStream(f *testing.F) {
 	var end bytes.Buffer
 	_ = writeRoundEnd(&end, 1, 0)
 	f.Add(scriptedSourceStream(f, append(gapped, end.Bytes()...)))
+	for _, stream := range retiredTagStreams(f) {
+		f.Add(stream)
+	}
 	f.Fuzz(mergeRaw)
-}
-
-func FuzzDeltaDecode(f *testing.F) {
-	old := make([]byte, 256)
-	for i := range old {
-		old[i] = byte(i)
-	}
-	newer := append([]byte(nil), old...)
-	newer[10] ^= 0xFF
-	enc, err := delta.Encode(nil, old, newer, 256)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(enc)
-	f.Add([]byte{0, 0})
-	f.Add([]byte{0xFF, 0xFF, 0xFF})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		out := make([]byte, 256)
-		// Either decodes or errors; the output length never changes.
-		_ = delta.Decode(old, raw, out)
-		if len(out) != 256 {
-			t.Error("output resized")
-		}
-	})
 }

@@ -24,8 +24,8 @@ const (
 	// checksums announced.
 	EventAnnounce = "announce"
 	// EventRestore: a checkpoint was opened and its checksum index is in
-	// hand — on the destination its bootstrap (own entry or union), on the
-	// source its delta base. It carries no detail: the checksums are the
+	// hand — the destination's bootstrap, its own entry or the union. It
+	// carries no detail: the checksums are the
 	// store's own key tables, nothing read and nothing hashed. The kind
 	// string is the one traces have always carried at this point — it dates
 	// from the fingerprint sidecar file this event once reported on — and
@@ -37,9 +37,7 @@ const (
 	// seen from the emitting side. On the source, Detail carries the
 	// round's hash work in pages as "hashed=N cached=M" (digested here vs.
 	// taken from the guest's digest table), then " kept=K", the pages round
-	// one of a return matched by name left to the checkpoint (Metrics.PagesKept),
-	// and, when compressing, the entropy gate's hit rate as
-	// " gate_attempted=N gate_skipped=M".
+	// one of a return matched by name left to the checkpoint (Metrics.PagesKept).
 	EventRound = "round"
 	// EventPause: the source paused the guest for stop-and-copy.
 	EventPause = "pause"

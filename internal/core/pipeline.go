@@ -14,7 +14,7 @@ import (
 // The source engine's batch path (sendSequential): each round's pages go
 // through in 256-page batches — fill (the guest's bytes with every digest
 // its table holds), hash offload (a small pool digests what the table did
-// not cover), encode (checksum-set lookup, delta attempt, deflate), write-back
+// not cover), encode (checksum-set lookup), write-back
 // (vm.VM.StoreDigests), emit (one buffered write, then the changed pages to
 // the save stream). The checksum rate, not the network, bounds fast-link
 // migrations (MD5 at ~350 MiB/s vs 10/40 GbE, §3.4); the offload is what
@@ -73,10 +73,9 @@ var batchPool = sync.Pool{New: func() interface{} {
 }}
 
 // maxPooledBatchBytes bounds the frame buffer a pooled batch may retain. A
-// batch's encoded frames normally fit its pages' raw size plus framing; a
-// pathological round (incompressible deltas, say) can grow the buffer well
-// beyond that, and sync.Pool would then keep the spike alive indefinitely.
-// Oversized buffers are dropped so steady-state memory stays capped.
+// batch's encoded frames are at most its pages' raw size plus framing, half
+// the cap; a buffer grown beyond it anyway would be kept alive indefinitely
+// by sync.Pool, so it is dropped and steady-state memory stays capped.
 const maxPooledBatchBytes = 2 * batchPages * vm.PageSize
 
 func putBatch(b *pageBatch) {
@@ -89,36 +88,12 @@ func putBatch(b *pageBatch) {
 	batchPool.Put(b)
 }
 
-// sourceEncoder is the migration's encoding state: the per-round encoding
-// parameters, a reusable deflate encoder, a delta scratch buffer, and the
-// current coalescing run. Encoding is pure per page and runs never span a
-// batch.
+// sourceEncoder is the migration's encoding state: the destination's
+// checksum set and the current coalescing run. Encoding is pure per page and
+// runs never span a batch.
 type sourceEncoder struct {
 	destSums *checksum.Set // nil: no redundancy elimination
-	comp     *pageCompressor
-	deltaBuf []byte
 	run      rangeRun
-}
-
-// newSourceEncoder builds the encoder, taking a pooled deflate encoder when
-// compress is set.
-func newSourceEncoder(destSums *checksum.Set, compress bool) (*sourceEncoder, error) {
-	e := &sourceEncoder{destSums: destSums}
-	if compress {
-		c, err := getPageCompressor()
-		if err != nil {
-			return nil, err
-		}
-		e.comp = c
-	}
-	return e, nil
-}
-
-// release returns the encoder's pooled resources; the encoder must not be
-// used afterwards.
-func (e *sourceEncoder) release() {
-	putPageCompressor(e.comp)
-	e.comp = nil
 }
 
 // saveSink writes the pages a round sends into this host's departure

@@ -19,11 +19,11 @@ func benchVM(b *testing.B, seed int64) *vm.VM {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Half compressible, half random: both encoder branches stay hot.
+	// Half patterned, half random.
 	if err := v.FillRandom(1.0); err != nil {
 		b.Fatal(err)
 	}
-	if err := v.FillCompressible(0.5); err != nil {
+	if err := v.FillPatterned(0.5); err != nil {
 		b.Fatal(err)
 	}
 	return v
@@ -45,8 +45,9 @@ func forgetDigests(b *testing.B, v *vm.VM) {
 
 // BenchmarkFirstRound measures a cold first-round migration (a guest that
 // never migrated, so the source hashes every page; no checkpoint at the
-// destination, every page crosses the wire, compression on) over net.Pipe — tools/benchgate gates this series against the committed
-// recording in BENCH_migration.json.
+// destination, every page crosses the wire in full) over net.Pipe —
+// tools/benchgate gates this series against the committed recording in
+// BENCH_migration.json.
 func BenchmarkFirstRound(b *testing.B) {
 	src := benchVM(b, 7)
 	dst := benchVM(b, 8)
@@ -62,7 +63,7 @@ func BenchmarkFirstRound(b *testing.B) {
 			defer wg.Done()
 			_, derr = MigrateDest(context.Background(), c, dst, DestOptions{})
 		}()
-		_, serr = MigrateSource(context.Background(), a, src, SourceOptions{Compress: true})
+		_, serr = MigrateSource(context.Background(), a, src, SourceOptions{})
 		wg.Wait()
 		a.Close()
 		c.Close()
@@ -96,7 +97,7 @@ func BenchmarkTrackIncoming(b *testing.B) {
 			defer wg.Done()
 			res, derr = MigrateDest(context.Background(), c, dst, DestOptions{})
 		}()
-		_, serr = MigrateSource(context.Background(), a, src, SourceOptions{Compress: true})
+		_, serr = MigrateSource(context.Background(), a, src, SourceOptions{})
 		wg.Wait()
 		a.Close()
 		c.Close()
@@ -146,7 +147,7 @@ func BenchmarkFirstRoundTCP(b *testing.B) {
 			b.Fatal(err)
 		}
 		a.(*net.TCPConn).SetNoDelay(true)
-		_, serr := MigrateSource(context.Background(), a, src, SourceOptions{Compress: true})
+		_, serr := MigrateSource(context.Background(), a, src, SourceOptions{})
 		wg.Wait()
 		a.Close()
 		if serr != nil || derr != nil {
@@ -214,7 +215,7 @@ func recordStream(b *testing.B, src *vm.VM) []byte {
 		defer wg.Done()
 		_, derr = MigrateDest(context.Background(), c, dst, DestOptions{})
 	}()
-	if _, err := MigrateSource(context.Background(), rc, src, SourceOptions{Compress: true}); err != nil {
+	if _, err := MigrateSource(context.Background(), rc, src, SourceOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	wg.Wait()

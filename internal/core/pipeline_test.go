@@ -23,28 +23,28 @@ import (
 
 const goldenPages = 600
 
-// fillGolden writes the pre-checkpoint state: compressible pages, random
-// pages, and a tail of zero pages — all deterministic, so every call
-// reconstructs the identical guest.
+// fillGolden writes the pre-checkpoint state: patterned pages, random pages,
+// and a tail of zero pages — all deterministic, so every call reconstructs
+// the identical guest.
 func fillGolden(src *vm.VM) {
 	rng := rand.New(rand.NewSource(1234))
 	buf := make([]byte, vm.PageSize)
-	for i := 0; i < 240; i++ { // low-entropy: exercises deflate
+	for i := 0; i < 240; i++ { // low-entropy patterns
 		for j := range buf {
 			buf[j] = byte((j % 32) * (i + 1))
 		}
 		src.WritePage(i, buf)
 	}
-	for i := 240; i < 480; i++ { // high-entropy: deflate falls back to raw
+	for i := 240; i < 480; i++ { // high-entropy
 		rng.Read(buf)
 		src.WritePage(i, buf)
 	}
 	// 480..599 stay zero.
 }
 
-// mutateGolden diverges the guest from its checkpoint: small in-place edits
-// (delta-friendly), full rewrites (delta too large), everything else left
-// matching (checksum-eliminated).
+// mutateGolden diverges the guest from its checkpoint: small in-place edits,
+// full rewrites with random, patterned and half-zero content, everything
+// else left matching (checksum-eliminated).
 func mutateGolden(src *vm.VM) {
 	rng := rand.New(rand.NewSource(5678))
 	buf := make([]byte, vm.PageSize)
@@ -59,15 +59,13 @@ func mutateGolden(src *vm.VM) {
 		rng.Read(buf)
 		src.WritePage(i, buf)
 	}
-	for i := 360; i < 420; i++ { // compressible rewrites: range-full-z runs
+	for i := 360; i < 420; i++ { // patterned rewrites
 		for j := range buf {
 			buf[j] = byte((j % 16) * (i + 3))
 		}
 		src.WritePage(i, buf)
 	}
-	for i := 420; i < 440; i++ { // mid-entropy rewrites: half random, half
-		// zero — between the gate's clear-cut classes, lands on the
-		// compressible side
+	for i := 420; i < 440; i++ { // half random, half zero
 		rng.Read(buf[:vm.PageSize/2])
 		for j := vm.PageSize / 2; j < vm.PageSize; j++ {
 			buf[j] = 0
@@ -78,8 +76,7 @@ func mutateGolden(src *vm.VM) {
 
 // goldenPause generates the round-2 (stop-and-copy) traffic: one page whose
 // new content already sits in the destination checkpoint (iterative-round
-// checksum elimination), one genuinely new random page, one compressible
-// page.
+// checksum elimination), one genuinely new random page, one patterned page.
 func goldenPause(src *vm.VM) {
 	buf := make([]byte, vm.PageSize)
 	src.ReadPage(5, buf) // page 5 is unchanged checkpoint content
@@ -109,101 +106,40 @@ func (c *recordConn) Write(p []byte) (int, error) {
 // builds. The wire is a protocol peers of other versions speak, so a change
 // that moves a byte of it fails here and has to re-pin these on purpose.
 const (
-	goldenAnnouncedSrc = "4da0a11ce25371f1b868bde2b2ac107c42f9e7ffd4a162647b41e115c1171808"
+	goldenAnnouncedSrc = "a9b3e19da3cdd37e75eb77c1a48afa265b83f5ee35b6e4cbdd59bbf9099f21c2"
 	goldenAnnouncedDst = "3ab19b39007aabe73901acf23fb4741ba8d685eabd676e14a78ee960e90e75f2"
-	goldenByNameSrc    = "7e8fc87367ceadf9feb3f40cd001b6c10a218bdb8b19a11d7694d47bfb33f0f8"
+	goldenByNameSrc    = "6a189b0f74f471c2c36b660743971b037c4ccf7ba91fc495f20eab96e0159544"
 	goldenByNameDst    = "42a15d70066c15343066f26951fea20f0fb75f1e3d2e889e0887346a135ccf4d"
 )
 
-// The same source streams as protocol version 3 wrote them. Version 4 only
-// retired post-copy, so its pre-copy streams differ from version 3's in the
-// hello's version field alone: each of them with that field set to 3
-// (asVersion3) must hash to these. The destination's side carries no version:
-// its digests are version 3's.
+// The same source streams as protocol version 4 wrote them, recorded by a
+// version-4 source with its compression and delta options off. Version 5 only
+// retired those encodings, so its streams differ from version 4's in the
+// hello's version field alone: each of them with that field set to 4
+// (asVersion) must hash to these. The destination's side carries no version
+// and no frame version 5 changed: its digests are version 4's.
 const (
-	version3AnnouncedSrc = "b1fc461655e3b7705fa7565f44c5286b3a99c379a5656e6a6ebdff947d1d47af"
-	version3ByNameSrc    = "87deb60f5e078d0098e6ad818a03d38438bd57c60d5fa7f8daf9059fc2a481d2"
+	version4AnnouncedSrc = "12babd971cae1f5c76a64aa0f7a48a7b434e9f3eea943ddc20325684f337a446"
+	version4ByNameSrc    = "18552f3f30afd3851ba81264aeafc7cacdda01afc37ff1cf9f28e23f892eac3b"
 )
 
-// The same source streams as protocol version 2 wrote them. Version 3 moved
-// their bytes only where asVersion2 puts them back — and, matched by name,
-// left out of round one the pages withoutKept drops — so each of its streams,
-// with round one whole, rewritten by it must hash to these. The destination's
-// side has no frame version 3 changed: its digests are version 2's.
-const (
-	version2AnnouncedSrc = "4f256f0e0ea0762c734ab8e9505bf31392ac3b29fa778688e19d828609dd6968"
-	version2ByNameSrc    = "0b16b09d0967b221aae40110ab9b5e5cb187de742726c33521bdd16fe9fec8e2"
-)
+// The destination's reply as protocol version 1 sent it, both capabilities
+// negotiated. Version 2 moved its bytes only where asVersion1 puts them back,
+// so the reply rewritten by it must hash to this.
+const version1AnnouncedDst = "aa4a852289bba63aec91e5cd9394558856ce00f4f9b4770c7fd073a1caf0d06b"
 
-// The same conversations as protocol version 1 spoke them, both capabilities
-// negotiated. Version 2 moved their bytes only where asVersion1 puts them
-// back, so each of its streams rewritten by it must hash to these.
-const (
-	version1AnnouncedSrc = "cb1be042d458ec192956b2ce1053fd90b6eb195d25586b315745ce7e935fc955"
-	version1AnnouncedDst = "aa4a852289bba63aec91e5cd9394558856ce00f4f9b4770c7fd073a1caf0d06b"
-	version1ByNameSrc    = "938c2661f911d0382430d11339e6cb74b59d60ec86f843fec3c2718558df332a"
-)
-
-// asVersion3 returns a golden source stream as protocol version 3 wrote it:
-// the same bytes under a hello of version 3.
-func asVersion3(stream []byte) []byte {
-	out := append([]byte(nil), stream...)
-	binary.LittleEndian.PutUint16(out[1:3], 3)
-	return out
-}
-
-// asVersion2 rewrites a golden source stream the way protocol version 2 wrote
-// it. The hello gets version 2; helloLen is its length, root included. Every
-// range frame's count byte becomes a u32 count, except in a one-page frame,
-// which becomes the per-page frame of its kind: tag 4, 5, 9 or 10, then the
-// start as the page number and the rest of the frame as it stands. Round ends
-// and the done pass through; any other tag fails the test.
-func asVersion2(t *testing.T, stream []byte, helloLen int) []byte {
-	t.Helper()
-	out := append([]byte(nil), stream[:helloLen]...)
-	binary.LittleEndian.PutUint16(out[1:3], 2)
-	perPage := map[msgType]byte{msgRangeSum: 4, msgRangeFull: 5, msgRangeFullZ: 9, msgRangeDelta: 10}
-	for rest := stream[helloLen:]; len(rest) > 0; {
-		tag := msgType(rest[0])
-		switch tag {
-		case msgRoundEnd:
-			out, rest = append(out, rest[:RoundEndMsgBytes]...), rest[RoundEndMsgBytes:]
-			continue
-		case msgDone:
-			out, rest = append(out, rest...), nil
-			continue
-		case msgRangeSum, msgRangeFull, msgRangeFullZ, msgRangeDelta:
-		default:
-			t.Fatalf("unexpected %v in the source stream", tag)
-		}
-		count, size := int(rest[9])+1, rangeFrameSize(rest)
-		frame, body := rest[:size], rest[RangeHeaderBytes:size]
-		if count == 1 {
-			out = append(append(out, perPage[tag]), frame[1:9]...)
-		} else {
-			out = binary.LittleEndian.AppendUint32(append(out, frame[:9]...), uint32(count))
-		}
-		out, rest = append(out, body...), rest[size:]
-	}
-	return out
+// asVersion returns a golden source stream under a hello of the given version.
+func asVersion(stream []byte, version uint16) []byte {
+	return append(binary.LittleEndian.AppendUint16([]byte{stream[0]}, version), stream[3:]...)
 }
 
 // rangeFrameSize reports the length of the range frame at the head of rest.
 func rangeFrameSize(rest []byte) int {
 	count := int(rest[9]) + 1
-	switch msgType(rest[0]) {
-	case msgRangeFull:
+	if msgType(rest[0]) == msgRangeFull {
 		return RangeFullMsgBytes(count)
-	case msgRangeFullZ, msgRangeDelta:
-		payload := 0
-		for i := 0; i < count; i++ {
-			meta := rest[RangeHeaderBytes+i*(checksum.Size+4):]
-			payload += int(binary.LittleEndian.Uint32(meta[checksum.Size:]))
-		}
-		return RangeVarMsgBytes(count, payload)
-	default:
-		return RangeSumMsgBytes(count)
 	}
+	return RangeSumMsgBytes(count)
 }
 
 // withoutKept rewrites a golden source stream's frames, everything after the
@@ -228,7 +164,7 @@ func withoutKept(t *testing.T, frames []byte, keys []checksum.Sum) []byte {
 			out.Write(rest)
 			rest = nil
 			continue
-		case msgRangeSum, msgRangeFull, msgRangeFullZ, msgRangeDelta:
+		case msgRangeSum, msgRangeFull:
 		default:
 			t.Fatalf("unexpected %v in the source stream", tag)
 		}
@@ -266,19 +202,14 @@ func withoutKept(t *testing.T, frames []byte, keys []checksum.Sum) []byte {
 	return out.Bytes()
 }
 
-// asVersion1 rewrites a golden conversation the way protocol version 1 wrote
-// it. The source's hello gets version 1 and flag bits 3 and 4 (the compact
-// announcement and range frames offered); helloLen is its length through the
-// flags byte. The hello-ack gets flag bits 2 and 4 (both accepted), and an
-// announcement, which must be tag 3 and EncodedSize(n) bytes for n sums, is
-// re-encoded as the compact one under tag 11.
-func asVersion1(t *testing.T, stream, reply []byte, helloLen int) (v1Stream, v1Reply []byte) {
+// asVersion1 rewrites a golden destination reply the way protocol version 1
+// wrote it. The hello-ack gets flag bits 2 and 4 (the compact announcement
+// and range frames accepted), and an announcement, which must be tag 3 and
+// EncodedSize(n) bytes for n sums, is re-encoded as the compact one under
+// tag 11.
+func asVersion1(t *testing.T, reply []byte) []byte {
 	t.Helper()
-	v1Stream = append([]byte(nil), stream...)
-	binary.LittleEndian.PutUint16(v1Stream[1:3], 1)
-	v1Stream[helloLen-1] |= 8 | 16
-
-	v1Reply = append([]byte(nil), reply[:HelloAckMsgBytes]...)
+	v1Reply := append([]byte(nil), reply[:HelloAckMsgBytes]...)
 	v1Reply[1] |= 4 | 16
 	rest := reply[HelloAckMsgBytes:]
 	if msgType(rest[0]) == msgHashAnnounce {
@@ -298,7 +229,7 @@ func asVersion1(t *testing.T, stream, reply []byte, helloLen int) (v1Stream, v1R
 		}
 		v1Reply = append(v1Reply, compact.Bytes()...)
 	}
-	return v1Stream, append(v1Reply, rest...)
+	return append(v1Reply, rest...)
 }
 
 // checkGolden fails the test unless stream hashes to the pinned digest.
@@ -326,11 +257,6 @@ func goldenExchange(t *testing.T, onEvent EventFunc, named bool) (fromSrc, fromD
 		t.Fatal(err)
 	}
 	mutateGolden(src)
-	base, err := store.Restore("vm0", checksum.Default, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer base.Close()
 
 	dst := newVM(t, "vm0", goldenPages, 1000)
 	a, b := net.Pipe()
@@ -338,11 +264,9 @@ func goldenExchange(t *testing.T, onEvent EventFunc, named bool) (fromSrc, fromD
 	defer b.Close()
 	rc, rcDst := &recordConn{Conn: a}, &recordConn{Conn: b}
 	sopts := SourceOptions{
-		Recycle:   true,
-		Compress:  true,
-		DeltaBase: base,
-		Pause:     func() { goldenPause(src) },
-		OnEvent:   onEvent,
+		Recycle: true,
+		Pause:   func() { goldenPause(src) },
+		OnEvent: onEvent,
 	}
 	if named {
 		sopts.Mirror = mirrorOf(t, store, "vm0")
@@ -380,8 +304,8 @@ func goldenExchange(t *testing.T, onEvent EventFunc, named bool) (fromSrc, fromD
 	return rc.rec.Bytes(), rcDst.rec.Bytes(), sm, src
 }
 
-// TestGoldenStreamEquivalence pins the announced conversation — compression,
-// deltas, checksum elimination, range frames and a second round all active —
+// TestGoldenStreamEquivalence pins the announced conversation — full pages,
+// checksum elimination, range frames and a second round all active —
 // to its recorded digests in both directions. The run has an event hook on
 // both ends, so equality also proves observability is about the stream,
 // never in it.
@@ -391,15 +315,9 @@ func TestGoldenStreamEquivalence(t *testing.T) {
 	if events.Load() == 0 {
 		t.Fatal("no events observed")
 	}
-	// The scenario must actually exercise every encoding.
-	if gm.PagesSum == 0 || gm.PagesFull == 0 || gm.PagesDelta == 0 || gm.PagesCompressed == 0 {
+	// The scenario must actually exercise both page encodings.
+	if gm.PagesSum == 0 || gm.PagesFull == 0 {
 		t.Fatalf("golden scenario too narrow: %+v", gm)
-	}
-	// And both entropy-gate outcomes: random rewrites must skip deflate,
-	// compressible ones must attempt it.
-	if gm.CompressAttempted == 0 || gm.CompressSkipped == 0 {
-		t.Fatalf("entropy gate unexercised: attempted=%d skipped=%d",
-			gm.CompressAttempted, gm.CompressSkipped)
 	}
 	if gm.Rounds < 2 {
 		t.Fatalf("golden scenario ran %d round(s), want >= 2", gm.Rounds)
@@ -410,21 +328,17 @@ func TestGoldenStreamEquivalence(t *testing.T) {
 	if gm.RangeFrames == 0 {
 		t.Fatal("golden scenario emitted no range frames")
 	}
-	if gm.PageFrames >= gm.PagesSum+gm.PagesFull+gm.PagesDelta {
+	if gm.PageFrames >= gm.PagesSum+gm.PagesFull {
 		t.Fatalf("PageFrames = %d not below page count %d; nothing coalesced",
-			gm.PageFrames, gm.PagesSum+gm.PagesFull+gm.PagesDelta)
+			gm.PageFrames, gm.PagesSum+gm.PagesFull)
 	}
 	checkGolden(t, "source stream", stream, goldenAnnouncedSrc)
 	checkGolden(t, "destination reply", reply, goldenAnnouncedDst)
 	if want := HelloAckMsgBytes + 1; len(reply) <= want || reply[1] != 1|2 || reply[want-1] != byte(msgHashAnnounce) {
 		t.Fatalf("reply opens % x, want a hello-ack with OK and have-checkpoint, then the announcement", reply[:min(len(reply), want)])
 	}
-	checkGolden(t, "source stream as version 3", asVersion3(stream), version3AnnouncedSrc)
-	v2Stream := asVersion2(t, stream, HelloMsgBytes(len("vm0")))
-	checkGolden(t, "source stream as version 2", v2Stream, version2AnnouncedSrc)
-	v1Stream, v1Reply := asVersion1(t, v2Stream, reply, HelloMsgBytes(len("vm0")))
-	checkGolden(t, "source stream as version 1", v1Stream, version1AnnouncedSrc)
-	checkGolden(t, "destination reply as version 1", v1Reply, version1AnnouncedDst)
+	checkGolden(t, "source stream as version 4", asVersion(stream, 4), version4AnnouncedSrc)
+	checkGolden(t, "destination reply as version 1", asVersion1(t, reply), version1AnnouncedDst)
 }
 
 // TestGoldenStreamByName pins the conversation of a migration matched by
@@ -439,10 +353,8 @@ func TestGoldenStreamEquivalence(t *testing.T) {
 // it is byte for byte the announced run's. The destination's whole side of the
 // conversation is five bytes: a hello-ack with the OK, have-checkpoint and
 // manifest-match bits and an empty reason, then the final ack — no
-// announcement. Versions 2 and 1 sent round one whole; the by-name stream with
-// round one restored, rewritten to their framing, hashes to what they
-// recorded, and version 1 set its two capability acceptances in the hello-ack
-// too.
+// announcement. Under a version-4 hello the stream hashes to what version 4
+// recorded.
 func TestGoldenStreamByName(t *testing.T) {
 	golden, _, gm, src := goldenExchange(t, nil, false)
 	helloLen := HelloMsgBytes(len(src.Name()))
@@ -465,17 +377,12 @@ func TestGoldenStreamByName(t *testing.T) {
 		t.Errorf("destination sent % x, want % x", reply, want)
 	}
 	if sm.AnnounceBytes != 0 || sm.PagesKept == 0 || sm.PagesSum+sm.PagesKept != gm.PagesSum ||
-		sm.PagesFull != gm.PagesFull || sm.PagesDelta != gm.PagesDelta || sm.PagesCompressed != gm.PagesCompressed {
+		sm.PagesFull != gm.PagesFull {
 		t.Errorf("metrics diverge from the announced run: got %+v want %+v, its checksum pages kept or sent", sm, gm)
 	}
 	checkGolden(t, "source stream", stream, goldenByNameSrc)
 	checkGolden(t, "destination reply", reply, goldenByNameDst)
-	checkGolden(t, "source stream as version 3", asVersion3(stream), version3ByNameSrc)
-	whole := append(append([]byte(nil), stream[:helloLen+len(root)]...), golden[helloLen:]...)
-	v2Stream := asVersion2(t, whole, helloLen+len(root))
-	checkGolden(t, "source stream with round one whole, as version 2", v2Stream, version2ByNameSrc)
-	v1Stream, _ := asVersion1(t, v2Stream, reply, helloLen)
-	checkGolden(t, "source stream with round one whole, as version 1", v1Stream, version1ByNameSrc)
+	checkGolden(t, "source stream as version 4", asVersion(stream, 4), version4ByNameSrc)
 }
 
 // goldenStore saves the golden guest's pre-mutation state: the checkpoint

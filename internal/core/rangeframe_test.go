@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -45,25 +46,44 @@ func writeRangePage(w io.Writer, page uint64, sum checksum.Sum, data []byte) err
 	return err
 }
 
-// buildRangeVar encodes a range-full-z/range-delta frame with arbitrary
-// per-page lengths and payload — valid or deliberately malformed.
-func buildRangeVar(t testing.TB, tag msgType, start uint64, lens []uint32, payload []byte) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := writeRangeHeader(&buf, tag, start, len(lens)); err != nil {
-		t.Fatal(err)
+// version4RangeFrame encodes, tag included, a range frame of one of the
+// kinds version 4 had and version 5 reserves: tag 14 (deflated pages) or 15
+// (XBZRLE deltas). After the header comes one (checksum, payload length) pair
+// per page, then the payloads.
+func version4RangeFrame(tag byte, start uint64, sums []checksum.Sum, payloads [][]byte) []byte {
+	frame := append(binary.LittleEndian.AppendUint64([]byte{tag}, start), byte(len(sums)-1))
+	for i, sum := range sums {
+		frame = binary.LittleEndian.AppendUint32(append(frame, sum[:]...), uint32(len(payloads[i])))
 	}
-	sums := make([]checksum.Sum, len(lens))
-	if err := writeRangeVarMeta(&buf, sums, lens); err != nil {
-		t.Fatal(err)
+	for _, p := range payloads {
+		frame = append(frame, p...)
 	}
-	buf.Write(payload)
-	return buf.Bytes()
+	return frame
+}
+
+// retiredTagStreams returns source streams carrying a well-formed two-page
+// version-4 frame of each retired range tag, failing unless the destination
+// engine refuses every one with ErrProtocol.
+func retiredTagStreams(tb testing.TB) [][]byte {
+	tb.Helper()
+	var streams [][]byte
+	for _, tag := range []byte{14, 15} {
+		frame := version4RangeFrame(tag, 0, make([]checksum.Sum, 2), [][]byte{{1, 2, 3, 4}, {5, 6, 7, 8}})
+		stream := scriptedSourceStream(tb, frame)
+		dst, err := vm.New(vm.Config{Name: "vm0", MemBytes: 64 * vm.PageSize, Seed: 1})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := MigrateDest(context.Background(), readWriter{bytes.NewReader(stream), io.Discard}, dst, DestOptions{}); !errors.Is(err, ErrProtocol) {
+			tb.Fatalf("tag %d: err = %v, want ErrProtocol", tag, err)
+		}
+		streams = append(streams, stream)
+	}
+	return streams
 }
 
 // TestRangeDecodeRejectsMalformed is the decoder corruption matrix: every
-// violated invariant — page bounds, ordering floor, per-page length limits —
-// is an ErrProtocol, and a truncated frame is an I/O error; none may panic or
+// violated invariant — page bounds, ordering floor — is an ErrProtocol, and a truncated frame is an I/O error; none may panic or
 // install anything. The count byte holds count − 1, so every count it can
 // carry is in range; a count larger than the frame reads past its end.
 func TestRangeDecodeRejectsMalformed(t *testing.T) {
@@ -91,9 +111,6 @@ func TestRangeDecodeRejectsMalformed(t *testing.T) {
 		{"descends-below-floor", valid, 500, true},
 		{"truncated-sums", valid[:20], 0, false},
 		{"truncated-payload", valid[:len(valid)-1], 0, false},
-		{"z-len-zero", buildRangeVar(t, msgRangeFullZ, 0, []uint32{0, 8}, make([]byte, 8)), 0, true},
-		{"z-len-full-page", buildRangeVar(t, msgRangeFullZ, 0, []uint32{vm.PageSize, 8}, nil), 0, true},
-		{"delta-len-over-page", buildRangeVar(t, msgRangeDelta, 0, []uint32{vm.PageSize + 1, 8}, nil), 0, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -157,8 +174,8 @@ func wrappingRangeFull(t testing.TB) []byte {
 }
 
 // TestRangeFrameNegotiationGate: range frames need no negotiation, but
-// range-sum and range-delta reference checkpoint state; without a checkpoint
-// they are protocol violations.
+// range-sum references checkpoint state; without a checkpoint it is a
+// protocol violation.
 func TestRangeFrameNegotiationGate(t *testing.T) {
 	t.Run("sum-without-checkpoint", func(t *testing.T) {
 		var buf bytes.Buffer
@@ -208,15 +225,12 @@ func TestRangeWireSizeHelpers(t *testing.T) {
 		t.Errorf("RangeSumMsgBytes(5) = %d, encoder wrote %d", RangeSumMsgBytes(5), buf.Len())
 	}
 
-	v := buildRangeVar(t, msgRangeDelta, 0, []uint32{11, 7}, make([]byte, 18))
-	if len(v) != RangeVarMsgBytes(2, 18) {
-		t.Errorf("RangeVarMsgBytes(2, 18) = %d, encoder wrote %d", RangeVarMsgBytes(2, 18), len(v))
-	}
 }
 
 // FuzzRangeDecode throws arbitrary bytes at the range-frame decoder under
-// every range tag: it must reject or accept without panicking, and an
-// accepted frame must satisfy the documented invariants.
+// both range tags: it must reject or accept without panicking, and an
+// accepted frame must satisfy the documented invariants. Version 4's frames
+// of the retired tags seed it too, once the destination has refused them.
 func FuzzRangeDecode(f *testing.F) {
 	page := make([]byte, vm.PageSize)
 	f.Add(buildRangeFull(f, 2, [][]byte{page, page}))
@@ -224,13 +238,14 @@ func FuzzRangeDecode(f *testing.F) {
 	_ = writeRangeHeader(&sums, msgRangeSum, 9, 3)
 	_ = writeRangeSums(&sums, make([]checksum.Sum, 3))
 	f.Add(sums.Bytes())
-	f.Add(buildRangeVar(f, msgRangeFullZ, 0, []uint32{4, 4}, make([]byte, 8)))
-	f.Add(buildRangeVar(f, msgRangeDelta, 0, []uint32{4, 4}, make([]byte, 8)))
+	for _, stream := range retiredTagStreams(f) {
+		f.Add(stream[HelloMsgBytes(len("vm0")):])
+	}
 	f.Add([]byte{byte(msgRangeFull)})
 	f.Add(wrappingRangeFull(f)[1:]) // the header as the decoder sees it
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		const numPages = 64
-		for _, tag := range []msgType{msgRangeSum, msgRangeFull, msgRangeFullZ, msgRangeDelta} {
+		for _, tag := range []msgType{msgRangeSum, msgRangeFull} {
 			var fr rangeFrame
 			if err := readRangeFrame(bytes.NewReader(raw), tag, numPages, 1, &fr); err != nil {
 				continue

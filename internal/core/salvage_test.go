@@ -40,8 +40,7 @@ func cutMigration(t *testing.T, src, dst *vm.VM, resetAfter int64, sopts SourceO
 // TestSalvageThenResume is the end-to-end salvage contract at the engine
 // level: an interrupted attempt persists a partial checkpoint, and the next
 // attempt announces its sums so the source resends strictly fewer full
-// pages — with the hello-ack reporting the partial bootstrap and delta
-// encoding disabled against it.
+// pages — with the hello-ack reporting the partial bootstrap.
 func TestSalvageThenResume(t *testing.T) {
 	t.Run("sequential", salvageThenResume)
 }

@@ -43,18 +43,6 @@ type SourceOptions struct {
 	// StopThreshold is the dirty-page count at which the engine proceeds to
 	// the final round. Defaults to 64.
 	StopThreshold int
-	// Compress deflates full-page payloads (Svärd et al.'s orthogonal
-	// optimization, combinable with checkpoint recycling). Pages that do
-	// not shrink are sent raw.
-	Compress bool
-	// DeltaBase supplies the content the destination's RAM will hold after
-	// its checkpoint bootstrap, per frame — typically this host's own
-	// mirror of the peer's checkpoint (checkpoint.Checkpoint satisfies the
-	// interface). When set, a changed page whose frame diverged only
-	// partially is sent as an XBZRLE delta (Svärd et al.). Deltas are used
-	// in the first round only: later rounds cannot assume the destination
-	// frame still holds checkpoint content.
-	DeltaBase PageProvider
 	// Pause, when non-nil, is invoked before the final round so the caller
 	// can stop the guest workload (the stop-and-copy pause). Every live
 	// round has been flushed by then; the final round, its round-end and
@@ -90,14 +78,6 @@ func (o *SourceOptions) setDefaults() {
 type Mirror struct {
 	Root [checkpoint.RootSize]byte
 	Keys []checksum.Sum
-}
-
-// PageProvider supplies the page content a delta can be based on.
-// *checkpoint.Checkpoint implements it.
-type PageProvider interface {
-	// PageAt returns the content of page frame i, ok=false when the frame
-	// is not covered.
-	PageAt(frame int) (data []byte, ok bool, err error)
 }
 
 // MigrateSource drives the source side of a live migration of v over conn.
@@ -210,14 +190,6 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 			Pages: int64(destSums.Len())})
 	}
 
-	// Delta encoding is only sound when the destination actually
-	// bootstrapped from its checkpoint — and from the checkpoint this
-	// host's mirror describes. A salvage (partial) bootstrap means the
-	// destination's RAM holds an interrupted attempt's pages, not the last
-	// complete checkpoint, so the delta base is stale by construction.
-	if !ack.HaveCheckpoint || !opts.Recycle || ack.PartialCheckpoint {
-		opts.DeltaBase = nil
-	}
 	if ack.PartialCheckpoint {
 		opts.OnEvent.emit(Event{Kind: EventSalvage, Detail: "resumed"})
 	}
@@ -237,32 +209,20 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	if opts.Save != nil && opts.Mirror != nil && len(opts.Mirror.Keys) == v.NumPages() {
 		save = &saveSink{stream: opts.Save, mirror: opts.Mirror.Keys}
 	}
-	// One encoder for every round: its deflate state comes from a
-	// process-wide pool, too costly to rebuild per round.
-	enc, err := newSourceEncoder(destSums, opts.Compress)
-	if err != nil {
-		return m, err
-	}
-	defer enc.release()
+	enc := &sourceEncoder{destSums: destSums}
 
 	// Reset the dirty log: everything the guest writes from here on must be
 	// re-sent in a later round.
 	v.HarvestDirty()
 
 	// roundDetail renders a round's hash work — pages digested here versus
-	// pages whose digest came from the guest's table — the pages it left to
-	// the named checkpoint and, when compressing, the entropy gate's hit
-	// rate, all as deltas since the given snapshot.
+	// pages whose digest came from the guest's table — and the pages it left
+	// to the named checkpoint, all as deltas since the given snapshot.
 	roundDetail := func(since Metrics) string {
-		d := fmt.Sprintf("hashed=%d cached=%d kept=%d",
+		return fmt.Sprintf("hashed=%d cached=%d kept=%d",
 			(m.HashBytes-since.HashBytes)/vm.PageSize,
 			(m.HashAvoidedBytes-since.HashAvoidedBytes)/vm.PageSize,
 			m.PagesKept-since.PagesKept)
-		if opts.Compress {
-			d += fmt.Sprintf(" gate_attempted=%d gate_skipped=%d",
-				m.CompressAttempted-since.CompressAttempted, m.CompressSkipped-since.CompressSkipped)
-		}
-		return d
 	}
 
 	// A round's bytes are the ones it encoded: those on the wire plus those
@@ -271,12 +231,11 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 
 	// Round 1: walk every page. On a match, pages still equal to the named
 	// checkpoint are left out; with a destination checksum set, redundant
-	// pages shrink to (page number, checksum); delta encoding against
-	// DeltaBase applies in this round only.
+	// pages shrink to (page number, checksum).
 	m.Rounds = 1
 	roundStart := encoded()
 	since := m
-	if err := sendSequential(ctx, w, v, seqAll(v.NumPages()), enc, opts.DeltaBase, keep, save, &m); err != nil {
+	if err := sendSequential(ctx, w, v, seqAll(v.NumPages()), enc, keep, save, &m); err != nil {
 		return m, err
 	}
 	if err := writeRoundEnd(w, 1, uint64(v.DirtyCount())); err != nil {
@@ -323,7 +282,7 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		})
 		roundStart = encoded()
 		since = m
-		if err := sendSequential(ctx, w, v, seqList(dirtyList), enc, nil, nil, save, &m); err != nil {
+		if err := sendSequential(ctx, w, v, seqList(dirtyList), enc, nil, save, &m); err != nil {
 			return m, err
 		}
 		if err := writeRoundEnd(w, uint32(round), uint64(len(dirtyList))); err != nil {
@@ -372,7 +331,7 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 // stream — on the calling goroutine, in page order. With keep (round one of a
 // return matched by name) encodeBatch omits every page equal to keep's key.
 // Cancellation is checked once per batch.
-func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, enc *sourceEncoder, base PageProvider, keep []checksum.Sum, save *saveSink, m *Metrics) error {
+func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, enc *sourceEncoder, keep []checksum.Sum, save *saveSink, m *Metrics) error {
 	n := pages.len()
 	b := batchPool.Get().(*pageBatch)
 	defer putBatch(b)
@@ -390,7 +349,7 @@ func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, e
 		}
 		epoch := v.DigestEpoch()
 		offloadBatchSums(b, fillBatch(v, b, m))
-		if err := encodeBatch(enc, base, keep, b, m); err != nil {
+		if err := encodeBatch(enc, keep, b, m); err != nil {
 			return err
 		}
 		v.StoreDigests(epoch, b.pages, b.sums[:cnt])
@@ -401,7 +360,3 @@ func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, e
 	}
 	return nil
 }
-
-// deltaLimit caps delta size: beyond half a page the full (or compressed)
-// encoding is at least as good once framing is paid.
-const deltaLimit = vm.PageSize / 2

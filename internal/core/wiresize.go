@@ -44,10 +44,3 @@ func RangeSumMsgBytes(n int) int {
 func RangeFullMsgBytes(n int) int {
 	return RangeSumMsgBytes(n) + n*vm.PageSize
 }
-
-// RangeVarMsgBytes reports the size of a range-full-z or range-delta frame
-// carrying n pages whose encoded payloads total payloadBytes: header, one
-// (checksum, length) pair per page, and the concatenated payloads.
-func RangeVarMsgBytes(n, payloadBytes int) int {
-	return RangeHeaderBytes + n*(checksum.Size+4) + payloadBytes
-}

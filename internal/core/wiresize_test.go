@@ -13,7 +13,7 @@ import (
 // TestWireSizeConstants cross-checks the exported size constants against
 // the actual encoders, so the analytical simulator can never drift from the
 // real protocol. Every page-carrying frame is a range frame behind a 10-byte
-// header; it is checked at one page and at MaxRangePages, in all four kinds.
+// header; it is checked at one page and at MaxRangePages, in both kinds.
 func TestWireSizeConstants(t *testing.T) {
 	var buf bytes.Buffer
 	sum := checksum.Default.Page([]byte("x"))
@@ -39,19 +39,6 @@ func TestWireSizeConstants(t *testing.T) {
 		}
 		if full := buildRangeFull(t, 7, pages); len(full) != RangeFullMsgBytes(n) {
 			t.Errorf("RangeFullMsgBytes(%d) = %d, encoder wrote %d", n, RangeFullMsgBytes(n), len(full))
-		}
-		lens := make([]uint32, n)
-		for i := range lens {
-			lens[i] = uint32(i%7 + 1)
-		}
-		payload := 0
-		for _, l := range lens {
-			payload += int(l)
-		}
-		for _, tag := range []msgType{msgRangeFullZ, msgRangeDelta} {
-			if v := buildRangeVar(t, tag, 7, lens, make([]byte, payload)); len(v) != RangeVarMsgBytes(n, payload) {
-				t.Errorf("%v: RangeVarMsgBytes(%d, %d) = %d, encoder wrote %d", tag, n, payload, RangeVarMsgBytes(n, payload), len(v))
-			}
 		}
 	}
 
@@ -100,14 +87,14 @@ func TestWireSizeConstants(t *testing.T) {
 	}
 }
 
-// TestSourceBytesClosedForm: without compression or deltas, what the source
-// sends is a closed form of its own counters — the hello (32 bytes more when it
-// offers a manifest root), a 10-byte header per frame, a 16-byte checksum per
-// page, a 4096-byte payload per full page, a 13-byte round end per round and
-// the one-byte done — and it is exactly what the destination receives. A page
-// a named leg's round one leaves to the checkpoint costs nothing. Checked on a
-// cold leg and on recycled legs of a churned guest, announced and named, each
-// with a second round.
+// TestSourceBytesClosedForm: what the source sends is a closed form of its
+// own counters — the hello (32 bytes more when it offers a manifest root), a
+// 10-byte header per frame, a 16-byte checksum per page, a 4096-byte payload
+// per full page, a 13-byte round end per round and the one-byte done — and it
+// is exactly what the destination receives. A page a named leg's round one
+// leaves to the checkpoint costs nothing. Checked on a cold leg and on
+// recycled legs of a churned guest, announced and named, each with a second
+// round.
 func TestSourceBytesClosedForm(t *testing.T) {
 	const pages = 600
 	src := newVM(t, "vm0", pages, 1)
@@ -172,13 +159,13 @@ func TestMsgTypeString(t *testing.T) {
 		msgAck:          "ack",
 		msgRangeSum:     "range-sum",
 		msgRangeFull:    "range-full",
-		msgRangeFullZ:   "range-full-z",
-		msgRangeDelta:   "range-delta",
-		msgType(4):      "msg(4)", // reserved, as are 5, 9, 10 and 11
+		msgType(4):      "msg(4)", // reserved, as are 5, 9, 10, 11, 14 and 15
 		msgType(5):      "msg(5)",
 		msgType(9):      "msg(9)",
 		msgType(10):     "msg(10)",
 		msgType(11):     "msg(11)",
+		msgType(14):     "msg(14)",
+		msgType(15):     "msg(15)",
 		msgType(99):     "msg(99)",
 	} {
 		if got := mt.String(); got != want {

@@ -8,8 +8,8 @@
 //
 // A disk is backed by a page array (16 pages per 64 KiB block), so a disk
 // migration *is* a memory migration of the backing region: checkpoint
-// recycling, deduplication, compression, delta encoding and the ping-pong
-// optimization all apply unchanged. Disks churn far slower than RAM, so
+// recycling, deduplication and the ping-pong optimization all apply
+// unchanged. Disks churn far slower than RAM, so
 // recycled disk checkpoints eliminate nearly all block traffic.
 package disk
 

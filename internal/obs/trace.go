@@ -28,8 +28,8 @@ type Event struct {
 	// T is the event timestamp.
 	T time.Time `json:"t"`
 	// Kind names the protocol turn: "hello", "announce", "round",
-	// "pause", "resume", "manifest", "fetch", "retry", "delta-fallback",
-	// "checkpoint-saved", "done", ... (docs/OBSERVABILITY.md lists all).
+	// "pause", "resume", "retry", "checkpoint-saved", "done", ...
+	// (docs/OBSERVABILITY.md lists all).
 	Kind string `json:"kind"`
 	// Round is the pre-copy round (or retry attempt for "retry" events);
 	// zero when not applicable.

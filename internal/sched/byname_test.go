@@ -112,19 +112,19 @@ func announced(t *testing.T, leg string, m core.Metrics, res core.DestResult) bo
 
 // TestByNameDefaultPingPong: under the product defaults every return leg is
 // matched by name — no announcement on either side — and moves exactly the
-// pages an announced ping-pong of the same guest moves in full or by delta.
+// pages an announced ping-pong of the same guest moves in full.
 // Each page the announced leg names by checksum the named leg either names too
 // or leaves out of round one, and the destination keeps what it left out
 // where the announced one found it in place.
 func TestByNameDefaultPingPong(t *testing.T) {
 	const pages, rewritten, legs = 512, 24, 5
-	type counts struct{ full, delta, sum, kept, inPlace, dstKept, fromDisk, rounds int }
+	type counts struct{ full, sum, kept, inPlace, dstKept, fromDisk, rounds int }
 	run := func(saveArrivals bool) (out []counts, announcedLegs []bool) {
 		p := newNamedPair(t, pages, saveArrivals)
 		at, to := "alpha", "beta"
 		for leg := 1; leg <= legs; leg++ {
 			m, res := p.hop(at, to, MigrateOptions{})
-			out = append(out, counts{m.PagesFull, m.PagesDelta, m.PagesSum, m.PagesKept,
+			out = append(out, counts{m.PagesFull, m.PagesSum, m.PagesKept,
 				res.Metrics.PagesReusedInPlace, res.Metrics.PagesKept, res.Metrics.PagesReusedFromDisk, m.Rounds})
 			announcedLegs = append(announcedLegs, announced(t, at+"→"+to, m, res))
 			at, to = to, at
@@ -147,7 +147,7 @@ func TestByNameDefaultPingPong(t *testing.T) {
 			t.Errorf("leg %d without arrival images: announced=%v, want %v", leg, plainAnn[i], wantAnn)
 		}
 		n, a := named[i], plain[i]
-		if n.full != a.full || n.delta != a.delta || n.fromDisk != a.fromDisk || n.rounds != a.rounds ||
+		if n.full != a.full || n.fromDisk != a.fromDisk || n.rounds != a.rounds ||
 			n.sum+n.kept != a.sum || n.inPlace+n.dstKept != a.inPlace || n.dstKept != n.kept || a.kept != 0 {
 			t.Errorf("leg %d: page counters of the named run %+v do not account for the announced run's %+v", leg, n, a)
 		}

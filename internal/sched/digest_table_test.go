@@ -15,8 +15,8 @@ import (
 // two hosts and in bytes. A returning source hashes exactly the pages the
 // guest rewrote since it arrived, the destination's probes hash nothing, and
 // neither host's checkpoint save nor the destination's restore hashes a byte —
-// the wire checksum is the store key. A delta base is opened without hashing
-// either, and a retry resuming from a salvage image hashes nothing: the cut
+// the wire checksum is the store key. A retry resuming from a salvage image
+// hashes nothing: the cut
 // attempt wrote its digests back to the guest's table. Each save books every
 // page once: hashed plus avoided is the guest. The registry's
 // series must tell the same story as the engine's metrics.
@@ -42,10 +42,9 @@ func TestDigestTableExactCounts(t *testing.T) {
 	hosts["alpha"].AddVM(guest)
 
 	rng := rand.New(rand.NewSource(42))
-	// rewrite changes exactly k distinct pages of the guest on host: wholly
-	// (fresh content) or, with partial set, 64 bytes of each — what a delta
-	// encodes.
-	rewrite := func(host string, k int, partial bool) {
+	// rewrite gives exactly k distinct pages of the guest on host fresh
+	// content.
+	rewrite := func(host string, k int) {
 		t.Helper()
 		v, ok := hosts[host].VM("vm0")
 		if !ok {
@@ -53,12 +52,7 @@ func TestDigestTableExactCounts(t *testing.T) {
 		}
 		buf := make([]byte, vm.PageSize)
 		for _, p := range rng.Perm(pages)[:k] {
-			if partial {
-				v.ReadPage(p, buf)
-				rng.Read(buf[:64])
-			} else {
-				rng.Read(buf)
-			}
+			rng.Read(buf)
 			v.WritePage(p, buf)
 		}
 	}
@@ -153,7 +147,7 @@ func TestDigestTableExactCounts(t *testing.T) {
 
 	// Returning legs: only the rewritten pages are hashed.
 	for i, leg := range [][2]string{{"beta", "alpha"}, {"alpha", "beta"}, {"beta", "alpha"}} {
-		rewrite(leg[0], rewritten, false)
+		rewrite(leg[0], rewritten)
 		m, res := hop(leg[0], leg[1], MigrateOptions{}, rewritten*vm.PageSize)
 		if m.PagesFull != rewritten || m.PagesKept != pages-rewritten || res.Metrics.PagesKept != pages-rewritten {
 			t.Errorf("leg %d: %d full pages, %d kept at the source and %d at the destination, want %d, %d and %d",
@@ -167,24 +161,12 @@ func TestDigestTableExactCounts(t *testing.T) {
 		}
 	}
 
-	// Delta legs: the source opens its own checkpoint of the guest as the
-	// delta base — for PageAt only, so hop's "the source's restores hashed 0
-	// bytes" holds — and the partly rewritten pages travel as deltas.
-	for _, leg := range [][2]string{{"alpha", "beta"}, {"beta", "alpha"}} {
-		rewrite(leg[0], rewritten, true)
-		m, _ = hop(leg[0], leg[1], MigrateOptions{UseDelta: true}, rewritten*vm.PageSize)
-		if m.PagesDelta != rewritten || m.PagesFull != 0 {
-			t.Errorf("%s→%s delta leg: %d deltas and %d full pages, want %d and 0",
-				leg[0], leg[1], m.PagesDelta, m.PagesFull, rewritten)
-		}
-	}
-
 	// A cut mid-round leaves a salvage image at the destination; the retry
 	// bootstraps from it. The cut attempt encoded all of round one before its
 	// first write and wrote those digests back to the guest's table, so the
 	// retry hashes nothing; the partial restore seeds the table from its keys
 	// as a complete one does.
-	rewrite("alpha", rewritten, false)
+	rewrite("alpha", rewritten)
 	var handled atomic.Int64 // beta's failed incoming handlers: the dialer's barrier
 	hosts["beta"].OnError = func(error) { handled.Add(1) }
 	cd := &chaosDialer{t: t, schedule: []int64{100_000}, handled: &handled}

@@ -9,7 +9,7 @@
 // A Host stands in for the paper's migration manager on each physical
 // machine (the QEMU-external daemon of §3.1; see DESIGN.md §2 for what the
 // reproduction substitutes for the hypervisor). It also carries the
-// transport hardening (idle deadlines, retry/backoff, delta fallback) and
+// transport hardening (idle deadlines, retry/backoff) and
 // the observability seam: every migration, either role, is folded into an
 // internal/obs registry and trace log, optionally served over HTTP by
 // ListenOps (docs/OBSERVABILITY.md).
@@ -78,10 +78,10 @@ type Host struct {
 	OnError func(error)
 
 	// SaveArrivals checkpoints every VM right after it arrives. The arrival
-	// image is byte-identical to the checkpoint the sending peer wrote when
-	// the VM departed, which makes it a sound delta base for the return
-	// migration (see MigrateOptions.UseDelta). Costs one image write per
-	// arrival.
+	// image has the same key list as the checkpoint the sending peer wrote
+	// when the VM departed, so the return migration offers it by name and
+	// the peer announces nothing (MigrateOptions.Recycle). Costs one image
+	// write per arrival.
 	SaveArrivals bool
 
 	// IdleTimeout bounds each individual read and write on migration
@@ -209,11 +209,7 @@ func (h *Host) VMNames() []string {
 
 // idle resolves the host's per-I/O idle budget.
 func (h *Host) idle() time.Duration {
-	return resolveIdle(h.IdleTimeout)
-}
-
-func resolveIdle(d time.Duration) time.Duration {
-	switch {
+	switch d := h.IdleTimeout; {
 	case d < 0:
 		return 0 // disabled
 	case d == 0:
@@ -606,30 +602,17 @@ type MigrateOptions struct {
 	// KeepCheckpoint writes a local checkpoint after the VM leaves (the
 	// core of VeCycle). Disable to model a host with no spare disk.
 	KeepCheckpoint bool
-	// UseDelta sends partially-changed pages as XBZRLE deltas against this
-	// host's stored checkpoint of the VM. The optimization is *optimistic*:
-	// it assumes the local image equals the destination's checkpoint, which
-	// holds in two-host ping-pong with SaveArrivals + KeepCheckpoint but
-	// can go stale when the VM roams more hosts. A stale base is caught by
-	// the destination's mandatory per-delta verification; MigrateTo then
-	// retries the migration once without deltas.
-	UseDelta bool
-	// Compress deflates full-page payloads (core.SourceOptions.Compress).
-	Compress bool
 	// MaxRounds bounds the pre-copy rounds (core.SourceOptions.MaxRounds);
 	// 0 keeps the engine default.
 	MaxRounds int
 	// StopThreshold is the dirty-page count triggering the final round
 	// (core.SourceOptions.StopThreshold); 0 keeps the engine default.
 	StopThreshold int
-	// IdleTimeout overrides Host.IdleTimeout for this migration's
-	// connections. Zero inherits the host setting; negative disables.
-	IdleTimeout time.Duration
 	// Retry re-attempts the migration on transient transport failures with
 	// exponential backoff. The zero value performs a single attempt.
 	Retry RetryPolicy
 	// OnAttempt, when non-nil, observes every engine attempt of this
-	// migration — the first try, the delta fallback, and each retry — with
+	// migration — the first try and each retry — with
 	// its 1-based attempt number and outcome. The chaos tests use it to
 	// assert that resumed attempts resend strictly fewer full pages.
 	OnAttempt func(attempt int, m core.Metrics, err error)
@@ -639,23 +622,13 @@ type MigrateOptions struct {
 	Resume func()
 }
 
-// migrationIdle resolves the per-migration idle budget against the host's.
-func (h *Host) migrationIdle(override time.Duration) time.Duration {
-	if override != 0 {
-		return resolveIdle(override)
-	}
-	return h.idle()
-}
-
 // MigrateTo live-migrates the named resident VM to the peer host listening
 // at addr. On success the VM is no longer resident here and, when
 // KeepCheckpoint is set, a checkpoint of its final state is stored locally.
 //
 // Cancelling ctx aborts the migration (and any pending retry wait) with
 // ctx's error. Transient failures are retried per opts.Retry; a rejection
-// by the destination is terminal. An attempt with an optimistic delta base
-// that fails is re-run once without deltas before the retry policy is
-// consulted, preserving the stale-delta fallback.
+// by the destination is terminal.
 func (h *Host) MigrateTo(ctx context.Context, addr, vmName string, opts MigrateOptions) (core.Metrics, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -675,15 +648,7 @@ func (h *Host) MigrateTo(ctx context.Context, addr, vmName string, opts MigrateO
 // runMigrateTo is the body of MigrateTo, split out so every return funnels
 // through one obs.finish call.
 func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, opts MigrateOptions, rec *obs.Recorder) (core.Metrics, error) {
-	var deltaBase core.PageProvider
-	if opts.UseDelta {
-		if cp := h.openDeltaBase(vmName, rec); cp != nil {
-			defer cp.Close()
-			deltaBase = cp
-		}
-	}
-
-	idle := h.migrationIdle(opts.IdleTimeout)
+	idle := h.idle()
 
 	// Unshared storage: the block device moves first, through the same
 	// engine on its own connection, so the guest's final rounds overlap
@@ -718,7 +683,7 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 		save = h.store.OpenSave(vmName)
 		defer save.Abort()
 	}
-	attempt := func(base core.PageProvider) (core.Metrics, error) {
+	attempt := func() (core.Metrics, error) {
 		conn, err := h.dial(ctx, addr)
 		if err != nil {
 			return core.Metrics{}, err
@@ -736,9 +701,7 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 		return core.MigrateSource(ctx, core.NewDeadlineConn(conn, idle), v, core.SourceOptions{
 			Recycle:       opts.Recycle,
 			Mirror:        mirror,
-			DeltaBase:     base,
 			Save:          save,
-			Compress:      opts.Compress,
 			MaxRounds:     opts.MaxRounds,
 			StopThreshold: opts.StopThreshold,
 			Pause:         opts.Pause,
@@ -748,13 +711,11 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 	}
 
 	attempts := opts.Retry.attempts()
-	base := deltaBase
-	deltaFallback := base != nil
 	var m core.Metrics
 	var err error
 	attemptNo := 0
 	for retries := 0; ; {
-		m, err = attempt(base)
+		m, err = attempt()
 		attemptNo++
 		if opts.OnAttempt != nil {
 			opts.OnAttempt(attemptNo, m, err)
@@ -771,26 +732,6 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 		if errors.Is(err, core.ErrRejected) {
 			return m, err
 		}
-		if deltaFallback {
-			// Delta encoding is optimistic: if this host's checkpoint mirror
-			// went stale (the VM visited the destination via a third host),
-			// the destination's mandatory per-delta verification aborts the
-			// stream. Retry once on a fresh connection without deltas; this
-			// fallback does not consume a retry attempt.
-			if h.OnError != nil {
-				h.OnError(fmt.Errorf("sched: delta migration of %q to %s failed (%v); retrying without deltas", vmName, addr, err))
-			}
-			h.obs.fallbacks.With(h.name).Inc()
-			rec.Event(obs.Event{Kind: "delta-fallback", Detail: err.Error()})
-			base = nil
-			deltaFallback = false
-			continue
-		}
-		// After the first failure the destination may hold a salvage image,
-		// which is never a sound delta target; stop offering deltas for the
-		// rest of the chain.
-		base = nil
-		deltaFallback = false
 		if !Retryable(err) || retries >= attempts-1 {
 			return m, err
 		}
@@ -823,31 +764,6 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 	delete(h.disks, vmName)
 	h.mu.Unlock()
 	return m, nil
-}
-
-// openDeltaBase opens this host's checkpoint of the VM as a delta base, nil
-// when there is none to offer. Only a complete checkpoint is a sound base: a
-// salvage image left by an interrupted incoming migration holds another
-// attempt's partial state, not a mirror of the destination's checkpoint. The
-// base only serves PageAt, so it is opened index only: no page read, nothing
-// hashed. Deltas are an optimization; an unopenable base loses it, not the
-// migration, which degrades to full/sum encoding.
-func (h *Host) openDeltaBase(vmName string, rec *obs.Recorder) *checkpoint.Checkpoint {
-	if state, ok := h.store.State(vmName); !ok || state != checkpoint.EntryComplete {
-		return nil
-	}
-	cp, err := h.store.Restore(vmName, checkpoint.ObjectAlgorithm, nil)
-	if err != nil {
-		fault := faultfs.Label(err)
-		h.obs.degraded.With(h.name, core.StageDeltaBase, fault).Inc()
-		rec.Event(obs.Event{Kind: core.EventDegraded, Detail: core.StageDeltaBase + ":" + fault})
-		if h.OnError != nil {
-			h.OnError(fmt.Errorf("sched: delta base of %q degraded (%s): %w", vmName, fault, err))
-		}
-		return nil
-	}
-	rec.Event(obs.Event{Kind: core.EventRestore})
-	return cp
 }
 
 // migrateDisk streams the block device to the peer on its own connection.

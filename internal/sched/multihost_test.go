@@ -2,20 +2,21 @@ package sched
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"vecycle/internal/core"
 	"vecycle/internal/vm"
 )
 
-// TestThreeHostDeltaStaleBaseRetry sends a VM around a three-host ring with
-// optimistic deltas enabled. On the third leg the source's checkpoint
-// mirror is stale (the VM reached the destination via the middle host);
-// the destination's verification must abort the delta attempt and the
-// automatic retry must complete the migration without deltas.
-func TestThreeHostDeltaStaleBaseRetry(t *testing.T) {
+// TestThreeHostConvergence sends a VM around a three-host ring with every
+// host keeping departure and arrival images. From the third leg on the
+// destination holds a checkpoint of the VM that the source's own does not
+// name (the VM reached it via the third host), so those legs recycle by
+// announcement. Every leg must land the guest byte for byte in one attempt,
+// with no host reporting an error.
+func TestThreeHostConvergence(t *testing.T) {
 	hosts := make([]*Host, 3)
 	addrs := make([]string, 3)
 	var (
@@ -59,18 +60,22 @@ func TestThreeHostDeltaStaleBaseRetry(t *testing.T) {
 	cur := 0
 	var prev *vm.VM = g
 	for leg, to := range route {
+		attempts := 0
 		m, err := hosts[cur].MigrateTo(context.Background(), addrs[to], "vm0", MigrateOptions{
-			Recycle: true, UseDelta: true, KeepCheckpoint: true,
+			Recycle: true, KeepCheckpoint: true,
+			OnAttempt: func(int, core.Metrics, error) { attempts++ },
 		})
 		if err != nil {
 			t.Fatalf("leg %d (%d->%d): %v", leg+1, cur, to, err)
+		}
+		if attempts != 1 {
+			t.Errorf("leg %d took %d attempts, want 1", leg+1, attempts)
 		}
 		v := wait(hosts[to])
 		if !prev.MemEqual(v) {
 			t.Fatalf("leg %d: memory differs", leg+1)
 		}
-		// Legs 3+ still recycle via checksums even when the delta attempt
-		// is retried away.
+		// Legs 3+ reach a host holding a checkpoint of the VM.
 		if leg >= 2 && m.PagesSum == 0 {
 			t.Errorf("leg %d recycled nothing", leg+1)
 		}
@@ -78,16 +83,9 @@ func TestThreeHostDeltaStaleBaseRetry(t *testing.T) {
 		prev = v
 		cur = to
 	}
-	// At least one stale-base retry must have happened on this topology.
 	errMu.Lock()
 	defer errMu.Unlock()
-	retried := false
-	for _, e := range errLog {
-		if strings.Contains(e, "retrying without deltas") {
-			retried = true
-		}
-	}
-	if !retried {
-		t.Errorf("expected a stale-delta retry; host errors: %v", errLog)
+	if len(errLog) != 0 {
+		t.Errorf("host errors on a fault-free ring: %v", errLog)
 	}
 }

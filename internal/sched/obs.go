@@ -62,12 +62,9 @@ type hostObs struct {
 	rounds         *obs.CounterVec   // vecycle_migration_rounds_total{host}
 	announce       *obs.CounterVec   // vecycle_announce_bytes_total{host}
 	retries        *obs.CounterVec   // vecycle_migration_retries_total{host}
-	fallbacks      *obs.CounterVec   // vecycle_delta_fallbacks_total{host}
 	salvage        *obs.CounterVec   // vecycle_salvage_total{host,outcome}
 	salvagePg      *obs.CounterVec   // vecycle_salvage_pages_total{host}
 	salvageAvoided *obs.CounterVec   // vecycle_salvage_bytes_avoided_total{host}
-	compressAtt    *obs.CounterVec   // vecycle_compress_attempted_total{host}
-	compressSkip   *obs.CounterVec   // vecycle_compress_skipped_total{host}
 	vmTotal        *obs.CounterVec   // vecycle_vm_migrations_total{host,vm,role}
 	vmLast         *obs.GaugeVec     // vecycle_vm_last_migration_seconds{host,vm}
 	hashBytes      *obs.CounterVec   // vecycle_hash_bytes_total{host,stage}
@@ -108,7 +105,7 @@ func newHostObs(h *Host, reg *obs.Registry, traces *obs.TraceLog) *hostObs {
 			"Transport bytes moved by migrations, by direction (sent/received).",
 			"host", "role", "direction"),
 		pages: reg.CounterVec("vecycle_migration_pages_total",
-			"Pages handled, by wire encoding or reuse kind (full, sum, delta, compressed, kept, reused_in_place, reused_from_disk); kept counts pages round one of a return matched by name left to the checkpoint, on either side.",
+			"Pages handled, by wire encoding or reuse kind (full, sum, kept, reused_in_place, reused_from_disk); kept counts pages round one of a return matched by name left to the checkpoint, on either side.",
 			"host", "kind"),
 		rounds: reg.CounterVec("vecycle_migration_rounds_total",
 			"Pre-copy rounds run, including final stop-and-copy rounds.",
@@ -119,9 +116,6 @@ func newHostObs(h *Host, reg *obs.Registry, traces *obs.TraceLog) *hostObs {
 		retries: reg.CounterVec("vecycle_migration_retries_total",
 			"Outgoing migration attempts re-run after transient transport failures.",
 			"host"),
-		fallbacks: reg.CounterVec("vecycle_delta_fallbacks_total",
-			"Outgoing migrations re-run without deltas after a stale-base abort.",
-			"host"),
 		salvage: reg.CounterVec("vecycle_salvage_total",
 			"Salvage-checkpoint activity around interrupted migrations, by outcome (written, write-failed, resumed, superseded).",
 			"host", "outcome"),
@@ -130,12 +124,6 @@ func newHostObs(h *Host, reg *obs.Registry, traces *obs.TraceLog) *hostObs {
 			"host"),
 		salvageAvoided: reg.CounterVec("vecycle_salvage_bytes_avoided_total",
 			"Wire bytes avoided by migrations that resumed from a salvage checkpoint (pages reused out of the partial image, at page-size cost each).",
-			"host"),
-		compressAtt: reg.CounterVec("vecycle_compress_attempted_total",
-			"Full pages the entropy gate passed to deflate on outgoing migrations.",
-			"host"),
-		compressSkip: reg.CounterVec("vecycle_compress_skipped_total",
-			"Full pages the entropy gate sent raw (sampled as incompressible) on outgoing migrations.",
 			"host"),
 		vmTotal: reg.CounterVec("vecycle_vm_migrations_total",
 			"Per-VM migration series: completed migrations touching this VM, by role.",
@@ -328,14 +316,10 @@ func (o *hostObs) finish(rec *obs.Recorder, role, vmName string, m core.Metrics,
 	o.bytes.With(o.host, role, "received").Add(float64(m.BytesReceived))
 	o.pages.With(o.host, "full").Add(float64(m.PagesFull))
 	o.pages.With(o.host, "sum").Add(float64(m.PagesSum))
-	o.pages.With(o.host, "delta").Add(float64(m.PagesDelta))
-	o.pages.With(o.host, "compressed").Add(float64(m.PagesCompressed))
 	o.pages.With(o.host, "kept").Add(float64(m.PagesKept))
 	o.pages.With(o.host, "reused_in_place").Add(float64(m.PagesReusedInPlace))
 	o.pages.With(o.host, "reused_from_disk").Add(float64(m.PagesReusedFromDisk))
 	o.rangeFrames.With(o.host).Add(float64(m.RangeFrames))
-	o.compressAtt.With(o.host).Add(float64(m.CompressAttempted))
-	o.compressSkip.With(o.host).Add(float64(m.CompressSkipped))
 	if m.HashBytes > 0 {
 		// One field, two passes: the source's encode, the destination's
 		// round-end track pass (core.Metrics.HashBytes).

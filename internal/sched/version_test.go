@@ -20,8 +20,8 @@ import (
 // first frame this one writes: an older version field, and for version 1 the
 // capability offers (flag bit 3 for the compact announcement, bit 4 for range
 // frames) it made, for version 3 its post-copy mode (flag bit 2); or another
-// checksum algorithm byte. The pre-copy hellos of versions 2 and 3 were this
-// version's with another number. A zero field keeps this source's value.
+// checksum algorithm byte. The pre-copy hellos of versions 2, 3 and 4 were
+// this version's with another number. A zero field keeps this source's value.
 type helloRewrite struct {
 	version uint16
 	offers  byte
@@ -216,10 +216,11 @@ func TestMixedVersionAnnounceOverTCP(t *testing.T) {
 
 // TestMixedVersionRangeFramesOverTCP: version 1 negotiated range frames;
 // version 2 always sent runs in them but a lone page in its per-page frame;
-// versions 3 and 4 send every page in a range frame, and version 3 also spoke
-// post-copy. A version-1 source offering range frames, a version-2 source and
-// a version-3 source, pre-copy or post-copy, are refused at the hello, by
-// their version. Between two
+// versions 3 on send every page in a range frame, version 3 also spoke
+// post-copy, and version 4 also had deflated and delta range frames. A
+// version-1 source offering range frames, a version-2 source, a version-3
+// source, pre-copy or post-copy, and a version-4 source are refused at the
+// hello, by their version. Between two
 // hosts of this version, a cold leg over TCP coalesces its full-page runs into
 // range frames, the destination decodes every one the source sent, and the
 // guest's memory survives byte-for-byte.
@@ -228,6 +229,7 @@ func TestMixedVersionRangeFramesOverTCP(t *testing.T) {
 	refuseHello(t, helloRewrite{version: 2})
 	refuseHello(t, helloRewrite{version: 3})
 	refuseHello(t, helloRewrite{version: 3, offers: 4})
+	refuseHello(t, helloRewrite{version: 4})
 
 	alpha := newHost(t, "alpha")
 	beta := newHost(t, "beta")

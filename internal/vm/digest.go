@@ -53,7 +53,7 @@ func (v *VM) InstallRangeSums(start int, data []byte, sums []checksum.Sum) {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	copy(v.mem[start*PageSize:(start+len(sums))*PageSize], data)
+	v.copyInLocked(start, data)
 	copy(v.digests.sums[start:start+len(sums)], sums)
 	for i := range sums {
 		v.digests.valid[start+i] = true
@@ -69,7 +69,7 @@ func (v *VM) InstallRangeSums(start int, data []byte, sums []checksum.Sum) {
 func (v *VM) ReadRangeDigests(start, count int, dst []byte, sums []checksum.Sum, known []bool) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	copy(dst[:count*PageSize], v.mem[start*PageSize:(start+count)*PageSize])
+	v.copyOutLocked(start, dst[:count*PageSize])
 	copy(sums[:count], v.digests.sums[start:start+count])
 	copy(known[:count], v.digests.valid[start:start+count])
 }

@@ -42,7 +42,8 @@ type VM struct {
 	seed int64
 
 	mu      sync.RWMutex
-	mem     []byte
+	mem     [][]byte // guest memory, chunkPages pages per chunk (see newChunks)
+	pages   int
 	dirty   *dirtytrack.Bitmap
 	digests digestTable
 	epoch   uint64 // see DigestEpoch
@@ -65,7 +66,8 @@ func New(cfg Config) (*VM, error) {
 	return &VM{
 		name:    cfg.Name,
 		seed:    cfg.Seed,
-		mem:     make([]byte, cfg.MemBytes),
+		mem:     newChunks(pages),
+		pages:   pages,
 		dirty:   dirty,
 		digests: newDigestTable(pages),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
@@ -76,10 +78,10 @@ func New(cfg Config) (*VM, error) {
 func (v *VM) Name() string { return v.name }
 
 // NumPages reports the guest memory size in pages.
-func (v *VM) NumPages() int { return len(v.mem) / PageSize }
+func (v *VM) NumPages() int { return v.pages }
 
 // MemBytes reports the guest memory size in bytes.
-func (v *VM) MemBytes() int64 { return int64(len(v.mem)) }
+func (v *VM) MemBytes() int64 { return int64(v.pages) * PageSize }
 
 // ReadPage copies page i into dst, which must be at least PageSize long.
 func (v *VM) ReadPage(i int, dst []byte) {
@@ -125,7 +127,7 @@ func (v *VM) InstallPage(i int, data []byte) {
 }
 
 // InstallRange installs len(data)/PageSize contiguous pages starting at
-// frame start with one lock acquisition and one copy — the vectorized
+// frame start with one lock acquisition — the vectorized
 // install for a run of pages that arrive together.
 // len(data) must be a positive multiple of PageSize and the span must fit
 // the guest. Like InstallPage it forgets the pages' recorded digests
@@ -137,30 +139,39 @@ func (v *VM) InstallRange(start int, data []byte) {
 	count := len(data) / PageSize
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	copy(v.mem[start*PageSize:(start+count)*PageSize], data)
+	v.copyInLocked(start, data)
 	clear(v.digests.valid[start : start+count])
 	v.epoch++
 }
 
 // ReadRange copies count contiguous pages starting at frame start into dst
 // (at least count*PageSize bytes) under one lock acquisition — the batched
-// counterpart of ReadPage: a range-delta frame's base span, a save's rehash.
+// counterpart of ReadPage.
 func (v *VM) ReadRange(start, count int, dst []byte) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	copy(dst[:count*PageSize], v.mem[start*PageSize:(start+count)*PageSize])
+	v.copyOutLocked(start, dst[:count*PageSize])
 }
 
 // WriteRangeTo writes count contiguous pages starting at frame start to w
-// straight out of guest memory, holding the read lock for the one Write call —
+// straight out of guest memory, holding the read lock for its Write calls (one
+// per chunk the span touches) —
 // the copy-free counterpart of ReadRange a checkpoint save persists runs of
 // pages with. w must not call back into the VM, and writers to the guest wait
 // for the Write to return, so callers keep count small.
 func (v *VM) WriteRangeTo(w io.Writer, start, count int) error {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	_, err := w.Write(v.mem[start*PageSize : (start+count)*PageSize])
-	return err
+	v.checkSpan(start, count)
+	for count > 0 {
+		run := v.runLocked(start, count)
+		if _, err := w.Write(run); err != nil {
+			return err
+		}
+		start += len(run) / PageSize
+		count -= len(run) / PageSize
+	}
+	return nil
 }
 
 // RangeSums computes the checksum of count contiguous pages starting at
@@ -179,7 +190,61 @@ func (v *VM) RangeSums(start, count int, alg checksum.Algorithm, out []checksum.
 }
 
 func (v *VM) pageLocked(i int) []byte {
-	return v.mem[i*PageSize : (i+1)*PageSize]
+	return v.runLocked(i, 1)
+}
+
+// chunkPages is the unit guest memory is allocated in: 1 MiB, the size of a
+// migration batch and of a restore span, so the ranges those move stay in one
+// chunk. A guest is not one allocation the size of its RAM: a host's heap then
+// never has to find a free run that long for an arriving guest, which it often
+// could not once small objects had settled into the memory the last departed
+// guest freed; it grew instead, and its resident set with it.
+const chunkPages = 256
+
+// newChunks allocates zeroed memory for pages pages; the last chunk may be
+// short.
+func newChunks(pages int) [][]byte {
+	mem := make([][]byte, 0, (pages+chunkPages-1)/chunkPages)
+	for p := 0; p < pages; p += chunkPages {
+		mem = append(mem, make([]byte, min(chunkPages, pages-p)*PageSize))
+	}
+	return mem
+}
+
+// runLocked returns the guest memory from frame start up to count pages or
+// the end of start's chunk, whichever comes first.
+func (v *VM) runLocked(start, count int) []byte {
+	v.checkSpan(start, 1)
+	c := v.mem[start/chunkPages]
+	off := start % chunkPages * PageSize
+	return c[off:min(len(c), off+count*PageSize)]
+}
+
+// checkSpan panics unless pages [start, start+count) lie in the guest.
+func (v *VM) checkSpan(start, count int) {
+	if start < 0 || count < 0 || start+count > v.pages {
+		panic(fmt.Sprintf("vm: pages [%d, %d) outside a guest of %d pages", start, start+count, v.pages))
+	}
+}
+
+// copyInLocked copies data (whole pages) into guest memory from frame start.
+func (v *VM) copyInLocked(start int, data []byte) {
+	v.checkSpan(start, len(data)/PageSize)
+	for len(data) > 0 {
+		n := copy(v.runLocked(start, len(data)/PageSize), data)
+		data = data[n:]
+		start += n / PageSize
+	}
+}
+
+// copyOutLocked fills dst (whole pages) from guest memory at frame start.
+func (v *VM) copyOutLocked(start int, dst []byte) {
+	v.checkSpan(start, len(dst)/PageSize)
+	for len(dst) > 0 {
+		n := copy(dst, v.runLocked(start, len(dst)/PageSize))
+		dst = dst[n:]
+		start += n / PageSize
+	}
 }
 
 // HarvestDirty atomically returns the current dirty bitmap and clears it —
@@ -208,7 +273,15 @@ func (v *VM) MemEqual(other *VM) bool {
 	defer v.mu.RUnlock()
 	other.mu.RLock()
 	defer other.mu.RUnlock()
-	return bytes.Equal(v.mem, other.mem)
+	if v.pages != other.pages {
+		return false
+	}
+	for i := range v.mem {
+		if !bytes.Equal(v.mem[i], other.mem[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // FirstDifference reports the first differing page between two guests, or
@@ -218,7 +291,7 @@ func (v *VM) FirstDifference(other *VM) int {
 	defer v.mu.RUnlock()
 	other.mu.RLock()
 	defer other.mu.RUnlock()
-	if len(v.mem) != len(other.mem) {
+	if v.pages != other.pages {
 		return 0
 	}
 	for i := 0; i < v.NumPages(); i++ {

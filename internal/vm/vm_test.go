@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
@@ -263,5 +264,68 @@ func TestFingerprint64(t *testing.T) {
 	}
 	if fp2[0] != fp1[0] {
 		t.Error("unchanged page changed hash")
+	}
+}
+
+// TestRangesAcrossChunks moves ranges that straddle chunk boundaries,
+// including into a short last chunk, through every range method and checks
+// them page by page against ReadPage.
+func TestRangesAcrossChunks(t *testing.T) {
+	pages := 2*chunkPages + 3 // two full chunks and a short one
+	v := newVM(t, pages)
+	if v.NumPages() != pages || v.MemBytes() != int64(pages)*PageSize {
+		t.Fatalf("size %d pages / %d bytes", v.NumPages(), v.MemBytes())
+	}
+	start, count := chunkPages-2, chunkPages+5 // ends in the last chunk
+	data := make([]byte, count*PageSize)
+	for i := 0; i < count; i++ {
+		copy(data[i*PageSize:], page(byte(i+1)))
+	}
+	v.InstallRange(start, data)
+	buf := make([]byte, PageSize)
+	for i := 0; i < count; i++ {
+		v.ReadPage(start+i, buf)
+		if !bytes.Equal(buf, page(byte(i+1))) {
+			t.Fatalf("page %d after InstallRange: got %#x", start+i, buf[0])
+		}
+	}
+	got := make([]byte, count*PageSize)
+	v.ReadRange(start, count, got)
+	if !bytes.Equal(got, data) {
+		t.Error("ReadRange across chunks differs from what was installed")
+	}
+	var w bytes.Buffer
+	if err := v.WriteRangeTo(&w, start, count); err != nil || !bytes.Equal(w.Bytes(), data) {
+		t.Errorf("WriteRangeTo across chunks: err %v, equal %v", err, bytes.Equal(w.Bytes(), data))
+	}
+	sums := make([]checksum.Sum, count)
+	for i := range sums {
+		sums[i] = checksum.Default.Page(data[i*PageSize : (i+1)*PageSize])
+	}
+	other := newVM(t, pages)
+	other.InstallRangeSums(start, data, sums)
+	if !v.MemEqual(other) || v.FirstDifference(other) != -1 {
+		t.Error("InstallRangeSums across chunks differs from InstallRange")
+	}
+	gotSums, known := make([]checksum.Sum, count), make([]bool, count)
+	other.ReadRangeDigests(start, count, got, gotSums, known)
+	if !bytes.Equal(got, data) || !slices.Equal(gotSums, sums) || slices.Contains(known, false) {
+		t.Error("ReadRangeDigests across chunks differs from what was installed")
+	}
+	other.WritePage(pages-1, page(0xEE))
+	if v.MemEqual(other) || v.FirstDifference(other) != pages-1 {
+		t.Errorf("a write to the short last chunk: FirstDifference %d, want %d", v.FirstDifference(other), pages-1)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("InstallRange past the last page did not panic")
+			}
+		}()
+		v.InstallRange(pages-1, make([]byte, 2*PageSize))
+	}()
+	v.ReadPage(pages-1, buf)
+	if !bytes.Equal(buf, page(byte(count))) {
+		t.Error("the refused InstallRange wrote the last page")
 	}
 }

@@ -78,10 +78,10 @@ func (r *Ramdisk) fillPage(buf []byte) {
 	r.rng.Read(buf) //nolint:errcheck // math/rand Read never fails
 }
 
-// FillCompressible fills the first frac of memory with low-entropy pages
+// FillPatterned fills the first frac of memory with low-entropy pages
 // (repeating short patterns, like text or sparse data structures), each
-// still distinct from the others. Used to exercise the compression path.
-func (v *VM) FillCompressible(frac float64) error {
+// still distinct from the others.
+func (v *VM) FillPatterned(frac float64) error {
 	if frac < 0 || frac > 1 {
 		return fmt.Errorf("vm: fill fraction %v out of [0,1]", frac)
 	}
