@@ -18,18 +18,22 @@ race:
 # (vm.VM), the only record of a page's digest: the concurrent
 # writer/installer/write-back/reader test and the write-back rules (a page
 # written since the read stays unrecorded, a batch read before a dirty-log
-# harvest is refused) repeated under the race detector, then the seeded
+# harvest is refused), the restore's lock-free span fill (digests recorded only
+# after it succeeded, one chunk at a time) and the matched round one's read
+# that skips kept pages, repeated under the race detector, then the seeded
 # migration audit and the exact-count tests through sched.Host (digest table,
 # save and restore hash stages, a salvage-retry leg).
 # `race` runs them once with everything else; this target is the one to
 # repeat when touching internal/vm/digest.go.
 race-digest:
-	$(GO) test -race -count=10 -run 'TestDigestTableConcurrent|TestDigestTableWriteBack' ./internal/vm/
+	$(GO) test -race -count=10 -run 'TestDigestTableConcurrent|TestDigestTableWriteBack|TestDigestTableInstallFrom|TestDigestTableKeep|TestRangesAcrossChunks' ./internal/vm/
 	$(GO) test -race -run 'TestDigestTable' ./internal/vm/ ./internal/core/ ./internal/sched/
 
 # race-restore is the focused gate for the return path: the background
 # checkpoint install (a span held back past its wire frames, a sparse round
-# one, a cancel mid-install — repeated, since the interleavings are the point),
+# one, a cancel mid-install, no page read before the hello-ack, an entry of
+# another size refused before it — repeated, since the interleavings are the
+# point),
 # the store-level span reader, the announce-by-name matrix (round one of a
 # matched leg leaving out the pages still equal to the named checkpoint, by
 # content and in round one only; every other leg's round one tiling the guest,
@@ -40,7 +44,7 @@ race-digest:
 # guest's one write) with the per-round byte counts both sides report, under
 # the race detector.
 race-restore:
-	$(GO) test -race -count=3 -run 'TestBackgroundInstall' ./internal/core/
+	$(GO) test -race -count=3 -run 'TestBackgroundInstall|TestBootstrapPageCountMismatch' ./internal/core/
 	$(GO) test -race -run 'TestSpanLoad|TestRestoreSumsMatchGuest|TestConcurrentRemoveDuringRestore|TestSaveStream' ./internal/checkpoint/
 	$(GO) test -race -run 'TestPingPongSkipsAnnouncement|TestPartialAnnounced|TestGoldenStreamByName|TestRoundOneGap|TestKeep|TestSourceWritesPerTurn|TestRoundEventBytes' ./internal/core/
 	$(GO) test -race -run 'TestByName|TestPingPongOverTCP|TestStreamedSave' ./internal/sched/

@@ -221,23 +221,33 @@ func (c *Checkpoint) Release(data []byte) {
 	blockPool.Put(data[:vm.PageSize]) //nolint:staticcheck // SA6002
 }
 
-// InstallInto starts installing the checkpoint's frames into dst — page bytes
-// and, into its digest table, their sums — in ascending restoreSpanPages
-// spans on background goroutines, and returns at once. Whoever then writes a
-// frame of dst calls AwaitFrames first; Drain waits for the rest. The readers
-// stop at the next span once ctx is cancelled. The checkpoint must have frame
-// geometry matching dst, must have been opened under ObjectAlgorithm (its
-// sums are what the guest's digest table records), and at most one install is
-// started per open.
-func (c *Checkpoint) InstallInto(ctx context.Context, dst *vm.VM) error {
-	if c.load != nil {
-		return fmt.Errorf("checkpoint: install already started")
-	}
+// CheckInstall reports why InstallInto would refuse dst: the checkpoint must
+// have frame geometry matching dst and must have been opened under
+// ObjectAlgorithm (its sums are what the guest's digest table records). A
+// caller that must know before it commits to the install — the migration
+// destination, before its hello-ack — asks here first.
+func (c *Checkpoint) CheckInstall(dst *vm.VM) error {
 	if c.alg != ObjectAlgorithm {
 		return fmt.Errorf("checkpoint: background install of a checkpoint opened under %v", c.alg)
 	}
 	if dst.NumPages() != len(c.frames) {
 		return fmt.Errorf("checkpoint: image has %d pages, VM has %d", len(c.frames), dst.NumPages())
+	}
+	return nil
+}
+
+// InstallInto starts installing the checkpoint's frames into dst — page bytes
+// and, into its digest table, their sums — in ascending restoreSpanPages
+// spans on background goroutines, and returns at once. Whoever then writes a
+// frame of dst calls AwaitFrames first; Drain waits for the rest. The readers
+// stop at the next span once ctx is cancelled. dst must pass CheckInstall,
+// and at most one install is started per open.
+func (c *Checkpoint) InstallInto(ctx context.Context, dst *vm.VM) error {
+	if c.load != nil {
+		return fmt.Errorf("checkpoint: install already started")
+	}
+	if err := c.CheckInstall(dst); err != nil {
+		return err
 	}
 	c.load = startSpanLoad(ctx, c.frames, c.pageSums, 0, dst)
 	return nil

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -14,29 +15,36 @@ import (
 // checkpoint's frames scatter over more segments with every churned hop (a
 // 256 MiB guest decays from 256 one-MiB runs to tens of thousands of short
 // ones within a dozen legs), so coalescing reads alone stops helping; the
-// fan-out is what keeps the reads and installs off one goroutine.
+// fan-out is what keeps the reads and installs off one goroutine. It never
+// exceeds GOMAXPROCS: the readers fill the guest without its lock, so nothing
+// else paces them, and a reader beyond the CPUs the process may use only takes
+// one from the merge and the source sharing the host (on 2 CPUs, 4 readers
+// made the returns of the recycle-cycle benchmark 1–5 % slower than 2).
 const restoreFanout = 4
 
-// restoreSpanPages is the unit a restore goroutine works in: 256 frames, a
-// 1 MiB buffer, one install (one acquisition of the guest's lock) — and the
-// unit a merge waits on when the install runs in the background.
+// restoreSpanPages is the unit a restore goroutine works in: 256 frames (one
+// chunk of guest memory), one install — and the unit a merge waits on when the
+// install runs in the background.
 const restoreSpanPages = 256
 
-// restoreBufPool recycles the span buffers across restores; unpooled they
-// dominated a recycled migration's allocations.
+// restoreBufPool recycles the span buffers of the rescan path across
+// restores; unpooled they dominated its allocations.
 var restoreBufPool = sync.Pool{New: func() interface{} {
 	return make([]byte, restoreSpanPages*vm.PageSize)
 }}
 
 // spanLoad is one pass over a checkpoint's frames: up to restoreFanout
-// goroutines claim ascending restoreSpanPages spans off one cursor, fill each
-// — payloads that sit back to back in one segment with a single ReadAt — and
-// install it whole. Normally sums are the entry's store keys: dst, when
-// non-nil, receives every span together with them, so the guest's digest
+// goroutines claim ascending restoreSpanPages spans off one cursor and read
+// each — payloads that sit back to back in one segment with a single ReadAt.
+// Normally sums are the entry's store keys, and the reads go straight into
+// dst's memory (vm.VM.InstallRangeFrom), which records the keys as the span's
+// digests once it is read: each page is copied once, and the guest's digest
 // table is seeded with exactly the sums this checkpoint serves the merge from.
-// With rescan set (Store.Restore under another algorithm) each page is
-// digested under it into sums[i] instead, and dst receives the bytes alone:
-// the digest table holds checksum.Default digests only.
+// With rescan set (Store.Restore under another algorithm) a span is read into
+// a pooled buffer and each page digested under it into sums[i] instead, and
+// dst, when non-nil, receives the bytes alone: the digest table holds
+// checksum.Default digests only. A load without rescan needs a dst: reading
+// the pages would be its only effect.
 //
 // It serves both ways of restoring. The eager one (Store.Restore) starts it
 // and drains it. The background one (Checkpoint.InstallInto) starts it and
@@ -69,7 +77,7 @@ func startSpanLoad(ctx context.Context, refs []pageRef, sums []checksum.Sum, res
 		l.done[k] = make(chan struct{})
 	}
 	l.left.Store(int64(spans))
-	readers := max(1, min(restoreFanout, spans))
+	readers := max(1, min(restoreFanout, runtime.GOMAXPROCS(0), spans))
 	l.running.Store(int64(readers))
 	for r := 0; r < readers; r++ {
 		go l.read()
@@ -80,9 +88,14 @@ func startSpanLoad(ctx context.Context, refs []pageRef, sums []checksum.Sum, res
 // read is one reader goroutine: claim the next span, load it, repeat until
 // the spans run out, a read fails, or the load is cancelled.
 func (l *spanLoad) read() {
-	buf := restoreBufPool.Get().([]byte)
+	var buf []byte
+	if l.rescan != 0 {
+		buf = restoreBufPool.Get().([]byte)
+	}
 	defer func() {
-		restoreBufPool.Put(buf) //nolint:staticcheck // SA6002: 1 MiB slice, header alloc is fine
+		if buf != nil {
+			restoreBufPool.Put(buf) //nolint:staticcheck // SA6002: 1 MiB slice, header alloc is fine
+		}
 		if l.running.Add(-1) == 0 {
 			l.cancel() // nothing left to stop; releases the context
 			close(l.exited)
@@ -108,31 +121,38 @@ func (l *spanLoad) read() {
 }
 
 func (l *spanLoad) loadSpan(k int, buf []byte) error {
-	refs := l.refs
 	i := k * restoreSpanPages
-	j := min(i+restoreSpanPages, len(refs))
+	j := min(i+restoreSpanPages, len(l.refs))
+	if l.rescan == 0 {
+		return l.dst.InstallRangeFrom(i, l.sums[i:j], l.readPages)
+	}
 	span := buf[:(j-i)*vm.PageSize]
-	for p := i; p < j; {
+	if err := l.readPages(i, span); err != nil {
+		return err
+	}
+	for p := i; p < j; p++ {
+		l.sums[p] = l.rescan.Page(span[(p-i)*vm.PageSize : (p-i+1)*vm.PageSize])
+	}
+	if l.dst != nil {
+		l.dst.InstallRange(i, span)
+	}
+	return nil
+}
+
+// readPages fills dst with the payloads of the frames from first on, one
+// ReadAt per run of payloads that sit back to back in one segment.
+func (l *spanLoad) readPages(first int, dst []byte) error {
+	refs := l.refs[first : first+len(dst)/vm.PageSize]
+	for p := 0; p < len(refs); {
 		q := p + 1
-		for q < j && refs[q].f == refs[p].f && refs[q].off == refs[q-1].off+vm.PageSize {
+		for q < len(refs) && refs[q].f == refs[p].f && refs[q].off == refs[q-1].off+vm.PageSize {
 			q++
 		}
-		n, err := refs[p].f.ReadAt(span[(p-i)*vm.PageSize:(q-i)*vm.PageSize], refs[p].off)
+		n, err := refs[p].f.ReadAt(dst[p*vm.PageSize:q*vm.PageSize], refs[p].off)
 		if err != nil {
-			return fmt.Errorf("checkpoint: read page %d: %w", p+n/vm.PageSize, err)
+			return fmt.Errorf("checkpoint: read page %d: %w", first+p+n/vm.PageSize, err)
 		}
 		p = q
-	}
-	switch {
-	case l.rescan != 0:
-		for p := i; p < j; p++ {
-			l.sums[p] = l.rescan.Page(span[(p-i)*vm.PageSize : (p-i+1)*vm.PageSize])
-		}
-		if l.dst != nil {
-			l.dst.InstallRange(i, span)
-		}
-	case l.dst != nil:
-		l.dst.InstallRangeSums(i, span, l.sums[i:j])
 	}
 	return nil
 }

@@ -149,8 +149,10 @@ func (s *IncomingSession) release() {
 // its name and page count are validated against the source's hello.
 //
 // The checkpoint is opened between hello and hello-ack — index only, its
-// checksums the store's own keys — and its pages then installed in the
-// background under round one. The paper excludes this setup from the
+// checksums the store's own keys, its geometry checked against v — and its
+// pages installed in the background once the hello-ack (and announcement, if
+// any) is flushed: read straight into v's memory under round one, so the
+// readers never delay the ack. The paper excludes this setup from the
 // reported migration time — Metrics.Duration here starts once the checkpoint
 // is open, matching that accounting.
 func MigrateDest(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts DestOptions) (DestResult, error) {
@@ -194,7 +196,7 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 	var cp *checkpoint.Checkpoint
 	union := false
 	if h.Recycle && opts.Store != nil {
-		cp = s.openBootstrap(ctx, v, opts.Store, opts.OnEvent)
+		cp = s.openBootstrap(v, opts.Store, opts.OnEvent)
 		if cp == nil {
 			// Fresh VM on a warm host: no servable checkpoint of its own, but
 			// the content-addressed pool may hold its pages anyway — other
@@ -260,6 +262,13 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 	if err := flush(w); err != nil {
 		return res, err
 	}
+	// Only now do the install's readers start: on a small host they would
+	// compete with the hello-ack for the CPU.
+	if cp != nil && !union {
+		if err := cp.InstallInto(ctx, v); err != nil {
+			return res, err
+		}
+	}
 
 	if err = s.mergeSequential(ctx, v, opts, cp, match, &res, start); err != nil {
 		// Let the background install finish (or stop, when ctx was cancelled
@@ -293,11 +302,12 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 }
 
 // openBootstrap opens the arriving VM's own servable checkpoint, nil when
-// there is none or it cannot be opened. The open is index-only — the sums are
-// the entry's keys, already in memory — and the pages follow into v on
-// background goroutines; the merge awaits the spans a frame touches
-// (awaitInstall) while the hello-ack, the announcement and round one cross the
-// wire.
+// there is none, it cannot be opened, or it cannot be installed into v. The
+// open is index-only — the sums are the entry's keys, already in memory — and
+// Run starts the install into v once the hello-ack is out; the merge awaits
+// the spans a frame touches (awaitInstall) while round one crosses the wire.
+// Whether the entry fits v is decided here, so an unusable one degrades to
+// none before the ack can name it.
 //
 // A corrupt or unreadable checkpoint must not fail the migration: the open
 // degrades to none, and the migration to the wire. That is a rung of the
@@ -305,13 +315,13 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 // (unreadable or torn bytes) will recur on every later bootstrap, so the entry
 // is quarantined, the next arrival goes straight to the union or the wire, and
 // the operator sees it in the scrub report.
-func (s *IncomingSession) openBootstrap(ctx context.Context, v *vm.VM, store *checkpoint.Store, onEvent EventFunc) *checkpoint.Checkpoint {
+func (s *IncomingSession) openBootstrap(v *vm.VM, store *checkpoint.Store, onEvent EventFunc) *checkpoint.Checkpoint {
 	if state, ok := store.State(s.h.VMName); !ok || state == checkpoint.EntryQuarantined {
 		return nil
 	}
 	cp, err := store.Restore(s.h.VMName, checkpoint.ObjectAlgorithm, nil)
 	if err == nil {
-		if err = cp.InstallInto(ctx, v); err != nil {
+		if err = cp.CheckInstall(v); err != nil {
 			cp.Close()
 		}
 	}

@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -272,4 +274,121 @@ func TestBackgroundInstallCancel(t *testing.T) {
 	if state, ok := store.State("vm0"); !ok || state != checkpoint.EntryComplete {
 		t.Errorf("entry state after the cancelled attempt = %q (present=%v), want complete", state, ok)
 	}
+}
+
+// ackConn is the destination's end of a migration: its first write is the
+// hello-ack, and before passing it on it waits a little and counts the
+// segment reads the store has started by then.
+type ackConn struct {
+	io.ReadWriter
+	inj         *faultfs.Injector
+	wrote       bool
+	readsBefore int
+}
+
+func (c *ackConn) Write(p []byte) (int, error) {
+	if !c.wrote {
+		c.wrote = true
+		// Time for a reader started before the ack to reach its first ReadAt.
+		time.Sleep(30 * time.Millisecond)
+		c.readsBefore = len(c.inj.Shots())
+	}
+	return c.ReadWriter.Write(p)
+}
+
+// TestBackgroundInstallAfterAck: on a return matched by name the destination
+// reads no checkpoint page before its hello-ack is on the wire — the install's
+// readers would otherwise compete with the ack for the CPU — and still ends
+// with the source's memory.
+func TestBackgroundInstallAfterAck(t *testing.T) {
+	const pages = 4 * spanPages
+	inj := faultfs.NewInjector()
+	store, mirror := slowStore(t, inj), newStore(t)
+	src := newVM(t, "vm0", pages, 1)
+	if err := src.FillRandom(1.0); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*checkpoint.Store{store, mirror} {
+		if err := s.Save(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.TouchRandomPages(20)
+	// Records the first segment read; a latency-only rule changes nothing else.
+	inj.Arm(faultfs.Fault{Op: faultfs.OpReadAt, Path: ".seg", Latency: time.Microsecond})
+
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	conn := &ackConn{ReadWriter: b, inj: inj}
+	dst := newVM(t, "vm0", pages, 2)
+	sm, dres := migrateOver(t, a, conn, src, dst,
+		SourceOptions{Recycle: true, Mirror: mirrorOf(t, mirror, "vm0")}, DestOptions{Store: store})
+	if !conn.wrote || conn.readsBefore != 0 {
+		t.Errorf("%d segment reads started before the hello-ack was written", conn.readsBefore)
+	}
+	if len(inj.Shots()) != 1 {
+		t.Errorf("%d segment reads recorded, want the install's first", len(inj.Shots()))
+	}
+	if !src.MemEqual(dst) {
+		t.Fatalf("memory differs at page %d", src.FirstDifference(dst))
+	}
+	if sm.PagesKept == 0 || dres.Metrics.PagesKept != sm.PagesKept {
+		t.Errorf("source kept %d pages, destination %d; want the same nonzero count", sm.PagesKept, dres.Metrics.PagesKept)
+	}
+	checkTrackedResult(t, dst, dres)
+}
+
+// TestBootstrapPageCountMismatch: the VM's own entry has another page count
+// than the arriving guest, so it cannot bootstrap it. That is found before the
+// hello-ack, even when the source names the entry by its root: the ack does
+// not match it, the entry is left in the store untouched, round one leaves
+// nothing out, and the guest arrives whole — cold, since the entry's content
+// is not the guest's (the union rung announces it all the same).
+func TestBootstrapPageCountMismatch(t *testing.T) {
+	const pages = 64
+	store, mirror := newStore(t), newStore(t)
+	old := newVM(t, "vm0", pages/2, 7)
+	if err := old.FillRandom(1.0); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*checkpoint.Store{store, mirror} {
+		if err := s.Save(old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := newVM(t, "vm0", pages, 1)
+	if err := src.FillRandom(1.0); err != nil {
+		t.Fatal(err)
+	}
+	var hello string
+	var degraded []string
+	dst := newVM(t, "vm0", pages, 2)
+	sm, dres := migrate(t, src, dst,
+		SourceOptions{Recycle: true, Mirror: mirrorOf(t, mirror, "vm0"), OnEvent: func(e Event) {
+			if e.Kind == EventHello {
+				hello = e.Detail
+			}
+		}},
+		DestOptions{Store: store, OnEvent: func(e Event) {
+			if e.Kind == EventDegraded {
+				degraded = append(degraded, e.Detail)
+			}
+		}})
+	if strings.Contains(hello, "manifest=match") {
+		t.Errorf("ack matched an entry of another size: %q", hello)
+	}
+	if len(degraded) != 1 || !strings.HasPrefix(degraded[0], StageBootstrap+":") {
+		t.Errorf("degradations %q, want one at the bootstrap", degraded)
+	}
+	if !src.MemEqual(dst) {
+		t.Fatalf("memory differs at page %d", src.FirstDifference(dst))
+	}
+	if sm.PagesKept != 0 || sm.PagesFull != pages || dres.ResumedFromPartial {
+		t.Errorf("source kept %d pages and sent %d full, want none kept and all %d full", sm.PagesKept, sm.PagesFull, pages)
+	}
+	if state, ok := store.State("vm0"); !ok || state != checkpoint.EntryComplete {
+		t.Errorf("entry state %q (present=%v), want complete", state, ok)
+	}
+	checkTrackedResult(t, dst, dres)
 }

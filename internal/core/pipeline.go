@@ -128,10 +128,13 @@ func emitBatch(w io.Writer, b *pageBatch, save *saveSink) error {
 // digest the guest's digest table holds for them (atomically with the copy,
 // so a digest always describes the bytes beside it), coalescing contiguous
 // page numbers into single reads — one lock acquisition and one copy per
-// contiguous span instead of per page. It accounts the batch's hash work in
-// m: pages that came with a digest are avoided bytes, the rest — their count
-// is returned — are hashed by the offload or the encoder.
-func fillBatch(v *vm.VM, b *pageBatch, m *Metrics) (unknown int) {
+// contiguous span instead of per page. With keep (round one of a return
+// matched by name), a page whose recorded digest equals keep's key is not
+// copied: encodeBatch leaves it out on that digest alone, and emitBatch never
+// saves it, so its bytes in b.data are never read. It accounts the batch's
+// hash work in m: pages that came with a digest are avoided bytes, the rest —
+// their count is returned — are hashed by the offload or the encoder.
+func fillBatch(v *vm.VM, b *pageBatch, keep []checksum.Sum, m *Metrics) (unknown int) {
 	cnt := len(b.pages)
 	b.data = b.data[:cnt*vm.PageSize]
 	for i := 0; i < cnt; {
@@ -139,7 +142,11 @@ func fillBatch(v *vm.VM, b *pageBatch, m *Metrics) (unknown int) {
 		for j < cnt && b.pages[j] == b.pages[j-1]+1 {
 			j++
 		}
-		v.ReadRangeDigests(b.pages[i], j-i, b.data[i*vm.PageSize:j*vm.PageSize], b.sums[i:j], b.known[i:j])
+		var spanKeep []checksum.Sum
+		if keep != nil {
+			spanKeep = keep[b.pages[i] : b.pages[j-1]+1]
+		}
+		v.ReadRangeDigests(b.pages[i], j-i, b.data[i*vm.PageSize:j*vm.PageSize], b.sums[i:j], b.known[i:j], spanKeep)
 		i = j
 	}
 	cached := 0

@@ -329,7 +329,8 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 // batchPages-sized units — fill, hash offload, encode, digest write-back, one
 // buffered write per batch, then the batch's changed pages to the save
 // stream — on the calling goroutine, in page order. With keep (round one of a
-// return matched by name) encodeBatch omits every page equal to keep's key.
+// return matched by name) encodeBatch omits every page equal to keep's key,
+// and fillBatch copies none whose recorded digest already says so.
 // Cancellation is checked once per batch.
 func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, enc *sourceEncoder, keep []checksum.Sum, save *saveSink, m *Metrics) error {
 	n := pages.len()
@@ -348,7 +349,7 @@ func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, e
 			b.pages[i] = pages.at(off + i)
 		}
 		epoch := v.DigestEpoch()
-		offloadBatchSums(b, fillBatch(v, b, m))
+		offloadBatchSums(b, fillBatch(v, b, keep, m))
 		if err := encodeBatch(enc, keep, b, m); err != nil {
 			return err
 		}

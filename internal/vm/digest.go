@@ -19,7 +19,10 @@ import (
 // under the lock acquisition that sets the dirty bit (so the table is exactly
 // as trustworthy as the dirty log), the digest-carrying installs store bytes
 // and sum together, the plain installs clear, and CompleteDigests hashes
-// under the write lock. Readers take digest and bytes under one read lock.
+// under the write lock. The one install that writes bytes outside the lock,
+// InstallRangeFrom, clears the span's flags before and sets them after, on a
+// span its caller owns meanwhile. Readers take digest and bytes under one read
+// lock.
 // The one writer that hashes outside the lock, the migration source, writes
 // back through StoreDigests, whose version check is the dirty log itself.
 //
@@ -61,17 +64,93 @@ func (v *VM) InstallRangeSums(start int, data []byte, sums []checksum.Sum) {
 	v.epoch++
 }
 
+// InstallRangeFrom installs len(sums) contiguous pages starting at frame start
+// whose digests the caller already holds, letting fill write the bytes
+// straight into guest memory: fill is called once per chunk the span touches,
+// in ascending order, with the chunk's part of the span as dst and the frame
+// that part starts at as first. It runs without the guest's lock — the span's
+// digests are forgotten (and the epoch advanced) before, and recorded only
+// after every fill returned nil — so the caller must own the span until the
+// call returns: nothing else may read or write those frames meanwhile. If fill
+// fails, the call stops there and returns its error; the span's digests stay
+// forgotten and its bytes are whatever fill had written. sums must be
+// checksum.Default's digests of what fill writes. The checkpoint restore reads
+// its spans through it, so each page is copied once, from the file into the
+// guest.
+func (v *VM) InstallRangeFrom(start int, sums []checksum.Sum, fill func(first int, dst []byte) error) error {
+	count := len(sums)
+	if count == 0 {
+		panic("vm: InstallRangeFrom with no pages")
+	}
+	var dsts [][]byte
+	v.mu.Lock()
+	v.checkSpan(start, count)
+	clear(v.digests.valid[start : start+count])
+	v.epoch++
+	for p := start; p < start+count; {
+		run := v.runLocked(p, start+count-p)
+		dsts = append(dsts, run)
+		p += len(run) / PageSize
+	}
+	v.mu.Unlock()
+
+	var err error
+	first := start
+	for _, dst := range dsts {
+		if err = fill(first, dst); err != nil {
+			break
+		}
+		first += len(dst) / PageSize
+	}
+
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.epoch++ // the bytes changed since the first acquisition
+	if err != nil {
+		return err
+	}
+	copy(v.digests.sums[start:start+count], sums)
+	for i := start; i < start+count; i++ {
+		v.digests.valid[i] = true
+	}
+	return nil
+}
+
 // ReadRangeDigests is ReadRange that also reports, atomically with the copy,
 // each page's digest where the table holds one: known[i] says whether sums[i]
-// describes the bytes just copied. The migration source reads through it and
+// describes the page's bytes. The migration source reads through it and
 // hashes only the pages that came without a digest. sums and known must hold
 // at least count entries.
-func (v *VM) ReadRangeDigests(start, count int, dst []byte, sums []checksum.Sum, known []bool) {
+//
+// keep, when non-nil, holds one digest per page of the range (keep[i] for
+// frame start+i): a page whose recorded digest equals it is not copied — its
+// part of dst keeps whatever it held — though its digest is reported as
+// usual. Round one of a return matched by name passes the named checkpoint's
+// keys, so the pages it leaves out are never read. A page without a recorded
+// digest is always copied.
+func (v *VM) ReadRangeDigests(start, count int, dst []byte, sums []checksum.Sum, known []bool, keep []checksum.Sum) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	v.copyOutLocked(start, dst[:count*PageSize])
+	v.checkSpan(start, count)
 	copy(sums[:count], v.digests.sums[start:start+count])
 	copy(known[:count], v.digests.valid[start:start+count])
+	if keep == nil {
+		v.copyOutLocked(start, dst[:count*PageSize])
+		return
+	}
+	kept := func(i int) bool { return known[i] && sums[i] == keep[i] }
+	for i := 0; i < count; {
+		if kept(i) {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < count && !kept(j) {
+			j++
+		}
+		v.copyOutLocked(start+i, dst[i*PageSize:j*PageSize])
+		i = j
+	}
 }
 
 // Digests reports the digest of count pages from start, appending to out[:0]:

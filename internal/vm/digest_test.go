@@ -1,8 +1,11 @@
 package vm
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -71,7 +74,7 @@ func TestDigestTableLifecycle(t *testing.T) {
 	buf := make([]byte, 4*PageSize)
 	sums := make([]checksum.Sum, 4)
 	known := make([]bool, 4)
-	v.ReadRangeDigests(3, 4, buf, sums, known)
+	v.ReadRangeDigests(3, 4, buf, sums, known, nil)
 	for i, wantKnown := range []bool{true, true, false, true} {
 		if known[i] != wantKnown {
 			t.Errorf("page %d: known=%v, want %v", 3+i, known[i], wantKnown)
@@ -136,7 +139,7 @@ func TestDigestTableAudit(t *testing.T) {
 					buf := make([]byte, count*PageSize)
 					sums := make([]checksum.Sum, count)
 					known := make([]bool, count)
-					v.ReadRangeDigests(start, count, buf, sums, known)
+					v.ReadRangeDigests(start, count, buf, sums, known, nil)
 					for i, want := range sumsOf(buf) {
 						if known[i] && sums[i] != want {
 							t.Fatalf("step %d: page %d read with a digest that is not its bytes'", step, start+i)
@@ -214,7 +217,7 @@ func TestDigestTableConcurrent(t *testing.T) {
 			hits := 0
 			for iter := 0; iter < 2000 || hits == 0; iter++ {
 				start := rng.Intn(pages - 8)
-				v.ReadRangeDigests(start, 8, buf, sums, known)
+				v.ReadRangeDigests(start, 8, buf, sums, known, nil)
 				for i := range known {
 					if !known[i] {
 						continue
@@ -232,6 +235,150 @@ func TestDigestTableConcurrent(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	auditDigests(t, v, "the concurrent run")
+
+	// A checkpoint restore's overlap: one goroutine fills a span it owns
+	// through InstallRangeFrom — its bytes written outside the lock — while
+	// others install digest-carrying spans and look digests up on the rest.
+	const owned = 16 // pages [0, owned) belong to the filler
+	stop = make(chan struct{})
+	spawn(50, func(rng *rand.Rand) {
+		start := owned + rng.Intn(pages-owned-8)
+		data := make([]byte, 8*PageSize)
+		rng.Read(data)
+		sums := make([]checksum.Sum, 8)
+		for i := range sums {
+			sums[i] = alg.Page(data[i*PageSize : (i+1)*PageSize])
+		}
+		v.InstallRangeSums(start, data, sums)
+	})
+	spawn(51, func(rng *rand.Rand) {
+		start := owned + rng.Intn(pages-owned-8)
+		v.Digests(start, 8, nil)
+	})
+	fill := rand.New(rand.NewSource(52))
+	data := make([]byte, owned*PageSize)
+	sums := make([]checksum.Sum, owned)
+	for iter := 0; iter < 200; iter++ {
+		fill.Read(data)
+		for i := range sums {
+			sums[i] = alg.Page(data[i*PageSize : (i+1)*PageSize])
+		}
+		err := v.InstallRangeFrom(0, sums, func(first int, dst []byte) error {
+			copy(dst, data[first*PageSize:])
+			return nil
+		})
+		if got, hashed := v.Digests(0, owned, nil); err != nil || hashed != 0 || !slices.Equal(got, sums) {
+			t.Errorf("iteration %d: err %v; after the fill the table holds %d of the span's digests, or other ones", iter, err, owned-hashed)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	auditDigests(t, v, "the concurrent fill")
+}
+
+// TestDigestTableInstallFrom pins InstallRangeFrom's digest rules: while fill
+// runs the span's digests are forgotten, after a successful one they are the
+// caller's sums, and after a failed one they stay forgotten with the epoch
+// advanced — the bytes are whatever fill got to write.
+func TestDigestTableInstallFrom(t *testing.T) {
+	const pages = 16
+	start, count := 4, 6
+	data := make([]byte, count*PageSize)
+	sums := make([]checksum.Sum, count)
+	for i := range sums {
+		copy(data[i*PageSize:], page(byte(0x30+i)))
+		sums[i] = alg.Page(page(byte(0x30 + i)))
+	}
+	t.Run("ok", func(t *testing.T) {
+		v := newVM(t, pages)
+		v.CompleteDigests()
+		err := v.InstallRangeFrom(start, sums, func(first int, dst []byte) error {
+			if _, hashed := v.Digests(start, count, nil); hashed != count {
+				t.Errorf("during fill the table answers for %d of the span's pages, want none", count-hashed)
+			}
+			copy(dst, data[(first-start)*PageSize:])
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, hashed := v.Digests(start, count, nil); hashed != 0 || !slices.Equal(got, sums) {
+			t.Errorf("after fill: %d pages hashed, digests equal %v", hashed, slices.Equal(got, sums))
+		}
+		if got := hashedPages(v); got != 0 {
+			t.Errorf("%d pages unknown; the install forgot digests outside its span", got)
+		}
+		auditDigests(t, v, "a successful fill")
+	})
+	t.Run("fill-fails", func(t *testing.T) {
+		v := newVM(t, pages)
+		v.CompleteDigests()
+		epoch := v.DigestEpoch()
+		boom := errors.New("read failed")
+		err := v.InstallRangeFrom(start, sums, func(first int, dst []byte) error {
+			copy(dst[:PageSize], data) // a torn read: one page landed
+			return boom
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("err = %v, want fill's", err)
+		}
+		if _, hashed := v.Digests(start, count, nil); hashed != count {
+			t.Errorf("after a failed fill the table answers for %d of the span's pages, want none", count-hashed)
+		}
+		if got := hashedPages(v); got != count {
+			t.Errorf("%d pages unknown, want the span's %d", got, count)
+		}
+		if v.DigestEpoch() == epoch {
+			t.Error("a failed fill left the digest epoch where it was")
+		}
+		auditDigests(t, v, "a failed fill")
+	})
+}
+
+// TestDigestTableKeep pins ReadRangeDigests' keep: a page whose recorded
+// digest equals keep's entry is not copied — dst keeps its sentinel there —
+// yet its digest and known flag come back; a page whose digest differs, or
+// that has none recorded, is copied whatever keep says.
+func TestDigestTableKeep(t *testing.T) {
+	const pages = 8
+	v := newVM(t, pages)
+	for i := 0; i < pages; i++ {
+		v.InstallPageSum(i, page(byte(i+1)), alg.Page(page(byte(i+1))))
+	}
+	v.WritePage(2, page(0x77)) // no digest recorded for page 2
+	keep := make([]checksum.Sum, pages)
+	for i := range keep {
+		keep[i] = alg.Page(page(byte(i + 1)))
+	}
+	keep[5] = alg.Page(page(0x55)) // page 5 changed since keep
+	keep[2] = alg.Page(page(0x77)) // equal content, but unrecorded
+	const sentinel = 0xA5
+	dst := bytes.Repeat([]byte{sentinel}, 6*PageSize)
+	sums, known := make([]checksum.Sum, 6), make([]bool, 6)
+	v.ReadRangeDigests(1, 6, dst, sums, known, keep[1:7])
+	for i := 0; i < 6; i++ {
+		p := 1 + i
+		got := dst[i*PageSize : (i+1)*PageSize]
+		wantKnown := p != 2
+		if known[i] != wantKnown || (known[i] && sums[i] != alg.Page(page(byte(p+1)))) {
+			t.Errorf("page %d: known=%v (want %v), digest right %v", p, known[i], wantKnown, sums[i] == alg.Page(page(byte(p+1))))
+		}
+		switch p {
+		case 2:
+			if !bytes.Equal(got, page(0x77)) {
+				t.Errorf("page 2 has no recorded digest but was not copied")
+			}
+		case 5:
+			if !bytes.Equal(got, page(byte(p+1))) {
+				t.Errorf("page 5 differs from keep but was not copied")
+			}
+		default:
+			if !bytes.Equal(got, bytes.Repeat([]byte{sentinel}, PageSize)) {
+				t.Errorf("page %d equals keep but was copied", p)
+			}
+		}
+	}
 }
 
 // TestDigestTableWriteBack pins StoreDigests' two rules, the ones that let a

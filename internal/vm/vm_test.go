@@ -308,9 +308,28 @@ func TestRangesAcrossChunks(t *testing.T) {
 		t.Error("InstallRangeSums across chunks differs from InstallRange")
 	}
 	gotSums, known := make([]checksum.Sum, count), make([]bool, count)
-	other.ReadRangeDigests(start, count, got, gotSums, known)
+	other.ReadRangeDigests(start, count, got, gotSums, known, nil)
 	if !bytes.Equal(got, data) || !slices.Equal(gotSums, sums) || slices.Contains(known, false) {
 		t.Error("ReadRangeDigests across chunks differs from what was installed")
+	}
+	filled := newVM(t, pages)
+	var firsts []int
+	err := filled.InstallRangeFrom(start, sums, func(first int, dst []byte) error {
+		if first < start || len(dst)%PageSize != 0 || first/chunkPages != (first+len(dst)/PageSize-1)/chunkPages {
+			t.Errorf("fill(%d, %d bytes) is not one chunk of the span", first, len(dst))
+		}
+		firsts = append(firsts, first)
+		copy(dst, data[(first-start)*PageSize:])
+		return nil
+	})
+	if err != nil || !slices.Equal(firsts, []int{start, chunkPages, 2 * chunkPages}) {
+		t.Errorf("InstallRangeFrom across chunks: err %v, filled from %v", err, firsts)
+	}
+	if !v.MemEqual(filled) {
+		t.Error("InstallRangeFrom across chunks differs from InstallRange")
+	}
+	if got, hashed := filled.Digests(start, count, nil); hashed != 0 || !slices.Equal(got, sums) {
+		t.Error("InstallRangeFrom across chunks did not record the span's digests")
 	}
 	other.WritePage(pages-1, page(0xEE))
 	if v.MemEqual(other) || v.FirstDifference(other) != pages-1 {
