@@ -72,12 +72,13 @@ bench-cycle:
 # edge over the rehashing one (SaveWarm/rehash), or any gated series
 # (BenchmarkFirstRound, BenchmarkTrackIncoming, both SaveWarm arms)
 # regressing against the recording committed at HEAD (skipped for series
-# HEAD's recording lacks).
+# HEAD's recording lacks). HEAD's recording goes to a fresh temporary file,
+# removed afterwards; without one (no git, no commit) the gate skips it.
 benchgate:
-	@git show HEAD:BENCH_migration.json > /tmp/benchgate-baseline.json 2>/dev/null \
-		|| rm -f /tmp/benchgate-baseline.json
-	$(GO) run ./tools/benchgate -file BENCH_migration.json \
-		-baseline /tmp/benchgate-baseline.json
+	@base=$$(mktemp) || exit 1; \
+	git show HEAD:BENCH_migration.json > "$$base" 2>/dev/null || rm -f "$$base"; \
+	$(GO) run ./tools/benchgate -file BENCH_migration.json -baseline "$$base"; \
+	status=$$?; rm -f "$$base"; exit $$status
 
 # profile records a CPU profile of the first-round hot path (the net.Pipe
 # variant) for `go tool pprof`. Artifacts are gitignored.
@@ -94,11 +95,13 @@ bench-smoke:
 
 # chaos-smoke is the resumability gate: the deterministic fault-schedule
 # harness kills one migration at every protocol turn and asserts the retry
-# chain converges on salvage checkpoints (plus the engine-level
+# chain converges on salvage checkpoints, the socket-free leg-driver tests
+# retry a cut disk leg, match a disk's return by name and land a whole
+# migration retried after a failed RAM leg (plus the engine-level
 # salvage/resume contract tests, and the store's crash, corruption and
 # seeded-invariant cells), under the race detector.
 chaos-smoke:
-	$(GO) test -race -run 'TestChaos' ./internal/sched/
+	$(GO) test -race -run 'TestChaos|TestLeg' ./internal/sched/
 	$(GO) test -race -run 'TestSalvage|TestPartialAnnounced|TestKillPointMatrix|TestTornSegment|TestRecoverySetsAside|TestStoreInvariants|TestWarmSaveSyncs|TestSegmentWriteback|TestGCCrashMidCompact' ./internal/core/ ./internal/checkpoint/
 
 # chaos-store is the storage-fault gate: deterministic faultfs schedules

@@ -16,15 +16,12 @@ import (
 func runDest(args []string) error {
 	fs := flag.NewFlagSet("vecycle dest", flag.ContinueOnError)
 	var (
-		listen    = fs.String("listen", "127.0.0.1:7001", "address to accept migrations on")
-		store     = fs.String("store", "", "checkpoint store directory (required)")
-		count     = fs.Int("count", 1, "number of migrations to accept before exiting (0 = forever)")
-		name      = fs.String("name", "dest-host", "host name")
-		noSalvage = fs.Bool("no-salvage", false, "discard partially-installed pages on failed incoming migrations instead of persisting a salvage checkpoint")
-		tcpRead   = fs.Int("tcp-read-buffer", 0, "SO_RCVBUF for migration sockets in bytes (0 = OS default)")
-		tcpWrite  = fs.Int("tcp-write-buffer", 0, "SO_SNDBUF for migration sockets in bytes (0 = OS default)")
-		opsAddr   = fs.String("ops-addr", "", "serve /metrics, /debug/migrations and /debug/pprof on this address (e.g. :9090)")
-		traceOut  = fs.String("trace-out", "", "write migration traces as JSONL to this file on exit (- for stdout)")
+		listen   = fs.String("listen", "127.0.0.1:7001", "address to accept migrations on")
+		store    = fs.String("store", "", "checkpoint store directory (required)")
+		count    = fs.Int("count", 1, "number of migrations to accept before exiting (0 = forever)")
+		name     = fs.String("name", "dest-host", "host name")
+		opsAddr  = fs.String("ops-addr", "", "serve /metrics, /debug/migrations and /debug/pprof on this address (e.g. :9090)")
+		traceOut = fs.String("trace-out", "", "write migration traces as JSONL to this file on exit (- for stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -36,9 +33,6 @@ func runDest(args []string) error {
 	if err != nil {
 		return err
 	}
-	host.NoSalvage = *noSalvage
-	host.TCPReadBuffer = *tcpRead
-	host.TCPWriteBuffer = *tcpWrite
 	if err := startOps(host, *opsAddr); err != nil {
 		return err
 	}
@@ -71,8 +65,6 @@ func runSource(args []string) error {
 		seed     = fs.Int64("seed", 1, "guest content seed")
 		store    = fs.String("store", "", "checkpoint store directory (required)")
 		recycle  = fs.Bool("recycle", true, "enable checkpoint-assisted migration")
-		tcpRead  = fs.Int("tcp-read-buffer", 0, "SO_RCVBUF for migration sockets in bytes (0 = OS default)")
-		tcpWrite = fs.Int("tcp-write-buffer", 0, "SO_SNDBUF for migration sockets in bytes (0 = OS default)")
 		rounds   = fs.Int("max-rounds", 0, "pre-copy round cap (0 = engine default)")
 		stopAt   = fs.Int("stop-threshold", 0, "dirty-page count triggering the final round (0 = engine default)")
 		idle     = fs.Duration("idle-timeout", 0, "per-I/O idle timeout (0 = default, negative disables)")
@@ -102,8 +94,6 @@ func runSource(args []string) error {
 		return err
 	}
 	host.AddVM(guest)
-	host.TCPReadBuffer = *tcpRead
-	host.TCPWriteBuffer = *tcpWrite
 	host.IdleTimeout = *idle
 	if err := startOps(host, *opsAddr); err != nil {
 		return err

@@ -27,9 +27,6 @@ func runFleet(args []string) error {
 		mem       = fs.String("mem", "8MiB", "memory size per VM")
 		rounds    = fs.Int("rounds", 3, "migration rounds (each VM moves once per round)")
 		touches   = fs.Int("touch", 32, "pages dirtied by each guest between rounds")
-		noSalvage = fs.Bool("no-salvage", false, "discard partially-installed pages on failed incoming migrations fleet-wide")
-		tcpRead   = fs.Int("tcp-read-buffer", 0, "SO_RCVBUF for migration sockets in bytes (0 = OS default)")
-		tcpWrite  = fs.Int("tcp-write-buffer", 0, "SO_SNDBUF for migration sockets in bytes (0 = OS default)")
 		opsAddr   = fs.String("ops-addr", "", "serve the whole fleet's /metrics, /debug/migrations and /debug/pprof on this address")
 		traceOut  = fs.String("trace-out", "", "write the fleet's migration traces as JSONL to this file on exit (- for stdout)")
 	)
@@ -73,9 +70,6 @@ func runFleet(args []string) error {
 		}
 		h.UseObservability(reg, traces)
 		h.SaveArrivals = true
-		h.NoSalvage = *noSalvage
-		h.TCPReadBuffer = *tcpRead
-		h.TCPWriteBuffer = *tcpWrite
 		h.OnArrival = func(*vm.VM, core.DestResult) { arrived.Done() }
 		addr, err := h.Listen("127.0.0.1:0")
 		if err != nil {

@@ -23,10 +23,6 @@ type DestOptions struct {
 	// and rejects mismatches. Costs one hash per page; useful under
 	// unreliable transports and in tests.
 	VerifyPayloads bool
-	// NoSalvage disables salvage checkpoints: a failed incoming migration
-	// discards the pages it had installed instead of persisting them as a
-	// partial store entry for the next attempt to resume from.
-	NoSalvage bool
 	// OnEvent, when non-nil, observes each protocol turn (hello, the
 	// announcement, round ends, done) for tracing. Emission never alters
 	// the wire stream.
@@ -194,19 +190,16 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 	// attempt left (the announcement describes whichever was opened, and a
 	// salvage image has no root a source could match by name).
 	var cp *checkpoint.Checkpoint
-	union := false
 	if h.Recycle && opts.Store != nil {
 		cp = s.openBootstrap(v, opts.Store, opts.OnEvent)
 		if cp == nil {
 			// Fresh VM on a warm host: no servable checkpoint of its own, but
 			// the content-addressed pool may hold its pages anyway — other
 			// VMs' checkpoints, older generations, salvage partials.
-			// Announce the union of everything resident, flagged in the ack
-			// as a partial checkpoint. Best-effort: a union that fails to
-			// open degrades to a plain full first round.
+			// Announce the union of everything resident. Best-effort: a union
+			// that fails to open degrades to a plain full first round.
 			if ucp, members, uerr := opts.Store.OpenUnion(); uerr == nil && ucp != nil {
 				cp = ucp
-				union = true
 				res.UnionBootstrap = true
 				opts.OnEvent.emit(Event{Kind: EventUnion,
 					Pages:  int64(ucp.SumSet().Len()),
@@ -238,13 +231,13 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 	// Stream only over the VM's own checkpoint: there the pages the wire
 	// moves are about all the save will be missing. A cold leg's round one is
 	// bound by CPU, not by the link, and its save stays after the ack.
-	if cp != nil && !union {
+	if cp != nil && !res.UnionBootstrap {
 		s.save = opts.Save
 	}
 
 	start := time.Now()
 	if err := writeHelloAck(w, helloAck{OK: true, HaveCheckpoint: cp != nil,
-		PartialCheckpoint: union || res.ResumedFromPartial, ManifestMatch: match}); err != nil {
+		PartialCheckpoint: res.ResumedFromPartial, ManifestMatch: match}); err != nil {
 		return res, err
 	}
 	opts.OnEvent.emit(Event{Kind: EventHello, Pages: int64(h.PageCount),
@@ -264,7 +257,7 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 	}
 	// Only now do the install's readers start: on a small host they would
 	// compete with the hello-ack for the CPU.
-	if cp != nil && !union {
+	if cp != nil && !res.UnionBootstrap {
 		if err := cp.InstallInto(ctx, v); err != nil {
 			return res, err
 		}
@@ -285,7 +278,7 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 		if errors.As(err, &me) && me.Stage == StageRecycleRead {
 			opts.OnEvent.emit(Event{Kind: EventDegraded,
 				Detail: StageRecycleRead + ":" + me.Fault})
-			if !union {
+			if !res.UnionBootstrap {
 				_ = opts.Store.Quarantine(h.VMName, "recycled-page read failed: "+me.Err.Error())
 			}
 		}
@@ -344,7 +337,7 @@ func (s *IncomingSession) openBootstrap(v *vm.VM, store *checkpoint.Store, onEve
 // in the previous checkpoint already, which salvaging would demote).
 func (s *IncomingSession) salvage(v *vm.VM, opts DestOptions, res *DestResult) {
 	installed := int64(res.Metrics.PagesFull)
-	if opts.NoSalvage || opts.Store == nil || !s.h.Recycle || installed == 0 {
+	if opts.Store == nil || !s.h.Recycle || installed == 0 {
 		return
 	}
 	if err := s.saveSalvage(v, opts); err != nil {

@@ -55,15 +55,13 @@ func (c ErrorClass) String() string {
 // vecycle_degraded_total{stage} series. One vocabulary shared by core,
 // sched and the docs.
 const (
-	// StageKeepCheckpoint: the source-side persist after a successful
-	// outgoing migration (the §3.1 "keep the checkpoint" step).
+	// StageKeepCheckpoint: the source-side persist after each successful
+	// leg of an outgoing migration, RAM or an attached disk's backing region
+	// (the §3.1 "keep the checkpoint" step).
 	StageKeepCheckpoint = "keep-checkpoint"
 	// StageSaveArrivals: the destination-side persist after a successful
 	// incoming migration.
 	StageSaveArrivals = "save-arrivals"
-	// StageDiskCheckpoint: the pre-send disk checkpoint of the outgoing
-	// migration path (CheckpointToDisk / the auto-checkpoint step).
-	StageDiskCheckpoint = "disk-checkpoint"
 	// StageSalvage: persisting the partial image of an interrupted
 	// incoming migration.
 	StageSalvage = "salvage"

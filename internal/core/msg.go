@@ -139,11 +139,11 @@ type helloAck struct {
 	HaveCheckpoint bool
 	// PartialCheckpoint reports that the checkpoint behind HaveCheckpoint
 	// is a salvage image — pages persisted by an interrupted earlier
-	// attempt, not a complete guest state — or the union of the store's
-	// entries. Purely informational: resume is
-	// announce-driven (the announcement carries exactly the sums the
-	// salvage image holds), so the wire sequence is unchanged; the source
-	// uses the bit to label traces.
+	// attempt, not a complete guest state. A union of the store's entries
+	// does not set it: that is a first visit, not a resume. Purely
+	// informational: resume is announce-driven (the announcement carries
+	// exactly the sums the salvage image holds), so the wire sequence is
+	// unchanged; the source uses the bit to label traces.
 	PartialCheckpoint bool
 	// ManifestMatch reports that the complete entry the destination opened
 	// has the manifest root the hello offered: no announcement follows, the

@@ -121,27 +121,6 @@ func TestSalvageSkippedWithoutProgress(t *testing.T) {
 	}
 }
 
-// TestSalvageDisabled: NoSalvage keeps failed migrations from writing
-// partial entries.
-func TestSalvageDisabled(t *testing.T) {
-	const pages = 256
-	src := newVM(t, "vm0", pages, 1)
-	if err := src.FillRandom(0.95); err != nil {
-		t.Fatal(err)
-	}
-	store := newStore(t)
-	dst := newVM(t, "vm0", pages, 2)
-	_, serr, _ := cutMigration(t, src, dst, 300_000,
-		SourceOptions{Recycle: true},
-		DestOptions{Store: store, NoSalvage: true, VerifyPayloads: true})
-	if serr == nil {
-		t.Fatal("cut migration succeeded")
-	}
-	if _, ok := store.Entry("vm0"); ok {
-		t.Error("NoSalvage still wrote a store entry")
-	}
-}
-
 // TestPartialAnnouncedDespiteOfferedRoot: a salvage image has no name a
 // source could match — even when its key list happens to be the very one the
 // source's complete entry holds, so the two page manifests hash alike. The

@@ -9,8 +9,10 @@
 // A disk is backed by a page array (16 pages per 64 KiB block), so a disk
 // migration *is* a memory migration of the backing region: checkpoint
 // recycling, deduplication and the ping-pong optimization all apply
-// unchanged. Disks churn far slower than RAM, so
-// recycled disk checkpoints eliminate nearly all block traffic.
+// unchanged. sched.Host moves it as the first leg of its VM's migration,
+// through the same driver as the RAM — retries, the by-name match of a
+// return and the kept departure checkpoint included. Disks churn far slower
+// than RAM, so recycled disk checkpoints eliminate nearly all block traffic.
 package disk
 
 import (

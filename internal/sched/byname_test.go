@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -298,6 +299,20 @@ func TestByNameFallsBack(t *testing.T) {
 		}
 		if m.PagesSum < pages-2*rewritten {
 			t.Errorf("only %d pages went as checksums against a store holding most of them", m.PagesSum)
+		}
+		// A union is a first visit, not a salvage resume: the source records
+		// no salvage event and counts no resumed outcome.
+		for _, e := range lastSourceRecord(t, p.hosts["alpha"], "vm1").Events {
+			if e.Kind == core.EventSalvage {
+				t.Errorf("the source recorded a salvage event (%s) on a union bootstrap", e.Detail)
+			}
+		}
+		var sb strings.Builder
+		if err := p.hosts["alpha"].Registry().WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(sb.String(), `vecycle_salvage_total{host="alpha",outcome="resumed"}`) {
+			t.Error("the source counted a union bootstrap as a resumed salvage")
 		}
 	})
 }

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math/rand"
 	"net"
@@ -89,42 +90,20 @@ type Host struct {
 	// DefaultIdleTimeout; negative disables the per-I/O deadline.
 	IdleTimeout time.Duration
 
-	// NoSalvage disables salvage checkpoints: interrupted incoming
-	// migrations discard their partially-installed pages instead of
-	// persisting them for the next attempt to resume from
-	// (core.DestOptions.NoSalvage).
-	NoSalvage bool
-
 	// DialFunc, when non-nil, replaces outbound connection establishment —
 	// the seam the fault-injection tests use to interpose a
 	// core.FaultConn. nil dials TCP with dialTimeout.
 	DialFunc func(ctx context.Context, addr string) (io.ReadWriteCloser, error)
-
-	// TCPReadBuffer / TCPWriteBuffer, when positive, set SO_RCVBUF /
-	// SO_SNDBUF on migration sockets (both accept- and dial-side). Zero
-	// keeps the OS defaults (with auto-tuning, usually right on a LAN);
-	// sizing them to the bandwidth-delay product helps on high-RTT paths.
-	TCPReadBuffer  int
-	TCPWriteBuffer int
 }
 
-// tuneConn applies the host's socket knobs to a migration connection. It is
-// a no-op on anything but a *net.TCPConn (tests dial net.Pipe and fault
-// wrappers through DialFunc). Nagle's algorithm is always off: the engine
-// already batches frames into megabyte writes, so coalescing in the kernel
-// would only delay the small control turns (hello, acks) the protocol blocks
-// on.
-func (h *Host) tuneConn(conn interface{}) {
-	tc, ok := conn.(*net.TCPConn)
-	if !ok {
-		return
-	}
-	_ = tc.SetNoDelay(true)
-	if h.TCPReadBuffer > 0 {
-		_ = tc.SetReadBuffer(h.TCPReadBuffer)
-	}
-	if h.TCPWriteBuffer > 0 {
-		_ = tc.SetWriteBuffer(h.TCPWriteBuffer)
+// tuneConn turns Nagle's algorithm off on a migration connection, accept- and
+// dial-side. It is a no-op on anything but a *net.TCPConn (tests dial
+// net.Pipe and fault wrappers through DialFunc). The engine already batches
+// frames into megabyte writes, so coalescing in the kernel would only delay
+// the small control turns (hello, acks) the protocol blocks on.
+func tuneConn(conn net.Conn) {
+	if tc, ok := conn.(*net.TCPConn); ok {
+		_ = tc.SetNoDelay(true)
 	}
 }
 
@@ -229,7 +208,7 @@ func (h *Host) dial(ctx context.Context, addr string) (io.ReadWriteCloser, error
 	if err != nil {
 		return nil, fmt.Errorf("sched: dial %s: %w", addr, err)
 	}
-	h.tuneConn(conn)
+	tuneConn(conn)
 	return conn, nil
 }
 
@@ -282,7 +261,7 @@ func (h *Host) acceptLoop(ln net.Listener) {
 		go func() {
 			defer h.wg.Done()
 			defer conn.Close()
-			h.tuneConn(conn)
+			tuneConn(conn)
 			// Per-I/O deadlines so a hung peer cannot wedge the handler;
 			// the host context aborts the connection on Close.
 			dc := core.NewDeadlineConn(conn, h.idle())
@@ -300,18 +279,23 @@ func (h *Host) acceptLoop(ln net.Listener) {
 func (h *Host) reserveArrival(name string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	_, resident := h.vms[name]
-	if disk.IsDiskName(name) {
-		base := name[:len(name)-len(disk.DiskSuffix)]
-		if _, ok := h.disks[base]; ok {
-			resident = true
-		}
-	}
-	if resident || h.pending[name] {
+	if h.resident(name) || h.pending[name] {
 		return false
 	}
 	h.pending[name] = true
 	return true
+}
+
+// resident reports whether an arrival named name would duplicate what the
+// host runs; h.mu must be held. A disk counts only together with its VM: a
+// disk whose VM is not here is an orphan a failed RAM leg left behind, and
+// the disk's next arrival replaces it.
+func (h *Host) resident(name string) bool {
+	if disk.IsDiskName(name) {
+		name = name[:len(name)-len(disk.DiskSuffix)]
+	}
+	_, ok := h.vms[name]
+	return ok
 }
 
 func (h *Host) releaseArrival(name string) {
@@ -351,8 +335,10 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 	// then spuriously matches checkpoints.
 	h.mu.Lock()
 	h.arrivals++
-	seed := int64(fnv64(fmt.Sprintf("%s/%s/%d", h.name, name, h.arrivals)))
+	seedHash := fnv.New64a()
+	fmt.Fprintf(seedHash, "%s/%s/%d", h.name, name, h.arrivals)
 	h.mu.Unlock()
+	seed := int64(seedHash.Sum64())
 	dst, err := vm.New(vm.Config{Name: name, MemBytes: session.MemBytes(), Seed: seed})
 	if err != nil {
 		return core.DestResult{}, session.Reject(err.Error())
@@ -366,10 +352,9 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 		defer save.Abort()
 	}
 	res, err := session.Run(ctx, dst, core.DestOptions{
-		Store:     h.store,
-		NoSalvage: h.NoSalvage,
-		OnEvent:   h.obs.eventFunc(rec, "dest"),
-		Save:      save,
+		Store:   h.store,
+		OnEvent: h.obs.eventFunc(rec, "dest"),
+		Save:    save,
 	})
 	if err != nil {
 		return res, err
@@ -398,74 +383,53 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 		// cold) instead of failing it.
 		h.saveCheckpoint(core.StageSaveArrivals, rec, save, dst, "arrival image")
 	}
-	if disk.IsDiskName(dst.Name()) {
-		d, err := disk.FromBacking(dst)
-		if err != nil {
-			return res, err
-		}
-		h.mu.Lock()
-		if _, dup := h.disks[d.VMName()]; dup {
-			h.mu.Unlock()
-			return res, fmt.Errorf("sched: disk for %q became resident on %s during migration; dropping duplicate arrival", d.VMName(), h.name)
-		}
-		h.disks[d.VMName()] = d
-		h.mu.Unlock()
-		return res, nil
-	}
 	if err := h.register(dst); err != nil {
 		return res, err
 	}
-	if h.OnArrival != nil {
+	if h.OnArrival != nil && !disk.IsDiskName(dst.Name()) {
 		h.OnArrival(dst, res)
 	}
 	return res, nil
 }
 
-// register makes an arrived VM resident, re-checking residency under the
-// same lock acquisition as the insert: two racing arrivals of one VM must
-// never silently overwrite each other, whichever registers second loses.
+// register makes an arrived VM, or a disk's backing region, resident,
+// re-checking residency under the same lock acquisition as the insert: two
+// racing arrivals of one VM must never silently overwrite each other,
+// whichever registers second loses.
 func (h *Host) register(dst *vm.VM) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if _, dup := h.vms[dst.Name()]; dup {
+	if h.resident(dst.Name()) {
 		return fmt.Errorf("sched: VM %q became resident on %s during migration; dropping duplicate arrival", dst.Name(), h.name)
 	}
-	h.vms[dst.Name()] = dst
+	// FromBacking accepts exactly the disks' names.
+	if d, err := disk.FromBacking(dst); err == nil {
+		h.disks[d.VMName()] = d
+	} else {
+		h.vms[dst.Name()] = dst
+	}
 	return nil
 }
 
-// fnv64 hashes a string with FNV-1a.
-func fnv64(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
+// RetryPolicy configures how MigrateTo re-attempts a leg after a transient
+// transport failure — a dial error, an idle timeout, a mid-stream reset.
+// Terminal failures (the destination rejecting the migration, a local
+// protocol violation, context cancellation) are never retried.
+type RetryPolicy struct {
+	// Attempts is the total number of tries per leg, including the first.
+	// Values below 2 mean a single attempt (no retry).
+	Attempts int
+	// Backoff is the delay before the first retry. Defaults to 200ms. Each
+	// later delay doubles, up to maxBackoff, and every delay is spread by
+	// ±retryJitter so a fleet's retries do not stampede.
+	Backoff time.Duration
 }
 
-// RetryPolicy configures how MigrateTo re-attempts a migration after a
-// transient transport failure — a dial error, an idle timeout, a mid-stream
-// reset. Terminal failures (the destination rejecting the migration, a
-// local protocol violation, context cancellation) are never retried.
-type RetryPolicy struct {
-	// Attempts is the total number of tries, including the first. Values
-	// below 2 mean a single attempt (no retry).
-	Attempts int
-	// Backoff is the delay before the first retry. Defaults to 200ms.
-	Backoff time.Duration
-	// MaxBackoff caps the exponential growth. Defaults to 5s.
-	MaxBackoff time.Duration
-	// Multiplier scales the delay after each retry. Defaults to 2.
-	Multiplier float64
-	// Jitter spreads each delay by ±Jitter fraction to avoid retry
-	// stampedes across a fleet. Defaults to 0.2.
-	Jitter float64
-}
+// The backoff's cap and spread.
+const (
+	maxBackoff  = 5 * time.Second
+	retryJitter = 0.2
+)
 
 func (p RetryPolicy) attempts() int {
 	if p.Attempts < 1 {
@@ -476,38 +440,16 @@ func (p RetryPolicy) attempts() int {
 
 // delay computes the backoff before the (retry+1)-th retry, 0-indexed.
 func (p RetryPolicy) delay(retry int) time.Duration {
-	base := p.Backoff
-	if base <= 0 {
-		base = 200 * time.Millisecond
+	d := p.Backoff
+	if d <= 0 {
+		d = 200 * time.Millisecond
 	}
-	maxB := p.MaxBackoff
-	if maxB <= 0 {
-		maxB = 5 * time.Second
+	for i := 0; i < retry && d < maxBackoff; i++ {
+		d *= 2
 	}
-	mult := p.Multiplier
-	if mult <= 1 {
-		mult = 2
-	}
-	d := float64(base)
-	for i := 0; i < retry; i++ {
-		d *= mult
-		if d >= float64(maxB) {
-			d = float64(maxB)
-			break
-		}
-	}
-	jitter := p.Jitter
-	if jitter <= 0 {
-		jitter = 0.2
-	}
-	d *= 1 + jitter*(2*rand.Float64()-1)
-	if d < 0 {
-		d = 0
-	}
-	if d > float64(maxB) {
-		d = float64(maxB)
-	}
-	return time.Duration(d)
+	d = min(d, maxBackoff)
+	d = time.Duration(float64(d) * (1 + retryJitter*(2*rand.Float64()-1)))
+	return min(d, maxBackoff)
 }
 
 // Retryable classifies a migration error: true means a fresh attempt on a
@@ -525,34 +467,6 @@ func Retryable(err error) bool {
 	return core.Classify(err) != core.ClassTerminal
 }
 
-// saveOrDegrade runs one best-effort checkpoint persist — a rung of the
-// graceful-degradation ladder. A broken save stream (a write under the
-// migration failed) is recorded and retried once, the retry writing the
-// whole image after the fact; a full store (ENOSPC from the disk or
-// ErrQuotaExceeded from the quota) gets one GC-then-retry. Any failure that
-// survives is recorded — vecycle_degraded_total, a trace event, OnError —
-// and swallowed. stage names the rung (core.Stage* constants). Returns true
-// when the save ultimately succeeded.
-func (h *Host) saveOrDegrade(stage string, rec *obs.Recorder, save func() error) bool {
-	err := save()
-	switch {
-	case errors.Is(err, checkpoint.ErrStreamBroken):
-		h.degrade(stage, rec, err)
-		err = save()
-	case errors.Is(err, checkpoint.ErrQuotaExceeded) || faultfs.Label(err) == "enospc":
-		// The pool may hold dead segments a collection can turn into room;
-		// one pass, one more try. GC failing too just degrades below.
-		if _, gcErr := h.store.GC(); gcErr == nil {
-			err = save()
-		}
-	}
-	if err == nil {
-		return true
-	}
-	h.degrade(stage, rec, err)
-	return false
-}
-
 // degrade records one rung of the ladder taken at stage because of err.
 func (h *Host) degrade(stage string, rec *obs.Recorder, err error) {
 	fault := faultfs.Label(err)
@@ -564,28 +478,46 @@ func (h *Host) degrade(stage string, rec *obs.Recorder, err error) {
 }
 
 // saveCheckpoint commits v's checkpoint through save — the stream the
-// migration wrote pages into, or nil for none — as a rung of the ladder
-// (saveOrDegrade), keyed from the guest's digest table
-// (checkpoint.SaveStream.Commit). A stream commits once, so a retry commits a
-// fresh one, which writes every missing page itself. A successful save is
-// traced as a checkpoint-saved event naming the image and how many of the
-// pages the store was missing were streamed and how many caught up after
-// the ack.
+// migration wrote pages into, or nil for none — keyed from the guest's digest
+// table (checkpoint.SaveStream.Commit). The persist is best-effort, a rung of
+// the graceful-degradation ladder: a broken stream (a write under the
+// migration failed) is recorded and retried once on a fresh stream, which
+// writes every missing page itself; a full store (ENOSPC from the disk or
+// ErrQuotaExceeded from the quota) gets one GC-then-retry. A failure that
+// survives is recorded — vecycle_degraded_total, a trace event, OnError — and
+// swallowed. stage names the rung (core.Stage* constants). A successful save
+// is traced as a checkpoint-saved event naming the image and how many of the
+// pages the store was missing were streamed and how many caught up after the
+// ack.
 func (h *Host) saveCheckpoint(stage string, rec *obs.Recorder, save *checkpoint.SaveStream, v *vm.VM, image string) {
-	var counts checkpoint.SaveCounts
-	if h.saveOrDegrade(stage, rec, func() error {
-		if save == nil {
-			save = h.store.OpenSave(v.Name())
-		}
+	// A stream commits once, so each try takes the one left and the next
+	// opens afresh.
+	commit := func() (checkpoint.SaveCounts, error) {
 		st := save
+		if st == nil {
+			st = h.store.OpenSave(v.Name())
+		}
 		save = nil
-		var err error
-		counts, err = st.Commit(v, checkpoint.EntryComplete)
-		return err
-	}) {
-		rec.Event(obs.Event{Kind: "checkpoint-saved",
-			Detail: fmt.Sprintf("%s streamed=%d caught_up=%d", image, counts.Streamed, counts.CaughtUp)})
+		return st.Commit(v, checkpoint.EntryComplete)
 	}
+	counts, err := commit()
+	switch {
+	case errors.Is(err, checkpoint.ErrStreamBroken):
+		h.degrade(stage, rec, err)
+		counts, err = commit()
+	case errors.Is(err, checkpoint.ErrQuotaExceeded) || faultfs.Label(err) == "enospc":
+		// The pool may hold dead segments a collection can turn into room;
+		// one pass, one more try. GC failing too just degrades below.
+		if _, gcErr := h.store.GC(); gcErr == nil {
+			counts, err = commit()
+		}
+	}
+	if err != nil {
+		h.degrade(stage, rec, err)
+		return
+	}
+	rec.Event(obs.Event{Kind: "checkpoint-saved",
+		Detail: fmt.Sprintf("%s streamed=%d caught_up=%d", image, counts.Streamed, counts.CaughtUp)})
 }
 
 // MigrateOptions tunes an outgoing migration from a host.
@@ -608,15 +540,16 @@ type MigrateOptions struct {
 	// StopThreshold is the dirty-page count triggering the final round
 	// (core.SourceOptions.StopThreshold); 0 keeps the engine default.
 	StopThreshold int
-	// Retry re-attempts the migration on transient transport failures with
+	// Retry re-attempts each leg on transient transport failures with
 	// exponential backoff. The zero value performs a single attempt.
 	Retry RetryPolicy
-	// OnAttempt, when non-nil, observes every engine attempt of this
-	// migration — the first try and each retry — with
-	// its 1-based attempt number and outcome. The chaos tests use it to
-	// assert that resumed attempts resend strictly fewer full pages.
+	// OnAttempt, when non-nil, observes every engine attempt of every leg of
+	// this migration — an attached disk's first, then the RAM's; the first
+	// try and each retry — with its 1-based attempt number within the leg
+	// and its outcome. The chaos tests use it to assert that resumed
+	// attempts resend strictly fewer full pages.
 	OnAttempt func(attempt int, m core.Metrics, err error)
-	// Pause and Resume bracket the stop-and-copy phase, as in
+	// Pause and Resume bracket the RAM leg's stop-and-copy phase, as in
 	// core.SourceOptions.
 	Pause  func()
 	Resume func()
@@ -635,52 +568,62 @@ func (h *Host) MigrateTo(ctx context.Context, addr, vmName string, opts MigrateO
 	}
 	h.mu.Lock()
 	v, ok := h.vms[vmName]
+	d := h.disks[vmName]
 	h.mu.Unlock()
 	if !ok {
 		return core.Metrics{}, fmt.Errorf("%w: %q", ErrNoSuchVM, vmName)
 	}
 	rec := h.obs.begin("source", vmName, addr)
-	m, err := h.runMigrateTo(ctx, addr, vmName, v, opts, rec)
+	m, err := h.runMigrateTo(ctx, addr, v, d, opts, rec)
 	h.obs.finish(rec, "source", vmName, m, err)
 	return m, err
 }
 
 // runMigrateTo is the body of MigrateTo, split out so every return funnels
-// through one obs.finish call.
-func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, opts MigrateOptions, rec *obs.Recorder) (core.Metrics, error) {
-	idle := h.idle()
-
-	// Unshared storage: the block device moves first, through the same
-	// engine on its own connection, so the guest's final rounds overlap
-	// only with RAM streaming (QEMU's block-then-RAM ordering).
-	h.mu.Lock()
-	d := h.disks[vmName]
-	h.mu.Unlock()
+// through one obs.finish call. Each leg runs through migrateLeg: first the
+// attached disk d's backing region, if any, on its own connection, so the
+// guest's final rounds overlap only with RAM streaming (QEMU's block-then-RAM
+// ordering); then the RAM.
+func (h *Host) runMigrateTo(ctx context.Context, addr string, v *vm.VM, d *disk.Disk, opts MigrateOptions, rec *obs.Recorder) (core.Metrics, error) {
 	if d != nil {
 		// The disk leg is its own wire session; trace and count it as its
-		// own migration record, named after the disk's backing VM.
-		diskName := d.Backing().Name()
-		drec := h.obs.begin("source", diskName, addr)
-		dm, derr := h.migrateDisk(ctx, addr, d, idle, opts, drec)
-		h.obs.finish(drec, "source", diskName, dm, derr)
-		if derr != nil {
-			return core.Metrics{}, fmt.Errorf("sched: disk migration: %w", derr)
+		// own migration record, named after the disk's backing VM. It has no
+		// guest stop-and-copy to bracket.
+		b := d.Backing()
+		dopts := opts
+		dopts.Pause, dopts.Resume = nil, nil
+		drec := h.obs.begin("source", b.Name(), addr)
+		dm, err := h.migrateLeg(ctx, addr, b, dopts, drec)
+		h.obs.finish(drec, "source", b.Name(), dm, err)
+		if err != nil {
+			return core.Metrics{}, fmt.Errorf("sched: disk migration: %w", err)
 		}
-		rec.Event(obs.Event{Kind: "disk", Bytes: dm.BytesSent, Detail: diskName})
-		if opts.KeepCheckpoint {
-			h.saveOrDegrade(core.StageDiskCheckpoint, rec, func() error {
-				return h.store.Save(d.Backing())
-			})
-		}
+		rec.Event(obs.Event{Kind: "disk", Bytes: dm.BytesSent, Detail: b.Name()})
 	}
+	m, err := h.migrateLeg(ctx, addr, v, opts, rec)
+	if err != nil {
+		return m, err
+	}
+	h.mu.Lock()
+	delete(h.vms, v.Name())
+	delete(h.disks, v.Name())
+	h.mu.Unlock()
+	return m, nil
+}
 
+// migrateLeg moves one region — a guest's RAM or a disk's backing region — to
+// addr. Each attempt dials afresh and offers this host's store entry of the
+// region by name; transient failures are retried per opts.Retry; with
+// KeepCheckpoint the departure image the attempts streamed is committed after
+// the ack.
+func (h *Host) migrateLeg(ctx context.Context, addr string, v *vm.VM, opts MigrateOptions, rec *obs.Recorder) (core.Metrics, error) {
 	// save is the departure image, written as round one sends the pages
 	// this host's own checkpoint lacks; its commit follows the ack. Every
 	// attempt writes into it: its slots are content addressed, so a failed
 	// attempt's pages are at worst dead ones.
 	var save *checkpoint.SaveStream
 	if opts.KeepCheckpoint {
-		save = h.store.OpenSave(vmName)
+		save = h.store.OpenSave(v.Name())
 		defer save.Abort()
 	}
 	attempt := func() (core.Metrics, error) {
@@ -694,11 +637,11 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 		// side lost, replaced or salvaged over simply fails to match.
 		var mirror *core.Mirror
 		if opts.Recycle {
-			if root, keys, ok := h.store.Mirror(vmName); ok {
+			if root, keys, ok := h.store.Mirror(v.Name()); ok {
 				mirror = &core.Mirror{Root: root, Keys: keys}
 			}
 		}
-		return core.MigrateSource(ctx, core.NewDeadlineConn(conn, idle), v, core.SourceOptions{
+		return core.MigrateSource(ctx, core.NewDeadlineConn(conn, h.idle()), v, core.SourceOptions{
 			Recycle:       opts.Recycle,
 			Mirror:        mirror,
 			Save:          save,
@@ -711,37 +654,36 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 	}
 
 	attempts := opts.Retry.attempts()
-	var m core.Metrics
-	var err error
-	attemptNo := 0
-	for retries := 0; ; {
-		m, err = attempt()
-		attemptNo++
+	for no := 1; ; no++ {
+		m, err := attempt()
 		if opts.OnAttempt != nil {
-			opts.OnAttempt(attemptNo, m, err)
+			opts.OnAttempt(no, m, err)
 		}
-		if err == nil {
-			break
-		}
-		if ctx.Err() != nil {
+		switch {
+		case err == nil:
+			// The region now lives at the destination. Commit the local
+			// checkpoint — after the migration, off the critical path, as in
+			// the paper. The engine wrote every digest it computed back to the
+			// region's table, and the final round left no page unrecorded, so
+			// the commit hashes nothing.
+			if opts.KeepCheckpoint {
+				h.saveCheckpoint(core.StageKeepCheckpoint, rec, save, v, "departure image")
+			}
+			return m, nil
+		case ctx.Err() != nil:
 			// Cancellation is terminal everywhere — whether it surfaced
 			// mid-stream (as a wrapped transport error) or would have been
 			// caught mid-backoff, the caller sees the ctx error itself.
 			return m, ctx.Err()
-		}
-		if errors.Is(err, core.ErrRejected) {
+		case errors.Is(err, core.ErrRejected), !Retryable(err), no >= attempts:
 			return m, err
 		}
-		if !Retryable(err) || retries >= attempts-1 {
-			return m, err
-		}
-		retries++
-		delay := opts.Retry.delay(retries - 1)
+		delay := opts.Retry.delay(no - 1)
 		if h.OnError != nil {
-			h.OnError(fmt.Errorf("sched: migration of %q to %s failed (attempt %d/%d: %v); retrying in %v", vmName, addr, retries, attempts, err, delay))
+			h.OnError(fmt.Errorf("sched: migration of %q to %s failed (attempt %d/%d: %v); retrying in %v", v.Name(), addr, no, attempts, err, delay))
 		}
 		h.obs.retries.With(h.name).Inc()
-		rec.Event(obs.Event{Kind: "retry", Round: retries, Detail: fmt.Sprintf("%v; backoff %v", err, delay)})
+		rec.Event(obs.Event{Kind: "retry", Round: no, Detail: fmt.Sprintf("%v; backoff %v", err, delay)})
 		timer := time.NewTimer(delay)
 		select {
 		case <-ctx.Done():
@@ -750,31 +692,4 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 		case <-timer.C:
 		}
 	}
-
-	// The VM now runs at the destination. Commit the local checkpoint —
-	// after the migration, off the critical path, as in the paper. The engine
-	// wrote every digest it computed back to the guest's table, and the
-	// paused final round left no page unrecorded, so the commit hashes
-	// nothing.
-	if opts.KeepCheckpoint {
-		h.saveCheckpoint(core.StageKeepCheckpoint, rec, save, v, "departure image")
-	}
-	h.mu.Lock()
-	delete(h.vms, vmName)
-	delete(h.disks, vmName)
-	h.mu.Unlock()
-	return m, nil
-}
-
-// migrateDisk streams the block device to the peer on its own connection.
-func (h *Host) migrateDisk(ctx context.Context, addr string, d *disk.Disk, idle time.Duration, opts MigrateOptions, rec *obs.Recorder) (core.Metrics, error) {
-	diskConn, err := h.dial(ctx, addr)
-	if err != nil {
-		return core.Metrics{}, fmt.Errorf("sched: dial for disk: %w", err)
-	}
-	defer diskConn.Close()
-	return core.MigrateSource(ctx, core.NewDeadlineConn(diskConn, idle), d.Backing(), core.SourceOptions{
-		Recycle: opts.Recycle,
-		OnEvent: h.obs.eventFunc(rec, "source"),
-	})
 }
