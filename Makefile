@@ -19,14 +19,18 @@ race:
 # writer/installer/write-back/reader test and the write-back rules (a page
 # written since the read stays unrecorded, a batch read before a dirty-log
 # harvest is refused), the restore's lock-free span fill (digests recorded only
-# after it succeeded, one chunk at a time) and the matched round one's read
-# that skips kept pages, repeated under the race detector, then the seeded
-# migration audit and the exact-count tests through sched.Host (digest table,
-# save and restore hash stages, a salvage-retry leg).
+# after it succeeded, one chunk at a time), the matched round one's read
+# that skips kept pages and the guest's lazy memory (a new guest reads zeros
+# on every read path, the first write decides who allocates, no writer writes
+# the shared zero chunk, span fills into unallocated chunks beside the
+# background allocator), repeated under the
+# race detector, then the seeded migration audit and the exact-count tests
+# through sched.Host (digest table, save and restore hash stages, a
+# salvage-retry leg).
 # `race` runs them once with everything else; this target is the one to
-# repeat when touching internal/vm/digest.go.
+# repeat when touching internal/vm/digest.go or internal/vm/vm.go.
 race-digest:
-	$(GO) test -race -count=10 -run 'TestDigestTableConcurrent|TestDigestTableWriteBack|TestDigestTableInstallFrom|TestDigestTableKeep|TestRangesAcrossChunks' ./internal/vm/
+	$(GO) test -race -count=10 -run 'TestDigestTableConcurrent|TestDigestTableWriteBack|TestDigestTableInstallFrom|TestDigestTableKeep|TestRangesAcrossChunks|TestFreshGuestReadsZero|TestFirstWriteAllocates|TestZeroChunkNeverWritten|TestAllocatorConcurrent' ./internal/vm/
 	$(GO) test -race -run 'TestDigestTable' ./internal/vm/ ./internal/core/ ./internal/sched/
 
 # race-restore is the focused gate for the return path: the background
@@ -96,8 +100,9 @@ bench-smoke:
 # chaos-smoke is the resumability gate: the deterministic fault-schedule
 # harness kills one migration at every protocol turn and asserts the retry
 # chain converges on salvage checkpoints, the socket-free leg-driver tests
-# retry a cut disk leg, match a disk's return by name and land a whole
-# migration retried after a failed RAM leg (plus the engine-level
+# retry a cut disk leg, match a disk's return by name, land a whole
+# migration retried after a failed RAM leg, ask a refusing destination once
+# and degrade a broken departure save stream once (plus the engine-level
 # salvage/resume contract tests, and the store's crash, corruption and
 # seeded-invariant cells), under the race detector.
 chaos-smoke:

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +16,7 @@ import (
 
 	"vecycle/internal/core"
 	"vecycle/internal/disk"
+	"vecycle/internal/faultfs"
 	"vecycle/internal/obs"
 	"vecycle/internal/vm"
 )
@@ -249,5 +252,112 @@ func TestLegDiskByName(t *testing.T) {
 	}
 	if diskLeg == nil || diskLeg.AnnounceBytes != 0 || diskLeg.PagesKept == 0 {
 		t.Errorf("disk return leg %+v, want no announcement and kept pages", diskLeg)
+	}
+}
+
+// TestLegRejectedNotRetried: a destination that refuses the hello is asked
+// once. The retry policy spends no attempt on a rejection: OnAttempt sees one,
+// and MigrateTo returns core.ErrRejected.
+func TestLegRejectedNotRetried(t *testing.T) {
+	alpha, beta := newHost(t, "alpha"), newHost(t, "beta")
+	alpha.AddVM(newGuest(t, "vm0", 16))
+	beta.AddVM(newGuest(t, "vm0", 16)) // already resident: the arrival is refused
+	p := newPipeDialer(t, alpha, beta)
+
+	var attempts []error
+	_, err := alpha.MigrateTo(context.Background(), "beta", "vm0", MigrateOptions{
+		Recycle:   true,
+		Retry:     RetryPolicy{Attempts: 5, Backoff: time.Millisecond},
+		OnAttempt: func(_ int, _ core.Metrics, err error) { attempts = append(attempts, err) },
+	})
+	p.wg.Wait()
+	if !errors.Is(err, core.ErrRejected) {
+		t.Fatalf("MigrateTo = %v, want ErrRejected", err)
+	}
+	if len(attempts) != 1 || !errors.Is(attempts[0], core.ErrRejected) {
+		t.Errorf("attempts %v, want the one rejected", attempts)
+	}
+	if n := p.dials.Load(); n != 1 {
+		t.Errorf("dialed %d times, want 1", n)
+	}
+	if _, ok := alpha.VM("vm0"); !ok {
+		t.Error("the source dropped the VM after a rejection")
+	}
+}
+
+// TestLegSaveStreamBroken: on a return leg the source's departure image
+// streams under round one; a write that fails there breaks the stream. The
+// migration still succeeds on its one attempt, the keep-checkpoint rung is
+// taken once, and the commit retried through a fresh stream leaves an entry of
+// exactly the departed guest.
+func TestLegSaveStreamBroken(t *testing.T) {
+	const pages, rewritten = 512, 192
+	inj := faultfs.NewInjector()
+	alpha, beta := newFaultHost(t, "alpha", inj), newHost(t, "beta")
+	guest := newGuest(t, "vm0", pages)
+	if err := guest.FillRandom(1); err != nil {
+		t.Fatal(err)
+	}
+	alpha.AddVM(guest)
+	pa := newPipeDialer(t, alpha, beta)
+	pb := newPipeDialer(t, beta, alpha)
+	opts := MigrateOptions{Recycle: true, KeepCheckpoint: true}
+	for _, hop := range []struct {
+		from *Host
+		p    *pipeDialer
+		to   string
+	}{{alpha, pa, "beta"}, {beta, pb, "alpha"}} {
+		if _, err := hop.from.MigrateTo(context.Background(), hop.to, "vm0", opts); err != nil {
+			t.Fatal(err)
+		}
+		hop.p.wg.Wait()
+	}
+	back, ok := alpha.VM("vm0")
+	if !ok || !alpha.Store().Has("vm0") {
+		t.Fatal("the guest is not back at alpha with alpha's departure image")
+	}
+	// Pages alpha's image lacks, more than the segment writer buffers: round one
+	// sends them and the stream writes them under it.
+	buf := make([]byte, vm.PageSize)
+	for i := 0; i < rewritten; i++ {
+		rand.New(rand.NewSource(int64(1000 + i))).Read(buf) // not the guest's seed 7
+		back.WritePage(2*i, buf)
+	}
+
+	inj.Arm(faultfs.Fault{Op: faultfs.OpWrite, Path: ".seg.tmp", Err: faultfs.ErrEIO})
+	attempts := 0
+	opts.OnAttempt = func(int, core.Metrics, error) { attempts++ }
+	if _, err := alpha.MigrateTo(context.Background(), "beta", "vm0", opts); err != nil {
+		t.Fatalf("MigrateTo failed on a broken save stream: %v", err)
+	}
+	pa.wg.Wait()
+	if attempts != 1 {
+		t.Errorf("ran %d attempts, want 1", attempts)
+	}
+	if len(inj.Shots()) != 1 {
+		t.Fatalf("%d faults fired, want the one armed", len(inj.Shots()))
+	}
+	metrics := scrape(t, alpha)
+	if want := `vecycle_degraded_total{host="alpha",stage="keep-checkpoint",fault="eio"} 1`; !strings.Contains(metrics, want) {
+		t.Errorf("want %s; metrics:\n%s", want, metrics)
+	}
+	if n := strings.Count(metrics, "vecycle_degraded_total{"); n != 1 {
+		t.Errorf("%d degradations counted, want 1:\n%s", n, metrics)
+	}
+	landed, ok := beta.VM("vm0")
+	if !ok {
+		t.Fatal("the guest did not arrive at beta")
+	}
+	if !back.MemEqual(landed) {
+		t.Error("memory differs after the migration")
+	}
+	if _, keys, ok := alpha.Store().Mirror("vm0"); !ok || !slices.Equal(keys, pageKeys(landed)) {
+		t.Error("the departure image committed through the fresh stream is not the departed guest")
+	}
+	if err := alpha.Store().Verify("vm0"); err != nil {
+		t.Error(err)
+	}
+	if streamed, caughtUp := savedCounts(t, alpha, "source", 2); streamed != 0 || caughtUp != rewritten {
+		t.Errorf("saved streamed=%d caught_up=%d, want 0 and %d", streamed, caughtUp, rewritten)
 	}
 }

@@ -21,8 +21,8 @@ import (
 // and sum together, the plain installs clear, and CompleteDigests hashes
 // under the write lock. The one install that writes bytes outside the lock,
 // InstallRangeFrom, clears the span's flags before and sets them after, on a
-// span its caller owns meanwhile. Readers take digest and bytes under one read
-// lock.
+// span its caller owns meanwhile, in chunks it allocated (if nobody had) under
+// the lock. Readers take digest and bytes under one read lock.
 // The one writer that hashes outside the lock, the migration source, writes
 // back through StoreDigests, whose version check is the dirty log itself.
 //
@@ -68,15 +68,17 @@ func (v *VM) InstallRangeSums(start int, data []byte, sums []checksum.Sum) {
 // whose digests the caller already holds, letting fill write the bytes
 // straight into guest memory: fill is called once per chunk the span touches,
 // in ascending order, with the chunk's part of the span as dst and the frame
-// that part starts at as first. It runs without the guest's lock — the span's
-// digests are forgotten (and the epoch advanced) before, and recorded only
-// after every fill returned nil — so the caller must own the span until the
-// call returns: nothing else may read or write those frames meanwhile. If fill
-// fails, the call stops there and returns its error; the span's digests stay
-// forgotten and its bytes are whatever fill had written. sums must be
-// checksum.Default's digests of what fill writes. The checkpoint restore reads
-// its spans through it, so each page is copied once, from the file into the
-// guest.
+// that part starts at as first. The span's chunks are allocated, if nobody
+// had, before the first fill; on a guest never written before, the rest of its
+// memory is left to a background allocator (writeRunLocked). fill runs
+// without the guest's lock — the span's digests are forgotten (and the epoch
+// advanced) before, and recorded only after every fill returned nil — so the
+// caller must own the span until the call returns: nothing else may read or
+// write those frames meanwhile. If fill fails, the call stops there and
+// returns its error; the span's digests stay forgotten and its bytes are
+// whatever fill had written. sums must be checksum.Default's digests of what
+// fill writes. The checkpoint restore reads its spans through it, so each page
+// is copied once, from the file into the guest.
 func (v *VM) InstallRangeFrom(start int, sums []checksum.Sum, fill func(first int, dst []byte) error) error {
 	count := len(sums)
 	if count == 0 {
@@ -88,7 +90,7 @@ func (v *VM) InstallRangeFrom(start int, sums []checksum.Sum, fill func(first in
 	clear(v.digests.valid[start : start+count])
 	v.epoch++
 	for p := start; p < start+count; {
-		run := v.runLocked(p, start+count-p)
+		run := v.writeRunLocked(p, start+count-p, true)
 		dsts = append(dsts, run)
 		p += len(run) / PageSize
 	}

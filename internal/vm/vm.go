@@ -42,15 +42,19 @@ type VM struct {
 	seed int64
 
 	mu      sync.RWMutex
-	mem     [][]byte // guest memory, chunkPages pages per chunk (see newChunks)
+	mem     [][]byte // guest memory, chunkPages pages per chunk, nil until allocated
 	pages   int
 	dirty   *dirtytrack.Bitmap
 	digests digestTable
 	epoch   uint64 // see DigestEpoch
 	rng     *rand.Rand
+	// allocating is set by the guest's first write (see writeRunLocked).
+	allocating bool
 }
 
-// New creates a guest with all-zero memory.
+// New creates a guest whose memory reads as all zero. Nothing is allocated
+// up front, so an arriving guest is ready before its RAM is zeroed: the
+// guest's first write allocates it (see writeRunLocked and DESIGN.md §5.4).
 func New(cfg Config) (*VM, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("vm: empty name")
@@ -66,7 +70,7 @@ func New(cfg Config) (*VM, error) {
 	return &VM{
 		name:    cfg.Name,
 		seed:    cfg.Seed,
-		mem:     newChunks(pages),
+		mem:     make([][]byte, (pages+chunkPages-1)/chunkPages),
 		pages:   pages,
 		dirty:   dirty,
 		digests: newDigestTable(pages),
@@ -106,7 +110,7 @@ func (v *VM) WritePage(i int, data []byte) {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	copy(v.pageLocked(i), data)
+	copy(v.writeRunLocked(i, 1, false), data)
 	v.dirty.Set(i)
 	v.digests.valid[i] = false
 }
@@ -121,7 +125,7 @@ func (v *VM) InstallPage(i int, data []byte) {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	copy(v.pageLocked(i), data)
+	copy(v.writeRunLocked(i, 1, false), data)
 	v.digests.valid[i] = false
 	v.epoch++
 }
@@ -201,23 +205,77 @@ func (v *VM) pageLocked(i int) []byte {
 // guest freed; it grew instead, and its resident set with it.
 const chunkPages = 256
 
-// newChunks allocates zeroed memory for pages pages; the last chunk may be
-// short.
-func newChunks(pages int) [][]byte {
-	mem := make([][]byte, 0, (pages+chunkPages-1)/chunkPages)
-	for p := 0; p < pages; p += chunkPages {
-		mem = append(mem, make([]byte, min(chunkPages, pages-p)*PageSize))
+// zeroChunk is what every chunk not yet allocated reads as, in every guest.
+// Only readers see it (runLocked); a writer gets its chunk from
+// writeRunLocked, so nothing ever writes it.
+var zeroChunk = make([]byte, chunkPages*PageSize)
+
+// chunkBytes reports the length of chunk i; the last chunk may be short.
+func (v *VM) chunkBytes(i int) int {
+	return min(chunkPages, v.pages-i*chunkPages) * PageSize
+}
+
+// allocate is the background allocator a restore's first span fill starts
+// (see writeRunLocked). It walks the chunks from the last one down,
+// allocating each outside the lock and installing it only if no writer has
+// allocated it meanwhile, and returns after chunk 0. Walking down leaves the
+// low chunks, which the restore and the merge write first, to their writers,
+// while the allocations still come as one burst (DESIGN.md §5.4).
+func (v *VM) allocate() {
+	for i := len(v.mem) - 1; i >= 0; i-- {
+		v.mu.RLock()
+		have := v.mem[i] != nil
+		v.mu.RUnlock()
+		if have {
+			continue
+		}
+		c := make([]byte, v.chunkBytes(i))
+		v.mu.Lock()
+		if v.mem[i] == nil {
+			v.mem[i] = c
+		}
+		v.mu.Unlock()
 	}
-	return mem
 }
 
 // runLocked returns the guest memory from frame start up to count pages or
-// the end of start's chunk, whichever comes first.
+// the end of start's chunk, whichever comes first, for reading only: a chunk
+// not yet allocated is served from zeroChunk.
 func (v *VM) runLocked(start, count int) []byte {
 	v.checkSpan(start, 1)
-	c := v.mem[start/chunkPages]
+	i := start / chunkPages
+	c := v.mem[i]
+	if c == nil {
+		c = zeroChunk[:v.chunkBytes(i)]
+	}
 	off := start % chunkPages * PageSize
 	return c[off:min(len(c), off+count*PageSize)]
+}
+
+// writeRunLocked is runLocked for a writer, which must hold the write lock.
+// The guest's first write decides how its memory is allocated. A restore's
+// span fill (spanFill, InstallRangeFrom) starts the background allocator and
+// allocates only the chunks it fills, so the restore does not wait for the
+// rest to be zeroed. Any other first write allocates every chunk at once, as
+// one burst, before it writes. After that a writer allocates start's chunk
+// if the background allocator has not reached it yet.
+func (v *VM) writeRunLocked(start, count int, spanFill bool) []byte {
+	v.checkSpan(start, 1)
+	if !v.allocating {
+		v.allocating = true
+		if spanFill {
+			go v.allocate()
+		} else {
+			for i := range v.mem {
+				v.mem[i] = make([]byte, v.chunkBytes(i))
+			}
+		}
+	}
+	i := start / chunkPages
+	if v.mem[i] == nil {
+		v.mem[i] = make([]byte, v.chunkBytes(i))
+	}
+	return v.runLocked(start, count)
 }
 
 // checkSpan panics unless pages [start, start+count) lie in the guest.
@@ -231,7 +289,7 @@ func (v *VM) checkSpan(start, count int) {
 func (v *VM) copyInLocked(start int, data []byte) {
 	v.checkSpan(start, len(data)/PageSize)
 	for len(data) > 0 {
-		n := copy(v.runLocked(start, len(data)/PageSize), data)
+		n := copy(v.writeRunLocked(start, len(data)/PageSize, false), data)
 		data = data[n:]
 		start += n / PageSize
 	}
@@ -276,8 +334,8 @@ func (v *VM) MemEqual(other *VM) bool {
 	if v.pages != other.pages {
 		return false
 	}
-	for i := range v.mem {
-		if !bytes.Equal(v.mem[i], other.mem[i]) {
+	for start := 0; start < v.pages; start += chunkPages {
+		if !bytes.Equal(v.runLocked(start, chunkPages), other.runLocked(start, chunkPages)) {
 			return false
 		}
 	}
