@@ -143,9 +143,10 @@ func (s *IncomingSession) release() {
 // MigrateDest drives the destination side of a live migration into v over
 // conn. The VM must be created and sized before the call; its name and page
 // count are validated against the source's hello. A new VM's memory reads as
-// all zero and none of it is allocated up front (vm.New): a chunk is
-// allocated by its first writer, the rest in the background, so creating the
-// guest does not delay the hello-ack.
+// all zero and none of it is allocated up front (vm.New), so creating it does
+// not delay the hello-ack: the checkpoint install's span fills allocate their
+// own chunks and a background goroutine the rest, and without a checkpoint
+// the merge's first write allocates the whole guest.
 //
 // The checkpoint is opened between hello and hello-ack — index only, its
 // checksums the store's own keys, its geometry checked against v — and its
