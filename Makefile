@@ -22,15 +22,15 @@ race:
 # after it succeeded, one chunk at a time), the matched round one's read
 # that skips kept pages and the guest's lazy memory (a new guest reads zeros
 # on every read path, the first write decides who allocates, no writer writes
-# the shared zero chunk, span fills into unallocated chunks beside the
-# background allocator), repeated under the
+# the shared zero chunk, span fills into unallocated chunks beside writers
+# of the others), repeated under the
 # race detector, then the seeded migration audit and the exact-count tests
 # through sched.Host (digest table, save and restore hash stages, a
 # salvage-retry leg).
 # `race` runs them once with everything else; this target is the one to
 # repeat when touching internal/vm/digest.go or internal/vm/vm.go.
 race-digest:
-	$(GO) test -race -count=10 -run 'TestDigestTableConcurrent|TestDigestTableWriteBack|TestDigestTableInstallFrom|TestDigestTableKeep|TestRangesAcrossChunks|TestFreshGuestReadsZero|TestFirstWriteAllocates|TestZeroChunkNeverWritten|TestAllocatorConcurrent' ./internal/vm/
+	$(GO) test -race -count=10 -run 'TestDigestTableConcurrent|TestDigestTableWriteBack|TestDigestTableInstallFrom|TestDigestTableKeep|TestRangesAcrossChunks|TestFreshGuestReadsZero|TestFirstWriteAllocates|TestZeroChunkNeverWritten|TestSpanFillsConcurrent' ./internal/vm/
 	$(GO) test -race -run 'TestDigestTable' ./internal/vm/ ./internal/core/ ./internal/sched/
 
 # race-restore is the focused gate for the return path: the background

@@ -144,9 +144,9 @@ func (s *IncomingSession) release() {
 // conn. The VM must be created and sized before the call; its name and page
 // count are validated against the source's hello. A new VM's memory reads as
 // all zero and none of it is allocated up front (vm.New), so creating it does
-// not delay the hello-ack: the checkpoint install's span fills allocate their
-// own chunks and a background goroutine the rest, and without a checkpoint
-// the merge's first write allocates the whole guest.
+// not delay the hello-ack: the checkpoint install's span fills allocate the
+// chunks they fill, and without a checkpoint the merge's first write
+// allocates the whole guest.
 //
 // The checkpoint is opened between hello and hello-ack — index only, its
 // checksums the store's own keys, its geometry checked against v — and its

@@ -5,18 +5,17 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"vecycle/internal/checksum"
 )
 
 // newLazy is newVM for a guest whose chunks each wait for their own first
-// writer: as if a span fill had started the background allocator, which has
-// not reached any chunk yet. So a test decides who allocates what.
+// writer, as if a span fill had been its first write. So a test decides who
+// allocates what.
 func newLazy(t *testing.T, pages int) *VM {
 	t.Helper()
 	v := newVM(t, pages)
-	v.allocating = true
+	v.written = true
 	return v
 }
 
@@ -31,18 +30,6 @@ func allocated(v *VM) int {
 		}
 	}
 	return n
-}
-
-// waitAllocated waits for the background allocator to have allocated every
-// chunk of v.
-func waitAllocated(t *testing.T, v *VM) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); allocated(v) < len(v.mem); {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d chunks allocated after 5 s", allocated(v), len(v.mem))
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // checkReadsZero asserts that every read path of v sees all-zero memory.
@@ -128,8 +115,7 @@ func checkReadsZero(t *testing.T, v *VM) {
 
 // TestFreshGuestReadsZero reads a new guest through every read path, with a
 // short last chunk: before any chunk is allocated, after a first write
-// allocated them all, and while the background allocator a first span fill
-// started is still at work.
+// allocated them all, and after a first span fill allocated only its own.
 func TestFreshGuestReadsZero(t *testing.T) {
 	const pages = 2*chunkPages + 3
 	zero := make([]byte, PageSize)
@@ -145,22 +131,23 @@ func TestFreshGuestReadsZero(t *testing.T) {
 		v.WritePage(pages-1, zero)
 		checkReadsZero(t, v)
 	})
-	t.Run("background", func(t *testing.T) {
+	t.Run("span-filled", func(t *testing.T) {
 		v := newVM(t, pages)
 		one := []checksum.Sum{alg.Page(zero)}
 		if err := v.InstallRangeFrom(0, one, func(int, []byte) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 		checkReadsZero(t, v)
-		waitAllocated(t, v)
-		checkReadsZero(t, v)
+		if n := allocated(v); n != 1 {
+			t.Errorf("%d chunks allocated by a one-page span fill and readers, want 1", n)
+		}
 	})
 }
 
 // TestFirstWriteAllocates pins who allocates a guest's memory: nobody before
 // its first write; a first plain write allocates every chunk before it
-// returns; a first span fill allocates its own chunks, and the background
-// allocator it starts allocates the rest without replacing them.
+// returns; a first span fill allocates only its own chunks, and every later
+// writer only its own.
 func TestFirstWriteAllocates(t *testing.T) {
 	const pages = 8*chunkPages + 3
 	for _, name := range []string{"WritePage", "InstallPage", "InstallRange", "InstallRangeSums"} {
@@ -194,11 +181,17 @@ func TestFirstWriteAllocates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitAllocated(t, v)
+		if n := allocated(v); n != 2 {
+			t.Errorf("%d chunks allocated by a span fill straddling two, want 2", n)
+		}
+		v.WritePage(5*chunkPages, page(0x33))
+		if n := allocated(v); n != 3 {
+			t.Errorf("%d chunks allocated after a later WritePage into a third, want 3", n)
+		}
 		buf := make([]byte, 2*PageSize)
 		v.ReadRange(start, count, buf)
 		if !bytes.Equal(buf, data) {
-			t.Error("the background allocator replaced a chunk the span fill had allocated")
+			t.Error("a later write replaced a chunk the span fill had allocated")
 		}
 		if v.FirstDifference(newVM(t, pages)) != start {
 			t.Error("pages outside the span are not zero")
@@ -257,13 +250,12 @@ func TestZeroChunkNeverWritten(t *testing.T) {
 	checkReadsZero(t, newLazy(t, pages))
 }
 
-// TestAllocatorConcurrent fills spans of chunks nobody has allocated through
-// InstallRangeFrom, the way a restore does, while the background allocator
-// the first fill started runs and WritePage and readers work on the other
-// chunks. Every byte and every recorded digest must come out right: the
-// allocator must never replace a chunk a writer allocated, nor a writer write
-// memory it did not get under the lock.
-func TestAllocatorConcurrent(t *testing.T) {
+// TestSpanFillsConcurrent fills spans of chunks nobody has allocated through
+// InstallRangeFrom, the way a restore does, while WritePage allocates and
+// writes the other chunks and readers read them. Every byte and every
+// recorded digest must come out right: no writer may replace a chunk another
+// allocated, nor write memory it did not get under the lock.
+func TestSpanFillsConcurrent(t *testing.T) {
 	const (
 		low   = 8 // chunks [0, low) are filled through InstallRangeFrom
 		pages = 16*chunkPages + 5
@@ -288,7 +280,7 @@ func TestAllocatorConcurrent(t *testing.T) {
 			return nil
 		})
 	}
-	if err := fill(0); err != nil { // the first write: starts the allocator
+	if err := fill(0); err != nil { // the first write: no burst
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -319,7 +311,9 @@ func TestAllocatorConcurrent(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	waitAllocated(t, v)
+	if n := allocated(v); n != len(v.mem) {
+		t.Errorf("%d of %d chunks allocated, want all: every chunk had a writer", n, len(v.mem))
+	}
 	buf := make([]byte, PageSize)
 	for p := range want {
 		v.ReadPage(p, buf)
@@ -330,5 +324,5 @@ func TestAllocatorConcurrent(t *testing.T) {
 	if got := hashedPages(v); got != pages-low*chunkPages {
 		t.Errorf("%d pages without a recorded digest, want %d (those outside the filled spans)", got, pages-low*chunkPages)
 	}
-	auditDigests(t, v, fmt.Sprintf("fills of %d chunks beside the allocator", low))
+	auditDigests(t, v, fmt.Sprintf("fills of %d chunks beside WritePage", low))
 }

@@ -69,8 +69,8 @@ func (v *VM) InstallRangeSums(start int, data []byte, sums []checksum.Sum) {
 // straight into guest memory: fill is called once per chunk the span touches,
 // in ascending order, with the chunk's part of the span as dst and the frame
 // that part starts at as first. The span's chunks are allocated, if nobody
-// had, before the first fill; on a guest never written before, the rest of its
-// memory is left to a background allocator (writeRunLocked). fill runs
+// had, before the first fill; on a guest never written before, no other chunk
+// is (writeRunLocked). fill runs
 // without the guest's lock — the span's digests are forgotten (and the epoch
 // advanced) before, and recorded only after every fill returned nil — so the
 // caller must own the span until the call returns: nothing else may read or

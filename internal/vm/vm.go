@@ -48,8 +48,8 @@ type VM struct {
 	digests digestTable
 	epoch   uint64 // see DigestEpoch
 	rng     *rand.Rand
-	// allocating is set by the guest's first write (see writeRunLocked).
-	allocating bool
+	// written is set by the guest's first write (see writeRunLocked).
+	written bool
 }
 
 // New creates a guest whose memory reads as all zero. Nothing is allocated
@@ -215,29 +215,6 @@ func (v *VM) chunkBytes(i int) int {
 	return min(chunkPages, v.pages-i*chunkPages) * PageSize
 }
 
-// allocate is the background allocator a restore's first span fill starts
-// (see writeRunLocked). It walks the chunks from the last one down,
-// allocating each outside the lock and installing it only if no writer has
-// allocated it meanwhile, and returns after chunk 0. Walking down leaves the
-// low chunks, which the restore and the merge write first, to their writers,
-// while the allocations still come as one burst (DESIGN.md §5.4).
-func (v *VM) allocate() {
-	for i := len(v.mem) - 1; i >= 0; i-- {
-		v.mu.RLock()
-		have := v.mem[i] != nil
-		v.mu.RUnlock()
-		if have {
-			continue
-		}
-		c := make([]byte, v.chunkBytes(i))
-		v.mu.Lock()
-		if v.mem[i] == nil {
-			v.mem[i] = c
-		}
-		v.mu.Unlock()
-	}
-}
-
 // runLocked returns the guest memory from frame start up to count pages or
 // the end of start's chunk, whichever comes first, for reading only: a chunk
 // not yet allocated is served from zeroChunk.
@@ -254,18 +231,16 @@ func (v *VM) runLocked(start, count int) []byte {
 
 // writeRunLocked is runLocked for a writer, which must hold the write lock.
 // The guest's first write decides how its memory is allocated. A restore's
-// span fill (spanFill, InstallRangeFrom) starts the background allocator and
-// allocates only the chunks it fills, so the restore does not wait for the
-// rest to be zeroed. Any other first write allocates every chunk at once, as
-// one burst, before it writes. After that a writer allocates start's chunk
-// if the background allocator has not reached it yet.
+// span fill (spanFill, InstallRangeFrom) allocates only the chunks it fills,
+// so the restore does not wait for the rest to be zeroed: its other span
+// fills allocate theirs, and a restore that succeeds fills every chunk. Any
+// other first write allocates every chunk at once, as one burst, before it
+// writes. After that a writer allocates start's chunk if nobody has.
 func (v *VM) writeRunLocked(start, count int, spanFill bool) []byte {
 	v.checkSpan(start, 1)
-	if !v.allocating {
-		v.allocating = true
-		if spanFill {
-			go v.allocate()
-		} else {
+	if !v.written {
+		v.written = true
+		if !spanFill {
 			for i := range v.mem {
 				v.mem[i] = make([]byte, v.chunkBytes(i))
 			}
