@@ -144,9 +144,9 @@ func (s *IncomingSession) release() {
 // conn. The VM must be created and sized before the call; its name and page
 // count are validated against the source's hello. A new VM's memory reads as
 // all zero and none of it is allocated up front (vm.New), so creating it does
-// not delay the hello-ack: the checkpoint install's span fills allocate the
-// chunks they fill, and without a checkpoint the merge's first write
-// allocates the whole guest.
+// not delay the hello-ack of a return: the checkpoint install's span fills
+// allocate the chunks they fill. Without a checkpoint to install, Run
+// allocates the whole guest before the ack.
 //
 // The checkpoint is opened between hello and hello-ack — index only, its
 // checksums the store's own keys, its geometry checked against v — and its
@@ -237,6 +237,12 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 	// bound by CPU, not by the link, and its save stays after the ack.
 	if cp != nil && !res.UnionBootstrap {
 		s.save = opts.Save
+	}
+
+	// Without an install into v the merge writes every page: allocate v now,
+	// while the source waits for the ack, not under round one (vm.Allocate).
+	if cp == nil || res.UnionBootstrap {
+		v.Allocate()
 	}
 
 	start := time.Now()

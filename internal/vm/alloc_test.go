@@ -145,9 +145,9 @@ func TestFreshGuestReadsZero(t *testing.T) {
 }
 
 // TestFirstWriteAllocates pins who allocates a guest's memory: nobody before
-// its first write; a first plain write allocates every chunk before it
-// returns; a first span fill allocates only its own chunks, and every later
-// writer only its own.
+// its first write or Allocate; a first plain write allocates every chunk
+// before it returns; a first span fill allocates only its own chunks, and
+// every later writer only its own; Allocate allocates what nobody has.
 func TestFirstWriteAllocates(t *testing.T) {
 	const pages = 8*chunkPages + 3
 	for _, name := range []string{"WritePage", "InstallPage", "InstallRange", "InstallRangeSums"} {
@@ -195,6 +195,28 @@ func TestFirstWriteAllocates(t *testing.T) {
 		}
 		if v.FirstDifference(newVM(t, pages)) != start {
 			t.Error("pages outside the span are not zero")
+		}
+		v.Allocate()
+		if n := allocated(v); n != len(v.mem) {
+			t.Errorf("%d of %d chunks allocated after Allocate", n, len(v.mem))
+		}
+		v.ReadRange(start, count, buf)
+		if !bytes.Equal(buf, data) || v.FirstDifference(newVM(t, pages)) != start {
+			t.Error("Allocate replaced a chunk a writer had allocated")
+		}
+	})
+	t.Run("Allocate", func(t *testing.T) {
+		v := newVM(t, pages)
+		v.Allocate()
+		if n := allocated(v); n != len(v.mem) {
+			t.Errorf("%d of %d chunks allocated by Allocate", n, len(v.mem))
+		}
+		checkReadsZero(t, v)
+		if err := v.InstallRangeFrom(0, []checksum.Sum{alg.Page(page(0))}, func(int, []byte) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(zeroChunk, make([]byte, len(zeroChunk))) {
+			t.Fatal("a span fill after Allocate wrote zeroChunk")
 		}
 	})
 }

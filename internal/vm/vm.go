@@ -54,7 +54,8 @@ type VM struct {
 
 // New creates a guest whose memory reads as all zero. Nothing is allocated
 // up front, so an arriving guest is ready before its RAM is zeroed: the
-// guest's first write allocates it (see writeRunLocked and DESIGN.md §5.4).
+// guest's first write allocates it, or Allocate does (see writeRunLocked and
+// DESIGN.md §5.4).
 func New(cfg Config) (*VM, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("vm: empty name")
@@ -241,9 +242,7 @@ func (v *VM) writeRunLocked(start, count int, spanFill bool) []byte {
 	if !v.written {
 		v.written = true
 		if !spanFill {
-			for i := range v.mem {
-				v.mem[i] = make([]byte, v.chunkBytes(i))
-			}
+			v.allocateLocked()
 		}
 	}
 	i := start / chunkPages
@@ -251,6 +250,31 @@ func (v *VM) writeRunLocked(start, count int, spanFill bool) []byte {
 		v.mem[i] = make([]byte, v.chunkBytes(i))
 	}
 	return v.runLocked(start, count)
+}
+
+// Allocate allocates, in one burst, every chunk of the guest's memory that
+// is not allocated yet; the memory still reads as all zero. A destination
+// that will not install a checkpoint into an arriving guest calls it before
+// the hello-ack, while the source waits and nothing else allocates. Left to
+// the merge's first write, the burst lands inside round one, after the
+// wire's buffers have taken the start of the free run the guest would
+// otherwise fill, so the guest reaches past its end and the heap more often
+// has to grow by a guest's size later (DESIGN.md §5.4).
+func (v *VM) Allocate() {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.written = true
+	v.allocateLocked()
+}
+
+// allocateLocked allocates every chunk not yet allocated; the caller holds
+// the write lock.
+func (v *VM) allocateLocked() {
+	for i := range v.mem {
+		if v.mem[i] == nil {
+			v.mem[i] = make([]byte, v.chunkBytes(i))
+		}
+	}
 }
 
 // checkSpan panics unless pages [start, start+count) lie in the guest.
