@@ -142,11 +142,11 @@ func (s *IncomingSession) release() {
 
 // MigrateDest drives the destination side of a live migration into v over
 // conn. The VM must be created and sized before the call; its name and page
-// count are validated against the source's hello. A new VM's memory reads as
-// all zero and none of it is allocated up front (vm.New), so creating it does
+// count are validated against the source's hello. A VM made by vm.NewLazy
+// reads as all zero with none of its memory allocated, so creating it does
 // not delay the hello-ack of a return: the checkpoint install's span fills
 // allocate the chunks they fill. Without a checkpoint to install, Run
-// allocates the whole guest before the ack.
+// allocates whatever is left of the guest before the ack.
 //
 // The checkpoint is opened between hello and hello-ack — index only, its
 // checksums the store's own keys, its geometry checked against v — and its

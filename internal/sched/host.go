@@ -339,7 +339,15 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 	fmt.Fprintf(seedHash, "%s/%s/%d", h.name, name, h.arrivals)
 	h.mu.Unlock()
 	seed := int64(seedHash.Sum64())
-	dst, err := vm.New(vm.Config{Name: name, MemBytes: session.MemBytes(), Seed: seed})
+	// A guest this host holds a checkpoint of is left to the restore's span
+	// fills, so the hello-ack does not wait for its RAM to be zeroed; any
+	// other arrival is allocated here, as the source waits for the ack
+	// (DESIGN.md §5.4).
+	newGuest := vm.New
+	if h.store.Has(name) {
+		newGuest = vm.NewLazy
+	}
+	dst, err := newGuest(vm.Config{Name: name, MemBytes: session.MemBytes(), Seed: seed})
 	if err != nil {
 		return core.DestResult{}, session.Reject(err.Error())
 	}

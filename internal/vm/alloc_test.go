@@ -9,12 +9,23 @@ import (
 	"vecycle/internal/checksum"
 )
 
-// newLazy is newVM for a guest whose chunks each wait for their own first
+// newFresh is newVM for a guest made by NewLazy: nothing allocated, and its
+// first write decides the rest.
+func newFresh(t *testing.T, pages int) *VM {
+	t.Helper()
+	v, err := NewLazy(Config{Name: "test", MemBytes: int64(pages) * PageSize, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// newLazy is newFresh for a guest whose chunks each wait for their own first
 // writer, as if a span fill had been its first write. So a test decides who
 // allocates what.
 func newLazy(t *testing.T, pages int) *VM {
 	t.Helper()
-	v := newVM(t, pages)
+	v := newFresh(t, pages)
 	v.written = true
 	return v
 }
@@ -114,25 +125,33 @@ func checkReadsZero(t *testing.T, v *VM) {
 }
 
 // TestFreshGuestReadsZero reads a new guest through every read path, with a
-// short last chunk: before any chunk is allocated, after a first write
-// allocated them all, and after a first span fill allocated only its own.
+// short last chunk: as New allocates it, and from NewLazy before any chunk
+// is allocated, after a first write allocated them all, and after a first
+// span fill allocated only its own.
 func TestFreshGuestReadsZero(t *testing.T) {
 	const pages = 2*chunkPages + 3
 	zero := make([]byte, PageSize)
-	t.Run("unallocated", func(t *testing.T) {
+	t.Run("New", func(t *testing.T) {
 		v := newVM(t, pages)
+		if n := allocated(v); n != len(v.mem) {
+			t.Errorf("%d of %d chunks allocated by New, want all", n, len(v.mem))
+		}
+		checkReadsZero(t, v)
+	})
+	t.Run("unallocated", func(t *testing.T) {
+		v := newFresh(t, pages)
 		checkReadsZero(t, v)
 		if n := allocated(v); n != 0 {
 			t.Errorf("%d chunks allocated by readers", n)
 		}
 	})
 	t.Run("allocated", func(t *testing.T) {
-		v := newVM(t, pages)
+		v := newFresh(t, pages)
 		v.WritePage(pages-1, zero)
 		checkReadsZero(t, v)
 	})
 	t.Run("span-filled", func(t *testing.T) {
-		v := newVM(t, pages)
+		v := newFresh(t, pages)
 		one := []checksum.Sum{alg.Page(zero)}
 		if err := v.InstallRangeFrom(0, one, func(int, []byte) error { return nil }); err != nil {
 			t.Fatal(err)
@@ -144,15 +163,15 @@ func TestFreshGuestReadsZero(t *testing.T) {
 	})
 }
 
-// TestFirstWriteAllocates pins who allocates a guest's memory: nobody before
-// its first write or Allocate; a first plain write allocates every chunk
+// TestFirstWriteAllocates pins who allocates a NewLazy guest's memory: nobody
+// before its first write or Allocate; a first plain write allocates every chunk
 // before it returns; a first span fill allocates only its own chunks, and
 // every later writer only its own; Allocate allocates what nobody has.
 func TestFirstWriteAllocates(t *testing.T) {
 	const pages = 8*chunkPages + 3
 	for _, name := range []string{"WritePage", "InstallPage", "InstallRange", "InstallRangeSums"} {
 		t.Run(name, func(t *testing.T) {
-			v := newVM(t, pages)
+			v := newFresh(t, pages)
 			data := page(0x5A)
 			switch name {
 			case "WritePage":
@@ -170,7 +189,7 @@ func TestFirstWriteAllocates(t *testing.T) {
 		})
 	}
 	t.Run("InstallRangeFrom", func(t *testing.T) {
-		v := newVM(t, pages)
+		v := newFresh(t, pages)
 		start, count := chunkPages-1, 2 // straddles chunks 0 and 1
 		data := append(page(0x11), page(0x22)...)
 		sums := []checksum.Sum{alg.Page(page(0x11)), alg.Page(page(0x22))}
@@ -206,7 +225,7 @@ func TestFirstWriteAllocates(t *testing.T) {
 		}
 	})
 	t.Run("Allocate", func(t *testing.T) {
-		v := newVM(t, pages)
+		v := newFresh(t, pages)
 		v.Allocate()
 		if n := allocated(v); n != len(v.mem) {
 			t.Errorf("%d of %d chunks allocated by Allocate", n, len(v.mem))
@@ -215,7 +234,7 @@ func TestFirstWriteAllocates(t *testing.T) {
 		if err := v.InstallRangeFrom(0, []checksum.Sum{alg.Page(page(0))}, func(int, []byte) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(zeroChunk, make([]byte, len(zeroChunk))) {
+		if !bytes.Equal(zeroChunk[:], make([]byte, len(zeroChunk))) {
 			t.Fatal("a span fill after Allocate wrote zeroChunk")
 		}
 	})
@@ -266,7 +285,7 @@ func TestZeroChunkNeverWritten(t *testing.T) {
 			t.Fatalf("page %d: got %#x, want %#x", p, buf[0], content(p)[0])
 		}
 	}
-	if !bytes.Equal(zeroChunk, make([]byte, len(zeroChunk))) {
+	if !bytes.Equal(zeroChunk[:], make([]byte, len(zeroChunk))) {
 		t.Fatal("zeroChunk was written")
 	}
 	checkReadsZero(t, newLazy(t, pages))
@@ -283,7 +302,7 @@ func TestSpanFillsConcurrent(t *testing.T) {
 		pages = 16*chunkPages + 5
 		spanN = 100 // spans straddle chunk boundaries
 	)
-	v := newVM(t, pages)
+	v := newFresh(t, pages)
 	want := make([][]byte, pages)
 	for p := range want {
 		want[p] = make([]byte, PageSize)

@@ -52,11 +52,23 @@ type VM struct {
 	written bool
 }
 
-// New creates a guest whose memory reads as all zero. Nothing is allocated
-// up front, so an arriving guest is ready before its RAM is zeroed: the
-// guest's first write allocates it, or Allocate does (see writeRunLocked and
-// DESIGN.md §5.4).
+// New creates a guest with all-zero memory, allocated up front.
 func New(cfg Config) (*VM, error) {
+	return create(cfg, false)
+}
+
+// NewLazy creates a guest whose memory reads as all zero but is allocated
+// only by its first write, or by Allocate (see writeRunLocked and DESIGN.md
+// §5.4). A destination creates a returning guest this way, so its hello-ack
+// does not wait for the guest's RAM to be zeroed: the restore's span fills
+// allocate the chunks they fill.
+func NewLazy(cfg Config) (*VM, error) {
+	return create(cfg, true)
+}
+
+// create builds a guest. An eager one is allocated in the order New always
+// used: the chunks before the digest table.
+func create(cfg Config, lazy bool) (*VM, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("vm: empty name")
 	}
@@ -68,15 +80,20 @@ func New(cfg Config) (*VM, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &VM{
-		name:    cfg.Name,
-		seed:    cfg.Seed,
-		mem:     make([][]byte, (pages+chunkPages-1)/chunkPages),
-		pages:   pages,
-		dirty:   dirty,
-		digests: newDigestTable(pages),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-	}, nil
+	v := &VM{
+		name:  cfg.Name,
+		seed:  cfg.Seed,
+		mem:   make([][]byte, (pages+chunkPages-1)/chunkPages),
+		pages: pages,
+		dirty: dirty,
+	}
+	if !lazy {
+		v.written = true
+		v.allocateLocked()
+	}
+	v.digests = newDigestTable(pages)
+	v.rng = rand.New(rand.NewSource(cfg.Seed))
+	return v, nil
 }
 
 // Name reports the VM's identity.
@@ -208,8 +225,9 @@ const chunkPages = 256
 
 // zeroChunk is what every chunk not yet allocated reads as, in every guest.
 // Only readers see it (runLocked); a writer gets its chunk from
-// writeRunLocked, so nothing ever writes it.
-var zeroChunk = make([]byte, chunkPages*PageSize)
+// writeRunLocked, so nothing ever writes it. An array, so it is not an
+// object on the heap whose layout the guests' chunks share.
+var zeroChunk [chunkPages * PageSize]byte
 
 // chunkBytes reports the length of chunk i; the last chunk may be short.
 func (v *VM) chunkBytes(i int) int {
@@ -254,10 +272,10 @@ func (v *VM) writeRunLocked(start, count int, spanFill bool) []byte {
 
 // Allocate allocates, in one burst, every chunk of the guest's memory that
 // is not allocated yet; the memory still reads as all zero. A destination
-// that will not install a checkpoint into an arriving guest calls it before
-// the hello-ack, while the source waits and nothing else allocates. Left to
-// the merge's first write, the burst lands inside round one, after the
-// wire's buffers have taken the start of the free run the guest would
+// that will not install a checkpoint into a guest made by NewLazy calls it
+// before the hello-ack, while the source waits and nothing else allocates.
+// Left to the merge's first write, the burst lands inside round one, after
+// the wire's buffers have taken the start of the free run the guest would
 // otherwise fill, so the guest reaches past its end and the heap more often
 // has to grow by a guest's size later (DESIGN.md §5.4).
 func (v *VM) Allocate() {
@@ -268,7 +286,7 @@ func (v *VM) Allocate() {
 }
 
 // allocateLocked allocates every chunk not yet allocated; the caller holds
-// the write lock.
+// the write lock or has not shared v yet.
 func (v *VM) allocateLocked() {
 	for i := range v.mem {
 		if v.mem[i] == nil {
