@@ -21,9 +21,9 @@ race:
 # harvest is refused), the restore's lock-free span fill (digests recorded only
 # after it succeeded, one chunk at a time), the matched round one's read
 # that skips kept pages and the guest's lazy memory (a new guest reads zeros
-# on every read path, the first write decides who allocates, no writer writes
-# the shared zero chunk, span fills into unallocated chunks beside writers
-# of the others), repeated under the
+# on every read path, each writer allocates only the chunk it writes, no
+# writer writes the shared zero chunk, span fills into unallocated chunks
+# beside writers of the others), repeated under the
 # race detector, then the seeded migration audit and the exact-count tests
 # through sched.Host (digest table, save and restore hash stages, a
 # salvage-retry leg).
@@ -38,7 +38,8 @@ race-digest:
 # one, a cancel mid-install, no page read before the hello-ack, an entry of
 # another size refused before it — repeated, since the interleavings are the
 # point),
-# the store-level span reader, the announce-by-name matrix (round one of a
+# the store-level span reader, an index-only open and a union open writing
+# nothing to the store (TestOpenWritesNothing), the announce-by-name matrix (round one of a
 # matched leg leaving out the pages still equal to the named checkpoint, by
 # content and in round one only; every other leg's round one tiling the guest,
 # a retry after a cut included) through the engine and through sched.Host
@@ -49,7 +50,7 @@ race-digest:
 # the race detector.
 race-restore:
 	$(GO) test -race -count=3 -run 'TestBackgroundInstall|TestBootstrapPageCountMismatch' ./internal/core/
-	$(GO) test -race -run 'TestSpanLoad|TestRestoreSumsMatchGuest|TestConcurrentRemoveDuringRestore|TestSaveStream' ./internal/checkpoint/
+	$(GO) test -race -run 'TestSpanLoad|TestRestoreSumsMatchGuest|TestConcurrentRemoveDuringRestore|TestSaveStream|TestOpenWritesNothing' ./internal/checkpoint/
 	$(GO) test -race -run 'TestPingPongSkipsAnnouncement|TestPartialAnnounced|TestGoldenStreamByName|TestRoundOneGap|TestKeep|TestSourceWritesPerTurn|TestRoundEventBytes' ./internal/core/
 	$(GO) test -race -run 'TestByName|TestPingPongOverTCP|TestStreamedSave' ./internal/sched/
 

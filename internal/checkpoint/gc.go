@@ -12,9 +12,9 @@ import (
 )
 
 // Garbage collection over the object pool. Save only ever appends segments;
-// Remove (and quota eviction, and re-saves that change content) merely drop
-// references. GC is the pass that turns dead references into reclaimed
-// bytes: segments no live entry references are deleted outright, and
+// Remove (and re-saves that change content) merely drop references. GC is
+// the pass that turns dead references into reclaimed bytes: segments no
+// live entry references are deleted outright, and
 // segments more than half dead are compacted — their live payloads
 // rewritten into a fresh segment, their file deleted. Page manifests never
 // change during GC (they reference objects by key, not by location), so a

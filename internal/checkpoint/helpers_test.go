@@ -1,0 +1,33 @@
+package checkpoint
+
+import (
+	"path/filepath"
+	"testing"
+
+	"vecycle/internal/vm"
+)
+
+const testPage = vm.PageSize
+
+func newTestStore(t *testing.T) *Store {
+	t.Helper()
+	s, err := NewStore(filepath.Join(t.TempDir(), "q"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// saveVM saves a VM whose content is random but deterministic per name, so
+// distinct names share no pages — each save costs its full physical size.
+func saveVM(t *testing.T, s *Store, name string, pages int) {
+	t.Helper()
+	seed := int64(1)
+	for _, c := range name {
+		seed = seed*131 + int64(c)
+	}
+	v := filledVM(t, name, pages, seed)
+	if err := s.Save(v); err != nil {
+		t.Fatal(err)
+	}
+}

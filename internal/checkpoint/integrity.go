@@ -17,8 +17,7 @@ import (
 // re-reads pages and re-derives each key. Verify runs it over one entry's
 // pages; the startup recovery scan runs it over every recorded segment,
 // after checking the segment's seal (its header and trailer) against the
-// manifest; and Restore can be made to verify first via the store's
-// VerifyOnRestore knob.
+// manifest. Restore does not verify: an index-only open reads no page.
 
 // Verify re-reads the named VM's pages from the object pool and checks each
 // against its recorded object key. An entry with no page keys (absent, or
@@ -39,10 +38,6 @@ func (s *Store) Verify(vmName string) error {
 	}
 	return nil
 }
-
-// SetVerifyOnRestore makes every Restore verify the entry's pages first.
-// Costs one extra sequential read (plus hashing) before the bootstrap read.
-func (s *Store) SetVerifyOnRestore(on bool) { s.verifyOnRestore = on }
 
 // corruptPage reports a stored page whose bytes do not hash to its key.
 type corruptPage struct {

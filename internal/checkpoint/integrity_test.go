@@ -4,8 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"vecycle/internal/checksum"
 )
 
 // tamperObject flips bytes inside the stored payload of the named entry's
@@ -26,7 +24,7 @@ func tamperObject(t *testing.T, s *Store, name string, slot int) {
 }
 
 func TestVerifyCleanImage(t *testing.T) {
-	s := quotaStore(t)
+	s := newTestStore(t)
 	saveVM(t, s, "a", 4)
 	if err := s.Verify("a"); err != nil {
 		t.Errorf("clean checkpoint failed verification: %v", err)
@@ -34,7 +32,7 @@ func TestVerifyCleanImage(t *testing.T) {
 }
 
 func TestVerifyDetectsBitRot(t *testing.T) {
-	s := quotaStore(t)
+	s := newTestStore(t)
 	saveVM(t, s, "a", 4)
 	tamperObject(t, s, "a", 2)
 	if err := s.Verify("a"); err == nil {
@@ -43,48 +41,31 @@ func TestVerifyDetectsBitRot(t *testing.T) {
 }
 
 func TestVerifyAbsentEntryTrivial(t *testing.T) {
-	s := quotaStore(t)
+	s := newTestStore(t)
 	if err := s.Verify("never-saved"); err != nil {
 		t.Errorf("absent entry should verify trivially: %v", err)
 	}
 }
 
-func TestVerifyOnRestore(t *testing.T) {
-	s, err := NewStore(filepath.Join(t.TempDir(), "v"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := filledVM(t, "a", 4, 1)
-	if err := s.Save(v); err != nil {
-		t.Fatal(err)
-	}
-	s.SetVerifyOnRestore(true)
-
-	// Clean restore succeeds.
-	cp, err := s.Restore("a", checksum.Default, nil)
-	if err != nil {
-		t.Fatalf("clean restore: %v", err)
-	}
-	cp.Close()
-
-	// Corrupt a stored page: restore must now fail before any data is used.
+// TestTamperedEntryOpensIndexOnly: a restore under the key algorithm with no
+// guest reads no page, so a corrupt payload does not stop the open; Verify,
+// which re-reads every page, refuses the entry.
+func TestTamperedEntryOpensIndexOnly(t *testing.T) {
+	s := newTestStore(t)
+	saveVM(t, s, "a", 4)
 	tamperObject(t, s, "a", 1)
-	if _, err := s.Restore("a", checksum.Default, nil); err == nil {
-		t.Error("corrupt checkpoint restored under VerifyOnRestore")
-	}
-
-	// Without the knob the (page-aligned) corruption is invisible: an open
-	// under the key algorithm serves the recorded keys without reading pages.
-	s.SetVerifyOnRestore(false)
-	cp, err = s.Restore("a", checksum.Default, nil)
+	cp, err := s.Restore("a", ObjectAlgorithm, nil)
 	if err != nil {
-		t.Fatalf("unverified restore: %v", err)
+		t.Fatalf("index-only open of a tampered entry: %v", err)
 	}
 	cp.Close()
+	if err := s.Verify("a"); err == nil {
+		t.Error("Verify accepted a tampered entry")
+	}
 }
 
 func TestRemoveDeletesEntryFiles(t *testing.T) {
-	s := quotaStore(t)
+	s := newTestStore(t)
 	saveVM(t, s, "a", 4)
 	if err := s.Remove("a"); err != nil {
 		t.Fatal(err)

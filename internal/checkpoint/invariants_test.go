@@ -294,7 +294,7 @@ func streamStep(s *Store, v *vm.VM, rng *rand.Rand, churn func(*vm.VM, float64))
 // so a later save of that content writes it anew instead of deduplicating
 // against a payload that no longer exists on disk.
 func TestSaveAfterCompactionRewritesDeadContent(t *testing.T) {
-	s := quotaStore(t)
+	s := newTestStore(t)
 	a := filledVM(t, "a", 8, 1)
 	b := filledVM(t, "b", 8, 2)
 	copyPages(t, a, b, 4) // b shares a's first 4 pages

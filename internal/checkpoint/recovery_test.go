@@ -30,7 +30,7 @@ func filledVM(t *testing.T, name string, pages int, seed int64) *vm.VM {
 }
 
 func TestSaveSalvagePartialEntry(t *testing.T) {
-	s := quotaStore(t)
+	s := newTestStore(t)
 	v := filledVM(t, "a", 4, 1)
 	if err := s.SaveSalvage(v); err != nil {
 		t.Fatal(err)

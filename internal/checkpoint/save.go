@@ -28,10 +28,9 @@ var ErrStreamBroken = errors.New("checkpoint: save stream broken")
 // Save checkpoints the VM's memory on this host, replacing any previous
 // checkpoint of the same VM — including a salvage checkpoint, which a
 // completed migration supersedes. Pages whose content the object pool
-// already holds (from any VM) are referenced, not rewritten. When a quota is
-// set, dead segments are collected and then least-recently-used entries are
-// evicted until the new pages fit. The pages are keyed from the guest's
-// digest table; only the pages it does not cover are hashed.
+// already holds (from any VM) are referenced, not rewritten. The pages are
+// keyed from the guest's digest table; only the pages it does not cover are
+// hashed.
 func (s *Store) Save(source *vm.VM) error {
 	_, err := s.OpenSave(source.Name()).Commit(source, EntryComplete)
 	return err
@@ -190,11 +189,6 @@ func (st *SaveStream) commitLocked(v *vm.VM, state EntryState, pageKeys []checks
 		return counts, fmt.Errorf("checkpoint: save stream of %q cannot commit VM %q", st.key, key)
 	}
 	newSlots := s.missingLocked(st.key, pageKeys)
-	if s.quota > 0 {
-		if newSlots, err = s.fitQuotaLocked(st.key, pageKeys, newSlots, st.have); err != nil {
-			return counts, err
-		}
-	}
 	dedup := len(pageKeys) - len(newSlots)
 	var catchUp []int
 	for _, i := range newSlots {

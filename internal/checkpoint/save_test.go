@@ -59,7 +59,7 @@ func TestSegmentWritebackLeavesTailToFsync(t *testing.T) {
 	}
 	defer func() { testHookWriteback = nil }()
 
-	s := quotaStore(t)
+	s := newTestStore(t)
 	const pages = 4*writebackChunk/vm.PageSize + 100
 	v := filledVM(t, "a", pages, 1)
 	st := s.OpenSave("a")
@@ -84,7 +84,7 @@ func TestSegmentWritebackLeavesTailToFsync(t *testing.T) {
 // with none — leaves no file and no segment behind, cannot commit after, and
 // the VM's previous entry keeps serving.
 func TestSaveStreamAbortLeavesNoFile(t *testing.T) {
-	s := quotaStore(t)
+	s := newTestStore(t)
 	old := filledVM(t, "a", 8, 1)
 	if err := s.Save(old); err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestSaveStreamAbortLeavesNoFile(t *testing.T) {
 // stream is open — between its writes — leave its in-flight file alone, and
 // the stream then commits an entry that verifies and restores.
 func TestSaveStreamSurvivesGCAndScrub(t *testing.T) {
-	s := quotaStore(t)
+	s := newTestStore(t)
 	// A dead segment and an orphan temp file give both passes work to do.
 	if err := s.Save(filledVM(t, "junk", 8, 7)); err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestSaveStreamSurvivesGCAndScrub(t *testing.T) {
 // The entry is still exactly the guest's final state, and a collection
 // compacts the dead slots away.
 func TestSaveStreamDeadSlots(t *testing.T) {
-	s := quotaStore(t)
+	s := newTestStore(t)
 	v := filledVM(t, "a", 8, 1)
 	if err := s.Save(v); err != nil {
 		t.Fatal(err)

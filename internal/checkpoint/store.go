@@ -39,12 +39,10 @@ import (
 // checkpoint persisted by an interrupted incoming migration, served for
 // announce-driven resume only), or quarantined (never served).
 type Store struct {
-	dir             string
-	fs              faultfs.FS
-	mu              sync.Mutex
-	man             manifestFile
-	quota           int64
-	verifyOnRestore bool
+	dir string
+	fs  faultfs.FS
+	mu  sync.Mutex
+	man manifestFile
 
 	// In-memory view of the object pool, rebuilt from the manifest and the
 	// segment key tables by the recovery scan — never persisted, so it can
@@ -476,7 +474,6 @@ func (s *Store) Restore(vmName string, alg checksum.Algorithm, dst *vm.VM) (*Che
 	pageKeys := s.keys[key]
 	open := map[string]faultfs.File{}
 	refs, err := s.resolveLocked(pageKeys, open)
-	verify := s.verifyOnRestore
 	s.mu.Unlock()
 	files := openFiles(open)
 	fail := func(err error) (*Checkpoint, error) {
@@ -486,11 +483,6 @@ func (s *Store) Restore(vmName string, alg checksum.Algorithm, dst *vm.VM) (*Che
 	if err != nil {
 		return fail(err)
 	}
-	if verify {
-		if err := s.Verify(vmName); err != nil {
-			return fail(err)
-		}
-	}
 	if dst != nil && dst.NumPages() != len(refs) {
 		return fail(fmt.Errorf("checkpoint: image has %d pages, VM has %d", len(refs), dst.NumPages()))
 	}
@@ -499,7 +491,6 @@ func (s *Store) Restore(vmName string, alg checksum.Algorithm, dst *vm.VM) (*Che
 	if err != nil {
 		return fail(err)
 	}
-	s.touch(vmName)
 	// Page i lives at refs[i] and hashes to sums[i]; the files are the
 	// checkpoint's now, closed by its Close.
 	cp := &Checkpoint{files: files, alg: alg, frames: refs, pageSums: sums, partial: e.State == EntryPartial}
@@ -592,10 +583,6 @@ func (s *Store) OpenUnion() (*Checkpoint, []string, error) {
 func (s *Store) Remove(vmName string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.removeLocked(vmName)
-}
-
-func (s *Store) removeLocked(vmName string) error {
 	key := sanitize(vmName)
 	_, recorded := s.man.Entries[key]
 	if err := s.fs.Remove(s.pmfPath(vmName)); err != nil && !os.IsNotExist(err) {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"vecycle/internal/checksum"
 	"vecycle/internal/vm"
@@ -27,7 +29,7 @@ func copyPages(t *testing.T, src, dst *vm.VM, n int) {
 // content must cost the disk less than the sum of their logical sizes, and
 // both must still round-trip bit exactly.
 func TestDedupAcrossVMs(t *testing.T) {
-	s := quotaStore(t)
+	s := newTestStore(t)
 	a := filledVM(t, "a", 8, 1)
 	b := filledVM(t, "b", 8, 2)
 	copyPages(t, a, b, 4) // b's first 4 pages now duplicate a's
@@ -72,7 +74,7 @@ func TestDedupAcrossVMs(t *testing.T) {
 // TestDedupAcrossGenerations covers the paper's own redundancy claim: a
 // re-save after partial mutation only writes the changed pages.
 func TestDedupAcrossGenerations(t *testing.T) {
-	s := quotaStore(t)
+	s := newTestStore(t)
 	v := filledVM(t, "a", 8, 1)
 	if err := s.Save(v); err != nil {
 		t.Fatal(err)
@@ -112,7 +114,7 @@ func TestDedupAcrossGenerations(t *testing.T) {
 }
 
 func TestGCDeletesFullyDeadSegments(t *testing.T) {
-	s := quotaStore(t)
+	s := newTestStore(t)
 	if err := s.Save(filledVM(t, "a", 4, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +151,7 @@ func TestGCDeletesFullyDeadSegments(t *testing.T) {
 }
 
 func TestGCCompactsMostlyDeadSegment(t *testing.T) {
-	s := quotaStore(t)
+	s := newTestStore(t)
 	a := filledVM(t, "a", 8, 1)
 	b := filledVM(t, "b", 8, 2)
 	copyPages(t, a, b, 2) // b keeps 2 of a's pages alive
@@ -243,7 +245,7 @@ func TestOpenUnionServesResidentContent(t *testing.T) {
 // its store key, whatever algorithm the subtest names — and, under any other,
 // announces none of that algorithm's digests: it speaks keys only.
 func testOpenUnionServesResidentContent(t *testing.T, alg checksum.Algorithm) {
-	s := quotaStore(t)
+	s := newTestStore(t)
 	// Empty store: no union.
 	cp, names, err := s.OpenUnion()
 	if err != nil || cp != nil || names != nil {
@@ -381,7 +383,7 @@ func (m *fakeMetrics) CleanupError(path string) {
 }
 
 func TestMetricsSinkDeliveredOutsideLock(t *testing.T) {
-	s := quotaStore(t)
+	s := newTestStore(t)
 	m := &fakeMetrics{store: s}
 	s.SetMetrics(m)
 	a := filledVM(t, "a", 4, 1)
@@ -414,7 +416,7 @@ func TestMetricsSinkDeliveredOutsideLock(t *testing.T) {
 // Stats from concurrent goroutines. Run under -race; invariants: no panics,
 // no unexpected errors, restores that succeed return coherent checkpoints.
 func TestConcurrentSaveGCRestore(t *testing.T) {
-	s := quotaStore(t)
+	s := newTestStore(t)
 	seed := filledVM(t, "vm0", 8, 1)
 	if err := s.Save(seed); err != nil {
 		t.Fatal(err)
@@ -497,7 +499,7 @@ func TestConcurrentRemoveDuringRestore(t *testing.T) {
 	algs := []checksum.Algorithm{checksum.Default, checksum.MD5}
 	for round := 0; round < 16; round++ {
 		alg := algs[round%2] // the key-list open, then the rescan
-		s := quotaStore(t)
+		s := newTestStore(t)
 		src := filledVM(t, "vm0", pages, int64(round+1))
 		if err := s.Save(src); err != nil {
 			t.Fatal(err)
@@ -573,5 +575,70 @@ func TestConcurrentRemoveDuringRestore(t *testing.T) {
 			}
 		}()
 		wg.Wait()
+	}
+}
+
+// TestOpenWritesNothing: an index-only Restore and an OpenUnion read the
+// store and write nothing to it — no file is created, removed, resized or
+// has its mtime moved. Every file is first aged to one fixed time, so a
+// write at any resolution shows.
+func TestOpenWritesNothing(t *testing.T) {
+	s := newTestStore(t)
+	saveVM(t, s, "a", 4)
+	saveVM(t, s, "b", 4)
+	type stamp struct {
+		size  int64
+		mtime time.Time
+	}
+	old := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+	snapshot := func() map[string]stamp {
+		t.Helper()
+		files := map[string]stamp{}
+		err := filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			info, err := d.Info()
+			if err != nil {
+				return err
+			}
+			files[path] = stamp{info.Size(), info.ModTime()}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	for path := range snapshot() {
+		if err := os.Chtimes(path, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := snapshot()
+
+	cp, err := s.Restore("a", ObjectAlgorithm, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Close()
+	union, names, err := s.OpenUnion()
+	if err != nil || len(names) != 2 {
+		t.Fatalf("OpenUnion = %v, %v", names, err)
+	}
+	union.Close()
+
+	after := snapshot()
+	for path, was := range before {
+		if now, ok := after[path]; !ok {
+			t.Errorf("%s removed by an open", path)
+		} else if now != was {
+			t.Errorf("%s changed by an open: size %d → %d, mtime %v → %v", path, was.size, now.size, was.mtime, now.mtime)
+		}
+	}
+	for path := range after {
+		if _, ok := before[path]; !ok {
+			t.Errorf("%s created by an open", path)
+		}
 	}
 }

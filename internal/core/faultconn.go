@@ -51,15 +51,12 @@ type FaultConfig struct {
 
 // FaultConn wraps a connection and injects the configured transport faults.
 // It forwards deadlines to the underlying connection when supported and
-// counts operations, so tests can assert both failure behavior and flush
-// discipline.
+// counts the bytes it accepted.
 type FaultConn struct {
 	conn io.ReadWriter
 	cfg  FaultConfig
 
-	readOps  atomic.Int64
-	writeOps atomic.Int64
-	written  atomic.Int64
+	written atomic.Int64
 
 	mu       sync.Mutex
 	wdl      time.Time
@@ -79,19 +76,10 @@ func NewFaultConn(conn io.ReadWriter, cfg FaultConfig) *FaultConn {
 	}
 }
 
-// ReadOps reports the number of Read calls that reached the wrapper.
-func (f *FaultConn) ReadOps() int64 { return f.readOps.Load() }
-
-// WriteOps reports the number of Write calls that reached the wrapper. With
-// a buffered protocol writer on top, this approximates the number of
-// flushes.
-func (f *FaultConn) WriteOps() int64 { return f.writeOps.Load() }
-
 // BytesWritten reports the bytes accepted by Write so far.
 func (f *FaultConn) BytesWritten() int64 { return f.written.Load() }
 
 func (f *FaultConn) Read(p []byte) (int, error) {
-	f.readOps.Add(1)
 	if err := f.sleep(f.cfg.ReadLatency); err != nil {
 		return 0, err
 	}
@@ -102,7 +90,6 @@ func (f *FaultConn) Read(p []byte) (int, error) {
 }
 
 func (f *FaultConn) Write(p []byte) (int, error) {
-	f.writeOps.Add(1)
 	if err := f.sleep(f.cfg.WriteLatency); err != nil {
 		return 0, err
 	}

@@ -12,7 +12,6 @@ package faultfs
 import (
 	"io"
 	"os"
-	"time"
 )
 
 // File is the subset of *os.File the checkpoint store uses. *os.File
@@ -47,14 +46,10 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	// Remove deletes a file.
 	Remove(name string) error
-	// Stat reports file metadata by path.
-	Stat(name string) (os.FileInfo, error)
 	// ReadFile reads a whole file.
 	ReadFile(name string) ([]byte, error)
 	// ReadDir lists a directory.
 	ReadDir(name string) ([]os.DirEntry, error)
-	// Chtimes updates access/modification times.
-	Chtimes(name string, atime, mtime time.Time) error
 }
 
 // OS is the passthrough FS used outside chaos tests.
@@ -76,12 +71,6 @@ func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, ne
 
 func (osFS) Remove(name string) error { return os.Remove(name) }
 
-func (osFS) Stat(name string) (os.FileInfo, error) { return os.Stat(name) }
-
 func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 
 func (osFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
-
-func (osFS) Chtimes(name string, atime, mtime time.Time) error {
-	return os.Chtimes(name, atime, mtime)
-}

@@ -23,10 +23,8 @@ const (
 	OpOpen     Op = "open"
 	OpRename   Op = "rename"
 	OpRemove   Op = "remove"
-	OpStat     Op = "stat"
 	OpReadFile Op = "readfile"
 	OpReadDir  Op = "readdir"
-	OpChtimes  Op = "chtimes"
 	OpRead     Op = "read"
 	OpReadAt   Op = "readat"
 	OpWrite    Op = "write"
@@ -258,13 +256,6 @@ func (f *faultFS) Remove(name string) error {
 	return f.base.Remove(name)
 }
 
-func (f *faultFS) Stat(name string) (os.FileInfo, error) {
-	if _, err := f.in.check(OpStat, name); err != nil {
-		return nil, err
-	}
-	return f.base.Stat(name)
-}
-
 func (f *faultFS) ReadFile(name string) ([]byte, error) {
 	if _, err := f.in.check(OpReadFile, name); err != nil {
 		return nil, err
@@ -277,13 +268,6 @@ func (f *faultFS) ReadDir(name string) ([]os.DirEntry, error) {
 		return nil, err
 	}
 	return f.base.ReadDir(name)
-}
-
-func (f *faultFS) Chtimes(name string, atime, mtime time.Time) error {
-	if _, err := f.in.check(OpChtimes, name); err != nil {
-		return err
-	}
-	return f.base.Chtimes(name, atime, mtime)
 }
 
 type faultFile struct {
@@ -342,7 +326,7 @@ func (f *faultFile) Stat() (os.FileInfo, error) { return f.base.Stat() }
 
 // Label classifies an error into the short fault vocabulary used by the
 // vecycle_degraded_total metric and trace events: "torn", "enospc",
-// "eio", "quota", "notexist", "timeout", or "other". Empty for nil.
+// "eio", "notexist", "timeout", or "other". Empty for nil.
 func Label(err error) string {
 	switch {
 	case err == nil:

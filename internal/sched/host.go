@@ -490,8 +490,8 @@ func (h *Host) degrade(stage string, rec *obs.Recorder, err error) {
 // table (checkpoint.SaveStream.Commit). The persist is best-effort, a rung of
 // the graceful-degradation ladder: a broken stream (a write under the
 // migration failed) is recorded and retried once on a fresh stream, which
-// writes every missing page itself; a full store (ENOSPC from the disk or
-// ErrQuotaExceeded from the quota) gets one GC-then-retry. A failure that
+// writes every missing page itself; a full store (ENOSPC from the disk) gets
+// one GC-then-retry. A failure that
 // survives is recorded — vecycle_degraded_total, a trace event, OnError — and
 // swallowed. stage names the rung (core.Stage* constants). A successful save
 // is traced as a checkpoint-saved event naming the image and how many of the
@@ -513,7 +513,7 @@ func (h *Host) saveCheckpoint(stage string, rec *obs.Recorder, save *checkpoint.
 	case errors.Is(err, checkpoint.ErrStreamBroken):
 		h.degrade(stage, rec, err)
 		counts, err = commit()
-	case errors.Is(err, checkpoint.ErrQuotaExceeded) || faultfs.Label(err) == "enospc":
+	case faultfs.Label(err) == "enospc":
 		// The pool may hold dead segments a collection can turn into room;
 		// one pass, one more try. GC failing too just degrades below.
 		if _, gcErr := h.store.GC(); gcErr == nil {

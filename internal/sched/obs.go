@@ -144,18 +144,6 @@ func newHostObs(h *Host, reg *obs.Registry, traces *obs.TraceLog) *hostObs {
 			"Store cleanup unlinks (stale temp files, superseded artifacts) that failed and left the file behind for the next scrub.",
 			"host"),
 	}
-	reg.GaugeVec("vecycle_store_usage_bytes",
-		"Bytes of checkpoint images currently stored.",
-		"host").With(h.name).SetFunc(func() float64 {
-		u, err := h.store.Usage()
-		if err != nil {
-			return 0
-		}
-		return float64(u)
-	})
-	reg.GaugeVec("vecycle_store_quota_bytes",
-		"Configured checkpoint store cap (0 = uncapped).",
-		"host").With(h.name).SetFunc(func() float64 { return float64(h.store.Quota()) })
 	reg.GaugeVec("vecycle_store_images",
 		"Number of checkpoint images in the store.",
 		"host").With(h.name).SetFunc(func() float64 {

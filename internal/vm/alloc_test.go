@@ -9,24 +9,14 @@ import (
 	"vecycle/internal/checksum"
 )
 
-// newFresh is newVM for a guest made by NewLazy: nothing allocated, and its
-// first write decides the rest.
-func newFresh(t *testing.T, pages int) *VM {
+// newLazy is newVM for a guest made by NewLazy: nothing allocated, and each
+// chunk waits for its own first writer.
+func newLazy(t *testing.T, pages int) *VM {
 	t.Helper()
 	v, err := NewLazy(Config{Name: "test", MemBytes: int64(pages) * PageSize, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v
-}
-
-// newLazy is newFresh for a guest whose chunks each wait for their own first
-// writer, as if a span fill had been its first write. So a test decides who
-// allocates what.
-func newLazy(t *testing.T, pages int) *VM {
-	t.Helper()
-	v := newFresh(t, pages)
-	v.written = true
 	return v
 }
 
@@ -126,8 +116,8 @@ func checkReadsZero(t *testing.T, v *VM) {
 
 // TestFreshGuestReadsZero reads a new guest through every read path, with a
 // short last chunk: as New allocates it, and from NewLazy before any chunk
-// is allocated, after a first write allocated them all, and after a first
-// span fill allocated only its own.
+// is allocated, after a first write allocated the short last one, and after a
+// first span fill allocated only its own.
 func TestFreshGuestReadsZero(t *testing.T) {
 	const pages = 2*chunkPages + 3
 	zero := make([]byte, PageSize)
@@ -139,19 +129,19 @@ func TestFreshGuestReadsZero(t *testing.T) {
 		checkReadsZero(t, v)
 	})
 	t.Run("unallocated", func(t *testing.T) {
-		v := newFresh(t, pages)
+		v := newLazy(t, pages)
 		checkReadsZero(t, v)
 		if n := allocated(v); n != 0 {
 			t.Errorf("%d chunks allocated by readers", n)
 		}
 	})
 	t.Run("allocated", func(t *testing.T) {
-		v := newFresh(t, pages)
+		v := newLazy(t, pages)
 		v.WritePage(pages-1, zero)
 		checkReadsZero(t, v)
 	})
 	t.Run("span-filled", func(t *testing.T) {
-		v := newFresh(t, pages)
+		v := newLazy(t, pages)
 		one := []checksum.Sum{alg.Page(zero)}
 		if err := v.InstallRangeFrom(0, one, func(int, []byte) error { return nil }); err != nil {
 			t.Fatal(err)
@@ -164,14 +154,14 @@ func TestFreshGuestReadsZero(t *testing.T) {
 }
 
 // TestFirstWriteAllocates pins who allocates a NewLazy guest's memory: nobody
-// before its first write or Allocate; a first plain write allocates every chunk
-// before it returns; a first span fill allocates only its own chunks, and
-// every later writer only its own; Allocate allocates what nobody has.
+// before its first write or Allocate; a first plain write allocates only its
+// chunk; a first span fill allocates only its own chunks, and every later
+// writer only its own; Allocate allocates what nobody has.
 func TestFirstWriteAllocates(t *testing.T) {
 	const pages = 8*chunkPages + 3
 	for _, name := range []string{"WritePage", "InstallPage", "InstallRange", "InstallRangeSums"} {
 		t.Run(name, func(t *testing.T) {
-			v := newFresh(t, pages)
+			v := newLazy(t, pages)
 			data := page(0x5A)
 			switch name {
 			case "WritePage":
@@ -183,13 +173,13 @@ func TestFirstWriteAllocates(t *testing.T) {
 			case "InstallRangeSums":
 				v.InstallRangeSums(chunkPages, data, []checksum.Sum{alg.Page(data)})
 			}
-			if n := allocated(v); n != len(v.mem) {
-				t.Errorf("%d of %d chunks allocated after the first write", n, len(v.mem))
+			if n := allocated(v); n != 1 {
+				t.Errorf("%d of %d chunks allocated after a first one-page write, want 1", n, len(v.mem))
 			}
 		})
 	}
 	t.Run("InstallRangeFrom", func(t *testing.T) {
-		v := newFresh(t, pages)
+		v := newLazy(t, pages)
 		start, count := chunkPages-1, 2 // straddles chunks 0 and 1
 		data := append(page(0x11), page(0x22)...)
 		sums := []checksum.Sum{alg.Page(page(0x11)), alg.Page(page(0x22))}
@@ -225,7 +215,7 @@ func TestFirstWriteAllocates(t *testing.T) {
 		}
 	})
 	t.Run("Allocate", func(t *testing.T) {
-		v := newFresh(t, pages)
+		v := newLazy(t, pages)
 		v.Allocate()
 		if n := allocated(v); n != len(v.mem) {
 			t.Errorf("%d of %d chunks allocated by Allocate", n, len(v.mem))
@@ -302,7 +292,7 @@ func TestSpanFillsConcurrent(t *testing.T) {
 		pages = 16*chunkPages + 5
 		spanN = 100 // spans straddle chunk boundaries
 	)
-	v := newFresh(t, pages)
+	v := newLazy(t, pages)
 	want := make([][]byte, pages)
 	for p := range want {
 		want[p] = make([]byte, PageSize)
@@ -321,7 +311,7 @@ func TestSpanFillsConcurrent(t *testing.T) {
 			return nil
 		})
 	}
-	if err := fill(0); err != nil { // the first write: no burst
+	if err := fill(0); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup

@@ -48,8 +48,6 @@ type VM struct {
 	digests digestTable
 	epoch   uint64 // see DigestEpoch
 	rng     *rand.Rand
-	// written is set by the guest's first write (see writeRunLocked).
-	written bool
 }
 
 // New creates a guest with all-zero memory, allocated up front.
@@ -57,11 +55,11 @@ func New(cfg Config) (*VM, error) {
 	return create(cfg, false)
 }
 
-// NewLazy creates a guest whose memory reads as all zero but is allocated
-// only by its first write, or by Allocate (see writeRunLocked and DESIGN.md
-// §5.4). A destination creates a returning guest this way, so its hello-ack
-// does not wait for the guest's RAM to be zeroed: the restore's span fills
-// allocate the chunks they fill.
+// NewLazy creates a guest whose memory reads as all zero but is allocated a
+// chunk at a time by the chunk's first writer, or at once by Allocate (see
+// writeRunLocked and DESIGN.md §5.4). A destination creates a returning guest
+// this way, so its hello-ack does not wait for the guest's RAM to be zeroed:
+// the restore's span fills allocate the chunks they fill.
 func NewLazy(cfg Config) (*VM, error) {
 	return create(cfg, true)
 }
@@ -88,7 +86,6 @@ func create(cfg Config, lazy bool) (*VM, error) {
 		dirty: dirty,
 	}
 	if !lazy {
-		v.written = true
 		v.allocateLocked()
 	}
 	v.digests = newDigestTable(pages)
@@ -128,7 +125,7 @@ func (v *VM) WritePage(i int, data []byte) {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	copy(v.writeRunLocked(i, 1, false), data)
+	copy(v.writeRunLocked(i, 1), data)
 	v.dirty.Set(i)
 	v.digests.valid[i] = false
 }
@@ -143,7 +140,7 @@ func (v *VM) InstallPage(i int, data []byte) {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	copy(v.writeRunLocked(i, 1, false), data)
+	copy(v.writeRunLocked(i, 1), data)
 	v.digests.valid[i] = false
 	v.epoch++
 }
@@ -249,20 +246,11 @@ func (v *VM) runLocked(start, count int) []byte {
 }
 
 // writeRunLocked is runLocked for a writer, which must hold the write lock.
-// The guest's first write decides how its memory is allocated. A restore's
-// span fill (spanFill, InstallRangeFrom) allocates only the chunks it fills,
-// so the restore does not wait for the rest to be zeroed: its other span
-// fills allocate theirs, and a restore that succeeds fills every chunk. Any
-// other first write allocates every chunk at once, as one burst, before it
-// writes. After that a writer allocates start's chunk if nobody has.
-func (v *VM) writeRunLocked(start, count int, spanFill bool) []byte {
+// It allocates start's chunk if nobody has, and no other: a restore's span
+// fills (InstallRangeFrom) allocate only the chunks they fill, and a restore
+// that succeeds fills every chunk.
+func (v *VM) writeRunLocked(start, count int) []byte {
 	v.checkSpan(start, 1)
-	if !v.written {
-		v.written = true
-		if !spanFill {
-			v.allocateLocked()
-		}
-	}
 	i := start / chunkPages
 	if v.mem[i] == nil {
 		v.mem[i] = make([]byte, v.chunkBytes(i))
@@ -274,14 +262,13 @@ func (v *VM) writeRunLocked(start, count int, spanFill bool) []byte {
 // is not allocated yet; the memory still reads as all zero. A destination
 // that will not install a checkpoint into a guest made by NewLazy calls it
 // before the hello-ack, while the source waits and nothing else allocates.
-// Left to the merge's first write, the burst lands inside round one, after
-// the wire's buffers have taken the start of the free run the guest would
-// otherwise fill, so the guest reaches past its end and the heap more often
-// has to grow by a guest's size later (DESIGN.md §5.4).
+// Left to the merge's writes, the chunks are allocated inside round one,
+// after the wire's buffers have taken the start of the free run the guest
+// would otherwise fill, so the guest reaches past its end and the heap more
+// often has to grow by a guest's size later (DESIGN.md §5.4).
 func (v *VM) Allocate() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.written = true
 	v.allocateLocked()
 }
 
@@ -306,7 +293,7 @@ func (v *VM) checkSpan(start, count int) {
 func (v *VM) copyInLocked(start int, data []byte) {
 	v.checkSpan(start, len(data)/PageSize)
 	for len(data) > 0 {
-		n := copy(v.writeRunLocked(start, len(data)/PageSize, false), data)
+		n := copy(v.writeRunLocked(start, len(data)/PageSize), data)
 		data = data[n:]
 		start += n / PageSize
 	}
