@@ -25,8 +25,8 @@ race:
 # writer writes the shared zero chunk, span fills into unallocated chunks
 # beside writers of the others), repeated under the
 # race detector, then the seeded migration audit and the exact-count tests
-# through sched.Host (digest table, save and restore hash stages, a
-# salvage-retry leg).
+# through sched.Host (digest table, the save hash stage, a salvage-retry
+# leg).
 # `race` runs them once with everything else; this target is the one to
 # repeat when touching internal/vm/digest.go or internal/vm/vm.go.
 race-digest:
@@ -100,10 +100,12 @@ bench-smoke:
 
 # chaos-smoke is the resumability gate: the deterministic fault-schedule
 # harness kills one migration at every protocol turn and asserts the retry
-# chain converges on salvage checkpoints, the socket-free leg-driver tests
-# retry a cut disk leg, match a disk's return by name, land a whole
-# migration retried after a failed RAM leg, ask a refusing destination once
-# and degrade a broken departure save stream once (plus the engine-level
+# chain converges on salvage checkpoints, which the host commits through
+# its one save ladder; the socket-free leg-driver tests retry a cut disk
+# leg, match a disk's return by name, land a whole migration retried after
+# a failed RAM leg, ask a refusing destination once, degrade a broken
+# departure save stream once, collect and retry a salvage that hit a full
+# disk, and trace a union entry skipped (plus the engine-level
 # salvage/resume contract tests, and the store's crash, corruption and
 # seeded-invariant cells), under the race detector.
 chaos-smoke:
@@ -113,10 +115,11 @@ chaos-smoke:
 # chaos-store is the storage-fault gate: deterministic faultfs schedules
 # inject EIO/ENOSPC/torn writes and read faults at every store op site
 # across migration phases (keep-checkpoint, save-arrivals, bootstrap,
-# salvage, mid-merge recycled reads) and assert the graceful-degradation
-# ladder converges every migration with zero data loss — storage faults
-# may cost checkpoints, never migrations. Runs under the race detector,
-# alongside the error-taxonomy round-trip and the injector's own tests.
+# salvage — all three persists through the host's one save ladder —
+# mid-merge recycled reads) and assert the graceful-degradation ladder
+# converges every migration with zero data loss — storage faults may cost
+# checkpoints, never migrations. Runs under the race detector, alongside
+# the MigrationError round-trip and the injector's own tests.
 # See docs/ROBUSTNESS.md.
 chaos-store:
 	$(GO) test -race -run 'TestChaosStore' ./internal/sched/

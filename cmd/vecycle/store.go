@@ -122,7 +122,6 @@ func storeScrub(st *checkpoint.Store) error {
 	report("quarantined", rep.Quarantined)
 	report("dropped (image vanished)", rep.Dropped)
 	report("temp files removed", rep.TempFiles)
-	report("cleanup failed (still on disk)", rep.CleanupFailures)
 	// Exit non-zero while any entry (newly or previously caught) remains
 	// quarantined, so the command doubles as a health check.
 	entries, err := st.Entries()

@@ -55,7 +55,7 @@ func seedStore(t *testing.T) string {
 	if err := st.Save(mk("good", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SaveSalvage(mk("part", 2)); err != nil {
+	if _, err := st.OpenSave("part").Commit(mk("part", 2), checkpoint.EntryPartial); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Save(mk("rot", 3)); err != nil {

@@ -59,23 +59,11 @@ func (r GCReport) Reclaimed() bool {
 // through their already-open file handles.
 func (s *Store) GC() (GCReport, error) {
 	s.mu.Lock()
-	rep, err := s.gcLocked()
-	s.mu.Unlock()
-	s.drainMetrics()
-	return rep, err
+	defer s.mu.Unlock()
+	return s.gcLocked()
 }
 
 func (s *Store) gcLocked() (rep GCReport, err error) {
-	defer func() {
-		if err == nil {
-			outcome := "clean"
-			if rep.Reclaimed() {
-				outcome = "reclaimed"
-			}
-			s.deferMetricLocked(func(m Metrics) { m.GCRun(outcome) })
-		}
-	}()
-
 	// Orphan segment files: present on disk, absent from the manifest —
 	// interrupted transactions (or files a crashed GC already unlinked from
 	// the manifest but not the directory).

@@ -31,3 +31,10 @@ func saveVM(t *testing.T, s *Store, name string, pages int) {
 		t.Fatal(err)
 	}
 }
+
+// savePartial commits v as a salvage (partial) entry, as a host does after an
+// interrupted arrival.
+func savePartial(s *Store, v *vm.VM) error {
+	_, err := s.OpenSave(v.Name()).Commit(v, EntryPartial)
+	return err
+}

@@ -163,9 +163,9 @@ func storeInvariantSequence(t *testing.T, seed int64, steps int) {
 			}
 			err = s.Save(v)
 		case r < 10:
-			op = fmt.Sprintf("SaveSalvage(%s)", name)
+			op = fmt.Sprintf("savePartial(%s)", name)
 			churn(v, 0.05)
-			err = s.SaveSalvage(v)
+			err = savePartial(s, v)
 		case r < 11:
 			pages := []int{16, 32, 48}[rng.Intn(3)]
 			op = fmt.Sprintf("Save(%s resized to %d pages)", name, pages)

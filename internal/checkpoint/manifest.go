@@ -12,7 +12,7 @@ import (
 // atomically, but a checkpoint entry is only coherent when they agree — and
 // a crash can land between the two.
 // The manifest is the single commit point: a small versioned JSON file,
-// rewritten atomically as the LAST step of every Save/SaveSalvage/Remove/GC,
+// rewritten atomically as the LAST step of every save commit, Remove and GC,
 // recording each entry's state and pmf digest plus every segment the object
 // pool consists of, by its seal. Any crash earlier in a transaction leaves the
 // manifest describing the previous transaction, so the startup recovery scan

@@ -66,7 +66,7 @@ func FuzzParseManifest(f *testing.F) {
 			f.Fatal(verr)
 		}
 		if name == "b" {
-			err = s.SaveSalvage(v)
+			err = savePartial(s, v)
 		} else {
 			err = s.Save(v)
 		}

@@ -28,10 +28,7 @@ import (
 //     the crash landed between a file rename and the manifest commit, and
 //     the entry is quarantined rather than served;
 //   - segment and page-manifest files the manifest never heard of are the
-//     uncommitted tail of an interrupted transaction and are rolled back;
-//   - fingerprint index files (*.idx) of the retired two-digest layout and
-//     generation vectors (*.gens.json) of the retired dirty-tracking
-//     baseline are unlinked: nothing reads them.
+//     uncommitted tail of an interrupted transaction and are rolled back.
 
 // ScrubReport summarizes one recovery scan.
 type ScrubReport struct {
@@ -47,12 +44,6 @@ type ScrubReport struct {
 	// Orphans lists segment and page-manifest files no committed
 	// transaction described, rolled back by this scan.
 	Orphans []string
-	// CleanupFailures lists paths of best-effort cleanups (satellite
-	// sweeps, files of a retired format) that failed to unlink. The scan
-	// proceeds — the files are garbage, not state — but a disk that
-	// cannot unlink is worth surfacing; each failure is also counted in
-	// the vecycle_store_cleanup_errors_total metric.
-	CleanupFailures []string
 }
 
 // Scrub runs the recovery scan on demand — the same pass NewStore runs at
@@ -61,10 +52,8 @@ type ScrubReport struct {
 // state records that it was once torn; Remove is the way out).
 func (s *Store) Scrub() (ScrubReport, error) {
 	s.mu.Lock()
-	rep, err := s.recoverLocked()
-	s.mu.Unlock()
-	s.drainMetrics()
-	return rep, err
+	defer s.mu.Unlock()
+	return s.recoverLocked()
 }
 
 func (s *Store) recoverLocked() (ScrubReport, error) {
@@ -200,7 +189,6 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 
 	// 4. Roll back files no committed transaction describes: unrecorded
 	// segments and page manifests are the tail of an interrupted Save.
-	// Files of retired formats are swept whatever they sit next to.
 	for _, de := range dirents {
 		name := de.Name()
 		if strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, segmentSuffix) {
@@ -219,10 +207,6 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 				}
 				rep.Orphans = append(rep.Orphans, name)
 			}
-			continue
-		}
-		if strings.HasSuffix(name, retiredIndexSuffix) || strings.HasSuffix(name, retiredGensSuffix) {
-			s.sweepLocked(&rep, filepath.Join(s.dir, name))
 		}
 	}
 
@@ -264,26 +248,6 @@ func checkSegment(f faultfs.File, name string, rec segmentRecord) (keys []checks
 		return nil, "", fmt.Errorf("checkpoint: recovery scan %s: %w", name, err)
 	}
 	return keys, "", nil
-}
-
-// Suffixes of retired per-entry files: the fingerprint index stores wrote
-// while object keys and wire checksums were different digests, and the
-// Miyakodori generation vector complete saves wrote while nothing read it.
-const (
-	retiredIndexSuffix = ".idx"
-	retiredGensSuffix  = ".gens.json"
-)
-
-// sweepLocked removes best-effort satellite files, recording failures in
-// the scrub report and the cleanup-errors metric instead of dropping them.
-func (s *Store) sweepLocked(rep *ScrubReport, paths ...string) {
-	for _, p := range paths {
-		if err := s.fs.Remove(p); err != nil && !os.IsNotExist(err) {
-			rep.CleanupFailures = append(rep.CleanupFailures, p)
-			path := p
-			s.deferMetricLocked(func(m Metrics) { m.CleanupError(path) })
-		}
-	}
 }
 
 // sortedKeys returns a map's keys in sorted order, for deterministic scans.

@@ -45,22 +45,21 @@ func (s *Store) SaveWithSums(source *vm.VM, alg checksum.Algorithm, sums []check
 	return s.Save(source)
 }
 
-// SaveSalvage persists the VM's memory as a salvage checkpoint: a partial
-// entry holding whatever pages an interrupted incoming migration had
-// installed, with its own page manifest. The next incoming attempt announces
-// its page sums like any checkpoint, so the source resends only what is
-// missing.
-func (s *Store) SaveSalvage(source *vm.VM) error {
-	_, err := s.OpenSave(source.Name()).Commit(source, EntryPartial)
-	return err
-}
-
-// SaveCounts reports where the pages a committed save was missing came from.
+// SaveCounts reports what a save's commit did: how it keyed the guest's pages
+// and where the pages the store was missing came from.
 type SaveCounts struct {
 	// Streamed counts the missing pages the stream had already written.
 	Streamed int
 	// CaughtUp counts the missing pages the commit wrote from guest memory.
 	CaughtUp int
+	// Hashed counts the pages the commit keyed by hashing them, because the
+	// guest's digest table did not cover them; every other page of the guest
+	// was keyed from the table. Set whenever the keying ran, even when the
+	// commit failed after it.
+	Hashed int
+	// Pooled counts the pages whose content the pool already held, referenced
+	// instead of written. Zero unless the commit succeeded.
+	Pooled int
 }
 
 // SaveStream is one save of a VM's checkpoint in progress: a segment written
@@ -157,17 +156,10 @@ func (st *SaveStream) Commit(v *vm.VM, state EntryState) (SaveCounts, error) {
 	pageKeys, hashed := guestKeys(v)
 	s := st.s
 	s.mu.Lock()
-	// Every page is keyed exactly once: hashed here, or known already.
-	if hashedBytes := int64(hashed) * vm.PageSize; hashedBytes > 0 {
-		s.deferMetricLocked(func(m Metrics) { m.HashBytes("save_keys", hashedBytes) })
-	}
-	if avoided := v.MemBytes() - int64(hashed)*vm.PageSize; avoided > 0 {
-		s.deferMetricLocked(func(m Metrics) { m.HashAvoidedBytes(avoided) })
-	}
 	counts, err := st.commitLocked(v, state, pageKeys)
 	delete(s.inflight, st.seg+tmpSuffix)
 	s.mu.Unlock()
-	s.drainMetrics()
+	counts.Hashed = hashed
 	return counts, err
 }
 
@@ -189,7 +181,6 @@ func (st *SaveStream) commitLocked(v *vm.VM, state EntryState, pageKeys []checks
 		return counts, fmt.Errorf("checkpoint: save stream of %q cannot commit VM %q", st.key, key)
 	}
 	newSlots := s.missingLocked(st.key, pageKeys)
-	dedup := len(pageKeys) - len(newSlots)
 	var catchUp []int
 	for _, i := range newSlots {
 		if _, ok := st.have[pageKeys[i]]; ok {
@@ -254,10 +245,8 @@ func (st *SaveStream) commitLocked(v *vm.VM, state EntryState, pageKeys []checks
 		s.registerSegmentLocked(st.seg, st.w.keys)
 	}
 	s.registerEntryLocked(st.key, pageKeys)
-	s.dedupPages += int64(dedup)
-	if dedup > 0 {
-		s.deferMetricLocked(func(m Metrics) { m.DedupPages(dedup) })
-	}
+	counts.Pooled = len(pageKeys) - len(newSlots)
+	s.dedupPages += int64(counts.Pooled)
 	return counts, nil
 }
 

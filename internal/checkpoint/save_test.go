@@ -146,8 +146,8 @@ func TestSaveStreamSurvivesGCAndScrub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counts != (SaveCounts{Streamed: 300}) {
-		t.Errorf("commit counted %+v, want every page streamed", counts)
+	if counts != (SaveCounts{Streamed: 300, Hashed: 300}) {
+		t.Errorf("commit counted %+v, want every page streamed and hashed", counts)
 	}
 	if err := s.Verify("a"); err != nil {
 		t.Fatal(err)
@@ -176,8 +176,8 @@ func TestSaveStreamDeadSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Missing: pages 0-3 (second churn, caught up) and 4-5 (first, streamed).
-	if counts != (SaveCounts{Streamed: 2, CaughtUp: 4}) {
-		t.Errorf("commit counted %+v, want 2 streamed and 4 caught up", counts)
+	if counts != (SaveCounts{Streamed: 2, CaughtUp: 4, Hashed: 8, Pooled: 2}) {
+		t.Errorf("commit counted %+v, want 2 streamed, 4 caught up, 8 hashed and 2 pooled", counts)
 	}
 	seg := s.Segments()[len(s.Segments())-1]
 	if seg.Pages != 16 {

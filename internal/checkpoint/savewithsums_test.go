@@ -22,18 +22,14 @@ func vmSums(t *testing.T, v *vm.VM, alg checksum.Algorithm) []checksum.Sum {
 	return sums
 }
 
-// metricsStore builds a store in its own directory with a fakeMetrics sink
-// attached, returning both plus the directory.
-func metricsStore(t *testing.T) (*Store, *fakeMetrics, string) {
+// commitComplete saves v as a complete entry and returns what the commit did.
+func commitComplete(t *testing.T, s *Store, v *vm.VM) SaveCounts {
 	t.Helper()
-	dir := filepath.Join(t.TempDir(), "s")
-	s, err := NewStore(dir)
+	counts, err := s.OpenSave(v.Name()).Commit(v, EntryComplete)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &fakeMetrics{store: s}
-	s.SetMetrics(m)
-	return s, m, dir
+	return counts
 }
 
 // TestSaveWithSumsMatchesSave is the ingest-equivalence contract: a save of a
@@ -45,24 +41,25 @@ func TestSaveWithSumsMatchesSave(t *testing.T) {
 	const pages = 64
 	v := filledVM(t, "a", pages, 1)
 
-	sPlain, mPlain, dirPlain := metricsStore(t)
-	if err := sPlain.Save(v); err != nil {
-		t.Fatal(err)
+	sPlain := newTestStore(t)
+	// The plain save keys every page by hashing it, and records nothing.
+	if got := commitComplete(t, sPlain, v); got.Hashed != pages {
+		t.Errorf("plain save hashed %d pages, want %d", got.Hashed, pages)
 	}
-	// The plain save hashed but recorded nothing; complete the table now.
+	// Complete the table now.
 	if got := v.CompleteDigests(); got != pages {
 		t.Fatalf("CompleteDigests hashed %d pages after a save, want %d", got, pages)
 	}
-	sPre, mPre, dirPre := metricsStore(t)
+	sPre := newTestStore(t)
 	if err := sPre.SaveWithSums(v, ObjectAlgorithm, make([]checksum.Sum, pages)); err != nil {
 		t.Fatal(err)
 	}
 
-	plain, err := os.ReadFile(filepath.Join(dirPlain, "a"+pmfSuffix))
+	plain, err := os.ReadFile(filepath.Join(sPlain.Dir(), "a"+pmfSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := os.ReadFile(filepath.Join(dirPre, "a"+pmfSuffix))
+	pre, err := os.ReadFile(filepath.Join(sPre.Dir(), "a"+pmfSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,26 +85,12 @@ func TestSaveWithSumsMatchesSave(t *testing.T) {
 		cp.Close()
 	}
 
-	// Accounting: the plain save digested the image once; the save keyed
-	// from the complete table hashed nothing.
-	mem := v.MemBytes()
-	mPlain.mu.Lock()
-	if len(mPlain.hashed) != 1 || mPlain.hashed["save_keys"] != mem || mPlain.unhashed != 0 {
-		t.Errorf("plain save accounting = %v avoided=%d, want one keying pass", mPlain.hashed, mPlain.unhashed)
-	}
-	mPlain.mu.Unlock()
-	mPre.mu.Lock()
-	if len(mPre.hashed) != 0 || mPre.unhashed != mem {
-		t.Errorf("table save accounting = %v avoided=%d, want nothing hashed and one guest avoided", mPre.hashed, mPre.unhashed)
-	}
-	mPre.mu.Unlock()
-
 	// Dedup identity is the same either way: re-saving the unchanged guest
-	// from its complete table adds no bytes to a pool the rehashing path
-	// keyed.
+	// from its complete table hashes nothing and adds no bytes to a pool the
+	// rehashing path keyed — every page is already pooled.
 	before := sPlain.Stats()
-	if err := sPlain.Save(v); err != nil {
-		t.Fatal(err)
+	if got := commitComplete(t, sPlain, v); got.Hashed != 0 || got.Pooled != pages {
+		t.Errorf("table re-save hashed %d pages and found %d pooled, want 0 and %d", got.Hashed, got.Pooled, pages)
 	}
 	if got := sPlain.Stats().PhysicalBytes - before.PhysicalBytes; got != 0 {
 		t.Errorf("identical re-save grew the pool by %d bytes", got)
@@ -117,8 +100,8 @@ func TestSaveWithSumsMatchesSave(t *testing.T) {
 // TestSaveWithSumsFallback: whatever table SaveWithSums is handed — wrong
 // length, no algorithm, another algorithm, strong or not — it keys the guest
 // as Save does: from its digest table, which knows nothing of these freshly
-// written pages, so every page is hashed once, accounted as save_keys. It
-// never fails and never keys pages by the wrong digest.
+// written pages, so every page is hashed. It never fails and never keys pages
+// by the wrong digest.
 func TestSaveWithSumsFallback(t *testing.T) {
 	const pages = 8
 	v := filledVM(t, "a", pages, 1)
@@ -134,16 +117,10 @@ func TestSaveWithSumsFallback(t *testing.T) {
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			s, m, _ := metricsStore(t)
+			s := newTestStore(t)
 			if err := s.SaveWithSums(v, tc.alg, tc.sums); err != nil {
 				t.Fatal(err)
 			}
-			mem := v.MemBytes()
-			m.mu.Lock()
-			if len(m.hashed) != 1 || m.hashed["save_keys"] != mem || m.unhashed != 0 {
-				t.Errorf("accounting = %v avoided=%d, want one fallback rehash", m.hashed, m.unhashed)
-			}
-			m.mu.Unlock()
 			for i, k := range s.keys["a"] {
 				if k != v.PageSum(i, ObjectAlgorithm) {
 					t.Fatalf("page %d keyed %s, want its %v digest", i, k, ObjectAlgorithm)
@@ -164,7 +141,7 @@ func TestSaveWithSumsFallback(t *testing.T) {
 
 // TestSaveKeysFromDigestTable: a save handed no sums keys the guest from its
 // digest table, hashing only the pages written since the table was complete,
-// and books every page exactly once — hashed plus avoided is the guest.
+// and reports how many it hashed.
 func TestSaveKeysFromDigestTable(t *testing.T) {
 	const pages = 64
 	v := filledVM(t, "a", pages, 1)
@@ -175,15 +152,9 @@ func TestSaveKeysFromDigestTable(t *testing.T) {
 		data[0] = byte(p)
 		v.WritePage(p, data)
 	}
-	s, m, _ := metricsStore(t)
-	if err := s.Save(v); err != nil {
-		t.Fatal(err)
-	}
-	m.mu.Lock()
-	hashed, avoided := m.hashed["save_keys"], m.unhashed
-	m.mu.Unlock()
-	if want := int64(len(rewritten)) * vm.PageSize; hashed != want || hashed+avoided != v.MemBytes() {
-		t.Errorf("save hashed %d bytes and avoided %d, want %d hashed of %d", hashed, avoided, want, v.MemBytes())
+	s := newTestStore(t)
+	if got := commitComplete(t, s, v); got.Hashed != len(rewritten) {
+		t.Errorf("save hashed %d pages, want the %d rewritten", got.Hashed, len(rewritten))
 	}
 	for i, k := range s.keys["a"] {
 		if k != v.PageSum(i, ObjectAlgorithm) {
@@ -209,28 +180,16 @@ func TestRestoreSumsMatchGuest(t *testing.T) {
 		"withsums": func(s *Store) error {
 			return s.SaveWithSums(v, ObjectAlgorithm, vmSums(t, v, ObjectAlgorithm))
 		},
-		"salvage": func(s *Store) error { return s.SaveSalvage(v) },
+		"salvage": func(s *Store) error { return savePartial(s, v) },
 	}
 	for saveName, save := range saves {
 		for _, alg := range []checksum.Algorithm{ObjectAlgorithm, checksum.MD5} {
 			for _, install := range []bool{true, false} {
 				t.Run(fmt.Sprintf("%s/%v/install=%v", saveName, alg, install), func(t *testing.T) {
-					s, m, _ := metricsStore(t)
+					s := newTestStore(t)
 					if err := save(s); err != nil {
 						t.Fatal(err)
 					}
-					defer func() {
-						// A rescan is accounted, a key-list open has nothing to account.
-						var want int64
-						if alg != ObjectAlgorithm {
-							want = v.MemBytes()
-						}
-						m.mu.Lock()
-						defer m.mu.Unlock()
-						if m.hashed["restore"] != want {
-							t.Errorf("restore hashed %d bytes, want %d", m.hashed["restore"], want)
-						}
-					}()
 					var dst *vm.VM
 					if install {
 						dst = newVM(t, "a", pages, 99)

@@ -60,79 +60,12 @@ type Store struct {
 	// save streams still open, which recovery's temp sweep must leave alone.
 	lastSeg  uint64
 	inflight map[string]bool
-
-	metrics Metrics
-	pending []func(Metrics) // metric callbacks deferred until s.mu is free
 }
 
 // objLoc locates one object's payload inside a segment file.
 type objLoc struct {
 	seg string // segment file name within the store directory
 	off int64  // payload byte offset
-}
-
-// Metrics receives store-side counter events. The scheduler layer installs
-// an implementation that forwards to the host's observability registry.
-// Callbacks are invoked only after the store's own lock is released, so an
-// implementation may take locks of its own — even ones a concurrent metrics
-// scrape holds while calling back into Stats or Usage.
-type Metrics interface {
-	// DedupPages reports n pages a Save deduplicated against the pool
-	// instead of writing.
-	DedupPages(n int)
-	// GCRun reports a completed GC pass; outcome is "reclaimed" when the
-	// pass deleted or compacted at least one segment, "clean" otherwise.
-	GCRun(outcome string)
-	// HashBytes reports n payload bytes the store digested itself, by stage:
-	// "save_keys" is the keying of a save's pages that neither the caller's
-	// sums nor the guest's digest table covered, "restore" the rescan of a
-	// Restore under an algorithm the store does not key by (the benchmark's
-	// layer replay; no migration opens that way).
-	HashBytes(stage string, n int64)
-	// HashAvoidedBytes reports n payload bytes a save keyed without hashing:
-	// from the caller's sums (SaveWithSums) or the guest's digest table. A
-	// save's save_keys and avoided bytes add up to the guest's size.
-	HashAvoidedBytes(n int64)
-	// CleanupError reports a best-effort cleanup (satellite sweeps, files
-	// of a retired format) that failed to remove path. The store carries on —
-	// the file is garbage, not state — but silent failures used to hide
-	// sick disks, so every one is now counted.
-	CleanupError(path string)
-	// Degraded reports a rung of the graceful-degradation ladder taken
-	// inside the store itself — e.g. a union-bootstrap entry skipped
-	// because its segment reads fail. stage and fault use the same label
-	// vocabulary as the vecycle_degraded_total metric.
-	Degraded(stage, fault string)
-}
-
-// SetMetrics installs the metrics sink. Pass nil to disable.
-func (s *Store) SetMetrics(m Metrics) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.metrics = m
-}
-
-// deferMetric queues a metric callback for delivery once s.mu is released.
-func (s *Store) deferMetricLocked(fn func(Metrics)) {
-	if s.metrics != nil {
-		s.pending = append(s.pending, fn)
-	}
-}
-
-// drainMetrics delivers queued metric callbacks. Called by every public
-// mutator after releasing the lock.
-func (s *Store) drainMetrics() {
-	s.mu.Lock()
-	m := s.metrics
-	pend := s.pending
-	s.pending = nil
-	s.mu.Unlock()
-	if m == nil {
-		return
-	}
-	for _, fn := range pend {
-		fn(m)
-	}
 }
 
 // NewStore opens (creating if needed) a checkpoint store rooted at dir and
@@ -486,8 +419,7 @@ func (s *Store) Restore(vmName string, alg checksum.Algorithm, dst *vm.VM) (*Che
 	if dst != nil && dst.NumPages() != len(refs) {
 		return fail(fmt.Errorf("checkpoint: image has %d pages, VM has %d", len(refs), dst.NumPages()))
 	}
-	sums, err := s.entrySums(pageKeys, refs, alg, dst)
-	s.drainMetrics()
+	sums, err := entrySums(pageKeys, refs, alg, dst)
 	if err != nil {
 		return fail(err)
 	}
@@ -501,12 +433,11 @@ func (s *Store) Restore(vmName string, alg checksum.Algorithm, dst *vm.VM) (*Che
 }
 
 // entrySums returns an entry's page-ordered checksums under alg: the page keys
-// themselves when alg keys the store, a rescan of every page — accounted as
-// the "restore" hash stage — otherwise. dst, when non-nil, receives every page
-// (and, from the key path only, its digest). An entry's key list is never
-// modified after its save, so the returned slice may alias it. Called without
-// s.mu; the caller drains the metric.
-func (s *Store) entrySums(pageKeys []checksum.Sum, refs []pageRef, alg checksum.Algorithm, dst *vm.VM) ([]checksum.Sum, error) {
+// themselves when alg keys the store, a rescan of every page otherwise. dst,
+// when non-nil, receives every page (and, from the key path only, its digest).
+// An entry's key list is never modified after its save, so the returned slice
+// may alias it. Called without s.mu.
+func entrySums(pageKeys []checksum.Sum, refs []pageRef, alg checksum.Algorithm, dst *vm.VM) ([]checksum.Sum, error) {
 	if alg == ObjectAlgorithm {
 		if dst == nil {
 			return pageKeys, nil
@@ -517,10 +448,6 @@ func (s *Store) entrySums(pageKeys []checksum.Sum, refs []pageRef, alg checksum.
 	if err := loadPages(refs, sums, alg, dst); err != nil {
 		return nil, err
 	}
-	n := int64(len(refs)) * vm.PageSize
-	s.mu.Lock()
-	s.deferMetricLocked(func(m Metrics) { m.HashBytes("restore", n) })
-	s.mu.Unlock()
 	return sums, nil
 }
 
@@ -532,31 +459,29 @@ func (s *Store) entrySums(pageKeys []checksum.Sum, refs []pageRef, alg checksum.
 // union has no page-frame geometry: it serves blocks by content and installs
 // nothing.
 //
-// Returns the union checkpoint and the names of the entries it covers, or
-// (nil, nil, nil) when the store holds nothing servable.
+// Returns the union checkpoint and the names of the entries it covers, or a
+// nil checkpoint when the store holds nothing servable.
 //
 // The union's sums are the entries' page keys, already in memory: the open
 // reads no page and hashes nothing. It is an optimization, so a single sick
 // entry must not cost the migration its whole bootstrap: an entry whose
-// segments cannot be opened is skipped — reported through the Metrics
-// Degraded callback with stage "union-read" — and the union is built from the
-// rest. Skipped entries stay in the store untouched (a transient error is not
-// evidence of corruption; Scrub and Verify decide quarantines).
-func (s *Store) OpenUnion() (*Checkpoint, []string, error) {
+// segments cannot be opened is skipped — its storage-fault label
+// (faultfs.Label) appended to skipped, for the caller to report — and the
+// union is built from the rest. Skipped entries stay in the store untouched
+// (a transient error is not evidence of corruption; Scrub and Verify decide
+// quarantines).
+func (s *Store) OpenUnion() (cp *Checkpoint, names, skipped []string) {
 	s.mu.Lock()
-	defer s.drainMetrics()
 	defer s.mu.Unlock()
 	open := map[string]faultfs.File{}
-	cp := &Checkpoint{alg: ObjectAlgorithm, sums: checksum.NewSet(0)}
-	var names []string
+	cp = &Checkpoint{alg: ObjectAlgorithm, sums: checksum.NewSet(0)}
 	for _, key := range sortedKeys(s.man.Entries) {
 		if s.man.Entries[key].State == EntryQuarantined {
 			continue
 		}
 		refs, err := s.resolveLocked(s.keys[key], open)
 		if err != nil {
-			fault := faultfs.Label(err)
-			s.deferMetricLocked(func(m Metrics) { m.Degraded("union-read", fault) })
+			skipped = append(skipped, faultfs.Label(err))
 			continue
 		}
 		names = append(names, key)
@@ -571,9 +496,9 @@ func (s *Store) OpenUnion() (*Checkpoint, []string, error) {
 	cp.files = openFiles(open)
 	if len(names) == 0 {
 		closeAll(cp.files)
-		return nil, nil, nil
+		return nil, nil, skipped
 	}
-	return cp, names, nil
+	return cp, names, skipped
 }
 
 // Remove deletes the named VM's entry — page manifest and manifest record —

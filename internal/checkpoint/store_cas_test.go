@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"vecycle/internal/checksum"
+	"vecycle/internal/faultfs"
 	"vecycle/internal/vm"
 )
 
@@ -247,21 +248,21 @@ func TestOpenUnionServesResidentContent(t *testing.T) {
 func testOpenUnionServesResidentContent(t *testing.T, alg checksum.Algorithm) {
 	s := newTestStore(t)
 	// Empty store: no union.
-	cp, names, err := s.OpenUnion()
-	if err != nil || cp != nil || names != nil {
-		t.Fatalf("empty union = %v, %v, %v", cp, names, err)
+	cp, names, skipped := s.OpenUnion()
+	if cp != nil || names != nil || skipped != nil {
+		t.Fatalf("empty union = %v, %v, skipped %v", cp, names, skipped)
 	}
 	a := filledVM(t, "a", 4, 1)
 	b := filledVM(t, "b", 4, 2)
 	if err := s.Save(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveSalvage(b); err != nil {
+	if err := savePartial(s, b); err != nil {
 		t.Fatal(err)
 	}
-	cp, names, err = s.OpenUnion()
-	if err != nil {
-		t.Fatal(err)
+	cp, names, skipped = s.OpenUnion()
+	if skipped != nil {
+		t.Fatalf("union skipped entries of a healthy store: %v", skipped)
 	}
 	defer cp.Close()
 	if len(names) != 2 {
@@ -312,9 +313,9 @@ func TestOpenUnionSkipsQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, names, err := s2.OpenUnion()
-	if err != nil {
-		t.Fatal(err)
+	cp, names, skipped := s2.OpenUnion()
+	if skipped != nil {
+		t.Fatalf("union skipped %v; a quarantined entry is left out, not skipped", skipped)
 	}
 	defer cp.Close()
 	if len(names) != 1 || names[0] != "good" {
@@ -322,93 +323,40 @@ func TestOpenUnionSkipsQuarantined(t *testing.T) {
 	}
 }
 
-// fakeMetrics records store metric callbacks; its methods call back into
-// the store to prove the deferred-delivery contract is deadlock free.
-type fakeMetrics struct {
-	mu          sync.Mutex
-	store       *Store
-	dedup       int
-	gcRuns      map[string]int
-	physSum     int64
-	hashed      map[string]int64
-	unhashed    int64
-	degraded    map[string]int
-	cleanupErrs []string
-}
-
-func (m *fakeMetrics) DedupPages(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.dedup += n
-	m.physSum = m.store.Stats().PhysicalBytes // re-enters the store lock
-}
-
-func (m *fakeMetrics) GCRun(outcome string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.gcRuns == nil {
-		m.gcRuns = map[string]int{}
+// TestStoreReportsWhatItDid: the store reports through return values — a
+// commit's SaveCounts name the pages it found pooled, a GCReport says whether
+// the pass reclaimed anything, and OpenUnion names the fault of each entry it
+// skipped.
+func TestStoreReportsWhatItDid(t *testing.T) {
+	inj := faultfs.NewInjector()
+	s, err := NewStoreFS(filepath.Join(t.TempDir(), "s"), inj.FS(faultfs.OS))
+	if err != nil {
+		t.Fatal(err)
 	}
-	m.gcRuns[outcome]++
-}
-
-func (m *fakeMetrics) HashBytes(stage string, n int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.hashed == nil {
-		m.hashed = map[string]int64{}
-	}
-	m.hashed[stage] += n
-}
-
-func (m *fakeMetrics) HashAvoidedBytes(n int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.unhashed += n
-}
-
-func (m *fakeMetrics) Degraded(stage, fault string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.degraded == nil {
-		m.degraded = map[string]int{}
-	}
-	m.degraded[stage+":"+fault]++
-}
-
-func (m *fakeMetrics) CleanupError(path string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cleanupErrs = append(m.cleanupErrs, path)
-}
-
-func TestMetricsSinkDeliveredOutsideLock(t *testing.T) {
-	s := newTestStore(t)
-	m := &fakeMetrics{store: s}
-	s.SetMetrics(m)
 	a := filledVM(t, "a", 4, 1)
 	b := filledVM(t, "b", 4, 2)
 	copyPages(t, a, b, 2)
-	if err := s.Save(a); err != nil {
-		t.Fatal(err)
+	if got := commitComplete(t, s, a); got.Pooled != 0 || got.Hashed != 4 {
+		t.Errorf("first save: %+v, want 4 pages hashed and none pooled", got)
 	}
-	if err := s.Save(b); err != nil {
-		t.Fatal(err)
+	if got := commitComplete(t, s, b); got.Pooled != 2 {
+		t.Errorf("second save found %d pages pooled, want the 2 it shares", got.Pooled)
 	}
-	if m.dedup != 2 {
-		t.Errorf("DedupPages total = %d, want 2", m.dedup)
-	}
-	if _, err := s.GC(); err != nil {
-		t.Fatal(err)
+	if rep, err := s.GC(); err != nil || rep.Reclaimed() {
+		t.Errorf("GC of a store with nothing dead = %+v, %v; want a clean pass", rep, err)
 	}
 	if err := s.Remove("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.GC(); err != nil {
-		t.Fatal(err)
+	if rep, err := s.GC(); err != nil || !rep.Reclaimed() {
+		t.Errorf("GC after a removal = %+v, %v; want a pass that reclaimed", rep, err)
 	}
-	if m.gcRuns["clean"] < 1 || m.gcRuns["reclaimed"] < 1 {
-		t.Errorf("GCRun outcomes = %v, want both clean and reclaimed", m.gcRuns)
+
+	// Every segment open fails: the union skips the entry and says why.
+	inj.Arm(faultfs.Fault{Op: faultfs.OpOpen, Path: ".seg", Err: faultfs.ErrEIO, Times: -1})
+	cp, names, skipped := s.OpenUnion()
+	if cp != nil || names != nil || len(skipped) != 1 || skipped[0] != "eio" {
+		t.Errorf("union over an unreadable entry = %v, %v, skipped %v; want none and one eio skip", cp, names, skipped)
 	}
 }
 
@@ -462,9 +410,9 @@ func TestConcurrentSaveGCRestore(t *testing.T) {
 	go func() { // union + stats reader
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			cp, _, err := s.OpenUnion()
-			if err != nil {
-				errc <- err
+			cp, _, skipped := s.OpenUnion()
+			if skipped != nil {
+				errc <- fmt.Errorf("union skipped entries: %v", skipped)
 				return
 			}
 			if cp != nil {
@@ -555,9 +503,9 @@ func TestConcurrentRemoveDuringRestore(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			cp, names, err := s.OpenUnion()
-			if err != nil {
-				t.Errorf("raced OpenUnion: %v", err)
+			cp, names, skipped := s.OpenUnion()
+			if skipped != nil {
+				t.Errorf("raced OpenUnion skipped %v", skipped)
 				return
 			}
 			if cp == nil {
@@ -622,9 +570,9 @@ func TestOpenWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp.Close()
-	union, names, err := s.OpenUnion()
-	if err != nil || len(names) != 2 {
-		t.Fatalf("OpenUnion = %v, %v", names, err)
+	union, names, skipped := s.OpenUnion()
+	if skipped != nil || len(names) != 2 {
+		t.Fatalf("OpenUnion = %v, skipped %v", names, skipped)
 	}
 	union.Close()
 

@@ -15,8 +15,9 @@ import (
 // sums, which the paper argues is always recouped by the saved page traffic.
 //
 // Wire layout: a uint32 count followed by count 16-byte sums in ascending
-// byte order. Sorting makes the encoding canonical, which simplifies tests
-// and lets a receiver verify monotonicity as a cheap integrity check.
+// byte order. Sorting makes the encoding canonical, which simplifies tests.
+// DecodeSet does not check the order: it adds the sums to a set as they
+// come, so sums out of order or repeated decode to the same set.
 
 // maxEncodedSums bounds a decoded announcement to guard against a corrupt or
 // hostile length prefix. 1 GiB of sums covers a 256 TiB guest at 4 KiB pages

@@ -31,8 +31,8 @@ type DestOptions struct {
 	// keeps (checkpoint.Store.OpenSave); the caller commits or aborts it.
 	// When the merge bootstraps from the VM's own entry, every page installed
 	// off the wire is written to it as it lands, so the commit after
-	// the ack has little left to write. A failed merge commits it as the
-	// salvage checkpoint.
+	// the ack has little left to write. After a failed merge the caller
+	// commits it as the salvage checkpoint when DestResult.Salvage says so.
 	Save *checkpoint.SaveStream
 }
 
@@ -45,10 +45,15 @@ type DestResult struct {
 	// salvage image left by an interrupted earlier attempt — this
 	// migration resumed instead of restarting from zero.
 	ResumedFromPartial bool
-	// SalvagePages is the number of newly installed pages persisted as a
-	// salvage checkpoint after a failed merge; zero when no salvage was
-	// written.
-	SalvagePages int64
+	// Salvage reports that a failed merge left progress worth persisting as
+	// a salvage checkpoint (a partial store entry) for the next attempt to
+	// resume from: the source asked to recycle, pages arrived off the wire
+	// (Metrics.PagesFull of them), and the background install drained, so the
+	// guest's RAM is stable and holds no less than the entry it bootstrapped
+	// from. Checksum-only progress lives in that entry already, which a
+	// salvage would demote. The engine writes nothing on failure: the caller
+	// commits the salvage.
+	Salvage bool
 	// UnionBootstrap reports that no servable checkpoint of the arriving VM
 	// existed, so the announcement was assembled from the union of all
 	// resident store content instead (other VMs' checkpoints, older
@@ -200,17 +205,18 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 			// Fresh VM on a warm host: no servable checkpoint of its own, but
 			// the content-addressed pool may hold its pages anyway — other
 			// VMs' checkpoints, older generations, salvage partials.
-			// Announce the union of everything resident. Best-effort: a union
-			// that fails to open degrades to a plain full first round.
-			if ucp, members, uerr := opts.Store.OpenUnion(); uerr == nil && ucp != nil {
+			// Announce the union of everything resident. Best-effort: an entry
+			// whose segments fail to open is left out, one degradation each.
+			ucp, members, skipped := opts.Store.OpenUnion()
+			for _, fault := range skipped {
+				opts.OnEvent.emit(Event{Kind: EventDegraded, Detail: StageUnionRead + ":" + fault})
+			}
+			if ucp != nil {
 				cp = ucp
 				res.UnionBootstrap = true
 				opts.OnEvent.emit(Event{Kind: EventUnion,
 					Pages:  int64(ucp.SumSet().Len()),
 					Detail: fmt.Sprintf("entries=%d", len(members))})
-			} else if uerr != nil {
-				opts.OnEvent.emit(Event{Kind: EventDegraded,
-					Detail: StageUnionRead + ":" + faultfs.Label(uerr)})
 			}
 		}
 	}
@@ -292,14 +298,9 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 				_ = opts.Store.Quarantine(h.VMName, "recycled-page read failed: "+me.Err.Error())
 			}
 		}
-		// The merge has returned and the install drained, so v's RAM is
-		// stable: persist the progress as a salvage checkpoint for the next
-		// attempt to resume from. An install cut short left v with less than
-		// the entry it was bootstrapping from, which salvaging over that
-		// entry would lose.
-		if drainErr == nil {
-			s.salvage(v, opts, &res)
-		}
+		// An install cut short left v with less than the entry it was
+		// bootstrapping from, which salvaging over that entry would lose.
+		res.Salvage = h.Recycle && res.Metrics.PagesFull > 0 && drainErr == nil
 	}
 	return res, err
 }
@@ -337,41 +338,6 @@ func (s *IncomingSession) openBootstrap(v *vm.VM, store *checkpoint.Store, onEve
 		return nil
 	}
 	return cp
-}
-
-// salvage persists the pages a failed merge had already installed as a
-// partial store entry, so the next attempt's hash announcement makes the
-// source resend only what is still missing. Best-effort: the migration's
-// error stands whether or not the salvage write succeeds. Nothing is
-// written when no new page content arrived (checksum-only progress lives
-// in the previous checkpoint already, which salvaging would demote).
-func (s *IncomingSession) salvage(v *vm.VM, opts DestOptions, res *DestResult) {
-	installed := int64(res.Metrics.PagesFull)
-	if opts.Store == nil || !s.h.Recycle || installed == 0 {
-		return
-	}
-	if err := s.saveSalvage(v, opts); err != nil {
-		opts.OnEvent.emit(Event{Kind: EventSalvage, Detail: "write-failed"})
-		opts.OnEvent.emit(Event{Kind: EventDegraded,
-			Detail: StageSalvage + ":" + faultfs.Label(err)})
-		return
-	}
-	res.SalvagePages = installed
-	opts.OnEvent.emit(Event{Kind: EventSalvage, Detail: "written",
-		Pages: installed, Bytes: v.MemBytes()})
-}
-
-// saveSalvage commits the merge's save stream, when it has one, as the partial
-// entry — the pages it streamed are on disk already — and saves one afresh
-// when it has none or the stream broke.
-func (s *IncomingSession) saveSalvage(v *vm.VM, opts DestOptions) error {
-	if opts.Save != nil {
-		_, err := opts.Save.Commit(v, checkpoint.EntryPartial)
-		if !errors.Is(err, checkpoint.ErrStreamBroken) {
-			return err
-		}
-	}
-	return opts.Store.SaveSalvage(v)
 }
 
 // mergeSequential is the destination engine: the single-goroutine merge

@@ -1,55 +1,10 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 
 	"vecycle/internal/faultfs"
 )
-
-// The migration error taxonomy. Failures on the migration path fall into
-// three classes, and the scheduler's retry loop used to tell them apart
-// with ad-hoc sentinel checks scattered across call sites. MigrationError
-// makes the classification explicit at the point where the failure is
-// first understood: the site that knows whether an error is worth a
-// retry, fatal, or merely a lost optimization wraps it once, and every
-// layer above routes on the class through errors.As instead of
-// re-deriving it.
-
-// ErrorClass partitions migration-path failures by how the caller should
-// respond.
-type ErrorClass uint8
-
-const (
-	// ClassUnknown: the error carries no classification; callers fall back
-	// to heuristics (Classify).
-	ClassUnknown ErrorClass = iota
-	// ClassTerminal: retrying cannot help — the destination rejected the
-	// migration, the protocol was violated, or the caller canceled.
-	ClassTerminal
-	// ClassRetryable: a fresh attempt over a fresh connection may succeed
-	// (transport faults, torn streams, transient storage reads).
-	ClassRetryable
-	// ClassDegraded: the migration itself SUCCEEDED but a best-effort side
-	// activity (checkpoint persist, salvage write, recycled read) was lost.
-	// Never propagated as a migration failure; recorded and dropped.
-	ClassDegraded
-)
-
-// String returns the class as the label used by metrics and traces.
-func (c ErrorClass) String() string {
-	switch c {
-	case ClassTerminal:
-		return "terminal"
-	case ClassRetryable:
-		return "retryable"
-	case ClassDegraded:
-		return "degraded"
-	default:
-		return "unknown"
-	}
-}
 
 // Stage labels for MigrationError.Stage and the degradation ladder's
 // vecycle_degraded_total{stage} series. One vocabulary shared by core,
@@ -75,14 +30,14 @@ const (
 	StageUnionRead = "union-read"
 )
 
-// MigrationError is a classified migration-path failure: which stage
-// failed, how the caller should respond, and the storage-fault vocabulary
-// word (faultfs.Label) when one applies.
+// MigrationError is a migration-path failure that names the stage it
+// happened at and, when it was storage-borne, the fault: the destination
+// quarantines the entry a recycle-read failure came from, and the metrics
+// and traces label the rung by both. Whether the migration is worth another
+// attempt is decided by the scheduler's one predicate (sched.Retryable).
 type MigrationError struct {
 	// Stage is one of the Stage* constants.
 	Stage string
-	// Class routes the caller's response.
-	Class ErrorClass
 	// Fault is the storage-fault label ("eio", "enospc", "torn", ...) or
 	// empty when the failure was not storage-borne.
 	Fault string
@@ -92,50 +47,17 @@ type MigrationError struct {
 
 func (e *MigrationError) Error() string {
 	if e.Fault != "" {
-		return fmt.Sprintf("migration %s (%s, %s): %v", e.Stage, e.Class, e.Fault, e.Err)
+		return fmt.Sprintf("migration %s (%s): %v", e.Stage, e.Fault, e.Err)
 	}
-	return fmt.Sprintf("migration %s (%s): %v", e.Stage, e.Class, e.Err)
+	return fmt.Sprintf("migration %s: %v", e.Stage, e.Err)
 }
 
 func (e *MigrationError) Unwrap() error { return e.Err }
 
-// Fail wraps err as a classified MigrationError. A nil err returns nil so
-// sites can wrap unconditionally.
-func Fail(stage string, class ErrorClass, fault string, err error) error {
-	if err == nil {
-		return nil
-	}
-	return &MigrationError{Stage: stage, Class: class, Fault: fault, Err: err}
-}
-
-// recycleReadErr classifies a failed read of a recycled page out of the
-// local checkpoint store mid-merge. The transfer's data is intact at the
-// source, so a fresh attempt (resending the affected pages over the wire
-// after the failing entry is quarantined) recovers — retryable, never
-// terminal.
+// recycleReadErr marks a failed read of a recycled page out of the local
+// checkpoint store mid-merge. The transfer's data is intact at the source,
+// so a fresh attempt (resending the affected pages over the wire after the
+// failing entry is quarantined) recovers.
 func recycleReadErr(err error) error {
-	return Fail(StageRecycleRead, ClassRetryable, faultfs.Label(err), err)
-}
-
-// Classify reports how a migration error should be handled. A
-// MigrationError anywhere in the chain is authoritative; otherwise
-// rejection, protocol violations and cancellation are terminal, and
-// everything else — transport resets, torn streams, storage hiccups — is
-// worth a retry.
-func Classify(err error) ErrorClass {
-	if err == nil {
-		return ClassUnknown
-	}
-	var me *MigrationError
-	if errors.As(err, &me) && me.Class != ClassUnknown {
-		return me.Class
-	}
-	switch {
-	case errors.Is(err, ErrRejected),
-		errors.Is(err, ErrProtocol),
-		errors.Is(err, context.Canceled),
-		errors.Is(err, context.DeadlineExceeded):
-		return ClassTerminal
-	}
-	return ClassRetryable
+	return &MigrationError{Stage: StageRecycleRead, Fault: faultfs.Label(err), Err: err}
 }

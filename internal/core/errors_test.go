@@ -2,70 +2,28 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"syscall"
 	"testing"
-
-	"vecycle/internal/faultfs"
 )
 
-// TestMigrationErrorRoundTrip pins the taxonomy's contract: a classified
-// error survives arbitrary wrapping, errors.As recovers the stage and
-// class, errors.Is still reaches the root cause, and Classify routes on
-// the class wherever it sits in the chain.
+// TestMigrationErrorRoundTrip pins the error's contract: it survives
+// arbitrary wrapping, errors.As recovers the stage and the fault, and
+// errors.Is still reaches the root cause.
 func TestMigrationErrorRoundTrip(t *testing.T) {
 	root := fmt.Errorf("read block 7: %w", syscall.EIO)
-	classified := Fail(StageRecycleRead, ClassRetryable, faultfs.Label(root), root)
-	wrapped := fmt.Errorf("dest: handler: %w", fmt.Errorf("merge: %w", classified))
+	wrapped := fmt.Errorf("dest: handler: %w", fmt.Errorf("merge: %w", recycleReadErr(root)))
 
 	var me *MigrationError
 	if !errors.As(wrapped, &me) {
 		t.Fatal("errors.As lost the MigrationError through two wraps")
 	}
-	if me.Stage != StageRecycleRead || me.Class != ClassRetryable || me.Fault != "eio" {
-		t.Errorf("recovered {stage=%s class=%s fault=%s}, want {recycle-read retryable eio}",
-			me.Stage, me.Class, me.Fault)
+	if me.Stage != StageRecycleRead || me.Fault != "eio" {
+		t.Errorf("recovered {stage=%s fault=%s}, want {recycle-read eio}", me.Stage, me.Fault)
 	}
 	if !errors.Is(wrapped, syscall.EIO) {
 		t.Error("errors.Is lost the root syscall error")
-	}
-	if got := Classify(wrapped); got != ClassRetryable {
-		t.Errorf("Classify = %v, want retryable", got)
-	}
-
-	// The class is authoritative even when the underlying cause would
-	// classify differently: a terminal-classed error wrapping a canceled
-	// context stays terminal, and a retryable-classed error wrapping
-	// ErrRejected stays retryable.
-	if got := Classify(Fail(StageBootstrap, ClassTerminal, "", context.Canceled)); got != ClassTerminal {
-		t.Errorf("Classify(terminal-classed) = %v, want terminal", got)
-	}
-	if got := Classify(Fail(StageRecycleRead, ClassRetryable, "", ErrRejected)); got != ClassRetryable {
-		t.Errorf("Classify(retryable-classed) = %v, want retryable", got)
-	}
-
-	// Heuristics for unclassified errors.
-	for _, tc := range []struct {
-		err  error
-		want ErrorClass
-	}{
-		{ErrRejected, ClassTerminal},
-		{ErrProtocol, ClassTerminal},
-		{context.Canceled, ClassTerminal},
-		{context.DeadlineExceeded, ClassTerminal},
-		{ErrInjectedReset, ClassRetryable},
-		{syscall.ECONNRESET, ClassRetryable},
-	} {
-		if got := Classify(tc.err); got != tc.want {
-			t.Errorf("Classify(%v) = %v, want %v", tc.err, got, tc.want)
-		}
-	}
-
-	// Fail is nil-safe so sites can wrap unconditionally.
-	if Fail(StageSalvage, ClassDegraded, "", nil) != nil {
-		t.Error("Fail(nil) != nil")
 	}
 }
 
@@ -92,9 +50,5 @@ func TestFaultConnTornWrite(t *testing.T) {
 	}
 	if got := fc.BytesWritten(); got != 6 {
 		t.Errorf("BytesWritten = %d, want 6", got)
-	}
-	// A torn stream is a transport fault: worth a retry.
-	if got := Classify(err); got != ClassRetryable {
-		t.Errorf("Classify(torn write) = %v, want retryable", got)
 	}
 }

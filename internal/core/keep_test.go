@@ -236,9 +236,9 @@ func TestKeepRetryTiles(t *testing.T) {
 	}
 	sopts := SourceOptions{Recycle: true, Mirror: mirrorOf(t, mirror, "vm0")}
 	cut, cutSrcErr, cutDstErr := cutMigration(t, src, newVM(t, "vm0", pages, 2), 100_000, sopts, DestOptions{Store: store})
-	if cutSrcErr == nil || cutDstErr == nil || cut.SalvagePages == 0 || cut.Metrics.PagesKept == 0 {
-		t.Fatalf("cut attempt: source %v, destination %v, %d pages salvaged, %d kept; want a matched attempt cut after some pages landed",
-			cutSrcErr, cutDstErr, cut.SalvagePages, cut.Metrics.PagesKept)
+	if cutSrcErr == nil || cutDstErr == nil || !cut.Salvage || cut.Metrics.PagesKept == 0 {
+		t.Fatalf("cut attempt: source %v, destination %v, salvage=%v, %d kept; want a matched attempt cut after some pages landed",
+			cutSrcErr, cutDstErr, cut.Salvage, cut.Metrics.PagesKept)
 	}
 
 	// Each side closes its end when it returns, so a refused stream ends the

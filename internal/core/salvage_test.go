@@ -11,7 +11,9 @@ import (
 )
 
 // cutMigration runs a migration whose source connection resets after
-// resetAfter bytes, returning both sides' outcomes.
+// resetAfter bytes, returning both sides' outcomes. When the destination
+// reports progress worth salvaging, it commits the guest as the partial
+// entry, as a host does.
 func cutMigration(t *testing.T, src, dst *vm.VM, resetAfter int64, sopts SourceOptions, dopts DestOptions) (DestResult, error, error) {
 	t.Helper()
 	a, b := net.Pipe()
@@ -34,11 +36,17 @@ func cutMigration(t *testing.T, src, dst *vm.VM, resetAfter int64, sopts SourceO
 		b.Close()
 	}()
 	wg.Wait()
+	if dres.Salvage {
+		if _, err := dopts.Store.OpenSave(dst.Name()).Commit(dst, checkpoint.EntryPartial); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return dres, serr, derr
 }
 
 // TestSalvageThenResume is the end-to-end salvage contract at the engine
-// level: an interrupted attempt persists a partial checkpoint, and the next
+// level: an interrupted attempt asks for a salvage, whose partial checkpoint
+// the host commits, and the next
 // attempt announces its sums so the source resends strictly fewer full
 // pages — with the hello-ack reporting the partial bootstrap.
 func TestSalvageThenResume(t *testing.T) {
@@ -65,8 +73,8 @@ func salvageThenResume(t *testing.T) {
 	if serr == nil || derr == nil {
 		t.Fatalf("cut migration succeeded (source=%v dest=%v)", serr, derr)
 	}
-	if dres.SalvagePages == 0 {
-		t.Fatal("no salvage checkpoint written")
+	if !dres.Salvage || dres.Metrics.PagesFull == 0 {
+		t.Fatalf("salvage=%v after %d pages arrived; want progress to salvage", dres.Salvage, dres.Metrics.PagesFull)
 	}
 	info, ok := store.Entry("vm0")
 	if !ok || info.State != checkpoint.EntryPartial {
@@ -85,18 +93,18 @@ func salvageThenResume(t *testing.T) {
 	if !dres2.ResumedFromPartial {
 		t.Error("destination did not report a partial bootstrap")
 	}
-	if int64(sm.PagesFull) > int64(pages)-dres.SalvagePages {
+	if sm.PagesFull > pages-dres.Metrics.PagesFull {
 		t.Errorf("resumed attempt sent %d full pages; attempt 1 salvaged %d of %d",
-			sm.PagesFull, dres.SalvagePages, pages)
+			sm.PagesFull, dres.Metrics.PagesFull, pages)
 	}
 	if sm.PagesSum == 0 {
 		t.Error("resumed attempt reused nothing from the salvage image")
 	}
 }
 
-// TestSalvageSkippedWithoutProgress: a failure before any page installs
-// must not write a salvage entry (and must not demote an existing complete
-// checkpoint to partial).
+// TestSalvageSkippedWithoutProgress: a failure before any page installs asks
+// for no salvage, so no salvage entry is written (and an existing complete
+// checkpoint is not demoted to partial).
 func TestSalvageSkippedWithoutProgress(t *testing.T) {
 	const pages = 256
 	src := newVM(t, "vm0", pages, 1)
@@ -109,11 +117,14 @@ func TestSalvageSkippedWithoutProgress(t *testing.T) {
 	}
 	dst := newVM(t, "vm0", pages, 2)
 	// Cut inside the hello exchange: nothing installed beyond bootstrap.
-	_, serr, derr := cutMigration(t, src, dst, 10,
+	dres, serr, derr := cutMigration(t, src, dst, 10,
 		SourceOptions{Recycle: true},
 		DestOptions{Store: store, VerifyPayloads: true})
 	if serr == nil && derr == nil {
 		t.Fatal("cut migration succeeded")
+	}
+	if dres.Salvage {
+		t.Error("a failure before any page arrived asks for a salvage")
 	}
 	info, ok := store.Entry("vm0")
 	if !ok || info.State != checkpoint.EntryComplete {
@@ -132,7 +143,7 @@ func TestPartialAnnouncedDespiteOfferedRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	store, srcStore := newStore(t), newStore(t)
-	if err := store.SaveSalvage(src); err != nil {
+	if _, err := store.OpenSave("vm0").Commit(src, checkpoint.EntryPartial); err != nil {
 		t.Fatal(err)
 	}
 	if err := srcStore.Save(src); err != nil {

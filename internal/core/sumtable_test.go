@@ -175,7 +175,7 @@ func sumTableSalvage(t *testing.T) {
 	if serr == nil || derr == nil {
 		t.Fatalf("cut migration succeeded (source=%v dest=%v)", serr, derr)
 	}
-	if dres.SalvagePages == 0 {
+	if !dres.Salvage {
 		t.Fatal("no salvage progress")
 	}
 	checkDigestTable(t, dst1)

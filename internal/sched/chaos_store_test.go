@@ -335,8 +335,9 @@ func TestChaosStoreRecycleReadQuarantine(t *testing.T) {
 	fingerprintEqual(t, want, landed)
 
 	// The failed attempt's error, as the destination handler saw it, must
-	// round-trip the taxonomy: errors.As finds the classified
-	// MigrationError, errors.Is still reaches the injected syscall error.
+	// round-trip: errors.As finds the recycle-read MigrationError, errors.Is
+	// still reaches the injected syscall error, and Retryable routes it to a
+	// retry.
 	mu.Lock()
 	errs := append([]error(nil), destErrs...)
 	mu.Unlock()
@@ -347,9 +348,6 @@ func TestChaosStoreRecycleReadQuarantine(t *testing.T) {
 			continue
 		}
 		found = true
-		if me.Class != core.ClassRetryable {
-			t.Errorf("recycle-read classified %v, want retryable", me.Class)
-		}
 		if me.Fault != "eio" {
 			t.Errorf("recycle-read fault label %q, want eio", me.Fault)
 		}
@@ -437,8 +435,8 @@ func TestChaosStoreInstallReadFailure(t *testing.T) {
 			continue
 		}
 		found = true
-		if me.Class != core.ClassRetryable || me.Fault != "eio" || !errors.Is(derr, syscall.EIO) || !Retryable(derr) {
-			t.Errorf("install read failure classified %v/%q (retryable=%v): %v", me.Class, me.Fault, Retryable(derr), derr)
+		if me.Fault != "eio" || !errors.Is(derr, syscall.EIO) || !Retryable(derr) {
+			t.Errorf("install read failure labelled %q (retryable=%v): %v", me.Fault, Retryable(derr), derr)
 		}
 	}
 	if !found {

@@ -14,8 +14,8 @@ import (
 // TestDigestTableExactCounts pins what "one digest per page" promises, through
 // two hosts and in bytes. A returning source hashes exactly the pages the
 // guest rewrote since it arrived, the destination's probes hash nothing, and
-// neither host's checkpoint save nor the destination's restore hashes a byte —
-// the wire checksum is the store key. A retry resuming from a salvage image
+// neither host's checkpoint save hashes a byte — the wire checksum is the
+// store key. A retry resuming from a salvage image
 // hashes nothing: the cut
 // attempt wrote its digests back to the guest's table. Each save books every
 // page once: hashed plus avoided is the guest. The registry's
@@ -68,8 +68,7 @@ func TestDigestTableExactCounts(t *testing.T) {
 	// metrics and the registry series agree (both describe the successful
 	// attempt), the source's encode pass digested wantEncode bytes and the
 	// probes none. On a single-attempt leg it also checks the store's share:
-	// saves and restores hash nothing and each save recycles one guest of
-	// digests.
+	// saves hash nothing and each save recycles one guest of digests.
 	hop := func(from, to string, opts MigrateOptions, wantEncode int64) (core.Metrics, core.DestResult) {
 		t.Helper()
 		opts.Recycle, opts.KeepCheckpoint = true, true
@@ -79,10 +78,10 @@ func TestDigestTableExactCounts(t *testing.T) {
 		}
 		want := leaving.Fingerprint64()
 		enc0, probe0 := stage(from, "encode"), stage(to, "probe")
-		type storeCounts struct{ saveKeys, restore, avoided int64 }
+		type storeCounts struct{ saveKeys, avoided int64 }
 		before := map[string]storeCounts{}
 		for _, h := range []string{from, to} {
-			before[h] = storeCounts{stage(h, "save_keys"), stage(h, "restore"), avoided(h)}
+			before[h] = storeCounts{stage(h, "save_keys"), avoided(h)}
 		}
 		m, err := hosts[from].MigrateTo(ctx, addrs[to], "vm0", opts)
 		if err != nil {
@@ -129,12 +128,6 @@ func TestDigestTableExactCounts(t *testing.T) {
 				t.Errorf("%s→%s: %s's vecycle_hash_avoided_bytes_total grew by %d, want %d (engine %d + save %d)",
 					from, to, h, got, want, engine[h], perSaveAvoided)
 			}
-		}
-		if got := stage(from, "restore") - before[from].restore; got != 0 {
-			t.Errorf("%s→%s: the source's restores hashed %d bytes, want 0", from, to, got)
-		}
-		if got := stage(to, "restore") - before[to].restore; got != 0 {
-			t.Errorf("%s→%s: the destination's restore hashed %d bytes, want 0", from, to, got)
 		}
 		return m, res
 	}

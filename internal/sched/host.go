@@ -315,12 +315,12 @@ func (h *Host) handleIncoming(ctx context.Context, conn io.ReadWriter, peer stri
 	rec := h.obs.begin("dest", name, peer)
 	if !h.reserveArrival(name) {
 		rerr := fmt.Errorf("%w: VM %q already resident on %s", core.ErrRejected, name, h.name)
-		h.obs.finish(rec, "dest", name, core.Metrics{}, rerr)
+		h.obs.finish(rec, "dest", core.Metrics{}, rerr)
 		return session.Reject(fmt.Sprintf("VM %q already resident on %s", name, h.name))
 	}
 	defer h.releaseArrival(name)
 	res, err := h.runIncoming(ctx, session, rec)
-	h.obs.finish(rec, "dest", name, res.Metrics, err)
+	h.obs.finish(rec, "dest", res.Metrics, err)
 	return err
 }
 
@@ -359,12 +359,24 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 		save = h.store.OpenSave(name)
 		defer save.Abort()
 	}
+	onEvent := h.obs.eventFunc(rec, "dest")
 	res, err := session.Run(ctx, dst, core.DestOptions{
 		Store:   h.store,
-		OnEvent: h.obs.eventFunc(rec, "dest"),
+		OnEvent: onEvent,
 		Save:    save,
 	})
 	if err != nil {
+		if res.Salvage {
+			// Persist the progress for the next attempt to resume from: its
+			// announcement makes the source resend only what is still missing.
+			// Best-effort, like every save: the migration's error stands.
+			if h.saveCheckpoint(core.StageSalvage, rec, save, dst, "salvage image", checkpoint.EntryPartial) != nil {
+				onEvent(core.Event{Kind: core.EventSalvage, Detail: "write-failed"})
+			} else {
+				onEvent(core.Event{Kind: core.EventSalvage, Detail: "written",
+					Pages: int64(res.Metrics.PagesFull), Bytes: dst.MemBytes()})
+			}
+		}
 		return res, err
 	}
 	if res.ResumedFromPartial {
@@ -379,8 +391,7 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 		// without it, drop the partial so later bootstraps don't use it.
 		if state, ok := h.store.State(name); ok && state == checkpoint.EntryPartial {
 			if rerr := h.store.Remove(name); rerr == nil {
-				h.obs.salvage.With(h.name, "superseded").Inc()
-				rec.Event(obs.Event{Kind: core.EventSalvage, Detail: "superseded"})
+				onEvent(core.Event{Kind: core.EventSalvage, Detail: "superseded"})
 			}
 		}
 	}
@@ -389,7 +400,7 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 		// the save hashes nothing. The persist is best-effort: the VM has
 		// fully arrived, so a failed save degrades (the next migration runs
 		// cold) instead of failing it.
-		h.saveCheckpoint(core.StageSaveArrivals, rec, save, dst, "arrival image")
+		_ = h.saveCheckpoint(core.StageSaveArrivals, rec, save, dst, "arrival image", checkpoint.EntryComplete)
 	}
 	if err := h.register(dst); err != nil {
 		return res, err
@@ -460,44 +471,54 @@ func (p RetryPolicy) delay(retry int) time.Duration {
 	return min(d, maxBackoff)
 }
 
-// Retryable classifies a migration error: true means a fresh attempt on a
-// new connection could plausibly succeed (the peer or the network hiccuped,
-// or the peer's storage flaked mid-merge), false means retrying is
-// pointless or unsafe. The routing is core.Classify's: a classified
-// core.MigrationError anywhere in the chain is authoritative; otherwise
-// rejection, protocol violations and cancellation are terminal and
-// everything else (dial failures, idle timeouts, resets, truncated
-// streams) is worth a retry.
+// Retryable is the one predicate that routes a migration error: true means a
+// fresh attempt on a new connection could plausibly succeed, false means
+// retrying is pointless or unsafe. A rejection, a protocol violation, a
+// cancellation and a VM that is not here are terminal; everything else —
+// dial failures, idle timeouts, resets, truncated streams, a peer's storage
+// flaking mid-merge — is worth a retry.
 func Retryable(err error) bool {
-	if err == nil || errors.Is(err, ErrNoSuchVM) {
+	switch {
+	case err == nil,
+		errors.Is(err, ErrNoSuchVM),
+		errors.Is(err, core.ErrRejected),
+		errors.Is(err, core.ErrProtocol),
+		errors.Is(err, context.Canceled),
+		errors.Is(err, context.DeadlineExceeded):
 		return false
 	}
-	return core.Classify(err) != core.ClassTerminal
+	return true
 }
 
-// degrade records one rung of the ladder taken at stage because of err.
+// degrade records one rung of the ladder taken at stage because of err. A
+// salvage follows a failed arrival, whose handler reports the failure to
+// OnError itself, so a salvage rung is left to the metric and the trace: one
+// OnError per failed handler.
 func (h *Host) degrade(stage string, rec *obs.Recorder, err error) {
 	fault := faultfs.Label(err)
 	h.obs.degraded.With(h.name, stage, fault).Inc()
 	rec.Event(obs.Event{Kind: core.EventDegraded, Detail: stage + ":" + fault})
-	if h.OnError != nil {
+	if h.OnError != nil && stage != core.StageSalvage {
 		h.OnError(fmt.Errorf("sched: %s degraded (%s): %w", stage, fault, err))
 	}
 }
 
-// saveCheckpoint commits v's checkpoint through save — the stream the
-// migration wrote pages into, or nil for none — keyed from the guest's digest
-// table (checkpoint.SaveStream.Commit). The persist is best-effort, a rung of
-// the graceful-degradation ladder: a broken stream (a write under the
+// saveCheckpoint commits v's checkpoint in the given state through save — the
+// stream the migration wrote pages into, or nil for none — keyed from the
+// guest's digest table (checkpoint.SaveStream.Commit). Every host save runs
+// through it: the departure image (keep-checkpoint), the arrival image
+// (save-arrivals) and the partial image of a failed arrival (salvage), and it
+// books what each commit and collection did. The persist is best-effort, a
+// rung of the graceful-degradation ladder: a broken stream (a write under the
 // migration failed) is recorded and retried once on a fresh stream, which
 // writes every missing page itself; a full store (ENOSPC from the disk) gets
-// one GC-then-retry. A failure that
-// survives is recorded — vecycle_degraded_total, a trace event, OnError — and
-// swallowed. stage names the rung (core.Stage* constants). A successful save
-// is traced as a checkpoint-saved event naming the image and how many of the
-// pages the store was missing were streamed and how many caught up after the
-// ack.
-func (h *Host) saveCheckpoint(stage string, rec *obs.Recorder, save *checkpoint.SaveStream, v *vm.VM, image string) {
+// one GC-then-retry. A failure that survives is recorded —
+// vecycle_degraded_total, a trace event, OnError — and returned for the
+// caller to note; it never fails the migration. stage names the rung
+// (core.Stage* constants). A successful save is traced as a checkpoint-saved
+// event naming the image and how many of the pages the store was missing
+// were streamed and how many caught up after the ack.
+func (h *Host) saveCheckpoint(stage string, rec *obs.Recorder, save *checkpoint.SaveStream, v *vm.VM, image string, state checkpoint.EntryState) error {
 	// A stream commits once, so each try takes the one left and the next
 	// opens afresh.
 	commit := func() (checkpoint.SaveCounts, error) {
@@ -506,7 +527,12 @@ func (h *Host) saveCheckpoint(stage string, rec *obs.Recorder, save *checkpoint.
 			st = h.store.OpenSave(v.Name())
 		}
 		save = nil
-		return st.Commit(v, checkpoint.EntryComplete)
+		counts, err := st.Commit(v, state)
+		// A broken stream fails before keying anything.
+		if !errors.Is(err, checkpoint.ErrStreamBroken) {
+			h.obs.saved(v, counts)
+		}
+		return counts, err
 	}
 	counts, err := commit()
 	switch {
@@ -516,16 +542,18 @@ func (h *Host) saveCheckpoint(stage string, rec *obs.Recorder, save *checkpoint.
 	case faultfs.Label(err) == "enospc":
 		// The pool may hold dead segments a collection can turn into room;
 		// one pass, one more try. GC failing too just degrades below.
-		if _, gcErr := h.store.GC(); gcErr == nil {
+		if rep, gcErr := h.store.GC(); gcErr == nil {
+			h.obs.collected(rep)
 			counts, err = commit()
 		}
 	}
 	if err != nil {
 		h.degrade(stage, rec, err)
-		return
+		return err
 	}
 	rec.Event(obs.Event{Kind: "checkpoint-saved",
 		Detail: fmt.Sprintf("%s streamed=%d caught_up=%d", image, counts.Streamed, counts.CaughtUp)})
+	return nil
 }
 
 // MigrateOptions tunes an outgoing migration from a host.
@@ -583,7 +611,7 @@ func (h *Host) MigrateTo(ctx context.Context, addr, vmName string, opts MigrateO
 	}
 	rec := h.obs.begin("source", vmName, addr)
 	m, err := h.runMigrateTo(ctx, addr, v, d, opts, rec)
-	h.obs.finish(rec, "source", vmName, m, err)
+	h.obs.finish(rec, "source", m, err)
 	return m, err
 }
 
@@ -602,7 +630,7 @@ func (h *Host) runMigrateTo(ctx context.Context, addr string, v *vm.VM, d *disk.
 		dopts.Pause, dopts.Resume = nil, nil
 		drec := h.obs.begin("source", b.Name(), addr)
 		dm, err := h.migrateLeg(ctx, addr, b, dopts, drec)
-		h.obs.finish(drec, "source", b.Name(), dm, err)
+		h.obs.finish(drec, "source", dm, err)
 		if err != nil {
 			return core.Metrics{}, fmt.Errorf("sched: disk migration: %w", err)
 		}
@@ -675,7 +703,7 @@ func (h *Host) migrateLeg(ctx context.Context, addr string, v *vm.VM, opts Migra
 			// region's table, and the final round left no page unrecorded, so
 			// the commit hashes nothing.
 			if opts.KeepCheckpoint {
-				h.saveCheckpoint(core.StageKeepCheckpoint, rec, save, v, "departure image")
+				_ = h.saveCheckpoint(core.StageKeepCheckpoint, rec, save, v, "departure image", checkpoint.EntryComplete)
 			}
 			return m, nil
 		case ctx.Err() != nil:
@@ -683,7 +711,7 @@ func (h *Host) migrateLeg(ctx context.Context, addr string, v *vm.VM, opts Migra
 			// mid-stream (as a wrapped transport error) or would have been
 			// caught mid-backoff, the caller sees the ctx error itself.
 			return m, ctx.Err()
-		case errors.Is(err, core.ErrRejected), !Retryable(err), no >= attempts:
+		case !Retryable(err), no >= attempts:
 			return m, err
 		}
 		delay := opts.Retry.delay(no - 1)

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"vecycle/internal/checkpoint"
 	"vecycle/internal/core"
 	"vecycle/internal/disk"
 	"vecycle/internal/faultfs"
@@ -359,5 +360,111 @@ func TestLegSaveStreamBroken(t *testing.T) {
 	}
 	if streamed, caughtUp := savedCounts(t, alpha, "source", 2); streamed != 0 || caughtUp != rewritten {
 		t.Errorf("saved streamed=%d caught_up=%d, want 0 and %d", streamed, caughtUp, rewritten)
+	}
+}
+
+// TestLegSalvageCollectsOnENOSPC: a leg cut after wire pages landed leaves the
+// destination a salvage to persist, and its disk is full for the salvage's
+// first write. The salvage runs the host's one save ladder: a GC pass reclaims
+// the dead segment in the pool, the retried commit leaves the partial entry,
+// and no salvage rung is counted as degraded.
+func TestLegSalvageCollectsOnENOSPC(t *testing.T) {
+	inj := faultfs.NewInjector()
+	alpha, beta := newHost(t, "alpha"), newFaultHost(t, "beta", inj)
+	// A dead segment in beta's pool: a throwaway VM saved, then removed
+	// without a collection.
+	junk := newGuest(t, "junk", 64)
+	if err := junk.FillRandom(0.9); err != nil {
+		t.Fatal(err)
+	}
+	if err := beta.Store().Save(junk); err != nil {
+		t.Fatal(err)
+	}
+	if err := beta.Store().Remove("junk"); err != nil {
+		t.Fatal(err)
+	}
+	guest := newGuest(t, "vm0", 1024)
+	if err := guest.FillRandom(0.9); err != nil {
+		t.Fatal(err)
+	}
+	alpha.AddVM(guest)
+	p := newPipeDialer(t, alpha, beta)
+	p.cut[1] = 1_200_000 // past round one's first range frame
+
+	inj.Arm(faultfs.Fault{Op: faultfs.OpWrite, Path: ".seg", Err: faultfs.ErrENOSPC, Times: 1})
+	if _, err := alpha.MigrateTo(context.Background(), "beta", "vm0", MigrateOptions{Recycle: true}); err == nil {
+		t.Fatal("the cut leg succeeded")
+	}
+	p.wg.Wait()
+	if n := len(inj.Shots()); n != 1 {
+		t.Fatalf("%d faults fired, want the one armed", n)
+	}
+	if state, ok := beta.Store().State("vm0"); !ok || state != checkpoint.EntryPartial {
+		t.Errorf("beta's entry is %q (present=%v), want the salvage partial", state, ok)
+	}
+	if err := beta.Store().Verify("vm0"); err != nil {
+		t.Error(err)
+	}
+	metrics := scrape(t, beta)
+	for _, want := range []string{
+		`vecycle_store_gc_total{host="beta",outcome="reclaimed"} 1`,
+		`vecycle_salvage_total{host="beta",outcome="written"} 1`,
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("want %s; metrics:\n%s", want, metrics)
+		}
+	}
+	for _, unwanted := range []string{`vecycle_store_gc_total{host="beta",outcome="clean"}`, "vecycle_degraded_total{"} {
+		if strings.Contains(metrics, unwanted) {
+			t.Errorf("unwanted %s; metrics:\n%s", unwanted, metrics)
+		}
+	}
+}
+
+// TestLegUnionSkipTraced: a first visit to a host whose one resident entry
+// cannot be opened — every segment open fails with EIO — leaves that entry out
+// of the union and carries on over the wire. The skip is a rung of the ladder:
+// counted, and traced on the arrival's record as a degraded union-read:eio.
+func TestLegUnionSkipTraced(t *testing.T) {
+	inj := faultfs.NewInjector()
+	alpha, beta := newHost(t, "alpha"), newFaultHost(t, "beta", inj)
+	other := newGuest(t, "other", 64)
+	if err := other.FillRandom(0.9); err != nil {
+		t.Fatal(err)
+	}
+	if err := beta.Store().Save(other); err != nil {
+		t.Fatal(err)
+	}
+	guest := newGuest(t, "vm0", 64)
+	if err := guest.FillRandom(0.9); err != nil {
+		t.Fatal(err)
+	}
+	alpha.AddVM(guest)
+	p := newPipeDialer(t, alpha, beta)
+
+	inj.Arm(faultfs.Fault{Op: faultfs.OpOpen, Path: ".seg", Err: faultfs.ErrEIO, Times: -1})
+	if _, err := alpha.MigrateTo(context.Background(), "beta", "vm0", MigrateOptions{Recycle: true}); err != nil {
+		t.Fatalf("MigrateTo failed on an unreadable union entry: %v", err)
+	}
+	p.wg.Wait()
+	if landed, ok := beta.VM("vm0"); !ok || !guest.MemEqual(landed) {
+		t.Fatal("the guest did not arrive intact")
+	}
+	var skips []string
+	for _, r := range beta.Traces().Recent() {
+		if r.Role != "dest" || r.VM != "vm0" {
+			continue
+		}
+		for _, e := range r.Events {
+			if e.Kind == core.EventDegraded {
+				skips = append(skips, e.Detail)
+			}
+		}
+	}
+	if len(skips) != 1 || skips[0] != core.StageUnionRead+":eio" {
+		t.Errorf("degraded events on the arrival's record %v, want one union-read:eio", skips)
+	}
+	if want := `vecycle_degraded_total{host="beta",stage="union-read",fault="eio"} 1`; !strings.Contains(scrape(t, beta), want) {
+		t.Errorf("want %s", want)
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"strings"
 	"time"
 
+	"vecycle/internal/checkpoint"
 	"vecycle/internal/core"
 	"vecycle/internal/obs"
+	"vecycle/internal/vm"
 )
 
 // Host-side observability wiring. The migration engine keeps returning
@@ -59,18 +61,16 @@ type hostObs struct {
 	rangeFrames    *obs.CounterVec   // vecycle_range_frames_total{host}
 	bytes          *obs.CounterVec   // vecycle_migration_bytes_total{host,role,direction}
 	pages          *obs.CounterVec   // vecycle_migration_pages_total{host,kind}
-	rounds         *obs.CounterVec   // vecycle_migration_rounds_total{host}
 	announce       *obs.CounterVec   // vecycle_announce_bytes_total{host}
 	retries        *obs.CounterVec   // vecycle_migration_retries_total{host}
 	salvage        *obs.CounterVec   // vecycle_salvage_total{host,outcome}
 	salvagePg      *obs.CounterVec   // vecycle_salvage_pages_total{host}
 	salvageAvoided *obs.CounterVec   // vecycle_salvage_bytes_avoided_total{host}
-	vmTotal        *obs.CounterVec   // vecycle_vm_migrations_total{host,vm,role}
-	vmLast         *obs.GaugeVec     // vecycle_vm_last_migration_seconds{host,vm}
 	hashBytes      *obs.CounterVec   // vecycle_hash_bytes_total{host,stage}
 	hashAvoided    *obs.CounterVec   // vecycle_hash_avoided_bytes_total{host}
+	dedup          *obs.CounterVec   // vecycle_dedup_pages_total{host}
+	gcRuns         *obs.CounterVec   // vecycle_store_gc_total{host,outcome}
 	degraded       *obs.CounterVec   // vecycle_degraded_total{host,stage,fault}
-	cleanupErrs    *obs.CounterVec   // vecycle_store_cleanup_errors_total{host}
 }
 
 // newHostObs registers (or re-attaches to) every vecycle metric family in
@@ -107,9 +107,6 @@ func newHostObs(h *Host, reg *obs.Registry, traces *obs.TraceLog) *hostObs {
 		pages: reg.CounterVec("vecycle_migration_pages_total",
 			"Pages handled, by wire encoding or reuse kind (full, sum, kept, reused_in_place, reused_from_disk); kept counts pages round one of a return matched by name left to the checkpoint, on either side.",
 			"host", "kind"),
-		rounds: reg.CounterVec("vecycle_migration_rounds_total",
-			"Pre-copy rounds run, including final stop-and-copy rounds.",
-			"host"),
 		announce: reg.CounterVec("vecycle_announce_bytes_total",
 			"Bulk checksum-announcement traffic (the paper's 'additional traffic', §3.2).",
 			"host"),
@@ -125,24 +122,21 @@ func newHostObs(h *Host, reg *obs.Registry, traces *obs.TraceLog) *hostObs {
 		salvageAvoided: reg.CounterVec("vecycle_salvage_bytes_avoided_total",
 			"Wire bytes avoided by migrations that resumed from a salvage checkpoint (pages reused out of the partial image, at page-size cost each).",
 			"host"),
-		vmTotal: reg.CounterVec("vecycle_vm_migrations_total",
-			"Per-VM migration series: completed migrations touching this VM, by role.",
-			"host", "vm", "role"),
-		vmLast: reg.GaugeVec("vecycle_vm_last_migration_seconds",
-			"Duration of the VM's most recent successful migration on this host.",
-			"host", "vm"),
 		hashBytes: reg.CounterVec("vecycle_hash_bytes_total",
-			"Payload bytes actually digested, by stage: encode (source pages the guest's digest table did not cover), probe (destination pages hashed to compare with a wire checksum), track (destination round-end pass completing the arrived guest's digest table), save_keys (pages a checkpoint save keyed by hashing because the guest's digest table did not cover them), restore (pages a checkpoint open read and rehashed under an algorithm the store does not key by; no migration opens that way).",
+			"Payload bytes actually digested, by stage: encode (source pages the guest's digest table did not cover), probe (destination pages hashed to compare with a wire checksum), track (destination round-end pass completing the arrived guest's digest table), save_keys (pages a checkpoint save keyed by hashing because the guest's digest table did not cover them).",
 			"host", "stage"),
 		hashAvoided: reg.CounterVec("vecycle_hash_avoided_bytes_total",
 			"Payload bytes whose digest was recycled from the guest's resident digest table (on encode, probe, track and save) instead of recomputed. A save books each page once: save_keys plus avoided is the guest.",
 			"host"),
+		dedup: reg.CounterVec("vecycle_dedup_pages_total",
+			"Pages a checkpoint save found already resident in the content-addressed pool and referenced instead of rewriting.",
+			"host"),
+		gcRuns: reg.CounterVec("vecycle_store_gc_total",
+			"Store garbage-collection passes the host ran to make room for a save, by outcome (reclaimed, clean).",
+			"host", "outcome"),
 		degraded: reg.CounterVec("vecycle_degraded_total",
 			"Graceful-degradation ladder rungs taken: a best-effort activity (checkpoint persist, salvage, recycled read, union fold) failed and the migration carried on without it, by stage and storage-fault label.",
 			"host", "stage", "fault"),
-		cleanupErrs: reg.CounterVec("vecycle_store_cleanup_errors_total",
-			"Store cleanup unlinks (stale temp files, superseded artifacts) that failed and left the file behind for the next scrub.",
-			"host"),
 	}
 	reg.GaugeVec("vecycle_store_images",
 		"Number of checkpoint images in the store.",
@@ -170,55 +164,32 @@ func newHostObs(h *Host, reg *obs.Registry, traces *obs.TraceLog) *hostObs {
 		defer h.mu.Unlock()
 		return float64(len(h.vms))
 	})
-	h.store.SetMetrics(storeMetrics{
-		host: h.name,
-		dedup: reg.CounterVec("vecycle_dedup_pages_total",
-			"Pages a checkpoint save found already resident in the content-addressed pool and referenced instead of rewriting.",
-			"host"),
-		gc: reg.CounterVec("vecycle_store_gc_total",
-			"Store garbage-collection passes by outcome (reclaimed, clean).",
-			"host", "outcome"),
-		// Save-time digest passes share the migration-level hash families,
-		// so one pair of series tells the whole hash-once story per host.
-		hash:        o.hashBytes,
-		hashAvoided: o.hashAvoided,
-		// Store-side degradations (union folds that skipped an entry) and
-		// cleanup failures land in the same families as the host-level
-		// ladder, so one query covers every rung.
-		degraded:    o.degraded,
-		cleanupErrs: o.cleanupErrs,
-	})
 	return o
 }
 
-// storeMetrics feeds the checkpoint store's dedup and GC callbacks into the
-// registry. The store delivers these outside its own lock, so the counters
-// may safely be scraped (or trigger SetFunc gauges) re-entrantly.
-type storeMetrics struct {
-	host        string
-	dedup       *obs.CounterVec
-	gc          *obs.CounterVec
-	hash        *obs.CounterVec
-	hashAvoided *obs.CounterVec
-	degraded    *obs.CounterVec
-	cleanupErrs *obs.CounterVec
+// saved books one save commit: the pages it keyed by hashing, the bytes whose
+// digests the guest's table supplied (a save books each page once, so the two
+// add up to the guest), and the pages it found pooled.
+func (o *hostObs) saved(v *vm.VM, c checkpoint.SaveCounts) {
+	hashed := int64(c.Hashed) * vm.PageSize
+	if hashed > 0 {
+		o.hashBytes.With(o.host, "save_keys").Add(float64(hashed))
+	}
+	if avoided := v.MemBytes() - hashed; avoided > 0 {
+		o.hashAvoided.With(o.host).Add(float64(avoided))
+	}
+	if c.Pooled > 0 {
+		o.dedup.With(o.host).Add(float64(c.Pooled))
+	}
 }
 
-func (m storeMetrics) DedupPages(n int)     { m.dedup.With(m.host).Add(float64(n)) }
-func (m storeMetrics) GCRun(outcome string) { m.gc.With(m.host, outcome).Inc() }
-
-func (m storeMetrics) Degraded(stage, fault string) {
-	m.degraded.With(m.host, stage, fault).Inc()
-}
-
-func (m storeMetrics) CleanupError(string) { m.cleanupErrs.With(m.host).Inc() }
-
-func (m storeMetrics) HashBytes(stage string, n int64) {
-	m.hash.With(m.host, stage).Add(float64(n))
-}
-
-func (m storeMetrics) HashAvoidedBytes(n int64) {
-	m.hashAvoided.With(m.host).Add(float64(n))
+// collected books one GC pass the host ran.
+func (o *hostObs) collected(rep checkpoint.GCReport) {
+	outcome := "clean"
+	if rep.Reclaimed() {
+		outcome = "reclaimed"
+	}
+	o.gcRuns.With(o.host, outcome).Inc()
 }
 
 // begin opens a trace for one migration attempt and marks it active.
@@ -247,7 +218,6 @@ func (o *hostObs) eventFunc(rec *obs.Recorder, role string) core.EventFunc {
 		case core.EventRound:
 			o.roundBytes.With(o.host, role).Observe(float64(e.Bytes))
 			o.roundFrames.With(o.host, role).Observe(float64(e.Frames))
-			o.rounds.With(o.host).Inc()
 		case core.EventAnnounce:
 			o.announce.With(o.host).Add(float64(e.Bytes))
 		case core.EventSalvage:
@@ -295,11 +265,10 @@ func outcome(err error) string {
 // finish closes the trace and folds the migration's metrics into the
 // registry. m is the engine's programmatic result; err decides the
 // outcome label. Safe to call with partial metrics on failure.
-func (o *hostObs) finish(rec *obs.Recorder, role, vmName string, m core.Metrics, err error) {
+func (o *hostObs) finish(rec *obs.Recorder, role string, m core.Metrics, err error) {
 	rec.Finish(err)
 	o.active.With(o.host, role).Add(-1)
 	o.migrations.With(o.host, role, outcome(err)).Inc()
-	o.vmTotal.With(o.host, vmName, role).Inc()
 	o.bytes.With(o.host, role, "sent").Add(float64(m.BytesSent))
 	o.bytes.With(o.host, role, "received").Add(float64(m.BytesReceived))
 	o.pages.With(o.host, "full").Add(float64(m.PagesFull))
@@ -325,7 +294,6 @@ func (o *hostObs) finish(rec *obs.Recorder, role, vmName string, m core.Metrics,
 	}
 	if err == nil {
 		o.duration.With(o.host, role).Observe(m.Duration.Seconds())
-		o.vmLast.With(o.host, vmName).Set(m.Duration.Seconds())
 	}
 }
 

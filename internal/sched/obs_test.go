@@ -102,7 +102,6 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		`vecycle_migrations_total{host="alpha",role="source",outcome="success"} 1`,
 		`vecycle_migrations_active{host="alpha",role="source"} 0`,
-		`vecycle_vm_migrations_total{host="alpha",vm="vm0",role="source"} 1`,
 		`vecycle_migration_duration_seconds_count{host="alpha",role="source"} 1`,
 		`vecycle_migration_downtime_seconds_count{host="alpha"} 1`,
 		`vecycle_store_images{host="alpha"} 1`,
@@ -113,8 +112,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		}
 	}
 	// A 64-page guest moved at least one round of bytes.
-	if !strings.Contains(body, `vecycle_migration_rounds_total{host="alpha"}`) {
-		t.Error("source /metrics missing rounds counter")
+	if !strings.Contains(body, `vecycle_migration_round_bytes_count{host="alpha",role="source"}`) {
+		t.Error("source /metrics missing the per-round byte counts")
 	}
 
 	// Destination-side scrape.

@@ -3,10 +3,12 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -294,6 +296,8 @@ func TestRetryableClassification(t *testing.T) {
 		{ErrNoSuchVM, false},
 		{core.ErrIdleTimeout, true},
 		{core.ErrInjectedReset, true},
+		{core.ErrInjectedTornWrite, true},
+		{fmt.Errorf("merge: %w", &core.MigrationError{Stage: core.StageRecycleRead, Fault: "eio", Err: syscall.EIO}), true},
 		{io.ErrUnexpectedEOF, true},
 		{errors.New("dial tcp: connection refused"), true},
 	}
