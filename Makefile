@@ -38,7 +38,9 @@ race-digest:
 # one, a cancel mid-install, no page read before the hello-ack, an entry of
 # another size refused before it — repeated, since the interleavings are the
 # point),
-# the store-level span reader, an index-only open and a union open writing
+# the store-level span reader, concurrent first lookups building one
+# checkpoint's lookup map (TestLookupBuiltOnFirstUse), an index-only open
+# and a union open writing
 # nothing to the store (TestOpenWritesNothing), the announce-by-name matrix (round one of a
 # matched leg leaving out the pages still equal to the named checkpoint, by
 # content and in round one only; every other leg's round one tiling the guest,
@@ -50,7 +52,7 @@ race-digest:
 # the race detector.
 race-restore:
 	$(GO) test -race -count=3 -run 'TestBackgroundInstall|TestBootstrapPageCountMismatch' ./internal/core/
-	$(GO) test -race -run 'TestSpanLoad|TestRestoreSumsMatchGuest|TestConcurrentRemoveDuringRestore|TestSaveStream|TestOpenWritesNothing' ./internal/checkpoint/
+	$(GO) test -race -run 'TestSpanLoad|TestRestoreSumsMatchGuest|TestConcurrentRemoveDuringRestore|TestSaveStream|TestOpenWritesNothing|TestLookupBuiltOnFirstUse' ./internal/checkpoint/
 	$(GO) test -race -run 'TestPingPongSkipsAnnouncement|TestPartialAnnounced|TestGoldenStreamByName|TestRoundOneGap|TestKeep|TestSourceWritesPerTurn|TestRoundEventBytes' ./internal/core/
 	$(GO) test -race -run 'TestByName|TestPingPongOverTCP|TestStreamedSave' ./internal/sched/
 
@@ -107,10 +109,12 @@ bench-smoke:
 # departure save stream once, collect and retry a salvage that hit a full
 # disk, and trace a union entry skipped (plus the engine-level
 # salvage/resume contract tests, and the store's crash, corruption and
-# seeded-invariant cells), under the race detector.
+# seeded-invariant cells, a scrub that sets a torn segment aside without
+# also naming it a rolled-back orphan, and a compaction reading its live
+# slots one run at a time), under the race detector.
 chaos-smoke:
 	$(GO) test -race -run 'TestChaos|TestLeg' ./internal/sched/
-	$(GO) test -race -run 'TestSalvage|TestPartialAnnounced|TestKillPointMatrix|TestTornSegment|TestRecoverySetsAside|TestStoreInvariants|TestWarmSaveSyncs|TestSegmentWriteback|TestGCCrashMidCompact' ./internal/core/ ./internal/checkpoint/
+	$(GO) test -race -run 'TestSalvage|TestPartialAnnounced|TestKillPointMatrix|TestTornSegment|TestRecoverySetsAside|TestStoreInvariants|TestWarmSaveSyncs|TestSegmentWriteback|TestGCCrashMidCompact|TestScrubSetAsideIsNotOrphan|TestGCCompactReadsRuns' ./internal/core/ ./internal/checkpoint/
 
 # chaos-store is the storage-fault gate: deterministic faultfs schedules
 # inject EIO/ENOSPC/torn writes and read faults at every store op site

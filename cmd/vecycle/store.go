@@ -18,8 +18,9 @@ import (
 //	vecycle store stat  -store DIR   pool-wide dedup accounting
 //
 // Opening the store already runs the startup recovery scan (orphaned temp
-// files deleted, legacy images adopted, torn segments quarantined); ls shows
-// its outcome, scrub reports it explicitly.
+// files deleted, torn segments set aside and their entries quarantined,
+// uncommitted files rolled back); ls shows its outcome, scrub reports it
+// explicitly.
 func runStore(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("usage: vecycle store <ls|scrub|gc|stat> -store DIR")
@@ -122,6 +123,7 @@ func storeScrub(st *checkpoint.Store) error {
 	report("quarantined", rep.Quarantined)
 	report("dropped (image vanished)", rep.Dropped)
 	report("temp files removed", rep.TempFiles)
+	report("rolled back (uncommitted)", rep.Orphans)
 	// Exit non-zero while any entry (newly or previously caught) remains
 	// quarantined, so the command doubles as a health check.
 	entries, err := st.Entries()

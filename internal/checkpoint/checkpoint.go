@@ -6,8 +6,9 @@
 // computes one checksum per 4 KiB block, records each with its location in
 // a sorted list, and answers checksums from the wire by binary search —
 // reusing local bytes instead of network ones. This package keeps that
-// merge-loop contract (Index, Checkpoint.ReadBlock) and adds the layers the
-// paper's evaluation assumes but does not spell out:
+// merge-loop contract (Checkpoint.ReadBlock, answered from a lookup map over
+// the entry's page-ordered keys) and adds the layers the paper's evaluation
+// assumes but does not spell out:
 //
 //   - object pool (object.go): every distinct page is persisted once per
 //     host in append-only segment files, keyed by a collision-resistant
@@ -36,11 +37,9 @@
 package checkpoint
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"sort"
 	"sync"
 
 	"vecycle/internal/checksum"
@@ -57,78 +56,31 @@ type pageRef struct {
 	off int64
 }
 
-// indexEntry pairs a block checksum with the location of its payload.
-type indexEntry struct {
-	sum checksum.Sum
-	ref pageRef
-}
-
-// Index maps block checksums to payload locations. It is the sorted list of
-// §3.3, queried by binary search during the destination's merge loop. The
-// sort is deferred to the first Lookup: a merge consults the index only for
-// pages whose content moved to another frame, and a returning guest usually
-// has none, so most restores never pay for it.
-type Index struct {
-	entries []indexEntry
-	sorted  sync.Once
-}
-
-// add records a block. Called in page order, before any Lookup.
-func (ix *Index) add(sum checksum.Sum, ref pageRef) {
-	ix.entries = append(ix.entries, indexEntry{sum: sum, ref: ref})
-}
-
-// sort orders the entries for binary search, keeping the lowest offset for
-// duplicate checksums (any copy of identical content works).
-func (ix *Index) sort() {
-	sort.Slice(ix.entries, func(i, j int) bool {
-		c := bytes.Compare(ix.entries[i].sum[:], ix.entries[j].sum[:])
-		if c != 0 {
-			return c < 0
-		}
-		return ix.entries[i].ref.off < ix.entries[j].ref.off
-	})
-}
-
-// Lookup reports the payload location of a block with the given checksum.
-// Safe for concurrent use.
-func (ix *Index) Lookup(sum checksum.Sum) (ref pageRef, ok bool) {
-	ix.sorted.Do(ix.sort)
-	i := sort.Search(len(ix.entries), func(i int) bool {
-		return bytes.Compare(ix.entries[i].sum[:], sum[:]) >= 0
-	})
-	if i < len(ix.entries) && ix.entries[i].sum == sum {
-		return ix.entries[i].ref, true
-	}
-	return pageRef{}, false
-}
-
-// Len reports the number of indexed blocks.
-func (ix *Index) Len() int { return len(ix.entries) }
-
-// Checkpoint is an opened checkpoint: the checksum→location index for the
-// merge loop, the announcement sum set, and the page-frame geometry (for
-// entries that have one — the union of a whole store does not). The backing
-// files are shared pool segments; Close releases them all.
+// Checkpoint is an opened checkpoint: its sums and their payload locations,
+// from which it derives the announcement set and the checksum→location lookup
+// of the merge loop on first use — a returning guest whose peer already names
+// the entry by its manifest root needs neither. The backing files are shared
+// pool segments; Close releases them all.
 //
-// An entry's checkpoint is opened index-only: it holds the page-ordered sums
-// and payload locations, and derives the announcement set and the block index
-// from them on first use — a returning guest whose peer already names this
-// entry by its manifest root needs neither. Its pages reach a guest through
-// InstallInto, in the background, or through Store.Restore, which waits.
+// An entry's sums are its page-ordered keys, one per page frame; its pages
+// reach a guest through InstallInto, in the background, or through
+// Store.Restore, which waits. A union (Store.OpenUnion) holds the distinct
+// keys of every entry it covers the same way, but they describe no frames: it
+// serves blocks by content and installs nothing.
 type Checkpoint struct {
-	files    []faultfs.File
+	files    segFiles
 	alg      checksum.Algorithm
-	frames   []pageRef      // per-page-frame payloads; nil when the checkpoint has no frame geometry
+	frames   []pageRef      // payload locations: per page frame, or per distinct key of a union
 	pageSums []checksum.Sum // frames[i] hashes to pageSums[i] under alg
+	union    bool           // frames are a union's distinct keys, not page frames
 	partial  bool           // the entry is a salvage image
 	named    bool           // root is set: a complete entry's manifest root
 	root     [RootSize]byte
 
-	indexOnce sync.Once
-	index     Index
-	setOnce   sync.Once
-	sums      *checksum.Set
+	lookupOnce sync.Once
+	byKey      map[checksum.Sum]int // sum → first frame holding it
+	setOnce    sync.Once
+	sums       *checksum.Set
 
 	load *spanLoad // the background install InstallInto started, if any
 }
@@ -140,7 +92,12 @@ const RootSize = sha256.Size
 
 // Pages reports the number of page frames the checkpoint describes — zero
 // for a union checkpoint, which has content but no frame geometry.
-func (c *Checkpoint) Pages() int { return len(c.frames) }
+func (c *Checkpoint) Pages() int {
+	if c.union {
+		return 0
+	}
+	return len(c.frames)
+}
 
 // Algorithm reports the checksum algorithm the index was built with.
 func (c *Checkpoint) Algorithm() checksum.Algorithm { return c.alg }
@@ -171,18 +128,23 @@ func (c *Checkpoint) SumSet() *checksum.Set {
 	return c.sums
 }
 
-// lookup finds a block's payload, building the index from the page-ordered
-// sums on the first call (a union's index is assembled by OpenUnion).
+// lookup finds a block's payload, building the map from the sums on the first
+// call. A merge consults it only for pages whose content moved to another
+// frame, and a returning guest usually has none, so most opens never build
+// it. Of duplicate sums the first frame wins: any copy of identical content
+// serves.
 func (c *Checkpoint) lookup(sum checksum.Sum) (pageRef, bool) {
-	c.indexOnce.Do(func() {
-		if c.index.entries == nil {
-			c.index.entries = make([]indexEntry, len(c.pageSums))
-			for i, s := range c.pageSums {
-				c.index.entries[i] = indexEntry{sum: s, ref: c.frames[i]}
-			}
+	c.lookupOnce.Do(func() {
+		c.byKey = make(map[checksum.Sum]int, len(c.pageSums))
+		for i := len(c.pageSums) - 1; i >= 0; i-- {
+			c.byKey[c.pageSums[i]] = i
 		}
 	})
-	return c.index.Lookup(sum)
+	i, ok := c.byKey[sum]
+	if !ok {
+		return pageRef{}, false
+	}
+	return c.frames[i], true
 }
 
 // blockPool recycles ReadBlock buffers: the destination merge loop resolves
@@ -227,6 +189,9 @@ func (c *Checkpoint) Release(data []byte) {
 // caller that must know before it commits to the install — the migration
 // destination, before its hello-ack — asks here first.
 func (c *Checkpoint) CheckInstall(dst *vm.VM) error {
+	if c.union {
+		return fmt.Errorf("checkpoint: background install of a union, which has no frames")
+	}
 	if c.alg != ObjectAlgorithm {
 		return fmt.Errorf("checkpoint: background install of a checkpoint opened under %v", c.alg)
 	}
@@ -283,11 +248,5 @@ func (c *Checkpoint) Close() error {
 		c.load.cancel()
 		_ = c.load.drain() // the caller has the outcome already, or is abandoning it
 	}
-	var first error
-	for _, f := range c.files {
-		if err := f.Close(); err != nil && first == nil {
-			first = fmt.Errorf("checkpoint: close: %w", err)
-		}
-	}
-	return first
+	return c.files.close()
 }

@@ -144,7 +144,8 @@ func TestReadBlockByChecksum(t *testing.T) {
 }
 
 func TestIndexDuplicateBlocks(t *testing.T) {
-	// Two pages with identical content: lookup must return a valid offset.
+	// Two pages with identical content: the lookup serves the first frame
+	// holding it, and ReadBlock its bytes.
 	bothAlgorithms(t, func(t *testing.T, alg checksum.Algorithm) {
 		src := newVM(t, "vm0", 4, 1)
 		same := bytes.Repeat([]byte{0x42}, vm.PageSize)
@@ -155,6 +156,9 @@ func TestIndexDuplicateBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cp.Close()
+		if ref, ok := cp.lookup(alg.Page(same)); !ok || ref != cp.frames[1] {
+			t.Errorf("lookup = %+v, %v; want frame 1's payload %+v", ref, ok, cp.frames[1])
+		}
 		data, ok, err := cp.ReadBlock(alg.Page(same))
 		if err != nil || !ok {
 			t.Fatalf("ok=%v err=%v", ok, err)
@@ -165,18 +169,18 @@ func TestIndexDuplicateBlocks(t *testing.T) {
 	})
 }
 
-// TestIndexSortsOnFirstLookup: a checkpoint holds its sums in page order and
-// builds no index until something looks a checksum up, and concurrent first
-// lookups all see the sorted index.
-func TestIndexSortsOnFirstLookup(t *testing.T) {
+// TestLookupBuiltOnFirstUse: a checkpoint holds its sums in page order and
+// builds neither the lookup map nor the announcement set until something asks,
+// and concurrent first lookups all see the whole map.
+func TestLookupBuiltOnFirstUse(t *testing.T) {
 	src := filledVM(t, "vm0", 64, 1)
 	cp, err := savedStore(t, src).Restore("vm0", checksum.Default, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cp.Close()
-	if cp.index.entries != nil || cp.sums != nil {
-		t.Fatal("index or announcement set built at open, before any use")
+	if cp.byKey != nil || cp.sums != nil {
+		t.Fatal("lookup map or announcement set built at open, before any use")
 	}
 	for i, sum := range cp.pageSums {
 		if sum != src.PageSum(i, checksum.Default) {
@@ -202,26 +206,35 @@ func TestIndexSortsOnFirstLookup(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	if len(cp.byKey) != src.NumPages() {
+		t.Errorf("lookup map holds %d sums, want %d", len(cp.byKey), src.NumPages())
+	}
 }
 
-// Property: the index finds every inserted sum and nothing else.
+// Property: the lookup finds every sum a checkpoint holds, at the first frame
+// holding it, and nothing else.
 func TestIndexLookupProperty(t *testing.T) {
 	f := func(blocks []uint8, probe uint8) bool {
-		var ix Index
-		want := map[checksum.Sum]bool{}
+		cp := &Checkpoint{}
+		first := map[checksum.Sum]pageRef{}
 		for i, b := range blocks {
 			sum := checksum.MD5.Page([]byte{b})
-			ix.add(sum, pageRef{off: int64(i) * vm.PageSize})
-			want[sum] = true
+			ref := pageRef{off: int64(i) * vm.PageSize}
+			cp.pageSums = append(cp.pageSums, sum)
+			cp.frames = append(cp.frames, ref)
+			if _, dup := first[sum]; !dup {
+				first[sum] = ref
+			}
 		}
-		for sum := range want {
-			if _, ok := ix.Lookup(sum); !ok {
+		for sum, want := range first {
+			if ref, ok := cp.lookup(sum); !ok || ref != want {
 				return false
 			}
 		}
 		probeSum := checksum.MD5.Page([]byte{probe, 0xFF})
-		_, ok := ix.Lookup(probeSum)
-		return ok == want[probeSum]
+		_, ok := cp.lookup(probeSum)
+		_, want := first[probeSum]
+		return ok == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"vecycle/internal/checksum"
 	"vecycle/internal/vm"
@@ -25,8 +24,8 @@ import (
 // segments are written first, the manifest commit flips the store to the
 // new layout atomically, and only then are dead files unlinked. A crash
 // anywhere in between leaves either the old layout (plus unrecorded files
-// recovery rolls back) or the new one (plus recorded-but-undeleted files a
-// later GC re-collects).
+// the next GC or recovery rolls back) or the new one (plus recorded-but-
+// undeleted files a later GC re-collects).
 
 // compactDeadFraction is the occupancy threshold for rewriting a segment:
 // a segment is compacted when at least half of its pages are dead. Below
@@ -44,8 +43,9 @@ type GCReport struct {
 	PagesReclaimed int
 	// BytesReclaimed is the physical payload bytes freed by this pass.
 	BytesReclaimed int64
-	// OrphanFiles counts unrecorded segment files (interrupted
-	// transactions) deleted.
+	// OrphanFiles counts the segment and page-manifest files no committed
+	// transaction describes (interrupted saves, a crashed GC's unlinks) that
+	// the pass rolled back.
 	OrphanFiles int
 }
 
@@ -64,107 +64,71 @@ func (s *Store) GC() (GCReport, error) {
 }
 
 func (s *Store) gcLocked() (rep GCReport, err error) {
-	// Orphan segment files: present on disk, absent from the manifest —
-	// interrupted transactions (or files a crashed GC already unlinked from
-	// the manifest but not the directory).
-	dirents, err := s.fs.ReadDir(s.dir)
+	orphans, err := s.rollbackLocked()
+	rep.OrphanFiles = len(orphans)
 	if err != nil {
-		return rep, fmt.Errorf("checkpoint: gc scan: %w", err)
-	}
-	for _, de := range dirents {
-		name := de.Name()
-		if !strings.HasSuffix(name, segmentSuffix) || !strings.HasPrefix(name, "seg-") {
-			continue
-		}
-		if _, recorded := s.man.Segments[name]; recorded {
-			continue
-		}
-		if err := s.fs.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
-			return rep, fmt.Errorf("checkpoint: gc orphan %s: %w", name, err)
-		}
-		rep.OrphanFiles++
+		return rep, err
 	}
 
-	// Liveness per segment: an object is live when some entry references it
-	// AND this segment is its canonical location (compaction may leave a
-	// key's payload duplicated across segments; only the indexed copy
-	// counts).
-	segNames := make([]string, 0, len(s.man.Segments))
-	for name := range s.man.Segments {
-		segNames = append(segNames, name)
-	}
-	sort.Strings(segNames)
-
-	changed := false
 	var deadFiles []string
-	for _, segName := range segNames {
+	for _, segName := range sortedKeys(s.man.Segments) {
 		keys := s.segKeys[segName]
 		var liveSlots []int
 		for i, k := range keys {
-			if s.refs[k] > 0 && s.objects[k].seg == segName {
+			if s.liveLocked(segName, k) {
 				liveSlots = append(liveSlots, i)
 			}
 		}
 		dead := len(keys) - len(liveSlots)
-		switch {
-		case len(liveSlots) == 0:
-			// Fully dead: drop the record now, unlink after the commit.
-			for _, k := range keys {
-				if s.objects[k].seg == segName {
-					delete(s.objects, k)
-				}
-			}
-			delete(s.segKeys, segName)
-			delete(s.man.Segments, segName)
-			deadFiles = append(deadFiles, segName)
-			rep.SegmentsDeleted++
-			rep.PagesReclaimed += dead
-			rep.BytesReclaimed += int64(dead) * vm.PageSize
-			changed = true
-		case float64(dead) >= compactDeadFraction*float64(len(keys)):
-			// Mostly dead: rewrite the live payloads into a new segment.
-			newKeys := make([]checksum.Sum, len(liveSlots))
+		if len(liveSlots) > 0 && float64(dead) < compactDeadFraction*float64(len(keys)) {
+			continue
+		}
+		// Fully dead: drop the record now, unlink after the commit. Mostly
+		// dead: first rewrite the live payloads into a new segment.
+		var newName string
+		newKeys := make([]checksum.Sum, len(liveSlots))
+		if len(liveSlots) > 0 {
 			for i, slot := range liveSlots {
 				newKeys[i] = keys[slot]
 			}
-			n, newName := s.reserveSegmentLocked()
+			var n uint64
+			n, newName = s.reserveSegmentLocked()
 			seal, err := s.compactLocked(segName, newName, liveSlots, newKeys)
 			if err != nil {
 				return rep, err
 			}
 			s.man.NextSeg = max(s.man.NextSeg, n)
 			s.man.Segments[newName] = segmentRecord{Digest: seal, Pages: len(newKeys)}
-			delete(s.man.Segments, segName)
-			// Drop every index entry canonical to the old segment — the dead
-			// ones (refs == 0) vanish with the file; the live ones are
-			// re-registered at their compacted location just below. Leaving a
-			// dead key behind would let a later Save dedup new content
-			// against a payload that no longer exists on disk.
-			for _, k := range keys {
-				if s.objects[k].seg == segName {
-					delete(s.objects, k)
-				}
-			}
-			// Re-point the pool index at the compacted copies.
-			s.segKeys[newName] = newKeys
-			delete(s.segKeys, segName)
-			for i, k := range newKeys {
-				s.objects[k] = objLoc{seg: newName, off: segPayloadOffset(i)}
-			}
-			deadFiles = append(deadFiles, segName)
 			rep.SegmentsCompacted++
-			rep.PagesReclaimed += dead
-			rep.BytesReclaimed += int64(dead) * vm.PageSize
-			changed = true
+		} else {
+			rep.SegmentsDeleted++
 		}
+		// Drop every index entry canonical to the old segment — the dead ones
+		// (refs == 0) vanish with the file; the live ones are re-registered at
+		// their compacted location. Leaving a dead key behind would let a
+		// later Save dedup new content against a payload that no longer
+		// exists on disk.
+		for _, k := range keys {
+			if s.objects[k].seg == segName {
+				delete(s.objects, k)
+			}
+		}
+		delete(s.segKeys, segName)
+		delete(s.man.Segments, segName)
+		if newName != "" {
+			s.registerSegmentLocked(newName, newKeys)
+		}
+		deadFiles = append(deadFiles, segName)
+		rep.PagesReclaimed += dead
+		rep.BytesReclaimed += int64(dead) * vm.PageSize
 	}
-	if changed {
+	if len(deadFiles) > 0 {
 		if err := s.commitManifestLocked(); err != nil {
 			return rep, err
 		}
 	}
 	// Unlink after the commit: a crash here leaves unrecorded files, which
-	// the orphan sweep (above, and in recovery) re-collects.
+	// the rollback (above, and in recovery) re-collects.
 	for _, name := range deadFiles {
 		if err := s.fs.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
 			return rep, fmt.Errorf("checkpoint: gc unlink %s: %w", name, err)
@@ -173,8 +137,17 @@ func (s *Store) gcLocked() (rep GCReport, err error) {
 	return rep, nil
 }
 
+// liveLocked reports whether the key in one of segName's slots is live: some
+// entry references it AND this segment is its canonical location (compaction
+// may leave a key's payload duplicated across segments; only the indexed copy
+// counts).
+func (s *Store) liveLocked(segName string, k checksum.Sum) bool {
+	return s.refs[k] > 0 && s.objects[k].seg == segName
+}
+
 // compactLocked writes the payloads of segName's live slots, whose keys are
-// keys, into the new segment newName and returns its seal.
+// keys, into the new segment newName and returns its seal. Slots that sit
+// back to back are read with one ReadAt per run (scanPages).
 func (s *Store) compactLocked(segName, newName string, liveSlots []int, keys []checksum.Sum) (seal string, err error) {
 	src, err := s.fs.Open(filepath.Join(s.dir, segName))
 	if err != nil {
@@ -185,16 +158,13 @@ func (s *Store) compactLocked(segName, newName string, liveSlots []int, keys []c
 	if err != nil {
 		return "", err
 	}
-	buf := make([]byte, vm.PageSize)
+	refs := make([]pageRef, len(liveSlots))
 	for i, slot := range liveSlots {
-		if _, err := src.ReadAt(buf, segPayloadOffset(slot)); err != nil {
-			w.discard()
-			return "", fmt.Errorf("checkpoint: gc read %s: %w", segName, err)
-		}
-		if err := w.add(keys[i], buf); err != nil {
-			w.discard()
-			return "", err
-		}
+		refs[i] = pageRef{f: src, off: segPayloadOffset(slot)}
+	}
+	if err := scanPages(refs, func(i int, page []byte) error { return w.add(keys[i], page) }); err != nil {
+		w.discard()
+		return "", fmt.Errorf("checkpoint: gc compact %s: %w", segName, err)
 	}
 	return w.seal()
 }
@@ -214,9 +184,6 @@ type Stats struct {
 	// format overhead and page manifests excluded — together
 	// under half a percent of payload).
 	PhysicalBytes int64
-	// DedupPagesTotal is the cumulative count of pages Save deduplicated
-	// against the pool instead of writing, since this store was opened.
-	DedupPagesTotal int64
 }
 
 // DedupRatio reports LogicalBytes / PhysicalBytes — 1.0 means no sharing;
@@ -238,10 +205,9 @@ func (s *Store) Stats() Stats {
 
 func (s *Store) statsLocked() Stats {
 	st := Stats{
-		Entries:         len(s.man.Entries),
-		Segments:        len(s.man.Segments),
-		Objects:         len(s.objects),
-		DedupPagesTotal: s.dedupPages,
+		Entries:  len(s.man.Entries),
+		Segments: len(s.man.Segments),
+		Objects:  len(s.objects),
 	}
 	for _, e := range s.man.Entries {
 		st.LogicalBytes += e.Size
@@ -277,7 +243,7 @@ func (s *Store) Segments() []SegmentInfo {
 	for name, rec := range s.man.Segments {
 		live := 0
 		for _, k := range s.segKeys[name] {
-			if s.refs[k] > 0 && s.objects[k].seg == name {
+			if s.liveLocked(name, k) {
 				live++
 			}
 		}

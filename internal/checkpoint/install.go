@@ -27,8 +27,9 @@ const restoreFanout = 4
 // install runs in the background.
 const restoreSpanPages = 256
 
-// restoreBufPool recycles the span buffers of the rescan path across
-// restores; unpooled they dominated its allocations.
+// restoreBufPool recycles span buffers across restores (the rescan path),
+// integrity scans and compactions; unpooled they dominated the rescan's
+// allocations.
 var restoreBufPool = sync.Pool{New: func() interface{} {
 	return make([]byte, restoreSpanPages*vm.PageSize)
 }}
@@ -124,10 +125,12 @@ func (l *spanLoad) loadSpan(k int, buf []byte) error {
 	i := k * restoreSpanPages
 	j := min(i+restoreSpanPages, len(l.refs))
 	if l.rescan == 0 {
-		return l.dst.InstallRangeFrom(i, l.sums[i:j], l.readPages)
+		return l.dst.InstallRangeFrom(i, l.sums[i:j], func(first int, dst []byte) error {
+			return readPages(l.refs, first, dst)
+		})
 	}
 	span := buf[:(j-i)*vm.PageSize]
-	if err := l.readPages(i, span); err != nil {
+	if err := readPages(l.refs, i, span); err != nil {
 		return err
 	}
 	for p := i; p < j; p++ {
@@ -139,10 +142,12 @@ func (l *spanLoad) loadSpan(k int, buf []byte) error {
 	return nil
 }
 
-// readPages fills dst with the payloads of the frames from first on, one
-// ReadAt per run of payloads that sit back to back in one segment.
-func (l *spanLoad) readPages(first int, dst []byte) error {
-	refs := l.refs[first : first+len(dst)/vm.PageSize]
+// readPages fills dst with the payloads of refs[first:], one ReadAt per run
+// of payloads that sit back to back in one segment. It is the store's one
+// payload reader: the install's spans, the integrity scans and GC compaction
+// all read through it, and ReadBlock reads single blocks.
+func readPages(refs []pageRef, first int, dst []byte) error {
+	refs = refs[first : first+len(dst)/vm.PageSize]
 	for p := 0; p < len(refs); {
 		q := p + 1
 		for q < len(refs) && refs[q].f == refs[p].f && refs[q].off == refs[q-1].off+vm.PageSize {
@@ -153,6 +158,26 @@ func (l *spanLoad) readPages(first int, dst []byte) error {
 			return fmt.Errorf("checkpoint: read page %d: %w", first+p+n/vm.PageSize, err)
 		}
 		p = q
+	}
+	return nil
+}
+
+// scanPages reads the payloads refs locate through readPages, in spans of up
+// to restoreSpanPages pages, and hands each page to fn in order. The page is
+// valid only during the call.
+func scanPages(refs []pageRef, fn func(i int, page []byte) error) error {
+	buf := restoreBufPool.Get().([]byte)
+	defer restoreBufPool.Put(buf) //nolint:staticcheck // SA6002: 1 MiB slice, header alloc is fine
+	for first := 0; first < len(refs); first += restoreSpanPages {
+		span := buf[:(min(first+restoreSpanPages, len(refs))-first)*vm.PageSize]
+		if err := readPages(refs, first, span); err != nil {
+			return err
+		}
+		for p := 0; p*vm.PageSize < len(span); p++ {
+			if err := fn(first+p, span[p*vm.PageSize:(p+1)*vm.PageSize]); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"vecycle/internal/checksum"
-	"vecycle/internal/faultfs"
-	"vecycle/internal/vm"
 )
 
 // Pool integrity. A checkpoint may sit on disk for days between migrations
@@ -26,10 +24,10 @@ func (s *Store) Verify(vmName string) error {
 	s.mu.Lock()
 	key := sanitize(vmName)
 	pageKeys := s.keys[key]
-	open := map[string]faultfs.File{}
-	refs, err := s.resolveLocked(pageKeys, open)
+	files := segFiles{}
+	refs, err := s.resolveLocked(pageKeys, files)
 	s.mu.Unlock()
-	defer closeAll(openFiles(open))
+	defer files.close()
 	if err != nil {
 		return err
 	}
@@ -50,29 +48,16 @@ func (e *corruptPage) Error() string {
 }
 
 // checkPayloads checks that the page at refs[i] hashes to keys[i] under
-// ObjectAlgorithm, reading payloads that sit back to back in one file with a
-// single ReadAt, up to restoreSpanPages at a time. A page that does not match
-// fails as a *corruptPage; a read failure is returned as it is.
+// ObjectAlgorithm, reading through scanPages. A page that does not match fails
+// as a *corruptPage; a read failure is returned as it is.
 func checkPayloads(refs []pageRef, keys []checksum.Sum) error {
-	buf := make([]byte, min(len(refs), restoreSpanPages)*vm.PageSize)
-	for p := 0; p < len(refs); {
-		q := p + 1
-		for q < len(refs) && q-p < restoreSpanPages && refs[q].f == refs[p].f && refs[q].off == refs[q-1].off+vm.PageSize {
-			q++
+	return scanPages(refs, func(i int, page []byte) error {
+		if keys[i] == deadSlot {
+			return nil
 		}
-		run := buf[:(q-p)*vm.PageSize]
-		if _, err := refs[p].f.ReadAt(run, refs[p].off); err != nil {
-			return fmt.Errorf("read page %d: %w", p, err)
+		if got := ObjectAlgorithm.Page(page); got != keys[i] {
+			return &corruptPage{slot: i, key: keys[i], got: got}
 		}
-		for i := p; i < q; i++ {
-			if keys[i] == deadSlot {
-				continue
-			}
-			if got := ObjectAlgorithm.Page(run[(i-p)*vm.PageSize : (i-p+1)*vm.PageSize]); got != keys[i] {
-				return &corruptPage{slot: i, key: keys[i], got: got}
-			}
-		}
-		p = q
-	}
-	return nil
+		return nil
+	})
 }

@@ -189,25 +189,8 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 
 	// 4. Roll back files no committed transaction describes: unrecorded
 	// segments and page manifests are the tail of an interrupted Save.
-	for _, de := range dirents {
-		name := de.Name()
-		if strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, segmentSuffix) {
-			if _, recorded := s.man.Segments[name]; !recorded {
-				if err := s.fs.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
-					return rep, fmt.Errorf("checkpoint: roll back %s: %w", name, err)
-				}
-				rep.Orphans = append(rep.Orphans, name)
-			}
-			continue
-		}
-		if key, ok := strings.CutSuffix(name, pmfSuffix); ok {
-			if _, recorded := s.man.Entries[key]; !recorded {
-				if err := s.fs.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
-					return rep, fmt.Errorf("checkpoint: roll back %s: %w", name, err)
-				}
-				rep.Orphans = append(rep.Orphans, name)
-			}
-		}
+	if rep.Orphans, err = s.rollbackLocked(); err != nil {
+		return rep, err
 	}
 
 	if changed {
@@ -216,6 +199,34 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// rollbackLocked removes the segment and page-manifest files no committed
+// transaction describes — the tail of an interrupted save, or a GC's unlinks a
+// crash cut short — and returns their names. It lists the directory itself,
+// so a file an earlier step renamed or removed is not named.
+func (s *Store) rollbackLocked() (orphans []string, err error) {
+	dirents, err := s.fs.ReadDir(s.dir)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: roll back: %w", err)
+	}
+	for _, de := range dirents {
+		name := de.Name()
+		recorded := true
+		if strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, segmentSuffix) {
+			_, recorded = s.man.Segments[name]
+		} else if key, ok := strings.CutSuffix(name, pmfSuffix); ok {
+			_, recorded = s.man.Entries[key]
+		}
+		if recorded {
+			continue
+		}
+		if err := s.fs.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
+			return orphans, fmt.Errorf("checkpoint: roll back %s: %w", name, err)
+		}
+		orphans = append(orphans, name)
+	}
+	return orphans, nil
 }
 
 // checkSegment replays one recorded segment: its header and trailer must

@@ -403,6 +403,49 @@ func TestScrubReportAndManifestDrop(t *testing.T) {
 	}
 }
 
+// TestScrubSetAsideIsNotOrphan: a torn segment Scrub sets aside under .bad is
+// reported through the entry it quarantines, never as a rolled-back orphan —
+// the rollback lists the directory after the set-aside, so it neither removes
+// nor names a file that is no longer there.
+func TestScrubSetAsideIsNotOrphan(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "s")
+	s, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saveVM(t, s, "a", 4)
+	saveVM(t, s, "b", 4)
+	seg := s.objects[s.keys["b"][0]].seg
+	path := filepath.Join(dir, seg)
+	if err := os.Truncate(path, segPayloadOffset(4)-100); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Quarantined) != 1 || rep.Quarantined[0] != "b" {
+		t.Errorf("Quarantined = %v, want [b]", rep.Quarantined)
+	}
+	if len(rep.Orphans) != 0 {
+		t.Errorf("Orphans = %v, want none: %s was set aside, not rolled back", rep.Orphans, seg)
+	}
+	if _, err := os.Stat(path + ".bad"); err != nil {
+		t.Errorf("torn segment not set aside: %v", err)
+	}
+	// A file no transaction describes is still rolled back and named.
+	stray := segmentName(999)
+	if err := os.WriteFile(filepath.Join(dir, stray), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = s.Scrub(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Orphans) != 1 || rep.Orphans[0] != stray {
+		t.Errorf("Orphans = %v, want [%s]", rep.Orphans, stray)
+	}
+}
+
 // syncLog is a faultfs.FS that records, in order, the name of every file or
 // directory handle synced through it.
 type syncLog struct {

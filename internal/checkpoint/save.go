@@ -246,7 +246,6 @@ func (st *SaveStream) commitLocked(v *vm.VM, state EntryState, pageKeys []checks
 	}
 	s.registerEntryLocked(st.key, pageKeys)
 	counts.Pooled = len(pageKeys) - len(newSlots)
-	s.dedupPages += int64(counts.Pooled)
 	return counts, nil
 }
 

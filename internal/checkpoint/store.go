@@ -52,8 +52,6 @@ type Store struct {
 	keys    map[string][]checksum.Sum // entry → page-ordered object keys
 	segKeys map[string][]checksum.Sum // segment file → keys in slot order
 
-	dedupPages int64 // cumulative pages Save skipped writing (already pooled)
-
 	// Segment numbers handed out but not necessarily committed yet (an open
 	// save stream's, a compaction's): lastSeg is the highest, so no two
 	// writers ever share a file name. inflight names the temp files of the
@@ -332,13 +330,27 @@ func guestKeys(v *vm.VM) (keys []checksum.Sum, hashed int) {
 	return keys, int(total.Load())
 }
 
+// segFiles is the set of pool segments one open holds, by name: resolveLocked
+// opens each at most once, and one close releases them all.
+type segFiles map[string]faultfs.File
+
+func (files segFiles) close() error {
+	var first error
+	for _, f := range files {
+		if err := f.Close(); err != nil && first == nil {
+			first = fmt.Errorf("checkpoint: close: %w", err)
+		}
+	}
+	return first
+}
+
 // resolveLocked maps page keys to open-file page references, opening each
-// backing segment once into open (segment name → handle), which the caller
-// owns: its files become the Checkpoint's, closed on its Close, or are closed
-// by the caller on failure. Because the fds are opened under the store lock,
-// a concurrent GC deleting a compacted segment only unlinks the name — the
-// handle keeps serving the old bytes.
-func (s *Store) resolveLocked(pageKeys []checksum.Sum, open map[string]faultfs.File) ([]pageRef, error) {
+// backing segment once into open, which the caller owns: its files become the
+// Checkpoint's, closed on its Close, or are closed by the caller on failure.
+// Because the fds are opened under the store lock, a concurrent GC deleting a
+// compacted segment only unlinks the name — the handle keeps serving the old
+// bytes.
+func (s *Store) resolveLocked(pageKeys []checksum.Sum, open segFiles) ([]pageRef, error) {
 	refs := make([]pageRef, len(pageKeys))
 	for i, k := range pageKeys {
 		loc, ok := s.objects[k]
@@ -356,21 +368,6 @@ func (s *Store) resolveLocked(pageKeys []checksum.Sum, open map[string]faultfs.F
 		refs[i] = pageRef{f: f, off: loc.off}
 	}
 	return refs, nil
-}
-
-// openFiles lists the handles resolveLocked opened.
-func openFiles(open map[string]faultfs.File) []faultfs.File {
-	files := make([]faultfs.File, 0, len(open))
-	for _, f := range open {
-		files = append(files, f)
-	}
-	return files
-}
-
-func closeAll(files []faultfs.File) {
-	for _, f := range files {
-		f.Close()
-	}
 }
 
 // Restore opens the named VM's checkpoint, installing its pages into dst
@@ -405,12 +402,11 @@ func (s *Store) Restore(vmName string, alg checksum.Algorithm, dst *vm.VM) (*Che
 		return nil, fmt.Errorf("checkpoint: %q is quarantined (%s); refusing to serve", vmName, e.Reason)
 	}
 	pageKeys := s.keys[key]
-	open := map[string]faultfs.File{}
-	refs, err := s.resolveLocked(pageKeys, open)
+	files := segFiles{}
+	refs, err := s.resolveLocked(pageKeys, files)
 	s.mu.Unlock()
-	files := openFiles(open)
 	fail := func(err error) (*Checkpoint, error) {
-		closeAll(files)
+		files.close()
 		return nil, err
 	}
 	if err != nil {
@@ -473,29 +469,27 @@ func entrySums(pageKeys []checksum.Sum, refs []pageRef, alg checksum.Algorithm, 
 func (s *Store) OpenUnion() (cp *Checkpoint, names, skipped []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	open := map[string]faultfs.File{}
-	cp = &Checkpoint{alg: ObjectAlgorithm, sums: checksum.NewSet(0)}
+	cp = &Checkpoint{files: segFiles{}, alg: ObjectAlgorithm, union: true, sums: checksum.NewSet(0)}
 	for _, key := range sortedKeys(s.man.Entries) {
 		if s.man.Entries[key].State == EntryQuarantined {
 			continue
 		}
-		refs, err := s.resolveLocked(s.keys[key], open)
+		refs, err := s.resolveLocked(s.keys[key], cp.files)
 		if err != nil {
 			skipped = append(skipped, faultfs.Label(err))
 			continue
 		}
 		names = append(names, key)
 		for i, sum := range s.keys[key] {
-			if cp.sums.Contains(sum) {
-				continue
+			if !cp.sums.Contains(sum) {
+				cp.sums.Add(sum)
+				cp.pageSums = append(cp.pageSums, sum)
+				cp.frames = append(cp.frames, refs[i])
 			}
-			cp.sums.Add(sum)
-			cp.index.add(sum, refs[i])
 		}
 	}
-	cp.files = openFiles(open)
 	if len(names) == 0 {
-		closeAll(cp.files)
+		cp.files.close()
 		return nil, nil, skipped
 	}
 	return cp, names, skipped

@@ -50,7 +50,7 @@ func Figure8() (*Figure8Result, error) {
 	// checkpoint is the state the VM had when it left at 5 pm; vice versa
 	// for the server.
 	checkpoints := map[sched.Direction]*fingerprint.Fingerprint{}
-	var dedupPages, vecyclePages, dirtyDedupPages, fullPages float64
+	var senderDedupPages, vecyclePages, dirtyDedupPages, fullPages float64
 
 	for i, mig := range schedule {
 		cur, ok := byTime[mig.At.Unix()]
@@ -65,7 +65,7 @@ func Figure8() (*Figure8Result, error) {
 		per.AddRow(i+1, mig.Direction.String(), 100*dedupFrac, 100*vecycleFrac)
 
 		fullPages += 1
-		dedupPages += dedupFrac
+		senderDedupPages += dedupFrac
 		vecyclePages += vecycleFrac
 		dirtyDedupPages += b.Fraction(methods.DirtyDedup)
 
@@ -80,7 +80,7 @@ func Figure8() (*Figure8Result, error) {
 
 	res := &Figure8Result{
 		PerMigration:       per,
-		DedupFraction:      dedupPages / fullPages,
+		DedupFraction:      senderDedupPages / fullPages,
 		VeCycleFraction:    vecyclePages / fullPages,
 		DirtyDedupFraction: dirtyDedupPages / fullPages,
 	}
@@ -89,7 +89,7 @@ func Figure8() (*Figure8Result, error) {
 		Columns: []string{"technique", "traffic_GB", "fraction_of_baseline"},
 	}
 	totals.AddRow("full migration", fmt.Sprintf("%.0f", toGB(fullPages)), 1.0)
-	totals.AddRow("sender-side dedup", fmt.Sprintf("%.0f", toGB(dedupPages)), res.DedupFraction)
+	totals.AddRow("sender-side dedup", fmt.Sprintf("%.0f", toGB(senderDedupPages)), res.DedupFraction)
 	totals.AddRow("dirty+dedup", fmt.Sprintf("%.0f", toGB(dirtyDedupPages)), res.DirtyDedupFraction)
 	totals.AddRow("VeCycle (+dedup)", fmt.Sprintf("%.0f", toGB(vecyclePages)), res.VeCycleFraction)
 	res.Totals = totals

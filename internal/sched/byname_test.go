@@ -242,8 +242,9 @@ func TestByNameFallsBack(t *testing.T) {
 		cd := &chaosDialer{t: t, schedule: []int64{300_000}, handled: &handled}
 		p.hosts["alpha"].DialFunc = cd.dial
 		var attempts []core.Metrics
+		retryAtOnce(p.hosts["alpha"])
 		m, res := p.hop("alpha", "beta", MigrateOptions{
-			Retry:     RetryPolicy{Attempts: 2, Backoff: time.Millisecond},
+			Retry:     RetryPolicy{Attempts: 2},
 			OnAttempt: func(_ int, m core.Metrics, _ error) { attempts = append(attempts, m) },
 		})
 		p.hosts["alpha"].DialFunc = nil

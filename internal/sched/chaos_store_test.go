@@ -93,10 +93,11 @@ func TestChaosStoreKeepCheckpointENOSPC(t *testing.T) {
 	inj.Arm(faultfs.Fault{Op: faultfs.OpWrite, Path: ".seg", Err: faultfs.ErrENOSPC, Times: -1})
 
 	attempts := 0
+	retryAtOnce(src)
 	_, err := src.MigrateTo(context.Background(), addr, "vm0", MigrateOptions{
 		Recycle:        true,
 		KeepCheckpoint: true,
-		Retry:          RetryPolicy{Attempts: 3, Backoff: time.Millisecond},
+		Retry:          RetryPolicy{Attempts: 3},
 		OnAttempt:      func(int, core.Metrics, error) { attempts++ },
 	})
 	if err != nil {
@@ -233,9 +234,10 @@ func TestChaosStoreSalvageDegraded(t *testing.T) {
 	cd := &chaosDialer{t: t, schedule: []int64{1_200_000}, handled: &handled}
 	src.DialFunc = cd.dial
 
+	retryAtOnce(src)
 	if _, err := src.MigrateTo(context.Background(), addr, "vm0", MigrateOptions{
 		Recycle: true,
-		Retry:   RetryPolicy{Attempts: 2, Backoff: time.Millisecond},
+		Retry:   RetryPolicy{Attempts: 2},
 	}); err != nil {
 		t.Fatalf("retry did not converge: %v", err)
 	}
@@ -324,9 +326,10 @@ func TestChaosStoreRecycleReadQuarantine(t *testing.T) {
 	cd := &chaosDialer{t: t, handled: &handled}
 	src.DialFunc = cd.dial
 
+	retryAtOnce(src)
 	if _, err := src.MigrateTo(context.Background(), addr, "vm0", MigrateOptions{
 		Recycle: true,
-		Retry:   RetryPolicy{Attempts: 3, Backoff: time.Millisecond},
+		Retry:   RetryPolicy{Attempts: 3},
 	}); err != nil {
 		t.Fatalf("retry did not converge after the recycle-read fault: %v", err)
 	}
@@ -411,9 +414,10 @@ func TestChaosStoreInstallReadFailure(t *testing.T) {
 	cd := &chaosDialer{t: t, handled: &handled}
 	src.DialFunc = cd.dial
 	var attempts []error
+	retryAtOnce(src)
 	if _, err := src.MigrateTo(context.Background(), addr, "vm0", MigrateOptions{
 		Recycle:   true,
-		Retry:     RetryPolicy{Attempts: 3, Backoff: time.Millisecond},
+		Retry:     RetryPolicy{Attempts: 3},
 		OnAttempt: func(_ int, _ core.Metrics, err error) { attempts = append(attempts, err) },
 	}); err != nil {
 		t.Fatalf("retry did not converge after the install read fault: %v", err)
@@ -553,7 +557,7 @@ func TestChaosStoreMatrix(t *testing.T) {
 		}
 		inj := faultfs.NewInjector()
 		var src, dst *Host
-		opts := MigrateOptions{Recycle: true, Retry: RetryPolicy{Attempts: 3, Backoff: time.Millisecond}}
+		opts := MigrateOptions{Recycle: true, Retry: RetryPolicy{Attempts: 3}}
 		switch phase {
 		case "keep-checkpoint":
 			src = newFaultHost(t, "alpha", inj)
@@ -567,6 +571,7 @@ func TestChaosStoreMatrix(t *testing.T) {
 			src = newHost(t, "alpha")
 			dst = newFaultHost(t, "beta", inj)
 		}
+		retryAtOnce(src)
 		t.Cleanup(func() { src.Close() })
 		var handled atomic.Int64
 		dst.OnError = func(error) { handled.Add(1) }

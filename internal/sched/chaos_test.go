@@ -96,9 +96,10 @@ func TestChaosKillEveryTurn(t *testing.T) {
 		err error
 	}
 	var attempts []outcome
+	retryAtOnce(src)
 	m, err := src.MigrateTo(context.Background(), addr, "vm0", MigrateOptions{
 		Recycle: true,
-		Retry:   RetryPolicy{Attempts: len(cd.schedule) + 1, Backoff: time.Millisecond},
+		Retry:   RetryPolicy{Attempts: len(cd.schedule) + 1},
 		OnAttempt: func(attempt int, m core.Metrics, err error) {
 			attempts = append(attempts, outcome{m, err})
 		},
@@ -198,9 +199,10 @@ func TestSalvageSupersededBySaveArrivals(t *testing.T) {
 	cd := &chaosDialer{t: t, schedule: []int64{120_000}, handled: &handled}
 	src.DialFunc = cd.dial
 
+	retryAtOnce(src)
 	if _, err := src.MigrateTo(context.Background(), addr, "vm0", MigrateOptions{
 		Recycle: true,
-		Retry:   RetryPolicy{Attempts: 2, Backoff: time.Millisecond},
+		Retry:   RetryPolicy{Attempts: 2},
 	}); err != nil {
 		t.Fatalf("retry did not converge: %v", err)
 	}
@@ -211,16 +213,13 @@ func TestSalvageSupersededBySaveArrivals(t *testing.T) {
 }
 
 // TestRetryMaxBackoffCap pins the backoff's cap: however large the retry
-// count or the first delay, the computed delay (jitter included) never
-// exceeds maxBackoff and never goes negative — even at retry counts whose
-// uncapped doubling would overflow time.Duration, and for the default first
-// delay.
+// count, the computed delay (jitter included) never exceeds maxBackoff and
+// never goes negative — even at retry counts whose uncapped doubling would
+// overflow time.Duration.
 func TestRetryMaxBackoffCap(t *testing.T) {
-	for _, p := range []RetryPolicy{{}, {Backoff: time.Second}, {Backoff: 1 << 62}} {
-		for _, retry := range []int{0, 1, 2, 10, 63, 100, 1024, 10_000} {
-			if d := p.delay(retry); d < 0 || d > maxBackoff {
-				t.Errorf("Backoff %v: delay(%d) = %v, want within [0, %v]", p.Backoff, retry, d, maxBackoff)
-			}
+	for _, retry := range []int{0, 1, 2, 10, 63, 100, 1024, 10_000} {
+		if d := backoff(retry); d < 0 || d > maxBackoff {
+			t.Errorf("backoff(%d) = %v, want within [0, %v]", retry, d, maxBackoff)
 		}
 	}
 }
@@ -260,7 +259,7 @@ func TestCtxErrorTerminalMidStream(t *testing.T) {
 	attempts := 0
 	_, err := src.MigrateTo(ctx, addr, "vm0", MigrateOptions{
 		Recycle:   true,
-		Retry:     RetryPolicy{Attempts: 5, Backoff: time.Millisecond},
+		Retry:     RetryPolicy{Attempts: 5},
 		OnAttempt: func(int, core.Metrics, error) { attempts++ },
 	})
 	if !errors.Is(err, context.Canceled) {

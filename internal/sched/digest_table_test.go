@@ -164,8 +164,9 @@ func TestDigestTableExactCounts(t *testing.T) {
 	hosts["beta"].OnError = func(error) { handled.Add(1) }
 	cd := &chaosDialer{t: t, schedule: []int64{100_000}, handled: &handled}
 	hosts["alpha"].DialFunc = cd.dial
+	retryAtOnce(hosts["alpha"])
 	_, res := hop("alpha", "beta", MigrateOptions{
-		Retry: RetryPolicy{Attempts: 2, Backoff: time.Millisecond}}, 0)
+		Retry: RetryPolicy{Attempts: 2}}, 0)
 	if cd.dials.Load() != 2 || !res.ResumedFromPartial {
 		t.Errorf("%d dials, resumed from partial: %v; want a cut attempt and a retry that resumes",
 			cd.dials.Load(), res.ResumedFromPartial)

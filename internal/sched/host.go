@@ -94,6 +94,10 @@ type Host struct {
 	// the seam the fault-injection tests use to interpose a
 	// core.FaultConn. nil dials TCP with dialTimeout.
 	DialFunc func(ctx context.Context, addr string) (io.ReadWriteCloser, error)
+
+	// retryAfter, when non-nil, makes the channel a retry's backoff waits on
+	// in place of a timer for the delay: the seam tests use to retry at once.
+	retryAfter func(time.Duration) <-chan time.Time
 }
 
 // tuneConn turns Nagle's algorithm off on a migration connection, accept- and
@@ -438,16 +442,15 @@ type RetryPolicy struct {
 	// Attempts is the total number of tries per leg, including the first.
 	// Values below 2 mean a single attempt (no retry).
 	Attempts int
-	// Backoff is the delay before the first retry. Defaults to 200ms. Each
-	// later delay doubles, up to maxBackoff, and every delay is spread by
-	// ±retryJitter so a fleet's retries do not stampede.
-	Backoff time.Duration
 }
 
-// The backoff's cap and spread.
+// The backoff: the first retry waits firstBackoff, each later one twice the
+// one before, up to maxBackoff, and every delay is spread by ±retryJitter so
+// a fleet's retries do not stampede.
 const (
-	maxBackoff  = 5 * time.Second
-	retryJitter = 0.2
+	firstBackoff = 200 * time.Millisecond
+	maxBackoff   = 5 * time.Second
+	retryJitter  = 0.2
 )
 
 func (p RetryPolicy) attempts() int {
@@ -457,12 +460,9 @@ func (p RetryPolicy) attempts() int {
 	return p.Attempts
 }
 
-// delay computes the backoff before the (retry+1)-th retry, 0-indexed.
-func (p RetryPolicy) delay(retry int) time.Duration {
-	d := p.Backoff
-	if d <= 0 {
-		d = 200 * time.Millisecond
-	}
+// backoff computes the delay before the (retry+1)-th retry, 0-indexed.
+func backoff(retry int) time.Duration {
+	d := firstBackoff
 	for i := 0; i < retry && d < maxBackoff; i++ {
 		d *= 2
 	}
@@ -714,18 +714,23 @@ func (h *Host) migrateLeg(ctx context.Context, addr string, v *vm.VM, opts Migra
 		case !Retryable(err), no >= attempts:
 			return m, err
 		}
-		delay := opts.Retry.delay(no - 1)
+		delay := backoff(no - 1)
 		if h.OnError != nil {
 			h.OnError(fmt.Errorf("sched: migration of %q to %s failed (attempt %d/%d: %v); retrying in %v", v.Name(), addr, no, attempts, err, delay))
 		}
 		h.obs.retries.With(h.name).Inc()
 		rec.Event(obs.Event{Kind: "retry", Round: no, Detail: fmt.Sprintf("%v; backoff %v", err, delay)})
 		timer := time.NewTimer(delay)
+		wait := timer.C
+		if h.retryAfter != nil {
+			wait = h.retryAfter(delay)
+		}
 		select {
 		case <-ctx.Done():
 			timer.Stop()
 			return m, ctx.Err()
-		case <-timer.C:
+		case <-wait:
+			timer.Stop()
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"vecycle/internal/checkpoint"
 	"vecycle/internal/core"
@@ -181,9 +180,10 @@ func TestLegDiskRetried(t *testing.T) {
 		err error
 	}
 	var attempts []attempt
+	retryAtOnce(alpha)
 	_, err := alpha.MigrateTo(context.Background(), "beta", "db-1", MigrateOptions{
 		Recycle: true, KeepCheckpoint: true,
-		Retry:     RetryPolicy{Attempts: 2, Backoff: time.Millisecond},
+		Retry:     RetryPolicy{Attempts: 2},
 		OnAttempt: func(no int, _ core.Metrics, err error) { attempts = append(attempts, attempt{no, err}) },
 	})
 	if err != nil {
@@ -268,7 +268,7 @@ func TestLegRejectedNotRetried(t *testing.T) {
 	var attempts []error
 	_, err := alpha.MigrateTo(context.Background(), "beta", "vm0", MigrateOptions{
 		Recycle:   true,
-		Retry:     RetryPolicy{Attempts: 5, Backoff: time.Millisecond},
+		Retry:     RetryPolicy{Attempts: 5},
 		OnAttempt: func(_ int, _ core.Metrics, err error) { attempts = append(attempts, err) },
 	})
 	p.wg.Wait()

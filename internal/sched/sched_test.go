@@ -20,6 +20,15 @@ func newHost(t *testing.T, name string) *Host {
 	return h
 }
 
+// retryAtOnce makes h's retries skip their backoff.
+func retryAtOnce(h *Host) {
+	h.retryAfter = func(time.Duration) <-chan time.Time {
+		c := make(chan time.Time, 1)
+		c <- time.Now()
+		return c
+	}
+}
+
 func listen(t *testing.T, h *Host) string {
 	t.Helper()
 	addr, err := h.Listen("127.0.0.1:0")

@@ -191,7 +191,7 @@ func TestRetryStopsOnRejection(t *testing.T) {
 	}
 
 	_, err := src.MigrateTo(context.Background(), addr, "vm0", MigrateOptions{
-		Retry: RetryPolicy{Attempts: 5, Backoff: 10 * time.Millisecond},
+		Retry: RetryPolicy{Attempts: 5},
 	})
 	if !errors.Is(err, core.ErrRejected) {
 		t.Fatalf("MigrateTo = %v, want ErrRejected", err)
@@ -232,7 +232,7 @@ func TestRetryRecoversFromReset(t *testing.T) {
 	}
 
 	m, err := src.MigrateTo(context.Background(), addr, "vm0", MigrateOptions{
-		Retry: RetryPolicy{Attempts: 3, Backoff: 100 * time.Millisecond},
+		Retry: RetryPolicy{Attempts: 3},
 	})
 	if err != nil {
 		t.Fatalf("MigrateTo with retry = %v", err)
