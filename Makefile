@@ -39,7 +39,9 @@ race-digest:
 # another size refused before it — repeated, since the interleavings are the
 # point),
 # the store-level span reader, concurrent first lookups building one
-# checkpoint's lookup map (TestLookupBuiltOnFirstUse), an index-only open
+# checkpoint's lookup map (TestLookupBuiltOnFirstUse), a restore of an entry
+# whose flush is still running waiting for it while State, Has and Mirror
+# answer at once (TestRestoreWaitsForFlush), an index-only open
 # and a union open writing
 # nothing to the store (TestOpenWritesNothing), the announce-by-name matrix (round one of a
 # matched leg leaving out the pages still equal to the named checkpoint, by
@@ -52,7 +54,7 @@ race-digest:
 # the race detector.
 race-restore:
 	$(GO) test -race -count=3 -run 'TestBackgroundInstall|TestBootstrapPageCountMismatch' ./internal/core/
-	$(GO) test -race -run 'TestSpanLoad|TestRestoreSumsMatchGuest|TestConcurrentRemoveDuringRestore|TestSaveStream|TestOpenWritesNothing|TestLookupBuiltOnFirstUse' ./internal/checkpoint/
+	$(GO) test -race -run 'TestSpanLoad|TestRestoreSumsMatchGuest|TestConcurrentRemoveDuringRestore|TestSaveStream|TestOpenWritesNothing|TestLookupBuiltOnFirstUse|TestRestoreWaitsForFlush' ./internal/checkpoint/
 	$(GO) test -race -run 'TestPingPongSkipsAnnouncement|TestPartialAnnounced|TestGoldenStreamByName|TestRoundOneGap|TestKeep|TestSourceWritesPerTurn|TestRoundEventBytes' ./internal/core/
 	$(GO) test -race -run 'TestByName|TestPingPongOverTCP|TestStreamedSave' ./internal/sched/
 
@@ -107,22 +109,26 @@ bench-smoke:
 # leg, match a disk's return by name, land a whole migration retried after
 # a failed RAM leg, ask a refusing destination once, degrade a broken
 # departure save stream once, collect and retry a salvage that hit a full
-# disk, and trace a union entry skipped (plus the engine-level
-# salvage/resume contract tests, and the store's crash, corruption and
-# seeded-invariant cells, a scrub that sets a torn segment aside without
-# also naming it a rolled-back orphan, and a compaction reading its live
-# slots one run at a time), under the race detector.
+# disk, and trace a union entry skipped; two hosts closed after a leg leave
+# both checkpoints durable (plus the engine-level salvage/resume contract
+# tests, and the store's crash, corruption and seeded-invariant cells — the
+# kill-point matrix with its crash between a commit and its flush and its
+# failed flushes, the invariant sequence with its flush steps — a restore
+# that waits for its entry's flush, a scrub that sets a torn segment aside
+# without also naming it a rolled-back orphan, and a compaction reading its
+# live slots one run at a time), under the race detector.
 chaos-smoke:
-	$(GO) test -race -run 'TestChaos|TestLeg' ./internal/sched/
-	$(GO) test -race -run 'TestSalvage|TestPartialAnnounced|TestKillPointMatrix|TestTornSegment|TestRecoverySetsAside|TestStoreInvariants|TestWarmSaveSyncs|TestSegmentWriteback|TestGCCrashMidCompact|TestScrubSetAsideIsNotOrphan|TestGCCompactReadsRuns' ./internal/core/ ./internal/checkpoint/
+	$(GO) test -race -run 'TestChaos|TestLeg|TestCloseMakesCheckpointsDurable' ./internal/sched/
+	$(GO) test -race -run 'TestSalvage|TestPartialAnnounced|TestKillPointMatrix|TestTornSegment|TestRecoverySetsAside|TestStoreInvariants|TestWarmSaveSyncs|TestSegmentWriteback|TestGCCrashMidCompact|TestScrubSetAsideIsNotOrphan|TestGCCompactReadsRuns|TestRestoreWaitsForFlush' ./internal/core/ ./internal/checkpoint/
 
 # chaos-store is the storage-fault gate: deterministic faultfs schedules
 # inject EIO/ENOSPC/torn writes and read faults at every store op site
 # across migration phases (keep-checkpoint, save-arrivals, bootstrap,
 # salvage — all three persists through the host's one save ladder —
-# mid-merge recycled reads) and assert the graceful-degradation ladder
-# converges every migration with zero data loss — storage faults may cost
-# checkpoints, never migrations. Runs under the race detector, alongside
+# mid-merge recycled reads, and the store flush behind a migration whose
+# fsync fails: one flush degradation, TestChaosStoreFlushSyncEIO) and
+# assert the graceful-degradation ladder converges every migration with
+# zero data loss — storage faults may cost checkpoints, never migrations. Runs under the race detector, alongside
 # the MigrationError round-trip and the injector's own tests.
 # See docs/ROBUSTNESS.md.
 chaos-store:

@@ -264,3 +264,32 @@ func TestStoreUsageErrors(t *testing.T) {
 		t.Error("store ls without -store accepted")
 	}
 }
+
+// TestStoreScrubReportsOpeningScan: opening the store already runs the
+// recovery scan, which rolls back a segment no transaction recorded and
+// deletes a temp file; scrub must report what that scan did, not only what
+// its own scan finds afterwards.
+func TestStoreScrubReportsOpeningScan(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"seg-00000099.seg", "junk.tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := captureStdout(t, func() error {
+		return run([]string{"store", "scrub", "-store", dir})
+	})
+	if err != nil {
+		t.Fatalf("scrub: %v\n%s", err, out)
+	}
+	for _, want := range []string{"rolled back (uncommitted): seg-00000099.seg", "temp files removed: junk.tmp"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("scrub output missing %q:\n%s", want, out)
+		}
+	}
+	for _, name := range []string{"seg-00000099.seg", "junk.tmp"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s still on disk (stat err = %v)", name, err)
+		}
+	}
+}

@@ -21,6 +21,9 @@
 //     crash-consistency layer — every mutation commits atomically via the
 //     manifest, and startup replays recorded digests, quarantining torn
 //     entries and rolling back uncommitted files;
+//   - flush (atomic.go): a save's commit returns once its entry is visible,
+//     and one store-wide flush behind it makes every pending commit durable;
+//     only durable entries are served;
 //   - refcounts + GC (store.go, gc.go): dead objects become reclaimed bytes
 //     by deleting and compacting segments, never by rewriting manifests;
 //   - union bootstrap (Store.OpenUnion): a destination with no checkpoint

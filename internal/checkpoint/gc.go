@@ -20,9 +20,10 @@ import (
 // compaction is invisible to entries and to concurrently open Checkpoints,
 // which hold file handles that outlive the unlink.
 //
-// GC follows the same transaction discipline as Save: new (compacted)
-// segments are written first, the manifest commit flips the store to the
-// new layout atomically, and only then are dead files unlinked. A crash
+// GC flushes every pending commit first, then follows the same transaction
+// discipline as Save, running the flush itself: new (compacted) segments are
+// written and synced first, the manifest commit flips the store to the new
+// layout atomically, and only then are dead files unlinked. A crash
 // anywhere in between leaves either the old layout (plus unrecorded files
 // the next GC or recovery rolls back) or the new one (plus recorded-but-
 // undeleted files a later GC re-collects).
@@ -64,6 +65,9 @@ func (s *Store) GC() (GCReport, error) {
 }
 
 func (s *Store) gcLocked() (rep GCReport, err error) {
+	if err := s.flushLocked(); err != nil {
+		return rep, err
+	}
 	orphans, err := s.rollbackLocked()
 	rep.OrphanFiles = len(orphans)
 	if err != nil {
@@ -123,7 +127,8 @@ func (s *Store) gcLocked() (rep GCReport, err error) {
 		rep.BytesReclaimed += int64(dead) * vm.PageSize
 	}
 	if len(deadFiles) > 0 {
-		if err := s.commitManifestLocked(); err != nil {
+		s.batchLocked() // the manifest changed: the flush writes it
+		if err := s.flushLocked(); err != nil {
 			return rep, err
 		}
 	}
@@ -146,8 +151,9 @@ func (s *Store) liveLocked(segName string, k checksum.Sum) bool {
 }
 
 // compactLocked writes the payloads of segName's live slots, whose keys are
-// keys, into the new segment newName and returns its seal. Slots that sit
-// back to back are read with one ReadAt per run (scanPages).
+// keys, into the new segment newName, hands it to the next flush and returns
+// its seal. Slots that sit back to back are read with one ReadAt per run
+// (scanPages).
 func (s *Store) compactLocked(segName, newName string, liveSlots []int, keys []checksum.Sum) (seal string, err error) {
 	src, err := s.fs.Open(filepath.Join(s.dir, segName))
 	if err != nil {
@@ -166,7 +172,13 @@ func (s *Store) compactLocked(segName, newName string, liveSlots []int, keys []c
 		w.discard()
 		return "", fmt.Errorf("checkpoint: gc compact %s: %w", segName, err)
 	}
-	return w.seal()
+	if seal, err = w.finish(); err != nil {
+		return "", err
+	}
+	s.inflight[newName+tmpSuffix] = true
+	b := s.batchLocked()
+	b.segs = append(b.segs, w)
+	return seal, nil
 }
 
 // Stats is the store's dedup accounting.
@@ -235,7 +247,8 @@ type SegmentInfo struct {
 	LivePages int
 }
 
-// Segments lists the store's live segment files, sorted by name.
+// Segments lists the store's live segment files, sorted by name — a segment
+// whose commit still waits for its flush included.
 func (s *Store) Segments() []SegmentInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -15,6 +15,8 @@ func newTestStore(t *testing.T) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A commit's flush runs behind it: let it land before the directory goes.
+	t.Cleanup(func() { s.Flush() })
 	return s
 }
 
@@ -30,6 +32,22 @@ func saveVM(t *testing.T, s *Store, name string, pages int) {
 	if err := s.Save(v); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// setKillHook arms testHookKill until the test ends or the returned disarm
+// runs.
+func setKillHook(t *testing.T, hook func(point string) error) (disarm func()) {
+	testHookKill.Store(&hook)
+	disarm = func() { testHookKill.Store(nil) }
+	t.Cleanup(disarm)
+	return disarm
+}
+
+// holdFlush keeps commits from starting the background flusher until the test
+// ends: a commit stays pending until something flushes the store.
+func holdFlush(t *testing.T) {
+	testHookHoldFlush.Store(true)
+	t.Cleanup(func() { testHookHoldFlush.Store(false) })
 }
 
 // savePartial commits v as a salvage (partial) entry, as a host does after an

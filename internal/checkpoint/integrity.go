@@ -18,10 +18,15 @@ import (
 // manifest. Restore does not verify: an index-only open reads no page.
 
 // Verify re-reads the named VM's pages from the object pool and checks each
-// against its recorded object key. An entry with no page keys (absent, or
-// quarantined with an unreadable page manifest) verifies trivially.
+// against its recorded object key, after flushing every pending commit. An
+// entry with no page keys (absent, or quarantined with an unreadable page
+// manifest) verifies trivially.
 func (s *Store) Verify(vmName string) error {
 	s.mu.Lock()
+	if err := s.flushLocked(); err != nil {
+		s.mu.Unlock()
+		return err
+	}
 	key := sanitize(vmName)
 	pageKeys := s.keys[key]
 	files := segFiles{}

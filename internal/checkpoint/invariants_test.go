@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"vecycle/internal/checksum"
 	"vecycle/internal/vm"
@@ -94,11 +95,18 @@ func sameView(t *testing.T, step string, want, got *Store) {
 
 // TestStoreInvariantsSeeded drives one store through a seeded sequence of
 // saves at several churns (with pages duplicated inside a guest and content
-// shared across guests), streamed saves (streamStep), salvage saves, resizes, removals, GC passes with
-// compaction, quarantines and reopens. After every step the invariants are
-// re-derived, every servable entry verifies against its keys, and the view the
-// store built in place — by the diffing save path, mostly — must equal the one
-// NewStore rebuilds from the same directory.
+// shared across guests), streamed saves (streamStep), salvage saves, resizes,
+// removals, GC passes with compaction, quarantines, reopens and flushes. The
+// background flusher is held, so a stream's commit stays pending — visible,
+// not durable — until a step flushes the store: a flush step, or any step
+// that flushes first (Save, Remove, GC, Quarantine); a reopen with commits
+// pending is a crash after they returned. A flush step first checks that
+// Restore serves no pending commit before the flush is done, then that what it
+// serves afterwards is what the disk holds. After every step the invariants
+// are re-derived; after every step that leaves nothing pending, every
+// servable entry verifies against its keys, no temp file is left, and the
+// view the store built in place — by the diffing save path, mostly — must
+// equal the one NewStore rebuilds from the same directory.
 func TestStoreInvariantsSeeded(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -108,6 +116,7 @@ func TestStoreInvariantsSeeded(t *testing.T) {
 }
 
 func storeInvariantSequence(t *testing.T, seed int64, steps int) {
+	holdFlush(t)
 	rng := rand.New(rand.NewSource(seed))
 	dir := filepath.Join(t.TempDir(), "s")
 	s, err := NewStore(dir)
@@ -146,12 +155,12 @@ func storeInvariantSequence(t *testing.T, seed int64, steps int) {
 		guests[name] = guest(name, 32)
 	}
 
-	diffSaves := 0
+	diffSaves, pendingFlushes := 0, 0
 	for step := 0; step < steps; step++ {
 		name := names[rng.Intn(len(names))]
 		v := guests[name]
 		var op string
-		switch r := rng.Intn(24); {
+		switch r := rng.Intn(30); {
 		case r < 8:
 			frac := []float64{0, 0.05, 0.5, 1}[rng.Intn(4)]
 			// Keyed from a complete digest table, as a migration leaves it.
@@ -185,6 +194,9 @@ func storeInvariantSequence(t *testing.T, seed int64, steps int) {
 			// aside and quarantines whatever depended on it, leaving entries
 			// whose keys no longer resolve — which no later save may diff
 			// against.
+			if err := s.Flush(); err != nil {
+				t.Fatalf("step %d flush before a rot: %v", step, err)
+			}
 			segs := s.Segments()
 			if len(segs) == 0 {
 				continue
@@ -209,6 +221,12 @@ func storeInvariantSequence(t *testing.T, seed int64, steps int) {
 		case r < 20:
 			op = "reopen"
 			s, err = NewStore(dir)
+		case r >= 24:
+			op = "flush"
+			if len(pendingEntries(s)) > 0 {
+				pendingFlushes++
+			}
+			err = flushStep(t, s, dir)
 		default:
 			op, err = streamStep(s, v, rng, churn)
 			if info, ok := s.Entry(name); ok && strings.Contains(op, "complete") && info.Pages == v.NumPages() {
@@ -219,6 +237,9 @@ func storeInvariantSequence(t *testing.T, seed int64, steps int) {
 			t.Fatalf("step %d %s: %v", step, op, err)
 		}
 		checkInvariants(t, s)
+		if len(pendingEntries(s)) != 0 {
+			continue // the rest checks the disk, which holds what is durable
+		}
 		if tmp := tempFiles(t, dir); len(tmp) != 0 {
 			t.Errorf("step %d %s: temp files %v outlive it", step, op, tmp)
 		}
@@ -242,6 +263,63 @@ func storeInvariantSequence(t *testing.T, seed int64, steps int) {
 	if diffSaves == 0 {
 		t.Error("no save replaced a servable entry of the same length: the diff path went unexercised")
 	}
+	if pendingFlushes == 0 {
+		t.Error("no flush step found a commit pending: the serving rule went unexercised")
+	}
+}
+
+// pendingEntries lists the entries whose newest commit waits for a flush.
+func pendingEntries(s *Store) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return sortedKeys(s.waiting)
+}
+
+// flushStep flushes s after checking that a Restore of any pending entry does
+// not return before the flush is done, and that it then serves the key list
+// the disk holds.
+func flushStep(t *testing.T, s *Store, dir string) error {
+	t.Helper()
+	type served struct {
+		name string
+		sums []checksum.Sum
+		err  error
+	}
+	pending := pendingEntries(s)
+	out := make(chan served, len(pending))
+	for _, name := range pending {
+		go func() {
+			cp, err := s.Restore(name, ObjectAlgorithm, nil)
+			r := served{name: name, err: err}
+			if err == nil {
+				r.sums = cp.pageSums
+				cp.Close()
+			}
+			out <- r
+		}()
+	}
+	select {
+	case r := <-out:
+		t.Errorf("Restore(%s) returned before the flush of its pending commit", r.name)
+		out <- r
+	case <-time.After(20 * time.Millisecond):
+	}
+	if err := s.Flush(); err != nil {
+		return err
+	}
+	durable, err := NewStore(dir)
+	if err != nil {
+		return err
+	}
+	for range pending {
+		r := <-out
+		if r.err != nil {
+			t.Errorf("Restore(%s) after its flush: %v", r.name, r.err)
+		} else if !reflect.DeepEqual(r.sums, durable.keys[r.name]) {
+			t.Errorf("Restore(%s) served a key list the disk does not hold", r.name)
+		}
+	}
+	return nil
 }
 
 // streamStep saves v through a save stream the way a migration feeds one:

@@ -12,7 +12,8 @@ import (
 // atomically, but a checkpoint entry is only coherent when they agree — and
 // a crash can land between the two.
 // The manifest is the single commit point: a small versioned JSON file,
-// rewritten atomically as the LAST step of every save commit, Remove and GC,
+// rewritten atomically as the LAST step of every flush (atomic.go) — one
+// write for every save commit, Remove, Quarantine and GC the flush covers —
 // recording each entry's state and pmf digest plus every segment the object
 // pool consists of, by its seal. Any crash earlier in a transaction leaves the
 // manifest describing the previous transaction, so the startup recovery scan
@@ -110,18 +111,22 @@ func (s *Store) manifestPath() string {
 }
 
 // loadManifestLocked reads the manifest into memory, tolerating absence (a
-// fresh store).
+// fresh store). On failure the in-memory manifest is left as it was.
 func (s *Store) loadManifestLocked() error {
-	s.man = manifestFile{Version: manifestVersion, Entries: map[string]manifestEntry{}, Segments: map[string]segmentRecord{}}
 	raw, err := s.fs.ReadFile(s.manifestPath())
 	if os.IsNotExist(err) {
+		s.man = manifestFile{Version: manifestVersion, Entries: map[string]manifestEntry{}, Segments: map[string]segmentRecord{}}
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("checkpoint: read manifest: %w", err)
 	}
-	s.man, err = parseManifest(raw)
-	return err
+	m, err := parseManifest(raw)
+	if err != nil {
+		return err
+	}
+	s.man = m
+	return nil
 }
 
 // parseManifest decodes manifest bytes, rejecting other versions and any
@@ -147,19 +152,6 @@ func parseManifest(raw []byte) (manifestFile, error) {
 		}
 	}
 	return m, nil
-}
-
-// commitManifestLocked atomically persists the in-memory manifest — the
-// transaction commit point of every mutating store operation.
-func (s *Store) commitManifestLocked() error {
-	raw, err := json.MarshalIndent(s.man, "", "  ")
-	if err != nil {
-		return fmt.Errorf("checkpoint: marshal manifest: %w", err)
-	}
-	if err := atomicWriteFile(s.fs, s.manifestPath(), append(raw, '\n'), 0o644); err != nil {
-		return err
-	}
-	return kill("manifest-committed")
 }
 
 // entryLocked reports the manifest record for vmName. Under content

@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"path/filepath"
 
 	"vecycle/internal/checksum"
 	"vecycle/internal/faultfs"
@@ -42,11 +41,12 @@ import (
 // key — so a save hashes only the table, and recovery checks the seal and then
 // every payload against its own key (checkPayloads).
 //
-// A segment is written under a temp name, synced and renamed into place, and
-// recorded in the store manifest as part of the same transaction that makes
-// its objects reachable. A segment file the manifest does not know about is an
-// interrupted transaction and is deleted by recovery and by GC; a temp file is
-// one too, unless it belongs to a save stream still open (Store.inflight).
+// A segment is written under a temp name, then synced and renamed into place
+// by the store's flush, and recorded in the store manifest by the same flush
+// that makes its objects durably reachable. A segment file the manifest does
+// not know about is an interrupted transaction and is deleted by recovery and
+// by GC; a temp file is one too, unless it belongs to a save stream still
+// open or a commit still waiting for its flush (Store.inflight).
 
 // ObjectAlgorithm is the checksum algorithm that keys the content-addressed
 // store: checksum.Default, the one algorithm every migration speaks, so a
@@ -98,7 +98,7 @@ func segmentFileSize(count int) int64 {
 const segmentBufSize = 256 << 10
 
 // writebackChunk is the unit a segment writer starts writeback in. Writeback
-// trails the write front by one chunk, so the closing fsync waits on at most
+// trails the write front by one chunk, so the flush's fsync waits on at most
 // two — and a segment smaller than that, such as a return's stream at low
 // churn, never puts the device to work under the round it rides beside.
 const writebackChunk = 8 << 20
@@ -122,10 +122,10 @@ func sealOf(trailer []byte) string {
 }
 
 // segWriter writes one segment front to back: the header at creation, then
-// payloads as they come, then — seal — the trailer, fsync and rename into
-// place. It is the one writer of every segment: a save's (streamed or
-// written after the ack) and a GC compaction's. Not safe for concurrent use;
-// SaveStream serializes its callers.
+// payloads as they come, then — finish — the trailer; the store's flush syncs
+// it and renames it into place. It is the one writer of every segment: a
+// save's (streamed or written after the ack) and a GC compaction's. Not safe
+// for concurrent use; SaveStream serializes its callers.
 type segWriter struct {
 	fs   faultfs.FS
 	path string // final name; written as path+tmpSuffix until sealed
@@ -166,12 +166,13 @@ func (w *segWriter) addGuest(v *vm.VM, start int, keys []checksum.Sum) error {
 	return nil
 }
 
-// seal writes the trailer, makes the segment durable under its final name
-// and returns its seal. The kill points "image-written", "image-synced" and
-// "image-renamed" bracket its fsync and rename for the kill-point matrix. On
-// failure the temp file is closed and removed — except for a simulated
-// crash, which leaves the disk as a crash there would.
-func (w *segWriter) seal() (seal string, err error) {
+// finish writes the trailer, hands every byte to the file and returns the
+// segment's seal: the visible half of a segment's commit. The segment stays
+// open under its temp name until the store's flush syncs it (sync) and renames
+// it into place. The kill point "image-written" follows the last write. On
+// failure the temp file is closed and removed — except for a simulated crash,
+// which leaves the disk as a crash there would.
+func (w *segWriter) finish() (seal string, err error) {
 	defer func() {
 		if err != nil && !killed(err) {
 			w.discard()
@@ -187,26 +188,21 @@ func (w *segWriter) seal() (seal string, err error) {
 	if err = kill("image-written"); err != nil {
 		return "", err
 	}
-	if err = w.f.Sync(); err != nil {
-		return "", fmt.Errorf("checkpoint: segment sync: %w", err)
-	}
-	err, w.f = w.f.Close(), nil
-	if err != nil {
-		return "", fmt.Errorf("checkpoint: segment close: %w", err)
-	}
-	if err = kill("image-synced"); err != nil {
-		return "", err
-	}
-	if err = w.fs.Rename(w.path+tmpSuffix, w.path); err != nil {
-		return "", fmt.Errorf("checkpoint: segment rename: %w", err)
-	}
-	if err = kill("image-renamed"); err != nil {
-		return "", err
-	}
-	if err = syncDir(w.fs, filepath.Dir(w.path)); err != nil {
-		return "", err
-	}
 	return sealOf(trailer), nil
+}
+
+// sync makes a finished segment durable and closes it — the flush's first
+// step. Writeback trailed the writes, so it waits on the tail only.
+func (w *segWriter) sync() error {
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("checkpoint: segment sync: %w", err)
+	}
+	err := w.f.Close()
+	w.f = nil
+	if err != nil {
+		return fmt.Errorf("checkpoint: segment close: %w", err)
+	}
+	return nil
 }
 
 // discard closes the segment, if still open, and unlinks its temp file.
@@ -221,7 +217,7 @@ func (w *segWriter) discard() {
 // writeback hands a segment's bytes to its file and starts the kernel
 // writing back every byte more than a writebackChunk behind the write front,
 // so the dirty pages drain while the segment is still being written instead
-// of all at the closing fsync.
+// of all at the flush's fsync.
 type writeback struct {
 	f            faultfs.File
 	off, started int64 // bytes written; bytes whose writeback was started

@@ -46,6 +46,9 @@ func FuzzReadSegmentKeys(f *testing.F) {
 		if _, err := st.Commit(v, EntryComplete); err != nil {
 			f.Fatal(err)
 		}
+		if err := s.Flush(); err != nil {
+			f.Fatal(err)
+		}
 		raw, err := os.ReadFile(filepath.Join(s.Dir(), st.seg))
 		if err != nil {
 			f.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"os"
 
 	"vecycle/internal/checksum"
 	"vecycle/internal/faultfs"
@@ -57,15 +58,58 @@ func encodePMF(keys []checksum.Sum) []byte {
 	return out
 }
 
-// writePMF atomically persists the entry's page manifest and returns the
-// hex SHA-256 of the file — the digest the store manifest commits to.
-func writePMF(fsys faultfs.FS, path string, keys []checksum.Sum) (digest string, err error) {
+// pendingPMF is a page manifest a commit wrote under a temp name of its own,
+// open and not yet synced; the flush makes it durable under its final name.
+// Each commit names its temp file after its save stream's segment number, so
+// a later commit of the same VM never truncates a file a flush is syncing.
+type pendingPMF struct {
+	f         faultfs.File
+	tmp, path string
+}
+
+// createPMF writes the entry's page manifest under a temp name unique to the
+// commit numbered n, without syncing it, and returns it with the hex SHA-256
+// of the file — the digest the store manifest commits to.
+func createPMF(fsys faultfs.FS, path string, n uint64, keys []checksum.Sum) (*pendingPMF, string, error) {
 	raw := encodePMF(keys)
-	if err := atomicWriteFile(fsys, path, raw, 0o644); err != nil {
-		return "", err
+	p := &pendingPMF{tmp: fmt.Sprintf("%s.%d%s", path, n, tmpSuffix), path: path}
+	f, err := fsys.OpenFile(p.tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, "", fmt.Errorf("checkpoint: page manifest: %w", err)
+	}
+	p.f = f
+	if _, err := f.Write(raw); err != nil {
+		p.close()
+		fsys.Remove(p.tmp)
+		return nil, "", fmt.Errorf("checkpoint: write %s: %w", p.tmp, err)
 	}
 	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:]), nil
+	return p, hex.EncodeToString(sum[:]), nil
+}
+
+// sync makes the page manifest durable and renames it into place; the
+// directory sync that follows is the flush's.
+func (p *pendingPMF) sync(fsys faultfs.FS) error {
+	if err := p.f.Sync(); err != nil {
+		return fmt.Errorf("checkpoint: sync %s: %w", p.tmp, err)
+	}
+	err := p.f.Close()
+	p.f = nil
+	if err != nil {
+		return fmt.Errorf("checkpoint: close %s: %w", p.tmp, err)
+	}
+	if err := fsys.Rename(p.tmp, p.path); err != nil {
+		return fmt.Errorf("checkpoint: rename %s: %w", p.tmp, err)
+	}
+	return nil
+}
+
+// close closes the temp file if it is still open.
+func (p *pendingPMF) close() {
+	if p.f != nil {
+		p.f.Close()
+		p.f = nil
+	}
 }
 
 // loadPMF reads an entry's page manifest, returning the page-ordered object

@@ -47,13 +47,45 @@ type ScrubReport struct {
 }
 
 // Scrub runs the recovery scan on demand — the same pass NewStore runs at
-// startup — and reports what it found. Already-quarantined entries are
-// re-checked: one whose files now validate again stays quarantined (the
-// state records that it was once torn; Remove is the way out).
+// startup — after flushing every pending commit, and reports what it found
+// together with what every recovery since the last Scrub found: the opening
+// scan's, and a failed flush's. Checked counts its own scan's entries.
+// Already-quarantined entries are re-checked: one whose files now validate
+// again stays quarantined (the state records that it was once torn; Remove is
+// the way out).
 func (s *Store) Scrub() (ScrubReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.recoverLocked()
+	ferr := s.flushLocked()
+	rep, err := s.recoverLocked()
+	if err == nil {
+		err = s.flushLocked()
+	}
+	out := s.recovered
+	s.recovered = ScrubReport{}
+	out.absorb(rep)
+	out.Checked = rep.Checked
+	return out, errors.Join(ferr, err)
+}
+
+// absorb appends o's findings to r's.
+func (r *ScrubReport) absorb(o ScrubReport) {
+	r.Quarantined = append(r.Quarantined, o.Quarantined...)
+	r.Dropped = append(r.Dropped, o.Dropped...)
+	r.TempFiles = append(r.TempFiles, o.TempFiles...)
+	r.Orphans = append(r.Orphans, o.Orphans...)
+}
+
+// reloadLocked handles a failed flush as the crash it counts as: it reads
+// MANIFEST.json back — keeping the in-memory one if that read fails — and
+// re-runs the startup recovery against the disk, which drops what the flush
+// did not make durable. Its findings wait for the next Scrub; a manifest
+// change it makes waits for the next flush.
+func (s *Store) reloadLocked() error {
+	lerr := s.loadManifestLocked()
+	rep, err := s.recoverLocked()
+	s.recovered.absorb(rep)
+	return errors.Join(lerr, err)
 }
 
 func (s *Store) recoverLocked() (ScrubReport, error) {
@@ -194,9 +226,8 @@ func (s *Store) recoverLocked() (ScrubReport, error) {
 	}
 
 	if changed {
-		if err := s.commitManifestLocked(); err != nil {
-			return rep, err
-		}
+		// The caller's flush writes the manifest.
+		s.batchLocked()
 	}
 	return rep, nil
 }

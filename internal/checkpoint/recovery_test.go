@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"vecycle/internal/checksum"
 	"vecycle/internal/faultfs"
@@ -62,12 +63,15 @@ func TestSaveSalvagePartialEntry(t *testing.T) {
 }
 
 // streamSave saves v through a save stream that was handed every page first,
-// as a migration's round one does, leaving the commit nothing to catch up.
+// as a migration's round one does, leaving the commit nothing to catch up,
+// and waits for its flush, returning the commit's error or the flush's.
 func streamSave(s *Store, v *vm.VM) error {
 	st := s.OpenSave(v.Name())
 	streamPages(st, v, 0, v.NumPages())
-	_, err := st.Commit(v, EntryComplete)
-	return err
+	if _, err := st.Commit(v, EntryComplete); err != nil {
+		return err
+	}
+	return st.Durable()
 }
 
 // streamPages hands pages [start, end) of v to st with their keys.
@@ -86,7 +90,11 @@ var errCrash = errors.New("simulated crash")
 // reopened store either serves the old content or quarantines — never
 // serves torn state. The streamed/ cells crash a save whose pages were all
 // streamed before the commit, plus one that crashes mid-stream, before any
-// commit began: its in-flight segment is swept at the next open.
+// commit began: its in-flight segment is swept at the next open. A commit
+// returns once its entry is visible and the store's flush makes it durable:
+// the visible cells crash after the commit returned and before the flush
+// began, and the flush-failed cells fail the flush with an injected EIO
+// instead of crashing, which the store handles as a crash itself.
 func TestKillPointMatrix(t *testing.T) {
 	points := []struct {
 		point string
@@ -101,6 +109,7 @@ func TestKillPointMatrix(t *testing.T) {
 		{point: "image-renamed", wantOld: true},      // segment renamed but unrecorded: rolled back
 		{point: "pmf-written"},                       // page manifest replaced, store manifest stale
 		{point: "manifest-committed", wantNew: true}, // transaction committed
+		{point: "visible", wantOld: true},            // commit returned, flush not begun
 	}
 	midStream := func(s *Store, v *vm.VM) error {
 		streamPages(s.OpenSave(v.Name()), v, 0, v.NumPages())
@@ -117,6 +126,24 @@ func TestKillPointMatrix(t *testing.T) {
 	t.Run("streamed/mid-stream", func(t *testing.T) {
 		killPointCell(t, "", true, false, midStream)
 	})
+	flushFaults := []struct {
+		name string
+		f    faultfs.Fault
+		// mayQuarantine: the failure left the new page manifest renamed ahead
+		// of a stale manifest, so quarantining the entry is right too.
+		mayQuarantine bool
+	}{
+		{"segment-sync", faultfs.Fault{Op: faultfs.OpSync, Path: segmentSuffix, Err: faultfs.ErrEIO}, false},
+		{"manifest-write", faultfs.Fault{Op: faultfs.OpWrite, Path: manifestName, Err: faultfs.ErrEIO}, true},
+	}
+	for _, tc := range flushFaults {
+		t.Run("flush-failed/"+tc.name, func(t *testing.T) {
+			flushFailCell(t, tc.f, tc.mayQuarantine, (*Store).Save)
+		})
+		t.Run("streamed/flush-failed/"+tc.name, func(t *testing.T) {
+			flushFailCell(t, tc.f, tc.mayQuarantine, streamSave)
+		})
+	}
 }
 
 // killPointCell saves a checkpoint, then crashes save — a replacement of it —
@@ -137,15 +164,14 @@ func killPointCell(t *testing.T, point string, wantOld, wantNew bool, save func(
 		t.Fatalf("pre-crash entry = %+v, %v", oldInfo, ok)
 	}
 
-	testHookKill = func(p string) error {
+	disarm := setKillHook(t, func(p string) error {
 		if p == point {
 			return errCrash
 		}
 		return nil
-	}
-	defer func() { testHookKill = nil }()
+	})
 	err = save(s, filledVM(t, "a", 4, 2))
-	testHookKill = nil
+	disarm()
 	if point == "manifest-committed" {
 		// The kill fires after the commit: the error is reported but
 		// the transaction is already durable.
@@ -161,12 +187,77 @@ func killPointCell(t *testing.T, point string, wantOld, wantNew bool, save func(
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, ok := s2.Entry("a")
+	want := "quarantined"
+	switch {
+	case wantOld:
+		want = "old"
+	case wantNew:
+		want = "new"
+	}
+	checkServed(t, s2, old, oldInfo, want)
+	checkRecoveredDir(t, dir, s2)
+}
+
+// flushFailCell saves a checkpoint on a store over an injected filesystem,
+// then fails the flush of save — a replacement of it — with fault. Both the
+// store that saw the failure and one reopened over the directory must serve
+// the old content, or — when mayQuarantine — quarantine the entry; neither may
+// serve the new, unsynced one.
+func flushFailCell(t *testing.T, fault faultfs.Fault, mayQuarantine bool, save func(*Store, *vm.VM) error) {
+	dir := filepath.Join(t.TempDir(), "s")
+	inj := faultfs.NewInjector()
+	s, err := NewStoreFS(dir, inj.FS(faultfs.OS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := filledVM(t, "a", 4, 1)
+	if err := s.Save(old); err != nil {
+		t.Fatal(err)
+	}
+	oldInfo, _ := s.Entry("a")
+	inj.Arm(fault)
+	if err := save(s, filledVM(t, "a", 4, 2)); !errors.Is(err, faultfs.ErrEIO) {
+		t.Fatalf("save with a failing flush returned %v, want the injected EIO", err)
+	}
+	if len(inj.Shots()) == 0 {
+		t.Fatal("the fault never fired")
+	}
+	inj.Disarm()
+	want := "old"
+	if mayQuarantine {
+		want = "old or quarantined"
+	}
+	t.Run("in-process", func(t *testing.T) { checkServed(t, s, old, oldInfo, want) })
+	// What recovery changed in the manifest is written by the next flush;
+	// let it land before a second store opens the directory.
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("reopened", func(t *testing.T) { checkServed(t, s2, old, oldInfo, want) })
+	checkRecoveredDir(t, dir, s2)
+}
+
+// checkServed checks what s serves of entry "a": want is "old" (the pre-crash
+// content, oldInfo), "new" (a committed replacement), "quarantined", or "old
+// or quarantined".
+func checkServed(t *testing.T, s *Store, old *vm.VM, oldInfo EntryInfo, want string) {
+	t.Helper()
+	info, ok := s.Entry("a")
 	if !ok {
 		t.Fatal("entry vanished after recovery")
 	}
-	switch {
-	case wantOld:
+	if want == "old or quarantined" {
+		want = "old"
+		if info.State == EntryQuarantined {
+			want = "quarantined"
+		}
+	}
+	switch want {
+	case "old":
 		if info.State != EntryComplete {
 			t.Fatalf("state = %v (%s), want complete (old content)", info.State, info.Reason)
 		}
@@ -174,7 +265,7 @@ func killPointCell(t *testing.T, point string, wantOld, wantNew bool, save func(
 			t.Error("recovered entry is not the pre-crash checkpoint")
 		}
 		dst := newVM(t, "a", 4, 99)
-		if cp, err := s2.Restore("a", checksum.Default, dst); err != nil {
+		if cp, err := s.Restore("a", checksum.Default, dst); err != nil {
 			t.Errorf("old checkpoint refused: %v", err)
 		} else {
 			cp.Close()
@@ -182,14 +273,14 @@ func killPointCell(t *testing.T, point string, wantOld, wantNew bool, save func(
 				t.Error("recovered content differs from the pre-crash save")
 			}
 		}
-	case wantNew:
+	case "new":
 		if info.State != EntryComplete {
 			t.Fatalf("state = %v (%s), want complete (new content)", info.State, info.Reason)
 		}
 		if info.Digest == oldInfo.Digest {
 			t.Error("committed transaction still serves the old digest")
 		}
-		if cp, err := s2.Restore("a", checksum.Default, nil); err != nil {
+		if cp, err := s.Restore("a", checksum.Default, nil); err != nil {
 			t.Errorf("committed checkpoint refused: %v", err)
 		} else {
 			cp.Close()
@@ -198,21 +289,25 @@ func killPointCell(t *testing.T, point string, wantOld, wantNew bool, save func(
 		if info.State != EntryQuarantined {
 			t.Fatalf("state = %v, want quarantined", info.State)
 		}
-		if s2.Has("a") {
+		if s.Has("a") {
 			t.Error("Has serves a quarantined entry")
 		}
-		if _, err := s2.Restore("a", checksum.Default, nil); err == nil {
+		if _, err := s.Restore("a", checksum.Default, nil); err == nil {
 			t.Error("Restore served a quarantined entry")
 		}
 	}
-	// No interrupted-transaction temp files or unrecorded segments
-	// survive recovery.
+}
+
+// checkRecoveredDir checks that no interrupted-transaction temp files or
+// unrecorded segments survive recovery.
+func checkRecoveredDir(t *testing.T, dir string, s *Store) {
+	t.Helper()
 	dirents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recorded := map[string]bool{}
-	for _, seg := range s2.Segments() {
+	for _, seg := range s.Segments() {
 		recorded[seg.Name] = true
 	}
 	for _, de := range dirents {
@@ -481,14 +576,40 @@ func (l *syncLog) OpenFile(name string, flag int, perm os.FileMode) (faultfs.Fil
 	return l.wrap(l.FS.OpenFile(name, flag, perm))
 }
 
+// syncKinds names each synced file of log by what it is: "segment", "pmf",
+// "manifest" (under their temp names) or "dir" (the store directory).
+func syncKinds(log *syncLog, dir string) []string {
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	var got []string
+	for _, name := range log.names {
+		switch {
+		case name == dir:
+			got = append(got, "dir")
+		case strings.HasSuffix(name, segmentSuffix+tmpSuffix):
+			got = append(got, "segment")
+		case strings.Contains(name, pmfSuffix+".") && strings.HasSuffix(name, tmpSuffix):
+			got = append(got, "pmf")
+		case strings.HasSuffix(name, manifestName+tmpSuffix):
+			got = append(got, "manifest")
+		default:
+			got = append(got, name)
+		}
+	}
+	return got
+}
+
 // TestWarmSaveSyncs pins what a warm complete save makes durable: the new
 // segment, the page manifest and the store manifest, each followed by its
 // directory — and nothing else, so a deleted satellite write cannot creep
-// back unnoticed. A save whose pages were streamed first syncs the same set:
-// streaming moves the segment's writes under the migration, not its fsync.
+// back unnoticed. The commit syncs nothing: it returns once the entry is
+// visible, and the store's flush runs the syncs. A save whose pages were
+// streamed first syncs the same set: streaming moves the segment's writes
+// under the migration, not its fsync.
 func TestWarmSaveSyncs(t *testing.T) {
 	for _, streamed := range []bool{false, true} {
 		t.Run(fmt.Sprintf("streamed=%v", streamed), func(t *testing.T) {
+			holdFlush(t)
 			dir := filepath.Join(t.TempDir(), "s")
 			log := &syncLog{FS: faultfs.OS}
 			s, err := NewStoreFS(dir, log)
@@ -518,24 +639,99 @@ func TestWarmSaveSyncs(t *testing.T) {
 			if counts != want {
 				t.Errorf("save counted %+v, want %+v", counts, want)
 			}
-			var got []string
-			for _, name := range log.names {
-				switch {
-				case name == dir:
-					got = append(got, "dir")
-				case strings.HasSuffix(name, segmentSuffix+tmpSuffix):
-					got = append(got, "segment")
-				case strings.HasSuffix(name, pmfSuffix+tmpSuffix):
-					got = append(got, "pmf")
-				case strings.HasSuffix(name, manifestName+tmpSuffix):
-					got = append(got, "manifest")
-				default:
-					got = append(got, name)
-				}
+			if got := syncKinds(log, dir); len(got) != 0 {
+				t.Errorf("commit synced %v, want nothing", got)
 			}
-			if want := []string{"segment", "dir", "pmf", "dir", "manifest", "dir"}; !reflect.DeepEqual(got, want) {
-				t.Errorf("warm save synced %v, want %v", got, want)
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := syncKinds(log, dir), []string{"segment", "dir", "pmf", "dir", "manifest", "dir"}; !reflect.DeepEqual(got, want) {
+				t.Errorf("warm save's flush synced %v, want %v", got, want)
 			}
 		})
+	}
+	// Commits that wait together share one flush: one directory sync per
+	// kind of file, and one manifest write for all of them.
+	t.Run("three-commits", func(t *testing.T) {
+		holdFlush(t)
+		dir := filepath.Join(t.TempDir(), "s")
+		log := &syncLog{FS: faultfs.OS}
+		s, err := NewStoreFS(dir, log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log.names = nil
+		for i, name := range []string{"a", "b", "c"} {
+			if _, err := s.OpenSave(name).Commit(filledVM(t, name, 8, int64(i+1)), EntryComplete); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := syncKinds(log, dir); len(got) != 0 {
+			t.Errorf("commits synced %v, want nothing", got)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"segment", "segment", "segment", "dir", "pmf", "pmf", "pmf", "dir", "manifest", "dir"}
+		if got := syncKinds(log, dir); !reflect.DeepEqual(got, want) {
+			t.Errorf("one flush of three commits synced %v, want %v", got, want)
+		}
+	})
+}
+
+// TestRestoreWaitsForFlush: a committed entry is served only once its flush
+// is done. The flush's segment fsync takes 300 ms longer; Restore of the
+// entry returns only after it and serves the new content, while State, Has
+// and Mirror, which read no file, answer at once.
+func TestRestoreWaitsForFlush(t *testing.T) {
+	const delay = 300 * time.Millisecond
+	dir := filepath.Join(t.TempDir(), "s")
+	inj := faultfs.NewInjector()
+	s, err := NewStoreFS(dir, inj.FS(faultfs.OS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := filledVM(t, "a", 16, 1)
+	inj.Arm(faultfs.Fault{Op: faultfs.OpSync, Path: segmentSuffix, Latency: delay})
+	start := time.Now()
+	if _, err := s.OpenSave("a").Commit(v, EntryComplete); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= delay {
+		t.Errorf("Commit took %v: it waited for the flush", took)
+	}
+	asked := time.Now()
+	state, ok := s.State("a")
+	has := s.Has("a")
+	_, _, mirrored := s.Mirror("a")
+	if took := time.Since(asked); took >= delay/2 {
+		t.Errorf("State, Has and Mirror took %v: they waited for the flush", took)
+	}
+	if !ok || state != EntryComplete || !has || !mirrored {
+		t.Errorf("visible entry: State = %v, %v; Has = %v; Mirror ok = %v", state, ok, has, mirrored)
+	}
+	dst := newVM(t, "a", 16, 99)
+	cp, err := s.Restore("a", checksum.Default, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Close()
+	if took := time.Since(start); took < delay {
+		t.Errorf("Restore returned %v after the commit, before the %v flush was done", took, delay)
+	}
+	if len(inj.Shots()) != 1 {
+		t.Errorf("the delayed fsync fired %d times, want 1", len(inj.Shots()))
+	}
+	if !v.MemEqual(dst) {
+		t.Errorf("restored content differs at page %d", v.FirstDifference(dst))
+	}
+	// What Restore served is what the disk holds.
+	info, _ := s.Entry("a")
+	s2, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s2.Entry("a"); !ok || got.State != EntryComplete || got.Digest != info.Digest {
+		t.Errorf("reopened entry = %+v, %v; want the complete entry %.12s", got, ok, info.Digest)
 	}
 }

@@ -16,9 +16,11 @@ import (
 // one commit (SaveStream.Commit). A save opens a stream for the VM, which
 // reserves a segment number; pages the caller hands it as they pass (Add)
 // become the segment's first slots; Commit appends whatever the pool still
-// misses straight from guest memory, seals the segment and commits the page
-// manifest and the store manifest, in that order. A save with nothing
-// streamed is a commit that writes every missing page itself.
+// misses straight from guest memory, finishes the segment, writes the page
+// manifest under a temp name and updates the in-memory manifest: the entry is
+// visible. The store's flush (atomic.go) then makes it durable, behind the
+// caller. A save with nothing streamed is a commit that writes every missing
+// page itself.
 
 // ErrStreamBroken marks the commit of a save stream one of whose writes
 // failed: nothing was saved and the stream's file is gone. Saving again
@@ -30,10 +32,19 @@ var ErrStreamBroken = errors.New("checkpoint: save stream broken")
 // completed migration supersedes. Pages whose content the object pool
 // already holds (from any VM) are referenced, not rewritten. The pages are
 // keyed from the guest's digest table; only the pages it does not cover are
-// hashed.
+// hashed. Unlike a stream's Commit, Save returns once the checkpoint is
+// durable: it flushes the store, and reports the outcome of the flush that
+// carried this commit.
 func (s *Store) Save(source *vm.VM) error {
-	_, err := s.OpenSave(source.Name()).Commit(source, EntryComplete)
-	return err
+	st := s.OpenSave(source.Name())
+	if _, err := st.Commit(source, EntryComplete); err != nil {
+		return err
+	}
+	// The background flusher may have written this commit's batch before
+	// Flush is called, and a later batch may fail after it: Durable, not
+	// Flush, reports this commit's outcome.
+	_ = s.Flush()
+	return st.Durable()
 }
 
 // SaveWithSums is Save: alg and sums are ignored. The guest's digest table is
@@ -75,11 +86,12 @@ type SaveStream struct {
 	n   uint64 // reserved segment number
 	seg string // and its file name
 
-	mu   sync.Mutex
-	w    *segWriter                // created by the first page written
-	have map[checksum.Sum]struct{} // keys of the slots written so far
-	err  error                     // first write failure: the stream writes no more
-	done bool                      // committed or aborted
+	mu    sync.Mutex
+	w     *segWriter                // created by the first page written
+	have  map[checksum.Sum]struct{} // keys of the slots written so far
+	err   error                     // first write failure: the stream writes no more
+	done  bool                      // committed or aborted
+	batch *flushBatch               // the flush that makes the commit durable
 }
 
 // OpenSave opens a save stream for the named VM. It reserves the stream's
@@ -137,11 +149,14 @@ func (st *SaveStream) writer() (*segWriter, error) {
 //
 // It computes the pages the pool is missing — against the pool and the entry
 // it replaces, as any save does — and appends those the stream has not
-// written, straight from guest memory. Then it writes the trailer, fsyncs,
-// and commits the page manifest and the store manifest. Streamed slots the
-// entry does not need are dead on arrival; a segment holding nothing the entry
-// needs is not kept at all. A broken stream commits nothing and fails with
-// ErrStreamBroken. Commit or Abort once; later calls fail or do nothing.
+// written, straight from guest memory. Then it writes the trailer and the page
+// manifest, both under temp names and unsynced, and records the entry in the
+// in-memory manifest and pool view. It returns once the entry is visible; the
+// store's flush, in the background, makes it durable, and Restore serves it
+// only then (Durable waits for it). Streamed slots the entry does not need are
+// dead on arrival; a segment holding nothing the entry needs is not kept at
+// all. A broken stream commits nothing and fails with ErrStreamBroken. Commit
+// or Abort once; later calls fail or do nothing.
 func (st *SaveStream) Commit(v *vm.VM, state EntryState) (SaveCounts, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -157,16 +172,21 @@ func (st *SaveStream) Commit(v *vm.VM, state EntryState) (SaveCounts, error) {
 	s := st.s
 	s.mu.Lock()
 	counts, err := st.commitLocked(v, state, pageKeys)
-	delete(s.inflight, st.seg+tmpSuffix)
+	if err != nil || st.w == nil {
+		// No segment of the stream's waits for a flush.
+		delete(s.inflight, st.seg+tmpSuffix)
+	}
+	s.kickLocked()
 	s.mu.Unlock()
 	counts.Hashed = hashed
 	return counts, err
 }
 
-// commitLocked runs the commit transaction. Write order is: the segment
-// (streamed slots, then the catch-up), page manifest, then — the commit
-// point — the store manifest. A crash before the manifest commit leaves the
-// previous transaction's manifest in charge: recovery rolls back the
+// commitLocked runs the visible half of the commit transaction. Write order
+// is: the segment (streamed slots, then the catch-up), then the page manifest
+// under its temp name; the flush syncs and renames them in that order and
+// commits the store manifest last. A crash before the manifest commit leaves
+// the previous transaction's manifest in charge: recovery rolls back the
 // unrecorded segment and quarantines the entry if its pmf was already
 // replaced. Replacing a servable entry of the same length costs map work only
 // where the key lists differ (missingLocked, registerEntryLocked).
@@ -215,38 +235,70 @@ func (st *SaveStream) commitLocked(v *vm.VM, state EntryState, pageKeys []checks
 				w.keys[i] = deadSlot
 			}
 		}
-		if segSeal, err = w.seal(); err != nil {
+		if segSeal, err = w.finish(); err != nil {
 			return counts, err
 		}
 	} else if st.w != nil {
 		// Everything the stream wrote is pooled already: keep none of it.
 		st.w.discard()
+		st.w = nil
 	}
-	pmfDigest, err := writePMF(s.fs, s.pmfPath(v.Name()), pageKeys)
+	pmf, pmfDigest, err := createPMF(s.fs, s.pmfPath(v.Name()), st.n, pageKeys)
 	if err != nil {
 		return counts, err
 	}
-	if err := kill("pmf-written"); err != nil {
-		return counts, err
-	}
-	// Transaction commit: the manifest is written LAST, so a crash at any
-	// earlier point leaves recorded digests that no longer match the disk —
-	// which the recovery scan quarantines instead of serving.
+	// Visible: the entry goes into the in-memory manifest and pool view, and
+	// its files into the next flush, which commits the manifest LAST — so a
+	// crash at any earlier point leaves recorded digests that no longer match
+	// the disk, which the recovery scan quarantines instead of serving.
+	b := s.batchLocked()
 	if segSeal != "" {
 		s.man.NextSeg = max(s.man.NextSeg, st.n)
 		s.man.Segments[st.seg] = segmentRecord{Digest: segSeal, Pages: len(st.w.keys)}
-	}
-	s.man.Entries[st.key] = manifestEntry{State: state, Digest: pmfDigest, Size: v.MemBytes(), Pages: len(pageKeys)}
-	if err := s.commitManifestLocked(); err != nil {
-		return counts, err
-	}
-	// The transaction is durable: fold it into the in-memory pool view.
-	if segSeal != "" {
 		s.registerSegmentLocked(st.seg, st.w.keys)
+		b.segs = append(b.segs, st.w)
 	}
+	b.addPMF(s, pmf)
+	s.man.Entries[st.key] = manifestEntry{State: state, Digest: pmfDigest, Size: v.MemBytes(), Pages: len(pageKeys)}
 	s.registerEntryLocked(st.key, pageKeys)
+	s.waiting[st.key] = b
+	st.batch = b
 	counts.Pooled = len(pageKeys) - len(newSlots)
 	return counts, nil
+}
+
+// addPMF adds a commit's page manifest to the batch, in Store.inflight until
+// the flush renames it. A page manifest of the same entry that the batch
+// holds already is superseded before anything synced it: it is dropped.
+func (b *flushBatch) addPMF(s *Store, p *pendingPMF) {
+	for i, old := range b.pmfs {
+		if old.path == p.path {
+			old.close()
+			s.fs.Remove(old.tmp)
+			delete(s.inflight, filepath.Base(old.tmp))
+			b.pmfs = append(b.pmfs[:i], b.pmfs[i+1:]...)
+			break
+		}
+	}
+	s.inflight[filepath.Base(p.tmp)] = true
+	b.pmfs = append(b.pmfs, p)
+}
+
+// Durable waits until the flush that carries the stream's commit is done and
+// returns its error: nil once the entry is durable; the failure otherwise,
+// after which the store has recovered as from a crash — the entry is the
+// previous one or quarantined. It returns nil at once for a stream that
+// committed nothing. Callers that want to report a lost checkpoint wait on it
+// off their critical path.
+func (st *SaveStream) Durable() error {
+	st.mu.Lock()
+	b := st.batch
+	st.mu.Unlock()
+	if b == nil {
+		return nil
+	}
+	<-b.done
+	return b.err
 }
 
 // saveRunPages caps a run of guest pages a save writes under one hold of the

@@ -22,10 +22,15 @@ func vmSums(t *testing.T, v *vm.VM, alg checksum.Algorithm) []checksum.Sum {
 	return sums
 }
 
-// commitComplete saves v as a complete entry and returns what the commit did.
+// commitComplete saves v as a complete entry, waits until it is durable and
+// returns what the commit did.
 func commitComplete(t *testing.T, s *Store, v *vm.VM) SaveCounts {
 	t.Helper()
-	counts, err := s.OpenSave(v.Name()).Commit(v, EntryComplete)
+	st := s.OpenSave(v.Name())
+	counts, err := st.Commit(v, EntryComplete)
+	if err == nil {
+		err = st.Durable()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

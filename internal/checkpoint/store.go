@@ -35,7 +35,10 @@ import (
 // records each entry's page-manifest digest and every live segment's seal,
 // and NewStore replays them against the disk — quarantining
 // entries a crash left torn and rolling back files no committed transaction
-// describes. Entries are complete (a full checkpoint), partial (a salvage
+// describes. A save's commit does not wait for any of those fsyncs: it returns
+// once the entry is visible, and one store-wide flush, behind the caller,
+// makes every pending commit durable (atomic.go). Only durable entries are
+// served. Entries are complete (a full checkpoint), partial (a salvage
 // checkpoint persisted by an interrupted incoming migration, served for
 // announce-driven resume only), or quarantined (never served).
 type Store struct {
@@ -55,9 +58,23 @@ type Store struct {
 	// Segment numbers handed out but not necessarily committed yet (an open
 	// save stream's, a compaction's): lastSeg is the highest, so no two
 	// writers ever share a file name. inflight names the temp files of the
-	// save streams still open, which recovery's temp sweep must leave alone.
+	// save streams still open and of the commits still waiting for their
+	// flush, which recovery's temp sweep must leave alone.
 	lastSeg  uint64
 	inflight map[string]bool
+
+	// The durable half of every change (atomic.go). next collects what was
+	// made visible since the last flush took its snapshot; running is the
+	// batch the background flusher is writing; flusher is set while that
+	// goroutine runs. waiting names, per entry, the batch its newest commit
+	// rides in: Restore and OpenUnion serve the entry only once it is done.
+	next, running *flushBatch
+	flusher       bool
+	waiting       map[string]*flushBatch
+
+	// recovered is what recovery found outside Scrub since the last Scrub —
+	// the opening scan's, a failed flush's — which Scrub reports with its own.
+	recovered ScrubReport
 }
 
 // objLoc locates one object's payload inside a segment file.
@@ -94,11 +111,17 @@ func NewStoreFS(dir string, fsys faultfs.FS) (*Store, error) {
 		segKeys: map[string][]checksum.Sum{},
 
 		inflight: map[string]bool{},
+		waiting:  map[string]*flushBatch{},
 	}
 	if err := s.loadManifestLocked(); err != nil {
 		return nil, err
 	}
-	if _, err := s.recoverLocked(); err != nil {
+	rep, err := s.recoverLocked()
+	if err != nil {
+		return nil, err
+	}
+	s.recovered = rep
+	if err := s.flushLocked(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -123,7 +146,8 @@ func sanitize(name string) string {
 }
 
 // Has reports whether a servable checkpoint — complete or partial, not
-// quarantined — exists for the named VM.
+// quarantined — exists for the named VM. Like State, Mirror and Entry, it
+// reports a commit as soon as it is visible, without waiting for its flush.
 func (s *Store) Has(vmName string) bool {
 	state, ok := s.State(vmName)
 	return ok && state != EntryQuarantined
@@ -386,12 +410,18 @@ func (s *Store) resolveLocked(pageKeys []checksum.Sum, open segFiles) ([]pageRef
 // Restore is the eager form: it returns once dst holds every page. A caller
 // that can overlap the installs with other work opens index-only (dst nil)
 // and hands the guest to Checkpoint.InstallInto.
+//
+// An entry whose newest commit is still waiting for its flush is served only
+// once the flush is done: Restore waits for it, without holding the store
+// lock, and then serves whatever the flush left — the new entry, or after a
+// failed flush the previous one (or a quarantine).
 func (s *Store) Restore(vmName string, alg checksum.Algorithm, dst *vm.VM) (*Checkpoint, error) {
 	if !alg.Valid() {
 		return nil, fmt.Errorf("checkpoint: invalid checksum algorithm")
 	}
 	key := sanitize(vmName)
 	s.mu.Lock()
+	s.awaitLocked(key)
 	e, ok := s.man.Entries[key]
 	if !ok {
 		s.mu.Unlock()
@@ -465,10 +495,11 @@ func entrySums(pageKeys []checksum.Sum, refs []pageRef, alg checksum.Algorithm, 
 // (faultfs.Label) appended to skipped, for the caller to report — and the
 // union is built from the rest. Skipped entries stay in the store untouched
 // (a transient error is not evidence of corruption; Scrub and Verify decide
-// quarantines).
+// quarantines). Like Restore, it first waits for every pending commit's flush.
 func (s *Store) OpenUnion() (cp *Checkpoint, names, skipped []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.awaitLocked("")
 	cp = &Checkpoint{files: segFiles{}, alg: ObjectAlgorithm, union: true, sums: checksum.NewSet(0)}
 	for _, key := range sortedKeys(s.man.Entries) {
 		if s.man.Entries[key].State == EntryQuarantined {
@@ -502,17 +533,21 @@ func (s *Store) OpenUnion() (cp *Checkpoint, names, skipped []string) {
 func (s *Store) Remove(vmName string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.flushLocked(); err != nil {
+		return err
+	}
 	key := sanitize(vmName)
 	_, recorded := s.man.Entries[key]
 	if err := s.fs.Remove(s.pmfPath(vmName)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("checkpoint: remove page manifest: %w", err)
 	}
 	s.dropEntryLocked(key)
-	if recorded {
-		delete(s.man.Entries, key)
-		return s.commitManifestLocked()
+	if !recorded {
+		return nil
 	}
-	return nil
+	delete(s.man.Entries, key)
+	s.batchLocked() // the manifest changed: the flush writes it
+	return s.flushLocked()
 }
 
 // Quarantine marks the named VM's entry as quarantined with the given
@@ -527,6 +562,9 @@ func (s *Store) Remove(vmName string) error {
 func (s *Store) Quarantine(vmName, reason string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.flushLocked(); err != nil {
+		return err
+	}
 	key := sanitize(vmName)
 	e, ok := s.man.Entries[key]
 	if !ok || e.State == EntryQuarantined {
@@ -535,7 +573,8 @@ func (s *Store) Quarantine(vmName, reason string) error {
 	e.State = EntryQuarantined
 	e.Reason = reason
 	s.man.Entries[key] = e
-	return s.commitManifestLocked()
+	s.batchLocked() // the manifest changed: the flush writes it
+	return s.flushLocked()
 }
 
 // List reports the VM names with store entries, whatever their state,

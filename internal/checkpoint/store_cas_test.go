@@ -305,14 +305,14 @@ func TestGCCrashMidCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("simulated crash")
-	testHookKill = func(p string) error {
+	disarm := setKillHook(t, func(p string) error {
 		if p == "image-renamed" {
 			return boom
 		}
 		return nil
-	}
+	})
 	_, err = s.GC()
-	testHookKill = nil
+	disarm()
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("killed GC error = %v, want the simulated crash", err)
 	}

@@ -28,6 +28,9 @@ const (
 	StageRecycleRead = "recycle-read"
 	// StageUnionRead: folding a store entry into a union announcement.
 	StageUnionRead = "union-read"
+	// StageFlush: the store flush that makes a committed checkpoint durable,
+	// behind the migration that saved it.
+	StageFlush = "flush"
 )
 
 // MigrationError is a migration-path failure that names the stage it

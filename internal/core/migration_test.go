@@ -35,6 +35,8 @@ func newStore(t *testing.T) *checkpoint.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A commit's flush runs behind it: let it land before the directory goes.
+	t.Cleanup(func() { s.Flush() })
 	return s
 }
 

@@ -36,6 +36,8 @@ func newFaultHost(t *testing.T, name string, inj *faultfs.Injector) *Host {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Close flushes the store before the directory is removed.
+	t.Cleanup(func() { h.Close() })
 	return h
 }
 
@@ -608,6 +610,11 @@ func TestChaosStoreMatrix(t *testing.T) {
 		waitFor(t, func() bool { _, ok := dst.VM("vm0"); return ok }, "guest never registered at the destination")
 		landed, _ := dst.VM("vm0")
 		fingerprintEqual(t, want, landed)
+		// A commit's syncs and renames run in the store's flush, behind the
+		// migration: let both flushes land before asking whether the fault
+		// fired. A failed one has cost a checkpoint, not the migration.
+		src.Store().Flush()
+		dst.Store().Flush()
 		if len(inj.Shots()) == 0 {
 			t.Errorf("phase %s, fault %s on %s %s: the fault never fired", phase, faultName, s.op, s.path)
 		}
@@ -630,5 +637,59 @@ func TestChaosStoreMatrix(t *testing.T) {
 			t.Parallel()
 			run(t, "bootstrap", "eio", s, faults[0].arm)
 		})
+	}
+}
+
+// TestChaosStoreFlushSyncEIO: the flush that makes the source's departure
+// checkpoint durable fails its segment fsync with EIO, behind a migration
+// that has already returned. The migration stands; the flush rung records
+// the lost checkpoint once — vecycle_degraded_total{stage=flush} and OnError —
+// and the store, recovered as from a crash, serves no entry it never synced.
+func TestChaosStoreFlushSyncEIO(t *testing.T) {
+	inj := faultfs.NewInjector()
+	src := newFaultHost(t, "alpha", inj)
+	var mu sync.Mutex
+	var srcErrs []error
+	src.OnError = func(err error) {
+		mu.Lock()
+		srcErrs = append(srcErrs, err)
+		mu.Unlock()
+	}
+	dst := newHost(t, "beta")
+	addr := listen(t, dst)
+
+	v := newGuest(t, "vm0", 256)
+	if err := v.FillRandom(0.9); err != nil {
+		t.Fatal(err)
+	}
+	want := v.Fingerprint64()
+	src.AddVM(v)
+
+	inj.Arm(faultfs.Fault{Op: faultfs.OpSync, Path: ".seg", Err: faultfs.ErrEIO})
+	if _, err := src.MigrateTo(context.Background(), addr, "vm0", MigrateOptions{
+		Recycle: true, KeepCheckpoint: true,
+	}); err != nil {
+		t.Fatalf("a failing flush failed the migration: %v", err)
+	}
+	waitFor(t, func() bool { _, ok := dst.VM("vm0"); return ok }, "guest never registered at the destination")
+	landed, _ := dst.VM("vm0")
+	fingerprintEqual(t, want, landed)
+
+	waitFor(t, func() bool {
+		return strings.Contains(scrape(t, src), `vecycle_degraded_total{host="alpha",stage="flush",fault="eio"} 1`)
+	}, "flush degradation not counted on the source")
+	if n := strings.Count(scrape(t, src), `vecycle_degraded_total{host="alpha"`); n != 1 {
+		t.Errorf("%d degradation series on the source, want only the flush one:\n%s", n, scrape(t, src))
+	}
+	mu.Lock()
+	errs := append([]error(nil), srcErrs...)
+	mu.Unlock()
+	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "flush degraded") || !errors.Is(errs[0], syscall.EIO) {
+		t.Errorf("OnError saw %v, want one flush degradation wrapping EIO", errs)
+	}
+	// The segment was never synced, so nothing of the checkpoint is served:
+	// a first visit leaves no entry.
+	if _, ok := src.Store().Entry("vm0"); ok {
+		t.Error("the source store serves a checkpoint its flush never made durable")
 	}
 }

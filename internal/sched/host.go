@@ -63,8 +63,8 @@ type Host struct {
 	pending  map[string]bool       // arrivals in flight, reserved until registered
 	arrivals int
 	ln       net.Listener
-	opsSrv   *obs.Server // optional ops HTTP listener (ListenOps)
-	wg       sync.WaitGroup
+	opsSrv   *obs.Server    // optional ops HTTP listener (ListenOps)
+	wg       sync.WaitGroup // accept loop, handlers, flush watchers: Close waits for them
 
 	// obs folds every migration into a metrics registry and trace log
 	// (see obs.go); always non-nil after NewHost.
@@ -234,7 +234,9 @@ func (h *Host) Listen(addr string) (string, error) {
 // Close stops the listener, aborts in-flight incoming migrations, and waits
 // for their handlers. A handler blocked on a stalled peer is unblocked by
 // the cancellation, so Close returns promptly rather than waiting out the
-// peer.
+// peer. It also waits for the flushes of the checkpoints the host committed,
+// their failures recorded, and then flushes the store, so every checkpoint is
+// durable when Close returns; a flush that fails is Close's error.
 func (h *Host) Close() error {
 	h.cancel()
 	h.mu.Lock()
@@ -251,6 +253,9 @@ func (h *Host) Close() error {
 		opsSrv.Close()
 	}
 	h.wg.Wait()
+	if ferr := h.store.Flush(); err == nil {
+		err = ferr
+	}
 	return err
 }
 
@@ -518,11 +523,17 @@ func (h *Host) degrade(stage string, rec *obs.Recorder, err error) {
 // (core.Stage* constants). A successful save is traced as a checkpoint-saved
 // event naming the image and how many of the pages the store was missing
 // were streamed and how many caught up after the ack.
+//
+// A commit returns once the checkpoint is visible; the store's flush makes it
+// durable behind the caller. A flush that fails loses the checkpoint (the
+// store recovers as from a crash) and is recorded on the flush rung
+// (core.StageFlush), whenever it happens.
 func (h *Host) saveCheckpoint(stage string, rec *obs.Recorder, save *checkpoint.SaveStream, v *vm.VM, image string, state checkpoint.EntryState) error {
 	// A stream commits once, so each try takes the one left and the next
 	// opens afresh.
+	var st *checkpoint.SaveStream
 	commit := func() (checkpoint.SaveCounts, error) {
-		st := save
+		st = save
 		if st == nil {
 			st = h.store.OpenSave(v.Name())
 		}
@@ -553,6 +564,14 @@ func (h *Host) saveCheckpoint(stage string, rec *obs.Recorder, save *checkpoint.
 	}
 	rec.Event(obs.Event{Kind: "checkpoint-saved",
 		Detail: fmt.Sprintf("%s streamed=%d caught_up=%d", image, counts.Streamed, counts.CaughtUp)})
+	// Close waits for the flush's outcome to be recorded.
+	h.wg.Add(1)
+	go func() {
+		defer h.wg.Done()
+		if err := st.Durable(); err != nil {
+			h.degrade(core.StageFlush, rec, err)
+		}
+	}()
 	return nil
 }
 
@@ -698,8 +717,10 @@ func (h *Host) migrateLeg(ctx context.Context, addr string, v *vm.VM, opts Migra
 		switch {
 		case err == nil:
 			// The region now lives at the destination. Commit the local
-			// checkpoint — after the migration, off the critical path, as in
-			// the paper. The engine wrote every digest it computed back to the
+			// checkpoint after the migration: the commit returns once the
+			// entry is visible and the store's flush makes it durable behind
+			// the caller, so the fsyncs are off the critical path, as in the
+			// paper. The engine wrote every digest it computed back to the
 			// region's table, and the final round left no page unrecorded, so
 			// the commit hashes nothing.
 			if opts.KeepCheckpoint {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"vecycle/internal/checkpoint"
 	"vecycle/internal/core"
 	"vecycle/internal/vm"
 )
@@ -17,6 +18,8 @@ func newHost(t *testing.T, name string) *Host {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Close flushes the store before the directory is removed.
+	t.Cleanup(func() { h.Close() })
 	return h
 }
 
@@ -331,6 +334,56 @@ func TestHostsWriteNoIndexFiles(t *testing.T) {
 		}
 		if len(idx) != 0 {
 			t.Errorf("host %s wrote index files: %v", h.Name(), idx)
+		}
+	}
+}
+
+// TestCloseMakesCheckpointsDurable: a leg's two checkpoints — the source's
+// departure image and the destination's arrival image — are committed as soon
+// as they are visible and made durable by the stores' flushes, behind the
+// migration. Close flushes, so stores reopened over both directories serve
+// both entries complete, and a scrub of either finds nothing to report.
+func TestCloseMakesCheckpointsDurable(t *testing.T) {
+	src := newHost(t, "alpha")
+	dst := newHost(t, "beta")
+	dst.SaveArrivals = true
+	addr := listen(t, dst)
+	v := newGuest(t, "vm0", 256)
+	if err := v.FillRandom(0.9); err != nil {
+		t.Fatal(err)
+	}
+	want := v.Fingerprint64()
+	src.AddVM(v)
+	if _, err := src.MigrateTo(context.Background(), addr, "vm0", MigrateOptions{Recycle: true, KeepCheckpoint: true}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { _, ok := dst.VM("vm0"); return ok }, "guest never registered at the destination")
+	for _, h := range []*Host{src, dst} {
+		if err := h.Close(); err != nil {
+			t.Fatalf("close %s: %v", h.Name(), err)
+		}
+	}
+	for _, h := range []*Host{src, dst} {
+		st, err := checkpoint.NewStore(h.Store().Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if state, ok := st.State("vm0"); !ok || state != checkpoint.EntryComplete {
+			t.Fatalf("%s: reopened entry is %q (present=%v), want complete", h.Name(), state, ok)
+		}
+		got := newGuest(t, "vm0", 256)
+		cp, err := st.Restore("vm0", checkpoint.ObjectAlgorithm, got)
+		if err != nil {
+			t.Fatalf("%s: %v", h.Name(), err)
+		}
+		cp.Close()
+		fingerprintEqual(t, want, got)
+		rep, err := st.Scrub()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Quarantined)+len(rep.Dropped)+len(rep.TempFiles)+len(rep.Orphans) != 0 {
+			t.Errorf("%s: scrub after a clean close found %+v", h.Name(), rep)
 		}
 	}
 }

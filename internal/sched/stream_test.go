@@ -203,6 +203,11 @@ func TestStreamedSaveAbortedByCut(t *testing.T) {
 	}
 	waitFor(t, func() bool { return handled.Load() == 1 }, "destination never finished the cut migration")
 	for name, h := range p.hosts {
+		// The salvage commit's files are in flight until the store's flush
+		// makes them durable; what outlives the flush is a leak.
+		if err := h.Store().Flush(); err != nil {
+			t.Fatal(err)
+		}
 		dirents, err := os.ReadDir(h.Store().Dir())
 		if err != nil {
 			t.Fatal(err)
